@@ -36,7 +36,7 @@ def test_run_bench_writes_schema(tmp_path):
                     echo=lambda line: None)
     on_disk = json.loads(out.read_text())
     assert on_disk == doc
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert set(doc["scenarios"]) == set(SCENARIOS)
     for name in SCENARIOS:
         entry = doc["scenarios"][name]

@@ -98,6 +98,10 @@ def run_arena_cell(params: dict, seed: int) -> dict:
         dcqcn=None if cc == "fixed" else NetworkConfig().dcqcn,
         seed=seed)
     net = Network(config)
+    # Once every posted message is delivered and acknowledged only idle
+    # DCQCN timers and stray control packets remain, and none of them
+    # moves a cell metric: stop there, not at the deadline.
+    net.metrics.on_idle = net.stop
     deadline_ns = int(params["deadline_us"] * 1000)
     completed = _run_workload(net, params["workload"],
                               int(params["bytes"]), deadline_ns)

@@ -51,8 +51,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.sim.engine import (DEFAULT_BUCKET_NS, DEFAULT_N_BUCKETS,
-                              HeapSimulator, MS, US)
+from repro.sim.engine import DEFAULT_BUCKET_NS, HeapSimulator, MS, US
 
 #: Output file tracked at the repo root.
 DEFAULT_OUT = "BENCH_engine.json"
@@ -269,9 +268,7 @@ def run_bench(*, quick: bool = False, compare: bool = True,
         "generated_by": "python -m repro bench" + (" --quick" if quick else ""),
         "quick": quick,
         "python": ".".join(map(str, sys.version_info[:3])),
-        "engine": {"kind": "calendar",
-                   "bucket_ns": DEFAULT_BUCKET_NS,
-                   "n_buckets": DEFAULT_N_BUCKETS},
+        "engine": {"kind": "calendar", "bucket_ns": DEFAULT_BUCKET_NS},
         "measurement": {"repeats": repeats,
                         "estimator": "min wall time",
                         "fresh_process": fresh_process,

@@ -65,9 +65,9 @@ class CostModel:
       amortize it over hundreds of events per bucket; sparse ones
       (incast's few events per 64 ns window) pay it per handful, which
       is exactly why a pure event-mix model over-predicts them.
-    * ``time_cost`` — wall ns per *simulated* ns: cursor advances
-      across empty buckets and overflow-heap refills during long idle
-      spans (RTO waits in ``lossy``).
+    * ``time_cost`` — wall ns per *simulated* ns.  The sparse calendar
+      does no work per empty bucket, so this fits to ~0; it stays as
+      the second regressor of the two-anchor fit.
     """
 
     costs_ns: dict[str, float]

@@ -159,6 +159,13 @@ class Metrics:
         # this (see repro.switch.lb.RepsLB); empty list = free.
         self.ack_listeners: list[Callable[[FlowKey, int], None]] = []
 
+        # Posted messages still open — sends not yet acknowledged plus
+        # receives not yet delivered — and the hook fired when the count
+        # returns to zero (``metrics.on_idle = net.stop`` ends a run at
+        # completion instead of ticking idle timers to a deadline).
+        self.open_messages = 0
+        self.on_idle: Optional[Callable[[], None]] = None
+
         # Observability recorder of the run, attached by Network when
         # tracing is on; summary() then surfaces its per-event counts.
         self.recorder = None
@@ -226,6 +233,17 @@ class Metrics:
 
     def on_cnp_generated(self, flow: FlowKey) -> None:
         self.cnps_generated += 1
+
+    def message_closed(self) -> None:
+        """A posted send was acknowledged or a posted receive delivered.
+
+        QPs call this *after* the message's own ``on_done``, so a
+        completion callback that posts the next message keeps the
+        count above zero.
+        """
+        self.open_messages -= 1
+        if not self.open_messages and self.on_idle is not None:
+            self.on_idle()
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -45,7 +45,7 @@ class Profiler:
         self.stats: dict[str, HandlerStats] = {}
         self._prev_key: str | None = None
         self._prev_clock = 0.0
-        self._names: dict[int, str] = {}   # id(callback) -> qualname cache
+        self._names: dict[object, str] = {}   # function -> qualname cache
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -75,11 +75,14 @@ class Profiler:
     def _hook(self, _time_ns: int, _seq: int, callback) -> None:
         now = time.perf_counter()
         self._flush(now)
-        key = self._names.get(id(callback))
+        # Key on the function: a bound method is a transient object whose
+        # id() is recycled for the next handler's, while the function
+        # stays alive for as long as this cache refers to it.
+        fn = getattr(callback, "__func__", callback)
+        key = self._names.get(fn)
         if key is None:
-            key = getattr(callback, "__qualname__", None) \
-                or repr(callback)
-            self._names[id(callback)] = key
+            key = getattr(fn, "__qualname__", None) or repr(fn)
+            self._names[fn] = key
         self._prev_key = key
         self._prev_clock = now
 

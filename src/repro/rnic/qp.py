@@ -109,6 +109,7 @@ class SenderQp:
         self._message_starts.append(message.start_psn)
         self.total_psns = message.end_psn
         self.stats.bytes_posted += nbytes
+        self.metrics.open_messages += 1
         self._arm_rto()
         self._maybe_schedule_send()
 
@@ -278,6 +279,7 @@ class SenderQp:
                                   end_psn=message.end_psn)
             if message.on_done is not None:
                 message.on_done()
+            self.metrics.message_closed()
 
     @property
     def complete(self) -> bool:

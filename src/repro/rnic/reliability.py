@@ -78,6 +78,7 @@ class ReceiverQp:
         npkts = self.config.packets_for(nbytes)
         self._posted_psns += npkts
         self._expected.append((self._posted_psns, on_done))
+        self.metrics.open_messages += 1
         self._check_completions()
 
     def _check_completions(self) -> None:
@@ -86,6 +87,7 @@ class ReceiverQp:
             self.stats.receiver_done_ns = self.sim.now
             if on_done is not None:
                 on_done()
+            self.metrics.message_closed()
 
     # ------------------------------------------------------------------
     # Packet entry point

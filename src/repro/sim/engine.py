@@ -2,20 +2,41 @@
 
 Two engines share one API and one determinism contract:
 
-* :class:`Simulator` — the default **hybrid bucketed calendar queue**.
-  Near-future events land in a ring of fixed-width time buckets sized to
-  the dominant serialization/propagation deltas; far-future events
-  (retransmission timeouts, DCQCN timers, end-of-run guards) overflow into
-  a binary heap.  Queue entries are plain ``(time, seq, event)`` tuples so
-  every ordering comparison happens in C instead of calling
-  ``Event.__lt__``, and executed :class:`~repro.sim.events.Event` objects
-  are recycled through a free list.  Cancelled overflow entries are
-  compacted away once they outnumber the live ones (lazy-cancel
-  compaction), so timer churn cannot grow the heap without bound.
+* :class:`Simulator` — the default **sparse calendar queue**.  Pending
+  entries are grouped into fixed-width time buckets, but only occupied
+  buckets exist: a dict maps ``time >> shift`` to an unsorted list, a heap
+  of the occupied keys says which bucket is next, and one more heap
+  (``_live``) takes the entries that arrive inside the window already
+  being drained.  Claiming the next bucket is one ``heappop`` plus one
+  ``dict.pop``; the bucket is sorted once and dispatched in a tight loop.
+  Queue entries are plain ``(time, seq, ...)`` tuples so every ordering
+  comparison happens in C instead of calling ``Event.__lt__``, and
+  executed :class:`~repro.sim.events.Event` objects are recycled through
+  a free list.
 * :class:`HeapSimulator` — the original single binary-heap engine, kept as
   the executable reference implementation.  The golden determinism test
   (``tests/sim/test_engine_determinism.py``) runs full workloads on both
   engines and asserts bit-identical ``(time, seq)`` execution order.
+
+Three invariants carry the calendar's correctness:
+
+1. every entry in ``_live`` lies below ``_cur_end`` (the end of the last
+   bucket claimed) and every entry in ``_buckets`` at or beyond it, so
+   draining ``_live`` first and the smallest key next visits time in
+   increasing order;
+2. ``_order`` holds each key of ``_buckets`` exactly once — a key is
+   pushed when its list is created and popped when the list is claimed;
+3. whatever is executed comes out of a ``(time, seq)``-sorted batch or the
+   ``_live`` heap, whichever front is smaller, which is the order the
+   reference heap pops.
+
+There is no horizon and no compaction.  A dict has room for any key, so a
+timer seconds ahead costs the same insert as a wake-up 100 ns ahead and is
+never migrated.  A cancelled entry stays in its bucket until the clock
+reaches it and is dropped there; since the retransmission timer became
+lazy (an ACK moves a deadline instead of cancelling and re-scheduling)
+the remaining re-arms (DCQCN, delayed ACK) leave at most one timer
+period's worth of tombstones per QP.
 
 All simulation time is expressed in **integer nanoseconds** — the
 module-level constants :data:`NS`, :data:`US`, :data:`MS` and :data:`SEC`
@@ -27,9 +48,7 @@ Determinism contract
 --------------------
 Two runs with identical inputs and seeds execute the exact same event
 sequence.  This requires (a) the ``seq`` tie-break, and (b) all randomness
-flowing through :class:`repro.sim.rng.SimRng`.  The calendar engine keeps
-bucket windows disjoint and orders each bucket by ``(time, seq)``, so its
-execution order equals the reference heap's.
+flowing through :class:`repro.sim.rng.SimRng`.
 
 Pooling invariant
 -----------------
@@ -45,6 +64,7 @@ callback's first line.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event
@@ -60,24 +80,19 @@ SEC = 1_000_000_000
 
 #: Default calendar-bucket width.  Dominant event deltas are packet
 #: serialization times (31 ns for an MTU at 400 Gbps, ~500 ns at 25 Gbps)
-#: and the ~1 us link propagation delay, so 64 ns buckets keep same-bucket
-#: collisions low at high load without inflating the empty-bucket scan.
+#: and the ~1 us link propagation delay, so 64 ns buckets keep a bucket's
+#: sort small at high load while a sparse calendar pays per occupied
+#: bucket, never per empty one.
 DEFAULT_BUCKET_NS = 64
-#: Default bucket count; with 64 ns buckets the near-future window covers
-#: ~262 us, which holds pacing gaps, delayed ACKs, and DCQCN increase
-#: timers.  RTOs (400 us and up) intentionally overflow to the far heap.
-DEFAULT_N_BUCKETS = 4096
 
 #: Ceiling on the Event free list (objects, not bytes).
 _EVENT_POOL_CAP = 8192
-#: Overflow compaction never triggers below this heap size.
-_MIN_COMPACT = 512
 #: Sentinel "no bound" time, far beyond any simulated horizon (~146 y).
 _FAR_FUTURE = 1 << 62
 
-# Module-level aliases: the scheduling entry points run once or twice
-# per simulated packet, where ``heapq.heappush`` would cost a global
-# plus an attribute load per call.
+# Module-level alias: the scheduling entry points run once or twice per
+# simulated packet, where ``heapq.heappush`` would cost a global plus an
+# attribute load per call.
 _heappush = heapq.heappush
 
 
@@ -85,21 +100,8 @@ class SimulationError(RuntimeError):
     """Raised on scheduler misuse (e.g. scheduling in the past)."""
 
 
-#: Per-geometry cache of single-bit masks for the occupancy bitmap, so
-#: every Simulator instance shares one list of 4096 big ints.
-_BIT_MASKS: dict[int, list[int]] = {}
-
-
-def _bit_masks(n_buckets: int) -> list[int]:
-    masks = _BIT_MASKS.get(n_buckets)
-    if masks is None:
-        masks = [1 << i for i in range(n_buckets)]
-        _BIT_MASKS[n_buckets] = masks
-    return masks
-
-
 class Simulator:
-    """Event scheduler and simulation clock (bucketed calendar queue).
+    """Event scheduler and simulation clock (sparse calendar queue).
 
     Parameters
     ----------
@@ -108,35 +110,20 @@ class Simulator:
         :meth:`run` will not execute them.
     bucket_ns:
         Width of one calendar bucket in nanoseconds (rounded up to a power
-        of two so bucket indexing is a shift+mask).
-    n_buckets:
-        Number of buckets in the near-future ring (rounded up to a power
-        of two).  ``bucket_ns * n_buckets`` is the calendar horizon;
-        events farther out go to the overflow heap.
+        of two so the bucket key is one shift).
 
-    Internal geometry invariants:
-
-    * the cursor bucket covers ``[_cur_end - _width, _cur_end)`` and is
-      kept as a heap (entries may arrive while it drains);
-    * every other calendar entry lies in ``[_cur_end, _win_end)`` and sits
-      unsorted in its bucket, heapified when the cursor arrives;
-    * overflow entries all lie at ``time >= _win_end``.
-
-    A late insert below ``_cur_end`` (clock still sitting before a window
-    jump) goes into the cursor bucket, whose heap order still executes it
-    before everything else — ordering is preserved without special cases.
+    The module docstring describes ``_live``, ``_buckets`` and ``_order``
+    and the invariants between them.
     """
 
     __slots__ = (
-        "now", "end_time", "trace", "_shift", "_width", "_mask",
-        "_horizon", "_buckets", "_occ", "_bit", "_cur_index",
-        "_cur_end", "_win_end", "_overflow", "_compact_at", "_event_pool",
-        "_seq", "_executed", "_running", "batches",
+        "now", "end_time", "trace", "_shift", "_buckets", "_order",
+        "_live", "_cur_end", "_event_pool", "_seq", "_executed",
+        "_running", "batches",
     )
 
     def __init__(self, end_time: Optional[int] = None, *,
-                 bucket_ns: int = DEFAULT_BUCKET_NS,
-                 n_buckets: int = DEFAULT_N_BUCKETS) -> None:
+                 bucket_ns: int = DEFAULT_BUCKET_NS) -> None:
         self.now: int = 0
         self.end_time = end_time
         #: Optional per-event hook ``trace(time, seq, callback)`` invoked
@@ -144,45 +131,29 @@ class Simulator:
         self.trace: Optional[Callable[[int, int, Callable], None]] = None
 
         self._shift = max(0, int(bucket_ns) - 1).bit_length()
-        self._width = 1 << self._shift
-        nb = 1 << max(1, int(n_buckets) - 1).bit_length()
-        self._mask = nb - 1
-        self._horizon = self._width * nb
-
-        self._buckets: list[list] = [[] for _ in range(nb)]
-        #: Occupancy bitmap: bit ``i`` set => bucket ``i`` may be
-        #: non-empty.  Buckets drain only at the cursor, so at most the
-        #: cursor's own bit can be stale; :meth:`_advance_cursor` clears
-        #: it and then finds the next occupied bucket with integer bit
-        #: tricks instead of walking empty buckets one by one.
-        self._occ = 0
-        self._bit = _bit_masks(nb)
-        self._cur_index = 0            # ring position of the cursor bucket
-        self._cur_end = self._width    # absolute end of the cursor bucket
-        self._win_end = self._horizon  # absolute end of the calendar window
-
-        self._overflow: list = []      # far-future (time, seq, event) heap
-        self._compact_at = _MIN_COMPACT
+        self._buckets: dict[int, list] = {}
+        self._order: list[int] = []
+        self._live: list = []
+        self._cur_end = 0              # nothing claimed yet
 
         self._event_pool: list[Event] = []
         self._seq = 0
         self._executed = 0
         self._running = False
-        #: Calendar buckets claimed by :meth:`run_batched` — the unit of
-        #: per-batch overhead (claim + sort + bound hoisting).  The
-        #: bench cost model reads this to price batch-sparse workloads.
+        #: Calendar buckets claimed whole by :meth:`run_batched` — the
+        #: unit of per-batch overhead (claim + sort).  The bench cost
+        #: model reads this to price batch-sparse workloads.
         self.batches = 0
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # The three entry points differ only in the entry tuple they build;
+    # the insert is repeated in each because a shared helper would cost
+    # a Python call per simulated event.
     def schedule(self, delay: int, callback: Callable[..., Any],
                  *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ns from now.
-
-        This is the hottest scheduler entry point, so :meth:`_push` is
-        inlined here; keep the two bodies in sync.
-        """
+        """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self.now + int(delay)
@@ -198,21 +169,16 @@ class Simulator:
             event.cancelled = False
         else:
             event = Event(time, seq, callback, args)
-        entry = (time, seq, event)
-        if time < self._win_end:
-            if time < self._cur_end:
-                _heappush(self._buckets[self._cur_index], entry)
-            else:
-                index = (time >> self._shift) & self._mask
-                bucket = self._buckets[index]
-                if not bucket:
-                    self._occ |= self._bit[index]
-                bucket.append(entry)
+        if time < self._cur_end:
+            _heappush(self._live, (time, seq, event))
         else:
-            overflow = self._overflow
-            _heappush(overflow, entry)
-            if len(overflow) > self._compact_at:
-                self._compact_overflow()
+            key = time >> self._shift
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._buckets[key] = [(time, seq, event)]
+                _heappush(self._order, key)
+            else:
+                bucket.append((time, seq, event))
         return event
 
     def fire(self, delay: int, callback: Callable[[Any], Any],
@@ -234,21 +200,16 @@ class Simulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        entry = (time, seq, callback, arg)
-        if time < self._win_end:
-            if time < self._cur_end:
-                _heappush(self._buckets[self._cur_index], entry)
-            else:
-                index = (time >> self._shift) & self._mask
-                bucket = self._buckets[index]
-                if not bucket:
-                    self._occ |= self._bit[index]
-                bucket.append(entry)
+        if time < self._cur_end:
+            _heappush(self._live, (time, seq, callback, arg))
         else:
-            overflow = self._overflow
-            _heappush(overflow, entry)
-            if len(overflow) > self._compact_at:
-                self._compact_overflow()
+            key = time >> self._shift
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._buckets[key] = [(time, seq, callback, arg)]
+                _heappush(self._order, key)
+            else:
+                bucket.append((time, seq, callback, arg))
 
     def fire2(self, delay: int, callback: Callable[[Any, Any], Any],
               arg1: Any, arg2: Any) -> None:
@@ -266,21 +227,16 @@ class Simulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        entry = (time, seq, callback, arg1, arg2)
-        if time < self._win_end:
-            if time < self._cur_end:
-                _heappush(self._buckets[self._cur_index], entry)
-            else:
-                index = (time >> self._shift) & self._mask
-                bucket = self._buckets[index]
-                if not bucket:
-                    self._occ |= self._bit[index]
-                bucket.append(entry)
+        if time < self._cur_end:
+            _heappush(self._live, (time, seq, callback, arg1, arg2))
         else:
-            overflow = self._overflow
-            _heappush(overflow, entry)
-            if len(overflow) > self._compact_at:
-                self._compact_overflow()
+            key = time >> self._shift
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._buckets[key] = [(time, seq, callback, arg1, arg2)]
+                _heappush(self._order, key)
+            else:
+                bucket.append((time, seq, callback, arg1, arg2))
 
     def schedule_at(self, time: int, callback: Callable[..., Any],
                     *args: Any) -> Event:
@@ -289,139 +245,7 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}")
-        return self._push(time, callback, args)
-
-    def _push(self, time: int, callback: Callable[..., Any],
-              args: tuple) -> Event:
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, callback, args)
-        entry = (time, seq, event)
-        if time < self._win_end:
-            if time < self._cur_end:
-                # The cursor bucket is kept heap-ordered while draining.
-                # Its occupancy bit is irrelevant: the run loop always
-                # drains the cursor before consulting the bitmap.
-                _heappush(self._buckets[self._cur_index], entry)
-            else:
-                index = (time >> self._shift) & self._mask
-                bucket = self._buckets[index]
-                if not bucket:
-                    self._occ |= self._bit[index]
-                bucket.append(entry)
-        else:
-            overflow = self._overflow
-            _heappush(overflow, entry)
-            if len(overflow) > self._compact_at:
-                self._compact_overflow()
-        return event
-
-    def _compact_overflow(self) -> None:
-        """Drop lazily-cancelled entries and re-heapify (amortized O(1)).
-
-        Retransmission timers are re-armed on every cumulative-ACK
-        advance, each re-arm cancelling a far-future entry; without
-        compaction those tombstones would accumulate for the whole run.
-        """
-        live = [e for e in self._overflow
-                if len(e) != 3 or not e[2].cancelled]
-        heapq.heapify(live)
-        self._overflow = live
-        self._compact_at = max(_MIN_COMPACT, 2 * len(live))
-
-    # ------------------------------------------------------------------
-    # Cursor movement (cold path: runs only when a bucket drains)
-    # ------------------------------------------------------------------
-    def _advance_cursor(self, heapify: bool = True) -> Optional[list]:
-        """Move the cursor to the next non-empty bucket.
-
-        Returns that bucket (heapified, ready to drain — or raw when
-        ``heapify=False``, for the batched drain which sorts the whole
-        bucket at once), or ``None`` when nothing is pending anywhere.
-        The next occupied bucket comes from
-        the occupancy bitmap — a shift plus count-trailing-zeros on one
-        big int, all C-level — so a sparse calendar (idle timers tens of
-        microseconds apart) costs the same as a dense one.  When the
-        calendar is empty the cursor jumps straight to the overflow front.
-
-        Overflow migration can happen *after* the jump target is chosen:
-        every overflow entry has ``time >= _win_end``, which is later than
-        any bucket in the current lap, so migrated entries always land in
-        the lap's tail (ring slots behind the new cursor), never ahead of
-        the target.
-        """
-        buckets = self._buckets
-        overflow = self._overflow
-        mask = self._mask
-        shift = self._shift
-        heappop = heapq.heappop
-        bit = self._bit
-        index = self._cur_index
-        # The vacated cursor bucket is the only possibly-stale bit, so the
-        # masked bitmap alone answers "is the calendar empty?" — no
-        # separate entry counter is maintained anywhere in the engine.
-        occ = self._occ & ~bit[index]
-        if occ:
-            # Next occupied ring slot strictly after the cursor: first try
-            # the bits above the cursor, then wrap to the bits below it.
-            hi = occ >> (index + 1)
-            if hi:
-                steps = 1 + ((hi & -hi).bit_length() - 1)
-            else:
-                low = occ & (bit[index] - 1)
-                # occ != 0 guarantees some bucket is occupied.
-                steps = (mask + 1 - index) + ((low & -low).bit_length() - 1)
-            index = (index + steps) & mask
-            width = self._width
-            self._cur_index = index
-            self._cur_end += steps * width
-            win_end = self._win_end + steps * width
-            self._win_end = win_end
-            while overflow and overflow[0][0] < win_end:
-                entry = heappop(overflow)
-                slot = (entry[0] >> shift) & mask
-                b = buckets[slot]
-                if not b:
-                    occ |= bit[slot]
-                b.append(entry)
-            self._occ = occ
-            bucket = buckets[index]
-            if heapify:
-                heapq.heapify(bucket)
-            return bucket
-        if not overflow:
-            self._occ = 0
-            return None
-        # Calendar empty: jump the window to the overflow front.
-        time = overflow[0][0]
-        start = (time >> shift) << shift
-        index = (time >> shift) & mask
-        self._cur_index = index
-        self._cur_end = start + self._width
-        win_end = start + self._horizon
-        self._win_end = win_end
-        occ = 0
-        while overflow and overflow[0][0] < win_end:
-            entry = heappop(overflow)
-            slot = (entry[0] >> shift) & mask
-            b = buckets[slot]
-            if not b:
-                occ |= bit[slot]
-            b.append(entry)
-        self._occ = occ
-        bucket = buckets[index]
-        if heapify:
-            heapq.heapify(bucket)
-        return bucket
+        return self.schedule(time - self.now, callback, *args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -430,37 +254,41 @@ class Simulator:
         """Execute the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue is empty
-        or the next event lies beyond ``end_time``.
+        or the next event lies beyond ``end_time``.  Pops from the same
+        ``_live``/``_order`` structures :meth:`run` drains, so the two may
+        be interleaved freely.
         """
+        heappop = heapq.heappop
+        live = self._live
         while True:
-            bucket = self._buckets[self._cur_index]
-            if not bucket:
-                bucket = self._advance_cursor()
-                if bucket is None:
+            if not live:
+                if not self._order:
                     return False
-            entry = heapq.heappop(bucket)
-            if len(entry) != 3:               # fire()/fire2() fast path
-                if self.end_time is not None and entry[0] > self.end_time:
-                    heapq.heappush(bucket, entry)
-                    return False
-                self.now = entry[0]
-                if len(entry) == 4:
-                    entry[2](entry[3])
-                else:
-                    entry[2](entry[3], entry[4])
-                self._executed += 1
-                return True
-            event = entry[2]
-            if event.cancelled:
-                self._recycle(event)
-                continue
+                key = heappop(self._order)
+                live = self._live = self._buckets.pop(key)
+                heapq.heapify(live)
+                self._cur_end = (key + 1) << self._shift
+            entry = live[0]
+            if len(entry) == 3:
+                event = entry[2]
+                if event.cancelled:
+                    heappop(live)
+                    self._recycle(event)
+                    continue
+                callback, args = event.callback, event.args
+            else:
+                event = None
+                callback, args = entry[2], entry[3:]
             if self.end_time is not None and entry[0] > self.end_time:
-                heapq.heappush(bucket, entry)
                 return False
+            heappop(live)
             self.now = entry[0]
-            event.callback(*event.args)
+            if self.trace is not None:
+                self.trace(entry[0], entry[1], callback)
+            callback(*args)
+            if event is not None:
+                self._recycle(event)
             self._executed += 1
-            self._recycle(event)
             return True
 
     def _recycle(self, event: Event) -> None:
@@ -479,7 +307,7 @@ class Simulator:
         ``until``, matching the early-break case — either way the caller
         observes ``now == until``.  Delegates to :meth:`run_batched`,
         the bucket-at-a-time drain (golden-tested bit-identical to the
-        historical one-event-at-a-time loop and to the heap reference).
+        heap reference).
         """
         return self.run_batched(until)
 
@@ -487,7 +315,7 @@ class Simulator:
         """Batched drain: claim whole calendar buckets, sort once, then
         dispatch the batch in a tight loop.
 
-        Per-event cost drops three ways versus the classic loop:
+        Per-event cost drops three ways versus a pop-per-event loop:
 
         * one C-level ``list.sort`` per bucket replaces a ``heappop``
           (log-n sifts) per event;
@@ -503,7 +331,7 @@ class Simulator:
         serializer boundary wake-up shorter than the remaining bucket,
         a zero-delay completion) land in a fresh ``live`` heap that the
         drain merges in ``(time, seq)`` order, so execution order is
-        bit-identical to the reference engines.
+        bit-identical to the reference engine.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -511,78 +339,51 @@ class Simulator:
         executed = 0
         # Local aliases for the per-event hot loop.
         heappop = heapq.heappop
-        heappush = heapq.heappush
         trace = self.trace
         pool = self._event_pool
         pool_append = pool.append
-        advance = self._advance_cursor
         buckets = self._buckets
+        order = self._order
+        shift = self._shift
         # Fold ``until`` and ``end_time`` into one numeric stop bound;
         # which bound fired decides below whether the clock jumps to
         # ``until``.
         bound = until if until is not None else _FAR_FUTURE
         if self.end_time is not None and self.end_time < bound:
             bound = self.end_time
+        limit = bound + 1      # a window ending here holds no late event
+        cur_end = self._cur_end
         try:
             while True:
-                index = self._cur_index
-                batch = buckets[index]
+                batch = self._live
                 if not batch:
-                    batch = advance(heapify=False)
-                    if batch is None:
+                    if not order:
                         # Queue drained before the bound: leave now ==
-                        # until, same as the bounded-break case below.
+                        # until, same as the bounded-stop case below.
                         if until is not None and until > self.now:
                             self.now = until
                         break
-                    index = self._cur_index
-                if self._cur_end > bound + 1:
-                    # The cursor window straddles the stop bound (at most
-                    # once per call): fall back to the careful per-event
-                    # drain for this bucket, then stop — every other
-                    # pending entry lies at >= _cur_end > bound.
-                    heapq.heapify(batch)
-                    while batch:
-                        entry = heappop(batch)
-                        time = entry[0]
-                        if time > bound:
-                            heappush(batch, entry)
-                            break
-                        ln = len(entry)
-                        if ln != 3:
-                            self.now = time
-                            if trace is not None:
-                                trace(time, entry[1], entry[2])
-                            if ln == 4:
-                                entry[2](entry[3])
-                            else:
-                                entry[2](entry[3], entry[4])
-                            executed += 1
-                            continue
-                        event = entry[2]
-                        if event.cancelled:
-                            event.args = ()
-                            if len(pool) < _EVENT_POOL_CAP:
-                                pool_append(event)
-                            continue
-                        self.now = time
-                        if trace is not None:
-                            trace(time, entry[1], event.callback)
-                        event.callback(*event.args)
-                        executed += 1
-                        event.callback = None
-                        event.args = ()
-                        if len(pool) < _EVENT_POOL_CAP:
-                            pool_append(event)
-                    if bound == until and until > self.now:
-                        self.now = until
-                    break
-                # Claim the bucket: late inserts into the still-open
-                # cursor window go to a fresh heap we merge from.
-                live: list = []
-                buckets[index] = live
+                    key = heappop(order)
+                    batch = buckets.pop(key)
+                    cur_end = self._cur_end = (key + 1) << shift
                 batch.sort()
-                self.batches += 1
+                if cur_end <= limit:
+                    # Claim the bucket: late inserts into the still-open
+                    # window go to a fresh heap we merge from.
+                    self._live = live = []
+                    self.batches += 1
+                else:
+                    # The window straddles the stop bound (only the last
+                    # one of a call can): run the entries at or before it.
+                    # The rest stay live — sorted, hence a valid heap —
+                    # and every bucket lies at >= _cur_end > bound.
+                    cut = bisect_left(batch, (limit,))
+                    self._live = live = batch[cut:]
+                    if not cut:
+                        if bound == until and until > self.now:
+                            self.now = until
+                        break
+                    del batch[cut:]
                 pos = 0
                 n = len(batch)
                 merged = 0   # late inserts drained from ``live``
@@ -628,14 +429,14 @@ class Simulator:
                 except BaseException:
                     # Restore the unexecuted tail so a callback raising
                     # mid-batch leaves the queue intact for post-mortems.
-                    # The entry that raised was consumed but (matching the
-                    # classic loop) does not count as executed.
+                    # The entry that raised was consumed but does not
+                    # count as executed.
                     executed += pos + merged - skipped - 1
                     live.extend(batch[pos:])
                     heapq.heapify(live)
                     raise
-                # Batch done; any remaining late inserts (now in the
-                # bucket) are re-claimed by the next outer iteration.
+                # Batch done; late inserts still in ``live`` (and the
+                # tail of a straddling bucket) are the next batch.
         finally:
             self._running = False
         self._executed += executed
@@ -648,11 +449,10 @@ class Simulator:
     def pending(self) -> int:
         """Number of queued entries (including lazily-cancelled ones).
 
-        Computed lazily — the hot path maintains no entry counter (the
-        occupancy bitmap already encodes calendar emptiness).
+        Computed on demand — the hot path maintains no entry counter.
         """
-        return (sum(len(b) for b in self._buckets)
-                + len(self._overflow))
+        return (len(self._live)
+                + sum(len(b) for b in self._buckets.values()))
 
     @property
     def executed(self) -> int:

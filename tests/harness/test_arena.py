@@ -43,6 +43,28 @@ class TestArenaCell:
                                     seed=1)
             assert result["completed"], workload
 
+    @pytest.mark.parametrize("workload", arena.WORKLOADS)
+    def test_cell_stops_at_completion_with_the_same_metrics(
+            self, workload, monkeypatch):
+        """Once every posted message is delivered and acknowledged the
+        cell stops; running on to the deadline (idle DCQCN timers, stray
+        control packets) must not move a single reported number."""
+        from repro.harness.network import Network
+        executed = []
+        real_run = Network.run
+
+        def counting_run(net, until_ns=None):
+            executed.append(real_run(net, until_ns))
+            return executed[-1]
+
+        monkeypatch.setattr(Network, "run", counting_run)
+        params = small_params(workload=workload, bytes=40_000)
+        stopped = run_arena_cell(params, seed=1)
+        monkeypatch.setattr(Network, "stop", lambda net: None)
+        to_deadline = run_arena_cell(params, seed=1)
+        assert stopped == to_deadline and stopped["completed"]
+        assert executed[0] < executed[1]
+
     def test_themis_transport_installs_overlay(self):
         """The overlay must actually engage: spraying on dragonfly
         reorders, and validation inspects the resulting NACKs."""

@@ -149,3 +149,31 @@ class TestInvariants:
         net.run(until_ns=10_000_000_000)
         assert net.metrics.nacks_generated == 0
         assert net.metrics.all_flows_done()
+
+
+class TestOnIdle:
+    def test_fires_once_when_every_message_is_delivered_and_acked(self):
+        """A ring allreduce posts its sends step by step from completion
+        callbacks; ``on_idle`` must wait for the last step's ACKs, not
+        fire in a gap between steps."""
+        from repro.collectives import RingAllreduce
+
+        net = Network(NetworkConfig(topology=SMALL, scheme="rps"))
+        coll = RingAllreduce(net, [0, 1, 2, 3], 200_000)
+        fired = []
+
+        def on_idle():
+            fired.append(net.now_ns)
+            assert coll.complete
+            assert all(qp.complete for nic in net.nics
+                       for qp in nic.senders.values())
+            net.stop()
+
+        net.metrics.on_idle = on_idle
+        coll.start()
+        assert net.metrics.open_messages > 0
+        net.run(until_ns=10_000_000_000)
+        assert len(fired) == 1 and net.metrics.open_messages == 0
+        # The fabric stopped there: nothing ran on to the deadline.
+        assert fired[0] == max(s.sender_done_ns
+                               for s in net.metrics.flows.values())

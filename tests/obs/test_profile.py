@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.harness.bench import BUILDERS, DEADLINE_NS
+from repro.harness.costmodel import measure_mix
 from repro.obs.profile import Profiler
 from repro.sim.engine import HeapSimulator, Simulator
 
@@ -78,3 +80,16 @@ class TestProfiler:
 
     def test_detach_without_attach_is_noop(self):
         Profiler(Simulator()).detach()
+
+
+def test_calls_match_a_plain_trace_tally():
+    """Handlers are bound methods created per event; their ids are
+    recycled, so a cache keyed on ``id(callback)`` charged one handler's
+    calls to another.  Per-handler ``calls`` must equal what a plain
+    ``Simulator.trace`` tally of the same (deterministic) run counts."""
+    tally, _, _, _ = measure_mix("lossy", quick=True)
+    net = BUILDERS["lossy"](True, None)
+    with Profiler(net.sim) as prof:
+        net.run(until_ns=DEADLINE_NS)
+    assert len(tally) > 5
+    assert {k: s.calls for k, s in prof.stats.items()} == dict(tally)

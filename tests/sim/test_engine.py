@@ -144,6 +144,29 @@ class TestRunControl:
         sim.run()
         assert ran == ["early", "late"]
 
+    def test_run_until_is_inclusive_inside_a_bucket(self):
+        # 50 and 51 share a 64 ns bucket: the bound splits it, and late
+        # inserts at the bound still run before the call returns.
+        sim = Simulator()
+        ran = []
+        sim.schedule(50, ran.append, "event@50")
+        sim.fire(50, lambda _: sim.fire(0, ran.append, "late@50"))
+        sim.fire2(51, lambda a, _b: ran.append(a), "fire2@51", None)
+        assert sim.run(until=50) == 3
+        assert ran == ["event@50", "late@50"]
+        assert sim.now == 50 and sim.pending == 1
+        assert sim.step() and ran[-1] == "fire2@51"
+
+    def test_step_calls_trace_hook(self):
+        sim = Simulator()
+        seen = []
+        sim.trace = lambda time, seq, callback: seen.append((time, seq))
+        sim.schedule(3, lambda: None)
+        sim.fire(5, lambda _: None)
+        while sim.step():
+            pass
+        assert seen == [(3, 0), (5, 1)]
+
     def test_run_until_advances_clock_when_queue_drains(self):
         # The queue empties before the bound: the caller must still
         # observe now == until, same as the early-break case.
@@ -155,11 +178,15 @@ class TestRunControl:
         assert sim.run(until=300) == 0   # nothing scheduled at all
         assert sim.now == 300
 
-    def test_pending_counts_calendar_and_overflow(self):
+    def test_pending_counts_live_and_bucketed_entries(self):
         sim = Simulator()
-        sim.schedule(10, lambda: None)           # calendar
-        sim.fire(20, lambda _: None)             # calendar, fire entry
-        sim.schedule(10**9, lambda: None)        # overflow heap
+        sim.schedule(10, lambda: None)           # first bucket
+        sim.fire(20, lambda _: None)             # same bucket, fire entry
+        sim.schedule(10**9, lambda: None)        # a bucket a second away
+        assert sim.pending == 3
+        sim.run(until=15)                        # claims the first bucket
+        assert sim.pending == 2                  # one live, one bucketed
+        sim.schedule(1, lambda: None).cancel()   # tombstones still count
         assert sim.pending == 3
         sim.run()
         assert sim.pending == 0

@@ -1,158 +1,156 @@
-"""Property tests (hypothesis) for the calendar-queue engine.
+"""Property tests (hypothesis) for the sparse calendar engine.
 
-The hybrid engine has three regimes an event can land in — the draining
-cursor bucket, a future calendar bucket, and the overflow heap — plus two
-migration moments (cursor advance, window jump).  These tests generate
-random schedules that straddle all of the boundaries and assert the one
-property everything else rests on: the calendar engine executes the exact
-``(time, seq)`` sequence the reference heap engine does.
-
-The delay strategy is deliberately lumpy: with the default geometry
-(64 ns x 4096 buckets) the calendar window is 262,144 ns, so delays are
-drawn from bands below, around, and far above that horizon.
+An entry lands in one of two places — the ``_live`` heap of the window
+being drained, or a future bucket in the dict — and moves at most once,
+when its bucket is claimed.  These tests generate random schedules that
+straddle every boundary (same bucket, next bucket, microseconds, the
+DCQCN/RTO timer range, seconds) and assert the one property everything
+else rests on: the calendar engine executes the exact ``(time, seq)``
+sequence the reference heap engine does.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import (DEFAULT_BUCKET_NS, DEFAULT_N_BUCKETS,
-                              HeapSimulator, Simulator)
+from repro.sim.engine import (DEFAULT_BUCKET_NS, HeapSimulator, MS, SEC,
+                              Simulator, US)
 
-HORIZON_NS = DEFAULT_BUCKET_NS * DEFAULT_N_BUCKETS
-
-#: Bands: same-bucket, near future, just below/above the window edge,
-#: deep overflow (forces window jumps across empty stretches).
+#: Bands: same bucket, neighbouring buckets, packet/propagation scale,
+#: timer scale (DCQCN 55 us, RTO 400 us and up), and seconds.
 delays = st.one_of(
     st.integers(0, 2 * DEFAULT_BUCKET_NS),
-    st.integers(0, HORIZON_NS // 4),
-    st.integers(HORIZON_NS - 200, HORIZON_NS + 200),
-    st.integers(2 * HORIZON_NS, 20 * HORIZON_NS),
+    st.integers(0, 50 * US),
+    st.integers(50 * US, 2 * MS),
+    st.integers(0, 3 * SEC),
 )
 
+#: One scheduling action: (delay, kind) with kind 0 = ``schedule``,
+#: 1 = ``fire``, 2 = ``fire2``, 3 = ``schedule`` then cancel some
+#: earlier still-pending handle (chosen by ``delay``).
+actions = st.tuples(delays, st.integers(0, 3))
 
-def _run_program(sim_cls, initial, cancels, respawns):
+
+def _run_program(sim, initial, respawns, drive=None):
     """Execute one generated schedule program; return the event log.
 
     ``initial`` seeds the queue; each executed callback consumes one
     entry of ``respawns`` to schedule a follow-up (inserts *during*
-    drain, including into the currently-draining cursor bucket), and
-    ``cancels`` marks initial handles to cancel before running.
+    drain, including into the window currently being drained).  Handles
+    are dropped when their event runs, as the pooling invariant demands,
+    so a cancel only ever hits a pending event.  ``drive(sim, log)``
+    runs the simulation (default: one ``sim.run()``).
     """
-    sim = sim_cls()
     log = []
     sim.trace = lambda time, seq, callback: log.append((time, seq))
-    state = {"next": 0}
+    pending = {}                  # label -> live handle
+    todo = iter(enumerate(respawns))
+
+    def act(label, delay, kind):
+        if kind == 1:
+            sim.fire(delay, callback, label)
+        elif kind == 2:
+            sim.fire2(delay, callback2, label, None)
+        else:
+            if kind == 3 and pending:
+                victim = sorted(pending)[delay % len(pending)]
+                pending.pop(victim).cancel()
+            pending[label] = sim.schedule(delay, callback, label)
 
     def callback(label):
-        i = state["next"]
-        if i < len(respawns):
-            state["next"] = i + 1
-            delay, use_fire = respawns[i]
-            if use_fire:
-                sim.fire(delay, callback, ("respawn", i))
-            else:
-                sim.schedule(delay, callback, ("respawn", i))
+        pending.pop(label, None)
+        i, step = next(todo, (None, None))
+        if step is not None:
+            act(("respawn", i), *step)
 
-    handles = []
-    for i, (delay, use_fire) in enumerate(initial):
-        if use_fire:
-            sim.fire(delay, callback, ("init", i))
-            handles.append(None)          # fire entries have no handle
-        else:
-            handles.append(sim.schedule(delay, callback, ("init", i)))
-    for i in cancels:
-        handle = handles[i % len(handles)]
-        if handle is not None:
-            handle.cancel()
-    sim.run()
+    def callback2(label, _unused):
+        callback(label)
+
+    for i, (delay, kind) in enumerate(initial):
+        act(("init", i), delay, kind)
+    if drive is None:
+        sim.run()
+    else:
+        drive(sim, log)
     return log
 
 
-@settings(max_examples=60, deadline=None)
-@given(initial=st.lists(st.tuples(delays, st.booleans()),
-                        min_size=1, max_size=40),
-       cancels=st.lists(st.integers(0, 1_000), max_size=15),
-       respawns=st.lists(st.tuples(delays, st.booleans()), max_size=30))
-def test_calendar_matches_heap_for_random_programs(initial, cancels,
-                                                   respawns):
-    calendar_log = _run_program(Simulator, initial, cancels, respawns)
-    heap_log = _run_program(HeapSimulator, initial, cancels, respawns)
+@settings(max_examples=80, deadline=None)
+@given(initial=st.lists(actions, min_size=1, max_size=40),
+       respawns=st.lists(actions, max_size=40))
+def test_calendar_matches_heap_for_random_programs(initial, respawns):
+    calendar_log = _run_program(Simulator(), initial, respawns)
+    heap_log = _run_program(HeapSimulator(), initial, respawns)
     assert calendar_log == heap_log
 
 
 @settings(max_examples=40, deadline=None)
-@given(bucket_ns=st.integers(1, 256), n_buckets=st.integers(2, 64),
-       initial=st.lists(st.tuples(st.integers(0, 50_000), st.booleans()),
+@given(bucket_ns=st.integers(1, 256),
+       initial=st.lists(st.tuples(st.integers(0, 50_000),
+                                  st.integers(0, 3)),
                         min_size=1, max_size=40),
-       respawns=st.lists(st.tuples(st.integers(0, 50_000), st.booleans()),
-                         max_size=20))
-def test_order_holds_for_tiny_geometries(bucket_ns, n_buckets, initial,
-                                         respawns):
-    """Shrunken rings force constant cursor wraps and window jumps."""
-    def run_small(_unused):
-        sim = Simulator(bucket_ns=bucket_ns, n_buckets=n_buckets)
-        log = []
-        sim.trace = lambda time, seq, callback: log.append((time, seq))
-        state = {"next": 0}
-
-        def callback(label):
-            i = state["next"]
-            if i < len(respawns):
-                state["next"] = i + 1
-                delay, use_fire = respawns[i]
-                if use_fire:
-                    sim.fire(delay, callback, i)
-                else:
-                    sim.schedule(delay, callback, i)
-
-        for i, (delay, use_fire) in enumerate(initial):
-            if use_fire:
-                sim.fire(delay, callback, i)
-            else:
-                sim.schedule(delay, callback, i)
-        sim.run()
-        return log
-
-    small_log = run_small(None)
-    heap_log = _run_program(HeapSimulator, initial, [], respawns)
+       respawns=st.lists(st.tuples(st.integers(0, 50_000),
+                                   st.integers(0, 3)), max_size=20))
+def test_order_holds_for_tiny_geometries(bucket_ns, initial, respawns):
+    """Order does not depend on the bucket width (1 ns buckets make every
+    timestamp its own bucket, 256 ns ones pack several hops together)."""
+    small_log = _run_program(Simulator(bucket_ns=bucket_ns), initial,
+                             respawns)
+    heap_log = _run_program(HeapSimulator(), initial, respawns)
     assert small_log == heap_log
 
 
+@settings(max_examples=40, deadline=None)
+@given(initial=st.lists(actions, min_size=1, max_size=40),
+       respawns=st.lists(actions, max_size=40),
+       slices=st.lists(st.tuples(st.integers(0, 5), delays), max_size=12))
+def test_step_interleaved_with_run_matches_run_alone(initial, respawns,
+                                                     slices):
+    """``step()`` pops from the structures ``run`` drains: any mix of
+    single steps and bounded runs executes what one ``run()`` does, and
+    each bounded run stops exactly where the reference heap's does."""
+    def drive(sim, log):
+        for steps, advance in slices:
+            stepped = sum(sim.step() for _ in range(steps))
+            ran = sim.run(until=sim.now + advance)
+            log.append(("slice", stepped, ran, sim.now))
+        sim.run()
+
+    def events(log):
+        return [entry for entry in log if entry[0] != "slice"]
+
+    mixed_log = _run_program(Simulator(), initial, respawns, drive)
+    plain_log = _run_program(Simulator(), initial, respawns)
+    assert events(mixed_log) == plain_log
+    # The heap engine's step() does not trace, so compare what the
+    # slices did: events per step burst, per bounded run, and the clock.
+    heap_log = _run_program(HeapSimulator(), initial, respawns, drive)
+    assert ([e for e in mixed_log if e[0] == "slice"]
+            == [e for e in heap_log if e[0] == "slice"])
+
+
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(520, 1200), keep_every=st.integers(2, 9))
-def test_overflow_compaction_drops_tombstones(n, keep_every):
-    """Cancelled far-future timers must not grow the overflow heap
-    without bound, and survivors must still run in order."""
+@given(period_us=st.sampled_from([55, 400, 4000]),
+       rearm_every_ns=st.integers(200, 5_000),
+       rounds=st.integers(2_000, 6_000))
+def test_timer_churn_keeps_pending_bounded(period_us, rearm_every_ns,
+                                           rounds):
+    """Cancel + re-arm churn at DCQCN (55 us) and RTO (400 us, 4 ms)
+    cadence: a tombstone is dropped when the clock reaches it, so
+    ``pending`` never exceeds one timer period's worth of re-arms —
+    with no compaction pass anywhere."""
     sim = Simulator()
-    far = 10 * HORIZON_NS
-    handles = [sim.schedule(far + i, lambda: None) for i in range(n)]
-    live = 0
-    for i, handle in enumerate(handles):
-        if i % keep_every:
-            handle.cancel()
-        else:
-            live += 1
-    # Each new push may trigger compaction once tombstones dominate.
-    for i in range(600):
-        sim.schedule(far + n + i, lambda: None)
-    live += 600
-    # The lazy-compaction bound: at most max(512, 2 * live) retained
-    # entries immediately after a compaction, plus what was pushed since.
-    assert len(sim._overflow) <= max(512, 2 * live) + 600
-    assert sim.run() == live
+    period = period_us * US
+    timer = [sim.schedule(period, lambda: None)]
+    peak = [0]
 
+    def rearm(left):
+        timer[0].cancel()
+        timer[0] = sim.schedule(period, lambda: None)
+        peak[0] = max(peak[0], sim.pending)
+        if left:
+            sim.fire(rearm_every_ns, rearm, left - 1)
 
-def test_compaction_preserves_fire_entries():
-    """fire() entries have no cancelled flag; compaction must keep them."""
-    sim = Simulator()
-    ran = []
-    far = 10 * HORIZON_NS
-    for i in range(300):
-        sim.fire(far + i, ran.append, i)
-    doomed = [sim.schedule(far + 1000 + i, lambda: None)
-              for i in range(600)]
-    for handle in doomed:
-        handle.cancel()
-    for i in range(300):  # pushes that trigger compaction
-        sim.fire(far + 2000 + i, ran.append, 300 + i)
+    sim.fire(rearm_every_ns, rearm, rounds)
     sim.run()
-    assert ran == list(range(600))
+    # Tombstones younger than one period, the live timer, the driver.
+    assert peak[0] <= period // rearm_every_ns + 3
+    assert sim.pending == 0
