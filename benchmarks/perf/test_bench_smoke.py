@@ -1,9 +1,9 @@
 """Smoke tests for the perf-benchmark harness (fast; runs in tier-1).
 
 These do not measure anything meaningful — they pin the harness
-machinery: scenario builders construct, quick runs complete, the A/B
-event-count assertion fires on real mismatches, and the JSON document
-keeps the schema downstream tooling reads.
+machinery: scenario builders construct, quick runs complete, and the JSON
+document keeps the schema downstream tooling reads.  (Event-order equality
+with the reference heap engine is ``tests/sim/test_batched_golden.py``.)
 """
 
 import json
@@ -23,20 +23,14 @@ def test_each_scenario_completes_in_quick_mode(name):
     assert 0 < result.sim_time_ns
 
 
-def test_engines_agree_on_event_count_in_quick_mode():
-    cal = run_scenario("lossy", quick=True)
-    heap = run_scenario("lossy", quick=True, engine="heap")
-    assert cal.events == heap.events
-    assert cal.sim_time_ns == heap.sim_time_ns
-
-
 def test_run_bench_writes_schema(tmp_path):
     out = tmp_path / "bench.json"
-    doc = run_bench(quick=True, compare=False, out=str(out),
+    doc = run_bench(quick=True, out=str(out),
                     echo=lambda line: None)
     on_disk = json.loads(out.read_text())
     assert on_disk == doc
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
+    assert "heap_baseline" not in doc and "speedup_vs_heap" not in doc
     assert set(doc["scenarios"]) == set(SCENARIOS)
     for name in SCENARIOS:
         entry = doc["scenarios"][name]
@@ -48,7 +42,6 @@ def test_run_bench_writes_schema(tmp_path):
 
 
 def test_quick_is_marked_in_document(tmp_path):
-    doc = run_bench(quick=True, compare=False, out=None,
-                    echo=lambda line: None)
+    doc = run_bench(quick=True, out=None, echo=lambda line: None)
     assert doc["quick"] is True
     assert "--quick" in doc["generated_by"]

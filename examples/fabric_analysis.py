@@ -17,7 +17,7 @@ from repro.harness.analysis import (flow_fairness, link_utilization,
                                     uplink_imbalance)
 from repro.harness.export import flows_to_csv, run_to_json
 from repro.harness.report import format_table
-from repro.obs import attach_tracer
+from repro.obs import PACKET, Recorder
 
 TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=8,
                     nics_per_tor=8, link_bandwidth_bps=25e9)
@@ -25,19 +25,22 @@ OUT_DIR = Path(__file__).parent / "output"
 
 
 def run(scheme: str):
-    net = Network(NetworkConfig(topology=TOPO, scheme=scheme, seed=7))
-    tracer = attach_tracer(net)
+    # Packet capture = the recorder's PACKET channel, retained in full:
+    # one (t, cat, name, location, header-fields) record per switch hop.
+    recorder = Recorder(categories={PACKET}, retain={PACKET})
+    net = Network(NetworkConfig(topology=TOPO, scheme=scheme, seed=7),
+                  recorder=recorder)
     for i in range(8):                     # rack 0 -> rack 1, 8 flows
         net.post_message(i, 8 + i, 1_000_000)
     net.run(until_ns=60_000_000_000)
     assert net.metrics.all_flows_done()
-    return net, tracer
+    return net, recorder.records(PACKET)
 
 
 def main() -> None:
     rows = []
     for scheme in ("ecmp", "themis"):
-        net, tracer = run(scheme)
+        net, hops = run(scheme)
 
         print(f"\n##### scheme = {scheme}")
         uplinks = [u for u in link_utilization(net) if u.src == "tor0"]
@@ -53,10 +56,12 @@ def main() -> None:
                      f"{net.metrics.mean_goodput_gbps():.1f}"])
 
         # Which spine did each of flow 0's first packets take?
-        data_events = [e for e in tracer.events
-                       if e.ptype == "data" and e.src == 0
-                       and e.location == "tor0"][:8]
-        picks = [(e.psn, tracer.spine_of(e.pkt_id)) for e in data_events]
+        spine_of = {h["pkt_id"]: loc for _, _, _, loc, h in hops
+                    if loc.startswith("spine")}
+        picks = [(h["psn"], spine_of[h["pkt_id"]])
+                 for _, _, _, loc, h in hops
+                 if h["ptype"] == "data" and h["src"] == 0
+                 and loc == "tor0"][:8]
         print("flow 0->8 PSN->spine: "
               + "  ".join(f"{psn}:{spine}" for psn, spine in picks))
 

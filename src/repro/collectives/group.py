@@ -8,7 +8,7 @@ simultaneously.  :func:`cross_rack_groups` reproduces that assignment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.network import Network
@@ -52,6 +52,8 @@ class Collective:
         self.qp = qp
         self.start_ns: Optional[int] = None
         self.done_ns: Optional[int] = None
+        #: Called once, when the last member finishes.
+        self.on_complete: Optional[Callable[[], None]] = None
         self._nodes_finished = 0
 
     # ------------------------------------------------------------------
@@ -81,6 +83,8 @@ class Collective:
         self._nodes_finished += 1
         if self._nodes_finished == self.size:
             self.done_ns = self.network.now_ns
+            if self.on_complete is not None:
+                self.on_complete()
 
     def chunk_bytes(self) -> int:
         """Per-step chunk: the buffer split across the group."""

@@ -60,19 +60,8 @@ class TrainingJob:
             coll = self.collective_cls(self.network, members,
                                        self.bytes_per_iteration)
             self._current.append(coll)
-            self._watch(coll)
+            coll.on_complete = self._group_done
             coll.start()
-
-    def _watch(self, coll: Collective) -> None:
-        # Poll-free completion: wrap the group's finish hook.
-        original = coll._node_finished
-
-        def wrapped() -> None:
-            original()
-            if coll.complete:
-                self._group_done()
-
-        coll._node_finished = wrapped
 
     def _group_done(self) -> None:
         self._pending_groups -= 1

@@ -142,8 +142,3 @@ class InOrderDest(Middleware):
         # The gap packet is presumed lost: one timeout expires the whole
         # episode and ordered delivery resumes past the flushed run.
         self._flush(switch, flow, state)
-
-    # ------------------------------------------------------------------
-    def buffer_occupancy(self, flow: FlowKey) -> int:
-        state = self._state.get(flow)
-        return len(state.buffer) if state else 0

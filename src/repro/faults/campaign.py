@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.faults.spec import compiled_spec, spec_duration_us
+from repro.harness.report import field_problems
 
 #: Goodput is "recovered" at this fraction of the pre-fault mean.
 RECOVERY_FRACTION = 0.9
@@ -56,27 +57,22 @@ def run_cell(params: dict, seed: int) -> dict:
     optional ``"deadline_ns"``.
     """
     from repro.harness.tracing import (TRACE_DEADLINE_NS,
-                                       build_traced_alltoall)
+                                       run_traced_alltoall)
     from repro.obs.nacks import build_audit
-    from repro.obs.record import FAULT, NACK, Recorder
+    from repro.obs.record import FAULT, NACK
     from repro.sim.engine import US
 
     spec = compiled_spec(params["spec"])
-    deadline_ns = int(params.get("deadline_ns", TRACE_DEADLINE_NS))
     workload = {**DEFAULT_WORKLOAD, **spec.get("workload", {})}
-    window_ns = int(round(workload["trace_window_us"] * US))
 
     def once(fault_spec: Optional[dict]):
-        recorder = Recorder(retain={NACK, FAULT})
-        net, _ = build_traced_alltoall(
+        return run_traced_alltoall(
             nodes=workload["nodes"], loss=workload["loss"], seed=seed,
             message_bytes=workload["message_bytes"],
-            scheme=workload["scheme"], recorder=recorder,
-            faults=fault_spec, watch_flows=True,
-            trace_window_ns=window_ns)
-        net.run(until_ns=deadline_ns)
-        net.stop()
-        return net, recorder
+            scheme=workload["scheme"], faults=fault_spec,
+            watch_flows=True,
+            trace_window_ns=int(round(workload["trace_window_us"] * US)),
+            deadline_ns=int(params.get("deadline_ns", TRACE_DEADLINE_NS)))
 
     base_net, _ = once(None)
     net, recorder = once(spec)
@@ -92,8 +88,8 @@ def run_cell(params: dict, seed: int) -> dict:
     audit = build_audit(recorder.records(NACK))
     audit_summary = audit.summary()
 
-    completion_ns = getattr(net, "trace_done_ns", None)
-    baseline_ns = getattr(base_net, "trace_done_ns", None)
+    completion_ns = net.traffic.done_ns
+    baseline_ns = base_net.traffic.done_ns
     tail_stretch = (round(completion_ns / baseline_ns, 6)
                     if completion_ns and baseline_ns else None)
 
@@ -179,32 +175,21 @@ _REQUIRED_KEYS = ("version", "scenario", "seed", "workload", "completed",
 
 def validate_result(doc: dict) -> list[str]:
     """Schema check for one cell result; returns a list of problems."""
-    problems = []
     if not isinstance(doc, dict):
         return ["result is not a dict"]
-    for key in _REQUIRED_KEYS:
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
+    problems = field_problems(doc, _REQUIRED_KEYS, types={
+        "completed": bool, "faults": dict, "nacks": dict})
     if doc.get("version") != RESULT_VERSION:
         problems.append(f"bad version {doc.get('version')!r}")
-    if not isinstance(doc.get("completed"), bool):
-        problems.append("'completed' must be a bool")
     faults = doc.get("faults")
-    if isinstance(faults, dict):
-        if faults.get("applied") != faults.get("scheduled"):
-            problems.append(
-                f"only {faults.get('applied')} of "
-                f"{faults.get('scheduled')} fault events applied")
-    else:
-        problems.append("'faults' must be a dict")
+    if isinstance(faults, dict) \
+            and faults.get("applied") != faults.get("scheduled"):
+        problems.append(f"only {faults.get('applied')} of "
+                        f"{faults.get('scheduled')} fault events applied")
     nacks = doc.get("nacks")
-    if isinstance(nacks, dict):
-        if nacks.get("unexplained", 1) != 0:
-            problems.append(
-                f"{nacks.get('unexplained')} unexplained NACK "
-                "decision(s) — compensation state was corrupted")
-    else:
-        problems.append("'nacks' must be a dict")
+    if isinstance(nacks, dict) and nacks.get("unexplained", 1) != 0:
+        problems.append(f"{nacks.get('unexplained')} unexplained NACK "
+                        "decision(s) — compensation state was corrupted")
     return problems
 
 
@@ -222,27 +207,25 @@ def campaign_specs(spec, seeds: Sequence[int]) -> list:
             for seed in seeds]
 
 
-def run_campaign(spec, seeds: Sequence[int], *, workers: int = 1,
-                 timeout_s: Optional[float] = None, retries: int = 2,
-                 checkpoint: Optional[str] = None, cache=None,
-                 counters=None, progress=None) -> dict:
+def run_campaign(spec, seeds: Sequence[int], *, counters=None,
+                 **runner_opts) -> dict:
     """Run every (scenario, seed) cell on the job runner; aggregate.
 
-    Cells are aggregated in seed order regardless of completion order,
-    so a parallel campaign is bitwise-identical to a serial one.  The
-    versioned document (:func:`build_faults_doc`) additionally excludes
-    the job counters, so a cache-warm re-run emits identical bytes.
+    ``runner_opts`` are :class:`~repro.harness.jobs.JobRunner` keywords
+    (``workers``, ``timeout_s``, ``retries``, ``checkpoint``, ``cache``,
+    ``progress``).  Cells are aggregated in seed order regardless of
+    completion order, so a parallel campaign is bitwise-identical to a
+    serial one.  The versioned document (:func:`build_faults_doc`)
+    additionally excludes the job counters, so a cache-warm re-run emits
+    identical bytes.
     """
-    from repro.harness.jobs import JobRunner
+    from repro.harness.jobs import run_jobs
     from repro.harness.metrics import JobCounters
 
     doc = compiled_spec(spec)
     specs = campaign_specs(doc, seeds)
     counters = counters if counters is not None else JobCounters()
-    runner = JobRunner(workers=workers, timeout_s=timeout_s,
-                       retries=retries, checkpoint=checkpoint,
-                       cache=cache, counters=counters, progress=progress)
-    outcomes = runner.run(specs)
+    outcomes = run_jobs(specs, counters=counters, **runner_opts)
 
     cells, failures, problems = [], [], []
     for job in specs:
@@ -285,6 +268,12 @@ def run_campaign(spec, seeds: Sequence[int], *, workers: int = 1,
 # ----------------------------------------------------------------------
 # The versioned output document
 # ----------------------------------------------------------------------
+_DOC_KEYS = ("schema", "scenario", "duration_us", "seeds", "cells",
+             "failures", "validation_problems")
+_DOC_CELL_KEYS = ("scenario", "seed", "completed", "tail_stretch",
+                  "goodput", "nacks")
+
+
 def build_faults_doc(summary: dict) -> dict:
     """The ``repro-faults-v1`` document for a campaign summary.
 
@@ -294,21 +283,10 @@ def build_faults_doc(summary: dict) -> dict:
     document must be byte-identical across both.
     """
     doc = {"schema": FAULTS_SCHEMA,
-           "scenario": summary["scenario"],
-           "duration_us": summary["duration_us"],
-           "seeds": summary["seeds"],
-           "cells": summary["cells"],
-           "failures": summary["failures"],
-           "validation_problems": summary["validation_problems"]}
+           **{key: summary[key] for key in _DOC_KEYS[1:]}}
     if "aggregate" in summary:
         doc["aggregate"] = summary["aggregate"]
     return doc
-
-
-_DOC_KEYS = ("schema", "scenario", "duration_us", "seeds", "cells",
-             "failures", "validation_problems")
-_DOC_CELL_KEYS = ("scenario", "seed", "completed", "tail_stretch",
-                  "goodput", "nacks")
 
 
 def validate_faults_doc(doc: dict) -> list[str]:
@@ -319,38 +297,26 @@ def validate_faults_doc(doc: dict) -> list[str]:
     ``validation_problems``), same as ``validate_arena_doc``'s split
     between shape and outcome.
     """
-    problems = []
     if not isinstance(doc, dict):
         return ["document is not an object"]
+    problems = field_problems(doc, _DOC_KEYS, types={
+        "cells": list, "failures": list, "validation_problems": list})
     if doc.get("schema") != FAULTS_SCHEMA:
         problems.append(f"schema is {doc.get('schema')!r}, "
                         f"expected {FAULTS_SCHEMA!r}")
-    for key in _DOC_KEYS:
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
     if not isinstance(doc.get("scenario"), str) or not doc.get("scenario"):
         problems.append("scenario missing or empty")
     if not isinstance(doc.get("seeds"), list) or not doc.get("seeds"):
         problems.append("seeds missing or empty")
     cells = doc.get("cells")
     if not isinstance(cells, list):
-        problems.append("cells is not a list")
         cells = []
     for i, cell in enumerate(cells):
         if not isinstance(cell, dict):
             problems.append(f"cell[{i}] is not an object")
             continue
-        missing = [k for k in _DOC_CELL_KEYS if k not in cell]
-        if missing:
-            problems.append(f"cell[{i}] missing fields: {missing}")
-            continue
-        if not isinstance(cell["goodput"], dict):
-            problems.append(f"cell[{i}].goodput is not an object")
-        if not isinstance(cell["nacks"], dict):
-            problems.append(f"cell[{i}].nacks is not an object")
-    for key in ("failures", "validation_problems"):
-        if key in doc and not isinstance(doc[key], list):
-            problems.append(f"{key} is not a list")
+        problems += field_problems(cell, _DOC_CELL_KEYS, label=f"cell[{i}]",
+                                   types={"goodput": dict, "nacks": dict})
     if not cells and not doc.get("failures"):
         problems.append("document has neither cells nor failures")
     return problems

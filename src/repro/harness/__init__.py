@@ -13,7 +13,6 @@ from repro.harness.network import (Network, NetworkConfig, TopologySpec,
 from repro.harness.replication import (ReplicatedStat, replicate,
                                        replicate_many)
 from repro.harness.sweep import (DCQCN_SWEEP, SweepResult, run_fig5_sweep)
-from repro.obs.capture import PacketTracer, TraceEvent, attach_tracer
 
 __all__ = [
     "Network", "NetworkConfig", "TopologySpec", "SCHEMES", "TRANSPORTS",
@@ -23,7 +22,6 @@ __all__ = [
     "CollectiveRunResult", "EvalScale", "fig5_config", "run_collective",
     "SweepResult", "DCQCN_SWEEP", "run_fig5_sweep",
     "ReplicatedStat", "replicate", "replicate_many",
-    "PacketTracer", "TraceEvent", "attach_tracer",
     "LinkUtilization", "link_utilization", "uplink_imbalance",
     "jain_fairness", "flow_fairness",
 ]

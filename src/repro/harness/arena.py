@@ -21,12 +21,13 @@ per-cell table, ``ranking`` the per-(lb, transport) aggregate.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterator, Optional, Sequence
 
-from repro.harness.jobs import (JobOutcome, JobRunner, JobSpec,
-                                raise_on_failures)
+from repro.harness.jobs import (JobOutcome, JobSpec, raise_on_failures,
+                                run_jobs)
 from repro.harness.metrics import JobCounters
-from repro.harness.report import format_table
+from repro.harness.report import field_problems, format_table
 
 ARENA_SCHEMA = "repro-arena-v1"
 
@@ -82,6 +83,7 @@ def run_arena_cell(params: dict, seed: int) -> dict:
     consult the environment.
     """
     from repro.harness.network import Network, NetworkConfig, TopologySpec
+    from repro.harness.workload import post_messages, start_collectives
 
     topo_spec = TopologySpec(**params["topo"])
     transport = params["transport"]
@@ -97,49 +99,27 @@ def run_arena_cell(params: dict, seed: int) -> dict:
         themis_overlay=transport == "themis",
         dcqcn=None if cc == "fixed" else NetworkConfig().dcqcn,
         seed=seed)
+    workload = params["workload"]
+    if workload not in WORKLOADS:
+        raise ValueError(f"unknown workload {workload!r}")
     net = Network(config)
     # Once every posted message is delivered and acknowledged only idle
     # DCQCN timers and stray control packets remain, and none of them
     # moves a cell metric: stop there, not at the deadline.
     net.metrics.on_idle = net.stop
     deadline_ns = int(params["deadline_us"] * 1000)
-    completed = _run_workload(net, params["workload"],
-                              int(params["bytes"]), deadline_ns)
-    net.stop()
-    return _cell_metrics(net, completed, deadline_ns)
-
-
-def _run_workload(net, workload: str, total_bytes: int,
-                  deadline_ns: int) -> bool:
-    from repro.collectives import AllToAll, RingAllreduce
-
-    members = list(range(net.topology.num_nics))
-    if workload == "alltoall":
-        coll = AllToAll(net, members, total_bytes)
-        coll.start()
-        net.run(until_ns=deadline_ns)
-        return coll.complete
-    if workload == "allreduce":
-        coll = RingAllreduce(net, members, total_bytes)
-        coll.start()
-        net.run(until_ns=deadline_ns)
-        return coll.complete
+    nics = net.topology.num_nics
     if workload == "incast":
         # Every NIC sends to NIC 0 simultaneously — the N:1 burst that
         # concentrates reordering and queue pressure on one ToR.
-        senders = members[1:]
-        per_sender = max(1, total_bytes // len(senders))
-        remaining = [len(senders)]
-
-        def on_done() -> None:
-            remaining[0] -= 1
-
-        for src in senders:
-            net.post_message(src, 0, per_sender,
-                             on_receiver_done=on_done)
-        net.run(until_ns=deadline_ns)
-        return remaining[0] == 0
-    raise ValueError(f"unknown workload {workload!r}")
+        traffic = post_messages(net, [(src, 0) for src in range(1, nics)],
+                                max(1, int(params["bytes"]) // (nics - 1)))
+    else:
+        traffic = start_collectives(net, workload, [list(range(nics))],
+                                    int(params["bytes"]))
+    net.run(until_ns=deadline_ns)
+    net.stop()
+    return _cell_metrics(net, traffic.complete, deadline_ns)
 
 
 def _cell_metrics(net, completed: bool, deadline_ns: int) -> dict:
@@ -210,26 +190,16 @@ def arena_job_specs(*, lbs: Sequence[str] = LB_POLICIES,
         message_bytes = QUICK_BYTES if quick else FULL_BYTES
     if deadline_us is None:
         deadline_us = QUICK_DEADLINE_US if quick else FULL_DEADLINE_US
-    specs = []
-    for lb in lbs:
-        for transport in transports:
-            for cc in ccs:
-                for workload in workloads:
-                    for topo_name, topo in topologies.items():
-                        for seed in seeds:
-                            specs.append(JobSpec(
-                                kind="arena_cell", seed=seed,
-                                params={"lb": lb,
-                                        "transport": transport,
-                                        "cc": cc,
-                                        "workload": workload,
-                                        "topology": topo_name,
-                                        "topo": dict(topo),
-                                        "bytes": message_bytes,
-                                        "deadline_us": deadline_us},
-                                label=f"{lb}/{transport}/{cc}/"
-                                      f"{workload}/{topo_name}/s{seed}"))
-    return specs
+    return [JobSpec(kind="arena_cell", seed=seed,
+                    params={"lb": lb, "transport": transport, "cc": cc,
+                            "workload": workload, "topology": topo_name,
+                            "topo": dict(topo), "bytes": message_bytes,
+                            "deadline_us": deadline_us},
+                    label=f"{lb}/{transport}/{cc}/{workload}/"
+                          f"{topo_name}/s{seed}")
+            for lb, transport, cc, workload, (topo_name, topo), seed
+            in product(lbs, transports, ccs, workloads,
+                       topologies.items(), seeds)]
 
 
 def run_arena(*, workers: int = 1, timeout_s: Optional[float] = None,
@@ -246,10 +216,9 @@ def run_arena(*, workers: int = 1, timeout_s: Optional[float] = None,
     results-store path), for a warm re-run that executes zero jobs.
     """
     specs = arena_job_specs(**spec_kwargs)
-    runner = JobRunner(workers=workers, timeout_s=timeout_s,
-                       retries=retries, checkpoint=checkpoint,
-                       cache=cache, counters=counters, progress=progress)
-    outcomes = runner.run(specs)
+    outcomes = run_jobs(specs, workers=workers, timeout_s=timeout_s,
+                        retries=retries, checkpoint=checkpoint, cache=cache,
+                        counters=counters, progress=progress)
     raise_on_failures(outcomes)
     return build_arena_doc(specs, outcomes)
 
@@ -270,11 +239,7 @@ def build_arena_doc(specs: Sequence[JobSpec],
         cells.append(cell)
 
     def axis(key: str) -> list:
-        values = []
-        for cell in cells:
-            if cell[key] not in values:
-                values.append(cell[key])
-        return values
+        return list(dict.fromkeys(cell[key] for cell in cells))
 
     ranking = _rank(cells)
     return {
@@ -329,53 +294,66 @@ _RANK_FIELDS = ("rank", "lb", "transport", "cells", "completed_cells",
                 "mean_reorder_rate", "mean_nack_validity")
 
 
+def _doc_problems(doc: dict) -> Iterator[tuple[bool, str]]:
+    """``(structural, problem)`` pairs for a ``repro-arena-v1`` document.
+
+    A cell that did not complete is an outcome, not a malformed document:
+    it is the one non-structural problem (the results store ingests such
+    documents, the CI gate rejects them).
+    """
+    if doc.get("schema") != ARENA_SCHEMA:
+        yield True, (f"schema is {doc.get('schema')!r}, "
+                     f"expected {ARENA_SCHEMA!r}")
+    axes = doc.get("axes")
+    if not isinstance(axes, dict):
+        yield True, "axes missing or not an object"
+        axes = {}
+    for key in ("lbs", "transports", "ccs", "workloads",
+                "topologies", "seeds"):
+        if not isinstance(axes.get(key), list) or not axes.get(key):
+            yield True, f"axes.{key} missing or empty"
+    cells = doc.get("cells")
+    if not isinstance(cells, list) or not cells:
+        yield True, "cells missing or empty"
+        cells = []
+    for i, cell in enumerate(cells):
+        missing = field_problems(cell, _CELL_FIELDS, label=f"cell[{i}]")
+        if missing:
+            yield True, missing[0]
+        elif not cell["completed"]:
+            yield False, (f"cell[{i}] ({cell['lb']}/{cell['transport']}"
+                          f"/{cell['workload']}/{cell['topology']}"
+                          f"/s{cell['seed']}) did not complete")
+    ranking = doc.get("ranking")
+    if not isinstance(ranking, list) or not ranking:
+        yield True, "ranking missing or empty"
+        ranking = []
+    for i, row in enumerate(ranking):
+        for problem in field_problems(row, _RANK_FIELDS,
+                                      label=f"ranking[{i}]"):
+            yield True, problem
+    if ranking and [r.get("rank") for r in ranking] != \
+            list(range(1, len(ranking) + 1)):
+        yield True, "ranking.rank is not 1..N in order"
+    slowdowns = [r["mean_slowdown"] for r in ranking
+                 if "mean_slowdown" in r]
+    if slowdowns != sorted(slowdowns):
+        yield True, "ranking not sorted by mean_slowdown"
+
+
 def validate_arena_doc(doc: dict) -> list[str]:
     """Schema check for a ``repro-arena-v1`` document; returns problems.
 
     Used inline by the CI smoke gate, so it needs no external schema
     library: the contract is small and explicit.
     """
-    problems = []
-    if doc.get("schema") != ARENA_SCHEMA:
-        problems.append(f"schema is {doc.get('schema')!r}, "
-                        f"expected {ARENA_SCHEMA!r}")
-    axes = doc.get("axes")
-    if not isinstance(axes, dict):
-        problems.append("axes missing or not an object")
-        axes = {}
-    for key in ("lbs", "transports", "ccs", "workloads",
-                "topologies", "seeds"):
-        if not isinstance(axes.get(key), list) or not axes.get(key):
-            problems.append(f"axes.{key} missing or empty")
-    cells = doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        problems.append("cells missing or empty")
-        cells = []
-    for i, cell in enumerate(cells):
-        missing = [f for f in _CELL_FIELDS if f not in cell]
-        if missing:
-            problems.append(f"cell[{i}] missing fields: {missing}")
-            continue
-        if not cell["completed"]:
-            problems.append(f"cell[{i}] ({cell['lb']}/{cell['transport']}"
-                            f"/{cell['workload']}/{cell['topology']}"
-                            f"/s{cell['seed']}) did not complete")
-    ranking = doc.get("ranking")
-    if not isinstance(ranking, list) or not ranking:
-        problems.append("ranking missing or empty")
-        ranking = []
-    for i, row in enumerate(ranking):
-        missing = [f for f in _RANK_FIELDS if f not in row]
-        if missing:
-            problems.append(f"ranking[{i}] missing fields: {missing}")
-    if ranking and [r.get("rank") for r in ranking] != \
-            list(range(1, len(ranking) + 1)):
-        problems.append("ranking.rank is not 1..N in order")
-    slowdowns = [r["mean_slowdown"] for r in ranking
-                 if "mean_slowdown" in r]
-    if slowdowns != sorted(slowdowns):
-        problems.append("ranking not sorted by mean_slowdown")
-    return problems
+    return [problem for _, problem in _doc_problems(doc)]
+
+
+def structural_problems(doc: dict) -> list[str]:
+    """:func:`validate_arena_doc` minus cells that did not complete."""
+    return [problem for structural, problem in _doc_problems(doc)
+            if structural]
 
 
 def render_arena_table(doc: dict) -> str:

@@ -13,28 +13,24 @@ the repo root so the perf trajectory is tracked across PRs:
 * ``lossy``    — recovery on a lossy uplink (NACK/RTO churn; stresses
   timer cancellation and the overflow tier).
 
-The ``alltoall`` scenario is additionally re-run on
-:class:`repro.sim.engine.HeapSimulator` — the seed heapq engine kept
-verbatim as the reference implementation — and the events/sec ratio is
-reported as ``speedup_vs_heap``.  Event counts of the two runs must match
-exactly (same workload, same determinism contract); the harness asserts
-this, making every benchmark run double as an engine A/B sanity check.
+The determinism contract behind the numbers (bit-identical event order
+against the reference heap engine) is pinned by
+``tests/sim/test_batched_golden.py``; this harness only measures.
 
 Measurement methodology
 -----------------------
-Wall-clock timing of a Python event loop is noisy in ways that bias an
-A/B comparison if ignored:
+Wall-clock timing of a Python event loop is noisy in ways that bias a
+comparison across commits if ignored:
 
-* **Allocator warm-up.**  Repeated runs inside one process drift — the
-  second engine measured benefits from arenas the first one paid to map.
+* **Allocator warm-up.**  Repeated runs inside one process drift — a
+  later measurement benefits from arenas an earlier one paid to map.
   Each measurement therefore runs in a **fresh spawned process** (pyperf
   style); the parent only collects the numbers.
-* **GC pauses.**  The engines allocate at very different rates, so cyclic
-  GC fires at different points.  The timed region runs with the collector
-  disabled (after an explicit ``gc.collect()``); pooling keeps real
-  garbage negligible for the run lengths measured here.
-* **Scheduling noise.**  Each (scenario, engine) pair is measured
-  ``repeats`` times and the **minimum** wall time is reported — the
+* **GC pauses.**  Cyclic GC fires at allocation-dependent points.  The
+  timed region runs with the collector disabled (after an explicit
+  ``gc.collect()``); pooling keeps real garbage negligible for the run
+  lengths measured here.
+* **Scheduling noise.**  Each scenario is measured ``repeats`` times and the **minimum** wall time is reported — the
   standard best-of-N estimator for "how fast can this code run".
 
 ``--quick`` shrinks message sizes ~8x, uses one repeat, and skips process
@@ -47,11 +43,15 @@ import gc
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.sim.engine import DEFAULT_BUCKET_NS, HeapSimulator, MS, US
+from repro.harness.workload import (alltoall_pairs, lossy_uplinks,
+                                    post_messages)
+from repro.sim.engine import DEFAULT_BUCKET_NS, MS, US
 
 #: Output file tracked at the repo root.
 DEFAULT_OUT = "BENCH_engine.json"
@@ -76,105 +76,71 @@ class ScenarioResult:
     completed: bool
 
 
-def _scale(quick: bool, full: int) -> int:
-    """Quick mode shrinks message sizes ~8x for CI smoke runs."""
-    return full // 8 if quick else full
-
-
-def _stop_when_done(net: Network, total: int) -> Callable[[], None]:
-    """Per-message completion callback: once every receiver is done, tear
-    the NIC timers down so the event queue drains and :meth:`Network.run`
-    returns — the benchmark then measures the traffic regime, not an
-    arbitrarily long tail of idle DCQCN timer ticks."""
-    state = {"left": total}
-
-    def one_done() -> None:
-        state["left"] -= 1
-        if state["left"] == 0:
-            # Remember when traffic actually finished: after stop() the
-            # drain semantics of run(until=...) advance the clock to the
-            # deadline, so net.now_ns alone no longer tells us.
-            net.bench_done_ns = net.now_ns
-            net.stop()
-
-    return one_done
-
-
-def _build_incast(quick: bool, sim, recorder=None) -> Network:
-    topo = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
-                        nics_per_tor=8, link_bandwidth_bps=100e9,
-                        link_delay_ns=US)
-    net = Network(NetworkConfig(topology=topo, scheme="rps",
-                                transport="nic_sr", seed=7), sim=sim,
-                  recorder=recorder)
-    # Sized so the full-mode run takes >0.5 s of wall time — short runs
-    # were dominated by per-run constant costs and timer jitter, making
-    # the regression gate noisy (~20k events measured in ~60 ms).
-    nbytes = _scale(quick, 2_000_000)
-    done = _stop_when_done(net, 15)
-    for src in range(1, 16):
-        net.post_message(src, 0, nbytes, on_receiver_done=done)
-    return net
-
-
-def _build_alltoall(quick: bool, sim, recorder=None) -> Network:
+#: name -> ((ToRs, spines, NICs per ToR), (src, dst) pairs, full-mode
+#: message bytes, 1% loss on tor0's uplinks?).  Full-mode sizes make every
+#: run take >0.5 s of wall time: shorter runs were dominated by per-run
+#: constant costs and timer jitter, making the regression gate noisy.
+_SCENARIO_SPECS = {
+    "incast": ((2, 2, 8), [(src, 0) for src in range(1, 16)],
+               2_000_000, False),
     # Wide fabric: 8-way spray at every source ToR, 992 concurrent flows.
-    # This is the geometry the >=2x engine acceptance gate is measured on.
-    topo = TopologySpec(kind="leaf_spine", num_tors=16, num_spines=8,
-                        nics_per_tor=2, link_bandwidth_bps=100e9,
-                        link_delay_ns=US)
-    net = Network(NetworkConfig(topology=topo, scheme="rps",
-                                transport="nic_sr", seed=7), sim=sim,
-                  recorder=recorder)
-    nbytes = _scale(quick, 120_000)
-    nodes = 32
-    done = _stop_when_done(net, nodes * (nodes - 1))
-    for src in range(nodes):
-        for dst in range(nodes):
-            if src != dst:
-                net.post_message(src, dst, nbytes, on_receiver_done=done)
-    return net
-
-
-def _build_lossy(quick: bool, sim, recorder=None) -> Network:
-    topo = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
-                        nics_per_tor=2, link_bandwidth_bps=100e9,
-                        link_delay_ns=US)
-    net = Network(NetworkConfig(topology=topo, scheme="rps",
-                                transport="nic_sr", seed=7), sim=sim,
-                  recorder=recorder)
-    # 1% loss on every uplink of tor0: spraying keeps hitting the lossy
-    # paths, so recovery (NACKs, RTO re-arms) dominates the event mix.
-    loss_rng = net.rng.fork("bench-loss")
-    from repro.switch.switch import Switch
-    for port in net.topology.tors[0].ports:
-        if isinstance(port.peer, Switch):
-            port.set_loss(0.01, loss_rng)
-    # Sized so the full-mode run takes >0.5 s of wall time (the seed ran
-    # ~4.3k events in ~11 ms — far too short to time reliably).
-    nbytes = _scale(quick, 8_000_000)
-    pairs = ((0, 2), (1, 3), (2, 0), (3, 1))
-    done = _stop_when_done(net, len(pairs))
-    for src, dst in pairs:
-        net.post_message(src, dst, nbytes, on_receiver_done=done)
-    return net
-
-
-BUILDERS: dict[str, Callable[..., Network]] = {
-    "incast": _build_incast,
-    "alltoall": _build_alltoall,
-    "lossy": _build_lossy,
+    "alltoall": ((16, 8, 2), alltoall_pairs(32), 120_000, False),
+    # Spraying keeps hitting the lossy uplinks, so recovery (NACKs, RTO
+    # re-arms) dominates the event mix.
+    "lossy": ((2, 2, 2), ((0, 2), (1, 3), (2, 0), (3, 1)),
+              8_000_000, True),
 }
 
 
+def build_scenario(name: str, quick: bool, sim=None,
+                   recorder=None) -> Network:
+    """The wired fabric of one scenario with its traffic posted.
+
+    Quick mode shrinks message sizes ~8x for CI smoke runs.  The fabric
+    stops at the last receiver (``net.stop`` tears the NIC timers down so
+    the queue drains), so a run measures the traffic regime, not an
+    arbitrarily long tail of idle DCQCN timer ticks.
+    """
+    (num_tors, num_spines, nics_per_tor), pairs, nbytes, lossy = \
+        _SCENARIO_SPECS[name]
+    topo = TopologySpec(kind="leaf_spine", num_tors=num_tors,
+                        num_spines=num_spines, nics_per_tor=nics_per_tor,
+                        link_bandwidth_bps=100e9, link_delay_ns=US)
+    net = Network(NetworkConfig(topology=topo, scheme="rps",
+                                transport="nic_sr", seed=7), sim=sim,
+                  recorder=recorder)
+    if lossy:
+        lossy_uplinks(net, net.topology.tors[:1], 0.01, "bench-loss")
+    post_messages(net, pairs, nbytes // 8 if quick else nbytes,
+                  on_done=net.stop)
+    return net
+
+
+#: ``BUILDERS[name](quick, sim, recorder)`` — what the golden tests call
+#: to run the bench geometries on the reference engine.
+BUILDERS: dict[str, Callable[..., Network]] = {
+    name: partial(build_scenario, name) for name in SCENARIOS}
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Collect once, then keep the cyclic GC off for a timed region."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_scenario(name: str, *, quick: bool = False,
-                 engine: str = "calendar",
                  traced: bool = False) -> ScenarioResult:
     """Build and run one scenario, timing the event loop only.
 
     The timed region excludes topology construction and runs with the
-    cyclic GC disabled (see the module docstring); the collector state is
-    restored afterwards.
+    cyclic GC disabled (see the module docstring).
 
     ``traced=True`` wires an all-category flight recorder (ring only, no
     retained lists) through the run — the configuration every traced sim
@@ -184,34 +150,34 @@ def run_scenario(name: str, *, quick: bool = False,
     if traced:
         from repro.obs.record import Recorder
         recorder = Recorder()
-    sim = HeapSimulator() if engine == "heap" else None
-    net = BUILDERS[name](quick, sim, recorder)
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    net = BUILDERS[name](quick, None, recorder)
+    with gc_paused():
         start = time.perf_counter()
         net.run(until_ns=DEADLINE_NS)
         wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     completed = net.metrics.all_flows_done()
     events = net.sim.executed
     net.stop()
     return ScenarioResult(
-        scenario=name, engine=engine, events=events, wall_s=round(wall, 4),
+        scenario=name, engine="calendar", events=events,
+        wall_s=round(wall, 4),
         events_per_sec=round(events / wall) if wall > 0 else 0,
-        sim_time_ns=getattr(net, "bench_done_ns", net.now_ns),
-        completed=completed)
+        sim_time_ns=net.traffic.end_ns, completed=completed)
+
+
+def run_bench_cell(params: dict, seed: int) -> dict:
+    """The ``bench`` job kind: one measurement, as a JSON payload."""
+    return asdict(run_scenario(params["scenario"], quick=params["quick"],
+                               traced=params.get("traced", False)))
 
 
 # ----------------------------------------------------------------------
 # Process isolation (via the experiment job runner)
 # ----------------------------------------------------------------------
-def _measure(name: str, *, quick: bool, engine: str,
+def _best_of(name: str, *, quick: bool, repeats: int,
              fresh_process: bool, traced: bool = False) -> ScenarioResult:
-    """One measurement as a job-runner job.
+    """Best-of-N wall time, each measurement a job-runner job; asserts
+    the runs executed identical events.
 
     Full mode uses a fresh **spawned** subprocess per measurement (the
     pyperf-style cold process of the methodology above — ``fork`` would
@@ -222,41 +188,31 @@ def _measure(name: str, *, quick: bool, engine: str,
     """
     from repro.harness.jobs import JobRunner, JobSpec
 
-    spec = JobSpec(kind="bench", seed=0,
+    label = f"bench/{name}" + ("/traced" if traced else "")
+    spec = JobSpec(kind="bench", seed=0, label=label,
                    params={"scenario": name, "quick": quick,
-                           "engine": engine, "traced": traced},
-                   label=f"bench/{name}/{engine}"
-                         + ("/traced" if traced else ""))
-    runner = JobRunner(workers=1,
-                       isolation="subprocess" if fresh_process
-                       else "inproc",
-                       retries=1, mp_method="spawn")
-    outcome = runner.run_one(spec)
-    if not outcome.ok:
-        raise RuntimeError(f"bench measurement {name}/{engine} failed: "
-                           f"{outcome.error}")
-    return ScenarioResult(**outcome.result)
-
-
-def _best_of(name: str, *, quick: bool, engine: str, repeats: int,
-             fresh_process: bool, traced: bool = False) -> ScenarioResult:
-    """Best-of-N wall time; asserts the runs executed identical events."""
-    results = [_measure(name, quick=quick, engine=engine,
-                        fresh_process=fresh_process, traced=traced)
-               for _ in range(max(1, repeats))]
+                           "traced": traced})
+    results = []
+    for _ in range(max(1, repeats)):
+        outcome = JobRunner(
+            isolation="subprocess" if fresh_process else "inproc",
+            retries=1, mp_method="spawn").run_one(spec)
+        if not outcome.ok:
+            raise RuntimeError(f"bench measurement {label} failed: "
+                               f"{outcome.error}")
+        results.append(ScenarioResult(**outcome.result))
     events = {r.events for r in results}
     if len(events) != 1:
         raise AssertionError(
-            f"{name}/{engine}: repeated runs executed different event "
+            f"{name}: repeated runs executed different event "
             f"counts {sorted(events)} — nondeterminism detected")
     return min(results, key=lambda r: r.wall_s)
 
 
-def run_bench(*, quick: bool = False, compare: bool = True,
-              repeats: Optional[int] = None,
+def run_bench(*, quick: bool = False, repeats: Optional[int] = None,
               out: Optional[str] = DEFAULT_OUT,
               echo: Callable[[str], None] = print) -> dict:
-    """Run all scenarios (plus the heap A/B) and write ``out``.
+    """Run all scenarios and write ``out``.
 
     Returns the result document (also what lands in the JSON file).
     """
@@ -264,7 +220,7 @@ def run_bench(*, quick: bool = False, compare: bool = True,
         repeats = 1 if quick else DEFAULT_REPEATS
     fresh_process = not quick
     doc: dict = {
-        "schema_version": 3,
+        "schema_version": 4,
         "generated_by": "python -m repro bench" + (" --quick" if quick else ""),
         "quick": quick,
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -282,38 +238,20 @@ def run_bench(*, quick: bool = False, compare: bool = True,
         # skews every cross-scenario comparison.
         run_scenario("incast", quick=quick)
     for name in SCENARIOS:
-        res = _best_of(name, quick=quick, engine="calendar",
-                       repeats=repeats, fresh_process=fresh_process)
+        res = _best_of(name, quick=quick, repeats=repeats,
+                       fresh_process=fresh_process)
         doc["scenarios"][name] = asdict(res)
         echo(f"{name:<10} {res.events:>9} events  {res.wall_s:>7.3f} s  "
              f"{res.events_per_sec:>9,} ev/s  "
              f"(sim {res.sim_time_ns / 1000:.0f} us, "
              f"completed={res.completed})")
 
-    if compare:
-        heap = _best_of("alltoall", quick=quick, engine="heap",
-                        repeats=repeats, fresh_process=fresh_process)
-        cal = doc["scenarios"]["alltoall"]
-        if heap.events != cal["events"]:
-            raise AssertionError(
-                "engine A/B mismatch: calendar executed "
-                f"{cal['events']} events, heap {heap.events} — "
-                "determinism contract violated")
-        speedup = (cal["events_per_sec"] / heap.events_per_sec
-                   if heap.events_per_sec else 0.0)
-        doc["heap_baseline"] = asdict(heap)
-        doc["speedup_vs_heap"] = round(speedup, 2)
-        echo(f"{'heap ref':<10} {heap.events:>9} events  "
-             f"{heap.wall_s:>7.3f} s  {heap.events_per_sec:>9,} ev/s")
-        echo(f"speedup vs seed heapq engine (alltoall): {speedup:.2f}x")
-
     # Price the observability layer: one traced alltoall run against the
     # untraced number above.  check_regression() only reads
     # doc["scenarios"], so this extra key never trips the CI gate — it is
     # a tracked trend line for the recorder's hot-path cost.
-    traced = _best_of("alltoall", quick=quick, engine="calendar",
-                      repeats=repeats, fresh_process=fresh_process,
-                      traced=True)
+    traced = _best_of("alltoall", quick=quick, repeats=repeats,
+                      fresh_process=fresh_process, traced=True)
     cal = doc["scenarios"]["alltoall"]
     if traced.events != cal["events"]:
         raise AssertionError(
@@ -348,8 +286,7 @@ def run_bench(*, quick: bool = False, compare: bool = True,
         untraced_walls={name: doc["scenarios"][name]["wall_s"]
                         for name in CALIBRATION_SCENARIOS},
         anchors=anchors)
-    predictions = validate(model, doc["scenarios"], quick=quick,
-                           infos=infos)
+    predictions = validate(model, doc["scenarios"], infos)
     doc["cost_model"] = dict(model.to_json(), predictions=predictions)
     for row in predictions:
         mark = "ok" if row["ok"] else "OUT OF TOLERANCE"
@@ -377,13 +314,15 @@ def check_regression(doc: dict, baseline_path: str, *,
 
     Returns the list of regressions: scenarios whose ``events_per_sec``
     fell more than ``max_regression`` (fraction) below the baseline,
-    plus a tracing regression if the traced-run ``overhead_ratio`` grew
-    more than ``max_tracing_regression`` above the baseline's.  The
-    overhead ratio is a same-machine quotient, so its gate is much
-    tighter than the raw-throughput one.  Scenarios present on only one
-    side are compared on the intersection; absolute throughput differs
-    across machines, so the gate is a catch-big-regressions tripwire,
-    not a precision benchmark.
+    a tracing regression if the traced-run ``overhead_ratio`` grew
+    more than ``max_tracing_regression`` above the baseline's, and every
+    cost-model prediction outside the fitted tolerance (the event-cost
+    structure shifted even if the aggregates pass).  The overhead ratio
+    is a same-machine quotient, so its gate is much tighter than the
+    raw-throughput one.  Scenarios present on only one side are compared
+    on the intersection; absolute throughput differs across machines, so
+    the gate is a catch-big-regressions tripwire, not a precision
+    benchmark.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
@@ -416,4 +355,11 @@ def check_regression(doc: dict, baseline_path: str, *,
                 f"{1.0 + max_tracing_regression:.2f}x)")
         echo(f"regression gate: {'tracing':<10} {growth:5.2f}x baseline "
              f"overhead ({verdict})")
+    model = doc.get("cost_model", {})
+    for row in model.get("predictions", []):
+        if not row["ok"]:
+            regressions.append(
+                f"cost model: {row['scenario']} prediction off by "
+                f"{row['error_pct']:+.1f}% (tolerance "
+                f"{100 * model['tolerance']:.0f}%)")
     return regressions

@@ -38,6 +38,8 @@ without ``python -m``.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -45,7 +47,8 @@ from repro.harness.collective_runner import (EvalScale, fig5_config,
                                              run_collective)
 from repro.harness.motivation import motivation_config, run_motivation
 from repro.harness.network import SCHEMES, TRANSPORTS
-from repro.harness.report import format_table, percent, sparkline
+from repro.harness.report import (format_table, percent, sparkline,
+                                  write_json)
 from repro.harness.sweep import DCQCN_SWEEP, run_fig5_sweep
 from repro.obs.console import Console
 from repro.themis.memory import (MemoryParams, TOFINO_SRAM_BYTES,
@@ -70,6 +73,77 @@ def _output_flag_parent(*, with_json: bool) -> argparse.ArgumentParser:
     return parent
 
 
+def _runner_flag_parent() -> argparse.ArgumentParser:
+    """The job-runner options of ``sweep``, ``arena`` and ``faults run``,
+    declared once; :func:`_runner_opts` turns them into keywords."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workers", type=int, default=1,
+                        help="parallel worker subprocesses (1 = serial)")
+    parent.add_argument("--timeout", type=float, default=None, metavar="S",
+                        help="per-job wall-clock timeout in seconds "
+                             "(workers > 1 only)")
+    parent.add_argument("--retries", type=int, default=2,
+                        help="retries per job on worker crash/timeout")
+    parent.add_argument("--resume", metavar="PATH", default=None,
+                        help="JSONL checkpoint: completed jobs stream "
+                             "here and are skipped on re-run")
+    parent.add_argument("--cache", metavar="DB", default=None,
+                        help="results store used as a read-through run "
+                             "cache (jobs with stored results skip "
+                             "execution)")
+    parent.add_argument("--progress", action="store_true",
+                        help="print per-job progress lines")
+    return parent
+
+
+def _traced_flag_parent(*, nodes: int) -> argparse.ArgumentParser:
+    """The traced-alltoall options ``trace`` and ``profile`` share (each
+    with its own default fabric size; parents share Action objects, so a
+    ``set_defaults`` on one subcommand would leak into the other)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--nodes", type=int, default=nodes,
+                        help=f"fabric size (even, >= 4; default {nodes})")
+    parent.add_argument("--loss", type=float, default=0.01,
+                        help="uplink loss probability (default 0.01)")
+    parent.add_argument("--seed", type=int, default=7)
+    parent.add_argument("--bytes", type=int, default=20_000,
+                        help="message size per alltoall pair")
+    parent.add_argument("--scheme", choices=SCHEMES, default="themis")
+    return parent
+
+
+def _runner_opts(args: argparse.Namespace, console: Console) -> dict:
+    """:class:`~repro.harness.jobs.JobRunner` keywords from the flags."""
+    return {"workers": args.workers, "timeout_s": args.timeout,
+            "retries": args.retries, "checkpoint": args.resume,
+            "cache": args.cache,
+            "progress": console.progress_printer() if args.progress
+            else None}
+
+
+def _csv(value: str) -> tuple:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+def _fail(console: Console, message: str) -> int:
+    """One ``error:`` line (and its ``--json`` twin); exit code 2."""
+    console.out(f"error: {message}")
+    console.result({"error": message})
+    return 2
+
+
+def _traced_params(args: argparse.Namespace) -> dict:
+    """The alltoall ``trace`` and ``profile`` share, as their documents
+    report it."""
+    return {"nodes": args.nodes, "loss": args.loss, "seed": args.seed,
+            "bytes": args.bytes, "scheme": args.scheme}
+
+
+def _write_doc(console: Console, path: Optional[str], doc: dict) -> None:
+    if path:
+        console.out(f"wrote {write_json(path, doc)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -83,6 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     # ``collective --json PATH`` predates the global flag and keeps its
     # meaning; use ``repro --json collective`` for machine output there.
     quiet_only = _output_flag_parent(with_json=False)
+    runner_flags = _runner_flag_parent()
+    db_flag = argparse.ArgumentParser(add_help=False)
+    db_flag.add_argument("--db", default="results.sqlite",
+                         help="results store file (default results.sqlite)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     mem = sub.add_parser("memory", parents=[out_flags],
@@ -114,28 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     col.add_argument("--json", metavar="PATH", default=None,
                      help="write the run summary as JSON")
 
-    swp = sub.add_parser("sweep", parents=[out_flags],
+    swp = sub.add_parser("sweep", parents=[out_flags, runner_flags],
                          help="a full Fig. 5 panel")
     swp.add_argument("--collective", default="allreduce",
                      choices=("allreduce", "alltoall"))
     swp.add_argument("--schemes", default="ecmp,ar,themis")
     swp.add_argument("--seed", type=int, default=1)
-    swp.add_argument("--workers", type=int, default=1,
-                     help="parallel worker subprocesses (1 = serial)")
-    swp.add_argument("--resume", metavar="PATH", default=None,
-                     help="JSONL checkpoint: completed cells stream "
-                          "here and are skipped on re-run")
-    swp.add_argument("--timeout", type=float, default=None, metavar="S",
-                     help="per-job wall-clock timeout in seconds "
-                          "(workers > 1 only)")
-    swp.add_argument("--retries", type=int, default=2,
-                     help="retries per job on worker crash/timeout")
-    swp.add_argument("--cache", metavar="DB", default=None,
-                     help="results store used as a read-through run "
-                          "cache (cells with stored results skip "
-                          "execution)")
-    swp.add_argument("--progress", action="store_true",
-                     help="print per-job progress lines")
 
     job = sub.add_parser("jobs", parents=[out_flags],
                          help="status of a job checkpoint file")
@@ -147,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(writes BENCH_engine.json)")
     ben.add_argument("--quick", action="store_true",
                      help="~8x smaller messages; CI smoke mode")
-    ben.add_argument("--no-compare", action="store_true",
-                     help="skip the heapq reference-engine A/B run")
     ben.add_argument("--repeats", type=int, default=None,
                      help="best-of-N repeats per measurement "
                           "(default: 3 full, 1 quick)")
@@ -176,20 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     pmap.add_argument("--dst", type=int, default=15)
     pmap.add_argument("--sport", type=int, default=4242)
 
-    trc = sub.add_parser("trace", parents=[out_flags],
+    trc = sub.add_parser("trace",
+                         parents=[out_flags, _traced_flag_parent(nodes=32)],
                          help="traced lossy alltoall + NACK causality "
                               "audit / Perfetto export")
     trc.add_argument("report", nargs="?", default="nacks",
                      choices=("nacks",),
                      help="which report to print (default: nacks)")
-    trc.add_argument("--nodes", type=int, default=32,
-                     help="fabric size (even, >= 4; default 32)")
-    trc.add_argument("--loss", type=float, default=0.01,
-                     help="uplink loss probability (default 0.01)")
-    trc.add_argument("--seed", type=int, default=7)
-    trc.add_argument("--bytes", type=int, default=20_000,
-                     help="message size per alltoall pair")
-    trc.add_argument("--scheme", choices=SCHEMES, default="themis")
     trc.add_argument("--limit", type=int, default=50,
                      help="max decisions printed in the report")
     trc.add_argument("--perfetto", metavar="PATH", default=None,
@@ -209,45 +262,29 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault-injection campaigns "
                               "(repro.faults scenarios)")
     flt_sub = flt.add_subparsers(dest="faults_command", required=True)
-    flt_run = flt_sub.add_parser("run", parents=[out_flags],
+    spec_src = argparse.ArgumentParser(add_help=False)
+    src_group = spec_src.add_mutually_exclusive_group(required=True)
+    src_group.add_argument("--spec", metavar="PATH",
+                           help="declarative scenario JSON file")
+    src_group.add_argument("--name", metavar="SCENARIO",
+                           help="builtin scenario name "
+                                "(see 'repro faults list')")
+    flt_run = flt_sub.add_parser("run", parents=[out_flags, runner_flags,
+                                                 spec_src],
                                  help="run a campaign on the job runner")
-    spec_src = flt_run.add_mutually_exclusive_group(required=True)
-    spec_src.add_argument("--spec", metavar="PATH",
-                          help="declarative scenario JSON file")
-    spec_src.add_argument("--name", metavar="SCENARIO",
-                          help="builtin scenario name "
-                               "(see 'repro faults list')")
     flt_run.add_argument("--seeds", type=int, default=3,
                          help="number of seeds (cells) to run")
     flt_run.add_argument("--seed-base", type=int, default=1,
                          help="first seed value")
-    flt_run.add_argument("--workers", type=int, default=1,
-                         help="parallel worker subprocesses")
-    flt_run.add_argument("--timeout", type=float, default=None,
-                         metavar="S", help="per-cell wall timeout")
-    flt_run.add_argument("--retries", type=int, default=2,
-                         help="retries per cell on crash/timeout")
-    flt_run.add_argument("--resume", metavar="PATH", default=None,
-                         help="JSONL checkpoint for resume")
-    flt_run.add_argument("--cache", metavar="DB", default=None,
-                         help="results store used as a read-through "
-                              "run cache")
     flt_run.add_argument("--out", metavar="PATH", default=None,
                          help="write the repro-faults-v1 campaign "
                               "document as JSON")
-    flt_run.add_argument("--progress", action="store_true",
-                         help="print per-cell progress lines")
     flt_sub.add_parser("list", parents=[out_flags],
                        help="list builtin scenarios")
-    flt_show = flt_sub.add_parser("show", parents=[out_flags],
-                                  help="print a compiled scenario spec")
-    show_src = flt_show.add_mutually_exclusive_group(required=True)
-    show_src.add_argument("--spec", metavar="PATH",
-                          help="declarative scenario JSON file")
-    show_src.add_argument("--name", metavar="SCENARIO",
-                          help="builtin scenario name")
+    flt_sub.add_parser("show", parents=[out_flags, spec_src],
+                       help="print a compiled scenario spec")
 
-    arn = sub.add_parser("arena", parents=[out_flags],
+    arn = sub.add_parser("arena", parents=[out_flags, runner_flags],
                          help="LB policy head-to-head ranking "
                               "(baseline zoo arena)")
     arn.add_argument("--quick", action="store_true",
@@ -275,31 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="message bytes per workload (default: preset)")
     arn.add_argument("--deadline-us", type=float, default=None,
                      help="per-cell sim-time budget (default: preset)")
-    arn.add_argument("--workers", type=int, default=1,
-                     help="parallel worker subprocesses (1 = serial)")
-    arn.add_argument("--timeout", type=float, default=None, metavar="S",
-                     help="per-cell wall timeout (workers > 1 only)")
-    arn.add_argument("--retries", type=int, default=2,
-                     help="retries per cell on crash/timeout")
-    arn.add_argument("--resume", metavar="PATH", default=None,
-                     help="JSONL checkpoint for resume")
-    arn.add_argument("--cache", metavar="DB", default=None,
-                     help="results store used as a read-through run "
-                          "cache")
     arn.add_argument("--out", metavar="PATH", default=None,
                      help="write the arena document as JSON")
-    arn.add_argument("--progress", action="store_true",
-                     help="print per-cell progress lines")
 
-    prof = sub.add_parser("profile", parents=[out_flags],
+    prof = sub.add_parser("profile",
+                          parents=[out_flags, _traced_flag_parent(nodes=8)],
                           help="wall-time histogram per event-handler "
                                "type on a small traced scenario")
-    prof.add_argument("--nodes", type=int, default=8,
-                      help="fabric size (even, >= 4; default 8)")
-    prof.add_argument("--loss", type=float, default=0.01)
-    prof.add_argument("--seed", type=int, default=7)
-    prof.add_argument("--bytes", type=int, default=20_000)
-    prof.add_argument("--scheme", choices=SCHEMES, default="themis")
     prof.add_argument("--top", type=int, default=None,
                       help="only print the N most expensive handlers")
     prof.add_argument("--out", metavar="PATH", default=None,
@@ -309,33 +328,25 @@ def build_parser() -> argparse.ArgumentParser:
                          help="spec-hash results store "
                               "(ingest / list / show)")
     res_sub = res.add_subparsers(dest="results_command", required=True)
-    res_ing = res_sub.add_parser("ingest", parents=[out_flags],
+    res_ing = res_sub.add_parser("ingest", parents=[out_flags, db_flag],
                                  help="ingest result documents into "
                                       "the store")
     res_ing.add_argument("paths", nargs="+", metavar="DOC",
                          help="repro-arena-v1 / repro-faults-v1 / "
                               "BENCH_engine.json files")
-    res_ing.add_argument("--db", default="results.sqlite",
-                         help="results store file "
-                              "(default results.sqlite)")
-    res_lst = res_sub.add_parser("list", parents=[out_flags],
-                                 help="list ingested runs + store "
-                                      "counts")
-    res_lst.add_argument("--db", default="results.sqlite")
-    res_shw = res_sub.add_parser("show", parents=[out_flags],
+    res_sub.add_parser("list", parents=[out_flags, db_flag],
+                       help="list ingested runs + store counts")
+    res_shw = res_sub.add_parser("show", parents=[out_flags, db_flag],
                                  help="re-emit one ingested run as its "
                                       "original document")
     res_shw.add_argument("run_id", type=int)
-    res_shw.add_argument("--db", default="results.sqlite")
     res_shw.add_argument("--out", metavar="PATH", default=None,
                          help="write the re-emitted document to a file "
                               "instead of stdout")
 
-    srv = sub.add_parser("serve", parents=[out_flags],
+    srv = sub.add_parser("serve", parents=[out_flags, db_flag],
                          help="live results dashboard "
                               "(stdlib http.server)")
-    srv.add_argument("--db", default="results.sqlite",
-                     help="results store file (default results.sqlite)")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8000)
     srv.add_argument("--traces", metavar="DIR", default=None,
@@ -423,25 +434,18 @@ def cmd_collective(args: argparse.Namespace, console: Console) -> int:
         "completed": result.completed,
         "summary": result.summary,
     }
-    if args.json:
-        from repro.harness.report import write_json
-        path = write_json(args.json, doc)
-        console.out(f"wrote {path}")
+    _write_doc(console, args.json, doc)
     console.result(doc)
     return 0 if result.completed else 1
 
 
 def cmd_sweep(args: argparse.Namespace, console: Console) -> int:
     from repro.harness.metrics import JobCounters
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    schemes = _csv(args.schemes)
     counters = JobCounters()
     result = run_fig5_sweep(args.collective, schemes=schemes,
-                            seed=args.seed, workers=args.workers,
-                            timeout_s=args.timeout, retries=args.retries,
-                            checkpoint=args.resume, cache=args.cache,
-                            counters=counters,
-                            progress=console.progress_printer()
-                            if args.progress else None)
+                            seed=args.seed, counters=counters,
+                            **_runner_opts(args, console))
     rows = []
     cells = {}
     for cond in DCQCN_SWEEP:
@@ -510,49 +514,29 @@ def cmd_pathmap(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, console: Console) -> int:
-    import json as _json
-
     from repro.harness.bench import check_regression, run_bench
-    doc = run_bench(quick=args.quick, compare=not args.no_compare,
-                    repeats=args.repeats, out=args.out or None,
-                    echo=console.info)
-    if args.cost_model_out and doc.get("cost_model"):
-        with open(args.cost_model_out, "w") as fh:
-            _json.dump(doc["cost_model"], fh, indent=2)
-            fh.write("\n")
-        console.info(f"wrote {args.cost_model_out}")
+    doc = run_bench(quick=args.quick, repeats=args.repeats,
+                    out=args.out or None, echo=console.info)
+    if doc.get("cost_model"):
+        _write_doc(console, args.cost_model_out, doc["cost_model"])
     rc = 0
     if args.baseline:
         regressions = check_regression(
             doc, args.baseline, max_regression=args.max_regression,
             max_tracing_regression=args.max_tracing_regression,
             echo=console.info)
-        # The cost model's own gate: every scenario prediction must stay
-        # within the fitted tolerance, otherwise the event-cost structure
-        # shifted (some class got slower) even if aggregates pass.
-        for row in doc.get("cost_model", {}).get("predictions", []):
-            if not row["ok"]:
-                regressions.append(
-                    f"cost model: {row['scenario']} prediction off by "
-                    f"{row['error_pct']:+.1f}% (tolerance "
-                    f"{100 * doc['cost_model']['tolerance']:.0f}%)")
         for line in regressions:
             console.out(f"REGRESSION: {line}")
-        if regressions:
+        if regressions and doc.get("cost_model"):
             # Attribute the regression: compare fitted per-class costs
             # against the baseline's to name the class that got slower.
             from repro.harness.costmodel import residual_table
-            try:
-                with open(args.baseline) as fh:
-                    base_doc = _json.load(fh)
-            except OSError:
-                base_doc = {}
-            if doc.get("cost_model") and base_doc.get("cost_model"):
-                for line in residual_table(doc["cost_model"],
-                                           base_doc["cost_model"]):
+            with open(args.baseline) as fh:
+                base_model = json.load(fh).get("cost_model")
+            if base_model:
+                for line in residual_table(doc["cost_model"], base_model):
                     console.out(line)
-        doc = dict(doc)
-        doc["regressions"] = regressions
+        doc = dict(doc, regressions=regressions)
         rc = 1 if regressions else 0
     console.result(doc)
     return rc
@@ -587,12 +571,10 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
         from repro.obs.perfetto import write_chrome_trace
         # All categories were retained, so export the full run, not just
         # the last-N flight ring.
-        events: list = []
-        for cat in sorted(recorder.retain):
-            events.extend(recorder.records(cat))
-        events.sort(key=lambda r: r[0])
-        write_chrome_trace(events,
-                           args.perfetto,
+        events = sorted((record for cat in sorted(recorder.retain)
+                         for record in recorder.records(cat)),
+                        key=lambda r: r[0])
+        write_chrome_trace(events, args.perfetto,
                            label=f"trace-alltoall-{args.nodes}")
         console.out(f"wrote Perfetto trace {args.perfetto} "
                     "(open at https://ui.perfetto.dev)")
@@ -602,9 +584,7 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
     summary = audit.summary()
     doc = {
         "report": "nacks",
-        "params": {"nodes": args.nodes, "loss": args.loss,
-                   "seed": args.seed, "bytes": args.bytes,
-                   "scheme": args.scheme},
+        "params": _traced_params(args),
         "metrics": net.metrics.summary(),
         "audit": summary,
     }
@@ -647,31 +627,19 @@ def cmd_profile(args: argparse.Namespace, console: Console) -> int:
         report = dict(report)
         report["handlers"] = report["handlers"][:args.top]
     console.out(table)
-    doc = {"params": {"nodes": args.nodes, "loss": args.loss,
-                      "seed": args.seed, "bytes": args.bytes,
-                      "scheme": args.scheme},
+    doc = {"params": _traced_params(args),
            "sim_events": net.sim.executed, **report}
-    if args.out:
-        from repro.harness.report import write_json
-        path = write_json(args.out, doc)
-        console.out(f"wrote {path}")
+    _write_doc(console, args.out, doc)
     console.result(doc)
     return 0
 
 
-def _faults_spec_from_args(args: argparse.Namespace) -> dict:
-    from repro.faults.spec import compiled_spec, load_scenario
-    if args.spec:
-        return compiled_spec(load_scenario(args.spec))
-    from repro.faults.scenarios import builtin
-    return compiled_spec(builtin(args.name))
-
-
 def cmd_faults(args: argparse.Namespace, console: Console) -> int:
-    from repro.faults.spec import ScenarioError
+    from repro.faults.scenarios import BUILTIN_SCENARIOS, builtin
+    from repro.faults.spec import (ScenarioError, compiled_spec,
+                                   load_scenario)
 
     if args.faults_command == "list":
-        from repro.faults.scenarios import BUILTIN_SCENARIOS
         rows = []
         for name in sorted(BUILTIN_SCENARIOS):
             spec = BUILTIN_SCENARIOS[name]().compile()
@@ -683,15 +651,13 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
         return 0
 
     try:
-        spec = _faults_spec_from_args(args)
+        spec = compiled_spec(load_scenario(args.spec) if args.spec
+                             else builtin(args.name))
     except (ScenarioError, LookupError) as exc:
-        console.out(f"error: {exc}")
-        console.result({"error": str(exc)})
-        return 2
+        return _fail(console, str(exc))
 
     if args.faults_command == "show":
-        import json as _json
-        console.out(_json.dumps(spec, indent=2))
+        console.out(json.dumps(spec, indent=2))
         console.result(spec)
         return 0
 
@@ -701,25 +667,16 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
     console.info(f"campaign {spec['name']!r}: {len(spec['events'])} "
                  f"fault events x {len(seeds)} seeds "
                  f"(workers={args.workers})")
-    summary = run_campaign(spec, seeds, workers=args.workers,
-                           timeout_s=args.timeout, retries=args.retries,
-                           checkpoint=args.resume, cache=args.cache,
-                           progress=console.progress_printer()
-                           if args.progress else None)
-    rows = []
-    for cell in summary["cells"]:
-        goodput = cell["goodput"]
-        rows.append((
-            cell["seed"],
-            "yes" if cell["completed"] else "NO",
-            cell["tail_stretch"] if cell["tail_stretch"] is not None
-            else "-",
-            goodput["dip_frac"] if goodput["dip_frac"] is not None
-            else "-",
-            goodput["recovery_ns"] if goodput["recovery_ns"] is not None
-            else "-",
-            cell["nacks"]["unexplained"],
-        ))
+    summary = run_campaign(spec, seeds, **_runner_opts(args, console))
+    def shown(value):
+        return "-" if value is None else value
+
+    rows = [(cell["seed"], "yes" if cell["completed"] else "NO",
+             shown(cell["tail_stretch"]),
+             shown(cell["goodput"]["dip_frac"]),
+             shown(cell["goodput"]["recovery_ns"]),
+             cell["nacks"]["unexplained"])
+            for cell in summary["cells"]]
     console.out(format_table(
         ["seed", "done", "stretch", "dip", "recovery_ns",
          "unexplained"], rows))
@@ -732,12 +689,9 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
         console.out(f"{agg['completed']}/{agg['cells']} cells completed; "
                     f"unexplained NACK decisions: "
                     f"{agg['unexplained_nacks']}")
-    if args.out:
-        from repro.harness.report import write_json
-        # The versioned ingest document: the summary minus the job
-        # counters, so a cache-warm re-run writes identical bytes.
-        path = write_json(args.out, build_faults_doc(summary))
-        console.out(f"wrote {path}")
+    # The versioned ingest document: the summary minus the job counters,
+    # so a cache-warm re-run writes identical bytes.
+    _write_doc(console, args.out, build_faults_doc(summary))
     console.result(summary)
     ok = (not summary["failures"]
           and not summary["validation_problems"])
@@ -749,9 +703,7 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
     from repro.harness.metrics import JobCounters
 
     def csv(value: Optional[str], default: Sequence[str]) -> tuple:
-        if value is None:
-            return tuple(default)
-        return tuple(v.strip() for v in value.split(",") if v.strip())
+        return tuple(default) if value is None else _csv(value)
 
     lbs = csv(args.lbs, arena.LB_POLICIES)
     transports = csv(args.transports, arena.ARENA_TRANSPORTS)
@@ -762,9 +714,8 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
     topo_names = csv(args.topos, tuple(presets))
     unknown = [t for t in topo_names if t not in presets]
     if unknown:
-        console.out(f"error: unknown topology preset(s) {unknown}; "
-                    f"known: {sorted(presets)}")
-        return 2
+        return _fail(console, f"unknown topology preset(s) {unknown}; "
+                              f"known: {sorted(presets)}")
     topologies = {name: presets[name] for name in topo_names}
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     counters = JobCounters()
@@ -775,10 +726,7 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
                  f"{len(topologies)} topologies x {len(seeds)} seeds "
                  f"= {n_cells} cells (workers={args.workers})")
     doc = arena.run_arena(
-        workers=args.workers, timeout_s=args.timeout,
-        retries=args.retries, checkpoint=args.resume, cache=args.cache,
-        counters=counters,
-        progress=console.progress_printer() if args.progress else None,
+        counters=counters, **_runner_opts(args, console),
         lbs=lbs, transports=transports, ccs=ccs, workloads=workloads,
         topologies=topologies, seeds=seeds, quick=args.quick,
         message_bytes=args.bytes, deadline_us=args.deadline_us)
@@ -788,19 +736,14 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
         console.out(f"{len(incomplete)}/{len(doc['cells'])} cells "
                     f"did not complete before the deadline")
     console.info(f"jobs: {counters}")
-    if args.out:
-        from repro.harness.report import write_json
-        path = write_json(args.out, doc)
-        console.out(f"wrote {path}")
+    _write_doc(console, args.out, doc)
     console.result(doc)
     return 0 if not incomplete else 1
 
 
 def cmd_results(args: argparse.Namespace, console: Console) -> int:
-    import json as _json
-
-    from repro.results import (IngestError, ResultsStore, emit_arena_doc,
-                               emit_faults_doc, ingest_file)
+    from repro.results import (IngestError, ResultsStore, emit_doc,
+                               ingest_file)
 
     if args.results_command == "ingest":
         receipts, problems = [], []
@@ -836,45 +779,23 @@ def cmd_results(args: argparse.Namespace, console: Console) -> int:
 
     # show: re-emit one run as its original document
     with ResultsStore(args.db) as store:
-        run = store.run_row(args.run_id)
-        if run is None:
-            console.out(f"error: no run {args.run_id} in {args.db}")
-            console.result({"error": f"no run {args.run_id}"})
-            return 2
         try:
-            if run["schema"].startswith("repro-arena-"):
-                doc = emit_arena_doc(store, args.run_id)
-            elif run["schema"].startswith("repro-faults-"):
-                doc = emit_faults_doc(store, args.run_id)
-            else:
-                console.out(f"error: run {args.run_id} has schema "
-                            f"{run['schema']!r}; only arena/faults runs "
-                            "re-emit losslessly")
-                console.result({"error": "not re-emittable",
-                                "schema": run["schema"]})
-                return 2
+            doc = emit_doc(store, args.run_id)
         except IngestError as exc:
-            console.out(f"error: {exc}")
-            console.result({"error": str(exc)})
-            return 2
+            return _fail(console, f"{exc} (in {args.db}; only arena/faults "
+                                  "runs re-emit losslessly)")
     if args.out:
-        from repro.harness.report import write_json
-        path = write_json(args.out, doc)
-        console.out(f"wrote {path}")
+        _write_doc(console, args.out, doc)
     else:
-        console.out(_json.dumps(doc, indent=2))
+        console.out(json.dumps(doc, indent=2))
     console.result(doc)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace, console: Console) -> int:
-    import os as _os
-
-    if not _os.path.exists(args.db):
-        console.out(f"error: results store not found: {args.db} "
-                    "(create one with 'repro results ingest')")
-        console.result({"error": f"no store at {args.db}"})
-        return 2
+    if not os.path.exists(args.db):
+        return _fail(console, f"results store not found: {args.db} "
+                              "(create one with 'repro results ingest')")
     if args.check:
         from repro.results.server import check_pages
         problems = check_pages(args.db, traces_dir=args.traces)
@@ -917,10 +838,32 @@ COMMANDS = {
 }
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or ``None`` if it can — asked
+    before the experiment runs, not found out after."""
+    existed = os.path.exists(path)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        return exc.strerror
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     console = Console(quiet=getattr(args, "quiet", False),
                       json_mode=getattr(args, "json_mode", False))
+    # Every file a command writes is named by one of these flags
+    # (``collective --json`` takes a path; the global one is json_mode).
+    for flag in ("out", "perfetto", "dump", "cost_model_out", "json"):
+        path = getattr(args, flag, None)
+        problem = _unwritable(path) if path else None
+        if problem:
+            return _fail(console, f"cannot write {path}: {problem}")
     return COMMANDS[args.command](args, console)
 
 

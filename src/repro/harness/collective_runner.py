@@ -9,13 +9,13 @@ bottleneck.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.cc.dcqcn import DcqcnConfig
-from repro.collectives import COLLECTIVE_CLASSES
 from repro.collectives.group import cross_rack_groups
 from repro.harness.network import Network, NetworkConfig, TopologySpec
+from repro.harness.workload import start_collectives
 from repro.sim.engine import MS, SEC, US
 from repro.switch.ecn import EcnConfig
 
@@ -99,27 +99,32 @@ def run_collective(config: NetworkConfig, collective: str, *,
                    deadline_ns: int = DEFAULT_DEADLINE_NS
                    ) -> CollectiveRunResult:
     """Run ``collective`` in every cross-rack group simultaneously."""
-    if collective not in COLLECTIVE_CLASSES:
-        raise ValueError(f"unknown collective {collective!r}; "
-                         f"expected one of {sorted(COLLECTIVE_CLASSES)}")
     scale = scale or EvalScale.from_env()
     nbytes = bytes_per_group or scale.collective_bytes
     net = Network(config)
     spec = config.topology
-    groups = cross_rack_groups(spec.num_tors, spec.nics_per_tor)
-    cls = COLLECTIVE_CLASSES[collective]
-    collectives = [cls(net, members, nbytes) for members in groups]
-    for coll in collectives:
-        coll.start()
+    traffic = start_collectives(
+        net, collective,
+        cross_rack_groups(spec.num_tors, spec.nics_per_tor), nbytes)
     net.run(until_ns=deadline_ns)
-    completed = all(coll.complete for coll in collectives)
+    completed = traffic.complete
     net.stop()
 
     times = [coll.completion_time_ns() if coll.complete else deadline_ns
-             for coll in collectives]
+             for coll in traffic.collectives]
     return CollectiveRunResult(
         scheme=config.scheme, collective=collective,
         bytes_per_group=nbytes,
         tail_completion_ns=max(times),
         group_completion_ns=times, completed=completed,
         summary=net.metrics.summary())
+
+
+def run_collective_cell(params: dict, seed: int) -> dict:
+    """The ``collective`` job kind: one Fig. 5 (condition, scheme) cell."""
+    scale = EvalScale(**params["scale"])
+    config = fig5_config(params["scheme"], params["ti_us"],
+                         params["td_us"], scale=scale, seed=seed)
+    return asdict(run_collective(
+        config, params["collective"],
+        bytes_per_group=params.get("bytes_per_group"), scale=scale))

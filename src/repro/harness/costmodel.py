@@ -33,11 +33,9 @@ instead of being one opaque aggregate number.
 
 from __future__ import annotations
 
-import gc
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 #: Scenarios the per-class costs are fitted on (pooled, count-weighted
 #: when more than one).  alltoall exercises every hot class (spray,
@@ -46,8 +44,6 @@ from typing import Callable, Optional
 #: means carry almost no per-batch overhead — the structural terms are
 #: fitted separately from the sparse scenarios' walls.
 CALIBRATION_SCENARIOS = ("alltoall",)
-#: Kept for callers that fit on a single scenario.
-CALIBRATION_SCENARIO = "alltoall"
 
 #: Relative prediction error allowed per scenario (CI gate).
 DEFAULT_TOLERANCE = 0.15
@@ -146,7 +142,7 @@ def measure_mix(scenario: str, *, quick: bool = False
     net.sim.trace = trace
     net.run(until_ns=DEADLINE_NS)
     executed = net.sim.executed
-    sim_time_ns = getattr(net, "bench_done_ns", net.now_ns)
+    sim_time_ns = net.traffic.end_ns
     batches = net.sim.batches
     net.stop()
     return counts, executed, sim_time_ns, batches
@@ -156,49 +152,24 @@ def _timed_run(scenario: str, *, quick: bool
                ) -> tuple[dict, Counter, float]:
     """Timing-trace run: per-class accumulated wall seconds + counts.
 
-    The gap between consecutive trace callbacks is attributed to the
-    earlier event, so the per-class sums add up to (nearly) the whole
-    loop wall time, engine bookkeeping included.
+    :class:`repro.obs.profile.Profiler` charges the gap between
+    consecutive trace callbacks to the earlier event, so the per-class
+    sums add up to (nearly) the whole loop wall time, engine bookkeeping
+    included.
     """
-    from repro.harness.bench import BUILDERS, DEADLINE_NS
+    from repro.harness.bench import BUILDERS, DEADLINE_NS, gc_paused
+    from repro.obs.profile import Profiler
 
     net = BUILDERS[scenario](quick, None)
-    acc: dict[str, float] = {}
-    counts: Counter = Counter()
-    perf = time.perf_counter
-    state: list = [None, 0.0]
-
-    def trace(t, seq, callback) -> None:
-        now = perf()
-        prev = state[0]
-        name = callback.__qualname__
-        if prev is not None:
-            acc[prev] = acc.get(prev, 0.0) + (now - state[1])
-        counts[name] += 1
-        state[0] = name
-        state[1] = now
-
-    net.sim.trace = trace
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = perf()
+    with gc_paused(), Profiler(net.sim) as prof:
+        start = time.perf_counter()
         net.run(until_ns=DEADLINE_NS)
-        end = perf()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if state[0] is not None:  # close out the final event
-        acc[state[0]] = acc.get(state[0], 0.0) + (end - state[1])
+        wall = time.perf_counter() - start
     net.stop()
-    return acc, counts, end - start
-
-
-def _untraced_wall(scenario: str, *, quick: bool) -> float:
-    from repro.harness.bench import run_scenario
-
-    return run_scenario(scenario, quick=quick).wall_s
+    acc = {name: stats.total_s for name, stats in prof.stats.items()}
+    counts = Counter({name: stats.calls
+                      for name, stats in prof.stats.items()})
+    return acc, counts, wall
 
 
 def _fit_structural(gaps: list[tuple[float, int, int]]
@@ -234,46 +205,33 @@ def _fit_structural(gaps: list[tuple[float, int, int]]
     return 0.0, time_only
 
 
-def calibrate(scenarios=CALIBRATION_SCENARIOS, *,
-              quick: bool = False,
-              untraced_walls: Optional[dict] = None,
-              anchors: Optional[list[tuple]] = None,
-              anchor_scenarios: tuple = ("incast", "lossy"),
+def calibrate(scenarios, *, quick: bool, untraced_walls: dict,
+              anchors: list[tuple],
               tolerance: float = DEFAULT_TOLERANCE) -> CostModel:
     """Fit per-class costs from timed runs of *scenarios* (pooled).
 
     Each class's cost is its count-weighted mean over all calibration
     runs; the instrumentation rescale ``alpha`` is the pooled
     untraced/traced wall ratio.  ``untraced_walls`` maps scenario name
-    to its wall time without any trace hook; scenarios missing from it
-    are measured here (when the caller has already benchmarked them,
-    passing the walls saves the runs).
+    to its benched wall time without any trace hook.
 
     The structural terms (per-batch and per-sim-ns costs) are fitted
-    from *anchor* scenarios whose wall time the event mix alone cannot
-    explain — batch-sparse (incast) and time-sparse (lossy) ones.  Pass
-    ``anchors`` as ``[(wall_s, mix, sim_time_ns, batches), ...]`` to
-    reuse existing measurements, or let ``anchor_scenarios`` run them
-    here (empty disables the terms).
+    from ``anchors``, ``[(wall_s, mix, sim_time_ns, batches), ...]`` of
+    scenarios whose wall time the event mix alone cannot explain —
+    batch-sparse (incast) and time-sparse (lossy) ones; empty disables
+    the terms.
     """
-    if isinstance(scenarios, str):
-        scenarios = (scenarios,)
-    untraced_walls = dict(untraced_walls or {})
-    acc: dict[str, float] = {}
+    acc: Counter = Counter()     # class -> traced wall seconds
     counts: Counter = Counter()
     traced_total = 0.0
     untraced_total = 0.0
     for scenario in scenarios:
         run_acc, run_counts, traced_wall = _timed_run(scenario,
                                                       quick=quick)
-        for name, seconds in run_acc.items():
-            acc[name] = acc.get(name, 0.0) + seconds
+        acc.update(run_acc)
         counts.update(run_counts)
         traced_total += traced_wall
-        wall = untraced_walls.get(scenario)
-        if wall is None:
-            wall = _untraced_wall(scenario, quick=quick)
-        untraced_total += wall
+        untraced_total += untraced_walls[scenario]
     alpha = untraced_total / traced_total if traced_total > 0 else 1.0
     costs_ns = {name: alpha * seconds / counts[name] * 1e9
                 for name, seconds in acc.items() if counts[name]}
@@ -283,14 +241,6 @@ def calibrate(scenarios=CALIBRATION_SCENARIOS, *,
     model = CostModel(costs_ns=costs_ns, default_cost_ns=default,
                       calibration_scenario="+".join(scenarios),
                       alpha=alpha, tolerance=tolerance)
-    if anchors is None:
-        from repro.harness.bench import run_scenario
-
-        anchors = []
-        for name in anchor_scenarios:
-            anchor_run = run_scenario(name, quick=quick)
-            mix, _, sim_ns, batches = measure_mix(name, quick=quick)
-            anchors.append((anchor_run.wall_s, mix, sim_ns, batches))
     gaps = []
     for wall_s, mix, sim_time_ns, batches in anchors:
         gap_ns = (wall_s - model.predict_wall_s(mix)) * 1e9
@@ -300,23 +250,18 @@ def calibrate(scenarios=CALIBRATION_SCENARIOS, *,
     return model
 
 
-def validate(model: CostModel, actuals: dict[str, dict], *,
-             quick: bool = False,
-             infos: Optional[dict[str, tuple]] = None) -> list[dict]:
+def validate(model: CostModel, actuals: dict[str, dict],
+             infos: dict[str, tuple]) -> list[dict]:
     """Predict each scenario in *actuals* and report the residuals.
 
     ``actuals`` maps scenario name to its benched result dict (needs
-    ``events_per_sec``); ``infos`` maps it to a :func:`measure_mix`
-    result (measured here when missing).  Returns one row per scenario
-    with the prediction, the measurement, and whether the error is
-    within the model's tolerance.
+    ``events_per_sec``); ``infos`` maps it to its :func:`measure_mix`
+    result.  Returns one row per scenario with the prediction, the
+    measurement, and whether the error is within the model's tolerance.
     """
     rows: list[dict] = []
     for name, result in actuals.items():
-        info = infos.get(name) if infos else None
-        if info is None:
-            info = measure_mix(name, quick=quick)
-        mix, _, sim_time_ns, batches = info
+        mix, _, sim_time_ns, batches = infos[name]
         predicted = model.predict_events_per_sec(mix, sim_time_ns,
                                                  batches)
         actual = result["events_per_sec"]

@@ -8,9 +8,11 @@ without any third-party dependency.
 from __future__ import annotations
 
 import csv
-import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from repro.harness.report import write_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.metrics import Metrics
@@ -51,16 +53,7 @@ def run_to_json(metrics: "Metrics", path: str | Path, *,
     """Whole-run payload: global summary + Themis stats + per-flow."""
     payload = {
         "summary": metrics.summary(),
-        "themis": {
-            "nacks_inspected": metrics.themis.nacks_inspected,
-            "nacks_blocked": metrics.themis.nacks_blocked,
-            "nacks_forwarded": metrics.themis.nacks_forwarded,
-            "nacks_compensated": metrics.themis.nacks_compensated,
-            "compensation_cancelled":
-                metrics.themis.compensation_cancelled,
-            "tpsn_not_found": metrics.themis.tpsn_not_found,
-            "queue_overflows": metrics.themis.queue_overflows,
-        },
+        "themis": asdict(metrics.themis),
         "flows": [
             {
                 "flow": str(flow),
@@ -76,7 +69,4 @@ def run_to_json(metrics: "Metrics", path: str | Path, *,
     }
     if extra:
         payload["experiment"] = extra
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2))
-    return path
+    return write_json(path, payload)

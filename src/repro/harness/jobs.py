@@ -30,16 +30,11 @@ is bitwise-identical to a serial one, proven by the golden test in
 
 Job kinds
 ---------
-``collective``
-    One Fig. 5 cell: ``fig5_config(scheme, ti, td)`` +
-    ``run_collective``.  Params capture the full :class:`EvalScale` so
-    workers never consult the environment.
-``callable``
-    ``target(seed)`` for an importable ``"module:qualname"`` target —
-    the replication harness's escape hatch for metric extractors.
-``bench``
-    One perf-benchmark measurement (``repro.harness.bench``), so the
-    bench harness's fresh-process methodology rides the same machinery.
+:data:`JOB_KINDS` maps each kind to the ``"module:qualname"`` of its
+cell function ``(params, seed) -> dict``, resolved when a job executes —
+this module imports no experiment family.  Params capture everything
+the cell needs (e.g. the full ``EvalScale``), so workers never consult
+the environment.  A new family adds one cell function and one row.
 """
 
 from __future__ import annotations
@@ -67,8 +62,9 @@ _DEFAULT_MP_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods(
 # ----------------------------------------------------------------------
 # Job specs
 # ----------------------------------------------------------------------
-def _canonical(obj: object) -> str:
-    """Canonical JSON: sorted keys, no whitespace — stable hash input."""
+def canonical_json(obj: object) -> str:
+    """Canonical JSON: sorted keys, no whitespace — the stable hash input
+    and the form payloads take in checkpoints and the results store."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -76,7 +72,7 @@ def _json_roundtrip(obj: object) -> object:
     """Normalise a payload through JSON so every execution path (serial,
     pipe, checkpoint) yields byte-identical structures.  JSON float
     round-trips are exact in Python 3, so no precision is lost."""
-    return json.loads(_canonical(obj))
+    return json.loads(canonical_json(obj))
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ class JobSpec:
 
     @property
     def spec_hash(self) -> str:
-        digest = hashlib.sha256(_canonical(
+        digest = hashlib.sha256(canonical_json(
             {"kind": self.kind, "seed": self.seed,
              "params": self.params}).encode()).hexdigest()
         return digest[:16]
@@ -116,28 +112,8 @@ class JobSpec:
 
 
 # ----------------------------------------------------------------------
-# Job kind executors (resolved lazily to avoid import cycles)
+# Job kinds
 # ----------------------------------------------------------------------
-def _exec_collective(params: dict, seed: int) -> dict:
-    from repro.harness.collective_runner import (EvalScale, fig5_config,
-                                                 run_collective)
-    scale = EvalScale(**params["scale"])
-    config = fig5_config(params["scheme"], params["ti_us"],
-                         params["td_us"], scale=scale, seed=seed)
-    result = run_collective(config, params["collective"],
-                            bytes_per_group=params.get("bytes_per_group"),
-                            scale=scale)
-    return {
-        "scheme": result.scheme,
-        "collective": result.collective,
-        "bytes_per_group": result.bytes_per_group,
-        "tail_completion_ns": result.tail_completion_ns,
-        "group_completion_ns": list(result.group_completion_ns),
-        "completed": result.completed,
-        "summary": result.summary,
-    }
-
-
 def resolve_target(target: str) -> Callable:
     """Resolve ``"module:qualname"`` to the callable it names."""
     module_name, _, qualname = target.partition(":")
@@ -164,67 +140,53 @@ def callable_target(fn: Callable) -> Optional[str]:
     return f"{module}:{qualname}"
 
 
-def _exec_callable(params: dict, seed: int) -> dict:
+def run_callable(params: dict, seed: int) -> dict:
+    """The ``callable`` kind: ``target(seed, **kwargs)`` for an importable
+    target — the replication harness's escape hatch for metric
+    extractors."""
     fn = resolve_target(params["target"])
     return {"value": fn(seed, **params.get("kwargs", {}))}
 
 
-def _exec_bench(params: dict, seed: int) -> dict:
-    from dataclasses import asdict
-
-    from repro.harness.bench import run_scenario
-    result = run_scenario(params["scenario"], quick=params["quick"],
-                          engine=params["engine"],
-                          traced=params.get("traced", False))
-    return asdict(result)
-
-
-def _exec_fault_cell(params: dict, seed: int) -> dict:
-    from repro.faults.campaign import run_cell
-    return run_cell(params, seed)
-
-
-def _exec_arena_cell(params: dict, seed: int) -> dict:
-    from repro.harness.arena import run_arena_cell
-    return run_arena_cell(params, seed)
-
-
-JOB_KINDS: dict[str, Callable[[dict, int], dict]] = {
-    "collective": _exec_collective,
-    "callable": _exec_callable,
-    "bench": _exec_bench,
-    "fault_cell": _exec_fault_cell,
-    "arena_cell": _exec_arena_cell,
+#: kind -> ``"module:qualname"`` of its ``(params, seed) -> dict`` cell.
+#: Kind names and params are frozen: they are hashed into spec-hashes
+#: that live inside emitted documents.
+JOB_KINDS: dict[str, str] = {
+    "collective": "repro.harness.collective_runner:run_collective_cell",
+    "callable": "repro.harness.jobs:run_callable",
+    "bench": "repro.harness.bench:run_bench_cell",
+    "fault_cell": "repro.faults.campaign:run_cell",
+    "arena_cell": "repro.harness.arena:run_arena_cell",
 }
 
 
 def execute_spec(spec: JobSpec) -> dict:
     """Run one job in the current process; returns the JSON payload."""
     try:
-        executor = JOB_KINDS[spec.kind]
+        target = JOB_KINDS[spec.kind]
     except KeyError:
         raise ValueError(f"unknown job kind {spec.kind!r}; expected one "
                          f"of {sorted(JOB_KINDS)}") from None
-    return _json_roundtrip(executor(spec.params, spec.seed))
+    return _json_roundtrip(resolve_target(target)(spec.params, spec.seed))
 
 
-def _dump_flight_on_crash(reason: str,
-                          tag: Optional[str] = None) -> Optional[str]:
-    """Best-effort flight-recorder dump for a crashing job.
+def _describe_failure(exc: BaseException, reason: str, tag: str) -> str:
+    """The error string of a failed job, plus a best-effort flight dump.
 
     If the job ran a traced simulation, its recorder registered itself as
     the active one; dumping its ring here is the only chance to preserve
     the final events before the worker process dies.  ``tag`` (the job's
     spec-hash) lands in the dump filename, so concurrently-failing
-    workers can never collide on a path.  Never raises — the original
-    job error must win.
+    workers can never collide on a path.  The dump never raises — the
+    original job error must win.
     """
+    error = f"{type(exc).__name__}: {exc}"
     try:
         from repro.obs.record import dump_active_flight
         path = dump_active_flight(reason, tag=tag)
-        return None if path is None else str(path)
     except Exception:
-        return None
+        path = None
+    return error if path is None else f"{error} [flight recorder: {path}]"
 
 
 #: ``module:qualname`` of a deterministic worker fault hook.  When set,
@@ -250,11 +212,8 @@ def _subprocess_entry(conn, spec_doc: dict) -> None:
         payload = execute_spec(JobSpec.from_dict(spec_doc))
         conn.send({"ok": True, "result": payload})
     except BaseException as exc:  # noqa: BLE001 - must cross the pipe
-        error = f"{type(exc).__name__}: {exc}"
-        dump = _dump_flight_on_crash(
-            "job-crash", tag=JobSpec.from_dict(spec_doc).spec_hash)
-        if dump is not None:
-            error += f" [flight recorder: {dump}]"
+        error = _describe_failure(
+            exc, "job-crash", JobSpec.from_dict(spec_doc).spec_hash)
         try:
             conn.send({"ok": False, "error": error})
         except Exception:
@@ -327,22 +286,23 @@ def read_checkpoint(path: str) -> list[dict]:
     return records
 
 
+def _latest_records(path: str) -> tuple[list[dict], dict[str, dict]]:
+    """All records of a checkpoint, and the last one per spec-hash."""
+    records = read_checkpoint(path)
+    return records, {record["spec_hash"]: record for record in records}
+
+
 def load_completed(path: str) -> dict[str, JobOutcome]:
     """spec-hash -> outcome for every *successfully completed* job in a
     checkpoint (last record per hash wins; failures are re-run)."""
-    latest: dict[str, dict] = {}
-    for record in read_checkpoint(path):
-        latest[record["spec_hash"]] = record
-    return {h: JobOutcome.from_record(r) for h, r in latest.items()
+    return {h: JobOutcome.from_record(r)
+            for h, r in _latest_records(path)[1].items()
             if r.get("status") == "done"}
 
 
 def checkpoint_status(path: str) -> dict:
     """Summary counts for the ``repro jobs`` status subcommand."""
-    records = read_checkpoint(path)
-    latest: dict[str, dict] = {}
-    for record in records:
-        latest[record["spec_hash"]] = record
+    records, latest = _latest_records(path)
     done = [r for r in latest.values() if r.get("status") == "done"]
     failed = [r for r in latest.values() if r.get("status") != "done"]
     kinds: dict[str, int] = {}
@@ -374,18 +334,15 @@ class _Attempt:
     not_before: float = 0.0
 
 
+@dataclass
 class _Active:
     """One in-flight subprocess job."""
 
-    __slots__ = ("attempt", "proc", "conn", "started", "deadline")
-
-    def __init__(self, attempt: _Attempt, proc, conn, started: float,
-                 deadline: Optional[float]) -> None:
-        self.attempt = attempt
-        self.proc = proc
-        self.conn = conn
-        self.started = started
-        self.deadline = deadline
+    attempt: _Attempt
+    proc: object
+    conn: object
+    started: float
+    deadline: Optional[float]
 
 
 class JobRunner:
@@ -528,7 +485,7 @@ class JobRunner:
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(self.checkpoint, "a") as fh:
-            fh.write(_canonical(outcome.to_record()) + "\n")
+            fh.write(canonical_json(outcome.to_record()) + "\n")
             fh.flush()
 
     def _run_inproc(self, attempt: _Attempt) -> JobOutcome:
@@ -543,14 +500,10 @@ class JobRunner:
                 if attempt.attempts <= self.retries and self._retryable(exc):
                     self.counters.retries += 1
                     continue
-                error = f"{type(exc).__name__}: {exc}"
-                dump = _dump_flight_on_crash("job-failure",
-                                             tag=attempt.spec.spec_hash)
-                if dump is not None:
-                    error += f" [flight recorder: {dump}]"
                 return JobOutcome(
                     spec=attempt.spec, status="failed",
-                    error=error,
+                    error=_describe_failure(exc, "job-failure",
+                                            attempt.spec.spec_hash),
                     attempts=attempt.attempts,
                     elapsed_s=time.perf_counter() - start)
             return JobOutcome(spec=attempt.spec, status="done",
@@ -632,7 +585,7 @@ class JobRunner:
                 active.remove(slot)
                 slot.proc.join()
                 slot.conn.close()
-                self._finish(slot, message, pending, outcomes)
+                self._finish(slot, message, outcomes)
             elif slot.deadline is not None and now > slot.deadline:
                 active.remove(slot)
                 self._kill(slot)
@@ -650,20 +603,16 @@ class JobRunner:
                           f"(exitcode {slot.proc.exitcode})")
 
     def _finish(self, slot: _Active, message: dict,
-                pending: list[_Attempt],
                 outcomes: dict[str, JobOutcome]) -> None:
-        elapsed = time.monotonic() - slot.started
-        if message.get("ok"):
-            self._record(outcomes, JobOutcome(
-                spec=slot.attempt.spec, status="done",
-                result=message["result"],
-                attempts=slot.attempt.attempts, elapsed_s=elapsed))
-        else:
-            # The job raised: deterministic, do not retry.
-            self._record(outcomes, JobOutcome(
-                spec=slot.attempt.spec, status="failed",
-                error=message.get("error", "unknown job error"),
-                attempts=slot.attempt.attempts, elapsed_s=elapsed))
+        # A job that raised is deterministic: recorded failed, not retried.
+        ok = bool(message.get("ok"))
+        self._record(outcomes, JobOutcome(
+            spec=slot.attempt.spec, status="done" if ok else "failed",
+            result=message.get("result") if ok else None,
+            error=None if ok else message.get("error",
+                                              "unknown job error"),
+            attempts=slot.attempt.attempts,
+            elapsed_s=time.monotonic() - slot.started))
 
     def _retry_or_fail(self, slot: _Active, pending: list[_Attempt],
                        outcomes: dict[str, JobOutcome],

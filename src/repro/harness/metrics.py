@@ -55,18 +55,10 @@ class JobCounters:
 
     def __str__(self) -> str:
         parts = [f"{self.completed}/{self.submitted} done"]
-        if self.skipped:
-            parts.append(f"{self.skipped} resumed")
-        if self.cache_hits:
-            parts.append(f"{self.cache_hits} cached")
-        if self.retries:
-            parts.append(f"{self.retries} retried")
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timed out")
-        if self.crashes:
-            parts.append(f"{self.crashes} crashed")
-        if self.failed:
-            parts.append(f"{self.failed} FAILED")
+        parts += [f"{count} {what}" for count, what in (
+            (self.skipped, "resumed"), (self.cache_hits, "cached"),
+            (self.retries, "retried"), (self.timeouts, "timed out"),
+            (self.crashes, "crashed"), (self.failed, "FAILED")) if count]
         return ", ".join(parts)
 
 

@@ -133,10 +133,14 @@ class Network:
                  sim: Optional[Simulator] = None,
                  recorder: Optional[Recorder] = None) -> None:
         self.config = config
-        #: Injectable engine: the perf benchmark and the golden
-        #: determinism test run the same fabric on ``HeapSimulator``
-        #: (the reference engine) to A/B against the calendar queue.
+        #: Injectable engine: the golden determinism tests run the same
+        #: fabric on the reference heap engine (``tests/sim/heap_oracle``)
+        #: to A/B against the calendar queue.
         self.sim = sim if sim is not None else Simulator()
+        #: Handle of the workload posted through ``repro.harness.workload``
+        #: (parts left, done time), and the installed fault injector.
+        self.traffic = None
+        self.fault_injector = None
         #: Observability recorder (repro.obs); channels are threaded to
         #: every component in _wire_recorder().  None = tracing off.
         self.recorder = recorder
@@ -344,10 +348,6 @@ class Network:
     # ------------------------------------------------------------------
     # Link failure handling (§6)
     # ------------------------------------------------------------------
-    def find_link(self, name: str):
-        """Cable lookup by ``"a:b"`` name (either ordering)."""
-        return self.topology.link(name)
-
     def fail_link(self, switch_a: str, switch_b: str) -> None:
         """Fail the inter-switch link between two named switches.
 
@@ -444,6 +444,7 @@ class Network:
                     else (None, None))
         for switch in self.topology.switches:
             switch.rec = hop
+            switch.rec_drop = drop
             switch._policy.rec_ecn = ecn
             if switch.pfc is not None:
                 switch.pfc.rec = pfc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -58,61 +58,52 @@ class ReplicatedStat:
 
 
 def _evaluate_seeds(extractor: Callable[[int], object],
-                    seeds: Sequence[int], *, workers: int,
-                    timeout_s: Optional[float],
-                    checkpoint: Optional[str]) -> list:
+                    seeds: Sequence[int], *, workers: int = 1,
+                    **runner_opts) -> list:
     """One ``extractor(seed)`` evaluation per seed, in seed order.
 
     With ``workers>1`` the per-seed runs fan out across the job runner
-    (per-seed subprocess isolation, timeout, crash retry, optional
-    checkpoint/resume) — provided the extractor is importable from a
-    worker (a module-level function).  Lambdas and closures cannot cross
-    a process boundary, so they fall back to the serial path.
+    (per-seed subprocess isolation, crash retry, and whatever other
+    :class:`~repro.harness.jobs.JobRunner` keywords ``runner_opts``
+    carries — ``timeout_s``, ``checkpoint``, ...) — provided the
+    extractor is importable from a worker (a module-level function).
+    Lambdas and closures cannot cross a process boundary, so they fall
+    back to the serial path.
     """
-    from repro.harness.jobs import (JobRunner, JobSpec, callable_target,
-                                    raise_on_failures)
+    from repro.harness.jobs import (JobSpec, callable_target,
+                                    raise_on_failures, run_jobs)
 
+    if not seeds:
+        raise ValueError("need at least one seed")
     target = callable_target(extractor) if workers > 1 else None
     if target is None:
         return [extractor(s) for s in seeds]
     specs = [JobSpec(kind="callable", seed=s,
                      params={"target": target},
                      label=f"{target} seed={s}") for s in seeds]
-    runner = JobRunner(workers=workers, timeout_s=timeout_s,
-                       checkpoint=checkpoint)
-    outcomes = runner.run(specs)
+    outcomes = run_jobs(specs, workers=workers, **runner_opts)
     raise_on_failures(outcomes)
     return [outcomes[spec.spec_hash].result["value"] for spec in specs]
 
 
 def replicate(metric: Callable[[int], float], *,
               seeds: Sequence[int] = (1, 2, 3, 4, 5),
-              name: str = "metric", workers: int = 1,
-              timeout_s: Optional[float] = None,
-              checkpoint: Optional[str] = None) -> ReplicatedStat:
-    """Evaluate ``metric(seed)`` across seeds."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    values = _evaluate_seeds(metric, seeds, workers=workers,
-                             timeout_s=timeout_s, checkpoint=checkpoint)
+              name: str = "metric", **runner_opts) -> ReplicatedStat:
+    """Evaluate ``metric(seed)`` across seeds (``runner_opts``: see
+    :func:`_evaluate_seeds`)."""
+    values = _evaluate_seeds(metric, seeds, **runner_opts)
     return ReplicatedStat(name, tuple(float(v) for v in values))
 
 
 def replicate_many(metrics: Callable[[int], dict], *,
                    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-                   workers: int = 1,
-                   timeout_s: Optional[float] = None,
-                   checkpoint: Optional[str] = None
-                   ) -> dict[str, ReplicatedStat]:
+                   **runner_opts) -> dict[str, ReplicatedStat]:
     """Evaluate a dict-returning extractor across seeds.
 
     One simulation per seed; every key of the returned dict becomes a
     :class:`ReplicatedStat`.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    rows = _evaluate_seeds(metrics, seeds, workers=workers,
-                           timeout_s=timeout_s, checkpoint=checkpoint)
+    rows = _evaluate_seeds(metrics, seeds, **runner_opts)
     keys = rows[0].keys()
     for row in rows[1:]:
         if row.keys() != keys:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -65,3 +65,28 @@ def write_json(path: str | Path, payload: dict) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, default=str))
     return path
+
+
+_TYPE_NAMES = {dict: "an object", list: "a list", bool: "a bool"}
+
+
+def field_problems(obj: dict, required: Sequence[str] = (), *,
+                   label: str = "",
+                   types: Optional[Mapping[str, type]] = None) -> list[str]:
+    """The "missing fields / wrong type" check of every document validator.
+
+    A labelled object (a cell, a ranking row) names all its absent fields
+    in one problem; an unlabelled one (a whole document, a job result)
+    reports one problem per key.  ``types`` constrains keys that are
+    present.
+    """
+    missing = [key for key in required if key not in obj]
+    if label:
+        problems = [f"{label} missing fields: {missing}"] if missing else []
+    else:
+        problems = [f"missing key {key!r}" for key in missing]
+    where = f"{label}." if label else ""
+    for key, expected in (types or {}).items():
+        if key in obj and not isinstance(obj[key], expected):
+            problems.append(f"{where}{key} is not {_TYPE_NAMES[expected]}")
+    return problems

@@ -12,11 +12,10 @@ completion order — so parallel results are bitwise-identical to serial.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.harness.collective_runner import CollectiveRunResult, EvalScale
-from repro.harness.jobs import (JobRunner, JobSpec, raise_on_failures)
-from repro.harness.metrics import JobCounters
+from repro.harness.jobs import JobSpec, raise_on_failures, run_jobs
 
 #: The five (TI, TD) pairs of Fig. 5, in microseconds; (900, 4) is the
 #: vendor-recommended configuration.
@@ -89,32 +88,23 @@ def run_fig5_sweep(collective: str = "allreduce", *,
                    conditions: Sequence[tuple[float, float]] = DCQCN_SWEEP,
                    scale: Optional[EvalScale] = None,
                    bytes_per_group: Optional[int] = None,
-                   seed: int = 1,
-                   workers: int = 1,
-                   timeout_s: Optional[float] = None,
-                   retries: int = 2,
-                   checkpoint: Optional[str] = None,
-                   cache=None,
-                   counters: Optional[JobCounters] = None,
-                   progress: Optional[Callable[[str], None]] = None
-                   ) -> SweepResult:
-    """Run every (condition, scheme) cell of one Fig. 5 panel."""
+                   seed: int = 1, **runner_opts) -> SweepResult:
+    """Run every (condition, scheme) cell of one Fig. 5 panel.
+
+    ``runner_opts`` are :class:`~repro.harness.jobs.JobRunner` keywords
+    (``workers``, ``timeout_s``, ``retries``, ``checkpoint``, ``cache``,
+    ``counters``, ``progress``).
+    """
     specs = sweep_job_specs(collective, schemes=schemes,
                             conditions=conditions, scale=scale,
                             bytes_per_group=bytes_per_group, seed=seed)
-    runner = JobRunner(workers=workers, timeout_s=timeout_s,
-                       retries=retries, checkpoint=checkpoint,
-                       cache=cache, counters=counters, progress=progress)
-    outcomes = runner.run(specs)
+    outcomes = run_jobs(specs, **runner_opts)
     raise_on_failures(outcomes)
 
     result = SweepResult(collective)
-    index = 0
+    runs = (CollectiveRunResult(**outcomes[spec.spec_hash].result)
+            for spec in specs)  # spec order = (condition, scheme) order
     for ti_us, td_us in conditions:
-        row: dict[str, CollectiveRunResult] = {}
-        for scheme in schemes:
-            payload = outcomes[specs[index].spec_hash].result
-            row[scheme] = CollectiveRunResult(**payload)
-            index += 1
-        result.runs[(ti_us, td_us)] = row
+        result.runs[(ti_us, td_us)] = {scheme: next(runs)
+                                       for scheme in schemes}
     return result

@@ -9,27 +9,16 @@ which is what the causality audit exists to explain.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.obs.record import ALL_CATEGORIES, NACK, Recorder
+from repro.harness.workload import (alltoall_pairs, lossy_uplinks,
+                                    post_messages)
+from repro.obs.record import ALL_CATEGORIES, FAULT, NACK, Recorder
 from repro.sim.engine import MS, US
-from repro.switch.switch import Switch
 
 #: Simulated-time deadline: a wedged run must not hang the CLI.
 TRACE_DEADLINE_NS = 800 * MS
-
-
-def _stop_when_done(net: Network, total: int) -> Callable[[], None]:
-    state = {"left": total}
-
-    def one_done() -> None:
-        state["left"] -= 1
-        if state["left"] == 0:
-            net.trace_done_ns = net.now_ns
-            net.stop()
-
-    return one_done
 
 
 def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
@@ -69,42 +58,28 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
     if trace_window_ns is not None:
         net.metrics.trace_window_ns = trace_window_ns
     if loss > 0.0:
-        loss_rng = net.rng.fork("trace-loss")
-        for tor in net.topology.tors:
-            for port in tor.ports:
-                if isinstance(port.peer, Switch):
-                    port.set_loss(loss, loss_rng)
-    done = _stop_when_done(net, nodes * (nodes - 1))
-    for src in range(nodes):
-        for dst in range(nodes):
-            if src != dst:
-                if watch_flows:
-                    net.watch_flow(src, dst)
-                net.post_message(src, dst, message_bytes,
-                                 on_receiver_done=done)
-    net.fault_injector = None
+        lossy_uplinks(net, net.topology.tors, loss, "trace-loss")
+    # Stop at the last receiver; ``net.traffic.done_ns`` keeps the time.
+    post_messages(net, alltoall_pairs(nodes), message_bytes,
+                  on_done=net.stop, watch=watch_flows)
     if faults is not None:
         from repro.faults.injector import FaultInjector
-        injector = FaultInjector(net, faults)
-        injector.install()
-        net.fault_injector = injector
+        net.fault_injector = FaultInjector(net, faults)
+        net.fault_injector.install()
     return net, recorder
 
 
-def run_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
-                        seed: int = 7, message_bytes: int = 20_000,
-                        scheme: str = "themis",
-                        retain_all: bool = False,
+def run_traced_alltoall(*, retain_all: bool = False,
                         ring_capacity: int = 4096,
-                        faults: Optional[dict] = None,
-                        ) -> tuple[Network, Recorder]:
-    """Build and run the traced alltoall; returns (network, recorder)."""
-    from repro.obs.record import FAULT
+                        deadline_ns: int = TRACE_DEADLINE_NS,
+                        **build) -> tuple[Network, Recorder]:
+    """Build (``build`` = :func:`build_traced_alltoall` keywords) and run
+    the traced alltoall; returns (network, recorder).  The NACK and FAULT
+    categories are retained in full, or every category (``retain_all``)."""
     retain = set(ALL_CATEGORIES) if retain_all else {NACK, FAULT}
-    recorder = Recorder(ring_capacity=ring_capacity, retain=retain)
     net, recorder = build_traced_alltoall(
-        nodes=nodes, loss=loss, seed=seed, message_bytes=message_bytes,
-        scheme=scheme, recorder=recorder, faults=faults)
-    net.run(until_ns=TRACE_DEADLINE_NS)
+        recorder=Recorder(ring_capacity=ring_capacity, retain=retain),
+        **build)
+    net.run(until_ns=deadline_ns)
     net.stop()
     return net, recorder

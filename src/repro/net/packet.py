@@ -167,11 +167,6 @@ def release_packet(packet: Packet) -> None:
         _pool.append(packet)
 
 
-def pooled_packets() -> int:
-    """Current free-list size (introspection for tests/benchmarks)."""
-    return len(_pool)
-
-
 def _make(ptype: PacketType, flow: FlowKey, psn: int = 0, epsn: int = 0,
           payload_bytes: int = 0, udp_sport: int = 0, is_retx: bool = False,
           sent_at: int = 0) -> Packet:

@@ -317,10 +317,6 @@ class Port:
         return flushed
 
     @property
-    def backlog_packets(self) -> int:
-        return len(self._control) + len(self._data)
-
-    @property
     def busy(self) -> bool:
         """Is the serializer occupied right now?"""
         return self.sim.now < self._free_at

@@ -133,8 +133,11 @@ class Topology:
         for nic_id, tor in self.nic_tor.items():
             nics_by_tor.setdefault(tor, []).append(nic_id)
 
+        degraded = any(not port.up for ports in self._adjacency.values()
+                       for port, _ in ports)
         for switch in self.switches:
             switch.routes = {}
+            switch.routes_degraded = degraded
         for tor, nic_ids in nics_by_tor.items():
             dist = self._bfs_distances(tor)
             for switch in self.switches:

@@ -4,17 +4,19 @@ Structured tracing (:mod:`repro.obs.record`), the always-on flight
 recorder, the NACK causality audit (:mod:`repro.obs.nacks`),
 Perfetto export (:mod:`repro.obs.perfetto`), engine profiling
 (:mod:`repro.obs.profile`), time-series primitives
-(:mod:`repro.obs.timeseries`), the per-hop packet capture middleware
-(:mod:`repro.obs.capture`), and the CLI console helper
-(:mod:`repro.obs.console`).
+(:mod:`repro.obs.timeseries`), and the CLI console helper
+(:mod:`repro.obs.console`).  Per-hop packet capture is the recorder's
+``PACKET`` channel: ``Recorder(retain={PACKET})``.
 
-Only dependency-light modules are imported eagerly; ``capture``,
-``nacks``, and ``perfetto`` (which pull in the network stack) load
-lazily via module ``__getattr__`` so importing :mod:`repro.obs` from
-low-level packages can never create an import cycle.
+No module here imports the network stack, so low-level packages can
+import :mod:`repro.obs` without creating an import cycle.
 """
 
 from repro.obs.console import Console
+from repro.obs.nacks import (NackAudit, NackDecision, build_audit,
+                             format_report)
+from repro.obs.perfetto import (export_chrome_trace, validate_chrome_trace,
+                                write_chrome_trace)
 from repro.obs.profile import Profiler
 from repro.obs.record import (ALL_CATEGORIES, CC, DROP, ECN, FAULT, NACK,
                               PACKET, PFC, QP, QUEUE, InvariantError,
@@ -30,35 +32,6 @@ __all__ = [
     "active_recorder", "dump_active_flight",
     "Console", "Profiler",
     "TimeSeries", "WindowedCounter", "RateMeter", "summarize",
-    # Lazily loaded:
-    "PacketTracer", "TraceEvent", "attach_tracer",
     "build_audit", "format_report", "NackAudit", "NackDecision",
     "export_chrome_trace", "write_chrome_trace", "validate_chrome_trace",
 ]
-
-_LAZY = {
-    "PacketTracer": ("repro.obs.capture", "PacketTracer"),
-    "TraceEvent": ("repro.obs.capture", "TraceEvent"),
-    "attach_tracer": ("repro.obs.capture", "attach_tracer"),
-    "build_audit": ("repro.obs.nacks", "build_audit"),
-    "format_report": ("repro.obs.nacks", "format_report"),
-    "NackAudit": ("repro.obs.nacks", "NackAudit"),
-    "NackDecision": ("repro.obs.nacks", "NackDecision"),
-    "export_chrome_trace": ("repro.obs.perfetto", "export_chrome_trace"),
-    "write_chrome_trace": ("repro.obs.perfetto", "write_chrome_trace"),
-    "validate_chrome_trace": ("repro.obs.perfetto",
-                              "validate_chrome_trace"),
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    import importlib
-
-    module = importlib.import_module(target[0])
-    value = getattr(module, target[1])
-    globals()[name] = value
-    return value

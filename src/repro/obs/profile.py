@@ -1,7 +1,7 @@
-"""Event-handler wall-time profiling for the simulation engines.
+"""Event-handler wall-time profiling for the simulation engine.
 
-Both engines (:class:`repro.sim.engine.Simulator` and ``HeapSimulator``)
-expose a ``trace`` hook invoked immediately before each callback runs.
+:class:`repro.sim.engine.Simulator` (and the tests' reference engine)
+exposes a ``trace`` hook invoked immediately before each callback runs.
 The :class:`Profiler` rides that hook: at hook time it charges the
 wall-clock interval since the *previous* hook to the previous callback,
 then starts the clock for the new one.  The result is a histogram of

@@ -22,12 +22,12 @@ of the simulator never imports this package except lazily.
 """
 
 from repro.results.ingest import (IngestError, detect_doc_kind,
-                                  emit_arena_doc, emit_faults_doc,
-                                  ingest_doc, ingest_file)
+                                  emit_arena_doc, emit_doc,
+                                  emit_faults_doc, ingest_doc, ingest_file)
 from repro.results.store import ResultsStore, connect_readonly
 
 __all__ = [
     "ResultsStore", "connect_readonly",
     "IngestError", "detect_doc_kind", "ingest_doc", "ingest_file",
-    "emit_arena_doc", "emit_faults_doc",
+    "emit_doc", "emit_arena_doc", "emit_faults_doc",
 ]

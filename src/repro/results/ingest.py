@@ -20,7 +20,11 @@ by ``tests/results/test_store.py``.
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple, Optional
 
+from repro.harness.jobs import resolve_target
+from repro.harness.report import field_problems
+from repro.results import query
 from repro.results.store import ResultsStore
 
 
@@ -28,31 +32,173 @@ class IngestError(ValueError):
     """A document failed validation or was not a known schema."""
 
 
-def detect_doc_kind(doc: dict) -> str:
-    """``"arena"`` | ``"faults"`` | ``"bench"``, or raise."""
+# ----------------------------------------------------------------------
+# Arena
+# ----------------------------------------------------------------------
+def _ingest_arena(store: ResultsStore, doc: dict, source: str) -> dict:
+    run_id = store.insert_run(doc["schema"], "arena", source=source,
+                              meta={"axes": doc["axes"]})
+    store.insert_rows("arena_cells", [
+        (run_id, i, c["spec_hash"], c["lb"], c["transport"], c["cc"],
+         c["workload"], c["topology"], c["seed"], int(bool(c["completed"])),
+         c["mean_slowdown"], c["goodput_gbps"], c["reorder_rate"],
+         c["nack_validity"], c["tail_ns"], json.dumps(c))
+        for i, c in enumerate(doc["cells"])])
+    store.insert_rows("arena_ranking", [
+        (run_id, r["rank"], r["lb"], r["transport"], r["mean_slowdown"],
+         r["mean_goodput_gbps"], r["mean_reorder_rate"],
+         r["mean_nack_validity"], json.dumps(r))
+        for r in doc["ranking"]])
+    return {"run_id": run_id, "kind": "arena",
+            "cells": len(doc["cells"]),
+            "ranking_rows": len(doc["ranking"])}
+
+
+def _emit_arena(store: ResultsStore, run) -> dict:
+    # Key order mirrors build_arena_doc, so a plain json.dumps of this
+    # dict is byte-identical to dumping the original.
+    return {"schema": run["schema"],
+            "axes": json.loads(run["meta_json"])["axes"],
+            "cells": query.arena_cells(store.conn, run["run_id"]),
+            "ranking": query.arena_ranking(store.conn, run["run_id"])}
+
+
+# ----------------------------------------------------------------------
+# Faults
+# ----------------------------------------------------------------------
+def _ingest_faults(store: ResultsStore, doc: dict, source: str) -> dict:
+    meta = {k: doc[k] for k in ("scenario", "duration_us", "seeds",
+                                "failures", "validation_problems",
+                                "aggregate")
+            if k in doc}
+    run_id = store.insert_run(doc["schema"], doc["scenario"],
+                              source=source, meta=meta)
+    store.insert_rows("fault_cells", [
+        (run_id, i, c["scenario"], c["seed"], int(bool(c["completed"])),
+         c.get("tail_stretch"), c["goodput"].get("dip_frac"),
+         c["goodput"].get("recovery_ns"),
+         c["nacks"].get("unexplained", 0), json.dumps(c))
+        for i, c in enumerate(doc["cells"])])
+    return {"run_id": run_id, "kind": "faults",
+            "cells": len(doc["cells"])}
+
+
+def _emit_faults(store: ResultsStore, run) -> dict:
+    from repro.faults.campaign import build_faults_doc
+    cells = [json.loads(row["cell_json"]) for row in store.conn.execute(
+        "SELECT cell_json FROM fault_cells WHERE run_id=? "
+        "ORDER BY cell_order", (run["run_id"],))]
+    doc = build_faults_doc({**json.loads(run["meta_json"]), "cells": cells})
+    doc["schema"] = run["schema"]
+    return doc
+
+
+# ----------------------------------------------------------------------
+# Bench
+# ----------------------------------------------------------------------
+def _validate_bench(doc: dict) -> list[str]:
+    scenarios = doc.get("scenarios")
+    if not isinstance(scenarios, dict) or not scenarios:
+        return ["bench doc has no scenarios"]
+    return [problem for name, res in scenarios.items()
+            for problem in field_problems(
+                res, ("events", "wall_s", "events_per_sec"),
+                label=f"bench scenario {name!r}")]
+
+
+def _ingest_bench(store: ResultsStore, doc: dict, source: str) -> dict:
+    # Everything except the bulky per-scenario rows rides meta_json, so
+    # the dashboard can surface cost-model fits and tracing overhead.
+    meta = {k: v for k, v in doc.items() if k != "scenarios"}
+    run_id = store.insert_run(_schema_of(doc), "bench", source=source,
+                              meta=meta)
+    # One row per scenario, plus the traced run and — in documents older
+    # than schema v4 — the heap-engine baseline.
+    rows = [(name, res.get("engine", "calendar"), res)
+            for name, res in doc["scenarios"].items()]
+    rows += [(doc[key]["scenario"], engine, doc[key])
+             for key, engine in (("heap_baseline", "heap"),
+                                 ("tracing", "traced")) if doc.get(key)]
+    store.insert_rows("bench_scenarios", [
+        (run_id, scenario, engine, res["events"], res["wall_s"],
+         res["events_per_sec"]) for scenario, engine, res in rows])
+    return {"run_id": run_id, "kind": "bench",
+            "scenarios": len(doc["scenarios"])}
+
+
+# ----------------------------------------------------------------------
+# The family table
+# ----------------------------------------------------------------------
+class DocFamily(NamedTuple):
+    """One document family: how its documents are recognised (the prefix
+    of ``runs.schema``), checked, stored and rebuilt.  A new family adds
+    one row here (plus its detail table in the store)."""
+
+    kind: str
+    prefix: str
+    #: ``"module:qualname"`` of ``doc -> problems`` (structural ones only:
+    #: an incomplete cell is data), resolved when a document arrives so
+    #: the store never imports a family it is not asked about.
+    validate: str
+    ingest: Callable[[ResultsStore, dict, str], dict]
+    #: ``None``: the family is stored for charts, not re-emitted.
+    emit: Optional[Callable[[ResultsStore, object], dict]]
+
+
+FAMILIES = (
+    DocFamily("arena", "repro-arena-",
+              "repro.harness.arena:structural_problems",
+              _ingest_arena, _emit_arena),
+    DocFamily("faults", "repro-faults-",
+              "repro.faults.campaign:validate_faults_doc",
+              _ingest_faults, _emit_faults),
+    DocFamily("bench", "repro-bench-",
+              "repro.results.ingest:_validate_bench", _ingest_bench, None),
+)
+
+
+def _family_of(schema: object) -> Optional[DocFamily]:
+    if isinstance(schema, str):
+        for family in FAMILIES:
+            if schema.startswith(family.prefix):
+                return family
+    return None
+
+
+def _schema_of(doc: dict) -> object:
+    """The ``runs.schema`` string of a document.  Bench history carries
+    an integer ``schema_version`` instead of a marker; it is normalised
+    to ``repro-bench-v<N>``."""
+    if isinstance(doc.get("schema_version"), int) and "scenarios" in doc:
+        return f"repro-bench-v{doc['schema_version']}"
+    return doc.get("schema")
+
+
+def _family_of_doc(doc: dict) -> DocFamily:
     if not isinstance(doc, dict):
         raise IngestError("document is not a JSON object")
-    schema = doc.get("schema")
-    if isinstance(schema, str) and schema.startswith("repro-arena-"):
-        return "arena"
-    if isinstance(schema, str) and schema.startswith("repro-faults-"):
-        return "faults"
-    if isinstance(doc.get("schema_version"), int) and "scenarios" in doc:
-        return "bench"
-    raise IngestError(
-        f"unrecognised document (schema={schema!r}); expected a "
-        "repro-arena-v1 / repro-faults-v1 doc or BENCH_engine.json")
+    family = _family_of(_schema_of(doc))
+    if family is None:
+        raise IngestError(
+            f"unrecognised document (schema={doc.get('schema')!r}); "
+            "expected a repro-arena-v1 / repro-faults-v1 doc or "
+            "BENCH_engine.json")
+    return family
+
+
+def detect_doc_kind(doc: dict) -> str:
+    """``"arena"`` | ``"faults"`` | ``"bench"``, or raise."""
+    return _family_of_doc(doc).kind
 
 
 def ingest_doc(store: ResultsStore, doc: dict, *,
                source: str = "-") -> dict:
     """Validate + ingest one document; returns an ingest receipt."""
-    kind = detect_doc_kind(doc)
-    if kind == "arena":
-        return _ingest_arena(store, doc, source)
-    if kind == "faults":
-        return _ingest_faults(store, doc, source)
-    return _ingest_bench(store, doc, source)
+    family = _family_of_doc(doc)
+    problems = resolve_target(family.validate)(doc)
+    if problems:
+        raise IngestError(f"invalid {family.kind} doc: {problems[:3]}")
+    return family.ingest(store, doc, source)
 
 
 def ingest_file(store: ResultsStore, path: str) -> dict:
@@ -64,100 +210,27 @@ def ingest_file(store: ResultsStore, path: str) -> dict:
     return ingest_doc(store, doc, source=str(path))
 
 
-# ----------------------------------------------------------------------
-# Arena
-# ----------------------------------------------------------------------
-def _ingest_arena(store: ResultsStore, doc: dict, source: str) -> dict:
-    from repro.harness.arena import validate_arena_doc
-    problems = [p for p in validate_arena_doc(doc)
-                if "did not complete" not in p]
-    if problems:
-        raise IngestError(f"invalid arena doc: {problems[:3]}")
-    run_id = store.insert_run(doc["schema"], "arena", source=source,
-                              meta={"axes": doc["axes"]})
-    store.insert_arena_cells(run_id, doc["cells"])
-    store.insert_arena_ranking(run_id, doc["ranking"])
-    return {"run_id": run_id, "kind": "arena",
-            "cells": len(doc["cells"]),
-            "ranking_rows": len(doc["ranking"])}
+def emit_doc(store: ResultsStore, run_id: int, kind: str = "") -> dict:
+    """Rebuild the exact document an ingested run came from.
+
+    ``kind`` insists on one family; raises :class:`IngestError` when the
+    run is missing, of another family, or of a family that does not
+    re-emit (bench).
+    """
+    run = store.run_row(run_id)
+    family = _family_of(run["schema"]) if run is not None else None
+    if family is None or family.emit is None \
+            or (kind and family.kind != kind):
+        raise IngestError(f"run {run_id} is not an ingested "
+                          f"{kind or 're-emittable'} run")
+    return family.emit(store, run)
 
 
 def emit_arena_doc(store: ResultsStore, run_id: int) -> dict:
     """Rebuild the exact ``repro-arena-v1`` document from stored rows."""
-    run = store.run_row(run_id)
-    if run is None or not run["schema"].startswith("repro-arena-"):
-        raise IngestError(f"run {run_id} is not an ingested arena run")
-    meta = json.loads(run["meta_json"])
-    cells = [json.loads(r["cell_json"]) for r in store.conn.execute(
-        "SELECT cell_json FROM arena_cells WHERE run_id=? "
-        "ORDER BY cell_order", (run_id,))]
-    ranking = [json.loads(r["row_json"]) for r in store.conn.execute(
-        "SELECT row_json FROM arena_ranking WHERE run_id=? "
-        "ORDER BY rank", (run_id,))]
-    # Key order mirrors build_arena_doc, so a plain json.dumps of this
-    # dict is byte-identical to dumping the original.
-    return {"schema": run["schema"], "axes": meta["axes"],
-            "cells": cells, "ranking": ranking}
-
-
-# ----------------------------------------------------------------------
-# Faults
-# ----------------------------------------------------------------------
-def _ingest_faults(store: ResultsStore, doc: dict, source: str) -> dict:
-    from repro.faults.campaign import validate_faults_doc
-    problems = validate_faults_doc(doc)
-    if problems:
-        raise IngestError(f"invalid faults doc: {problems[:3]}")
-    meta = {k: doc[k] for k in ("scenario", "duration_us", "seeds",
-                                "failures", "validation_problems")
-            if k in doc}
-    if "aggregate" in doc:
-        meta["aggregate"] = doc["aggregate"]
-    run_id = store.insert_run(doc["schema"], doc["scenario"],
-                              source=source, meta=meta)
-    store.insert_fault_cells(run_id, doc["cells"])
-    return {"run_id": run_id, "kind": "faults",
-            "cells": len(doc["cells"])}
+    return emit_doc(store, run_id, "arena")
 
 
 def emit_faults_doc(store: ResultsStore, run_id: int) -> dict:
     """Rebuild the exact ``repro-faults-v1`` document from stored rows."""
-    run = store.run_row(run_id)
-    if run is None or not run["schema"].startswith("repro-faults-"):
-        raise IngestError(f"run {run_id} is not an ingested faults run")
-    meta = json.loads(run["meta_json"])
-    cells = [json.loads(r["cell_json"]) for r in store.conn.execute(
-        "SELECT cell_json FROM fault_cells WHERE run_id=? "
-        "ORDER BY cell_order", (run_id,))]
-    doc = {"schema": run["schema"],
-           "scenario": meta["scenario"],
-           "duration_us": meta["duration_us"],
-           "seeds": meta["seeds"],
-           "cells": cells,
-           "failures": meta.get("failures", []),
-           "validation_problems": meta.get("validation_problems", [])}
-    if "aggregate" in meta:
-        doc["aggregate"] = meta["aggregate"]
-    return doc
-
-
-# ----------------------------------------------------------------------
-# Bench
-# ----------------------------------------------------------------------
-def _ingest_bench(store: ResultsStore, doc: dict, source: str) -> dict:
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        raise IngestError("bench doc has no scenarios")
-    for name, res in scenarios.items():
-        for key in ("events", "wall_s", "events_per_sec"):
-            if key not in res:
-                raise IngestError(f"bench scenario {name!r} missing "
-                                  f"{key!r}")
-    schema = f"repro-bench-v{doc['schema_version']}"
-    # Everything except the bulky per-scenario rows rides meta_json, so
-    # the dashboard can surface cost-model fits and tracing overhead.
-    meta = {k: v for k, v in doc.items() if k != "scenarios"}
-    run_id = store.insert_run(schema, "bench", source=source, meta=meta)
-    store.insert_bench_scenarios(run_id, doc)
-    return {"run_id": run_id, "kind": "bench",
-            "scenarios": len(scenarios)}
+    return emit_doc(store, run_id, "faults")

@@ -13,23 +13,28 @@ import sqlite3
 from typing import Optional
 
 
+_COUNTS = {
+    "job_results": "job_results",
+    "runs": "runs",
+    "arena_runs": "runs WHERE schema LIKE 'repro-arena%'",
+    "fault_runs": "runs WHERE schema LIKE 'repro-faults%'",
+    "bench_runs": "runs WHERE schema LIKE 'repro-bench%'",
+    "arena_cells": "arena_cells",
+    "fault_cells": "fault_cells",
+}
+
+
+def table_counts(conn: sqlite3.Connection) -> dict:
+    """Row counts per surface (``ResultsStore.counts`` adds the path)."""
+    return {name: conn.execute(f"SELECT COUNT(*) FROM {source}")
+            .fetchone()[0] for name, source in _COUNTS.items()}
+
+
 def summary(conn: sqlite3.Connection) -> dict:
-    q = conn.execute
-    one = lambda sql, *a: q(sql, a).fetchone()[0]  # noqa: E731
-    return {
-        "job_results": one("SELECT COUNT(*) FROM job_results"),
-        "runs": one("SELECT COUNT(*) FROM runs"),
-        "arena_runs": one("SELECT COUNT(*) FROM runs "
-                          "WHERE schema LIKE 'repro-arena%'"),
-        "fault_runs": one("SELECT COUNT(*) FROM runs "
-                          "WHERE schema LIKE 'repro-faults%'"),
-        "bench_runs": one("SELECT COUNT(*) FROM runs "
-                          "WHERE schema LIKE 'repro-bench%'"),
-        "arena_cells": one("SELECT COUNT(*) FROM arena_cells"),
-        "fault_cells": one("SELECT COUNT(*) FROM fault_cells"),
-        "lbs_ranked": one("SELECT COUNT(DISTINCT lb) "
-                          "FROM arena_ranking"),
-    }
+    return {**table_counts(conn),
+            "lbs_ranked": conn.execute(
+                "SELECT COUNT(DISTINCT lb) FROM arena_ranking")
+            .fetchone()[0]}
 
 
 def list_runs(conn: sqlite3.Connection,
@@ -42,6 +47,12 @@ def list_runs(conn: sqlite3.Connection,
         args = (schema_prefix + "%",)
     sql += " ORDER BY run_id"
     return [dict(r) for r in conn.execute(sql, args)]
+
+
+def _run_ids(conn: sqlite3.Connection, schema_prefix: str) -> list[int]:
+    return [row[0] for row in conn.execute(
+        "SELECT run_id FROM runs WHERE schema LIKE ? ORDER BY run_id",
+        (schema_prefix + "%",))]
 
 
 # ----------------------------------------------------------------------
@@ -86,9 +97,7 @@ def ranking_over_time(conn: sqlite3.Connection) -> dict:
     (``None`` where the pair is absent from a run), series ordered by
     their rank in the most recent run — the dashboard's headline chart.
     """
-    run_ids = [r["run_id"] for r in
-               conn.execute("SELECT run_id FROM runs WHERE schema LIKE "
-                            "'repro-arena%' ORDER BY run_id")]
+    run_ids = _run_ids(conn, "repro-arena")
     by_pair: dict[tuple, dict] = {}
     for row in conn.execute(
             "SELECT run_id, rank, lb, transport, mean_slowdown "
@@ -182,9 +191,7 @@ def fault_panels(conn: sqlite3.Connection) -> list[dict]:
 # ----------------------------------------------------------------------
 def bench_series(conn: sqlite3.Connection) -> dict:
     """events/sec trend per (scenario, engine) plus per-run meta."""
-    run_ids = [r["run_id"] for r in
-               conn.execute("SELECT run_id FROM runs WHERE schema LIKE "
-                            "'repro-bench%' ORDER BY run_id")]
+    run_ids = _run_ids(conn, "repro-bench")
     series: dict[tuple, dict] = {}
     for row in conn.execute(
             "SELECT run_id, scenario, engine, events_per_sec "

@@ -30,6 +30,9 @@ import sqlite3
 import time
 from typing import Optional, Sequence
 
+from repro.harness.jobs import canonical_json
+from repro.results.query import table_counts
+
 SCHEMA_VERSION = 1
 
 _SCHEMA = """
@@ -115,10 +118,6 @@ CREATE TABLE IF NOT EXISTS bench_scenarios (
 """
 
 
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def connect_readonly(path: str) -> sqlite3.Connection:
     """A read-only connection — what every dashboard thread gets.
 
@@ -185,12 +184,8 @@ class ResultsStore:
             "(spec_hash, kind, seed, label, params_json, result_json, "
             " created_s) VALUES (?,?,?,?,?,?,?)",
             (spec.spec_hash, spec.kind, spec.seed, spec.label,
-             _canonical(spec.params), _canonical(result), time.time()))
+             canonical_json(spec.params), canonical_json(result), time.time()))
         self.conn.commit()
-
-    def job_count(self) -> int:
-        return self.conn.execute(
-            "SELECT COUNT(*) FROM job_results").fetchone()[0]
 
     # -- ingested runs -------------------------------------------------
     def insert_run(self, schema: str, name: str, *, source: str = "-",
@@ -207,79 +202,16 @@ class ResultsStore:
         return self.conn.execute(
             "SELECT * FROM runs WHERE run_id=?", (run_id,)).fetchone()
 
-    def insert_arena_cells(self, run_id: int,
-                           cells: Sequence[dict]) -> None:
-        self.conn.executemany(
-            "INSERT INTO arena_cells VALUES "
-            "(?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            [(run_id, i, c["spec_hash"], c["lb"], c["transport"],
-              c["cc"], c["workload"], c["topology"], c["seed"],
-              int(bool(c["completed"])), c["mean_slowdown"],
-              c["goodput_gbps"], c["reorder_rate"], c["nack_validity"],
-              c["tail_ns"], json.dumps(c))
-             for i, c in enumerate(cells)])
-        self.conn.commit()
-
-    def insert_arena_ranking(self, run_id: int,
-                             ranking: Sequence[dict]) -> None:
-        self.conn.executemany(
-            "INSERT INTO arena_ranking VALUES (?,?,?,?,?,?,?,?,?)",
-            [(run_id, r["rank"], r["lb"], r["transport"],
-              r["mean_slowdown"], r["mean_goodput_gbps"],
-              r["mean_reorder_rate"], r["mean_nack_validity"],
-              json.dumps(r))
-             for r in ranking])
-        self.conn.commit()
-
-    def insert_fault_cells(self, run_id: int,
-                           cells: Sequence[dict]) -> None:
-        self.conn.executemany(
-            "INSERT INTO fault_cells VALUES (?,?,?,?,?,?,?,?,?,?)",
-            [(run_id, i, c["scenario"], c["seed"],
-              int(bool(c["completed"])), c.get("tail_stretch"),
-              c["goodput"].get("dip_frac"),
-              c["goodput"].get("recovery_ns"),
-              c["nacks"].get("unexplained", 0), json.dumps(c))
-             for i, c in enumerate(cells)])
-        self.conn.commit()
-
-    def insert_bench_scenarios(self, run_id: int, doc: dict) -> None:
-        rows = []
-        for name, res in doc.get("scenarios", {}).items():
-            rows.append((run_id, name, res.get("engine", "calendar"),
-                         res["events"], res["wall_s"],
-                         res["events_per_sec"]))
-        heap = doc.get("heap_baseline")
-        if heap:
-            rows.append((run_id, heap["scenario"], "heap",
-                         heap["events"], heap["wall_s"],
-                         heap["events_per_sec"]))
-        tracing = doc.get("tracing")
-        if tracing:
-            rows.append((run_id, tracing["scenario"], "traced",
-                         tracing["events"], tracing["wall_s"],
-                         tracing["events_per_sec"]))
-        self.conn.executemany(
-            "INSERT INTO bench_scenarios VALUES (?,?,?,?,?,?)", rows)
+    def insert_rows(self, table: str, rows: Sequence[tuple]) -> None:
+        """Bulk-insert full-width rows into a detail table (the row
+        shapes live with each document family in ``ingest``)."""
+        if rows:
+            marks = ",".join("?" * len(rows[0]))
+            self.conn.executemany(
+                f"INSERT INTO {table} VALUES ({marks})", rows)
         self.conn.commit()
 
     # -- summary -------------------------------------------------------
     def counts(self) -> dict:
         """Row counts per surface — the dashboard's headline tiles."""
-        q = self.conn.execute
-        return {
-            "path": self.path,
-            "job_results": q("SELECT COUNT(*) FROM job_results")
-            .fetchone()[0],
-            "runs": q("SELECT COUNT(*) FROM runs").fetchone()[0],
-            "arena_runs": q("SELECT COUNT(*) FROM runs WHERE "
-                            "schema LIKE 'repro-arena%'").fetchone()[0],
-            "fault_runs": q("SELECT COUNT(*) FROM runs WHERE "
-                            "schema LIKE 'repro-faults%'").fetchone()[0],
-            "bench_runs": q("SELECT COUNT(*) FROM runs WHERE "
-                            "schema LIKE 'repro-bench%'").fetchone()[0],
-            "arena_cells": q("SELECT COUNT(*) FROM arena_cells")
-            .fetchone()[0],
-            "fault_cells": q("SELECT COUNT(*) FROM fault_cells")
-            .fetchone()[0],
-        }
+        return {"path": self.path, **table_counts(self.conn)}

@@ -1,7 +1,6 @@
 """Discrete-event simulation core (engine, events, RNG, traces)."""
 
-from repro.sim.engine import (MS, NS, SEC, US, HeapSimulator,
-                              SimulationError, Simulator)
+from repro.sim.engine import MS, NS, SEC, US, SimulationError, Simulator
 from repro.sim.events import Event
 from repro.sim.rng import SimRng
 # Time-series types live in the observability layer now; re-exported here
@@ -10,7 +9,7 @@ from repro.obs.timeseries import (RateMeter, TimeSeries, WindowedCounter,
                                   summarize)
 
 __all__ = [
-    "Simulator", "HeapSimulator", "SimulationError", "Event", "SimRng",
+    "Simulator", "SimulationError", "Event", "SimRng",
     "TimeSeries", "WindowedCounter", "RateMeter", "summarize",
     "NS", "US", "MS", "SEC",
 ]

@@ -1,22 +1,20 @@
 """Discrete-event simulation engine.
 
-Two engines share one API and one determinism contract:
+:class:`Simulator` is a **sparse calendar queue**.  Pending entries are
+grouped into fixed-width time buckets, but only occupied buckets exist: a
+dict maps ``time >> shift`` to an unsorted list, a heap of the occupied
+keys says which bucket is next, and one more heap (``_live``) takes the
+entries that arrive inside the window already being drained.  Claiming
+the next bucket is one ``heappop`` plus one ``dict.pop``; the bucket is
+sorted once and dispatched in a tight loop.  Queue entries are plain
+``(time, seq, ...)`` tuples so every ordering comparison happens in C
+instead of calling ``Event.__lt__``, and executed
+:class:`~repro.sim.events.Event` objects are recycled through a free list.
 
-* :class:`Simulator` — the default **sparse calendar queue**.  Pending
-  entries are grouped into fixed-width time buckets, but only occupied
-  buckets exist: a dict maps ``time >> shift`` to an unsorted list, a heap
-  of the occupied keys says which bucket is next, and one more heap
-  (``_live``) takes the entries that arrive inside the window already
-  being drained.  Claiming the next bucket is one ``heappop`` plus one
-  ``dict.pop``; the bucket is sorted once and dispatched in a tight loop.
-  Queue entries are plain ``(time, seq, ...)`` tuples so every ordering
-  comparison happens in C instead of calling ``Event.__lt__``, and
-  executed :class:`~repro.sim.events.Event` objects are recycled through
-  a free list.
-* :class:`HeapSimulator` — the original single binary-heap engine, kept as
-  the executable reference implementation.  The golden determinism test
-  (``tests/sim/test_engine_determinism.py``) runs full workloads on both
-  engines and asserts bit-identical ``(time, seq)`` execution order.
+The original single binary-heap engine lives on as the test oracle
+(``tests/sim/heap_oracle.py``): the golden determinism tests run full
+workloads on both and assert bit-identical ``(time, seq)`` execution
+order.
 
 Three invariants carry the calendar's correctness:
 
@@ -459,137 +457,6 @@ class Simulator:
         """Total events executed since construction."""
         return self._executed
 
-    @property
-    def pooled_events(self) -> int:
-        """Current size of the Event free list (introspection/tests)."""
-        return len(self._event_pool)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator(now={self.now}ns, pending={self.pending}, "
-                f"executed={self.executed})")
-
-
-class HeapSimulator:
-    """Reference engine: one binary heap ordered by ``(time, seq)``.
-
-    The original implementation, kept (plus the drain-to-``until`` fix) so
-    the calendar engine's execution order can be A/B-checked against it.
-    Prefer :class:`Simulator` everywhere else; this one allocates a fresh
-    :class:`Event` per schedule and pays a Python-level ``__lt__`` call
-    for every heap comparison.  Deliberately *not* micro-optimised (no
-    ``__slots__``, no inlining): it is the measurement baseline.
-    """
-
-    def __init__(self, end_time: Optional[int] = None) -> None:
-        self.now: int = 0
-        self.end_time = end_time
-        self.trace: Optional[Callable[[int, int, Callable], None]] = None
-        self._heap: list[Event] = []
-        self._seq = 0
-        self._executed = 0
-        self._running = False
-        self.batches = 0  # API parity; the heap engine never batches
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + int(delay), callback, *args)
-
-    def fire(self, delay: int, callback: Callable[[Any], Any],
-             arg: Any = None) -> None:
-        """Fire-and-forget schedule (API parity with :class:`Simulator`).
-
-        The seed engine has only Events, so this simply schedules one;
-        the ``seq`` consumed here keeps both engines' sequence counters
-        in lockstep, which the golden determinism test relies on.
-        """
-        self.schedule(delay, callback, arg)
-
-    def fire2(self, delay: int, callback: Callable[[Any, Any], Any],
-              arg1: Any, arg2: Any) -> None:
-        """Two-argument fire (API parity with :class:`Simulator`)."""
-        self.schedule(delay, callback, arg1, arg2)
-
-    def schedule_at(self, time: int, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
-        event = Event(int(time), self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event."""
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if self.end_time is not None and event.time > self.end_time:
-                return False
-            heapq.heappop(self._heap)
-            self.now = event.time
-            event.callback(*event.args)
-            self._executed += 1
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None) -> int:
-        """Run events until the queue drains or ``until`` (absolute ns)."""
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        executed = 0
-        try:
-            while self._heap:
-                event = self._heap[0]
-                if event.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and event.time > until:
-                    if until > self.now:
-                        self.now = until
-                    break
-                if self.end_time is not None \
-                        and event.time > self.end_time:
-                    break
-                heapq.heappop(self._heap)
-                self.now = event.time
-                if self.trace is not None:
-                    self.trace(event.time, event.seq, event.callback)
-                event.callback(*event.args)
-                executed += 1
-            if not self._heap and until is not None and until > self.now:
-                self.now = until
-        finally:
-            self._running = False
-        self._executed += executed
-        return executed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of heap entries (including lazily-cancelled ones)."""
-        return len(self._heap)
-
-    @property
-    def executed(self) -> int:
-        """Total events executed since construction."""
-        return self._executed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"HeapSimulator(now={self.now}ns, pending={self.pending}, "
                 f"executed={self.executed})")

@@ -144,6 +144,3 @@ class PfcController:
     def paused_ports(self) -> set[Port]:
         return set(self._paused)
 
-    @property
-    def storm_paused_ports(self) -> set[Port]:
-        return set(self._storm_paused)

@@ -126,6 +126,9 @@ class Switch(Device):
         self.ecn_marker = ecn_marker
         self.metrics = metrics
         self.routes: dict[int, list[Port]] = {}
+        #: Set by ``Topology.build_routes``: the routes were computed with
+        #: some link down, so a missing route is a partition, not a bug.
+        self.routes_degraded = False
         self.down_nics: set[int] = set()
         self.middleware: list[Middleware] = []
         #: Administrative liveness: a rebooting switch blackholes every
@@ -137,6 +140,8 @@ class Switch(Device):
         #: Packet-hop emitter callable (``Recorder.hop_emitter()``);
         #: None = disabled.
         self.rec = None
+        #: DROP observability channel (repro.obs); None = disabled.
+        self.rec_drop = None
         self._policy = SwitchQueuePolicy(buffer, ecn_marker, self)
         # Per-switch hash seed/rotation: real ASICs configure their CRC
         # engines per box, which is what makes multi-stage ECMP decorrelate
@@ -185,16 +190,14 @@ class Switch(Device):
         try:
             candidates = self.routes[packet.dst]
         except KeyError:
-            raise LookupError(
-                f"{self.name}: no route to NIC {packet.dst}") from None
+            return self._no_route(packet)
         if len(candidates) == 1:
             # Downlink hops have exactly one route; skip the selector.
             port = candidates[0]
         elif candidates:
             port = self._select(packet, candidates)
         else:
-            raise LookupError(
-                f"{self.name}: no route to NIC {packet.dst}")
+            return self._no_route(packet)
         if not port.enqueue(packet) and pfc is not None:
             pfc.on_egress(packet)  # dropped at admission: credit
 
@@ -208,17 +211,32 @@ class Switch(Device):
         try:
             candidates = self.routes[packet.dst]
         except KeyError:
-            raise LookupError(
-                f"{self.name}: no route to NIC {packet.dst}") from None
+            return self._no_route(packet)
         if len(candidates) == 1:
             port = candidates[0]
         elif candidates:
             port = self._select(packet, candidates)
         else:
-            raise LookupError(
-                f"{self.name}: no route to NIC {packet.dst}")
+            return self._no_route(packet)
         if not port.enqueue(packet) and self.pfc is not None:
             self.pfc.on_egress(packet)  # dropped at admission: credit
+
+    def _no_route(self, packet: Packet) -> None:
+        """Cold path of :meth:`receive`/:meth:`forward`: no egress port.
+
+        After routes were rebuilt around a failure a destination may be
+        unreachable from here for a while (a partition); the packet is
+        then an accounted drop, like any other loss.  On a fabric whose
+        routes were built whole the miss is a wiring error and raises.
+        """
+        if not self.routes_degraded:
+            raise LookupError(f"{self.name}: no route to NIC {packet.dst}")
+        if self.rec_drop is not None:
+            self.rec_drop.drop(self.sim.now, self.name, packet, "no_route")
+        if self.metrics is not None:
+            self.metrics.on_drop(packet, self, None)
+        if self.pfc is not None:
+            self.pfc.on_egress(packet)  # never enqueued: credit
 
     def _select(self, packet: Packet, candidates: list[Port]) -> Port:
         if len(candidates) == 1:

@@ -52,7 +52,7 @@ class TestDeterminism:
                                            message_bytes=20_000,
                                            faults=faults)
             net.run(until_ns=5_000_000)
-            return (net.trace_done_ns, net.metrics.data_packets_sent,
+            return (net.traffic.done_ns, net.metrics.data_packets_sent,
                     net.metrics.retransmissions, net.metrics.drops,
                     net.metrics.nacks_generated)
 

@@ -7,7 +7,7 @@ from repro.faults.spec import (LatencyShift, LinkFlap, PfcStorm,
                                RandomLoss, RateDegrade, Scenario,
                                ScenarioError, SwitchReboot)
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.obs.record import FAULT, Recorder
+from repro.obs.record import DROP, FAULT, Recorder
 from repro.sim.engine import US
 
 TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
@@ -201,6 +201,53 @@ class TestSwitchReboot:
         assert net.topology.link("tor1:spine0").up
         net.run(until_ns=LONG)
         assert net.fabric_intact()
+
+
+class TestPartition:
+    """A scheduled partition: spine0 reboots while tor0's only other
+    uplink is down, so spine1 holds packets for NICs it cannot reach."""
+
+    def partitioned(self, recorder=None, **config):
+        net = make(seed=0, recorder=recorder, **config)
+        install(net, Scenario("partition")
+                .add(SwitchReboot(switch="spine0", at_us=0, down_us=5))
+                .add(SwitchReboot(switch="spine0", at_us=19, down_us=7))
+                .add(LinkFlap(link="tor0:spine1", at_us=10, down_us=16)))
+        net.post_message(0, 1, 10_000, qp=0)
+        net.post_message(0, 2, 35_147, qp=1)
+        net.run(until_ns=LONG)
+        return net
+
+    def test_route_miss_is_an_accounted_drop_not_a_crash(self):
+        recorder = Recorder(retain={DROP})
+        net = self.partitioned(recorder)
+        assert net.metrics.all_flows_done()
+        assert net.fabric_intact()
+        for switch in net.topology.switches:
+            assert switch.buffer.used_bytes == 0
+            assert not switch.routes_degraded
+        no_route = [r for r in recorder.records(DROP)
+                    if r[4]["reason"] == "no_route"]
+        assert no_route
+        assert net.metrics.drops >= len(no_route)
+
+    def test_route_miss_balances_pfc_credit(self):
+        from repro.switch.pfc import PfcConfig
+        net = self.partitioned(pfc=PfcConfig(xoff_bytes=12_000,
+                                             xon_bytes=6_000))
+        assert net.metrics.all_flows_done()
+        for switch in net.topology.switches:
+            assert switch.buffer.used_bytes == 0
+            assert not any(switch.pfc._ingress_bytes.values())
+
+    def test_intact_fabric_without_the_route_still_raises(self):
+        net = make()
+        spine1 = next(s for s in net.topology.switches
+                      if s.name == "spine1")
+        del spine1.routes[0]
+        net.post_message(2, 0, 60_000)
+        with pytest.raises(LookupError, match="no route to NIC 0"):
+            net.run(until_ns=LONG)
 
 
 class TestPfcStorm:

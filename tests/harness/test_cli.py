@@ -19,6 +19,19 @@ class TestParser:
         assert args.n_paths == 256
         assert args.bandwidth_gbps == 400.0
 
+    def test_shared_flag_sets_keep_per_command_defaults(self):
+        parse = build_parser().parse_args
+        assert parse(["trace"]).nodes == 32
+        assert parse(["profile"]).nodes == 8
+        for argv in (["sweep"], ["arena"],
+                     ["faults", "run", "--name", "link-flap-smoke"]):
+            args = parse(argv)
+            assert (args.workers, args.timeout, args.retries, args.resume,
+                    args.cache, args.progress) \
+                == (1, None, 2, None, None, False)
+        assert parse(["serve"]).db == parse(["results", "list"]).db \
+            == "results.sqlite"
+
     def test_motivation_scheme_validation(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["motivation", "--scheme", "nope"])
@@ -164,6 +177,37 @@ class TestProfileCommand:
             assert doc["total_ms"] > 0
             assert {"handler", "calls", "total_ms", "mean_us",
                     "share"} <= set(doc["handlers"][0])
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--nodes", "4", "--bytes", "2000", "--out"],
+        ["trace", "--nodes", "4", "--perfetto"],
+        ["trace", "--nodes", "4", "--dump"],
+        ["bench", "--quick", "--cost-model-out"],
+        ["arena", "--quick", "--out"],
+    ])
+    def test_one_error_line_before_the_run(self, argv, tmp_path, capsys,
+                                           monkeypatch):
+        """An output path that cannot be written is refused up front
+        (exit code 2, one ``error:`` line), not discovered by a
+        traceback after the whole experiment ran."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("experiment ran")
+
+        monkeypatch.setattr("repro.harness.network.Network.run", no_run)
+        assert main(argv + [str(blocker / "nope" / "x.json")]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("error: cannot write")
+
+    def test_writable_path_is_left_alone_until_written(self, tmp_path):
+        target = tmp_path / "new" / "profile.json"
+        assert main(["--quiet", "profile", "--nodes", "4", "--bytes",
+                     "2000", "--out", str(target)]) == 0
+        assert target.read_text().startswith("{")
 
 
 class TestFaultsCommand:

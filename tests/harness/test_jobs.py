@@ -82,6 +82,41 @@ class TestJobSpec:
             raise_on_failures(outcomes)
 
 
+class TestJobKinds:
+    def test_every_kind_names_an_importable_cell_function(self):
+        from repro.harness.jobs import JOB_KINDS, resolve_target
+        assert set(JOB_KINDS) == {"collective", "callable", "bench",
+                                  "fault_cell", "arena_cell"}
+        for target in JOB_KINDS.values():
+            assert callable(resolve_target(target))
+
+    def test_the_runner_module_imports_no_experiment_family(self):
+        import ast
+        import repro.harness.jobs as jobs
+        with open(jobs.__file__) as fh:
+            tree = ast.parse(fh.read())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert imported & {"repro.harness.arena", "repro.harness.bench",
+                           "repro.harness.collective_runner",
+                           "repro.faults.campaign"} == set()
+
+    def test_unknown_kind_is_rejected_with_the_known_ones(self):
+        from repro.harness.jobs import execute_spec
+        with pytest.raises(ValueError, match="unknown job kind 'nope'"):
+            execute_spec(JobSpec(kind="nope", seed=1))
+
+    def test_a_cached_spec_never_resolves_its_target(self, tmp_path,
+                                                     monkeypatch):
+        import repro.harness.jobs as jobs
+        spec = _callable_spec(square, 3)
+        cache = str(tmp_path / "cache.sqlite")
+        assert run_jobs([spec], cache=cache)[spec.spec_hash].ok
+        monkeypatch.setattr(jobs, "resolve_target", None)
+        warm = run_jobs([spec], cache=cache)[spec.spec_hash]
+        assert warm.from_cache and warm.result == {"value": 9}
+
+
 class TestRunnerCore:
     def test_serial_inproc_execution(self):
         specs = [_callable_spec(square, s) for s in (1, 2, 3)]

@@ -1,9 +1,10 @@
 """The observability package surface, post shim removal.
 
 The ``repro.sim.trace`` and ``repro.harness.tracer`` deprecation shims
-have been deleted after their deprecation window; the canonical modules
-(``repro.obs.timeseries``, ``repro.obs.capture``) are the only import
-paths now.
+have been deleted after their deprecation window, and so has the
+``repro.obs.capture`` middleware tracer they pointed at: per-hop packet
+capture is the Recorder's PACKET channel (``tests/harness/test_tracer.py``).
+``repro.obs.timeseries`` is the only home of the series types.
 """
 
 import importlib
@@ -13,19 +14,20 @@ import pytest
 
 class TestShimsRemoved:
     @pytest.mark.parametrize("module", ["repro.sim.trace",
-                                        "repro.harness.tracer"])
+                                        "repro.harness.tracer",
+                                        "repro.obs.capture"])
     def test_old_path_is_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
 
     def test_canonical_homes_export_the_types(self):
-        from repro.obs.capture import (PacketTracer, TraceEvent,
-                                       attach_tracer)
+        from repro.obs.record import PACKET, Recorder
         from repro.obs.timeseries import (RateMeter, TimeSeries,
                                           WindowedCounter, summarize)
-        for obj in (PacketTracer, TraceEvent, attach_tracer, RateMeter,
-                    TimeSeries, WindowedCounter, summarize):
+        for obj in (Recorder, RateMeter, TimeSeries, WindowedCounter,
+                    summarize):
             assert obj is not None
+        assert Recorder(retain={PACKET}).retain == {PACKET}
 
     def test_sim_package_still_reexports_timeseries(self):
         # The package-level re-export stays (public API); only the
@@ -39,7 +41,7 @@ class TestShimsRemoved:
 class TestObsPackageSurface:
     def test_lazy_exports_resolve(self):
         import repro.obs as obs
-        for name in ("PacketTracer", "TraceEvent", "attach_tracer",
+        for name in ("Recorder", "PACKET", "Profiler",
                      "build_audit", "format_report", "NackAudit",
                      "NackDecision", "export_chrome_trace",
                      "write_chrome_trace", "validate_chrome_trace"):
@@ -49,3 +51,5 @@ class TestObsPackageSurface:
         import repro.obs as obs
         with pytest.raises(AttributeError):
             obs.does_not_exist
+        with pytest.raises(AttributeError):
+            obs.PacketTracer

@@ -5,7 +5,8 @@ import pytest
 from repro.harness.bench import BUILDERS, DEADLINE_NS
 from repro.harness.costmodel import measure_mix
 from repro.obs.profile import Profiler
-from repro.sim.engine import HeapSimulator, Simulator
+from repro.sim.engine import Simulator
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def busy(n=2000):

@@ -45,6 +45,22 @@ class TestHeadlessRendering:
             assert text.startswith("<!DOCTYPE html>")
             assert "</html>" in text
 
+    def test_bench_page_renders_old_and_v4_documents(self, tmp_path):
+        """Documents from before schema v4 still carry speedup_vs_heap
+        and keep rendering it; v4 documents show a dash."""
+        path = str(tmp_path / "bench.sqlite")
+        v4 = make_bench_doc()
+        v4["schema_version"] = 4
+        del v4["heap_baseline"], v4["speedup_vs_heap"]
+        with ResultsStore(path) as store:
+            ingest_doc(store, make_bench_doc(), source="old")
+            ingest_doc(store, v4, source="new")
+        dashboard = Dashboard(path)
+        status, _, body = dashboard.render("/bench")
+        assert status == 200 and "2.00x" in body.decode()
+        runs = json.loads(dashboard.render("/api/bench")[2])["runs"]
+        assert [r["speedup_vs_heap"] for r in runs] == [2.0, None]
+
     def test_unknown_routes_404(self, db):
         dashboard = Dashboard(db)
         assert dashboard.render("/nope")[0] == 404

@@ -142,7 +142,7 @@ class TestJobResults:
             store.put_job_result(spec, {"value": 1})
             store.put_job_result(spec, {"value": 2})
             assert store.get_job_result(spec.spec_hash) == {"value": 2}
-            assert store.job_count() == 1
+            assert store.counts()["job_results"] == 1
 
     def test_schema_version_mismatch_refuses(self, tmp_path):
         path = str(tmp_path / "r.sqlite")
@@ -270,6 +270,38 @@ class TestBenchIngest:
             receipt = ingest_file(store, path)
             assert receipt["kind"] == "bench"
             assert receipt["scenarios"] >= 1
+
+    def test_bench_runs_do_not_re_emit(self, tmp_path):
+        from repro.results import emit_doc
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            arena = ingest_doc(store, make_arena_doc())["run_id"]
+            bench = ingest_doc(store, make_bench_doc())["run_id"]
+            assert emit_doc(store, arena) == emit_arena_doc(store, arena)
+            for run_id in (bench, 99):
+                with pytest.raises(IngestError, match="re-emittable"):
+                    emit_doc(store, run_id)
+            with pytest.raises(IngestError, match="ingested faults run"):
+                emit_faults_doc(store, arena)
+
+    def test_v4_doc_without_the_heap_keys_ingests(self, tmp_path):
+        doc = make_bench_doc()
+        doc["schema_version"] = 4
+        del doc["heap_baseline"], doc["speedup_vs_heap"]
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            receipt = ingest_doc(store, doc)
+            assert store.run_row(receipt["run_id"])["schema"] \
+                == "repro-bench-v4"
+            engines = {r["engine"] for r in store.conn.execute(
+                "SELECT engine FROM bench_scenarios")}
+        assert engines == {"calendar", "traced"}
+
+    def test_scenario_missing_a_field_is_rejected(self, tmp_path):
+        doc = make_bench_doc()
+        del doc["scenarios"]["alltoall-lossy"]["wall_s"]
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            with pytest.raises(IngestError, match="missing fields"):
+                ingest_doc(store, doc)
+            assert store.counts()["runs"] == 0
 
     def test_unknown_doc_rejected(self, tmp_path):
         with pytest.raises(IngestError, match="unrecognised"):

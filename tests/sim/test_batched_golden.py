@@ -16,7 +16,7 @@ exact (scaled-down) geometries the perf numbers are measured on.
 import pytest
 
 from repro.harness.bench import BUILDERS, DEADLINE_NS
-from repro.sim.engine import HeapSimulator
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def _rng_digest(rng):

@@ -18,7 +18,8 @@ sequence should re-pin the hash in the same commit and say why.
 import hashlib
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.sim.engine import HeapSimulator, MS, US
+from repro.sim.engine import MS, US
+from tests.sim.heap_oracle import HeapSimulator
 
 #: SHA-256 of the (time, seq, callback-name) event sequence of the
 #: workload below.  Re-pin deliberately, never to "make the test pass".

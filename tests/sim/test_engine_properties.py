@@ -11,8 +11,8 @@ sequence the reference heap engine does.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import (DEFAULT_BUCKET_NS, HeapSimulator, MS, SEC,
-                              Simulator, US)
+from repro.sim.engine import DEFAULT_BUCKET_NS, MS, SEC, Simulator, US
+from tests.sim.heap_oracle import HeapSimulator
 
 #: Bands: same bucket, neighbouring buckets, packet/propagation scale,
 #: timer scale (DCQCN 55 us, RTO 400 us and up), and seconds.
