@@ -132,6 +132,24 @@ def _fail(console: Console, message: str) -> int:
     return 2
 
 
+def _bad_choice(flag: str, chosen: Sequence[str],
+                known: Sequence[str]) -> Optional[str]:
+    """Why a comma-separated ``flag`` value is unusable, or ``None`` —
+    asked before any job is built, so a typo runs nothing."""
+    unknown = [v for v in chosen if v not in known]
+    if unknown or not chosen:
+        return (f"{flag}: unknown value(s) {unknown or ['']}; "
+                f"known: {sorted(known)}")
+    return None
+
+
+def _store_not_found(console: Console, db: str) -> int:
+    """Commands that only read a results store refuse a missing file
+    instead of letting ``ResultsStore`` create an empty one."""
+    return _fail(console, f"results store not found: {db} "
+                          "(create one with 'repro results ingest')")
+
+
 def _traced_params(args: argparse.Namespace) -> dict:
     """The alltoall ``trace`` and ``profile`` share, as their documents
     report it."""
@@ -359,10 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_memory(args: argparse.Namespace, console: Console) -> int:
-    params = MemoryParams(
-        n_paths=args.n_paths, bandwidth_bps=args.bandwidth_gbps * 1e9,
-        rtt_last_s=args.rtt_us * 1e-6, n_nic=args.n_nic, n_qp=args.n_qp,
-        mtu_bytes=args.mtu, expansion_factor=args.factor)
+    try:
+        params = MemoryParams(
+            n_paths=args.n_paths, bandwidth_bps=args.bandwidth_gbps * 1e9,
+            rtt_last_s=args.rtt_us * 1e-6, n_nic=args.n_nic,
+            n_qp=args.n_qp, mtu_bytes=args.mtu,
+            expansion_factor=args.factor)
+    except ValueError as exc:
+        return _fail(console, str(exc))
     breakdown = memory_overhead(params)
     console.out(format_table(["component", "value"], [
         ("PathMap bytes", breakdown.pathmap_bytes),
@@ -442,6 +464,9 @@ def cmd_collective(args: argparse.Namespace, console: Console) -> int:
 def cmd_sweep(args: argparse.Namespace, console: Console) -> int:
     from repro.harness.metrics import JobCounters
     schemes = _csv(args.schemes)
+    problem = _bad_choice("--schemes", schemes, SCHEMES)
+    if problem:
+        return _fail(console, problem)
     counters = JobCounters()
     result = run_fig5_sweep(args.collective, schemes=schemes,
                             seed=args.seed, counters=counters,
@@ -496,9 +521,12 @@ def cmd_pathmap(args: argparse.Namespace, console: Console) -> int:
     from repro.net.packet import FlowKey
     from repro.themis.pathmap import build_pathmap, trace_path
 
-    net = Network(NetworkConfig(
-        topology=TopologySpec(kind="fat_tree", fat_tree_k=args.k,
-                              link_bandwidth_bps=25e9), scheme="ecmp"))
+    try:
+        net = Network(NetworkConfig(
+            topology=TopologySpec(kind="fat_tree", fat_tree_k=args.k,
+                                  link_bandwidth_bps=25e9), scheme="ecmp"))
+    except ValueError as exc:
+        return _fail(console, str(exc))
     flow = FlowKey(args.src, args.dst)
     n = net.topology.path_count(args.src, args.dst)
     deltas = build_pathmap(net.topology, flow, args.sport, n)
@@ -543,7 +571,7 @@ def cmd_bench(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_trace(args: argparse.Namespace, console: Console) -> int:
-    from repro.harness.tracing import run_traced_alltoall
+    from repro.harness.tracing import build_traced_alltoall, run_built
     from repro.obs.nacks import build_audit, format_report
     from repro.obs.record import NACK
 
@@ -553,16 +581,21 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
         faults = Scenario("trace-link-flap").add(LinkFlap(
             link=args.fault_link, at_us=args.fault_at_us,
             down_us=args.fault_down_us)).compile()
+    try:  # construction only: bad --nodes, unknown --fault-link cable
+        net, recorder = build_traced_alltoall(
+            nodes=args.nodes, loss=args.loss, seed=args.seed,
+            message_bytes=args.bytes, scheme=args.scheme, faults=faults,
+            retain_all=args.perfetto is not None)
+    except ValueError as exc:
+        return _fail(console, str(exc))
+    if faults is not None:
         console.info(f"fault: {args.fault_link} down at "
                      f"{args.fault_at_us:.0f} us for "
                      f"{args.fault_down_us:.0f} us")
     console.info(f"running traced {args.nodes}-node alltoall "
                  f"(scheme={args.scheme}, loss={args.loss:.3f}, "
                  f"seed={args.seed}) ...")
-    net, recorder = run_traced_alltoall(
-        nodes=args.nodes, loss=args.loss, seed=args.seed,
-        message_bytes=args.bytes, scheme=args.scheme,
-        retain_all=args.perfetto is not None, faults=faults)
+    run_built(net)
     console.info(f"{recorder.total_events()} trace events recorded, "
                  f"{net.sim.executed} sim events executed")
     audit = build_audit(recorder.records(NACK))
@@ -602,22 +635,23 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, console: Console) -> int:
-    from repro.harness.tracing import TRACE_DEADLINE_NS, \
-        build_traced_alltoall
+    from repro.harness.tracing import build_traced_alltoall, run_built
     from repro.obs.profile import Profiler
     from repro.obs.record import Recorder
 
-    console.info(f"profiling {args.nodes}-node alltoall "
-                 f"(scheme={args.scheme}, loss={args.loss:.3f}) ...")
     # Empty-category recorder: the wiring paths stay exercised but no
     # emits fire, so the histogram reflects the engine, not the tracer.
-    net, _ = build_traced_alltoall(
-        nodes=args.nodes, loss=args.loss, seed=args.seed,
-        message_bytes=args.bytes, scheme=args.scheme,
-        recorder=Recorder(categories=()))
+    try:
+        net, _ = build_traced_alltoall(
+            nodes=args.nodes, loss=args.loss, seed=args.seed,
+            message_bytes=args.bytes, scheme=args.scheme,
+            recorder=Recorder(categories=()))
+    except ValueError as exc:
+        return _fail(console, str(exc))
+    console.info(f"profiling {args.nodes}-node alltoall "
+                 f"(scheme={args.scheme}, loss={args.loss:.3f}) ...")
     with Profiler(net.sim) as prof:
-        net.run(until_ns=TRACE_DEADLINE_NS)
-    net.stop()
+        run_built(net)
     report = prof.report()
     table = prof.format_table()
     if args.top is not None:
@@ -662,6 +696,8 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
         return 0
 
     # run
+    if args.seeds < 1:
+        return _fail(console, "--seeds must be >= 1")
     from repro.faults.campaign import build_faults_doc, run_campaign
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     console.info(f"campaign {spec['name']!r}: {len(spec['events'])} "
@@ -712,10 +748,17 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
     presets = (arena.QUICK_TOPOLOGIES if args.quick
                else arena.FULL_TOPOLOGIES)
     topo_names = csv(args.topos, tuple(presets))
-    unknown = [t for t in topo_names if t not in presets]
-    if unknown:
-        return _fail(console, f"unknown topology preset(s) {unknown}; "
-                              f"known: {sorted(presets)}")
+    for flag, chosen, known in (
+            ("--lbs", lbs, arena.LB_POLICIES),
+            ("--transports", transports, arena.ARENA_TRANSPORTS),
+            ("--ccs", ccs, arena.CC_SETTINGS),
+            ("--workloads", workloads, arena.WORKLOADS),
+            ("--topos", topo_names, tuple(presets))):
+        problem = _bad_choice(flag, chosen, known)
+        if problem:
+            return _fail(console, problem)
+    if args.seeds < 1:
+        return _fail(console, "--seeds must be >= 1")
     topologies = {name: presets[name] for name in topo_names}
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     counters = JobCounters()
@@ -763,6 +806,8 @@ def cmd_results(args: argparse.Namespace, console: Console) -> int:
                         "errors": problems})
         return 0 if not problems else 1
 
+    if not os.path.exists(args.db):
+        return _store_not_found(console, args.db)
     if args.results_command == "list":
         from repro.results.query import list_runs
         with ResultsStore(args.db) as store:
@@ -794,8 +839,7 @@ def cmd_results(args: argparse.Namespace, console: Console) -> int:
 
 def cmd_serve(args: argparse.Namespace, console: Console) -> int:
     if not os.path.exists(args.db):
-        return _fail(console, f"results store not found: {args.db} "
-                              "(create one with 'repro results ingest')")
+        return _store_not_found(console, args.db)
     if args.check:
         from repro.results.server import check_pages
         problems = check_pages(args.db, traces_dir=args.traces)

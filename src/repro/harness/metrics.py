@@ -17,7 +17,6 @@ from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.port import Port
-    from repro.switch.switch import Switch
 
 
 @dataclass
@@ -209,8 +208,11 @@ class Metrics:
             self.throughput_meters[flow].add_bytes(self.sim.now,
                                                    packet.payload_bytes)
 
-    def on_drop(self, packet: Packet, switch: "Switch",
-                port: "Port") -> None:
+    def on_drop(self, packet: Packet,
+                port: Optional["Port"] = None) -> None:
+        """One discarded packet.  Shaped like the ``Port.on_drop`` hook so
+        switch ports and NIC uplinks install it directly; a switch-level
+        discard (no route, switch down) has no port."""
         self.drops += 1
         for listener in self.drop_listeners:
             listener(packet)

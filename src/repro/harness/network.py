@@ -258,6 +258,8 @@ class Network:
                        cc_factory=self._cc_factory_for(line_rate),
                        transport=self.config.transport)
             nic.uplink = self.topology.attach_nic(nic_id, nic)
+            # A packet lost on the host cable is a drop like any other.
+            nic.uplink.on_drop = self.metrics.on_drop
             nics.append(nic)
         return nics
 
@@ -435,13 +437,12 @@ class Network:
         drop = rec.channel(obs_record.DROP)
         nack = rec.channel(obs_record.NACK)
         pfc = rec.channel(obs_record.PFC)
-        # The two per-packet-rate channels get specialized emitter
-        # closures instead of the recorder itself (Recorder.hop_emitter
-        # / queue_emitters) — one plain call per event, no attribute
-        # loads.
-        hop = pkt.hop_emitter() if pkt is not None else None
-        enq, deq = (queue.queue_emitters() if queue is not None
-                    else (None, None))
+        # The per-packet-rate call sites hold the recorder's emitter
+        # closures instead of the recorder itself — one plain call per
+        # event, no attribute loads.
+        hop = pkt.packet_hop if pkt is not None else None
+        enq, deq = ((queue.queue_enq, queue.queue_deq)
+                    if queue is not None else (None, None))
         for switch in self.topology.switches:
             switch.rec = hop
             switch.rec_drop = drop

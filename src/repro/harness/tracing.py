@@ -25,6 +25,7 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
                           seed: int = 7, message_bytes: int = 20_000,
                           scheme: str = "themis",
                           recorder: Optional[Recorder] = None,
+                          retain_all: bool = False,
                           faults: Optional[dict] = None,
                           watch_flows: bool = False,
                           trace_window_ns: Optional[int] = None,
@@ -33,8 +34,9 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
 
     ``nodes`` must be even and >= 4 (two NICs per ToR).  The default
     recorder keeps every category in the flight ring and retains the
-    NACK category in full for the causality audit; pass your own to
-    retain more (e.g. everything, for a Perfetto export).
+    NACK and FAULT categories in full for the causality audit, or every
+    category (``retain_all``, for a Perfetto export); pass your own
+    ``recorder`` for anything else.
 
     ``faults`` takes a compiled fault-scenario spec
     (:func:`repro.faults.spec.compiled_spec` output or anything it
@@ -46,7 +48,8 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
     if nodes < 4 or nodes % 2:
         raise ValueError("nodes must be even and >= 4")
     if recorder is None:
-        recorder = Recorder(retain={NACK})
+        recorder = Recorder(
+            retain=set(ALL_CATEGORIES) if retain_all else {NACK, FAULT})
     num_tors = nodes // 2
     topo = TopologySpec(kind="leaf_spine", num_tors=num_tors,
                         num_spines=max(2, num_tors // 2),
@@ -69,17 +72,18 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
     return net, recorder
 
 
-def run_traced_alltoall(*, retain_all: bool = False,
-                        ring_capacity: int = 4096,
-                        deadline_ns: int = TRACE_DEADLINE_NS,
-                        **build) -> tuple[Network, Recorder]:
-    """Build (``build`` = :func:`build_traced_alltoall` keywords) and run
-    the traced alltoall; returns (network, recorder).  The NACK and FAULT
-    categories are retained in full, or every category (``retain_all``)."""
-    retain = set(ALL_CATEGORIES) if retain_all else {NACK, FAULT}
-    net, recorder = build_traced_alltoall(
-        recorder=Recorder(ring_capacity=ring_capacity, retain=retain),
-        **build)
+def run_built(net: Network, deadline_ns: int = TRACE_DEADLINE_NS) -> None:
+    """Run a built traced network until its traffic is done (or the
+    deadline), then cancel the NIC timers: the one way a traced run is
+    executed (``repro trace``, ``repro profile``, fault cells)."""
     net.run(until_ns=deadline_ns)
     net.stop()
+
+
+def run_traced_alltoall(*, deadline_ns: int = TRACE_DEADLINE_NS,
+                        **build) -> tuple[Network, Recorder]:
+    """Build (``build`` = :func:`build_traced_alltoall` keywords) and run
+    the traced alltoall; returns (network, recorder)."""
+    net, recorder = build_traced_alltoall(**build)
+    run_built(net, deadline_ns)
     return net, recorder

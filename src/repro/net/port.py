@@ -131,8 +131,8 @@ class Port:
 
         # Observability channels (repro.obs): None when the category is
         # disabled, so the hot path pays one attribute test per packet.
-        # enq/deq are specialized emitter callables
-        # (``Recorder.queue_emitters()``), not the recorder itself.
+        # enq/deq hold the recorder's ``queue_enq``/``queue_deq``
+        # emitters, not the recorder itself.
         self._rec_enq = None
         self._rec_deq = None
         self._rec_drop = None
@@ -225,9 +225,8 @@ class Port:
             self.bytes_sent += wire
             self.packets_sent += 1
             packet.hops += 1
-            # Delivery dispatches straight into the peer's receive():
-            # same (time, seq) the _deliver trampoline consumed, one
-            # Python call less per transmitted packet.
+            # Delivery dispatches straight into the peer's receive(),
+            # no per-packet trampoline.
             self._fire2(tx_ns + self.delay_ns, self._peer_recv,
                         packet, self)
         else:
@@ -236,10 +235,9 @@ class Port:
             self._pump_armed = True
             self._fire(tx_ns, self._pump_cb)
 
-    def _deliver(self, packet: Packet) -> None:
-        self._peer_recv(packet, self)
-
     def _drop(self, packet: Packet, reason: str = "admission") -> None:
+        """Every discard at a port: one DROP record with *reason*, one
+        ``on_drop`` call (``Metrics.on_drop`` on a wired fabric)."""
         self.packets_dropped += 1
         if self._rec_drop is not None:
             self._rec_drop.drop(self.sim.now, self.name, packet, reason)

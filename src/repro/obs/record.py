@@ -15,32 +15,31 @@ Every emitted event additionally lands in a bounded **flight ring**
 dump is always available when a simulation raises, an invariant fails,
 or a job worker crashes.
 
-Storage layout (the traced-run fast path)
------------------------------------------
+Storage layout
+--------------
 Events are stored as compact *struct rows*: flat tuples whose first
 element is an interned **name id** (an index into per-recorder
 ``id -> name/category/materializer`` tables) followed by the scalar
 payload fields in a fixed per-event-type order.  Emitting costs one
 tuple build, one list append, and one integer count bump — no dict is
 built, no ``str(flow)`` or ``f"pfc_{action}"`` string is formatted, and
-dynamic names (queue actions, PFC/fault transitions) are interned once
-per distinct action rather than formatted per event.
+dynamic names (PFC/fault transitions) are interned once per distinct
+action rather than formatted per event.
 
-The legacy record shape ``(time_ns, category, name, location, data)``
-with ``data`` a dict of scalars is **materialized lazily** — only when
-:meth:`records`, :attr:`ring`, or :meth:`dump_flight` is called — and is
-byte-identical to what the eager dict-based recorder produced (golden
-equality tests pin this per category).  ``data`` never holds a live
-:class:`Packet` reference (packets are pooled and recycled); immutable
-``FlowKey`` tuples are safe to hold and are stringified at
-materialization time.
+Each event type builds its row in exactly one place.  The three
+per-packet events (``hop``, ``enq``, ``deq`` — nearly all emits of a
+traced run) are closures built once per recorder that captured the
+ring's ``append``, the counts list and their category's retained list,
+so a call site pays one plain function call; every other emitter is a
+method that hands its row to :meth:`Recorder._emit`.
 
-Per-category **sampling** (``sample={QUEUE: 16}``) keeps every k-th
-event of a category and drops the rest before any recording work
-happens; sampled-out events are invisible (not counted, not ringed).
-
-:meth:`columns` offers a typed columnar view (``array('q')``/list per
-field) of the uniform high-rate categories for offline analysis.
+The record shape every consumer reads, ``(time_ns, category, name,
+location, data)`` with ``data`` a dict of scalars, is **materialized
+lazily** — only when :meth:`records` or :meth:`dump_flight` is called —
+and its dict key order is pinned per event type by golden tests.
+``data`` never holds a live :class:`Packet` reference (packets are
+pooled and recycled); immutable ``FlowKey`` tuples are safe to hold and
+are stringified at materialization time.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import itertools
 import json
 import os
 import weakref
-from array import array
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -87,10 +85,9 @@ class InvariantError(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# Materializers: compact struct row -> legacy (t, cat, name, loc, data).
+# Materializers: compact struct row -> (t, cat, name, loc, data).
 # Field order inside each data dict is load-bearing — dump_flight JSONL
-# and the Perfetto export are byte-compared against the historical
-# dict-based output.
+# and the Perfetto export are byte-compared against pinned CRCs.
 # ----------------------------------------------------------------------
 def _mat_hop(e, name, cat):
     flow = e[5]
@@ -164,8 +161,8 @@ def _mat_fault(e, name, cat):
 
 
 #: Statically-interned names: (name, category, materializer).  Dynamic
-#: names (queue actions, pfc_*/fault_* transitions) are interned on
-#: first use and appended after these.
+#: names (pfc_*/fault_* transitions) are interned on first use and
+#: appended after these.
 _STATIC_NAMES = (
     ("hop", PACKET, _mat_hop),
     ("ecn_mark", ECN, _mat_ecn),
@@ -176,14 +173,46 @@ _STATIC_NAMES = (
     ("nack_cancel", NACK, _mat_nack_cancel),
     ("qp_state", QP, _mat_qp_state),
     ("cc_rate", CC, _mat_cc_rate),
-    # The two queue actions every Port fires on the hot path are
-    # statically interned so queue_enq/queue_deq skip the action lookup.
     ("enq", QUEUE, _mat_queue),
     ("deq", QUEUE, _mat_queue),
 )
 (_ID_HOP, _ID_ECN, _ID_DROP, _ID_NACK_EMIT, _ID_NACK_CLASSIFY,
  _ID_NACK_COMPENSATE, _ID_NACK_CANCEL, _ID_QP_STATE,
  _ID_CC_RATE, _ID_Q_ENQ, _ID_Q_DEQ) = range(len(_STATIC_NAMES))
+
+
+# ----------------------------------------------------------------------
+# Per-packet emitters.  Switch.receive and Port enqueue/dequeue fire
+# these once per packet per hop, so each is a closure over the ring's
+# append, the counts list and the category's retained list (None when
+# unretained): one plain call per event, no ``self`` rebinding and no
+# attribute loads.  Scalar fields are copied at emit time; the only
+# object references stored are immutable (FlowKey tuples, enum members,
+# strings) — never a live pooled Packet, whose fields are recycled
+# after delivery.
+# ----------------------------------------------------------------------
+def _hop_closure(ring_append, counts, retained):
+    def packet_hop(t: int, loc: str, packet: "Packet") -> None:
+        row = (_ID_HOP, t, loc, packet.pkt_id, packet.ptype, packet.flow,
+               packet.psn, packet.epsn, packet.path_index, packet.is_retx)
+        ring_append(row)
+        counts[_ID_HOP] += 1
+        if retained is not None:
+            retained.append(row)
+
+    return packet_hop
+
+
+def _queue_closure(name_id, ring_append, counts, retained):
+    def queue_event(t: int, loc: str, queued_bytes: int,
+                    backlog: int) -> None:
+        row = (name_id, t, loc, queued_bytes, backlog)
+        ring_append(row)
+        counts[name_id] += 1
+        if retained is not None:
+            retained.append(row)
+
+    return queue_event
 
 
 class Recorder:
@@ -202,17 +231,11 @@ class Recorder:
         unbounded append-only buffer of compact rows) for offline
         analysis — e.g. ``{NACK}`` for the causality audit, or all
         categories for a Perfetto export.
-    sample:
-        Optional ``{category: k}`` striding — keep every k-th event of
-        that category, drop the rest before any recording work.  Absent
-        categories (and ``k=1``) record everything.  Sampled-out events
-        do not count toward :meth:`total_events`.
     """
 
     def __init__(self, categories: Optional[Iterable[str]] = None, *,
                  ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 retain: Iterable[str] = (),
-                 sample: Optional[dict] = None) -> None:
+                 retain: Iterable[str] = ()) -> None:
         cats = ALL_CATEGORIES if categories is None else tuple(categories)
         unknown = set(cats) - set(ALL_CATEGORIES)
         if unknown:
@@ -224,59 +247,34 @@ class Recorder:
             raise ValueError(f"unknown retain categories: {sorted(unknown)}")
         # Retaining a disabled category would silently record nothing.
         self.retain = retained & self.enabled
-        sample = dict(sample or {})
-        unknown = set(sample) - set(ALL_CATEGORIES)
-        if unknown:
-            raise ValueError(f"unknown sample categories: {sorted(unknown)}")
-        for cat, k in sample.items():
-            if int(k) < 1:
-                raise ValueError(f"sample stride for {cat} must be >= 1")
-        self.sample = {cat: int(k) for cat, k in sample.items()}
 
         # Interned name tables (index = name id used in struct rows).
         self._names: list[str] = [n for n, _, _ in _STATIC_NAMES]
         self._name_cats: list[str] = [c for _, c, _ in _STATIC_NAMES]
         self._mat: list = [m for _, _, m in _STATIC_NAMES]
         self._counts: list[int] = [0] * len(_STATIC_NAMES)
-        # Dynamic-name intern maps: raw action -> name id.
-        self._queue_ids: dict[str, int] = {"enq": _ID_Q_ENQ,
-                                           "deq": _ID_Q_DEQ}
-        self._pfc_ids: dict[str, int] = {}
-        self._fault_ids: dict[str, int] = {}
+        #: Dynamic names: (category, action) -> name id.
+        self._dynamic_ids: dict[tuple[str, str], int] = {}
 
         # Flight ring: deque of compact rows with C-level auto-evict,
-        # so the hot emitters pay no length check or trim slice.
-        self._cap = int(ring_capacity)
-        self._ring: deque = deque(maxlen=self._cap)
-        # Bound method cached once: every emitter saves one attribute
-        # lookup per event (the ring is never reassigned).
-        self._ring_append = self._ring.append
-
+        # so emitting pays no length check or trim slice.
+        self._ring: deque = deque(maxlen=int(ring_capacity))
         # Retained full buffers (compact rows, objects shared with the
-        # ring) — one attribute per category so the hot emitters pay a
-        # single load instead of a dict lookup.
+        # ring): the one per-category state table.
         self._retained: dict[str, list] = {cat: [] for cat in self.retain}
-        self._ret_packet = self._retained.get(PACKET)
-        self._ret_queue = self._retained.get(QUEUE)
-        self._ret_ecn = self._retained.get(ECN)
-        self._ret_drop = self._retained.get(DROP)
-        self._ret_nack = self._retained.get(NACK)
-        self._ret_pfc = self._retained.get(PFC)
-        self._ret_qp = self._retained.get(QP)
-        self._ret_cc = self._retained.get(CC)
-        self._ret_fault = self._retained.get(FAULT)
 
-        # Sampling strides (1 = keep everything) + seen counters.
-        self._k_packet = self.sample.get(PACKET, 1)
-        self._k_queue = self.sample.get(QUEUE, 1)
-        self._k_ecn = self.sample.get(ECN, 1)
-        self._k_drop = self.sample.get(DROP, 1)
-        self._k_nack = self.sample.get(NACK, 1)
-        self._k_pfc = self.sample.get(PFC, 1)
-        self._k_qp = self.sample.get(QP, 1)
-        self._k_cc = self.sample.get(CC, 1)
-        self._k_fault = self.sample.get(FAULT, 1)
-        self._seen = {cat: 0 for cat in ALL_CATEGORIES}
+        #: Per-packet emitters; call sites hold these attributes directly
+        #: (``switch.rec = recorder.packet_hop``).  Signatures:
+        #: ``packet_hop(t, loc, packet)`` and
+        #: ``queue_enq/queue_deq(t, loc, queued_bytes, backlog)``.
+        ring_append, counts = self._ring.append, self._counts
+        self.packet_hop = _hop_closure(ring_append, counts,
+                                       self._retained.get(PACKET))
+        queued = self._retained.get(QUEUE)
+        self.queue_enq = _queue_closure(_ID_Q_ENQ, ring_append, counts,
+                                        queued)
+        self.queue_deq = _queue_closure(_ID_Q_DEQ, ring_append, counts,
+                                        queued)
 
         self.dumps: list[Path] = []
 
@@ -293,153 +291,45 @@ class Recorder:
         return self if category in self.enabled else None
 
     # ------------------------------------------------------------------
-    # Interning helpers (cold: once per distinct dynamic name)
+    # Typed emitters: each builds its event type's row and hands it to
+    # _emit.  Same copy-scalars-at-emit-time rule as the closures above.
     # ------------------------------------------------------------------
-    def _intern(self, name: str, cat: str, mat) -> int:
-        name_id = len(self._names)
-        self._names.append(name)
-        self._name_cats.append(cat)
-        self._mat.append(mat)
-        self._counts.append(0)
-        return name_id
-
-    def _sampled_out(self, cat: str, k: int) -> bool:
-        seen = self._seen[cat] + 1
-        self._seen[cat] = seen
-        return bool(seen % k)
-
-    # ------------------------------------------------------------------
-    # Specialized emitter closures for the two hottest call sites
-    # (Switch.receive and Port enqueue/dequeue).  A closure that
-    # captured the ring/counts once costs a plain function call per
-    # event — no ``self`` rebinding and no per-emit attribute loads —
-    # which is worth ~25% of the whole tracing overhead at full rate.
-    # Non-default configurations (sampling, retention, subclassed
-    # emitters) fall back to the bound methods below.
-    # ------------------------------------------------------------------
-    def hop_emitter(self):
-        """Callable for ``Switch.rec``: same signature as
-        :meth:`packet_hop`."""
-        if (type(self).packet_hop is not Recorder.packet_hop
-                or self._k_packet != 1 or self._ret_packet is not None):
-            return self.packet_hop
-        ring_append = self._ring_append
-        counts = self._counts
-
-        def emit_hop(t, loc, pkt):
-            ring_append((_ID_HOP, t, loc, pkt.pkt_id, pkt.ptype, pkt.flow,
-                         pkt.psn, pkt.epsn, pkt.path_index, pkt.is_retx))
-            counts[_ID_HOP] += 1
-
-        return emit_hop
-
-    def queue_emitters(self):
-        """``(enq, deq)`` callables for ``Port._rec_enq/_rec_deq``: same
-        signatures as :meth:`queue_enq`/:meth:`queue_deq`."""
-        if (type(self).queue_enq is not Recorder.queue_enq
-                or type(self).queue_deq is not Recorder.queue_deq
-                or self._k_queue != 1 or self._ret_queue is not None):
-            return self.queue_enq, self.queue_deq
-        ring_append = self._ring_append
-        counts = self._counts
-
-        def emit_enq(t, loc, queued_bytes, backlog):
-            ring_append((_ID_Q_ENQ, t, loc, queued_bytes, backlog))
-            counts[_ID_Q_ENQ] += 1
-
-        def emit_deq(t, loc, queued_bytes, backlog):
-            ring_append((_ID_Q_DEQ, t, loc, queued_bytes, backlog))
-            counts[_ID_Q_DEQ] += 1
-
-        return emit_enq, emit_deq
-
-    # ------------------------------------------------------------------
-    # Typed emitters.  The ring append / count bump / retain append is
-    # inlined in each (no helper call on the hot path).  Scalar fields
-    # are copied at emit time; the only object references stored are
-    # immutable (FlowKey tuples, enum members, strings) — never a live
-    # pooled Packet, whose fields are recycled after delivery.
-    # ------------------------------------------------------------------
-    def packet_hop(self, t: int, loc: str, packet: "Packet") -> None:
-        if self._k_packet != 1 and self._sampled_out(PACKET,
-                                                     self._k_packet):
-            return
-        row = (_ID_HOP, t, loc, packet.pkt_id, packet.ptype, packet.flow,
-               packet.psn, packet.epsn, packet.path_index, packet.is_retx)
-        self._ring_append(row)
-        self._counts[_ID_HOP] += 1
-        if self._ret_packet is not None:
-            self._ret_packet.append(row)
-
-    def queue_enq(self, t: int, loc: str, queued_bytes: int,
-                  backlog: int) -> None:
-        """``queue_sample(..., "enq", ...)`` minus the action lookup —
-        the Port hot path fires this once per enqueued packet."""
-        if self._k_queue != 1 and self._sampled_out(QUEUE, self._k_queue):
-            return
-        row = (_ID_Q_ENQ, t, loc, queued_bytes, backlog)
-        self._ring_append(row)
-        self._counts[_ID_Q_ENQ] += 1
-        if self._ret_queue is not None:
-            self._ret_queue.append(row)
-
-    def queue_deq(self, t: int, loc: str, queued_bytes: int,
-                  backlog: int) -> None:
-        if self._k_queue != 1 and self._sampled_out(QUEUE, self._k_queue):
-            return
-        row = (_ID_Q_DEQ, t, loc, queued_bytes, backlog)
-        self._ring_append(row)
-        self._counts[_ID_Q_DEQ] += 1
-        if self._ret_queue is not None:
-            self._ret_queue.append(row)
-
-    def queue_sample(self, t: int, loc: str, action: str,
-                     queued_bytes: int, backlog: int) -> None:
-        """Enqueue/dequeue with the resulting queue depth."""
-        if self._k_queue != 1 and self._sampled_out(QUEUE, self._k_queue):
-            return
-        name_id = self._queue_ids.get(action)
-        if name_id is None:
-            name_id = self._queue_ids[action] = self._intern(
-                action, QUEUE, _mat_queue)
-        row = (name_id, t, loc, queued_bytes, backlog)
-        self._ring_append(row)
+    def _emit(self, row: tuple) -> None:
+        """Ring append, count bump, retained append for one row."""
+        name_id = row[0]
+        self._ring.append(row)
         self._counts[name_id] += 1
-        if self._ret_queue is not None:
-            self._ret_queue.append(row)
+        retained = self._retained.get(self._name_cats[name_id])
+        if retained is not None:
+            retained.append(row)
+
+    def _dynamic_id(self, cat: str, action: str, mat) -> int:
+        """Name id of ``<cat>_<action>``, interned on first use so the
+        display name is formatted once per distinct action, not once
+        per event."""
+        name_id = self._dynamic_ids.get((cat, action))
+        if name_id is None:
+            name_id = self._dynamic_ids[cat, action] = len(self._names)
+            self._names.append(f"{cat}_{action}")
+            self._name_cats.append(cat)
+            self._mat.append(mat)
+            self._counts.append(0)
+        return name_id
 
     def ecn_mark(self, t: int, loc: str, packet: "Packet",
                  queued_bytes: int) -> None:
-        if self._k_ecn != 1 and self._sampled_out(ECN, self._k_ecn):
-            return
-        row = (_ID_ECN, t, loc, packet.pkt_id, packet.psn, packet.flow,
-               queued_bytes)
-        self._ring_append(row)
-        self._counts[_ID_ECN] += 1
-        if self._ret_ecn is not None:
-            self._ret_ecn.append(row)
+        self._emit((_ID_ECN, t, loc, packet.pkt_id, packet.psn,
+                    packet.flow, queued_bytes))
 
     def drop(self, t: int, loc: str, packet: "Packet",
              reason: str = "tail") -> None:
-        if self._k_drop != 1 and self._sampled_out(DROP, self._k_drop):
-            return
-        row = (_ID_DROP, t, loc, packet.pkt_id, packet.ptype, packet.flow,
-               packet.psn, reason)
-        self._ring_append(row)
-        self._counts[_ID_DROP] += 1
-        if self._ret_drop is not None:
-            self._ret_drop.append(row)
+        self._emit((_ID_DROP, t, loc, packet.pkt_id, packet.ptype,
+                    packet.flow, packet.psn, reason))
 
     def nack_emit(self, t: int, loc: str, flow: "FlowKey", epsn: int,
                   trigger_psn: Optional[int]) -> None:
         """A receiver generated a NACK for *epsn* on seeing *trigger_psn*."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
-        row = (_ID_NACK_EMIT, t, loc, flow, epsn, trigger_psn)
-        self._ring_append(row)
-        self._counts[_ID_NACK_EMIT] += 1
-        if self._ret_nack is not None:
-            self._ret_nack.append(row)
+        self._emit((_ID_NACK_EMIT, t, loc, flow, epsn, trigger_psn))
 
     def nack_classify(self, t: int, loc: str, flow: "FlowKey", epsn: int,
                       verdict: str, *, tpsn: Optional[int] = None,
@@ -447,71 +337,30 @@ class Recorder:
                       armed: bool = False,
                       guard: Optional[str] = None) -> None:
         """Themis-D decision for one NACK (Eq. 3 evaluation)."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
-        row = (_ID_NACK_CLASSIFY, t, loc, flow, epsn, verdict, tpsn,
-               n_paths, ring_len, armed, guard)
-        self._ring_append(row)
-        self._counts[_ID_NACK_CLASSIFY] += 1
-        if self._ret_nack is not None:
-            self._ret_nack.append(row)
+        self._emit((_ID_NACK_CLASSIFY, t, loc, flow, epsn, verdict, tpsn,
+                    n_paths, ring_len, armed, guard))
 
     def nack_compensate(self, t: int, loc: str, flow: "FlowKey",
                         bepsn: int, prove_psn: int) -> None:
         """A previously blocked ePSN was proven lost; NACK regenerated."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
-        row = (_ID_NACK_COMPENSATE, t, loc, flow, bepsn, prove_psn)
-        self._ring_append(row)
-        self._counts[_ID_NACK_COMPENSATE] += 1
-        if self._ret_nack is not None:
-            self._ret_nack.append(row)
+        self._emit((_ID_NACK_COMPENSATE, t, loc, flow, bepsn, prove_psn))
 
     def nack_cancel(self, t: int, loc: str, flow: "FlowKey", bepsn: int,
                     reason: str) -> None:
         """Armed compensation dismissed (the blocked ePSN showed up)."""
-        if self._k_nack != 1 and self._sampled_out(NACK, self._k_nack):
-            return
-        row = (_ID_NACK_CANCEL, t, loc, flow, bepsn, reason)
-        self._ring_append(row)
-        self._counts[_ID_NACK_CANCEL] += 1
-        if self._ret_nack is not None:
-            self._ret_nack.append(row)
+        self._emit((_ID_NACK_CANCEL, t, loc, flow, bepsn, reason))
 
     def pfc(self, t: int, loc: str, action: str,
             occupancy_bytes: int) -> None:
-        if self._k_pfc != 1 and self._sampled_out(PFC, self._k_pfc):
-            return
-        name_id = self._pfc_ids.get(action)
-        if name_id is None:
-            # The display name is formatted once per distinct action,
-            # not once per event.
-            name_id = self._pfc_ids[action] = self._intern(
-                f"pfc_{action}", PFC, _mat_pfc)
-        row = (name_id, t, loc, occupancy_bytes)
-        self._ring_append(row)
-        self._counts[name_id] += 1
-        if self._ret_pfc is not None:
-            self._ret_pfc.append(row)
+        self._emit((self._dynamic_id(PFC, action, _mat_pfc), t, loc,
+                    occupancy_bytes))
 
     def qp_state(self, t: int, loc: str, flow: "FlowKey", state: str,
                  **detail) -> None:
-        if self._k_qp != 1 and self._sampled_out(QP, self._k_qp):
-            return
-        row = (_ID_QP_STATE, t, loc, flow, state, detail)
-        self._ring_append(row)
-        self._counts[_ID_QP_STATE] += 1
-        if self._ret_qp is not None:
-            self._ret_qp.append(row)
+        self._emit((_ID_QP_STATE, t, loc, flow, state, detail))
 
     def cc_rate(self, t: int, loc: str, rate_bps: float) -> None:
-        if self._k_cc != 1 and self._sampled_out(CC, self._k_cc):
-            return
-        row = (_ID_CC_RATE, t, loc, rate_bps)
-        self._ring_append(row)
-        self._counts[_ID_CC_RATE] += 1
-        if self._ret_cc is not None:
-            self._ret_cc.append(row)
+        self._emit((_ID_CC_RATE, t, loc, rate_bps))
 
     def fault(self, t: int, loc: str, action: str, **detail) -> None:
         """An injected failure (or its recovery) took effect at *loc*.
@@ -523,45 +372,22 @@ class Recorder:
         audit relies on these events to explain every compensation
         decision made around a path failure.
         """
-        if self._k_fault != 1 and self._sampled_out(FAULT, self._k_fault):
-            return
-        name_id = self._fault_ids.get(action)
-        if name_id is None:
-            name_id = self._fault_ids[action] = self._intern(
-                f"fault_{action}", FAULT, _mat_fault)
-        row = (name_id, t, loc, detail)
-        self._ring_append(row)
-        self._counts[name_id] += 1
-        if self._ret_fault is not None:
-            self._ret_fault.append(row)
+        self._emit((self._dynamic_id(FAULT, action, _mat_fault), t, loc,
+                    detail))
 
     # ------------------------------------------------------------------
-    # Lazy materialization
+    # Queries (lazy materialization)
     # ------------------------------------------------------------------
     def _materialize(self, entry: tuple):
         name_id = entry[0]
         return self._mat[name_id](entry, self._names[name_id],
                                   self._name_cats[name_id])
 
-    @property
-    def ring(self) -> deque:
-        """Materialized flight-ring view (legacy record tuples).
-
-        Built lazily on access; the underlying storage is the compact
-        struct-row deque.  Kept as a ``deque`` with ``maxlen`` for
-        drop-in compatibility with the eager recorder's ring attribute.
-        """
-        mat = self._materialize
-        return deque((mat(e) for e in self._ring), maxlen=self._cap)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def records(self, category: Optional[str] = None) -> list:
         """Recorded events for one category (retained buffer when the
         category is retained, else whatever survives in the flight ring);
-        all ring contents when *category* is ``None``.  Records are
-        materialized to the legacy ``(t, cat, name, loc, data)`` shape."""
+        all ring contents when *category* is ``None``.  Each record is a
+        ``(t, cat, name, loc, data)`` tuple."""
         mat = self._materialize
         if category is None:
             return [mat(e) for e in self._ring]
@@ -584,68 +410,6 @@ class Recorder:
         """Per-event-name counts plus a total, for Metrics.summary()."""
         out = dict(sorted(self.counts.items()))
         out["total"] = self.total_events()
-        return out
-
-    # ------------------------------------------------------------------
-    # Typed columnar export
-    # ------------------------------------------------------------------
-    #: Column layouts of the uniform (fixed-row) categories:
-    #: field name -> (array typecode or None for a list, row extractor;
-    #: a ``None`` extractor means "interned event name").
-    _COLUMN_SPECS = {
-        PACKET: (("t", "q", lambda e: e[1]),
-                 ("loc", None, lambda e: e[2]),
-                 ("pkt_id", "q", lambda e: e[3]),
-                 ("ptype", None, lambda e: e[4].value),
-                 ("src", "q", lambda e: e[5].src),
-                 ("dst", "q", lambda e: e[5].dst),
-                 ("qp", "q", lambda e: e[5].qp),
-                 ("psn", "q", lambda e: e[6]),
-                 ("epsn", "q", lambda e: e[7]),
-                 ("path_index", "q", lambda e: e[8]),
-                 ("is_retx", "b", lambda e: e[9])),
-        QUEUE: (("t", "q", lambda e: e[1]),
-                ("loc", None, lambda e: e[2]),
-                ("name", None, None),
-                ("queued_bytes", "q", lambda e: e[3]),
-                ("backlog_pkts", "q", lambda e: e[4])),
-        CC: (("t", "q", lambda e: e[1]),
-             ("loc", None, lambda e: e[2]),
-             ("rate_bps", "d", lambda e: e[3])),
-        PFC: (("t", "q", lambda e: e[1]),
-              ("loc", None, lambda e: e[2]),
-              ("name", None, None),
-              ("occupancy_bytes", "q", lambda e: e[3])),
-    }
-
-    def columns(self, category: str) -> dict:
-        """Typed columnar view of a uniform category's recorded rows.
-
-        Returns ``{field: array.array | list}`` built lazily from the
-        retained buffer (or the ring, when the category is unretained).
-        Only the fixed-row categories (packet/queue/cc/pfc) support
-        this; variable-shape categories raise ``ValueError``.
-        """
-        spec = self._COLUMN_SPECS.get(category)
-        if spec is None:
-            raise ValueError(
-                f"category {category!r} has no uniform column layout")
-        rows = self._retained.get(category)
-        if rows is None:
-            cats = self._name_cats
-            rows = [e for e in self._ring if cats[e[0]] == category]
-        names = self._names
-        out: dict = {}
-        for field, typecode, extract in spec:
-            if extract is None:
-                out[field] = [names[e[0]] for e in rows]
-            elif typecode is None:
-                out[field] = [extract(e) for e in rows]
-            else:
-                out[field] = array(typecode,
-                                   (int(extract(e)) for e in rows)
-                                   if typecode != "d"
-                                   else (extract(e) for e in rows))
         return out
 
     # ------------------------------------------------------------------

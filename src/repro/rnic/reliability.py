@@ -1,6 +1,6 @@
 """Receiver-side reliable transports.
 
-Three generations are modelled (§1, §2.2):
+Three generations and one proposal are modelled (§1, §2.2):
 
 * :class:`NicSrReceiver` — current-generation commodity RNICs (CX-6/7,
   BF3): out-of-order reception into a bitmap + selective repeat.  The
@@ -13,8 +13,12 @@ Three generations are modelled (§1, §2.2):
   never NACKs; real losses are repaired by an oracle notification straight
   to the sender (wired up by the harness), so it isolates the cost of
   spurious retransmissions and slow starts.
+* :class:`MpRdmaReceiver` — the §2.3 what-if: selective repeat whose NACK
+  also carries the trigger PSN.
 
-All receivers share cumulative-ACK emission with coalescing, per-QP CNP
+The three OOO-tolerant receivers are one selective-repeat machine
+(:class:`SrReceiver`) and differ only in their ``nack_policy``.  All
+receivers share cumulative-ACK emission with coalescing, per-QP CNP
 generation for DCQCN, and message-completion bookkeeping.
 """
 
@@ -37,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class ReceiverQp:
     """Common receiver-side state: ACK/CNP emission and completions."""
+
+    #: What an out-of-order arrival makes this receiver send: ``None``
+    #: (nothing), ``"epsn"`` (a NACK carrying only the expected PSN) or
+    #: ``"epsn+trigger"`` (the NACK also names the arrival that caused it).
+    nack_policy: Optional[str] = "epsn"
 
     def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
                  config: RnicConfig, metrics: "Metrics") -> None:
@@ -130,24 +139,21 @@ class ReceiverQp:
         self.nic.transmit(_make(PacketType.ACK, self._ctrl_flow, 0,
                                 self.epsn))
 
-    def _send_nack(self, trigger_psn: int | None = None, *,
-                   observed_psn: int | None = None) -> None:
-        """Emit a NACK for the current ePSN.
+    def _send_nack(self, observed_psn: int) -> None:
+        """Emit a NACK for the current ePSN, caused by the out-of-order
+        arrival *observed_psn*.
 
-        Commodity RNICs do not include the trigger PSN (§2.2); the
-        MPRDMA-style transport overrides ``trigger_psn`` to stamp it
-        into the packet's ``psn`` field.  ``observed_psn`` is telemetry
-        only — the OOO arrival that caused this NACK — and never touches
-        the wire format.
+        Commodity RNICs do not include the trigger PSN (§2.2), so there
+        it is telemetry only; under the MPRDMA-style ``"epsn+trigger"``
+        policy it is stamped into the packet's ``psn`` field.
         """
         self.metrics.on_nack_generated(self.flow)
         if self.rec_nack is not None:
-            self.rec_nack.nack_emit(
-                self.sim.now, self.nic.name, self.flow, self.epsn,
-                trigger_psn if trigger_psn is not None else observed_psn)
+            self.rec_nack.nack_emit(self.sim.now, self.nic.name, self.flow,
+                                    self.epsn, observed_psn)
         nack = _make(PacketType.NACK, self._ctrl_flow, 0, self.epsn)
-        if trigger_psn is not None:
-            nack.psn = trigger_psn
+        if self.nack_policy == "epsn+trigger":
+            nack.psn = observed_psn
         self.nic.transmit(nack)
 
     def _maybe_send_cnp(self) -> None:
@@ -165,8 +171,9 @@ class ReceiverQp:
             self._ack_event = None
 
 
-class NicSrReceiver(ReceiverQp):
-    """Selective-repeat receiver of current commodity RNICs (§2.2)."""
+class SrReceiver(ReceiverQp):
+    """Selective repeat: out-of-order arrivals are kept in a tracker and
+    answered according to the subclass's ``nack_policy``."""
 
     def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
                  config: RnicConfig, metrics: "Metrics") -> None:
@@ -190,15 +197,20 @@ class NicSrReceiver(ReceiverQp):
             self._note_advance(self.epsn - old)
             self._check_completions()
             return
-        # PSN > ePSN: out-of-order arrival.  The commodity RNIC cannot
+        # PSN > ePSN: out-of-order arrival.  A NACKing receiver cannot
         # tell multi-path skew from loss, assumes loss, and NACKs the
         # expected PSN — but only once per ePSN value.
         self.stats.receiver_ooo += 1
         self.metrics.on_delivered(self.flow, packet)
         self.tracker.add(psn)
-        if not self.nack_sent_for_epsn:
+        if self.nack_policy is not None and not self.nack_sent_for_epsn:
             self.nack_sent_for_epsn = True
-            self._send_nack(observed_psn=psn)
+            self._send_nack(psn)
+
+
+class NicSrReceiver(SrReceiver):
+    """Selective-repeat receiver of current commodity RNICs (§2.2): the
+    NACK carries only the ePSN."""
 
 
 class GbnReceiver(ReceiverQp):
@@ -227,35 +239,17 @@ class GbnReceiver(ReceiverQp):
         self.ooo_dropped += 1
         if not self.nack_sent_for_epsn:
             self.nack_sent_for_epsn = True
-            self._send_nack(observed_psn=psn)
+            self._send_nack(psn)
 
 
-class IdealReceiver(ReceiverQp):
-    """Oracle transport: OOO-tolerant, loss repaired out of band."""
+class IdealReceiver(SrReceiver):
+    """Oracle transport: OOO-tolerant, never NACKs, loss repaired out of
+    band (the harness wires drops straight to the sender)."""
 
-    def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
-                 config: RnicConfig, metrics: "Metrics") -> None:
-        super().__init__(sim, nic, flow, config, metrics)
-        self.tracker = OooTracker()
-
-    def _handle_data(self, packet: Packet) -> None:
-        psn = packet.psn
-        if psn < self.epsn or psn in self.tracker:
-            self.stats.receiver_duplicates += 1
-            self._schedule_delayed_ack()
-            return
-        self.metrics.on_delivered(self.flow, packet)
-        if psn == self.epsn:
-            old = self.epsn
-            self.epsn = self.tracker.advance(psn + 1)
-            self._note_advance(self.epsn - old)
-            self._check_completions()
-        else:
-            self.stats.receiver_ooo += 1
-            self.tracker.add(psn)
+    nack_policy = None
 
 
-class MpRdmaReceiver(NicSrReceiver):
+class MpRdmaReceiver(SrReceiver):
     """MPRDMA-style transport: NACKs carry the trigger PSN (§2.3).
 
     Multi-path RDMA transport proposals fix the ambiguity at the NIC:
@@ -266,26 +260,7 @@ class MpRdmaReceiver(NicSrReceiver):
     this; it lives here as the what-if comparator.
     """
 
-    def _handle_data(self, packet: Packet) -> None:
-        psn = packet.psn
-        if psn < self.epsn or psn in self.tracker:
-            self.stats.receiver_duplicates += 1
-            self._schedule_delayed_ack()
-            return
-        if psn == self.epsn:
-            self.metrics.on_delivered(self.flow, packet)
-            old = self.epsn
-            self.epsn = self.tracker.advance(psn + 1)
-            self.nack_sent_for_epsn = False
-            self._note_advance(self.epsn - old)
-            self._check_completions()
-            return
-        self.stats.receiver_ooo += 1
-        self.metrics.on_delivered(self.flow, packet)
-        self.tracker.add(psn)
-        if not self.nack_sent_for_epsn:
-            self.nack_sent_for_epsn = True
-            self._send_nack(trigger_psn=psn)
+    nack_policy = "epsn+trigger"
 
 
 RECEIVER_CLASSES = {

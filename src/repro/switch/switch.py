@@ -137,8 +137,7 @@ class Switch(Device):
         #: Optional PFC state machine (see repro.switch.pfc); installed
         #: by the harness when the fabric runs lossless.
         self.pfc = None
-        #: Packet-hop emitter callable (``Recorder.hop_emitter()``);
-        #: None = disabled.
+        #: Packet-hop emitter (``recorder.packet_hop``); None = disabled.
         self.rec = None
         #: DROP observability channel (repro.obs); None = disabled.
         self.rec_drop = None
@@ -158,7 +157,8 @@ class Switch(Device):
         port = Port(self.sim, self, bandwidth_bps=bandwidth_bps,
                     delay_ns=delay_ns)
         port.policy = self._policy
-        port.on_drop = self._record_drop
+        if self.metrics is not None:
+            port.on_drop = self.metrics.on_drop
         return port
 
     def add_middleware(self, mw: Middleware) -> None:
@@ -172,8 +172,7 @@ class Switch(Device):
         # middleware) are loaded once; the route lookup is a plain dict
         # subscript (no bound-method call) with the miss handled cold.
         if not self.active:
-            self._drop_inactive(packet)
-            return
+            return self._discard(packet, "switch_down")
         rec = self.rec
         if rec is not None:
             rec(self.sim.now, self.name, packet)
@@ -231,12 +230,19 @@ class Switch(Device):
         """
         if not self.routes_degraded:
             raise LookupError(f"{self.name}: no route to NIC {packet.dst}")
-        if self.rec_drop is not None:
-            self.rec_drop.drop(self.sim.now, self.name, packet, "no_route")
-        if self.metrics is not None:
-            self.metrics.on_drop(packet, self, None)
+        self._discard(packet, "no_route")
         if self.pfc is not None:
             self.pfc.on_egress(packet)  # never enqueued: credit
+
+    def _discard(self, packet: Packet, reason: str) -> None:
+        """The packet dies at the switch itself rather than at one of its
+        ports (``no_route``, or ``switch_down``: a rebooting switch
+        blackholes every arrival before the ingress stage).  Accounted
+        like a port drop: one DROP record, one ``Metrics.on_drop``."""
+        if self.rec_drop is not None:
+            self.rec_drop.drop(self.sim.now, self.name, packet, reason)
+        if self.metrics is not None:
+            self.metrics.on_drop(packet)
 
     def _select(self, packet: Packet, candidates: list[Port]) -> Port:
         if len(candidates) == 1:
@@ -281,14 +287,3 @@ class Switch(Device):
         for port in self.ports:
             flushed += port.flush(reason)
         return flushed
-
-    def _drop_inactive(self, packet: Packet) -> None:
-        """Account a packet blackholed by an inactive (rebooting) switch."""
-        if self.rec is not None:
-            self.rec(self.sim.now, self.name, packet)
-        if self.metrics is not None:
-            self.metrics.on_drop(packet, self, None)
-
-    def _record_drop(self, packet: Packet, port: Port) -> None:
-        if self.metrics is not None:
-            self.metrics.on_drop(packet, self, port)

@@ -3,8 +3,9 @@
 Whatever combination of flaps, degradations, latency shifts, gray loss,
 and spine reboots a scenario throws at the fabric, once every fault has
 healed the conservation laws must hold: all traffic completes, switch
-buffers balance to zero, port busy time never exceeds elapsed time, and
-retransmissions exactly account for the extra transmissions.
+buffers balance to zero, port busy time never exceeds elapsed time,
+retransmissions exactly account for the extra transmissions, and every
+discarded packet is counted once and recorded once.
 """
 
 from hypothesis import (HealthCheck, example, given, settings,
@@ -15,10 +16,12 @@ from repro.faults.spec import (LatencyShift, LinkFlap, RandomLoss,
                                RateDegrade, Scenario, SwitchReboot)
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey
+from repro.obs.record import DROP, Recorder
 
 TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
                     nics_per_tor=2, link_bandwidth_bps=25e9)
-LINKS = ["tor0:spine0", "tor0:spine1", "tor1:spine0", "tor1:spine1"]
+LINKS = ["tor0:spine0", "tor0:spine1", "tor1:spine0", "tor1:spine1",
+         "tor0:nic0", "tor1:nic3"]  # fabric links + two host cables
 LONG = 120_000_000_000
 
 times = st.floats(0, 200, allow_nan=False, allow_infinity=False)
@@ -63,8 +66,9 @@ PARTITION_FLOWS = [(0, 1, 10_000), (0, 2, 35_147)]
 @example(seed=0, layers=PARTITION, workload=PARTITION_FLOWS)
 def test_conservation_under_random_fault_schedules(seed, layers,
                                                    workload):
+    recorder = Recorder(retain={DROP})
     net = Network(NetworkConfig(topology=TOPO, scheme="themis",
-                                seed=seed))
+                                seed=seed), recorder=recorder)
     scenario = Scenario("prop")
     for fault_layer in layers:
         scenario.add(fault_layer)
@@ -107,6 +111,12 @@ def test_conservation_under_random_fault_schedules(seed, layers,
             assert port.bandwidth_bps == port.nominal_bandwidth_bps
             assert port.delay_ns == port.nominal_delay_ns
             assert port.loss_rate == 0.0
+
+    # 7. One drop path: every discard, at a switch port, a NIC uplink or
+    #    a switch that is down or routeless, is one counter increment
+    #    and one DROP record.
+    assert (net.metrics.drops == recorder.counts.get("drop", 0)
+            == len(recorder.records(DROP)))
 
 
 @settings(max_examples=10, deadline=None,

@@ -250,6 +250,65 @@ class TestPartition:
             net.run(until_ns=LONG)
 
 
+def nic_flap():
+    """A host cable fails mid-transfer: nic0's uplink drops what it was
+    serializing and queueing, tor0's down port what was headed to nic0."""
+    return Scenario("nic-flap", workload={"nodes": 8,
+                                          "message_bytes": 200_000}
+                    ).add(LinkFlap(link="tor0:nic0", at_us=40, down_us=80))
+
+
+class TestDropAccounting:
+    """Wherever a packet dies — switch port, NIC uplink, a switch that is
+    down or has no route — it is one ``Metrics.drops`` increment and one
+    DROP record with a reason."""
+
+    @pytest.mark.parametrize("scheme", ["themis", "rps"])
+    @pytest.mark.parametrize("scenario", ["spine-reboot", "nic-flap",
+                                          "gray-failure"])
+    def test_every_drop_counted_and_recorded_once(self, scenario, scheme):
+        from repro.faults.scenarios import builtin
+        from repro.harness.tracing import run_traced_alltoall
+
+        spec = nic_flap() if scenario == "nic-flap" else builtin(scenario)
+        net, recorder = run_traced_alltoall(
+            nodes=8, loss=0.0, seed=1, scheme=scheme, retain_all=True,
+            message_bytes=spec.workload["message_bytes"], faults=spec)
+        drops = recorder.records(DROP)
+        assert net.metrics.drops > 0
+        assert (net.metrics.drops == recorder.counts.get("drop", 0)
+                == len(drops))
+        assert all(r[4]["reason"] for r in drops)
+        assert net.metrics.all_flows_done()
+        for switch in net.topology.switches:
+            assert switch.buffer.used_bytes == 0
+        if scenario == "spine-reboot":
+            blackholed = [r for r in drops
+                          if r[4]["reason"] == "switch_down"]
+            assert blackholed
+            assert {r[3] for r in blackholed} == {"spine0"}
+
+    def test_ideal_oracle_hears_nic_side_losses(self):
+        """Fig. 1d's oracle repairs every loss out of band, so a host
+        cable flap must cost the flows that lost packets on it no RTO."""
+        from repro.harness.workload import alltoall_pairs, post_messages
+        from repro.sim.engine import MS
+
+        topo = TopologySpec(kind="leaf_spine", num_tors=4, num_spines=2,
+                            nics_per_tor=2, link_bandwidth_bps=100e9)
+        net = Network(NetworkConfig(topology=topo, scheme="rps",
+                                    transport="ideal", seed=1))
+        post_messages(net, alltoall_pairs(8), 200_000, on_done=net.stop)
+        install(net, nic_flap())
+        net.run(until_ns=LONG)
+        assert net.metrics.all_flows_done()
+        assert net.nics[0].uplink.packets_dropped > 0
+        from_nic0 = [s for f, s in net.metrics.flows.items() if f.src == 0]
+        assert len(from_nic0) == 7
+        assert all(s.timeouts == 0 for s in from_nic0)
+        assert net.traffic.done_ns < MS
+
+
 class TestPfcStorm:
     def scenario(self):
         return Scenario("storm").add(

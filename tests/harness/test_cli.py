@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.harness.cli import build_parser, main
@@ -150,9 +152,10 @@ class TestTraceCommand:
         assert json.loads(lines[0])["meta"] == "repro-flight-recorder"
         assert all(json.loads(ln) for ln in lines)
 
-    def test_odd_node_count_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            main(["trace", "--nodes", "5"])
+    def test_odd_node_count_rejected(self, capsys):
+        assert main(["trace", "--nodes", "5"]) == 2
+        assert capsys.readouterr().out == (
+            "error: nodes must be even and >= 4\n")
 
 
 class TestProfileCommand:
@@ -208,6 +211,54 @@ class TestUnwritableOutput:
         assert main(["--quiet", "profile", "--nodes", "4", "--bytes",
                      "2000", "--out", str(target)]) == 0
         assert target.read_text().startswith("{")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--nodes", "2"],
+        ["trace", "--nodes", "8", "--fault-link", "tor0:nope"],
+        ["pathmap", "--k", "3"],
+        ["memory", "--factor", "0.5"],
+        ["arena", "--quick", "--lbs", "nope"],
+        ["arena", "--quick", "--transports", "nope"],
+        ["arena", "--quick", "--ccs", "nope"],
+        ["arena", "--quick", "--workloads", ""],
+        ["arena", "--quick", "--topos", "nope"],
+        ["arena", "--quick", "--seeds", "0"],
+        ["sweep", "--schemes", "nope"],
+        ["faults", "run", "--name", "link-flap-smoke", "--seeds", "0"],
+    ])
+    def test_one_error_line_and_nothing_runs(self, argv, capsys,
+                                             monkeypatch):
+        """A value no run could use is one ``error:`` line and exit code
+        2 before any simulation or job starts, not a traceback after."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("something ran")
+
+        monkeypatch.setattr("repro.harness.network.Network.run", no_run)
+        monkeypatch.setattr("repro.harness.jobs.JobRunner.run", no_run)
+        assert main(argv) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("error: ")
+
+    def test_failure_inside_a_running_simulation_still_raises(
+            self, monkeypatch):
+        def broken(self, until_ns=None):
+            raise ValueError("mid-run")
+
+        monkeypatch.setattr("repro.harness.network.Network.run", broken)
+        with pytest.raises(ValueError, match="mid-run"):
+            main(["--quiet", "trace", "--nodes", "4"])
+
+    @pytest.mark.parametrize("command", [["list"], ["show", "1"]])
+    def test_reading_a_missing_store_does_not_create_it(
+            self, command, tmp_path, capsys):
+        db = str(tmp_path / "missing.sqlite")
+        assert main(["results", *command, "--db", db]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"error: results store not found: {db} "
+                       "(create one with 'repro results ingest')"]
+        assert not os.path.exists(db)
 
 
 class TestFaultsCommand:

@@ -104,6 +104,6 @@ class TestMetrics:
         seen = []
         metrics.drop_listeners.append(seen.append)
         pkt = data_packet(FlowKey(0, 1), 0, 100)
-        metrics.on_drop(pkt, None, None)
+        metrics.on_drop(pkt)
         assert seen == [pkt]
         assert metrics.drops == 1

@@ -1,6 +1,6 @@
-"""Golden-equality tests for the columnar Recorder.
+"""Golden-equality tests for the Recorder's compact rows.
 
-The Recorder stores compact struct rows and materializes the legacy
+The Recorder stores compact struct rows and materializes the
 ``(t, cat, name, loc, data)`` record shape lazily.  These tests pin the
 materialized output — values AND dict key order — for every category, so
 a storage-layout change can never silently alter what consumers
@@ -10,13 +10,10 @@ built without a recorder (or with every category disabled) must never
 invoke an emitter at all.
 """
 
-from array import array
 from types import SimpleNamespace
 
-import pytest
-
-from repro.obs.record import (ALL_CATEGORIES, CC, DROP, ECN, FAULT, NACK,
-                              PACKET, PFC, QP, QUEUE, Recorder)
+from repro.obs.record import (CC, DROP, ECN, FAULT, NACK, PACKET, PFC, QP,
+                              QUEUE, Recorder)
 
 
 class _Flow:
@@ -56,23 +53,16 @@ class TestGoldenEquality:
 
     def test_queue_sample(self):
         rec = Recorder()
-        rec.queue_sample(7, "sw0/p1", "enq", 3000, 2)
-        t, cat, name, loc, data = self._one(rec, QUEUE)
-        assert (t, cat, name, loc) == (7, "queue", "enq", "sw0/p1")
-        assert list(data.items()) == [("queued_bytes", 3000),
-                                      ("backlog_pkts", 2)]
-
-    def test_queue_fast_paths_match_generic(self):
-        # queue_enq/queue_deq are the statically-interned fast paths the
-        # Port hot loop calls; they must materialize exactly like the
-        # generic action-string emitter.
-        fast, generic = Recorder(), Recorder()
-        fast.queue_enq(7, "sw0/p1", 3000, 2)
-        fast.queue_deq(9, "sw0/p1", 1500, 1)
-        generic.queue_sample(7, "sw0/p1", "enq", 3000, 2)
-        generic.queue_sample(9, "sw0/p1", "deq", 1500, 1)
-        assert fast.records(QUEUE) == generic.records(QUEUE)
-        assert fast.counts == generic.counts == {"enq": 1, "deq": 1}
+        rec.queue_enq(7, "sw0/p1", 3000, 2)
+        rec.queue_deq(9, "sw0/p1", 1500, 1)
+        enq, deq = rec.records(QUEUE)
+        assert enq[:4] == (7, "queue", "enq", "sw0/p1")
+        assert list(enq[4].items()) == [("queued_bytes", 3000),
+                                        ("backlog_pkts", 2)]
+        assert deq[:4] == (9, "queue", "deq", "sw0/p1")
+        assert list(deq[4].items()) == [("queued_bytes", 1500),
+                                        ("backlog_pkts", 1)]
+        assert rec.counts == {"enq": 1, "deq": 1}
 
     def test_ecn_mark(self):
         rec = Recorder()
@@ -191,67 +181,31 @@ class TestGoldenEquality:
         assert second[4]["flow"] == "3->7#1"
 
 
-class TestSampling:
-    def test_stride_keeps_every_kth(self):
-        rec = Recorder(sample={QUEUE: 4})
-        for i in range(8):
-            rec.queue_sample(i, "p", "enq", i * 100, i)
-        kept = rec.records(QUEUE)
-        assert [r[0] for r in kept] == [3, 7]  # every 4th emit
+class TestRetainedHotCategories:
+    def test_retained_rows_equal_the_ring_in_emit_order(self):
+        """Retaining the per-packet categories takes the captured-list
+        branch of the emitter closures: every row is kept, in emit order,
+        and is the same record the ring holds."""
+        rec = Recorder(retain={PACKET, QUEUE})
+        for i in range(6):
+            rec.packet_hop(10 * i, "tor0", fake_packet(psn=i))
+            rec.queue_enq(10 * i + 1, "tor0.p1", 1500 * (i + 1), i + 1)
+            rec.queue_deq(10 * i + 2, "tor0.p1", 1500 * i, i)
+        ring = rec.records()
+        assert [r[0] for r in ring] == sorted(r[0] for r in ring)
+        assert rec.records(PACKET) == [r for r in ring if r[1] == PACKET]
+        assert rec.records(QUEUE) == [r for r in ring if r[1] == QUEUE]
+        assert [r[2] for r in rec.records(QUEUE)] == ["enq", "deq"] * 6
+        assert rec.counts == {"hop": 6, "enq": 6, "deq": 6}
 
-    def test_sampled_out_events_are_invisible(self):
-        rec = Recorder(sample={QUEUE: 4})
-        for i in range(8):
-            rec.queue_sample(i, "p", "enq", 0, 0)
-        assert rec.total_events() == 2
-        assert rec.counts == {"enq": 2}
-        assert len(rec.ring) == 2
-
-    def test_other_categories_unaffected(self):
-        rec = Recorder(sample={QUEUE: 1000})
-        rec.packet_hop(1, "p", fake_packet())
-        rec.queue_sample(2, "p", "enq", 0, 0)
-        assert rec.counts == {"hop": 1}
-
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ValueError, match="unknown sample"):
-            Recorder(sample={"bogus": 2})
-        with pytest.raises(ValueError, match="must be >= 1"):
-            Recorder(sample={QUEUE: 0})
-
-
-class TestColumns:
-    def test_packet_columns_typed(self):
-        rec = Recorder(retain={PACKET})
-        for psn in (3, 4, 5):
-            rec.packet_hop(psn * 10, "tor0/p1", fake_packet(psn=psn))
-        cols = rec.columns(PACKET)
-        assert isinstance(cols["t"], array) and cols["t"].typecode == "q"
-        assert cols["t"].tolist() == [30, 40, 50]
-        assert cols["psn"].tolist() == [3, 4, 5]
-        assert cols["src"].tolist() == [0, 0, 0]
-        assert cols["is_retx"].tolist() == [0, 0, 0]
-        assert cols["loc"] == ["tor0/p1"] * 3
-        assert cols["ptype"] == ["data"] * 3
-
-    def test_queue_columns_have_names(self):
-        rec = Recorder()
-        rec.queue_sample(1, "p", "enq", 1500, 1)
-        rec.queue_sample(2, "p", "deq", 0, 0)
-        cols = rec.columns(QUEUE)
-        assert cols["name"] == ["enq", "deq"]
-        assert cols["queued_bytes"].tolist() == [1500, 0]
-
-    def test_ring_fallback_when_unretained(self):
-        rec = Recorder()  # nothing retained: columns come from the ring
-        rec.packet_hop(1, "p", fake_packet())
-        rec.queue_sample(2, "p", "enq", 0, 0)
-        assert len(rec.columns(PACKET)["t"]) == 1
-
-    def test_variable_shape_category_rejected(self):
-        rec = Recorder()
-        with pytest.raises(ValueError, match="no uniform column layout"):
-            rec.columns(NACK)
+    def test_retention_outlives_the_ring(self):
+        rec = Recorder(ring_capacity=4, retain={PACKET, QUEUE})
+        for i in range(10):
+            rec.packet_hop(i, "tor0", fake_packet(psn=i))
+            rec.queue_enq(i, "tor0.p1", 0, 0)
+        assert len(rec.records()) == 4
+        assert [r[4]["psn"] for r in rec.records(PACKET)] == list(range(10))
+        assert [r[0] for r in rec.records(QUEUE)] == list(range(10))
 
 
 class _CountingStub(Recorder):
@@ -262,11 +216,12 @@ class _CountingStub(Recorder):
     def __init__(self):
         super().__init__(categories=())
         self.calls = 0
+        # The per-packet emitters are instance attributes (closures).
+        self.packet_hop = self.queue_enq = self.queue_deq = self._boom
 
     def _boom(self, *a, **kw):
         self.calls += 1
 
-    packet_hop = queue_sample = queue_enq = queue_deq = _boom
     ecn_mark = drop = _boom
     nack_emit = nack_classify = nack_compensate = nack_cancel = _boom
     pfc = qp_state = cc_rate = fault = _boom

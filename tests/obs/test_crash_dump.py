@@ -68,7 +68,7 @@ def _traced_boom(seed):
     rec = Recorder()
     set_active(rec)
     for i in range(5):
-        rec.queue_sample(i, "tor0:p0", "enq", i, i)
+        rec.queue_enq(i, "tor0:p0", i, i)
     raise RuntimeError("traced worker exploded")
 
 
@@ -77,7 +77,7 @@ class TestJobWorkerCrashDump:
                                               monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         rec = Recorder()
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         set_active(rec)
         try:
             runner = JobRunner(workers=1, isolation="inproc", retries=0)
@@ -119,7 +119,7 @@ class TestDumpCollisionSafety:
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         rec = Recorder()
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         set_active(rec)
         try:
             paths = [dump_active_flight("collide") for _ in range(5)]
@@ -133,7 +133,7 @@ class TestDumpCollisionSafety:
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         rec = Recorder()
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         set_active(rec)
         try:
             path = dump_active_flight("job-crash", tag="cafe0123")

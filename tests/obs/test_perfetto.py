@@ -22,7 +22,7 @@ def sample_records():
                           flow=_Flow(), psn=3, epsn=0, path_index=1,
                           is_retx=False)
     rec.packet_hop(1000, "tor0", pkt)
-    rec.queue_sample(2000, "tor0:p1", "enq", 3000, 2)
+    rec.queue_enq(2000, "tor0:p1", 3000, 2)
     rec.cc_rate(3000, "cc:0->1#0", 50e9)
     rec.drop(4000, "tor0:p1", pkt, reason="tail")
     return rec.records()

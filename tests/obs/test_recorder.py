@@ -60,8 +60,8 @@ class TestRingAndRetention:
     def test_ring_is_bounded_counts_are_not(self):
         rec = Recorder(ring_capacity=8)
         for i in range(20):
-            rec.queue_sample(i, "tor0:p0", "enq", i * 100, i)
-        assert len(rec.ring) == 8
+            rec.queue_enq(i, "tor0:p0", i * 100, i)
+        assert len(rec.records()) == 8
         assert rec.total_events() == 20
         # The ring keeps the *last* N events.
         assert rec.records()[0][0] == 12
@@ -69,12 +69,12 @@ class TestRingAndRetention:
     def test_retained_category_kept_in_full(self):
         rec = Recorder(ring_capacity=4, retain={QUEUE})
         for i in range(20):
-            rec.queue_sample(i, "tor0:p0", "enq", 0, 0)
+            rec.queue_enq(i, "tor0:p0", 0, 0)
         assert len(rec.records(QUEUE)) == 20
 
     def test_unretained_query_falls_back_to_ring(self):
         rec = Recorder(ring_capacity=64)
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         rec.pfc(2, "b", "pause", 999)
         assert len(rec.records(QUEUE)) == 1
         assert rec.records("pfc")[0][2] == "pfc_pause"
@@ -119,7 +119,7 @@ class TestTypedEmitters:
 class TestFlightDump:
     def test_dump_roundtrips_as_jsonl(self, tmp_path):
         rec = Recorder()
-        rec.queue_sample(5, "tor0:p0", "enq", 1500, 1)
+        rec.queue_enq(5, "tor0:p0", 1500, 1)
         rec.cc_rate(6, "cc:0->1#0", 25e9)
         path = rec.dump_flight(tmp_path / "sub" / "f.jsonl",
                                reason="unit-test")
@@ -137,7 +137,7 @@ class TestFlightDump:
     def test_default_path_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         rec = Recorder()
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         path = rec.dump_flight(reason="env-test")
         assert path.parent == tmp_path
         assert path.name.startswith("flight-env-test-")
@@ -147,7 +147,7 @@ class TestActiveRegistry:
     def test_dump_active_flight(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         rec = Recorder()
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         set_active(rec)
         try:
             path = dump_active_flight("probe")
@@ -178,7 +178,7 @@ class TestCheckInvariant:
                                                 monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         rec = Recorder()
-        rec.queue_sample(1, "a", "enq", 0, 0)
+        rec.queue_enq(1, "a", 0, 0)
         set_active(rec)
         try:
             with pytest.raises(InvariantError) as excinfo:
