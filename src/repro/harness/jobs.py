@@ -46,6 +46,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from repro.harness.metrics import JobCounters
@@ -81,7 +82,10 @@ class JobSpec:
 
     ``params`` must be JSON-serialisable; together with ``kind`` and
     ``seed`` it fully determines the job (no hidden environment reads),
-    which is what makes the spec-hash a safe resume key.
+    which is what makes the spec-hash a safe resume key.  The hash is
+    computed on first use and kept, so ``params`` must not be mutated
+    once the spec exists (``dataclasses.replace`` makes a new spec,
+    which hashes on its own).
     """
 
     kind: str
@@ -90,7 +94,7 @@ class JobSpec:
     #: Display-only; excluded from the hash.
     label: str = ""
 
-    @property
+    @cached_property
     def spec_hash(self) -> str:
         digest = hashlib.sha256(canonical_json(
             {"kind": self.kind, "seed": self.seed,
@@ -403,32 +407,35 @@ class JobRunner:
         completed = (load_completed(self.checkpoint)
                      if self.checkpoint else {})
         store = self._cache_handle()
-        pending: list[_Attempt] = []
-        for spec_hash, spec in unique.items():
-            prior = completed.get(spec_hash)
-            if prior is not None:
-                outcomes[spec_hash] = prior
-                self.counters.skipped += 1
-                self._emit(f"skip {spec.describe()} (checkpointed)")
-                continue
-            cached = (store.get_job_result(spec_hash)
-                      if store is not None else None)
-            if cached is not None:
-                outcomes[spec_hash] = JobOutcome(
-                    spec=spec, status="done", result=cached,
-                    attempts=0, from_cache=True)
-                self.counters.cache_hits += 1
-                self._emit(f"skip {spec.describe()} (cached)")
-            else:
-                pending.append(_Attempt(spec))
+        try:
+            pending: list[_Attempt] = []
+            for spec_hash, spec in unique.items():
+                prior = completed.get(spec_hash)
+                if prior is not None:
+                    outcomes[spec_hash] = prior
+                    self.counters.skipped += 1
+                    self._emit(f"skip {spec.describe()} (checkpointed)")
+                    continue
+                cached = (store.get_job_result(spec_hash)
+                          if store is not None else None)
+                if cached is not None:
+                    outcomes[spec_hash] = JobOutcome(
+                        spec=spec, status="done", result=cached,
+                        attempts=0, from_cache=True)
+                    self.counters.cache_hits += 1
+                    self._emit(f"skip {spec.describe()} (cached)")
+                else:
+                    pending.append(_Attempt(spec))
 
-        if self._inproc():
-            for attempt in pending:
-                outcome = self._run_inproc(attempt)
-                self._record(outcomes, outcome)
-        else:
-            self._run_pool(pending, outcomes)
-        return outcomes
+            if self._inproc():
+                for attempt in pending:
+                    outcome = self._run_inproc(attempt)
+                    self._record(outcomes, outcome)
+            else:
+                self._run_pool(pending, outcomes)
+            return outcomes
+        finally:
+            self._close_cache()
 
     def run_one(self, spec: JobSpec) -> JobOutcome:
         """Convenience single-job entry point (used by the bench)."""
@@ -462,6 +469,13 @@ class JobRunner:
                 from repro.results.store import ResultsStore
                 self._cache_store = ResultsStore(str(self.cache))
         return self._cache_store
+
+    def _close_cache(self) -> None:
+        """Close a store this runner opened from a path; one the caller
+        passed in open stays the caller's to close."""
+        if self._cache_store is not self.cache:
+            self._cache_store.close()
+        self._cache_store = None
 
     def _record(self, outcomes: dict[str, JobOutcome],
                 outcome: JobOutcome) -> None:

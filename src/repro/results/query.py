@@ -1,9 +1,14 @@
 """Read-side queries for the dashboard and the ``repro results`` CLI.
 
 Every function takes a plain sqlite connection (writer or read-only) so
-the dashboard's per-thread read-only connections and the CLI's writer
-handle share one query surface.  Rows come back as JSON-ready dicts —
-the ``/api/*`` endpoints serve them verbatim.
+the dashboard's kept read-only connections and the CLI's writer handle
+share one query surface.  Rows come back as JSON-ready dicts — the
+``/api/*`` endpoints serve them verbatim.
+
+A page costs a fixed number of statements, whatever the store holds, and
+every cursor is consumed or closed before a function returns: the
+dashboard keeps its connections, and an unfinished statement would pin
+an old WAL snapshot and block the writer's checkpoint.
 """
 
 from __future__ import annotations
@@ -13,28 +18,43 @@ import sqlite3
 from typing import Optional
 
 
+def _first(conn: sqlite3.Connection, sql: str,
+           args: tuple = ()) -> Optional[sqlite3.Row]:
+    """First row of a statement, with its cursor closed."""
+    cursor = conn.execute(sql, args)
+    try:
+        return cursor.fetchone()
+    finally:
+        cursor.close()
+
+
 _COUNTS = {
-    "job_results": "job_results",
-    "runs": "runs",
-    "arena_runs": "runs WHERE schema LIKE 'repro-arena%'",
-    "fault_runs": "runs WHERE schema LIKE 'repro-faults%'",
-    "bench_runs": "runs WHERE schema LIKE 'repro-bench%'",
-    "arena_cells": "arena_cells",
-    "fault_cells": "fault_cells",
+    "job_results": "COUNT(*) FROM job_results",
+    "runs": "COUNT(*) FROM runs",
+    "arena_runs": "COUNT(*) FROM runs WHERE schema LIKE 'repro-arena%'",
+    "fault_runs": "COUNT(*) FROM runs WHERE schema LIKE 'repro-faults%'",
+    "bench_runs": "COUNT(*) FROM runs WHERE schema LIKE 'repro-bench%'",
+    "arena_cells": "COUNT(*) FROM arena_cells",
+    "fault_cells": "COUNT(*) FROM fault_cells",
 }
+_SUMMARY = {**_COUNTS,
+            "lbs_ranked": "COUNT(DISTINCT lb) FROM arena_ranking"}
+
+
+def _scalars(conn: sqlite3.Connection, selects: dict[str, str]) -> dict:
+    """``{name: value}`` of single-value selects, in one statement."""
+    row = _first(conn, "SELECT " + ", ".join(
+        f"(SELECT {select})" for select in selects.values()))
+    return dict(zip(selects, row))
 
 
 def table_counts(conn: sqlite3.Connection) -> dict:
     """Row counts per surface (``ResultsStore.counts`` adds the path)."""
-    return {name: conn.execute(f"SELECT COUNT(*) FROM {source}")
-            .fetchone()[0] for name, source in _COUNTS.items()}
+    return _scalars(conn, _COUNTS)
 
 
 def summary(conn: sqlite3.Connection) -> dict:
-    return {**table_counts(conn),
-            "lbs_ranked": conn.execute(
-                "SELECT COUNT(DISTINCT lb) FROM arena_ranking")
-            .fetchone()[0]}
+    return _scalars(conn, _SUMMARY)
 
 
 def list_runs(conn: sqlite3.Connection,
@@ -55,26 +75,31 @@ def _run_ids(conn: sqlite3.Connection, schema_prefix: str) -> list[int]:
         (schema_prefix + "%",))]
 
 
+def latest_run_id(conn: sqlite3.Connection,
+                  schema_prefix: str) -> Optional[int]:
+    """The newest ingested run of one document family, if any."""
+    return _first(conn, "SELECT MAX(run_id) FROM runs WHERE schema LIKE ?",
+                  (schema_prefix + "%",))[0]
+
+
 # ----------------------------------------------------------------------
 # Arena
 # ----------------------------------------------------------------------
 def arena_runs(conn: sqlite3.Connection) -> list[dict]:
     """Arena run listing with per-run headline (the rank-1 pair)."""
-    rows = []
-    for run in list_runs(conn, "repro-arena"):
-        best = conn.execute(
-            "SELECT lb, transport, mean_slowdown FROM arena_ranking "
-            "WHERE run_id=? AND rank=1", (run["run_id"],)).fetchone()
-        cells = conn.execute(
-            "SELECT COUNT(*), SUM(completed) FROM arena_cells "
-            "WHERE run_id=?", (run["run_id"],)).fetchone()
-        rows.append(dict(
-            run,
-            cells=cells[0], completed_cells=cells[1] or 0,
-            best_lb=best["lb"] if best else None,
-            best_transport=best["transport"] if best else None,
-            best_slowdown=best["mean_slowdown"] if best else None))
-    return rows
+    return [dict(row) for row in conn.execute(
+        "SELECT r.run_id, r.schema, r.name, r.source, r.ingested_s, "
+        "COALESCE(c.cells, 0) AS cells, "
+        "COALESCE(c.completed_cells, 0) AS completed_cells, "
+        "k.lb AS best_lb, k.transport AS best_transport, "
+        "k.mean_slowdown AS best_slowdown "
+        "FROM runs r "
+        "LEFT JOIN (SELECT run_id, COUNT(*) AS cells, "
+        "           SUM(completed) AS completed_cells "
+        "           FROM arena_cells GROUP BY run_id) c "
+        "ON c.run_id=r.run_id "
+        "LEFT JOIN arena_ranking k ON k.run_id=r.run_id AND k.rank=1 "
+        "WHERE r.schema LIKE 'repro-arena%' ORDER BY r.run_id")]
 
 
 def arena_ranking(conn: sqlite3.Connection, run_id: int) -> list[dict]:
@@ -124,9 +149,8 @@ def ranking_over_time(conn: sqlite3.Connection) -> dict:
 
 def cell_detail(conn: sqlite3.Connection, run_id: int,
                 spec_hash: str) -> Optional[dict]:
-    row = conn.execute(
-        "SELECT cell_json FROM arena_cells WHERE run_id=? AND "
-        "spec_hash=?", (run_id, spec_hash)).fetchone()
+    row = _first(conn, "SELECT cell_json FROM arena_cells WHERE run_id=? "
+                 "AND spec_hash=?", (run_id, spec_hash))
     if row is None:
         return None
     cell = json.loads(row["cell_json"])
@@ -140,9 +164,8 @@ def cell_detail(conn: sqlite3.Connection, run_id: int,
             "SELECT run_id, mean_slowdown, goodput_gbps, nack_validity "
             "FROM arena_cells WHERE spec_hash=? ORDER BY run_id",
             (spec_hash,))]
-    job = conn.execute(
-        "SELECT kind, seed, label, params_json FROM job_results "
-        "WHERE spec_hash=?", (spec_hash,)).fetchone()
+    job = _first(conn, "SELECT kind, seed, label, params_json "
+                 "FROM job_results WHERE spec_hash=?", (spec_hash,))
     return {"run_id": run_id, "cell": cell, "history": history,
             "job": (dict(kind=job["kind"], seed=job["seed"],
                          label=job["label"],
@@ -191,7 +214,10 @@ def fault_panels(conn: sqlite3.Connection) -> list[dict]:
 # ----------------------------------------------------------------------
 def bench_series(conn: sqlite3.Connection) -> dict:
     """events/sec trend per (scenario, engine) plus per-run meta."""
-    run_ids = _run_ids(conn, "repro-bench")
+    runs = conn.execute(
+        "SELECT run_id, meta_json, source FROM runs "
+        "WHERE schema LIKE 'repro-bench%' ORDER BY run_id").fetchall()
+    run_ids = [run["run_id"] for run in runs]
     series: dict[tuple, dict] = {}
     for row in conn.execute(
             "SELECT run_id, scenario, engine, events_per_sec "
@@ -202,12 +228,10 @@ def bench_series(conn: sqlite3.Connection) -> dict:
             "points": {}})
         entry["points"][row["run_id"]] = row["events_per_sec"]
     meta = []
-    for run_id in run_ids:
-        run = conn.execute("SELECT meta_json, source FROM runs WHERE "
-                           "run_id=?", (run_id,)).fetchone()
+    for run in runs:
         doc = json.loads(run["meta_json"])
         meta.append({
-            "run_id": run_id, "source": run["source"],
+            "run_id": run["run_id"], "source": run["source"],
             "quick": doc.get("quick"),
             "python": doc.get("python"),
             "speedup_vs_heap": doc.get("speedup_vs_heap"),

@@ -1,15 +1,18 @@
 """``repro serve`` — the live experiment dashboard.
 
-Stdlib only: a :class:`http.server.ThreadingHTTPServer` where every
-handler thread reads through its own **read-only** sqlite connection
-(``threading.local``), so concurrent page loads never contend with each
-other or with a sweep writing the store in WAL mode.
+Stdlib only: a :class:`http.server.ThreadingHTTPServer` whose handler
+threads borrow **read-only** sqlite connections from the
+:class:`Dashboard`'s free list for the length of one render, so
+concurrent page loads never share a connection or contend with a sweep
+writing the store in WAL mode, and a connection, once opened, serves
+every later request until ``server_close()``.
 
-Routing is a plain table of ``(pattern, renderer)`` entries; every
-renderer returns ``(status, content_type, body)``.  The same table
-drives ``repro serve --check``: :func:`check_pages` renders every page
-headlessly (no sockets) against the store and validates HTML/JSON
-shape, which is what CI's results-smoke job runs.
+Routing is two plain tables of ``(pattern, renderer)`` entries — pages
+that read the store and are handed a connection, and the two that never
+touch it; every renderer returns ``(status, content_type, body)``.  The
+same tables drive ``repro serve --check``: :func:`check_pages` renders
+every page headlessly (no sockets) against the store and validates
+HTML/JSON shape, which is what CI's results-smoke job runs.
 
 Pages
 -----
@@ -28,9 +31,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import sqlite3
 import threading
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 from urllib.parse import quote
 
 from repro.results import html as H
@@ -39,18 +44,35 @@ from repro.results.store import connect_readonly
 
 PERFETTO_UI = "https://ui.perfetto.dev/#!/?url="
 
+Conn = sqlite3.Connection
+
 
 class Dashboard:
-    """Renders every route against one store file."""
+    """Renders every route against one store file.
+
+    Owns the read-only connections it opens: a render borrows one from
+    the free list (opening one only when every other is lent out) and
+    hands it back on return, so the dashboard holds at most one
+    connection per concurrently rendering thread until :meth:`close`.
+    """
 
     def __init__(self, db_path: str,
                  traces_dir: Optional[str] = None) -> None:
         self.db_path = db_path
         self.traces_dir = traces_dir
-        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._free: list[Conn] = []
+        self._closed = False
+        self.connections_open = 0
+        self.connections_opened = 0
+        # Handlers of ``routes`` read the store and take the borrowed
+        # connection first; those of ``static_routes`` never touch it.
+        self.static_routes: list[tuple[re.Pattern, Callable]] = [
+            (re.compile(r"^/healthz$"), self.page_health),
+            (re.compile(r"^/traces/([\w.\-]+)$"), self.serve_trace),
+        ]
         self.routes: list[tuple[re.Pattern, Callable]] = [
             (re.compile(r"^/$"), self.page_index),
-            (re.compile(r"^/healthz$"), self.page_health),
             (re.compile(r"^/arena$"), self.page_arena),
             (re.compile(r"^/arena/(\d+)$"), self.page_arena_run),
             (re.compile(r"^/cell/(\d+)/([0-9a-f]+)$"), self.page_cell),
@@ -65,30 +87,56 @@ class Dashboard:
              self.api_cell),
             (re.compile(r"^/api/faults$"), self.api_faults),
             (re.compile(r"^/api/bench$"), self.api_bench),
-            (re.compile(r"^/traces/([\w.\-]+)$"), self.serve_trace),
         ]
 
-    # -- connection per thread -----------------------------------------
-    def conn(self):
-        conn = getattr(self._local, "conn", None)
+    # -- connections ---------------------------------------------------
+    @contextmanager
+    def reader(self) -> Iterator[Conn]:
+        """Lend one read-only connection for the length of the block."""
+        with self._lock:
+            conn = self._free.pop() if self._free else None
         if conn is None:
             conn = connect_readonly(self.db_path)
-            self._local.conn = conn
-        return conn
+            with self._lock:
+                self.connections_open += 1
+                self.connections_opened += 1
+        try:
+            yield conn
+        finally:
+            with self._lock:
+                if self._closed:
+                    conn.close()
+                    self.connections_open -= 1
+                else:
+                    self._free.append(conn)
+
+    def close(self) -> None:
+        """Close every idle connection; one still lent out is closed
+        when its render returns.  Idempotent."""
+        with self._lock:
+            self._closed = True
+            while self._free:
+                self._free.pop().close()
+                self.connections_open -= 1
 
     # -- dispatch ------------------------------------------------------
     def render(self, path: str,
                host: str = "localhost") -> tuple[int, str, bytes]:
         """Resolve one request path; never raises (500 with detail)."""
         path = path.split("?", 1)[0]
-        for pattern, handler in self.routes:
-            match = pattern.match(path)
-            if match:
-                try:
+        try:
+            for pattern, handler in self.static_routes:
+                match = pattern.match(path)
+                if match:
                     return handler(host, *match.groups())
-                except Exception as exc:  # pragma: no cover - guard
-                    return (500, "text/plain; charset=utf-8",
-                            f"internal error: {exc}".encode())
+            for pattern, handler in self.routes:
+                match = pattern.match(path)
+                if match:
+                    with self.reader() as conn:
+                        return handler(conn, host, *match.groups())
+        except Exception as exc:  # pragma: no cover - guard
+            return (500, "text/plain; charset=utf-8",
+                    f"internal error: {exc}".encode())
         return (404, "text/plain; charset=utf-8", b"not found")
 
     @staticmethod
@@ -102,10 +150,11 @@ class Dashboard:
 
     # -- pages ---------------------------------------------------------
     def page_health(self, host: str) -> tuple[int, str, bytes]:
-        return self._json({"ok": True, "db": self.db_path})
+        return self._json({"ok": True, "db": self.db_path,
+                           "connections_open": self.connections_open,
+                           "connections_opened": self.connections_opened})
 
-    def page_index(self, host: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
+    def page_index(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
         s = Q.summary(conn)
         body = H.tiles([
             ("cached job results", s["job_results"]),
@@ -115,10 +164,9 @@ class Dashboard:
             ("bench runs", s["bench_runs"]),
             ("arena cells", s["arena_cells"]),
         ])
-        runs = Q.arena_runs(conn)
-        if runs:
-            latest = runs[-1]
-            ranking = Q.arena_ranking(conn, latest["run_id"])
+        latest = Q.latest_run_id(conn, "repro-arena")
+        if latest is not None:
+            ranking = Q.arena_ranking(conn, latest)
             rows = [(r["rank"],
                      f'{H.swatch(min(i + 1, 8))}{H.esc(r["lb"])}',
                      r["transport"], f"{r['mean_slowdown']:.3f}",
@@ -127,8 +175,7 @@ class Dashboard:
                      f"{r['completed_cells']}/{r['cells']}")
                     for i, r in enumerate(ranking)]
             body += ("<h2>latest arena ranking "
-                     f'(<a href="/arena/{latest["run_id"]}">run '
-                     f'{latest["run_id"]}</a>)</h2>'
+                     f'(<a href="/arena/{latest}">run {latest}</a>)</h2>'
                      + H.card(H.table(
                          ["rank", "lb", "transport", "slowdown",
                           "goodput Gbps", "nack validity", "cells"],
@@ -144,8 +191,7 @@ class Dashboard:
             subtitle="spec-hash results store · "
                      + os.path.basename(self.db_path)))
 
-    def page_arena(self, host: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
+    def page_arena(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
         runs = Q.arena_runs(conn)
         over_time = Q.ranking_over_time(conn)
         body = ""
@@ -179,9 +225,8 @@ class Dashboard:
                                  subtitle="LB x transport head-to-head "
                                           "rankings"))
 
-    def page_arena_run(self, host: str,
+    def page_arena_run(self, conn: Conn, host: str,
                        run_id: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
         run_id = int(run_id)
         ranking = Q.arena_ranking(conn, run_id)
         cells = Q.arena_cells(conn, run_id)
@@ -219,9 +264,8 @@ class Dashboard:
         return self._html(H.page(f"arena run {run_id}", body,
                                  active="/arena"))
 
-    def page_cell(self, host: str, run_id: str,
+    def page_cell(self, conn: Conn, host: str, run_id: str,
                   spec_hash: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
         detail = Q.cell_detail(conn, int(run_id), spec_hash)
         if detail is None:
             return self._html(H.page("cell", H.card("<p>unknown cell"
@@ -270,8 +314,7 @@ class Dashboard:
                      f"{cell['workload']}/{cell['topology']}/"
                      f"s{cell['seed']}"))
 
-    def page_faults(self, host: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
+    def page_faults(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
         panels = Q.fault_panels(conn)
         if not panels:
             body = H.card("<p>No fault campaigns ingested. Run "
@@ -313,8 +356,7 @@ class Dashboard:
             subtitle="recovery time · goodput dip · NACK-audit "
                      "validity"))
 
-    def page_bench(self, host: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
+    def page_bench(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
         data = Q.bench_series(conn)
         if not data["run_ids"]:
             body = H.card("<p>No bench history ingested. Ingest the "
@@ -353,15 +395,14 @@ class Dashboard:
             subtitle="engine throughput and cost-model trend"))
 
     # -- API -----------------------------------------------------------
-    def api_summary(self, host: str) -> tuple[int, str, bytes]:
-        return self._json(Q.summary(self.conn()))
+    def api_summary(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
+        return self._json(Q.summary(conn))
 
-    def api_arena_runs(self, host: str) -> tuple[int, str, bytes]:
-        return self._json({"runs": Q.arena_runs(self.conn())})
+    def api_arena_runs(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
+        return self._json({"runs": Q.arena_runs(conn)})
 
-    def api_arena_run(self, host: str,
+    def api_arena_run(self, conn: Conn, host: str,
                       run_id: str) -> tuple[int, str, bytes]:
-        conn = self.conn()
         cells = Q.arena_cells(conn, int(run_id))
         if not cells:
             return self._json({"error": "unknown run"}, status=404)
@@ -369,22 +410,22 @@ class Dashboard:
                            "ranking": Q.arena_ranking(conn,
                                                       int(run_id))})
 
-    def api_ranking_over_time(self,
+    def api_ranking_over_time(self, conn: Conn,
                               host: str) -> tuple[int, str, bytes]:
-        return self._json(Q.ranking_over_time(self.conn()))
+        return self._json(Q.ranking_over_time(conn))
 
-    def api_cell(self, host: str, run_id: str,
+    def api_cell(self, conn: Conn, host: str, run_id: str,
                  spec_hash: str) -> tuple[int, str, bytes]:
-        detail = Q.cell_detail(self.conn(), int(run_id), spec_hash)
+        detail = Q.cell_detail(conn, int(run_id), spec_hash)
         if detail is None:
             return self._json({"error": "unknown cell"}, status=404)
         return self._json(detail)
 
-    def api_faults(self, host: str) -> tuple[int, str, bytes]:
-        return self._json({"panels": Q.fault_panels(self.conn())})
+    def api_faults(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
+        return self._json({"panels": Q.fault_panels(conn)})
 
-    def api_bench(self, host: str) -> tuple[int, str, bytes]:
-        return self._json(Q.bench_series(self.conn()))
+    def api_bench(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
+        return self._json(Q.bench_series(conn))
 
     # -- static traces -------------------------------------------------
     def serve_trace(self, host: str,
@@ -424,15 +465,27 @@ def make_handler(dashboard: Dashboard,
     return Handler
 
 
+class DashboardServer(ThreadingHTTPServer):
+    """The threaded server plus the :class:`Dashboard` it serves, whose
+    connections ``server_close()`` closes."""
+
+    def __init__(self, address: tuple[str, int], dashboard: Dashboard,
+                 quiet: bool = False) -> None:
+        self.dashboard = dashboard
+        super().__init__(address, make_handler(dashboard, quiet=quiet))
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.dashboard.close()
+
+
 def make_server(db_path: str, *, host: str = "127.0.0.1",
                 port: int = 8000, traces_dir: Optional[str] = None,
-                quiet: bool = False) -> ThreadingHTTPServer:
+                quiet: bool = False) -> DashboardServer:
     """Bound, ready-to-``serve_forever`` threaded server (port 0 OK)."""
-    dashboard = Dashboard(db_path, traces_dir=traces_dir)
-    server = ThreadingHTTPServer((host, port),
-                                 make_handler(dashboard, quiet=quiet))
-    server.dashboard = dashboard
-    return server
+    return DashboardServer((host, port),
+                           Dashboard(db_path, traces_dir=traces_dir),
+                           quiet=quiet)
 
 
 # ----------------------------------------------------------------------
@@ -446,34 +499,34 @@ def check_pages(db_path: str,
     ``/cell/...`` per ingested arena run, validating that HTML pages
     close cleanly and the API twins parse as JSON.
     """
-    dashboard = Dashboard(db_path, traces_dir=traces_dir)
-    conn = dashboard.conn()
-    paths = ["/", "/healthz", "/arena", "/faults", "/bench",
-             "/api/summary", "/api/arena/runs",
-             "/api/ranking-over-time", "/api/faults", "/api/bench"]
-    for run in Q.arena_runs(conn):
-        paths.append(f"/arena/{run['run_id']}")
-        paths.append(f"/api/arena/{run['run_id']}")
-        cells = Q.arena_cells(conn, run["run_id"])
-        if cells:
-            paths.append(f"/cell/{run['run_id']}/"
-                         f"{cells[0]['spec_hash']}")
-            paths.append(f"/api/cell/{run['run_id']}/"
-                         f"{cells[0]['spec_hash']}")
-    problems = []
-    for path in paths:
-        status, ctype, body = dashboard.render(path)
-        if status != 200:
-            problems.append(f"{path}: HTTP {status}")
-            continue
-        if ctype.startswith("text/html"):
-            text = body.decode()
-            if not text.startswith("<!DOCTYPE html>") \
-                    or "</html>" not in text:
-                problems.append(f"{path}: malformed HTML document")
-        elif ctype == "application/json":
-            try:
-                json.loads(body)
-            except json.JSONDecodeError as exc:
-                problems.append(f"{path}: invalid JSON ({exc})")
-    return problems
+    with closing(Dashboard(db_path, traces_dir=traces_dir)) as dashboard:
+        paths = ["/", "/healthz", "/arena", "/faults", "/bench",
+                 "/api/summary", "/api/arena/runs",
+                 "/api/ranking-over-time", "/api/faults", "/api/bench"]
+        with dashboard.reader() as conn:
+            for run in Q.arena_runs(conn):
+                paths.append(f"/arena/{run['run_id']}")
+                paths.append(f"/api/arena/{run['run_id']}")
+                cells = Q.arena_cells(conn, run["run_id"])
+                if cells:
+                    paths.append(f"/cell/{run['run_id']}/"
+                                 f"{cells[0]['spec_hash']}")
+                    paths.append(f"/api/cell/{run['run_id']}/"
+                                 f"{cells[0]['spec_hash']}")
+        problems = []
+        for path in paths:
+            status, ctype, body = dashboard.render(path)
+            if status != 200:
+                problems.append(f"{path}: HTTP {status}")
+                continue
+            if ctype.startswith("text/html"):
+                text = body.decode()
+                if not text.startswith("<!DOCTYPE html>") \
+                        or "</html>" not in text:
+                    problems.append(f"{path}: malformed HTML document")
+            elif ctype == "application/json":
+                try:
+                    json.loads(body)
+                except json.JSONDecodeError as exc:
+                    problems.append(f"{path}: invalid JSON ({exc})")
+        return problems

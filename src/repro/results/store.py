@@ -19,7 +19,16 @@ One file (``results.sqlite`` by convention) holds two kinds of state:
 Concurrency model: a single writer (the runner / the ingest CLI) on one
 connection in WAL mode, any number of readers on their own read-only
 connections (:func:`connect_readonly`) — which is how the dashboard
-serves concurrent traffic with one connection per handler thread.
+serves concurrent traffic: it keeps the connections it opens and lends
+one to each render (:class:`repro.results.server.Dashboard`).
+
+Durability: the writer runs ``synchronous=NORMAL`` under WAL.  A commit
+is appended to the WAL without an fsync of its own; the file is synced
+at checkpoints.  The database cannot be corrupted by a crash, and every
+commit survives the death of the process (SIGKILL included) because the
+WAL write has reached the operating system.  Only a power cut or kernel
+crash can lose the newest commits — for the run cache that is a job
+executed again, for an ingest a document to ingest again.
 """
 
 from __future__ import annotations
@@ -119,14 +128,17 @@ CREATE TABLE IF NOT EXISTS bench_scenarios (
 
 
 def connect_readonly(path: str) -> sqlite3.Connection:
-    """A read-only connection — what every dashboard thread gets.
+    """A read-only connection — what every dashboard render borrows.
 
     ``mode=ro`` makes accidental writes an sqlite error rather than a
-    lock fight with the single writer.
+    lock fight with the single writer.  The connection may be used from
+    any thread, one at a time: the dashboard hands it from one handler
+    thread to the next.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"results store not found: {path}")
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                           check_same_thread=False)
     conn.row_factory = sqlite3.Row
     return conn
 
@@ -141,13 +153,16 @@ class ResultsStore:
             os.makedirs(parent, exist_ok=True)
         self.conn = sqlite3.connect(self.path)
         self.conn.row_factory = sqlite3.Row
-        # WAL lets dashboard readers proceed while a sweep is writing.
+        # WAL lets dashboard readers proceed while a sweep is writing;
+        # NORMAL syncs at checkpoints, not per commit (module docstring).
         self.conn.execute("PRAGMA journal_mode=WAL")
+        self.conn.execute("PRAGMA synchronous=NORMAL")
         self.conn.executescript(_SCHEMA)
         version = self.conn.execute("PRAGMA user_version").fetchone()[0]
         if version == 0:
             self.conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
         elif version != SCHEMA_VERSION:
+            self.conn.close()
             raise RuntimeError(
                 f"{self.path}: store schema v{version}, this build "
                 f"expects v{SCHEMA_VERSION}")

@@ -69,6 +69,33 @@ class TestJobSpec:
         assert a.spec_hash != c.spec_hash
         assert a == JobSpec.from_dict(a.to_dict())
 
+    def test_spec_hash_is_computed_once_per_spec(self, monkeypatch):
+        import dataclasses
+        import hashlib
+
+        from repro.harness import jobs
+
+        def fresh(spec):
+            return hashlib.sha256(jobs.canonical_json(
+                {"kind": spec.kind, "seed": spec.seed,
+                 "params": spec.params}).encode()).hexdigest()[:16]
+
+        canonical_json = jobs.canonical_json
+        encoded = []
+        monkeypatch.setattr(
+            jobs, "canonical_json",
+            lambda obj: encoded.append(obj) or canonical_json(obj))
+        spec = JobSpec(kind="callable", seed=1,
+                       params={"target": "m:f", "kwargs": {"b": 2, "a": 1}})
+        assert len({spec.spec_hash for _ in range(3)}) == 1
+        assert len(encoded) == 1
+        monkeypatch.undo()
+        assert spec.spec_hash == fresh(spec)
+        # A replaced spec is a new spec: it hashes on its own.
+        other = dataclasses.replace(spec, seed=2)
+        assert other.spec_hash == fresh(other) != spec.spec_hash
+        assert JobSpec.from_dict(spec.to_dict()).spec_hash == spec.spec_hash
+
     def test_callable_target_rejects_lambdas(self):
         assert callable_target(lambda s: s) is None
         assert callable_target(square) == \

@@ -1,12 +1,15 @@
 """Dashboard smoke tests: headless rendering and a real HTTP round trip."""
 
 import json
+import sys
 import threading
 import urllib.request
+from contextlib import closing, contextmanager
 
 import pytest
 
 from repro.results import ResultsStore, ingest_doc
+from repro.results import server as server_module
 from repro.results.query import arena_cells
 from repro.results.server import Dashboard, check_pages, make_server
 from repro.results.store import connect_readonly
@@ -26,6 +29,47 @@ def db(tmp_path):
     return path
 
 
+@pytest.fixture()
+def open_dashboard():
+    """``Dashboard(...)`` whose connections are closed after the test."""
+    opened = []
+
+    def factory(*args, **kwargs):
+        opened.append(Dashboard(*args, **kwargs))
+        return opened[-1]
+
+    yield factory
+    for dashboard in opened:
+        dashboard.close()
+
+
+def first_spec_hash(db, run_id=1):
+    with closing(connect_readonly(db)) as conn:
+        return arena_cells(conn, run_id)[0]["spec_hash"]
+
+
+@contextmanager
+def serving(db):
+    """A ``make_server`` on a free port, serving until the block ends."""
+    server = make_server(db, port=0, quiet=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def fetch(server, path):
+    host, port = server.server_address[:2]
+    with urllib.request.urlopen(f"http://{host}:{port}{path}",
+                                timeout=10) as resp:
+        return resp.status, resp.headers["Content-Type"], resp.read()
+
+
 class TestHeadlessRendering:
     def test_check_pages_clean_on_populated_store(self, db):
         assert check_pages(db) == []
@@ -35,8 +79,8 @@ class TestHeadlessRendering:
         ResultsStore(path).close()
         assert check_pages(path) == []
 
-    def test_pages_render_html_documents(self, db):
-        dashboard = Dashboard(db)
+    def test_pages_render_html_documents(self, db, open_dashboard):
+        dashboard = open_dashboard(db)
         for path in ("/", "/arena", "/arena/1", "/faults", "/bench"):
             status, ctype, body = dashboard.render(path)
             assert status == 200, path
@@ -45,7 +89,8 @@ class TestHeadlessRendering:
             assert text.startswith("<!DOCTYPE html>")
             assert "</html>" in text
 
-    def test_bench_page_renders_old_and_v4_documents(self, tmp_path):
+    def test_bench_page_renders_old_and_v4_documents(self, tmp_path,
+                                                     open_dashboard):
         """Documents from before schema v4 still carry speedup_vs_heap
         and keep rendering it; v4 documents show a dash."""
         path = str(tmp_path / "bench.sqlite")
@@ -55,21 +100,21 @@ class TestHeadlessRendering:
         with ResultsStore(path) as store:
             ingest_doc(store, make_bench_doc(), source="old")
             ingest_doc(store, v4, source="new")
-        dashboard = Dashboard(path)
+        dashboard = open_dashboard(path)
         status, _, body = dashboard.render("/bench")
         assert status == 200 and "2.00x" in body.decode()
         runs = json.loads(dashboard.render("/api/bench")[2])["runs"]
         assert [r["speedup_vs_heap"] for r in runs] == [2.0, None]
 
-    def test_unknown_routes_404(self, db):
-        dashboard = Dashboard(db)
+    def test_unknown_routes_404(self, db, open_dashboard):
+        dashboard = open_dashboard(db)
         assert dashboard.render("/nope")[0] == 404
         assert dashboard.render("/arena/999")[0] == 404
         assert dashboard.render("/cell/1/ffffffffffffffff")[0] == 404
         assert dashboard.render("/api/arena/999")[0] == 404
 
-    def test_api_endpoints_serve_query_json(self, db):
-        dashboard = Dashboard(db)
+    def test_api_endpoints_serve_query_json(self, db, open_dashboard):
+        dashboard = open_dashboard(db)
         status, ctype, body = dashboard.render("/api/summary")
         assert status == 200 and ctype == "application/json"
         summary = json.loads(body)
@@ -78,10 +123,9 @@ class TestHeadlessRendering:
         assert status == 200
         assert len(json.loads(body)["run_ids"]) == 2
 
-    def test_cell_page_and_api(self, db):
-        conn = connect_readonly(db)
-        spec_hash = arena_cells(conn, 1)[0]["spec_hash"]
-        dashboard = Dashboard(db)
+    def test_cell_page_and_api(self, db, open_dashboard):
+        spec_hash = first_spec_hash(db)
+        dashboard = open_dashboard(db)
         status, _, body = dashboard.render(f"/cell/1/{spec_hash}")
         assert status == 200
         assert spec_hash[:10] in body.decode()
@@ -89,18 +133,22 @@ class TestHeadlessRendering:
         detail = json.loads(body)
         assert [h["run_id"] for h in detail["history"]] == [1, 2]
 
-    def test_query_strings_are_ignored(self, db):
-        assert Dashboard(db).render("/arena?refresh=1")[0] == 200
+    def test_query_strings_are_ignored(self, db, open_dashboard):
+        assert open_dashboard(db).render("/arena?refresh=1")[0] == 200
+
+    def test_index_links_the_latest_arena_run(self, db, open_dashboard):
+        page = open_dashboard(db).render("/")[2].decode()
+        assert '<a href="/arena/2">run 2</a>' in page
 
 
 class TestTraces:
-    def test_trace_served_and_deep_linked(self, db, tmp_path):
-        conn = connect_readonly(db)
-        spec_hash = arena_cells(conn, 1)[0]["spec_hash"]
+    def test_trace_served_and_deep_linked(self, db, tmp_path,
+                                          open_dashboard):
+        spec_hash = first_spec_hash(db)
         traces = tmp_path / "traces"
         traces.mkdir()
         (traces / f"{spec_hash}.json").write_text('{"traceEvents": []}')
-        dashboard = Dashboard(db, traces_dir=str(traces))
+        dashboard = open_dashboard(db, traces_dir=str(traces))
         status, ctype, body = dashboard.render(
             f"/traces/{spec_hash}.json")
         assert status == 200 and ctype == "application/json"
@@ -109,17 +157,17 @@ class TestTraces:
         assert "ui.perfetto.dev" in page
         assert f"{spec_hash}.json" in page
 
-    def test_no_traces_dir_hints_instead(self, db):
-        conn = connect_readonly(db)
-        spec_hash = arena_cells(conn, 1)[0]["spec_hash"]
-        page = Dashboard(db).render(f"/cell/1/{spec_hash}")[2].decode()
+    def test_no_traces_dir_hints_instead(self, db, open_dashboard):
+        spec_hash = first_spec_hash(db)
+        page = open_dashboard(db).render(
+            f"/cell/1/{spec_hash}")[2].decode()
         assert "No exported trace" in page
 
-    def test_path_traversal_rejected(self, db, tmp_path):
+    def test_path_traversal_rejected(self, db, tmp_path, open_dashboard):
         traces = tmp_path / "traces"
         traces.mkdir()
         (tmp_path / "secret.json").write_text("{}")
-        dashboard = Dashboard(db, traces_dir=str(traces))
+        dashboard = open_dashboard(db, traces_dir=str(traces))
         # The route regex only admits [\w.-]+ names; dotted relative
         # names that resolve outside the directory are rejected too.
         assert dashboard.render("/traces/../secret.json")[0] == 404
@@ -128,56 +176,103 @@ class TestTraces:
 
 class TestHttpRoundTrip:
     def test_threaded_server_serves_pages_and_api(self, db):
-        server = make_server(db, port=0, quiet=True)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            base = f"http://{host}:{port}"
-            with urllib.request.urlopen(f"{base}/", timeout=10) as resp:
-                assert resp.status == 200
-                assert "text/html" in resp.headers["Content-Type"]
-                assert b"</html>" in resp.read()
-            with urllib.request.urlopen(f"{base}/api/summary",
-                                        timeout=10) as resp:
-                assert json.loads(resp.read())["arena_runs"] == 2
-            with urllib.request.urlopen(f"{base}/healthz",
-                                        timeout=10) as resp:
-                assert json.loads(resp.read())["ok"] is True
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+        with serving(db) as server:
+            status, ctype, body = fetch(server, "/")
+            assert status == 200
+            assert "text/html" in ctype
+            assert b"</html>" in body
+            assert json.loads(fetch(server, "/api/summary")[2])[
+                "arena_runs"] == 2
+            assert json.loads(fetch(server, "/healthz")[2])["ok"] is True
 
-    def test_concurrent_requests_use_per_thread_connections(self, db):
-        server = make_server(db, port=0, quiet=True)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        results, errors = [], []
+    def test_concurrent_clients_share_at_most_one_connection_each(
+            self, db, monkeypatch, open_dashboard):
+        """8 clients x 50 requests over the ledger's page mix: every
+        response is the headless render of its path, and the server
+        opens at most one connection per client (400 before reuse)."""
+        clients, requests_each = 8, 50
+        spec_hash = first_spec_hash(db, 2)
+        paths = ["/", "/arena", "/arena/2", f"/cell/2/{spec_hash}",
+                 "/api/ranking-over-time", "/api/arena/2", "/bench",
+                 "/faults"]
+        headless = open_dashboard(db)
+        expected = {path: headless.render(path) for path in paths}
 
-        def fetch(path):
+        opened = []
+        real_connect = server_module.connect_readonly
+
+        def counting_connect(path):
+            opened.append(path)
+            return real_connect(path)
+
+        monkeypatch.setattr(server_module, "connect_readonly",
+                            counting_connect)
+        wrong, errors = [], []
+
+        def client(offset, server):
             try:
-                with urllib.request.urlopen(
-                        f"http://{host}:{port}{path}",
-                        timeout=10) as resp:
-                    results.append((path, resp.status))
+                for i in range(requests_each):
+                    path = paths[(offset + i) % len(paths)]
+                    if fetch(server, path) != expected[path]:
+                        wrong.append(path)
             except Exception as exc:  # pragma: no cover - failure detail
-                errors.append((path, exc))
+                errors.append(exc)
 
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
         try:
-            workers = [threading.Thread(target=fetch, args=(p,))
-                       for p in ("/", "/arena", "/faults", "/bench",
-                                 "/api/summary", "/api/arena/runs")]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=15)
-            assert not errors, errors
-            assert sorted(s for _, s in results) == [200] * 6
+            with serving(db) as server:
+                workers = [threading.Thread(target=client,
+                                            args=(offset, server))
+                           for offset in range(clients)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+                health = json.loads(fetch(server, "/healthz")[2])
+                dashboard = server.dashboard
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not wrong, wrong
+        assert 1 <= len(opened) <= clients
+        assert health["connections_opened"] == len(opened)
+        assert health["connections_open"] == len(opened)
+        # server_close() closed every one of them.
+        assert dashboard.connections_open == 0
+
+    def test_server_close_closes_connections_and_is_idempotent(self, db):
+        with serving(db) as server:
+            fetch(server, "/arena")
+            dashboard = server.dashboard
+            assert dashboard.connections_open == 1
+            (conn,) = dashboard._free
+        assert dashboard.connections_open == 0
+        with pytest.raises(Exception, match="closed database"):
+            conn.execute("SELECT 1")
+        dashboard.close()
+        assert dashboard.connections_open == 0
+        # A render after close() still answers, on a connection of its
+        # own that does not stay open.
+        assert dashboard.render("/api/summary")[0] == 200
+        assert dashboard.connections_open == 0
+
+    def test_kept_reader_sees_new_runs_and_does_not_block_checkpoint(
+            self, db):
+        def run_count(server):
+            return len(json.loads(
+                fetch(server, "/api/arena/runs")[2])["runs"])
+
+        with serving(db) as server:
+            assert run_count(server) == 2
+            for path in ("/", "/arena", f"/cell/1/{first_spec_hash(db)}",
+                         "/api/summary", "/bench"):
+                assert fetch(server, path)[0] == 200
+            with ResultsStore(db) as store:
+                ingest_doc(store, make_arena_doc(), source="a3")
+                assert run_count(server) == 3
+                busy = store.conn.execute(
+                    "PRAGMA wal_checkpoint(TRUNCATE)").fetchone()[0]
+            assert busy == 0
+            assert server.dashboard.connections_opened == 1

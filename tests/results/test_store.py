@@ -8,6 +8,11 @@ store is lossless, not a lossy summary.
 
 import json
 import os
+import signal
+import sqlite3
+import subprocess
+import sys
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,8 @@ from repro.faults.campaign import FAULTS_SCHEMA, validate_faults_doc
 from repro.results import (IngestError, ResultsStore, detect_doc_kind,
                            emit_arena_doc, emit_faults_doc, ingest_doc,
                            ingest_file)
+from repro.results.query import (arena_runs, latest_run_id, list_runs,
+                                 summary, table_counts)
 from repro.results.store import connect_readonly
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -155,15 +162,46 @@ class TestJobResults:
     def test_readonly_connection_rejects_writes(self, tmp_path):
         path = str(tmp_path / "r.sqlite")
         ResultsStore(path).close()
-        conn = connect_readonly(path)
-        import sqlite3
-        with pytest.raises(sqlite3.OperationalError):
-            conn.execute("INSERT INTO runs (schema, name, ingested_s) "
-                         "VALUES ('x', 'y', 0)")
+        with closing(connect_readonly(path)) as conn:
+            with pytest.raises(sqlite3.OperationalError):
+                conn.execute("INSERT INTO runs (schema, name, ingested_s) "
+                             "VALUES ('x', 'y', 0)")
 
     def test_readonly_requires_existing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             connect_readonly(str(tmp_path / "absent.sqlite"))
+
+    def test_commit_survives_sigkill(self, tmp_path):
+        """``synchronous=NORMAL`` under WAL: the commit has reached the
+        operating system when ``put_job_result`` returns, so a process
+        killed right after it (no close, no checkpoint) loses nothing."""
+        path = str(tmp_path / "r.sqlite")
+        child = (
+            "import os, signal, sys\n"
+            "from repro.harness.jobs import JobSpec\n"
+            "from repro.results import ResultsStore\n"
+            "store = ResultsStore(sys.argv[1])\n"
+            "spec = JobSpec(kind='callable', seed=5, params={'t': 'm:f'})\n"
+            "store.put_job_result(spec, {'value': 42})\n"
+            "print(spec.spec_hash, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        done = subprocess.run([sys.executable, "-c", child, path], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        spec_hash = done.stdout.strip()
+        with closing(connect_readonly(path)) as conn:
+            row = conn.execute(
+                "SELECT result_json FROM job_results WHERE spec_hash=?",
+                (spec_hash,)).fetchone()
+            assert json.loads(row["result_json"]) == {"value": 42}
+            assert conn.execute("PRAGMA integrity_check").fetchone()[0] \
+                == "ok"
+        with ResultsStore(path) as store:
+            assert store.conn.execute(
+                "PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
+            assert store.get_job_result(spec_hash) == {"value": 42}
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +361,8 @@ class TestQueries:
             ingest_doc(store, make_arena_doc(), source="a2")
             ingest_doc(store, make_faults_doc(), source="f1")
             ingest_doc(store, make_bench_doc(), source="b1")
-        return connect_readonly(path)
+        with closing(connect_readonly(path)) as conn:
+            yield conn
 
     def test_summary_counts(self, conn):
         from repro.results.query import summary
@@ -367,3 +406,109 @@ class TestQueries:
         keys = {(s["scenario"], s["engine"]) for s in data["series"]}
         assert ("alltoall-lossy", "calendar") in keys
         assert data["runs"][0]["tracing_overhead"] == 1.2
+
+
+# ----------------------------------------------------------------------
+# Set-based page queries against their per-row oracles
+# ----------------------------------------------------------------------
+def arena_runs_per_run(conn) -> list[dict]:
+    """``arena_runs`` as it was computed before it became one grouped
+    statement: two statements per ingested run.  Kept as the oracle."""
+    rows = []
+    for run in list_runs(conn, "repro-arena"):
+        best = conn.execute(
+            "SELECT lb, transport, mean_slowdown FROM arena_ranking "
+            "WHERE run_id=? AND rank=1", (run["run_id"],)).fetchone()
+        cells = conn.execute(
+            "SELECT COUNT(*), SUM(completed) FROM arena_cells "
+            "WHERE run_id=?", (run["run_id"],)).fetchone()
+        rows.append(dict(
+            run,
+            cells=cells[0], completed_cells=cells[1] or 0,
+            best_lb=best["lb"] if best else None,
+            best_transport=best["transport"] if best else None,
+            best_slowdown=best["mean_slowdown"] if best else None))
+    return rows
+
+
+SEPARATE_COUNTS = {
+    "job_results": "SELECT COUNT(*) FROM job_results",
+    "runs": "SELECT COUNT(*) FROM runs",
+    "arena_runs": "SELECT COUNT(*) FROM runs "
+                  "WHERE schema LIKE 'repro-arena%'",
+    "fault_runs": "SELECT COUNT(*) FROM runs "
+                  "WHERE schema LIKE 'repro-faults%'",
+    "bench_runs": "SELECT COUNT(*) FROM runs "
+                  "WHERE schema LIKE 'repro-bench%'",
+    "arena_cells": "SELECT COUNT(*) FROM arena_cells",
+    "fault_cells": "SELECT COUNT(*) FROM fault_cells",
+    "lbs_ranked": "SELECT COUNT(DISTINCT lb) FROM arena_ranking",
+}
+
+
+def separate_counts(conn, names) -> dict:
+    return {name: conn.execute(SEPARATE_COUNTS[name]).fetchone()[0]
+            for name in names}
+
+
+class TestSetBasedQueries:
+    @pytest.fixture()
+    def mixed(self, tmp_path):
+        """Two arena runs, one arena run with every cell incomplete,
+        one arena run without rows at all, and runs of other kinds."""
+        path = str(tmp_path / "mixed.sqlite")
+        censored = make_arena_doc(lbs=("ecmp", "reps", "rps"))
+        for cell in censored["cells"]:
+            cell["completed"] = False
+        with ResultsStore(path) as store:
+            ingest_doc(store, make_arena_doc(), source="a1")
+            ingest_doc(store, make_faults_doc(), source="f1")
+            ingest_doc(store, censored, source="censored")
+            ingest_doc(store, make_bench_doc(), source="b1")
+            ingest_doc(store, make_arena_doc(), source="a2")
+            store.insert_run("repro-arena-v1", "arena", source="bare")
+            spec = JobSpec(kind="callable", seed=1, params={"t": "m:f"})
+            store.put_job_result(spec, {"value": 1})
+        with closing(connect_readonly(path)) as conn:
+            yield conn
+
+    @pytest.fixture()
+    def empty(self, tmp_path):
+        path = str(tmp_path / "empty.sqlite")
+        ResultsStore(path).close()
+        with closing(connect_readonly(path)) as conn:
+            yield conn
+
+    def test_arena_runs_equals_the_per_run_computation(self, mixed,
+                                                       empty):
+        rows = arena_runs(mixed)
+        assert rows == arena_runs_per_run(mixed)
+        assert [list(row) for row in rows] == \
+            [list(row) for row in arena_runs_per_run(mixed)]  # key order
+        assert [r["source"] for r in rows] == \
+            ["a1", "censored", "a2", "bare"]
+        censored, bare = rows[1], rows[3]
+        assert censored["cells"] == 3 and censored["completed_cells"] == 0
+        assert censored["completed_cells"] is not None
+        assert censored["best_lb"] is not None
+        assert (bare["cells"], bare["completed_cells"],
+                bare["best_lb"], bare["best_slowdown"]) == (0, 0, None,
+                                                            None)
+        assert arena_runs(empty) == arena_runs_per_run(empty) == []
+
+    def test_counts_equal_the_separate_counts(self, mixed, empty):
+        for conn in (mixed, empty):
+            counts = table_counts(conn)
+            assert list(counts) == list(SEPARATE_COUNTS)[:-1]
+            assert counts == separate_counts(conn, counts)
+            totals = summary(conn)
+            assert list(totals) == list(SEPARATE_COUNTS)
+            assert totals == separate_counts(conn, totals)
+        assert summary(mixed)["arena_runs"] == 4
+        assert summary(mixed)["lbs_ranked"] == 3
+        assert set(summary(empty).values()) == {0}
+
+    def test_latest_run_id_per_document_family(self, mixed, empty):
+        assert latest_run_id(mixed, "repro-arena") == 6
+        assert latest_run_id(mixed, "repro-bench") == 4
+        assert latest_run_id(empty, "repro-arena") is None
