@@ -1,4 +1,5 @@
-"""Smoke tests for the perf-benchmark harness (fast; runs in tier-1).
+"""Smoke tests for the perf-benchmark harness (fast; CI runs them as
+their own step — tier-1's ``testpaths`` is ``tests`` alone).
 
 These do not measure anything meaningful — they pin the harness
 machinery: scenario builders construct, quick runs complete, and the JSON
@@ -10,6 +11,7 @@ import json
 
 import pytest
 
+from repro.harness import bench
 from repro.harness.bench import (SCENARIOS, ScenarioResult, run_bench,
                                  run_scenario)
 
@@ -23,14 +25,23 @@ def test_each_scenario_completes_in_quick_mode(name):
     assert 0 < result.sim_time_ns
 
 
-def test_run_bench_writes_schema(tmp_path):
+def test_run_bench_writes_schema(tmp_path, monkeypatch):
+    built = []
+    for name, builder in list(bench.BUILDERS.items()):
+        def counting(*args, _name=name, _builder=builder):
+            built.append(_name)
+            return _builder(*args)
+        monkeypatch.setitem(bench.BUILDERS, name, counting)
     out = tmp_path / "bench.json"
     doc = run_bench(quick=True, out=str(out),
                     echo=lambda line: None)
+    # One warm-up, one measurement per scenario, one traced run.
+    assert built == ["incast", *SCENARIOS, "alltoall"]
     on_disk = json.loads(out.read_text())
     assert on_disk == doc
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert "heap_baseline" not in doc and "speedup_vs_heap" not in doc
+    assert "cost_model" not in doc
     assert set(doc["scenarios"]) == set(SCENARIOS)
     for name in SCENARIOS:
         entry = doc["scenarios"][name]

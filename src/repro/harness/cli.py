@@ -235,17 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--baseline", metavar="PATH", default=None,
                      help="tracked bench JSON to gate against; exits "
                           "non-zero on regression")
-    ben.add_argument("--max-regression", type=float, default=0.30,
-                     metavar="FRAC",
-                     help="allowed events/sec drop vs --baseline "
-                          "(default 0.30 = 30%%)")
-    ben.add_argument("--max-tracing-regression", type=float, default=0.15,
-                     metavar="FRAC",
-                     help="allowed growth of the tracing overhead_ratio "
-                          "vs --baseline (default 0.15 = 15%%)")
-    ben.add_argument("--cost-model-out", metavar="PATH", default=None,
-                     help="also write the fitted per-event-class cost "
-                          "model to this JSON file (CI artifact)")
 
     pmap = sub.add_parser("pathmap", parents=[out_flags],
                           help="Fig. 3 PathMap on a fat-tree")
@@ -545,25 +534,11 @@ def cmd_bench(args: argparse.Namespace, console: Console) -> int:
     from repro.harness.bench import check_regression, run_bench
     doc = run_bench(quick=args.quick, repeats=args.repeats,
                     out=args.out or None, echo=console.info)
-    if doc.get("cost_model"):
-        _write_doc(console, args.cost_model_out, doc["cost_model"])
     rc = 0
     if args.baseline:
-        regressions = check_regression(
-            doc, args.baseline, max_regression=args.max_regression,
-            max_tracing_regression=args.max_tracing_regression,
-            echo=console.info)
+        regressions = check_regression(doc, args.baseline, echo=console.info)
         for line in regressions:
             console.out(f"REGRESSION: {line}")
-        if regressions and doc.get("cost_model"):
-            # Attribute the regression: compare fitted per-class costs
-            # against the baseline's to name the class that got slower.
-            from repro.harness.costmodel import residual_table
-            with open(args.baseline) as fh:
-                base_model = json.load(fh).get("cost_model")
-            if base_model:
-                for line in residual_table(doc["cost_model"], base_model):
-                    console.out(line)
         doc = dict(doc, regressions=regressions)
         rc = 1 if regressions else 0
     console.result(doc)
@@ -903,7 +878,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       json_mode=getattr(args, "json_mode", False))
     # Every file a command writes is named by one of these flags
     # (``collective --json`` takes a path; the global one is json_mode).
-    for flag in ("out", "perfetto", "dump", "cost_model_out", "json"):
+    for flag in ("out", "perfetto", "dump", "json"):
         path = getattr(args, flag, None)
         problem = _unwritable(path) if path else None
         if problem:

@@ -50,6 +50,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from repro.harness.metrics import JobCounters
+from repro.obs.record import dump_active_flight, set_active
 
 CHECKPOINT_VERSION = 1
 
@@ -166,6 +167,9 @@ JOB_KINDS: dict[str, str] = {
 
 def execute_spec(spec: JobSpec) -> dict:
     """Run one job in the current process; returns the JSON payload."""
+    # An earlier job's recorder (same process, or inherited through
+    # ``fork``) must not be what a failure of this job dumps.
+    set_active(None)
     try:
         target = JOB_KINDS[spec.kind]
     except KeyError:
@@ -186,7 +190,6 @@ def _describe_failure(exc: BaseException, reason: str, tag: str) -> str:
     """
     error = f"{type(exc).__name__}: {exc}"
     try:
-        from repro.obs.record import dump_active_flight
         path = dump_active_flight(reason, tag=tag)
     except Exception:
         path = None

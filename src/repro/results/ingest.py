@@ -108,7 +108,7 @@ def _validate_bench(doc: dict) -> list[str]:
 
 def _ingest_bench(store: ResultsStore, doc: dict, source: str) -> dict:
     # Everything except the bulky per-scenario rows rides meta_json, so
-    # the dashboard can surface cost-model fits and tracing overhead.
+    # the dashboard can surface the tracing overhead and run metadata.
     meta = {k: v for k, v in doc.items() if k != "scenarios"}
     run_id = store.insert_run(_schema_of(doc), "bench", source=source,
                               meta=meta)

@@ -237,8 +237,6 @@ def bench_series(conn: sqlite3.Connection) -> dict:
             "speedup_vs_heap": doc.get("speedup_vs_heap"),
             "tracing_overhead": doc.get("tracing", {})
             .get("overhead_ratio"),
-            "cost_model_costs": doc.get("cost_model", {})
-            .get("costs_ns"),
         })
     out = []
     for entry in sorted(series.values(),

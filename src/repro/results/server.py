@@ -21,7 +21,7 @@ Pages
 * ``/arena/<run_id>``       one run: ranked table + cell grid
 * ``/cell/<run_id>/<hash>`` per-cell drill-down + Perfetto deep link
 * ``/faults``               recovery / goodput-dip panels per scenario
-* ``/bench``                events/sec + cost-model trend lines
+* ``/bench``                events/sec + tracing-overhead trend lines
 * ``/api/...``              the JSON twins of every page
 * ``/traces/<file>``        exported Perfetto traces (``--traces`` dir)
 """
@@ -381,18 +381,9 @@ class Dashboard:
                 ["run", "source", "mode", "python", "speedup vs heap",
                  "tracing overhead"], rows, numeric=(0, 4, 5),
                 raw=(1,)))
-            costs = data["runs"][-1].get("cost_model_costs") or {}
-            if costs:
-                top = sorted(costs.items(), key=lambda kv: -kv[1])[:12]
-                body += ("<h2>fitted per-event-class costs "
-                         "(latest run)</h2>"
-                         + H.card(H.table(
-                             ["event class", "cost (ns)"],
-                             [(k, f"{v:,.0f}") for k, v in top],
-                             numeric=(1,))))
         return self._html(H.page(
             "bench history", body, active="/bench",
-            subtitle="engine throughput and cost-model trend"))
+            subtitle="engine throughput and tracing-overhead trend"))
 
     # -- API -----------------------------------------------------------
     def api_summary(self, conn: Conn, host: str) -> tuple[int, str, bytes]:

@@ -139,8 +139,8 @@ class Simulator:
         self._executed = 0
         self._running = False
         #: Calendar buckets claimed whole by :meth:`run_batched` — the
-        #: unit of per-batch overhead (claim + sort).  The bench cost
-        #: model reads this to price batch-sparse workloads.
+        #: unit of per-batch overhead (claim + sort).  The performance
+        #: ledger reports it as the exact count ``sim.batches``.
         self.batches = 0
 
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ crash in :mod:`repro.harness.jobs` — both isolation modes.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
 
 
 def read_dump(path):
-    lines = [json.loads(ln) for ln in open(path).read().splitlines()]
+    lines = [json.loads(ln) for ln in Path(path).read_text().splitlines()]
     assert lines[0]["meta"] == "repro-flight-recorder"
     return lines[0], lines[1:]
 
@@ -72,35 +73,69 @@ def _traced_boom(seed):
     raise RuntimeError("traced worker exploded")
 
 
+#: Keeps a finished job's recorder alive, as the reference cycles of a
+#: real ``Network`` do until the next GC pass.
+_finished_runs = []
+
+
+def _traced_ok(seed):
+    """A traced experiment that finishes; its recorder stays registered."""
+    rec = Recorder()
+    set_active(rec)
+    rec.queue_enq(seed, "tor0:p0", 0, 0)
+    _finished_runs.append(rec)
+    return seed
+
+
+def _callable_spec(name):
+    return JobSpec(kind="callable", seed=0,
+                   params={"target": f"tests.obs.test_crash_dump:{name}"})
+
+
 class TestJobWorkerCrashDump:
     def test_inproc_failure_appends_dump_path(self, tmp_path,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        rec = Recorder()
-        rec.queue_enq(1, "a", 0, 0)
-        set_active(rec)
         try:
             runner = JobRunner(workers=1, isolation="inproc", retries=0)
-            outcome = runner.run_one(JobSpec(
-                kind="callable", seed=0,
-                params={"target": "tests.obs.test_crash_dump:_plain_boom"}))
+            outcome = runner.run_one(_callable_spec("_traced_boom"))
         finally:
             set_active(None)
         assert outcome.status == "failed"
-        assert "worker exploded" in outcome.error
+        assert "traced worker exploded" in outcome.error
         assert "[flight recorder: " in outcome.error
         dump_path = outcome.error.rsplit("[flight recorder: ", 1)[1][:-1]
-        header, _ = read_dump(dump_path)
+        header, events = read_dump(dump_path)
         assert header["reason"] == "job-failure"
+        assert len(events) == 5
+
+    @pytest.mark.parametrize("isolation", ["inproc", "subprocess"])
+    def test_failure_never_dumps_an_earlier_jobs_recorder(
+            self, tmp_path, monkeypatch, isolation):
+        """A traced job that succeeded leaves its recorder registered;
+        the next job — same process, or a ``fork`` of it — fails before
+        wiring one and must not be handed the first job's events."""
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        try:
+            first = JobRunner(isolation="inproc").run_one(
+                _callable_spec("_traced_ok"))
+            assert first.ok
+            outcome = JobRunner(isolation=isolation, retries=0).run_one(
+                _callable_spec("_plain_boom"))
+        finally:
+            set_active(None)
+            _finished_runs.clear()
+        assert outcome.status == "failed"
+        assert "worker exploded" in outcome.error
+        assert "[flight recorder: " not in outcome.error
+        assert list(tmp_path.iterdir()) == []
 
     def test_subprocess_crash_appends_dump_path(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         runner = JobRunner(workers=1, isolation="subprocess", retries=0,
                            mp_method="spawn")
-        outcome = runner.run_one(JobSpec(
-            kind="callable", seed=0,
-            params={"target": "tests.obs.test_crash_dump:_traced_boom"}))
+        outcome = runner.run_one(_callable_spec("_traced_boom"))
         assert outcome.status == "failed"
         assert "traced worker exploded" in outcome.error
         assert "[flight recorder: " in outcome.error

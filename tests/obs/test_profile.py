@@ -1,9 +1,10 @@
 """Tests for the event-handler wall-time profiler."""
 
+from collections import Counter
+
 import pytest
 
 from repro.harness.bench import BUILDERS, DEADLINE_NS
-from repro.harness.costmodel import measure_mix
 from repro.obs.profile import Profiler
 from repro.sim.engine import Simulator
 from tests.sim.heap_oracle import HeapSimulator
@@ -88,7 +89,14 @@ def test_calls_match_a_plain_trace_tally():
     recycled, so a cache keyed on ``id(callback)`` charged one handler's
     calls to another.  Per-handler ``calls`` must equal what a plain
     ``Simulator.trace`` tally of the same (deterministic) run counts."""
-    tally, _, _, _ = measure_mix("lossy", quick=True)
+    tally = Counter()
+
+    def count(t, seq, callback):
+        tally[callback.__qualname__] += 1
+
+    net = BUILDERS["lossy"](True, None)
+    net.sim.trace = count
+    net.run(until_ns=DEADLINE_NS)
     net = BUILDERS["lossy"](True, None)
     with Profiler(net.sim) as prof:
         net.run(until_ns=DEADLINE_NS)

@@ -92,19 +92,31 @@ class TestHeadlessRendering:
     def test_bench_page_renders_old_and_v4_documents(self, tmp_path,
                                                      open_dashboard):
         """Documents from before schema v4 still carry speedup_vs_heap
-        and keep rendering it; v4 documents show a dash."""
+        and keep rendering it; v4 and v5 documents show a dash.  A v4
+        document's cost_model block is stored but no longer rendered,
+        even when that document is the latest run."""
         path = str(tmp_path / "bench.sqlite")
         v4 = make_bench_doc()
         v4["schema_version"] = 4
         del v4["heap_baseline"], v4["speedup_vs_heap"]
+        v5 = dict(v4, schema_version=5)
+        v4_costs = dict(v4, cost_model={
+            "tolerance": 0.15, "costs_ns": {"Port._pump": 1234.0},
+            "predictions": []})
         with ResultsStore(path) as store:
             ingest_doc(store, make_bench_doc(), source="old")
             ingest_doc(store, v4, source="new")
+            ingest_doc(store, v5, source="v5")
+            ingest_doc(store, v4_costs, source="v4-costs")
         dashboard = open_dashboard(path)
         status, _, body = dashboard.render("/bench")
-        assert status == 200 and "2.00x" in body.decode()
+        text = body.decode()
+        assert status == 200 and "2.00x" in text
+        assert "<h2>bench runs</h2>" in text
+        assert "fitted per-event-class costs" not in text
         runs = json.loads(dashboard.render("/api/bench")[2])["runs"]
-        assert [r["speedup_vs_heap"] for r in runs] == [2.0, None]
+        assert [r["speedup_vs_heap"] for r in runs] == [2.0, None, None,
+                                                        None]
 
     def test_unknown_routes_404(self, db, open_dashboard):
         dashboard = open_dashboard(db)
