@@ -14,8 +14,8 @@ result document is bitwise-identical between ``--workers 1`` and
 ``--workers 4`` (cells are aggregated in spec order, never completion
 order, and the document carries no wall-clock data).
 
-The JSON document (schema ``repro-arena-v1``) is the ingest format for
-the planned results service (ROADMAP item 5): ``cells`` is the raw
+The JSON document (schema ``repro-arena-v1``) is what ``repro results
+ingest`` stores and ``repro serve`` charts: ``cells`` is the raw
 per-cell table, ``ranking`` the per-(lb, transport) aggregate.
 """
 

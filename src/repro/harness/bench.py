@@ -294,10 +294,20 @@ def check_regression(doc: dict, baseline_path: str, *,
     a tracing regression if the traced-run ``overhead_ratio`` grew more
     than ``MAX_TRACING_REGRESSION`` above the baseline's.  Scenarios
     present on only one side are compared on the intersection; the gate
-    is a catch-big-regressions tripwire, not a precision benchmark.
+    is a catch-big-regressions tripwire, not a precision benchmark.  A
+    quick run and a full-mode one are not comparable in either
+    direction: that is said, and nothing is gated.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
+    run_mode, base_mode = ("quick" if d.get("quick") else "full-mode"
+                           for d in (doc, baseline))
+    if run_mode != base_mode:
+        # Quick messages are ~8x smaller, so per-run constant costs weigh
+        # more: an unchanged tree reads ~0.8x its own full-mode numbers.
+        echo(f"regression gate: not comparable: {run_mode} run vs "
+             f"{base_mode} baseline")
+        return []
     regressions: list[str] = []
     base_scenarios = baseline.get("scenarios", {})
     for name, current in doc.get("scenarios", {}).items():

@@ -11,7 +11,8 @@ Subcommands mirror the paper's experiments:
 * ``bench``       — engine perf benchmark (``--baseline`` gates CI).
 * ``pathmap``     — build and print a PathMap on a fat-tree (Fig. 3).
 * ``trace``       — traced lossy alltoall + NACK-decision causality audit
-  (``--perfetto`` exports a Chrome/Perfetto trace).
+  (``--perfetto`` exports a Chrome/Perfetto trace; ``--spec/--name``
+  injects a ``repro faults`` scenario's schedule mid-flight).
 * ``profile``     — wall-time histogram per event-handler type.
 * ``arena``       — LB-policy head-to-head ranking across workloads,
   topologies, and transports (``--quick`` = the CI smoke grid).
@@ -28,7 +29,6 @@ reconstructs a byte-identical output document.
 Global output flags: ``--quiet`` suppresses progress/info chatter and
 ``--json`` replaces the human-readable output with one machine-readable
 JSON document on stdout.  Both are accepted before the subcommand and
-(except ``collective``, whose ``--json PATH`` predates the global flag)
 after it.  All output goes through :class:`repro.obs.console.Console`.
 
 Installed as the ``repro`` console script, so ``repro sweep`` works
@@ -43,6 +43,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from repro.collectives import COLLECTIVE_CLASSES
 from repro.harness.collective_runner import (EvalScale, fig5_config,
                                              run_collective)
 from repro.harness.motivation import motivation_config, run_motivation
@@ -55,7 +56,7 @@ from repro.themis.memory import (MemoryParams, TOFINO_SRAM_BYTES,
                                  memory_overhead)
 
 
-def _output_flag_parent(*, with_json: bool) -> argparse.ArgumentParser:
+def _output_flag_parent() -> argparse.ArgumentParser:
     """Parent parser re-declaring the global output flags per subcommand.
 
     ``default=SUPPRESS`` means a flag given *before* the subcommand is
@@ -66,10 +67,9 @@ def _output_flag_parent(*, with_json: bool) -> argparse.ArgumentParser:
     parent.add_argument("--quiet", action="store_true",
                         default=argparse.SUPPRESS,
                         help="suppress progress/info output")
-    if with_json:
-        parent.add_argument("--json", dest="json_mode", action="store_true",
-                            default=argparse.SUPPRESS,
-                            help="machine-readable JSON on stdout")
+    parent.add_argument("--json", dest="json_mode", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="machine-readable JSON on stdout")
     return parent
 
 
@@ -110,6 +110,32 @@ def _traced_flag_parent(*, nodes: int) -> argparse.ArgumentParser:
                         help="message size per alltoall pair")
     parent.add_argument("--scheme", choices=SCHEMES, default="themis")
     return parent
+
+
+def _spec_flag_parent(*, required: bool) -> argparse.ArgumentParser:
+    """``--spec PATH | --name SCENARIO``: the one way a command names a
+    fault scenario (``faults run/show`` need one, ``trace`` may take
+    one); :func:`_spec_from_args` compiles the choice."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_mutually_exclusive_group(required=required)
+    group.add_argument("--spec", metavar="PATH",
+                       help="declarative scenario JSON file")
+    group.add_argument("--name", metavar="SCENARIO",
+                       help="builtin scenario name "
+                            "(see 'repro faults list')")
+    return parent
+
+
+def _spec_from_args(args: argparse.Namespace) -> Optional[dict]:
+    """The compiled spec ``--spec/--name`` names (``None``: neither was
+    given); raises ``ScenarioError`` (a ``ValueError``) or
+    ``LookupError``."""
+    from repro.faults.scenarios import builtin
+    from repro.faults.spec import compiled_spec, load_scenario
+    if not (args.spec or args.name):
+        return None
+    return compiled_spec(load_scenario(args.spec) if args.spec
+                         else builtin(args.name))
 
 
 def _runner_opts(args: argparse.Namespace, console: Console) -> dict:
@@ -171,10 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", dest="json_mode", action="store_true",
                         default=False,
                         help="machine-readable JSON on stdout")
-    out_flags = _output_flag_parent(with_json=True)
-    # ``collective --json PATH`` predates the global flag and keeps its
-    # meaning; use ``repro --json collective`` for machine output there.
-    quiet_only = _output_flag_parent(with_json=False)
+    out_flags = _output_flag_parent()
     runner_flags = _runner_flag_parent()
     db_flag = argparse.ArgumentParser(add_help=False)
     db_flag.add_argument("--db", default="results.sqlite",
@@ -198,16 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     mot.add_argument("--flow-bytes", type=int, default=4_000_000)
     mot.add_argument("--seed", type=int, default=1)
 
-    col = sub.add_parser("collective", parents=[quiet_only],
+    col = sub.add_parser("collective", parents=[out_flags],
                          help="one §5 collective run")
     col.add_argument("--collective", default="allreduce",
-                     choices=("allreduce", "allgather", "reducescatter",
-                              "alltoall", "hd_allreduce"))
+                     choices=tuple(COLLECTIVE_CLASSES))
     col.add_argument("--scheme", choices=SCHEMES, default="themis")
     col.add_argument("--ti-us", type=float, default=900.0)
     col.add_argument("--td-us", type=float, default=4.0)
     col.add_argument("--seed", type=int, default=1)
-    col.add_argument("--json", metavar="PATH", default=None,
+    col.add_argument("--out", metavar="PATH", default=None,
                      help="write the run summary as JSON")
 
     swp = sub.add_parser("sweep", parents=[out_flags, runner_flags],
@@ -244,9 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     pmap.add_argument("--sport", type=int, default=4242)
 
     trc = sub.add_parser("trace",
-                         parents=[out_flags, _traced_flag_parent(nodes=32)],
+                         parents=[out_flags, _traced_flag_parent(nodes=32),
+                                  _spec_flag_parent(required=False)],
                          help="traced lossy alltoall + NACK causality "
-                              "audit / Perfetto export")
+                              "audit / Perfetto export",
+                         description="Traced lossy alltoall with a NACK "
+                         "causality audit.  --spec/--name injects that "
+                         "fault scenario's schedule into this alltoall; "
+                         "the scenario's 'workload' section is ignored "
+                         "(--nodes/--bytes size the run).")
     trc.add_argument("report", nargs="?", default="nacks",
                      choices=("nacks",),
                      help="which report to print (default: nacks)")
@@ -257,25 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "(open at ui.perfetto.dev)")
     trc.add_argument("--dump", metavar="PATH", default=None,
                      help="also write the flight ring as JSONL")
-    trc.add_argument("--fault-link", metavar="A:B", default=None,
-                     help="flap this cable mid-flight (link-down "
-                          "resilience audit; e.g. tor0:spine0)")
-    trc.add_argument("--fault-at-us", type=float, default=40.0,
-                     help="when the --fault-link cable goes down")
-    trc.add_argument("--fault-down-us", type=float, default=80.0,
-                     help="how long the --fault-link cable stays down")
 
     flt = sub.add_parser("faults", parents=[out_flags],
                          help="fault-injection campaigns "
                               "(repro.faults scenarios)")
     flt_sub = flt.add_subparsers(dest="faults_command", required=True)
-    spec_src = argparse.ArgumentParser(add_help=False)
-    src_group = spec_src.add_mutually_exclusive_group(required=True)
-    src_group.add_argument("--spec", metavar="PATH",
-                           help="declarative scenario JSON file")
-    src_group.add_argument("--name", metavar="SCENARIO",
-                           help="builtin scenario name "
-                                "(see 'repro faults list')")
+    spec_src = _spec_flag_parent(required=True)
     flt_run = flt_sub.add_parser("run", parents=[out_flags, runner_flags,
                                                  spec_src],
                                  help="run a campaign on the job runner")
@@ -375,23 +390,18 @@ def cmd_memory(args: argparse.Namespace, console: Console) -> int:
     except ValueError as exc:
         return _fail(console, str(exc))
     breakdown = memory_overhead(params)
-    console.out(format_table(["component", "value"], [
-        ("PathMap bytes", breakdown.pathmap_bytes),
-        ("queue entries / QP", breakdown.queue_entries),
-        ("bytes / QP", breakdown.per_qp_bytes),
-        ("total bytes", breakdown.total_bytes),
-        ("total KB", f"{breakdown.total_kb():.1f}"),
-        ("fraction of 64MB SRAM",
-         percent(breakdown.sram_fraction(TOFINO_SRAM_BYTES))),
-    ]))
-    console.result({
+    doc = {
         "pathmap_bytes": breakdown.pathmap_bytes,
         "queue_entries_per_qp": breakdown.queue_entries,
         "per_qp_bytes": breakdown.per_qp_bytes,
         "total_bytes": breakdown.total_bytes,
         "total_kb": round(breakdown.total_kb(), 1),
         "sram_fraction": breakdown.sram_fraction(TOFINO_SRAM_BYTES),
-    })
+    }
+    console.out(format_table(["component", "value"], [
+        (key, percent(value) if key == "sram_fraction" else value)
+        for key, value in doc.items()]))
+    console.result(doc)
     return 0
 
 
@@ -445,7 +455,7 @@ def cmd_collective(args: argparse.Namespace, console: Console) -> int:
         "completed": result.completed,
         "summary": result.summary,
     }
-    _write_doc(console, args.json, doc)
+    _write_doc(console, args.out, doc)
     console.result(doc)
     return 0 if result.completed else 1
 
@@ -486,17 +496,11 @@ def cmd_sweep(args: argparse.Namespace, console: Console) -> int:
 def cmd_jobs(args: argparse.Namespace, console: Console) -> int:
     from repro.harness.jobs import checkpoint_status
     status = checkpoint_status(args.checkpoint)
+    kinds = ", ".join(f"{k}={n}" for k, n
+                      in sorted(status["kinds"].items())) or "-"
     console.out(format_table(["field", "value"], [
-        ("checkpoint", status["path"]),
-        ("records", status["records"]),
-        ("jobs", status["jobs"]),
-        ("done", status["done"]),
-        ("failed", status["failed"]),
-        ("retried", status["retried"]),
-        ("kinds", ", ".join(f"{k}={n}" for k, n
-                            in sorted(status["kinds"].items())) or "-"),
-        ("worker time (s)", status["elapsed_s"]),
-    ]))
+        (key, kinds if key == "kinds" else value)
+        for key, value in status.items() if key != "failures"]))
     for failure in status["failures"]:
         console.out(f"FAILED {failure['spec_hash']} "
                     f"{failure['label'] or '(unlabelled)'}: "
@@ -550,23 +554,17 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
     from repro.obs.nacks import build_audit, format_report
     from repro.obs.record import NACK
 
-    faults = None
-    if args.fault_link:
-        from repro.faults.spec import LinkFlap, Scenario
-        faults = Scenario("trace-link-flap").add(LinkFlap(
-            link=args.fault_link, at_us=args.fault_at_us,
-            down_us=args.fault_down_us)).compile()
-    try:  # construction only: bad --nodes, unknown --fault-link cable
+    try:  # construction only: bad --nodes, bad scenario, unknown cable
+        faults = _spec_from_args(args)
         net, recorder = build_traced_alltoall(
             nodes=args.nodes, loss=args.loss, seed=args.seed,
             message_bytes=args.bytes, scheme=args.scheme, faults=faults,
             retain_all=args.perfetto is not None)
-    except ValueError as exc:
+    except (ValueError, LookupError) as exc:
         return _fail(console, str(exc))
     if faults is not None:
-        console.info(f"fault: {args.fault_link} down at "
-                     f"{args.fault_at_us:.0f} us for "
-                     f"{args.fault_down_us:.0f} us")
+        console.info(f"faults: scenario {faults['name']!r}, "
+                     f"{len(faults['events'])} scheduled events")
     console.info(f"running traced {args.nodes}-node alltoall "
                  f"(scheme={args.scheme}, loss={args.loss:.3f}, "
                  f"seed={args.seed}) ...")
@@ -598,11 +596,10 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
     }
     if faults is not None:
         from repro.obs.record import FAULT
-        injector = net.fault_injector
         doc["faults"] = {
             "spec": faults["name"],
             "scheduled": len(faults["events"]),
-            "applied": len(injector.applied) if injector else 0,
+            "applied": len(net.fault_injector.applied),
             "recorded": len(recorder.records(FAULT)),
         }
     console.result(doc)
@@ -627,26 +624,17 @@ def cmd_profile(args: argparse.Namespace, console: Console) -> int:
                  f"(scheme={args.scheme}, loss={args.loss:.3f}) ...")
     with Profiler(net.sim) as prof:
         run_built(net)
-    report = prof.report()
-    table = prof.format_table()
-    if args.top is not None:
-        lines = table.splitlines()
-        if len(lines) > args.top + 2:  # header + N rows + total line
-            table = "\n".join(lines[:1 + args.top] + [lines[-1]])
-        report = dict(report)
-        report["handlers"] = report["handlers"][:args.top]
-    console.out(table)
+    console.out(prof.format_table(top=args.top))
     doc = {"params": _traced_params(args),
-           "sim_events": net.sim.executed, **report}
+           "sim_events": net.sim.executed, **prof.report(top=args.top)}
     _write_doc(console, args.out, doc)
     console.result(doc)
     return 0
 
 
 def cmd_faults(args: argparse.Namespace, console: Console) -> int:
-    from repro.faults.scenarios import BUILTIN_SCENARIOS, builtin
-    from repro.faults.spec import (ScenarioError, compiled_spec,
-                                   load_scenario)
+    from repro.faults.scenarios import BUILTIN_SCENARIOS
+    from repro.faults.spec import ScenarioError
 
     if args.faults_command == "list":
         rows = []
@@ -660,8 +648,7 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
         return 0
 
     try:
-        spec = compiled_spec(load_scenario(args.spec) if args.spec
-                             else builtin(args.name))
+        spec = _spec_from_args(args)
     except (ScenarioError, LookupError) as exc:
         return _fail(console, str(exc))
 
@@ -876,9 +863,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     console = Console(quiet=getattr(args, "quiet", False),
                       json_mode=getattr(args, "json_mode", False))
-    # Every file a command writes is named by one of these flags
-    # (``collective --json`` takes a path; the global one is json_mode).
-    for flag in ("out", "perfetto", "dump", "json"):
+    # Every file a command writes is named by one of these flags.
+    for flag in ("out", "perfetto", "dump"):
         path = getattr(args, flag, None)
         problem = _unwritable(path) if path else None
         if problem:

@@ -196,26 +196,9 @@ def _describe_failure(exc: BaseException, reason: str, tag: str) -> str:
     return error if path is None else f"{error} [flight recorder: {path}]"
 
 
-#: ``module:qualname`` of a deterministic worker fault hook.  When set,
-#: every subprocess worker calls ``hook(spec_doc)`` before executing its
-#: job — the hook simulating an infrastructure fault (``os._exit`` for a
-#: crash, ``time.sleep`` for a hang) based solely on the spec, which is
-#: how the retry-with-backoff path gets injected, reproducible coverage
-#: instead of ad-hoc monkeypatching.
-FAULT_HOOK_ENV = "REPRO_JOBS_FAULT_HOOK"
-
-
-def _run_fault_hook(spec_doc: dict) -> None:
-    hook = os.environ.get(FAULT_HOOK_ENV)
-    if not hook:
-        return
-    resolve_target(hook)(spec_doc)
-
-
 def _subprocess_entry(conn, spec_doc: dict) -> None:
     """Worker-side entry point: run the job, ship payload or error."""
     try:
-        _run_fault_hook(spec_doc)
         payload = execute_spec(JobSpec.from_dict(spec_doc))
         conn.send({"ok": True, "result": payload})
     except BaseException as exc:  # noqa: BLE001 - must cross the pipe

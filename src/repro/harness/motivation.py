@@ -23,7 +23,9 @@ from typing import Optional
 from repro.cc.dcqcn import DcqcnConfig
 from repro.collectives.group import interleaved_ring_groups
 from repro.harness.network import Network, NetworkConfig, TopologySpec
+from repro.harness.workload import post_messages
 from repro.net.packet import FlowKey
+from repro.obs.timeseries import TimeSeries
 from repro.sim.engine import SEC, US
 
 #: Paper value: 100 MB per flow at 100 Gbps.  Pure-Python default is
@@ -93,25 +95,20 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
                  * config.topology.nics_per_tor)
     watched = net.watch_flow(*watch)
 
-    groups = interleaved_ring_groups(num_nodes, 2)
-    for members in groups:
-        for position, node in enumerate(members):
-            nxt = members[(position + 1) % len(members)]
-            net.post_message(node, nxt, flow_bytes)
+    traffic = post_messages(net, [
+        (node, members[(position + 1) % len(members)])
+        for members in interleaved_ring_groups(num_nodes, 2)
+        for position, node in enumerate(members)], flow_bytes)
 
     net.run(until_ns=deadline_ns)
-    completed = net.metrics.all_flows_done()
     net.stop()
 
     metrics = net.metrics
-    done_times = [f.receiver_done_ns for f in metrics.flows.values()
-                  if f.receiver_done_ns is not None]
-    duration = max(done_times) if completed and done_times else net.now_ns
     line_gbps = config.topology.link_bandwidth_bps / 1e9
     result = MotivationResult(
         scheme=config.scheme, transport=config.transport,
         flow_bytes=flow_bytes, watched_flow=watched,
-        duration_ns=duration, completed=completed,
+        duration_ns=traffic.end_ns, completed=traffic.complete,
         line_rate_gbps=line_gbps,
         drops=metrics.drops, nacks=metrics.nacks_generated,
         summary=metrics.summary())
@@ -126,15 +123,13 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
     stats = metrics.flows.get(watched)
     if trace.samples and stats is not None:
         end = stats.sender_done_ns or net.now_ns
-        # Time-weighted mean rate from flow start to completion, seeding
-        # the series with the initial line rate before the first change.
-        samples = [(stats.start_ns, config.topology.link_bandwidth_bps)]
-        samples += [s for s in trace.samples if s[0] <= end]
-        samples.append((end, samples[-1][1]))
-        total = sum(v * (t1 - t0) for (t0, v), (t1, _)
-                    in zip(samples, samples[1:]))
-        span = end - stats.start_ns
-        result.avg_rate_gbps = (total / span / 1e9) if span else line_gbps
+        # The rate in force from flow start to completion: line rate
+        # until the first change, the last value held to the end.
+        in_force = TimeSeries(samples=[
+            (stats.start_ns, config.topology.link_bandwidth_bps),
+            *(s for s in trace.samples if s[0] <= end)])
+        in_force.record(end, in_force.samples[-1][1])
+        result.avg_rate_gbps = in_force.time_weighted_mean() / 1e9
     else:
         result.avg_rate_gbps = line_gbps
 

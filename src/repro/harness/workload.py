@@ -4,14 +4,14 @@ Every experiment family runs the same shape: post messages (or start a
 collective per group) on a wired :class:`~repro.harness.network.Network`,
 optionally stop the fabric when the last part finishes, and remember when
 that was.  The bench scenarios, the traced alltoall (hence fault
-campaigns), the arena cell and the Fig. 5 runner all post through here
-and read the same :class:`Traffic` handle, also reachable afterwards as
-``net.traffic``.
+campaigns), the arena cell, the Fig. 1 rings and the Fig. 5 runner all
+post through here and read the same :class:`Traffic` handle, also
+reachable afterwards as ``net.traffic``.
 
 The stop rule stays the caller's: bench and trace pass ``net.stop`` so
 the run ends at the last receiver instead of ticking idle DCQCN timers
-to the deadline; the arena stops on ``metrics.on_idle`` and Fig. 5 runs
-to the deadline, so neither passes one.
+to the deadline; the arena stops on ``metrics.on_idle``, Fig. 1 and
+Fig. 5 run to the deadline, so none of them passes one.
 """
 
 from __future__ import annotations

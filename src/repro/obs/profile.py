@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -98,10 +98,12 @@ class Profiler:
         self._prev_key = None
 
     # ------------------------------------------------------------------
-    def report(self) -> dict:
-        """JSON-friendly summary, handlers sorted by total time."""
+    def report(self, top: Optional[int] = None) -> dict:
+        """JSON-friendly summary, handlers sorted by total time; only the
+        ``top`` most expensive when given (``total_ms`` still covers
+        every handler)."""
         total = sum(s.total_s for s in self.stats.values()) or 1.0
-        rows = sorted(self.stats.values(), key=lambda s: -s.total_s)
+        rows = sorted(self.stats.values(), key=lambda s: -s.total_s)[:top]
         return {
             "handlers": [{
                 "handler": s.name,
@@ -113,8 +115,8 @@ class Profiler:
             "total_ms": round(total * 1e3, 3),
         }
 
-    def format_table(self) -> str:
-        report = self.report()
+    def format_table(self, top: Optional[int] = None) -> str:
+        report = self.report(top)
         lines = [f"{'handler':<40} {'calls':>10} {'total ms':>10} "
                  f"{'mean µs':>9} {'share':>7}"]
         for row in report["handlers"]:

@@ -10,15 +10,20 @@ When a NACK carrying ``ePSN`` arrives, :meth:`find_tpsn` dequeues entries
 in arrival order until the first PSN greater than ``ePSN``; that PSN is the
 out-of-order packet that triggered the NACK (the RNIC emits at most one
 NACK per ePSN, so the *first* newer-than-expected arrival is the trigger).
+
+The model is the bounded FIFO, a ``deque(maxlen=capacity)``; the head and
+tail pointers into a slot array are how the switch hardware realises one
+and have no counterpart here.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 
 class PsnRingQueue:
-    """Fixed-capacity FIFO of truncated PSNs with head/tail pointers."""
+    """Fixed-capacity FIFO of truncated PSNs; the oldest entry gives way."""
 
     def __init__(self, capacity: int, psn_bits: int = 8) -> None:
         if capacity < 1:
@@ -27,18 +32,15 @@ class PsnRingQueue:
         self.psn_bits = psn_bits
         self._mask = (1 << psn_bits) - 1
         self._half = 1 << (psn_bits - 1)
-        self._slots: list[int] = [0] * self.capacity
-        self.head = 0          # next slot to dequeue
-        self.tail = 0          # next slot to fill
-        self._size = 0
+        self._entries: deque[int] = deque(maxlen=self.capacity)
         self.overflows = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._entries)
 
     @property
     def full(self) -> bool:
-        return self._size == self.capacity
+        return len(self._entries) == self.capacity
 
     def truncate(self, psn: int) -> int:
         return psn & self._mask
@@ -55,21 +57,12 @@ class PsnRingQueue:
         wraps); §4 sizes the queue so this only happens when RTT spikes
         beyond the provisioning factor F.
         """
-        if self.full:
-            self.head = (self.head + 1) % self.capacity
-            self._size -= 1
+        if len(self._entries) == self.capacity:
             self.overflows += 1
-        self._slots[self.tail] = self.truncate(psn)
-        self.tail = (self.tail + 1) % self.capacity
-        self._size += 1
+        self._entries.append(psn & self._mask)
 
     def dequeue(self) -> int:
-        if self._size == 0:
-            raise IndexError("PSN queue empty")
-        value = self._slots[self.head]
-        self.head = (self.head + 1) % self.capacity
-        self._size -= 1
-        return value
+        return self._entries.popleft()  # IndexError when empty
 
     def find_tpsn(self, epsn: int) -> Optional[int]:
         """Dequeue until the first PSN larger than ``epsn`` (the tPSN).
@@ -81,8 +74,9 @@ class PsnRingQueue:
         leave the queue.
         """
         target = self.truncate(epsn)
-        while self._size:
-            candidate = self.dequeue()
+        entries = self._entries
+        while entries:
+            candidate = entries.popleft()
             if self._greater(candidate, target):
                 return candidate
         return None
@@ -95,17 +89,12 @@ class PsnRingQueue:
         last-hop FIFO cannot reorder), so it is not lost and compensation
         must not arm.  Same O(capacity) cost class as :meth:`find_tpsn`.
         """
-        target = self.truncate(psn)
-        for i in range(self._size):
-            if self._slots[(self.head + i) % self.capacity] == target:
-                return True
-        return False
+        return self.truncate(psn) in self._entries
 
     def snapshot(self) -> list[int]:
         """Entries in FIFO order (oldest first) — used by tests."""
-        return [self._slots[(self.head + i) % self.capacity]
-                for i in range(self._size)]
+        return list(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PsnRingQueue(cap={self.capacity}, size={self._size}, "
-                f"head={self.head}, tail={self.tail})")
+        return (f"PsnRingQueue(cap={self.capacity}, "
+                f"size={len(self._entries)})")

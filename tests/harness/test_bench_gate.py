@@ -44,6 +44,20 @@ class TestCheckRegression:
         bad, _ = self.gate(baseline, {}, tracing=1.39)
         assert len(bad) == 1 and bad[0].startswith("tracing: overhead")
 
+    def test_quick_run_is_not_gated_against_a_full_mode_baseline(
+            self, baseline):
+        """The fixture baseline is full-mode (no ``quick`` key, like a
+        pre-schema file): a quick run at half its speed is reported as
+        not comparable, never as a regression."""
+        doc = {"quick": True, "scenarios": {"incast": {"events_per_sec": 500}},
+               "tracing": {"overhead_ratio": 9.0}}
+        lines = []
+        assert check_regression(doc, baseline, echo=lines.append) == []
+        assert lines == ["regression gate: not comparable: quick run vs "
+                         "full-mode baseline"]
+        bad, _ = self.gate(baseline, {"incast": 500})
+        assert len(bad) == 1  # full vs full is still the gate
+
     def test_only_the_intersection_of_scenarios_is_gated(self, baseline):
         bad, lines = self.gate(baseline, {"incast": 1000, "brand_new": 1})
         assert bad == []

@@ -91,13 +91,14 @@ class TestJsonExport:
         out = tmp_path / "result.json"
         rc = main(["collective", "--collective", "allgather",
                    "--scheme", "ecmp", "--ti-us", "10",
-                   "--td-us", "200", "--json", str(out)])
+                   "--td-us", "200", "--out", str(out)])
         assert rc == 0
         import json
         payload = json.loads(out.read_text())
         assert payload["scheme"] == "ecmp"
         assert payload["completed"]
         assert payload["tail_completion_ms"] > 0
+        assert f"wrote {out}" in capsys.readouterr().out
 
 
 class TestGlobalOutputFlags:
@@ -117,11 +118,21 @@ class TestGlobalOutputFlags:
         assert main(["--quiet", "memory"]) == 0
         assert "192512" in capsys.readouterr().out
 
-    def test_collective_json_path_flag_still_parses(self):
+    def test_collective_json_path_flag_still_parses(self, capsys):
+        """``--json`` means one thing everywhere: ``collective`` writes
+        its file with ``--out`` like every other command, and prints the
+        same document whichever side of the subcommand ``--json`` is."""
         args = build_parser().parse_args(
-            ["collective", "--json", "out.json"])
-        assert args.json == "out.json"
-        assert args.json_mode is False
+            ["collective", "--json", "--out", "out.json"])
+        assert args.out == "out.json"
+        assert args.json_mode is True
+        run = ["collective", "--collective", "allgather", "--scheme",
+               "ecmp", "--ti-us", "10", "--td-us", "200"]
+        assert main(run + ["--json"]) == 0
+        after = capsys.readouterr().out
+        assert main(["--json"] + run) == 0
+        assert after == capsys.readouterr().out
+        assert after.startswith("{")
 
 
 class TestTraceCommand:
@@ -171,12 +182,13 @@ class TestTraceCommand:
 
 class TestProfileCommand:
     def test_table_output(self, capsys):
-        rc = main(["profile", "--nodes", "4", "--bytes", "4000",
-                   "--top", "5"])
+        rc = main(["--quiet", "profile", "--nodes", "4", "--bytes",
+                   "4000", "--top", "2"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "handler" in out
-        assert "total profiled wall time" in out
+        header, *rows, total = capsys.readouterr().out.splitlines()
+        assert "handler" in header
+        assert len(rows) == 2
+        assert "total profiled wall time" in total
 
     def test_json_report(self, tmp_path, capsys):
         import json
@@ -227,7 +239,7 @@ class TestUnwritableOutput:
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["profile", "--nodes", "2"],
-        ["trace", "--nodes", "8", "--fault-link", "tor0:nope"],
+        ["trace", "--nodes", "8", "--name", "nope"],
         ["pathmap", "--k", "3"],
         ["memory", "--factor", "0.5"],
         ["arena", "--quick", "--lbs", "nope"],
@@ -238,6 +250,7 @@ class TestBadInput:
         ["arena", "--quick", "--seeds", "0"],
         ["sweep", "--schemes", "nope"],
         ["faults", "run", "--name", "link-flap-smoke", "--seeds", "0"],
+        ["trace", "--nodes", "8", "--spec", "no/such/scenario.json"],
     ])
     def test_one_error_line_and_nothing_runs(self, argv, capsys,
                                              monkeypatch):
@@ -251,6 +264,18 @@ class TestBadInput:
         assert main(argv) == 2
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("error: ")
+
+    def test_trace_spec_naming_a_missing_cable(self, tmp_path, capsys,
+                                               monkeypatch):
+        import json
+        spec_file = tmp_path / "nope.json"
+        spec_file.write_text(json.dumps({
+            "name": "nope",
+            "layers": [{"kind": "link_flap", "link": "tor0:nope",
+                        "at_us": 5, "down_us": 10}]}))
+        self.test_one_error_line_and_nothing_runs(
+            ["trace", "--nodes", "8", "--spec", str(spec_file)], capsys,
+            monkeypatch)
 
     def test_failure_inside_a_running_simulation_still_raises(
             self, monkeypatch):
@@ -317,12 +342,47 @@ class TestFaultsCommand:
             build_parser().parse_args(["faults", "run"])
 
     def test_trace_with_fault_link_flag(self, capsys):
+        """``--name link-flap-smoke`` is the run the retired
+        ``--fault-link tor0:spine0 --fault-at-us 40 --fault-down-us 80``
+        made: the numbers below were recorded from those flags on the
+        commit before they went."""
         import json
         rc = main(["--json", "trace", "nacks", "--nodes", "8",
-                   "--bytes", "200000", "--fault-link", "tor0:spine0",
-                   "--fault-at-us", "40", "--fault-down-us", "80"])
+                   "--bytes", "200000", "--name", "link-flap-smoke"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["audit"]["unexplained"] == 0
+        assert payload["audit"] == {
+            "armed_open": 0, "blocked": 35, "cancelled": 14,
+            "compensated": 21, "decisions": 35, "forwarded": 0,
+            "no_state": 0, "no_tpsn": 0, "unexplained": 0}
+        assert payload["metrics"] == {
+            "cnps_generated": 39, "data_packets_sent": 8206, "drops": 422,
+            "mean_goodput_gbps": 5.723, "nacks_generated": 44,
+            "retransmissions": 422, "spurious_ratio": 0.0514,
+            "themis_blocked": 35, "themis_compensated": 21,
+            "themis_forwarded": 0, "trace_events": 88462,
+            "trace_counts": {
+                "cc_rate": 769, "deq": 29953, "drop": 422,
+                "ecn_mark": 271, "enq": 29953, "fault_link_down": 1,
+                "fault_link_up": 1, "fault_reconverge": 2, "hop": 26498,
+                "nack_cancel": 14, "nack_classify": 35,
+                "nack_compensate": 21, "nack_emit": 44, "qp_state": 478,
+                "total": 88462}}
+        assert payload["faults"] == {"spec": "link-flap-smoke",
+                                     "scheduled": 2, "applied": 2,
+                                     "recorded": 4}
+
+    def test_trace_ignores_the_scenario_workload(self, capsys):
+        """The scenario sizes campaigns (8 nodes, 200 kB); ``trace``
+        takes only its fault schedule and says so in its help."""
+        import json
+        assert main(["--json", "trace", "--nodes", "4", "--bytes",
+                     "20000", "--name", "link-flap-smoke"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["nodes"] == 4
+        assert payload["params"]["bytes"] == 20000
         assert payload["faults"]["applied"] == 2
-        assert payload["faults"]["recorded"] >= 2
+        with pytest.raises(SystemExit):
+            main(["trace", "--help"])
+        assert "'workload' section is ignored" in " ".join(
+            capsys.readouterr().out.split())

@@ -348,54 +348,29 @@ class TestReplicationIntegration:
 
 
 # ----------------------------------------------------------------------
-# Injected infrastructure faults (REPRO_JOBS_FAULT_HOOK)
+# Injected infrastructure faults
 # ----------------------------------------------------------------------
-def fault_hook_crash_once(spec_doc):
-    """Deterministic infrastructure fault: hard-kill the first worker
-    that runs each spec (marker file keyed by spec params)."""
-    marker = spec_doc["params"]["kwargs"]["marker"]
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("hook fired\n")
-        os._exit(3)
-
-
-def fault_hook_always_crash(spec_doc):
-    os._exit(3)
-
-
-def marked_square(seed, marker=""):
-    return float(seed * seed)
-
-
 class TestInjectedFaultHook:
-    """Satellite: retry-with-backoff exercised via the deterministic
-    worker fault hook, not ad-hoc monkeypatching of runner internals."""
+    """Retry-with-backoff exercised by a deterministic infrastructure
+    fault: the ``callable`` target itself hard-kills its worker, keyed by
+    a marker path in its ``kwargs`` — no side door into the worker."""
 
-    def test_injected_crash_is_retried_to_success(self, tmp_path,
-                                                  monkeypatch):
-        from repro.harness.jobs import FAULT_HOOK_ENV
-        monkeypatch.setenv(FAULT_HOOK_ENV,
-                           "tests.harness.test_jobs:fault_hook_crash_once")
+    def test_injected_crash_is_retried_to_success(self, tmp_path):
         marker = str(tmp_path / "hook.flag")
         counters = JobCounters()
         outcomes = run_jobs(
-            [_callable_spec(marked_square, 6, marker=marker)],
+            [_callable_spec(crash_unless_marker, 6, marker=marker)],
             workers=2, retries=2, backoff_s=0.01, counters=counters)
         (outcome,) = outcomes.values()
         assert outcome.ok
-        assert outcome.result["value"] == 36.0
+        assert outcome.result["value"] == 106
         assert outcome.attempts == 2
         assert counters.crashes == 1
         assert counters.retries == 1
 
-    def test_injected_crash_exhausts_retries(self, monkeypatch):
-        from repro.harness.jobs import FAULT_HOOK_ENV
-        monkeypatch.setenv(
-            FAULT_HOOK_ENV,
-            "tests.harness.test_jobs:fault_hook_always_crash")
+    def test_injected_crash_exhausts_retries(self):
         counters = JobCounters()
-        outcomes = run_jobs([_callable_spec(square, 2)],
+        outcomes = run_jobs([_callable_spec(always_crash, 2)],
                             workers=2, retries=1, backoff_s=0.01,
                             counters=counters)
         (outcome,) = outcomes.values()
@@ -403,9 +378,13 @@ class TestInjectedFaultHook:
         assert outcome.attempts == 2
         assert counters.crashes == 2
 
-    def test_hook_is_inert_when_unset(self, monkeypatch):
-        from repro.harness.jobs import FAULT_HOOK_ENV
-        monkeypatch.delenv(FAULT_HOOK_ENV, raising=False)
-        outcomes = run_jobs([_callable_spec(square, 3)], workers=2)
+    def test_hook_is_inert_when_unset(self, tmp_path):
+        marker = tmp_path / "hook.flag"
+        marker.write_text("already attempted\n")
+        counters = JobCounters()
+        outcomes = run_jobs(
+            [_callable_spec(crash_unless_marker, 3, marker=str(marker))],
+            workers=2, counters=counters)
         (outcome,) = outcomes.values()
         assert outcome.ok and outcome.attempts == 1
+        assert counters.crashes == 0

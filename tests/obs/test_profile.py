@@ -52,12 +52,17 @@ class TestProfiler:
         assert prof.stats
 
     def test_report_shares_sum_to_one(self):
-        report = self.run_workload(Simulator()).report()
+        prof = self.run_workload(Simulator())
+        report = prof.report()
         assert report["handlers"] == sorted(
             report["handlers"], key=lambda r: -r["total_ms"])
         assert sum(r["share"] for r in report["handlers"]) == \
             pytest.approx(1.0, abs=0.01)
         assert report["total_ms"] > 0
+        # ``top`` drops rows, not time: the total still covers them all.
+        assert prof.report(top=1) == {**report,
+                                      "handlers": report["handlers"][:1]}
+        assert len(prof.format_table(top=1).splitlines()) == 3
 
     def test_format_table(self):
         prof = self.run_workload(Simulator())
