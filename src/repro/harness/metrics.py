@@ -134,8 +134,11 @@ class Metrics:
         self.themis = ThemisStats()
 
         # Time series used by the Fig. 1 motivation study; only populated
-        # for flows registered via watch_flow().
-        self._watched: set[FlowKey] = set()
+        # for flows registered via watch_flow().  QPs test membership per
+        # packet and bump the plain counters themselves for every other
+        # flow, so ``on_data_sent`` / ``on_delivered`` are entered for
+        # watched flows only.
+        self.watched: set[FlowKey] = set()
         self.sent_counters: dict[FlowKey, WindowedCounter] = {}
         self.retx_counters: dict[FlowKey, WindowedCounter] = {}
         self.rate_traces: dict[FlowKey, TimeSeries] = {}
@@ -173,7 +176,7 @@ class Metrics:
 
     def watch_flow(self, flow: FlowKey) -> None:
         """Enable per-window traces for one flow (Fig. 1b/1c plumbing)."""
-        self._watched.add(flow)
+        self.watched.add(flow)
         self.sent_counters.setdefault(
             flow, WindowedCounter(self.trace_window_ns))
         self.retx_counters.setdefault(
@@ -196,7 +199,7 @@ class Metrics:
         if packet.is_retx:
             self.retransmissions += 1
             stats.retransmissions += 1
-        if flow in self._watched:
+        if flow in self.watched:
             now = self.sim.now
             self.sent_counters[flow].add(now)
             if packet.is_retx:
@@ -204,7 +207,7 @@ class Metrics:
 
     def on_delivered(self, flow: FlowKey, packet: Packet) -> None:
         """In-order delivery progress at the receiver (goodput)."""
-        if flow in self._watched:
+        if flow in self.watched:
             self.throughput_meters[flow].add_bytes(self.sim.now,
                                                    packet.payload_bytes)
 

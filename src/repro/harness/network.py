@@ -446,13 +446,13 @@ class Network:
         for switch in self.topology.switches:
             switch.rec = hop
             switch.rec_drop = drop
-            switch._policy.rec_ecn = ecn
             if switch.pfc is not None:
                 switch.pfc.rec = pfc
             for port in switch.ports:
                 port._rec_enq = enq
                 port._rec_deq = deq
                 port._rec_drop = drop
+                port._rec_ecn = ecn
             for mw in switch.middleware:
                 if isinstance(mw, ThemisDest):
                     mw.rec = nack

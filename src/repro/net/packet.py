@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 #: Bytes of Eth+IP+UDP+BTH framing on a data segment.
 DATA_HEADER_BYTES = 58
@@ -91,6 +91,10 @@ class Packet:
     ``is_data``/``is_control`` and ``src``/``dst`` are plain attributes
     (not properties) set at init time: they are read several times per hop
     on the hot path and ``ptype``/``flow`` are never reassigned.
+
+    Instances come from the factory functions below, which share the one
+    initialiser (:func:`_make`) and the free list; the class itself takes
+    no constructor arguments.
     """
 
     __slots__ = (
@@ -99,46 +103,6 @@ class Packet:
         "sent_at", "themis_generated", "hops", "is_data", "is_control",
         "src", "dst", "_in_pool",
     )
-
-    def __init__(self, ptype: PacketType, flow: FlowKey, *,
-                 psn: int = 0, epsn: int = 0, payload_bytes: int = 0,
-                 udp_sport: int = 0, is_retx: bool = False,
-                 sent_at: int = 0) -> None:
-        self._in_pool = False
-        self._init(ptype, flow, psn, epsn, payload_bytes, udp_sport,
-                   is_retx, sent_at)
-
-    def _init(self, ptype: PacketType, flow: FlowKey, psn: int = 0,
-              epsn: int = 0, payload_bytes: int = 0, udp_sport: int = 0,
-              is_retx: bool = False, sent_at: int = 0) -> None:
-        """(Re)initialise every field — shared by __init__ and the pool.
-
-        Positional-only by convention: the factories below call it once
-        per simulated packet, where keyword passing is measurable.
-        """
-        self.pkt_id = next(_packet_ids)
-        self.ptype = ptype
-        self.flow = flow
-        self.psn = psn
-        self.epsn = epsn
-        self.payload_bytes = payload_bytes
-        if ptype is PacketType.DATA:
-            self.wire_bytes = payload_bytes + DATA_HEADER_BYTES
-            self.is_data = True
-            self.is_control = False
-        else:
-            self.wire_bytes = CONTROL_PACKET_BYTES
-            self.is_data = False
-            self.is_control = True
-        self.src = flow.src
-        self.dst = flow.dst
-        self.udp_sport = udp_sport
-        self.ecn_marked = False
-        self.is_retx = is_retx
-        self.path_index: Optional[int] = None
-        self.sent_at = sent_at
-        self.themis_generated = False
-        self.hops = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = f"psn={self.psn}" if self.is_data else f"epsn={self.epsn}"
@@ -170,13 +134,37 @@ def release_packet(packet: Packet) -> None:
 def _make(ptype: PacketType, flow: FlowKey, psn: int = 0, epsn: int = 0,
           payload_bytes: int = 0, udp_sport: int = 0, is_retx: bool = False,
           sent_at: int = 0) -> Packet:
-    if _pool:
-        pkt = _pool.pop()
-    else:
-        pkt = Packet.__new__(Packet)
+    """Every packet is built here: a recycled instance when the pool has
+    one, with every field (re)initialised.
+
+    Positional-only by convention: called once per simulated packet,
+    where keyword passing is measurable.
+    """
+    pkt = _pool.pop() if _pool else Packet()
     pkt._in_pool = False
-    pkt._init(ptype, flow, psn, epsn, payload_bytes, udp_sport,
-              is_retx, sent_at)
+    pkt.pkt_id = next(_packet_ids)
+    pkt.ptype = ptype
+    pkt.flow = flow
+    pkt.psn = psn
+    pkt.epsn = epsn
+    pkt.payload_bytes = payload_bytes
+    if ptype is PacketType.DATA:
+        pkt.wire_bytes = payload_bytes + DATA_HEADER_BYTES
+        pkt.is_data = True
+        pkt.is_control = False
+    else:
+        pkt.wire_bytes = CONTROL_PACKET_BYTES
+        pkt.is_data = False
+        pkt.is_control = True
+    pkt.src = flow.src
+    pkt.dst = flow.dst
+    pkt.udp_sport = udp_sport
+    pkt.ecn_marked = False
+    pkt.is_retx = is_retx
+    pkt.path_index = None
+    pkt.sent_at = sent_at
+    pkt.themis_generated = False
+    pkt.hops = 0
     return pkt
 
 

@@ -6,9 +6,12 @@ propagation delay the peer device's :meth:`receive` runs.
 
 Two strict-priority FIFOs are kept: control packets (ACK/NACK/CNP) always
 transmit before data, mirroring the lossless high-priority control class
-RDMA fabrics configure.  Data packets pass through an optional
-:class:`QueuePolicy` that implements buffer admission (drops) and ECN
-marking; control packets are never dropped or marked.
+RDMA fabrics configure.  A switch port carries its switch's
+:class:`~repro.switch.buffer.SharedBuffer` and
+:class:`~repro.switch.ecn.EcnMarker` (``buffer`` / ``marker``, both
+``None`` on a NIC uplink) and does buffer admission (drops), occupancy
+accounting and ECN marking for data packets itself; control packets are
+never dropped or marked.
 
 Folded transmit path
 --------------------
@@ -24,6 +27,16 @@ events.  Drop decisions (link down, random loss) are made when the packet
 starts serializing; the drop is accounted immediately rather than one
 serialization time later, which shifts fault bookkeeping by at most one
 packet time and schedules no event at all for lost packets.
+
+A packet that reaches an **idle** port (serializer free, no wake-up
+pending, both FIFOs empty and, for data, the class not paused) is never
+queued: :meth:`Port.enqueue` makes the same admission test, peak-occupancy
+update, marking decision (queue depth = the packet's own wire bytes) and
+PFC egress credit the queued path makes, then hands the packet to
+:meth:`Port._pump`, whose transmit tail is the only one.  The engine calls
+and their order are those of append-then-pop.  A port whose
+``queue_enq``/``queue_deq`` channels are wired always queues, so a traced
+run records one of each per data packet.
 """
 
 from __future__ import annotations
@@ -36,35 +49,8 @@ from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.node import Device
-
-
-class QueuePolicy:
-    """Admission/marking hooks applied to data packets at enqueue time.
-
-    The default policy admits everything and never marks; switches install
-    :class:`repro.switch.buffer.SharedBuffer` + :class:`repro.switch.ecn.EcnMarker`
-    backed policies.
-
-    ``is_noop`` lets the port skip all three hook calls for the base
-    policy (NIC uplinks): every subclass is assumed to do real work, so
-    the flag flips automatically on subclassing.
-    """
-
-    is_noop = True
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.is_noop = False
-
-    def admit(self, port: "Port", packet: Packet) -> bool:
-        """Return ``False`` to drop ``packet`` instead of queueing it."""
-        return True
-
-    def on_enqueue(self, port: "Port", packet: Packet) -> None:
-        """Called after a data packet is queued (ECN marking point)."""
-
-    def on_dequeue(self, port: "Port", packet: Packet) -> None:
-        """Called when a data packet starts transmission (buffer release)."""
+    from repro.switch.buffer import SharedBuffer
+    from repro.switch.ecn import EcnMarker
 
 
 class Port:
@@ -75,10 +61,11 @@ class Port:
         "nominal_bandwidth_bps", "nominal_delay_ns",
         "name", "index", "peer", "_peer_recv", "_fire", "_fire2",
         "_control", "_data", "queued_bytes",
-        "_free_at", "_pump_armed", "_data_paused", "_pump_cb", "policy",
-        "loss_rate",
+        "_free_at", "_pump_armed", "_data_paused", "_pump_cb",
+        "buffer", "marker", "loss_rate",
         "up", "_loss_rng", "bytes_sent", "packets_sent", "packets_dropped",
         "busy_ns", "on_drop", "_rec_enq", "_rec_deq", "_rec_drop",
+        "_rec_ecn",
     )
 
     def __init__(self, sim: Simulator, owner: "Device", *,
@@ -113,7 +100,11 @@ class Port:
         # a fresh bound-method object per packet; this alias does not.
         self._pump_cb = self._pump
         self._data_paused = False      # PFC: data class held, control flows
-        self.policy: QueuePolicy = QueuePolicy()
+        # Shared buffer and ECN marker of the owning switch, set together
+        # by ``Switch.add_port``; a NIC uplink has neither and admits
+        # everything unmarked.
+        self.buffer: Optional["SharedBuffer"] = None
+        self.marker: Optional["EcnMarker"] = None
 
         # Fault injection: probability of silently dropping a departing
         # data packet (models a lossy cable), and an administrative down
@@ -136,6 +127,7 @@ class Port:
         self._rec_enq = None
         self._rec_deq = None
         self._rec_drop = None
+        self._rec_ecn = None
 
         owner.attach_port(self)
         self.name = f"{owner.name}.p{self.index}"
@@ -153,27 +145,56 @@ class Port:
 
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
-        """Queue a packet for transmission.
+        """Transmit a packet, now if the port is idle, else after queueing.
 
-        Returns ``True`` if accepted, ``False`` if dropped by policy.
+        Returns ``True`` if accepted, ``False`` if the shared buffer
+        refused it.
         """
         if packet.is_control:
+            if not (self._pump_armed or self._control or self._data) \
+                    and self.sim.now >= self._free_at:
+                self._pump(packet)
+                return True
             self._control.append(packet)
         else:
-            policy = self.policy
-            if policy.is_noop:
-                self._data.append(packet)
-                self.queued_bytes += packet.wire_bytes
-            else:
-                if not policy.admit(self, packet):
+            wire = packet.wire_bytes
+            # Egress depth this packet sees, itself included.
+            depth = self.queued_bytes + wire
+            idle = (not (self._pump_armed or self._data_paused
+                         or self._data or self._control)
+                    and self._rec_enq is None
+                    and self.sim.now >= self._free_at)
+            buf = self.buffer
+            if buf is not None:
+                used = buf.used_bytes + wire
+                cap = buf.per_port_cap_bytes
+                if used > buf.capacity_bytes or (cap is not None
+                                                 and depth > cap):
                     self._drop(packet)
                     return False
-                self._data.append(packet)
-                self.queued_bytes += packet.wire_bytes
-                policy.on_enqueue(self, packet)
+                if used > buf.peak_bytes:
+                    buf.peak_bytes = used
+                if not packet.ecn_marked and self.marker.should_mark(depth):
+                    packet.ecn_marked = True
+                    if self._rec_ecn is not None:
+                        self._rec_ecn.ecn_mark(self.sim.now, self.name,
+                                               packet, depth)
+                if idle:
+                    # Leaves as it arrives: the pool's occupancy is
+                    # untouched and the ingress credit goes straight back.
+                    pfc = self.owner.pfc
+                    if pfc is not None:
+                        pfc.on_egress(packet)
+                else:
+                    buf.used_bytes = used
+            if idle:
+                self._pump(packet)
+                return True
+            self._data.append(packet)
+            self.queued_bytes = depth
             if self._rec_enq is not None:
-                self._rec_enq(self.sim.now, self.name,
-                              self.queued_bytes, len(self._data))
+                self._rec_enq(self.sim.now, self.name, depth,
+                              len(self._data))
         if not self._pump_armed:
             now = self.sim.now
             if now >= self._free_at:
@@ -186,9 +207,10 @@ class Port:
         return True
 
     # ------------------------------------------------------------------
-    def _pump(self, _arg=None) -> None:
-        """Pop the next eligible packet and fold its whole transmit into
-        one scheduled delivery event.
+    def _pump(self, packet: Optional[Packet] = None) -> None:
+        """Fold one packet's whole transmit into one scheduled delivery
+        event: *packet* when :meth:`enqueue` found the port idle, else
+        the next eligible one popped from the FIFOs.
 
         Doubles as the boundary wake-up callback (scheduled via
         ``sim.fire``), so its first action is to disarm the wake-up flag.
@@ -196,16 +218,21 @@ class Port:
         self._pump_armed = False
         control = self._control
         data = self._data
-        if control:
+        if packet is not None:
+            wire = packet.wire_bytes
+        elif control:
             packet = control.popleft()
             wire = packet.wire_bytes
         elif data and not self._data_paused:
             packet = data.popleft()
             wire = packet.wire_bytes
             self.queued_bytes -= wire
-            policy = self.policy
-            if not policy.is_noop:
-                policy.on_dequeue(self, packet)
+            buf = self.buffer
+            if buf is not None:
+                buf.used_bytes -= wire
+                pfc = self.owner.pfc
+                if pfc is not None:
+                    pfc.on_egress(packet)
             if self._rec_deq is not None:
                 self._rec_deq(self.sim.now, self.name,
                               self.queued_bytes, len(data))
@@ -297,9 +324,9 @@ class Port:
     def flush(self, reason: str = "flush") -> int:
         """Drop every queued packet (fault injection: buffer drain).
 
-        Data packets pass through ``policy.on_dequeue`` before the drop so
-        shared-buffer occupancy and PFC ingress credit stay balanced —
-        the invariant suite checks ``buffer.used_bytes == 0`` after runs.
+        Data packets release their shared-buffer bytes and PFC ingress
+        credit before the drop, as a transmitted packet would — the
+        invariant suite checks ``buffer.used_bytes == 0`` after runs.
         Returns the number of packets flushed.
         """
         flushed = 0
@@ -309,7 +336,10 @@ class Port:
         while self._data:
             packet = self._data.popleft()
             self.queued_bytes -= packet.wire_bytes
-            self.policy.on_dequeue(self, packet)
+            if self.buffer is not None:
+                self.buffer.used_bytes -= packet.wire_bytes
+                if self.owner.pfc is not None:
+                    self.owner.pfc.on_egress(packet)
             self._drop(packet, reason)
             flushed += 1
         return flushed

@@ -1,7 +1,7 @@
 """Out-of-order reception tracker.
 
 Commodity RNICs that enable OOO reception keep a bitmap of PSNs received
-above the expected PSN (§2.2).  :class:`OooTracker` models it with a set —
+above the expected PSN (§2.2).  :class:`OooTracker` models it as a set —
 semantically identical, and O(1) amortized for the advance scan because
 each PSN is inserted and removed exactly once.
 """
@@ -9,23 +9,24 @@ each PSN is inserted and removed exactly once.
 from __future__ import annotations
 
 
-class OooTracker:
-    """Set of PSNs received ahead of the expected PSN."""
+class OooTracker(set):
+    """Set of PSNs received ahead of the expected PSN.
+
+    A ``set`` subclass, so the per-packet questions a receiver asks
+    (``psn in tracker``, ``if tracker``) are answered in C.
+    """
+
+    __slots__ = ("peak_size",)
 
     def __init__(self) -> None:
-        self._received: set[int] = set()
+        super().__init__()
         self.peak_size = 0
 
-    def __len__(self) -> int:
-        return len(self._received)
-
-    def __contains__(self, psn: int) -> bool:
-        return psn in self._received
-
     def add(self, psn: int) -> None:
-        self._received.add(psn)
-        if len(self._received) > self.peak_size:
-            self.peak_size = len(self._received)
+        super().add(psn)
+        size = len(self)
+        if size > self.peak_size:
+            self.peak_size = size
 
     def advance(self, epsn: int) -> int:
         """Consume the contiguous run starting at ``epsn``.
@@ -34,13 +35,11 @@ class OooTracker:
         not been received.  Mirrors the hardware rule "the ePSN advances to
         the smallest PSN whose packet has not yet been received".
         """
-        while epsn in self._received:
-            self._received.discard(epsn)
+        while epsn in self:
+            self.discard(epsn)
             epsn += 1
         return epsn
 
     def smallest(self) -> int | None:
         """Smallest tracked PSN (None when empty); used by invariants."""
-        if not self._received:
-            return None
-        return min(self._received)
+        return min(self) if self else None

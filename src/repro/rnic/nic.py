@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
 from repro.net.node import Device
-from repro.net.packet import FlowKey, Packet, PacketType, release_packet
+from repro.net.packet import (_POOL_CAP, FlowKey, Packet, PacketType,
+                              _pool)
 from repro.net.port import Port
 from repro.rnic.config import RnicConfig
 from repro.rnic.qp import SenderQp
@@ -134,20 +135,24 @@ class Rnic(Device):
             if rqp is None:
                 rqp = self.receiver(packet.flow)
             rqp.on_data(packet)
-            release_packet(packet)
-            return
-        # Control packets travel the reverse flow; the shadow index is
-        # keyed by that direction so no FlowKey needs to be built here.
-        sender = self._senders_by_ctrl.get(packet.flow)
-        if sender is not None:
-            if packet.ptype is PacketType.ACK:
-                sender.on_ack(packet.epsn)
-            elif packet.ptype is PacketType.NACK:
-                trigger = packet.psn if self.transport == "mp_rdma" else None
-                sender.on_nack(packet.epsn, trigger_psn=trigger)
-            elif packet.ptype is PacketType.CNP:
-                sender.on_cnp()
-        release_packet(packet)
+        else:
+            # Control packets travel the reverse flow; the shadow index
+            # is keyed by that direction so no FlowKey is built here.
+            sender = self._senders_by_ctrl.get(packet.flow)
+            if sender is not None:
+                if packet.ptype is PacketType.ACK:
+                    sender.on_ack(packet.epsn)
+                elif packet.ptype is PacketType.NACK:
+                    trigger = packet.psn if self.transport == "mp_rdma" \
+                        else None
+                    sender.on_nack(packet.epsn, trigger_psn=trigger)
+                elif packet.ptype is PacketType.CNP:
+                    sender.on_cnp()
+        # release_packet(packet), inline: once per delivered packet.
+        if not packet._in_pool:
+            packet._in_pool = True
+            if len(_pool) < _POOL_CAP:
+                _pool.append(packet)
 
     def stop(self) -> None:
         """Tear down all QP timers (end of experiment)."""

@@ -14,12 +14,11 @@ The sender QP models what commodity RNIC hardware does with an RC QP:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
-from repro.net.packet import FlowKey, data_packet
+from repro.net.packet import FlowKey, PacketType, _make
 from repro.obs.record import QP as OBS_QP
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC, Simulator
@@ -32,9 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class _Message:
-    start_psn: int
     end_psn: int
-    nbytes: int
     on_done: Optional[Callable[[], None]]
 
 
@@ -61,9 +58,11 @@ class SenderQp:
         self.nacks_filtered = 0
 
         self._messages: list[_Message] = []
-        self._message_starts: list[int] = []   # parallel to _messages
         self._next_completion = 0              # index into _messages
-        self._pf_hint = 0                      # last payload_for message
+        #: Payload of every segment except a message's last, which may
+        #: be shorter: those are kept by PSN.
+        self._segment_bytes = config.payload_bytes
+        self._short_tails: dict[int, int] = {}
 
         self.total_psns = 0        # one past the last posted PSN
         self.next_psn = 0          # next never-sent PSN
@@ -87,6 +86,13 @@ class SenderQp:
 
         self.stats = metrics.flow_stats(flow)
 
+        # The uplink's enqueue, resolved once at QP creation like the
+        # recorder channel below: whoever builds the NIC attaches its
+        # uplink before posting traffic.
+        if nic.uplink is None:
+            raise RuntimeError(f"{nic.name} is not attached to a ToR")
+        self._enqueue = nic.uplink.enqueue
+
         # QP-state observability channel (repro.obs); resolved once at QP
         # creation from the NIC's recorder (None = disabled).
         recorder = getattr(nic, "recorder", None)
@@ -103,11 +109,11 @@ class SenderQp:
                   on_done: Optional[Callable[[], None]] = None) -> None:
         """Queue a message; PSN numbering continues across messages."""
         npkts = self.config.packets_for(nbytes)
-        message = _Message(self.total_psns, self.total_psns + npkts,
-                           nbytes, on_done)
-        self._messages.append(message)
-        self._message_starts.append(message.start_psn)
-        self.total_psns = message.end_psn
+        self.total_psns += npkts
+        self._messages.append(_Message(self.total_psns, on_done))
+        tail = nbytes - (npkts - 1) * self._segment_bytes
+        if tail != self._segment_bytes:
+            self._short_tails[self.total_psns - 1] = tail
         self.stats.bytes_posted += nbytes
         self.metrics.open_messages += 1
         self._arm_rto()
@@ -115,29 +121,9 @@ class SenderQp:
 
     def payload_for(self, psn: int) -> int:
         """Payload bytes carried by segment ``psn``."""
-        # Hint fast path: consecutive sends almost always stay within one
-        # message, so remember the last hit and skip the bisect.
-        messages = self._messages
-        hint = self._pf_hint
-        if hint < len(messages):
-            message = messages[hint]
-            if message.start_psn <= psn < message.end_psn:
-                if psn == message.end_psn - 1:
-                    return message.nbytes - (message.end_psn - 1
-                                             - message.start_psn
-                                             ) * self.config.payload_bytes
-                return self.config.payload_bytes
-        idx = bisect.bisect_right(self._message_starts, psn) - 1
-        if idx < 0 or psn >= self._messages[idx].end_psn:
+        if not 0 <= psn < self.total_psns:
             raise ValueError(f"PSN {psn} was never posted on {self.flow}")
-        message = self._messages[idx]
-        self._pf_hint = idx
-        if psn == message.end_psn - 1:
-            remainder = message.nbytes - (message.end_psn - 1
-                                          - message.start_psn
-                                          ) * self.config.payload_bytes
-            return remainder
-        return self.config.payload_bytes
+        return self._short_tails.get(psn, self._segment_bytes)
 
     # ------------------------------------------------------------------
     # Pacing / transmission
@@ -187,29 +173,53 @@ class SenderQp:
         if psn > highest:
             self.highest_sent = psn
         sim = self.sim
-        packet = data_packet(self.flow, psn, self.payload_for(psn),
-                             udp_sport=self.udp_sport, is_retx=is_retx,
-                             sent_at=sim.now)
-        self.metrics.on_data_sent(self.flow, packet)
-        self.nic.transmit(packet)
+        now = sim.now
+        flow = self.flow
+        payload = self._short_tails.get(psn, self._segment_bytes)
+        packet = _make(PacketType.DATA, flow, psn, 0, payload,
+                       self.udp_sport, is_retx, now)
+        metrics = self.metrics
+        watched = metrics.watched
+        if watched and flow in watched:
+            metrics.on_data_sent(flow, packet)
+        else:
+            # Metrics.on_data_sent for an unwatched flow, through the
+            # FlowStats this QP already holds.
+            metrics.data_packets_sent += 1
+            metrics.data_bytes_sent += payload
+            stats = self.stats
+            stats.packets_sent += 1
+            if is_retx:
+                metrics.retransmissions += 1
+                stats.retransmissions += 1
+        self._enqueue(packet)
         cc = self.cc
         wire = packet.wire_bytes
         cc.on_bytes_sent(wire)
         gap_ns = int(wire * 8 * SEC / cc.rate_bps)
         base = self._next_allowed_ns
-        now = sim.now
         if now > base:
             base = now
-        self._next_allowed_ns = base + (gap_ns if gap_ns > 1 else 1)
-        self._maybe_schedule_send()
+        base += gap_ns if gap_ns > 1 else 1
+        self._next_allowed_ns = base
+        # _maybe_schedule_send(), with the pacing delay known positive.
+        # The event slot is tested because a drop on the uplink may have
+        # re-armed it already (the Ideal transport's loss oracle).
+        if self._send_event is None and (
+                retx or (self.next_psn < self.total_psns
+                         and self.next_psn - self.snd_una
+                         < self.config.max_inflight_packets)):
+            self._send_event = sim.schedule(base - now, self._send_one)
 
     # ------------------------------------------------------------------
     # Reliability feedback
     # ------------------------------------------------------------------
     def on_ack(self, epsn: int) -> None:
-        self._advance_una(epsn)
+        if epsn > self.snd_una:
+            self._advance_una(epsn)
         self.cc.on_ack()
-        self._maybe_schedule_send()
+        if self._send_event is None:
+            self._maybe_schedule_send()
 
     def on_nack(self, epsn: int,
                 trigger_psn: Optional[int] = None) -> None:

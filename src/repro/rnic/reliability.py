@@ -18,8 +18,9 @@ Three generations and one proposal are modelled (§1, §2.2):
 
 The three OOO-tolerant receivers are one selective-repeat machine
 (:class:`SrReceiver`) and differ only in their ``nack_policy``.  All
-receivers share cumulative-ACK emission with coalescing, per-QP CNP
-generation for DCQCN, and message-completion bookkeeping.
+receivers share the handling of the expected PSN (one frame:
+:meth:`ReceiverQp.on_data`), cumulative-ACK emission with coalescing,
+per-QP CNP generation for DCQCN, and message-completion bookkeeping.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class ReceiverQp:
 
         self.epsn = 0
         self.nack_sent_for_epsn = False
+        #: PSNs held above the ePSN; a receiver that keeps none (Go-Back-N)
+        #: leaves it ``None``.
+        self.tracker: Optional[OooTracker] = None
 
         # NACK observability channel (repro.obs); resolved once at QP
         # creation from the NIC's recorder (None = disabled).
@@ -104,21 +108,37 @@ class ReceiverQp:
     def on_data(self, packet: Packet) -> None:
         if packet.ecn_marked:
             self._maybe_send_cnp()
-        self._handle_data(packet)
+        psn = packet.psn
+        if psn != self.epsn:
+            self._handle_unexpected(packet)
+            return
+        # The expected PSN, the same on every receiver: deliver, advance
+        # over whatever was held above it, acknowledge, complete.
+        metrics = self.metrics
+        watched = metrics.watched
+        if watched and self.flow in watched:
+            metrics.on_delivered(self.flow, packet)
+        tracker = self.tracker
+        epsn = tracker.advance(psn + 1) if tracker else psn + 1
+        self.epsn = epsn
+        self.nack_sent_for_epsn = False
+        self._unacked_advance += epsn - psn
+        if self._unacked_advance >= self.config.ack_coalesce_packets:
+            self._send_ack()
+        elif self._ack_event is None:
+            self._schedule_delayed_ack()
+        expected = self._expected
+        if expected and expected[0][0] <= epsn:
+            self._check_completions()
 
-    def _handle_data(self, packet: Packet) -> None:
+    def _handle_unexpected(self, packet: Packet) -> None:
+        """A data packet whose PSN is not the expected one: a duplicate
+        (below it) or an out-of-order arrival (above it)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # ACK emission (coalesced cumulative ACKs)
     # ------------------------------------------------------------------
-    def _note_advance(self, advanced_by: int) -> None:
-        self._unacked_advance += advanced_by
-        if self._unacked_advance >= self.config.ack_coalesce_packets:
-            self._send_ack()
-        else:
-            self._schedule_delayed_ack()
-
     def _schedule_delayed_ack(self) -> None:
         if self._ack_event is None:
             self._ack_event = self.sim.schedule(self.config.delayed_ack_ns,
@@ -133,7 +153,11 @@ class ReceiverQp:
             self._ack_event.cancel()
             self._ack_event = None
         self._unacked_advance = 0
-        self.metrics.on_ack_generated(self.flow, self.epsn)
+        metrics = self.metrics
+        if metrics.ack_listeners:
+            metrics.on_ack_generated(self.flow, self.epsn)
+        else:
+            metrics.acks_generated += 1
         # _make with the precomputed control flow == ack_packet(flow, ...)
         # minus the per-ACK FlowKey reversal.
         self.nic.transmit(_make(PacketType.ACK, self._ctrl_flow, 0,
@@ -180,7 +204,7 @@ class SrReceiver(ReceiverQp):
         super().__init__(sim, nic, flow, config, metrics)
         self.tracker = OooTracker()
 
-    def _handle_data(self, packet: Packet) -> None:
+    def _handle_unexpected(self, packet: Packet) -> None:
         psn = packet.psn
         if psn < self.epsn or psn in self.tracker:
             # Duplicate: the payload was already received — every one of
@@ -189,19 +213,14 @@ class SrReceiver(ReceiverQp):
             self.stats.receiver_duplicates += 1
             self._schedule_delayed_ack()
             return
-        if psn == self.epsn:
-            self.metrics.on_delivered(self.flow, packet)
-            old = self.epsn
-            self.epsn = self.tracker.advance(psn + 1)
-            self.nack_sent_for_epsn = False
-            self._note_advance(self.epsn - old)
-            self._check_completions()
-            return
         # PSN > ePSN: out-of-order arrival.  A NACKing receiver cannot
         # tell multi-path skew from loss, assumes loss, and NACKs the
         # expected PSN — but only once per ePSN value.
         self.stats.receiver_ooo += 1
-        self.metrics.on_delivered(self.flow, packet)
+        metrics = self.metrics
+        watched = metrics.watched
+        if watched and self.flow in watched:
+            metrics.on_delivered(self.flow, packet)
         self.tracker.add(psn)
         if self.nack_policy is not None and not self.nack_sent_for_epsn:
             self.nack_sent_for_epsn = True
@@ -221,25 +240,17 @@ class GbnReceiver(ReceiverQp):
         super().__init__(sim, nic, flow, config, metrics)
         self.ooo_dropped = 0
 
-    def _handle_data(self, packet: Packet) -> None:
-        psn = packet.psn
-        if psn < self.epsn:
+    def _handle_unexpected(self, packet: Packet) -> None:
+        if packet.psn < self.epsn:
             self.stats.receiver_duplicates += 1
             self._schedule_delayed_ack()
-            return
-        if psn == self.epsn:
-            self.metrics.on_delivered(self.flow, packet)
-            self.epsn += 1
-            self.nack_sent_for_epsn = False
-            self._note_advance(1)
-            self._check_completions()
             return
         # OOO: dropped outright by this NIC generation.
         self.stats.receiver_ooo += 1
         self.ooo_dropped += 1
         if not self.nack_sent_for_epsn:
             self.nack_sent_for_epsn = True
-            self._send_nack(psn)
+            self._send_nack(packet.psn)
 
 
 class IdealReceiver(SrReceiver):

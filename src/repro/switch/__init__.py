@@ -6,11 +6,11 @@ from repro.switch.lb import (AdaptiveRoutingLB, EcmpLB, FlowletLB,
                              LoadBalancer, RandomSprayLB, ecmp_hash,
                              ecmp_index, rotl16, rotr16)
 from repro.switch.pfc import PfcConfig, PfcController
-from repro.switch.switch import Middleware, Switch, SwitchQueuePolicy
+from repro.switch.switch import Middleware, Switch
 
 __all__ = [
-    "Switch", "Middleware", "SwitchQueuePolicy", "SharedBuffer",
-    "EcnConfig", "EcnMarker", "LoadBalancer", "EcmpLB", "RandomSprayLB",
-    "AdaptiveRoutingLB", "FlowletLB", "PfcConfig", "PfcController",
+    "Switch", "Middleware", "SharedBuffer", "EcnConfig", "EcnMarker",
+    "LoadBalancer", "EcmpLB", "RandomSprayLB", "AdaptiveRoutingLB",
+    "FlowletLB", "PfcConfig", "PfcController",
     "ecmp_hash", "ecmp_index", "rotl16", "rotr16",
 ]

@@ -205,10 +205,18 @@ class AdaptiveRoutingLB(LoadBalancer):
 
     def select(self, switch: "Switch", packet: Packet,
                candidates: Sequence["Port"]) -> "Port":
-        best_bin = min(port.queued_bytes // self.bin_bytes
-                       for port in candidates)
-        ties = [port for port in candidates
-                if port.queued_bytes // self.bin_bytes == best_bin]
+        # One pass: the least-loaded bin and, in candidate order, the
+        # ports in it.
+        bin_bytes = self.bin_bytes
+        best_bin = -1
+        ties: list = []
+        for port in candidates:
+            load = port.queued_bytes // bin_bytes
+            if load == best_bin:
+                ties.append(port)
+            elif load < best_bin or best_bin < 0:
+                best_bin = load
+                ties = [port]
         if len(ties) == 1:
             return ties[0]
         return ties[self._rng.choice(len(ties))]

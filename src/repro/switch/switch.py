@@ -13,8 +13,9 @@ A :class:`Switch` forwards packets through three stages:
    switch's configured :class:`~repro.switch.lb.LoadBalancer` picks.
    Control packets always use ECMP so ACK/NACK streams stay on one path.
 
-Egress ports use :class:`SwitchQueuePolicy`, which combines the shared
-buffer (drops) and the ECN marker.
+Every egress port carries the switch's shared buffer (drops) and ECN
+marker; the admission, occupancy and marking arithmetic is
+:class:`~repro.net.port.Port`'s.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.net.node import Device
 from repro.net.packet import Packet
-from repro.net.port import Port, QueuePolicy
+from repro.net.port import Port
 from repro.switch.buffer import SharedBuffer
 from repro.switch.ecn import EcnMarker
 from repro.switch.lb import LoadBalancer, ecmp_index
@@ -67,52 +68,6 @@ class Middleware:
         """Re-arm after :meth:`disable` (no-op by default)."""
 
 
-class SwitchQueuePolicy(QueuePolicy):
-    """Shared-buffer admission + ECN marking for one switch's ports.
-
-    The shared-buffer byte accounting is inlined here (same arithmetic as
-    :meth:`SharedBuffer.can_admit`/``reserve``/``release``) — these hooks
-    run once per data packet per hop, and the delegation cost two extra
-    Python calls per packet.  ``marker.should_mark`` stays a call because
-    it owns the evaluated/marked counters.
-    """
-
-    def __init__(self, buffer: SharedBuffer, marker: EcnMarker,
-                 switch: "Switch") -> None:
-        self.buffer = buffer
-        self.marker = marker
-        self.switch = switch
-        #: ECN observability channel (repro.obs); None = disabled.
-        self.rec_ecn = None
-
-    def admit(self, port: Port, packet: Packet) -> bool:
-        buf = self.buffer
-        nbytes = packet.wire_bytes
-        if buf.used_bytes + nbytes > buf.capacity_bytes:
-            return False
-        cap = buf.per_port_cap_bytes
-        return cap is None or port.queued_bytes + nbytes <= cap
-
-    def on_enqueue(self, port: Port, packet: Packet) -> None:
-        buf = self.buffer
-        used = buf.used_bytes + packet.wire_bytes
-        buf.used_bytes = used
-        if used > buf.peak_bytes:
-            buf.peak_bytes = used
-        if not packet.ecn_marked and self.marker.should_mark(
-                port.queued_bytes):
-            packet.ecn_marked = True
-            if self.rec_ecn is not None:
-                self.rec_ecn.ecn_mark(self.switch.sim.now, port.name,
-                                      packet, port.queued_bytes)
-
-    def on_dequeue(self, port: Port, packet: Packet) -> None:
-        self.buffer.used_bytes -= packet.wire_bytes
-        pfc = self.switch.pfc
-        if pfc is not None:
-            pfc.on_egress(packet)
-
-
 class Switch(Device):
     """An output-queued switch with pluggable LB and middleware."""
 
@@ -141,7 +96,6 @@ class Switch(Device):
         self.rec = None
         #: DROP observability channel (repro.obs); None = disabled.
         self.rec_drop = None
-        self._policy = SwitchQueuePolicy(buffer, ecn_marker, self)
         # Per-switch hash seed/rotation: real ASICs configure their CRC
         # engines per box, which is what makes multi-stage ECMP decorrelate
         # (and what the PathMap construction has to account for).
@@ -156,7 +110,8 @@ class Switch(Device):
     def add_port(self, bandwidth_bps: float, delay_ns: int) -> Port:
         port = Port(self.sim, self, bandwidth_bps=bandwidth_bps,
                     delay_ns=delay_ns)
-        port.policy = self._policy
+        port.buffer = self.buffer
+        port.marker = self.ecn_marker
         if self.metrics is not None:
             port.on_drop = self.metrics.on_drop
         return port
@@ -278,10 +233,10 @@ class Switch(Device):
     def drain_buffers(self, reason: str = "reboot_drain") -> int:
         """Flush every egress queue with full accounting; returns count.
 
-        Each data packet passes through the queue policy's dequeue hook,
-        so shared-buffer occupancy and PFC ingress credit drain to zero —
-        the post-run ``buffer.used_bytes == 0`` invariant must survive a
-        mid-run reboot.
+        Each data packet releases its buffer bytes and ingress credit
+        (:meth:`Port.flush`), so shared-buffer occupancy and PFC ingress
+        credit drain to zero — the post-run ``buffer.used_bytes == 0``
+        invariant must survive a mid-run reboot.
         """
         flushed = 0
         for port in self.ports:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.net.packet import FlowKey, Packet, PacketType
+from repro.net.packet import FlowKey, data_packet
 from repro.net.topology import Topology
 from repro.switch.lb import ecmp_index
 from repro.switch.switch import Switch
@@ -38,8 +38,7 @@ def trace_path(topology: Topology, flow: FlowKey,
     Replays route lookup + hashed selection hop by hop without injecting
     a packet, mirroring :meth:`repro.switch.switch.Switch._select`.
     """
-    probe = Packet(PacketType.DATA, flow, psn=0, payload_bytes=1,
-                   udp_sport=udp_sport)
+    probe = data_packet(flow, 0, 1, udp_sport=udp_sport)
     switch: Switch = topology.nic_tor[flow.src]
     path: list[str] = []
     for _ in range(16):  # generous hop bound; Clos diameters are tiny

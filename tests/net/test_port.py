@@ -4,9 +4,10 @@ import pytest
 
 from repro.net.node import Device
 from repro.net.packet import FlowKey, ack_packet, data_packet
-from repro.net.port import Port, QueuePolicy
+from repro.net.port import Port
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
+from repro.switch.buffer import SharedBuffer
 
 
 class SinkDevice(Device):
@@ -26,6 +27,13 @@ def make_port(sim, bandwidth_bps=1e9, delay_ns=100):
     port = Port(sim, src, bandwidth_bps=bandwidth_bps, delay_ns=delay_ns)
     port.connect(dst)
     return port, dst
+
+
+def full_buffer():
+    """A shared buffer with no room left: admits no data packet."""
+    buffer = SharedBuffer(1)
+    buffer.used_bytes = 1
+    return buffer
 
 
 class TestSerialization:
@@ -83,13 +91,9 @@ class TestPriority:
         assert order[1] is ack
 
     def test_control_bypasses_admission_policy(self):
-        class DropAll(QueuePolicy):
-            def admit(self, port, packet):
-                return False
-
         sim = Simulator()
         port, dst = make_port(sim)
-        port.policy = DropAll()
+        port.buffer = full_buffer()
         port.enqueue(ack_packet(FlowKey(1, 0), 1))
         port.enqueue(data_packet(FlowKey(0, 1), 0, 100))
         sim.run()
@@ -100,13 +104,9 @@ class TestPriority:
 
 class TestDropsAndFaults:
     def test_policy_drop_invokes_callback(self):
-        class DropAll(QueuePolicy):
-            def admit(self, port, packet):
-                return False
-
         sim = Simulator()
         port, dst = make_port(sim)
-        port.policy = DropAll()
+        port.buffer = full_buffer()
         dropped = []
         port.on_drop = lambda pkt, prt: dropped.append(pkt)
         pkt = data_packet(FlowKey(0, 1), 0, 100)

@@ -6,12 +6,21 @@ serializer with a timestamp, so ``busy_ns`` is accumulated analytically
 tests pin the accounting: busy time equals the sum of per-packet
 serialization times, lost packets still occupy the wire, and idle gaps
 never accrue.
+
+A packet that finds its port idle is transmitted without being queued;
+:class:`TestIdlePortAccounting` pins that it is still admitted, counted,
+marked, credited and recorded exactly as a queued packet is.
 """
 
 from repro.net.packet import FlowKey, ack_packet, data_packet
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
-from tests.net.test_port import make_port
+from repro.switch.buffer import SharedBuffer
+from repro.switch.ecn import EcnConfig, EcnMarker
+from repro.switch.lb import EcmpLB
+from repro.switch.pfc import PfcConfig, PfcController
+from repro.switch.switch import Switch
+from tests.net.test_port import SinkDevice, make_port
 
 
 class TestBusyNsConservation:
@@ -87,3 +96,106 @@ class TestBusyNsConservation:
         port.resume_data()
         sim.run()
         assert port.busy_ns == 8000 and len(dst.received) == 1
+
+
+def switch_port(sim, *, buffer_bytes=10**6, ecn=EcnConfig()):
+    """One switch with one egress port (1 Gbps, toward NIC 1) to a sink."""
+    switch = Switch(sim, "sw", lb=EcmpLB(),
+                    buffer=SharedBuffer(buffer_bytes),
+                    ecn_marker=EcnMarker(ecn, SimRng(0)))
+    sink = SinkDevice(sim, "sink")
+    port = switch.add_port(1e9, 0)
+    port.connect(sink)
+    switch.routes[1] = [port]
+    return switch, port, sink
+
+
+class TestIdlePortAccounting:
+    """A data packet through an idle switch port (never in the FIFO)."""
+
+    def test_buffer_returns_to_zero_and_peak_saw_the_packet(self):
+        sim = Simulator()
+        switch, port, sink = switch_port(sim)
+        pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
+        assert port.enqueue(pkt)
+        # Transmitting already: nothing is held, yet the pool saw it.
+        assert port.queued_bytes == 0
+        assert switch.buffer.used_bytes == 0
+        assert switch.buffer.peak_bytes == 1000
+        sim.run()
+        assert sink.received == [(8000, pkt)]
+        assert port.busy_ns == 8000 and port.packets_sent == 1
+
+    def test_marker_evaluates_once_at_the_packets_own_depth(self):
+        sim = Simulator()
+        switch, port, _ = switch_port(sim)
+        pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
+        port.enqueue(pkt)
+        assert switch.ecn_marker.evaluated == 1
+        assert not pkt.ecn_marked          # 1000 B is below kmin
+
+    def test_kmin_zero_marks_it(self):
+        sim = Simulator()
+        # kmax == kmin == 0: any depth at all is marked, without a draw.
+        switch, port, _ = switch_port(
+            sim, ecn=EcnConfig(kmin_bytes=0, kmax_bytes=0))
+        pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
+        port.enqueue(pkt)
+        assert pkt.ecn_marked
+        assert (switch.ecn_marker.evaluated, switch.ecn_marker.marked) \
+            == (1, 1)
+
+    def test_full_buffer_drops_with_one_on_drop(self):
+        sim = Simulator()
+        switch, port, sink = switch_port(sim, buffer_bytes=999)
+        dropped = []
+        port.on_drop = lambda pkt, prt: dropped.append(pkt)
+        pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
+        assert not port.enqueue(pkt)
+        sim.run()
+        assert dropped == [pkt] and port.packets_dropped == 1
+        assert sink.received == [] and port.busy_ns == 0
+        assert switch.buffer.used_bytes == switch.buffer.peak_bytes == 0
+        assert switch.ecn_marker.evaluated == 0
+
+    def test_pfc_ingress_credit_is_returned(self):
+        sim = Simulator()
+        switch, port, sink = switch_port(sim)
+        switch.pfc = PfcController(sim, switch, PfcConfig(3000, 1500))
+        up_port, _ = make_port(sim)
+        switch.receive(data_packet(FlowKey(0, 1), 0, 1000 - 58), up_port)
+        assert switch.pfc.ingress_occupancy(up_port) == 0
+        assert not switch.pfc._origin
+        sim.run()
+        assert len(sink.received) == 1
+
+    def test_paused_data_queues_while_control_still_goes(self):
+        sim = Simulator()
+        switch, port, sink = switch_port(sim)
+        port.pause_data()
+        data = data_packet(FlowKey(0, 1), 0, 1000 - 58)
+        ack = ack_packet(FlowKey(1, 0), 3)
+        assert port.enqueue(data)
+        assert port.queued_bytes == 1000
+        assert switch.buffer.used_bytes == 1000
+        port.enqueue(ack)
+        sim.run()
+        assert [p for _, p in sink.received] == [ack]
+        port.resume_data()
+        sim.run()
+        assert [p for _, p in sink.received] == [ack, data]
+        assert port.queued_bytes == switch.buffer.used_bytes == 0
+
+    def test_wired_queue_channels_record_one_enq_and_one_deq(self):
+        sim = Simulator()
+        switch, port, sink = switch_port(sim)
+        enq, deq = [], []
+        port._rec_enq = lambda *args: enq.append(args)
+        port._rec_deq = lambda *args: deq.append(args)
+        port.enqueue(data_packet(FlowKey(0, 1), 0, 1000 - 58))
+        sim.run()
+        assert enq == [(0, "sw.p0", 1000, 1)]
+        assert deq == [(0, "sw.p0", 0, 0)]
+        assert len(sink.received) == 1
+        assert switch.buffer.used_bytes == 0
+        assert switch.buffer.peak_bytes == 1000

@@ -252,10 +252,10 @@ class TestDisabledTracingIsFree:
         # The hot-path channel slots hold None, not a disabled recorder.
         for tor in net.topology.tors:
             assert tor.rec is None
-            assert tor._policy.rec_ecn is None
             for port in tor.ports:
                 assert port._rec_enq is None
                 assert port._rec_deq is None
+                assert port._rec_ecn is None
 
     def test_none_recorder_matches_disabled_run(self):
         """recorder=None and an all-disabled recorder execute the exact

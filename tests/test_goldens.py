@@ -12,13 +12,18 @@ import zlib
 
 import pytest
 
+from repro.collectives.group import cross_rack_groups
 from repro.faults.campaign import build_faults_doc, run_campaign
 from repro.faults.scenarios import builtin
 from repro.harness import bench
 from repro.harness.arena import run_arena
+from repro.harness.collective_runner import EvalScale, fig5_config
 from repro.harness.jobs import canonical_json
 from repro.harness.motivation import motivation_config, run_motivation
+from repro.harness.network import Network
 from repro.harness.tracing import run_traced_alltoall
+from repro.harness.workload import start_collectives
+from repro.sim.engine import SEC
 
 
 def doc_crc(doc: dict) -> int:
@@ -57,3 +62,34 @@ def test_fig1_themis_row():
     assert (result.nacks, summary["themis_blocked"],
             summary["themis_forwarded"], summary["retransmissions"]) \
         == (3091, 2968, 123, 102)
+
+
+def fig5_smoke(scheme: str, scale: EvalScale):
+    """A smoke-size Fig. 5 cell, built and started: 400 kB ring allreduce
+    in every cross-rack group.  Returns ``(net, traffic)``."""
+    config = fig5_config(scheme, ti_us=10, td_us=4, scale=scale, seed=7)
+    net = Network(config)
+    spec = config.topology
+    traffic = start_collectives(
+        net, "allreduce",
+        cross_rack_groups(spec.num_tors, spec.nics_per_tor), 400_000)
+    return net, traffic
+
+
+@pytest.mark.parametrize("scheme, golden", [
+    ("themis", (80_911, 316_616, 81, 0, 168)),
+    ("ar", (79_666, 792_698, 75, 118, 153))])
+def test_fig5_smoke_pair_with_ecn(scheme, golden):
+    """The only ECN-bearing golden: the quick arena marks nothing, so
+    this pair is what pins the order of the marking draws.  ``kmin`` sits
+    below one packet's wire size, so a packet crossing an *idle* port
+    draws too."""
+    net, traffic = fig5_smoke(
+        scheme, EvalScale(ecn_kmin_bytes=1000, ecn_kmax_bytes=30_000))
+    net.run(until_ns=2 * SEC)
+    net.stop()
+    assert traffic.complete
+    assert (net.sim.executed, traffic.done_ns,
+            sum(s.ecn_marker.marked for s in net.topology.switches),
+            net.metrics.retransmissions, net.metrics.nacks_generated) \
+        == golden
