@@ -11,10 +11,11 @@ compensation has to carry the recovery.
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 
 FLOW_BYTES = 2_000_000
 SCHEMES = ("rps", "themis_noval", "themis_nocomp", "themis")
@@ -28,10 +29,8 @@ def _run(scheme, loss_rate=0.0, seed=3):
                 for port in sw.ports:
                     port.set_loss(loss_rate,
                                   net.rng.fork(f"loss-{port.name}"))
-    for members in interleaved_ring_groups(8, 2):
-        for i, node in enumerate(members):
-            net.post_message(node, members[(i + 1) % len(members)],
-                             FLOW_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  FLOW_BYTES)
     net.run(until_ns=30_000_000_000)
     metrics = net.metrics
     done = [f.receiver_done_ns for f in metrics.flows.values()

@@ -9,10 +9,11 @@ once capacity covers the last-hop BDP (plus queueing slack), misses stop.
 import pytest
 
 from collections import OrderedDict
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 from repro.themis.config import ThemisConfig
 
 FLOW_BYTES = 2_000_000
@@ -24,10 +25,8 @@ def _run(capacity):
         scheme="themis",
         themis=ThemisConfig(queue_entries_override=capacity))
     net = Network(cfg)
-    for members in interleaved_ring_groups(8, 2):
-        for i, node in enumerate(members):
-            net.post_message(node, members[(i + 1) % len(members)],
-                             FLOW_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  FLOW_BYTES)
     net.run(until_ns=30_000_000_000)
     metrics = net.metrics
     inspected = metrics.themis.nacks_inspected

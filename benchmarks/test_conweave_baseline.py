@@ -14,11 +14,12 @@ reordering packets in the fabric:
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.conweave.config import ConweaveConfig
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 from repro.sim.engine import US
 from repro.themis.audit import audit_network
 
@@ -34,10 +35,8 @@ CONWEAVE = ConweaveConfig(buffer_packets=512, flip_interval_ns=500 * US,
 def _run(scheme, seed=5):
     net = Network(motivation_config(scheme=scheme, seed=seed,
                                     conweave=CONWEAVE))
-    for members in interleaved_ring_groups(8, 2):
-        for i, node in enumerate(members):
-            net.post_message(node, members[(i + 1) % len(members)],
-                             FLOW_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  FLOW_BYTES)
     net.run(until_ns=120_000_000_000)
     metrics = net.metrics
     done = [f.receiver_done_ns for f in metrics.flows.values()

@@ -14,10 +14,11 @@ traffic:
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 
 FLOW_BYTES = 2_000_000
 
@@ -34,10 +35,8 @@ CONDITIONS = (
 def _run(scheme, transport, seed=4):
     net = Network(motivation_config(scheme=scheme, transport=transport,
                                     seed=seed))
-    for members in interleaved_ring_groups(8, 2):
-        for i, node in enumerate(members):
-            net.post_message(node, members[(i + 1) % len(members)],
-                             FLOW_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  FLOW_BYTES)
     net.run(until_ns=120_000_000_000)
     metrics = net.metrics
     done = [f.receiver_done_ns for f in metrics.flows.values()

@@ -14,7 +14,7 @@ for measured-vs-paper numbers.
 
 import pytest
 
-from repro.harness.motivation import (motivation_config, run_motivation)
+from repro.harness.motivation import run_fig1d_comparison
 from repro.harness.report import (format_series, format_table, percent,
                                   sparkline)
 
@@ -22,10 +22,8 @@ FLOW_BYTES = 4_000_000
 
 
 def _run_pair():
-    nic_sr = run_motivation(motivation_config(), flow_bytes=FLOW_BYTES)
-    ideal = run_motivation(motivation_config(transport="ideal"),
-                           flow_bytes=FLOW_BYTES)
-    return nic_sr, ideal
+    results = run_fig1d_comparison(flow_bytes=FLOW_BYTES)
+    return results["nic_sr"], results["ideal"]
 
 
 @pytest.mark.figure("fig1")

@@ -10,10 +10,11 @@ This sweep measures both horns of the dilemma on the Fig. 1 workload.
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 from repro.sim.engine import US
 from repro.switch.lb import FlowletLB
 
@@ -26,10 +27,8 @@ def _run(gap_us=None, scheme="flowlet", seed=4):
     if gap_us is not None:
         kwargs["flowlet_gap_ns"] = int(gap_us * US)
     net = Network(motivation_config(scheme=scheme, seed=seed, **kwargs))
-    for members in interleaved_ring_groups(8, 2):
-        for i, node in enumerate(members):
-            net.post_message(node, members[(i + 1) % len(members)],
-                             FLOW_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  FLOW_BYTES)
     net.run(until_ns=60_000_000_000)
     metrics = net.metrics
     done = [f.receiver_done_ns for f in metrics.flows.values()

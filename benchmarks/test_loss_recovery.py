@@ -8,9 +8,11 @@ NACK-driven instead of degenerating to RTO waits.
 
 import pytest
 
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 
 FLOW_BYTES = 1_000_000
 LOSS_RATES = (0.0005, 0.002, 0.01)
@@ -22,9 +24,8 @@ def _run(scheme, loss_rate, seed=11):
         if sw.name.startswith("spine"):
             for port in sw.ports:
                 port.set_loss(loss_rate, net.rng.fork(f"l{port.name}"))
-    for src, dst in ((0, 2), (2, 4), (4, 6), (6, 0),
-                     (1, 3), (3, 5), (5, 7), (7, 1)):
-        net.post_message(src, dst, FLOW_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  FLOW_BYTES)
     net.run(until_ns=60_000_000_000)
     metrics = net.metrics
     done = [f.receiver_done_ns for f in metrics.flows.values()

@@ -13,10 +13,11 @@ Many production RoCE fabrics instead run PFC.  Two demonstrations:
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.report import format_table, percent
+from repro.harness.workload import post_messages
 from repro.sim.engine import US
 from repro.switch.pfc import PfcConfig
 
@@ -44,10 +45,8 @@ def _run_incast(pfc, seed=9):
 
 def _run_ring(scheme, pfc, seed=9):
     net = Network(motivation_config(scheme=scheme, seed=seed, pfc=pfc))
-    for members in interleaved_ring_groups(8, 2):
-        for i, node in enumerate(members):
-            net.post_message(node, members[(i + 1) % len(members)],
-                             RING_BYTES)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  RING_BYTES)
     net.run(until_ns=120_000_000_000)
     return _collect(net)
 

@@ -14,8 +14,10 @@ Run:  python examples/failure_injection.py [loss_rate]
 import sys
 
 from repro import motivation_config
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.network import Network
 from repro.harness.report import format_table
+from repro.harness.workload import post_messages
 
 
 def run(scheme: str, loss_rate: float) -> dict:
@@ -25,9 +27,8 @@ def run(scheme: str, loss_rate: float) -> dict:
             for port in switch.ports:
                 port.set_loss(loss_rate,
                               net.rng.fork(f"loss-{port.name}"))
-    for src, dst in ((0, 2), (2, 4), (4, 6), (6, 0),
-                     (1, 3), (3, 5), (5, 7), (7, 1)):
-        net.post_message(src, dst, 1_000_000)
+    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
+                  1_000_000)
     net.run(until_ns=60_000_000_000)
 
     metrics = net.metrics

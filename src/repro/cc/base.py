@@ -34,9 +34,6 @@ class CongestionControl:
     def on_timeout(self) -> None:
         """Retransmission timeout fired."""
 
-    def on_ack(self) -> None:
-        """Positive cumulative ACK progress (hook for future schemes)."""
-
     def on_bytes_sent(self, nbytes: int) -> None:
         """Data transmitted — drives DCQCN's byte-counter increases."""
 

@@ -8,7 +8,7 @@ simultaneously.  :func:`cross_rack_groups` reproduces that assignment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.network import Network
@@ -33,6 +33,13 @@ def interleaved_ring_groups(num_nodes: int, num_groups: int
     if num_nodes % num_groups:
         raise ValueError("groups must divide the node count")
     return [list(range(g, num_nodes, num_groups)) for g in range(num_groups)]
+
+
+def ring_pairs(groups: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Fig. 1's workload: a ring in every group — one ``(node, next node
+    of its group)`` pair per member, group-major."""
+    return [(node, members[(position + 1) % len(members)])
+            for members in groups for position, node in enumerate(members)]
 
 
 class Collective:

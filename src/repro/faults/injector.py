@@ -32,11 +32,11 @@ Semantics
 * ``loss`` / ``loss_end`` — random drops on the cable, drawn from the
   dedicated fault RNG substream so packet-level streams are untouched.
 
-Themis coupling: after every liveness-changing action the injector
-reconverges routing and sets the Themis middleware to match the fabric —
-disabled while any cable or switch is unhealthy (the §6 fallback:
-PSN-path mapping can no longer be trusted), re-enabled once the fabric
-is fully intact again.
+Themis coupling: ``converge_us`` after every liveness-changing action
+the injector calls :meth:`Network.reconverge`, which rebuilds routes and
+sets the Themis middleware to match the fabric — disabled while any
+cable or switch is unhealthy (the §6 fallback: PSN-path mapping can no
+longer be trusted), re-enabled once the fabric is fully intact again.
 
 Determinism: an empty scenario schedules **zero** events and draws
 nothing from any RNG, so a run with an empty spec is bitwise-identical
@@ -200,10 +200,7 @@ class FaultInjector:
         self._emit(switch.name, "recover")
 
     def _reconverge(self) -> None:
-        net = self.net
-        net.reconverge_routes()
-        intact = net.fabric_intact()
-        net._set_themis_enabled(intact)
+        intact = self.net.reconverge()
         self._emit("fabric", "reconverge", intact=intact,
                    themis_enabled=intact)
 

@@ -328,16 +328,19 @@ def _doc_problems(doc: dict) -> Iterator[tuple[bool, str]]:
     if not isinstance(ranking, list) or not ranking:
         yield True, "ranking missing or empty"
         ranking = []
-    for i, row in enumerate(ranking):
-        for problem in field_problems(row, _RANK_FIELDS,
-                                      label=f"ranking[{i}]"):
-            yield True, problem
-    if ranking and [r.get("rank") for r in ranking] != \
+    malformed = [problem for i, row in enumerate(ranking)
+                 for problem in field_problems(row, _RANK_FIELDS,
+                                               label=f"ranking[{i}]")]
+    if malformed:
+        yield from ((True, problem) for problem in malformed)
+        return
+    if ranking and [r["rank"] for r in ranking] != \
             list(range(1, len(ranking) + 1)):
         yield True, "ranking.rank is not 1..N in order"
-    slowdowns = [r["mean_slowdown"] for r in ranking
-                 if "mean_slowdown" in r]
-    if slowdowns != sorted(slowdowns):
+    slowdowns = [r["mean_slowdown"] for r in ranking]
+    if not all(isinstance(s, (int, float)) for s in slowdowns):
+        yield True, "ranking.mean_slowdown is not a number"
+    elif slowdowns != sorted(slowdowns):
         yield True, "ranking not sorted by mean_slowdown"
 
 

@@ -134,10 +134,10 @@ class Metrics:
         self.themis = ThemisStats()
 
         # Time series used by the Fig. 1 motivation study; only populated
-        # for flows registered via watch_flow().  QPs test membership per
-        # packet and bump the plain counters themselves for every other
-        # flow, so ``on_data_sent`` / ``on_delivered`` are entered for
-        # watched flows only.
+        # for flows registered via watch_flow().  QPs bump the plain
+        # counters themselves and test membership per packet, so
+        # ``on_data_sent`` / ``on_delivered`` are entered for watched
+        # flows only.
         self.watched: set[FlowKey] = set()
         self.sent_counters: dict[FlowKey, WindowedCounter] = {}
         self.retx_counters: dict[FlowKey, WindowedCounter] = {}
@@ -192,18 +192,12 @@ class Metrics:
     # Event sinks
     # ------------------------------------------------------------------
     def on_data_sent(self, flow: FlowKey, packet: Packet) -> None:
-        self.data_packets_sent += 1
-        self.data_bytes_sent += packet.payload_bytes
-        stats = self.flow_stats(flow)
-        stats.packets_sent += 1
+        """Fig. 1b windows of a watched flow (the sender QP has already
+        counted the packet)."""
+        now = self.sim.now
+        self.sent_counters[flow].add(now)
         if packet.is_retx:
-            self.retransmissions += 1
-            stats.retransmissions += 1
-        if flow in self.watched:
-            now = self.sim.now
-            self.sent_counters[flow].add(now)
-            if packet.is_retx:
-                self.retx_counters[flow].add(now)
+            self.retx_counters[flow].add(now)
 
     def on_delivered(self, flow: FlowKey, packet: Packet) -> None:
         """In-order delivery progress at the receiver (goodput)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cc.dcqcn import DcqcnConfig
-from repro.collectives.group import interleaved_ring_groups
+from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.workload import post_messages
 from repro.net.packet import FlowKey
@@ -95,10 +95,8 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
                  * config.topology.nics_per_tor)
     watched = net.watch_flow(*watch)
 
-    traffic = post_messages(net, [
-        (node, members[(position + 1) % len(members)])
-        for members in interleaved_ring_groups(num_nodes, 2)
-        for position, node in enumerate(members)], flow_bytes)
+    traffic = post_messages(
+        net, ring_pairs(interleaved_ring_groups(num_nodes, 2)), flow_bytes)
 
     net.run(until_ns=deadline_ns)
     net.stop()

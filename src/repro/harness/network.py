@@ -350,74 +350,34 @@ class Network:
     # ------------------------------------------------------------------
     # Link failure handling (§6)
     # ------------------------------------------------------------------
-    def fail_link(self, switch_a: str, switch_b: str) -> None:
-        """Fail the inter-switch link between two named switches.
+    def reconverge(self) -> bool:
+        """Routing converges on the live graph; returns ``fabric_intact()``.
 
-        Models the paper's §6 failure story end to end: both directions
-        of the cable go down, routing converges (the dead ports leave
-        every equal-cost candidate set), and — because PSN-based spraying
+        The paper's §6 failure story, run by the fault injector
+        ``converge_us`` after every cable or switch transition: dead
+        ports leave every equal-cost candidate set, REPS purges the
+        entropies it cached for them, and — because PSN-based spraying
         can no longer keep Eq. 1's path mapping consistent — every ToR
-        disables Themis and reverts to plain ECMP.
-        """
-        by_name = {s.name: s for s in self.topology.switches}
-        for name in (switch_a, switch_b):
-            if name not in by_name:
-                raise LookupError(f"unknown switch {name!r}")
-        try:
-            link = self.topology.link(f"{switch_a}:{switch_b}")
-        except LookupError:
-            link = None
-        if link is None or not link.up:
-            raise LookupError(f"no live link {switch_a} <-> {switch_b}")
-        link.set_up(False)
-        self.reconverge_routes(require_connected=True)
-        self._set_themis_enabled(False)
-
-    def heal_links(self) -> None:
-        """Bring every failed link back and re-enable Themis."""
-        for link in self.topology.links:
-            link.restore()
-        for switch in self.topology.switches:
-            switch.set_active(True)
-        self.topology.build_routes()
-        self._set_themis_enabled(True)
-
-    def reconverge_routes(self, *, require_connected: bool = False) -> None:
-        """Rebuild equal-cost routes over the live graph.
-
-        With ``require_connected`` the rebuild raises ``RuntimeError``
-        when any ToR has lost every route to some NIC (the fabric is
-        partitioned) — the behaviour :meth:`fail_link` has always had.
-        Scheduled fault events reconverge without the check: a transient
-        partition mid-scenario is legitimate, and traffic through it
-        surfaces as accounted drops, not as a harness error.
+        bypasses its middleware (Themis reverts to plain ECMP) until the
+        fabric is whole again.  A transient partition is legitimate:
+        traffic through it surfaces as accounted drops.
         """
         self.topology.build_routes()
-        # REPS failure handling: reconvergence is the moment cached
-        # entropies pointing at dead egresses get purged (§ REPS;
-        # FaultInjector calls this on every link/switch transition).
         for lb in self._reps_lbs:
             lb.evict_dead()
-        if not require_connected:
-            return
+        intact = self.fabric_intact()
         for tor in self.topology.tors:
-            for nic_id in range(self.topology.num_nics):
-                if nic_id not in tor.routes:
-                    raise RuntimeError(
-                        f"{tor.name} lost all routes to NIC {nic_id}")
+            for mw in tor.middleware:
+                if intact:
+                    mw.enable()
+                else:
+                    mw.disable()
+        return intact
 
     def fabric_intact(self) -> bool:
         """Is every cable healthy and every switch forwarding?"""
         return (all(link.up for link in self.topology.links)
                 and all(s.active for s in self.topology.switches))
-
-    def _set_themis_enabled(self, enabled: bool) -> None:
-        for tor in self.topology.tors:
-            for mw in tor.middleware:
-                if enabled:
-                    mw.enable()
-                else:
-                    mw.disable()
 
     # ------------------------------------------------------------------
     # Observability wiring

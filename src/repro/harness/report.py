@@ -78,8 +78,10 @@ def field_problems(obj: dict, required: Sequence[str] = (), *,
     A labelled object (a cell, a ranking row) names all its absent fields
     in one problem; an unlabelled one (a whole document, a job result)
     reports one problem per key.  ``types`` constrains keys that are
-    present.
+    present.  Anything but an object is itself the one problem.
     """
+    if not isinstance(obj, dict):
+        return [f"{label or 'document'} is not an object"]
     missing = [key for key in required if key not in obj]
     if label:
         problems = [f"{label} missing fields: {missing}"] if missing else []

@@ -44,9 +44,6 @@ class Link:
         """A cable is up only when both directions are up."""
         return self.port_ab.up and self.port_ba.up
 
-    def endpoints(self) -> tuple[str, str]:
-        return (self.a_name, self.b_name)
-
     # ------------------------------------------------------------------
     # Whole-cable fault operations
     # ------------------------------------------------------------------
@@ -85,17 +82,6 @@ class Link:
             targets = self.ports
         for port in targets:
             port.set_delay(port.nominal_delay_ns + int(extra_ns))
-
-    def restore(self) -> None:
-        """Return the cable to its healthy state (up, nominal rate/delay)."""
-        self.set_up(True)
-        for port in self.ports:
-            port.set_bandwidth(port.nominal_bandwidth_bps)
-            port.set_delay(port.nominal_delay_ns)
-
-    def flush(self, reason: str = "link_flush") -> int:
-        """Drop everything queued in both directions; returns the count."""
-        return (self.port_ab.flush(reason) + self.port_ba.flush(reason))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

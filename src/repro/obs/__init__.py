@@ -22,8 +22,7 @@ from repro.obs.record import (ALL_CATEGORIES, CC, DROP, ECN, FAULT, NACK,
                               PACKET, PFC, QP, QUEUE, InvariantError,
                               Recorder, active_recorder, check_invariant,
                               dump_active_flight, set_active)
-from repro.obs.timeseries import (RateMeter, TimeSeries, WindowedCounter,
-                                  summarize)
+from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter
 
 __all__ = [
     "ALL_CATEGORIES", "PACKET", "QUEUE", "ECN", "DROP", "NACK", "PFC",
@@ -31,7 +30,7 @@ __all__ = [
     "Recorder", "InvariantError", "check_invariant", "set_active",
     "active_recorder", "dump_active_flight",
     "Console", "Profiler",
-    "TimeSeries", "WindowedCounter", "RateMeter", "summarize",
+    "TimeSeries", "WindowedCounter", "RateMeter",
     "build_audit", "format_report", "NackAudit", "NackDecision",
     "export_chrome_trace", "write_chrome_trace", "validate_chrome_trace",
 ]

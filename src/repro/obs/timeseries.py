@@ -13,7 +13,7 @@ This module is the canonical home of these types (they once lived at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 #: Nanoseconds per second (mirrors ``repro.sim.engine.SEC``; kept local so
 #: the observability layer does not import the engine package).
@@ -32,12 +32,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def times(self) -> List[int]:
-        return [t for t, _ in self.samples]
-
-    def values(self) -> List[float]:
-        return [v for _, v in self.samples]
 
     def mean(self) -> float:
         """Time-unweighted mean of the recorded values (0.0 if empty)."""
@@ -117,33 +111,6 @@ class RateMeter:
     def add_bytes(self, time_ns: int, nbytes: int) -> None:
         self._counter.add(time_ns, float(nbytes))
 
-    def total_bytes(self) -> float:
-        return self._counter.total()
-
     def series_gbps(self) -> List[Tuple[int, float]]:
         scale = 8.0 * SEC / self.window_ns / 1e9
         return [(t, b * scale) for t, b in self._counter.series()]
-
-    def mean_gbps(self, start_ns: int = 0, end_ns: int | None = None) -> float:
-        """Average rate over [start, end] based on total bytes."""
-        series = self._counter.series()
-        if not series:
-            return 0.0
-        if end_ns is None:
-            end_ns = series[-1][0] + self.window_ns
-        duration = max(end_ns - start_ns, self.window_ns)
-        total = sum(b for t, b in series if start_ns <= t < end_ns)
-        return total * 8.0 / duration * SEC / 1e9
-
-
-def summarize(values: Iterable[float]) -> dict:
-    """Small helper: min/mean/max/p99-style summary for reports."""
-    vals = sorted(values)
-    if not vals:
-        return {"count": 0, "min": 0.0, "mean": 0.0, "max": 0.0}
-    return {
-        "count": len(vals),
-        "min": vals[0],
-        "mean": sum(vals) / len(vals),
-        "max": vals[-1],
-    }

@@ -9,7 +9,7 @@ marker:
   normalised to the ``repro-bench-v<N>`` schema string in the store.
 
 Ingest is **validating** (a malformed document raises
-:class:`IngestError` before any row lands) and **lossless** for the
+:class:`IngestError` and no row lands) and **lossless** for the
 versioned documents: per-cell/per-rank rows keep the original JSON
 fragment with its key order, and the document-level remainder lands in
 ``runs.meta_json``, so :func:`emit_arena_doc` / :func:`emit_faults_doc`
@@ -20,6 +20,7 @@ by ``tests/results/test_store.py``.
 from __future__ import annotations
 
 import json
+import sqlite3
 from typing import Callable, NamedTuple, Optional
 
 from repro.harness.jobs import resolve_target
@@ -100,10 +101,15 @@ def _validate_bench(doc: dict) -> list[str]:
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, dict) or not scenarios:
         return ["bench doc has no scenarios"]
-    return [problem for name, res in scenarios.items()
-            for problem in field_problems(
-                res, ("events", "wall_s", "events_per_sec"),
-                label=f"bench scenario {name!r}")]
+    required = ("events", "wall_s", "events_per_sec")
+    problems = [problem for name, res in scenarios.items()
+                for problem in field_problems(
+                    res, required, label=f"bench scenario {name!r}")]
+    for key in ("heap_baseline", "tracing"):
+        if doc.get(key):
+            problems += field_problems(doc[key], required + ("scenario",),
+                                       label=key)
+    return problems
 
 
 def _ingest_bench(store: ResultsStore, doc: dict, source: str) -> dict:
@@ -193,12 +199,22 @@ def detect_doc_kind(doc: dict) -> str:
 
 def ingest_doc(store: ResultsStore, doc: dict, *,
                source: str = "-") -> dict:
-    """Validate + ingest one document; returns an ingest receipt."""
+    """Validate + ingest one document; returns an ingest receipt.
+
+    One transaction per document: a value that passes the structural
+    validator but not sqlite (a dict where a number belongs, a null in
+    a NOT NULL column) raises :class:`IngestError` and leaves no row
+    behind, in any table.
+    """
     family = _family_of_doc(doc)
     problems = resolve_target(family.validate)(doc)
     if problems:
         raise IngestError(f"invalid {family.kind} doc: {problems[:3]}")
-    return family.ingest(store, doc, source)
+    try:
+        with store.conn:
+            return family.ingest(store, doc, source)
+    except sqlite3.Error as exc:
+        raise IngestError(f"invalid {family.kind} doc: {exc}") from exc
 
 
 def ingest_file(store: ResultsStore, path: str) -> dict:

@@ -203,6 +203,8 @@ class ResultsStore:
         self.conn.commit()
 
     # -- ingested runs -------------------------------------------------
+    # Neither insert helper commits: a document is one transaction,
+    # opened and closed by ``repro.results.ingest.ingest_doc``.
     def insert_run(self, schema: str, name: str, *, source: str = "-",
                    meta: Optional[dict] = None) -> int:
         cur = self.conn.execute(
@@ -210,7 +212,6 @@ class ResultsStore:
             "meta_json) VALUES (?,?,?,?,?)",
             (schema, name, source, time.time(),
              json.dumps(meta or {})))
-        self.conn.commit()
         return cur.lastrowid
 
     def run_row(self, run_id: int) -> Optional[sqlite3.Row]:
@@ -224,7 +225,6 @@ class ResultsStore:
             marks = ",".join("?" * len(rows[0]))
             self.conn.executemany(
                 f"INSERT INTO {table} VALUES ({marks})", rows)
-        self.conn.commit()
 
     # -- summary -------------------------------------------------------
     def counts(self) -> dict:

@@ -179,19 +179,16 @@ class SenderQp:
         packet = _make(PacketType.DATA, flow, psn, 0, payload,
                        self.udp_sport, is_retx, now)
         metrics = self.metrics
+        metrics.data_packets_sent += 1
+        metrics.data_bytes_sent += payload
+        stats = self.stats
+        stats.packets_sent += 1
+        if is_retx:
+            metrics.retransmissions += 1
+            stats.retransmissions += 1
         watched = metrics.watched
         if watched and flow in watched:
             metrics.on_data_sent(flow, packet)
-        else:
-            # Metrics.on_data_sent for an unwatched flow, through the
-            # FlowStats this QP already holds.
-            metrics.data_packets_sent += 1
-            metrics.data_bytes_sent += payload
-            stats = self.stats
-            stats.packets_sent += 1
-            if is_retx:
-                metrics.retransmissions += 1
-                stats.retransmissions += 1
         self._enqueue(packet)
         cc = self.cc
         wire = packet.wire_bytes
@@ -217,7 +214,6 @@ class SenderQp:
     def on_ack(self, epsn: int) -> None:
         if epsn > self.snd_una:
             self._advance_una(epsn)
-        self.cc.on_ack()
         if self._send_event is None:
             self._maybe_schedule_send()
 

@@ -103,9 +103,6 @@ class Simulator:
 
     Parameters
     ----------
-    end_time:
-        Optional hard stop; events scheduled past it are still accepted but
-        :meth:`run` will not execute them.
     bucket_ns:
         Width of one calendar bucket in nanoseconds (rounded up to a power
         of two so the bucket key is one shift).
@@ -115,15 +112,13 @@ class Simulator:
     """
 
     __slots__ = (
-        "now", "end_time", "trace", "_shift", "_buckets", "_order",
+        "now", "trace", "_shift", "_buckets", "_order",
         "_live", "_cur_end", "_event_pool", "_seq", "_executed",
         "_running", "batches",
     )
 
-    def __init__(self, end_time: Optional[int] = None, *,
-                 bucket_ns: int = DEFAULT_BUCKET_NS) -> None:
+    def __init__(self, *, bucket_ns: int = DEFAULT_BUCKET_NS) -> None:
         self.now: int = 0
-        self.end_time = end_time
         #: Optional per-event hook ``trace(time, seq, callback)`` invoked
         #: before each executed callback; used by the determinism tests.
         self.trace: Optional[Callable[[int, int, Callable], None]] = None
@@ -138,7 +133,7 @@ class Simulator:
         self._seq = 0
         self._executed = 0
         self._running = False
-        #: Calendar buckets claimed whole by :meth:`run_batched` — the
+        #: Calendar buckets claimed whole by :meth:`run` — the
         #: unit of per-batch overhead (claim + sort).  The performance
         #: ledger reports it as the exact count ``sim.batches``.
         self.batches = 0
@@ -248,72 +243,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty
-        or the next event lies beyond ``end_time``.  Pops from the same
-        ``_live``/``_order`` structures :meth:`run` drains, so the two may
-        be interleaved freely.
-        """
-        heappop = heapq.heappop
-        live = self._live
-        while True:
-            if not live:
-                if not self._order:
-                    return False
-                key = heappop(self._order)
-                live = self._live = self._buckets.pop(key)
-                heapq.heapify(live)
-                self._cur_end = (key + 1) << self._shift
-            entry = live[0]
-            if len(entry) == 3:
-                event = entry[2]
-                if event.cancelled:
-                    heappop(live)
-                    self._recycle(event)
-                    continue
-                callback, args = event.callback, event.args
-            else:
-                event = None
-                callback, args = entry[2], entry[3:]
-            if self.end_time is not None and entry[0] > self.end_time:
-                return False
-            heappop(live)
-            self.now = entry[0]
-            if self.trace is not None:
-                self.trace(entry[0], entry[1], callback)
-            callback(*args)
-            if event is not None:
-                self._recycle(event)
-            self._executed += 1
-            return True
-
-    def _recycle(self, event: Event) -> None:
-        # Drop references so a pooled event never pins packet graphs.
-        event.callback = None
-        event.args = ()
-        pool = self._event_pool
-        if len(pool) < _EVENT_POOL_CAP:
-            pool.append(event)
-
     def run(self, until: Optional[int] = None) -> int:
-        """Run events until the queue drains or ``until`` (absolute ns).
+        """Run events until the queue drains or ``until`` (absolute ns,
+        inclusive); returns the number of events executed by this call.
 
-        Returns the number of events executed by this call.  When the
-        queue drains before ``until``, the clock still advances to
-        ``until``, matching the early-break case — either way the caller
-        observes ``now == until``.  Delegates to :meth:`run_batched`,
-        the bucket-at-a-time drain (golden-tested bit-identical to the
-        heap reference).
-        """
-        return self.run_batched(until)
+        Either way the caller observes ``now == until``: when the queue
+        drains before the bound the clock still advances to it.
 
-    def run_batched(self, until: Optional[int] = None) -> int:
-        """Batched drain: claim whole calendar buckets, sort once, then
-        dispatch the batch in a tight loop.
-
-        Per-event cost drops three ways versus a pop-per-event loop:
+        The drain is batched: claim a whole calendar bucket, sort it
+        once, dispatch it in a tight loop.  Per-event cost drops three
+        ways versus a pop-per-event loop:
 
         * one C-level ``list.sort`` per bucket replaces a ``heappop``
           (log-n sifts) per event;
@@ -343,13 +282,8 @@ class Simulator:
         buckets = self._buckets
         order = self._order
         shift = self._shift
-        # Fold ``until`` and ``end_time`` into one numeric stop bound;
-        # which bound fired decides below whether the clock jumps to
-        # ``until``.
-        bound = until if until is not None else _FAR_FUTURE
-        if self.end_time is not None and self.end_time < bound:
-            bound = self.end_time
-        limit = bound + 1      # a window ending here holds no late event
+        # A window ending at or before ``limit`` holds no late event.
+        limit = (until if until is not None else _FAR_FUTURE) + 1
         cur_end = self._cur_end
         try:
             while True:
@@ -374,11 +308,11 @@ class Simulator:
                     # The window straddles the stop bound (only the last
                     # one of a call can): run the entries at or before it.
                     # The rest stay live — sorted, hence a valid heap —
-                    # and every bucket lies at >= _cur_end > bound.
+                    # and every bucket lies at >= _cur_end > until.
                     cut = bisect_left(batch, (limit,))
                     self._live = live = batch[cut:]
                     if not cut:
-                        if bound == until and until > self.now:
+                        if until is not None and until > self.now:
                             self.now = until
                         break
                     del batch[cut:]

@@ -2,16 +2,18 @@
 
 Commodity switch ASICs pool packet memory across ports (e.g. the 64 MB
 SRAM the paper cites for Tofino-class switches).  :class:`SharedBuffer`
-tracks aggregate occupancy; a data packet is admitted only if both the
-shared pool and the per-port static cap have room.  Control packets bypass
-the buffer entirely (they ride the lossless high-priority class).
+holds the pool's numbers; every egress :class:`~repro.net.port.Port` of
+the switch reads and updates them in ``enqueue`` / ``_pump`` / ``flush``:
+a data packet is admitted only if both the shared pool and the per-port
+static cap have room.  Control packets bypass the buffer entirely (they
+ride the lossless high-priority class).
 """
 
 from __future__ import annotations
 
 
 class SharedBuffer:
-    """Byte-accurate shared buffer with an optional per-port cap."""
+    """Byte-accurate shared-pool occupancy with an optional per-port cap."""
 
     def __init__(self, capacity_bytes: int,
                  per_port_cap_bytes: int | None = None) -> None:
@@ -21,28 +23,6 @@ class SharedBuffer:
         self.per_port_cap_bytes = per_port_cap_bytes
         self.used_bytes = 0
         self.peak_bytes = 0
-        self.rejections = 0
-
-    def can_admit(self, nbytes: int, port_used_bytes: int) -> bool:
-        if self.used_bytes + nbytes > self.capacity_bytes:
-            return False
-        if (self.per_port_cap_bytes is not None
-                and port_used_bytes + nbytes > self.per_port_cap_bytes):
-            return False
-        return True
-
-    def reserve(self, nbytes: int) -> None:
-        self.used_bytes += nbytes
-        if self.used_bytes > self.peak_bytes:
-            self.peak_bytes = self.used_bytes
-        if self.used_bytes > self.capacity_bytes:
-            raise AssertionError("buffer accounting overflow: reserve "
-                                 "called without can_admit check")
-
-    def release(self, nbytes: int) -> None:
-        self.used_bytes -= nbytes
-        if self.used_bytes < 0:
-            raise AssertionError("buffer accounting underflow")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SharedBuffer({self.used_bytes}/{self.capacity_bytes}B, "

@@ -230,7 +230,7 @@ class RepsLB(LoadBalancer):
     prefers a recycled (entropy, port) pair over a fresh random draw —
     ACKed entropies are evidence of a currently-healthy, uncongested
     path.  On link failure the fault layer calls :meth:`evict_dead`
-    (via ``Network.reconverge_routes``) so no cached entropy can steer a
+    (via ``Network.reconverge``) so no cached entropy can steer a
     packet onto a dead egress; lazy checks in :meth:`select` cover the
     window between failure and reconvergence.
 

@@ -47,7 +47,6 @@ class TestDecrease:
         assert cc.rate_bps == rate_after_first
         sim.schedule(200 * US, cc.on_cnp)
         sim.run(until=200 * US)
-        sim.step()
         assert cc.rate_bps < rate_after_first
 
     def test_nack_triggers_decrease(self):
@@ -156,7 +155,7 @@ class TestTrace:
         cc.on_cnp()
         sim.run(until=100 * US)
         assert len(trace) >= 2
-        assert trace.values()[0] == pytest.approx(LINE / 2, rel=0.01)
+        assert trace.samples[0][1] == pytest.approx(LINE / 2, rel=0.01)
 
     def test_stop_cancels_timers(self):
         sim = Simulator()

@@ -67,7 +67,7 @@ class TestExecution:
         net = make_network()
         job = make_job(net, iterations=1, compute_ns=0)
         job.start()
-        net.sim.step()  # the _begin_iteration event
+        net.run(until_ns=0)  # the _begin_iteration event
         starts = {c.start_ns for c in job._current}
         assert len(starts) == 1
 

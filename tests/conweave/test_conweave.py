@@ -13,6 +13,7 @@ from repro.switch.buffer import SharedBuffer
 from repro.switch.ecn import EcnConfig, EcnMarker
 from repro.switch.lb import EcmpLB
 from repro.switch.switch import Switch
+from tests.faults.drive import fail_link
 
 FLOW = FlowKey(0, 1)  # remote 0 -> local 1
 
@@ -176,7 +177,7 @@ class TestEndToEnd:
     def test_fail_link_tolerates_conweave_middleware(self):
         net = Network(NetworkConfig(topology=self.TOPO, scheme="conweave",
                                     seed=5))
-        net.fail_link("tor0", "spine0")  # must not raise
+        fail_link(net, "tor0:spine0")  # must not raise
         net.post_message(0, 2, 100_000)
         net.run(until_ns=30_000_000_000)
         assert net.metrics.all_flows_done()

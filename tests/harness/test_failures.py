@@ -1,8 +1,16 @@
-"""Tests for §6 link-failure tolerance: fail, revert to ECMP, heal."""
+"""Tests for §6 link-failure tolerance: fail, revert to ECMP, heal.
+
+Every failure goes through :class:`FaultInjector` (``tests/faults/drive``),
+the one fault path; ``tests/faults/test_injector.py`` covers scheduling,
+validation and partitions.
+"""
 
 import pytest
 
+from repro.faults.spec import ScenarioError
 from repro.harness.network import Network, NetworkConfig, TopologySpec
+from repro.sim.engine import US
+from tests.faults.drive import fail_link
 
 TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
                     nics_per_tor=2, link_bandwidth_bps=25e9)
@@ -15,7 +23,7 @@ def make(scheme="themis"):
 class TestFailLink:
     def test_dead_port_leaves_candidate_sets(self):
         net = make()
-        net.fail_link("tor0", "spine0")
+        fail_link(net, "tor0:spine0")
         tor0 = net.topology.tors[0]
         candidates = tor0.routes[2]
         assert len(candidates) == 1
@@ -23,7 +31,7 @@ class TestFailLink:
 
     def test_both_directions_fail(self):
         net = make()
-        net.fail_link("tor0", "spine0")
+        fail_link(net, "tor0:spine0")
         spine0 = next(s for s in net.topology.switches
                       if s.name == "spine0")
         tor0 = net.topology.tors[0]
@@ -32,37 +40,42 @@ class TestFailLink:
 
     def test_unknown_switch_raises(self):
         net = make()
-        with pytest.raises(LookupError):
-            net.fail_link("tor0", "nope")
+        with pytest.raises(ScenarioError, match="nope"):
+            fail_link(net, "tor0:nope")
+        with pytest.raises(ScenarioError):
+            fail_link(net, "tor0:tor1")     # both exist, no cable
 
-    def test_unconnected_pair_raises(self):
-        net = make()
-        with pytest.raises(LookupError):
-            net.fail_link("tor0", "tor1")
+    def test_reconvergence_evicts_reps_entropies(self):
+        """REPS (2407.21625) must not keep an entropy for a dead egress
+        past reconvergence, cached or still awaiting its ACK."""
+        def held_ports():
+            for lb in net._reps_lbs:
+                for cache in lb._cache.values():
+                    yield from (port for _, port in cache)
+                for inflight in lb._inflight.values():
+                    yield from (port for _, port in inflight.values())
 
-    def test_double_failure_of_same_link_raises(self):
-        net = make()
-        net.fail_link("tor0", "spine0")
-        with pytest.raises(LookupError):
-            net.fail_link("tor0", "spine0")
-
-    def test_partition_raises(self):
-        net = make()
-        net.fail_link("tor0", "spine0")
-        with pytest.raises(RuntimeError):
-            net.fail_link("tor0", "spine1")  # tor0 would be cut off
+        net = make(scheme="reps")
+        net.post_message(0, 2, 2_000_000)
+        net.run(until_ns=100_000)
+        dead = net.topology.link("tor0:spine0").ports
+        assert any(port in dead for port in held_ports())
+        fail_link(net, "tor0:spine0")
+        assert all(port.up for port in held_ports())
+        net.run(until_ns=30_000_000_000)
+        assert net.metrics.all_flows_done()
 
 
 class TestThemisFallback:
     def test_failure_disables_themis(self):
         net = make()
-        net.fail_link("tor0", "spine0")
+        fail_link(net, "tor0:spine0")
         for tor in net.topology.tors:
             assert all(not mw.enabled for mw in tor.middleware)
 
     def test_traffic_completes_after_failure(self):
         net = make()
-        net.fail_link("tor0", "spine0")
+        fail_link(net, "tor0:spine0")
         net.post_message(0, 2, 200_000)
         net.post_message(3, 1, 200_000)
         net.run(until_ns=10_000_000_000)
@@ -75,15 +88,17 @@ class TestThemisFallback:
         net.post_message(0, 2, 2_000_000)
         net.post_message(1, 3, 2_000_000)
         net.run(until_ns=20_000)           # let traffic start
-        net.fail_link("tor0", "spine1")
+        fail_link(net, "tor0:spine1")
         net.run(until_ns=30_000_000_000)
         assert net.metrics.all_flows_done()
 
     def test_heal_restores_routes_and_themis(self):
         net = make()
-        net.fail_link("tor0", "spine0")
-        net.heal_links()
+        fail_link(net, "tor0:spine0", heal_after_us=1)
         tor0 = net.topology.tors[0]
+        assert len(tor0.routes[2]) == 1
+        net.run(until_ns=net.now_ns + US)
+        assert net.fabric_intact()
         assert len(tor0.routes[2]) == 2
         for tor in net.topology.tors:
             assert all(mw.enabled for mw in tor.middleware)
@@ -92,16 +107,17 @@ class TestThemisFallback:
         net = make()
         net.post_message(0, 2, 200_000)
         net.run(until_ns=10_000_000_000)
-        net.fail_link("tor0", "spine0")
-        net.heal_links()
-        dest = next(mw for tor in net.topology.tors
-                    for mw in tor.middleware
+        # NIC 2 hangs off tor1: its Themis-D holds the flow's entry.
+        dest = next(mw for mw in net.topology.tors[1].middleware
                     if hasattr(mw, "table"))
+        assert len(dest.table) == 1
+        fail_link(net, "tor0:spine0", heal_after_us=1)
+        net.run(until_ns=net.now_ns + US)
         assert len(dest.table) == 0
 
     def test_ecmp_scheme_failure_works_without_middleware(self):
         net = make(scheme="ecmp")
-        net.fail_link("tor0", "spine0")
+        fail_link(net, "tor0:spine0")
         net.post_message(0, 2, 100_000)
         net.run(until_ns=10_000_000_000)
         assert net.metrics.all_flows_done()

@@ -3,8 +3,15 @@
 import pytest
 
 from repro.harness.metrics import FlowStats, Metrics
+from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey, data_packet
 from repro.sim.engine import Simulator
+
+
+def two_nics():
+    """Two NICs under one ToR: the senders do the counting."""
+    return Network(NetworkConfig(topology=TopologySpec(
+        num_tors=1, num_spines=1, nics_per_tor=2)))
 
 
 class TestFlowStats:
@@ -40,12 +47,14 @@ class TestMetrics:
         assert metrics.flow_stats(flow) is stats
 
     def test_on_data_sent_counts(self):
-        metrics = self._metrics()
-        flow = FlowKey(0, 1)
-        metrics.on_data_sent(flow, data_packet(flow, 0, 1000))
-        metrics.on_data_sent(flow, data_packet(flow, 0, 1000,
-                                               is_retx=True))
+        net = two_nics()
+        metrics = net.metrics
+        flow = net.post_message(0, 1, 1000)
+        net.run(until_ns=0)                         # PSN 0 is on the wire
+        net.nics[0].senders[flow].force_retransmit(0)
+        net.run()
         assert metrics.data_packets_sent == 2
+        assert metrics.data_bytes_sent == 2000
         assert metrics.retransmissions == 1
         assert metrics.spurious_ratio == pytest.approx(0.5)
         stats = metrics.flows[flow]
@@ -65,19 +74,25 @@ class TestMetrics:
         assert metrics.rate_trace_for(FlowKey(9, 9)) is None
 
     def test_watched_flow_series_populated(self):
-        metrics = self._metrics()
-        flow = FlowKey(2, 3)
-        metrics.watch_flow(flow)
-        metrics.on_data_sent(flow, data_packet(flow, 0, 1000))
-        metrics.on_delivered(flow, data_packet(flow, 0, 1000))
+        net = two_nics()
+        metrics = net.metrics
+        flow = net.watch_flow(0, 1)
+        net.post_message(0, 1, 1000)
+        net.run()
         assert metrics.sent_counters[flow].total() == 1
-        assert metrics.throughput_meters[flow].total_bytes() == 1000
+        assert metrics.retx_counters[flow].total() == 0
+        # 1000 B delivered inside the first 100 us window.
+        assert metrics.throughput_meters[flow].series_gbps() == [
+            (0, pytest.approx(0.08))]
+        assert metrics.data_packets_sent == 1       # counted once
 
     def test_unwatched_flow_has_no_series(self):
-        metrics = self._metrics()
-        flow = FlowKey(2, 3)
-        metrics.on_data_sent(flow, data_packet(flow, 0, 1000))
-        assert flow not in metrics.sent_counters
+        net = two_nics()
+        net.watch_flow(1, 0)
+        flow = net.post_message(0, 1, 1000)
+        net.run()
+        assert flow not in net.metrics.sent_counters
+        assert net.metrics.flows[flow].packets_sent == 1
 
     def test_all_flows_done(self):
         metrics = self._metrics()

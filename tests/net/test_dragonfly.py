@@ -11,6 +11,7 @@ from repro.switch.buffer import SharedBuffer
 from repro.switch.ecn import EcnConfig, EcnMarker
 from repro.switch.lb import EcmpLB
 from repro.switch.switch import Switch
+from tests.faults.drive import fail_link
 
 
 def factory(sim):
@@ -123,7 +124,7 @@ class TestDragonflyNetwork:
         target = next(ln for ln in fabric
                       if ln.a_name.startswith("df0_")
                       and ln.b_name.startswith("df1_"))
-        net.fail_link(target.a_name, target.b_name)
+        fail_link(net, target.name)
         net.post_message(0, 3, 60_000)
         net.run(until_ns=50_000_000)
         assert net.metrics.all_flows_done()

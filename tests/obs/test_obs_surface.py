@@ -23,19 +23,10 @@ class TestShimsRemoved:
     def test_canonical_homes_export_the_types(self):
         from repro.obs.record import PACKET, Recorder
         from repro.obs.timeseries import (RateMeter, TimeSeries,
-                                          WindowedCounter, summarize)
-        for obj in (Recorder, RateMeter, TimeSeries, WindowedCounter,
-                    summarize):
+                                          WindowedCounter)
+        for obj in (Recorder, RateMeter, TimeSeries, WindowedCounter):
             assert obj is not None
         assert Recorder(retain={PACKET}).retain == {PACKET}
-
-    def test_sim_package_still_reexports_timeseries(self):
-        # The package-level re-export stays (public API); only the
-        # ``repro.sim.trace`` module path was removed.
-        import repro.obs.timeseries as ts
-        import repro.sim as sim
-        assert sim.TimeSeries is ts.TimeSeries
-        assert sim.RateMeter is ts.RateMeter
 
 
 class TestObsPackageSurface:

@@ -15,7 +15,7 @@ import sys
 from contextlib import closing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.harness.arena import (arena_job_specs, build_arena_doc,
@@ -124,6 +124,58 @@ def make_bench_doc() -> dict:
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2)
+
+
+def json_paths(node, prefix=()):
+    """The path of every value in a JSON document, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def json_type(value) -> type:
+    """JSON has one number type; ``bool`` is an ``int`` to Python only."""
+    return float if type(value) is int else type(value)
+
+
+DOC_MAKERS = (make_arena_doc, make_faults_doc, make_bench_doc)
+DOC_FIELDS = [(make, path) for make in DOC_MAKERS
+              for path in json_paths(make())]
+DETAIL_TABLES = ("runs", "arena_cells", "arena_ranking", "fault_cells",
+                 "bench_scenarios")
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(DOC_FIELDS),
+       value=st.sampled_from([None, True, 7, 2.5, "x", [1], {"x": 1}]))
+def test_ingest_of_a_mistyped_field_is_all_or_nothing(field, value):
+    """ROADMAP item 7's ingester property: one field of a valid document
+    replaced by a value of another JSON type either ingests or raises
+    ``IngestError``, and a refused document leaves no row anywhere."""
+    make, path = field
+    doc = make()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    assume(json_type(parent[path[-1]]) != json_type(value))
+    parent[path[-1]] = value
+
+    def rows(store):
+        return {table: store.conn.execute(
+            f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in DETAIL_TABLES}
+
+    with ResultsStore(":memory:") as store:
+        ingest_doc(store, make_bench_doc(), source="before")
+        before = rows(store)
+        try:
+            ingest_doc(store, doc)
+        except IngestError:
+            assert rows(store) == before    # committed or pending
+        else:
+            assert rows(store)["runs"] == before["runs"] + 1
 
 
 # ----------------------------------------------------------------------

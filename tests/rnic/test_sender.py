@@ -90,10 +90,10 @@ class TestPacing:
         pair.nics[0].post_send(1, 1_000_000)
         pair.nics[1].expect_message(0, 1_000_000)
         sender = pair.nics[0].senders[FlowKey(0, 1)]
-        max_seen = 0
-        while pair.sim.step():
-            max_seen = max(max_seen, sender.inflight)
-        assert max_seen <= 4
+        seen = []
+        pair.sim.trace = lambda time, seq, cb: seen.append(sender.inflight)
+        pair.run()
+        assert 0 < max(seen) <= 4
         assert sender.complete
 
 

@@ -1,7 +1,7 @@
 """Reference engine for the determinism tests: one binary heap.
 
-Moved verbatim out of ``repro.sim.engine`` — the simulator runs on the
-calendar queue only; this class stays as the executable oracle the
+Moved out of ``repro.sim.engine`` — the simulator runs on the calendar
+queue only; this class stays as the executable oracle the
 golden/property/determinism tests compare against (inject it with
 ``Network(config, sim=HeapSimulator())``).
 """
@@ -26,9 +26,8 @@ class HeapSimulator:
     ``__slots__``, no inlining): it is the measurement baseline.
     """
 
-    def __init__(self, end_time: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
-        self.end_time = end_time
         self.trace: Optional[Callable[[int, int, Callable], None]] = None
         self._heap: list[Event] = []
         self._seq = 0
@@ -75,22 +74,6 @@ class HeapSimulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event."""
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if self.end_time is not None and event.time > self.end_time:
-                return False
-            heapq.heappop(self._heap)
-            self.now = event.time
-            event.callback(*event.args)
-            self._executed += 1
-            return True
-        return False
-
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains or ``until`` (absolute ns)."""
         if self._running:
@@ -106,9 +89,6 @@ class HeapSimulator:
                 if until is not None and event.time > until:
                     if until > self.now:
                         self.now = until
-                    break
-                if self.end_time is not None \
-                        and event.time > self.end_time:
                     break
                 heapq.heappop(self._heap)
                 self.now = event.time

@@ -124,13 +124,6 @@ class TestFire:
         with pytest.raises(SimulationError):
             sim.fire(-1, lambda _: None)
 
-    def test_fire_respects_end_time(self):
-        sim = Simulator(end_time=50)
-        ran = []
-        sim.fire(100, ran.append, 1)
-        assert sim.run() == 0
-        assert ran == [] and sim.pending == 1
-
 
 class TestRunControl:
     def test_run_until_stops_clock_at_bound(self):
@@ -155,17 +148,7 @@ class TestRunControl:
         assert sim.run(until=50) == 3
         assert ran == ["event@50", "late@50"]
         assert sim.now == 50 and sim.pending == 1
-        assert sim.step() and ran[-1] == "fire2@51"
-
-    def test_step_calls_trace_hook(self):
-        sim = Simulator()
-        seen = []
-        sim.trace = lambda time, seq, callback: seen.append((time, seq))
-        sim.schedule(3, lambda: None)
-        sim.fire(5, lambda _: None)
-        while sim.step():
-            pass
-        assert seen == [(3, 0), (5, 1)]
+        assert sim.run() == 1 and ran[-1] == "fire2@51"
 
     def test_run_until_advances_clock_when_queue_drains(self):
         # The queue empties before the bound: the caller must still
@@ -190,23 +173,6 @@ class TestRunControl:
         assert sim.pending == 3
         sim.run()
         assert sim.pending == 0
-
-    def test_end_time_blocks_late_events(self):
-        sim = Simulator(end_time=50)
-        ran = []
-        sim.schedule(100, ran.append, 1)
-        assert sim.run() == 0
-        assert ran == []
-
-    def test_step_executes_single_event(self):
-        sim = Simulator()
-        ran = []
-        sim.schedule(1, ran.append, "a")
-        sim.schedule(2, ran.append, "b")
-        assert sim.step()
-        assert ran == ["a"]
-        assert sim.step()
-        assert not sim.step()
 
     def test_executed_counter(self):
         sim = Simulator()

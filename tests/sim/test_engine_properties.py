@@ -101,30 +101,25 @@ def test_order_holds_for_tiny_geometries(bucket_ns, initial, respawns):
 @settings(max_examples=40, deadline=None)
 @given(initial=st.lists(actions, min_size=1, max_size=40),
        respawns=st.lists(actions, max_size=40),
-       slices=st.lists(st.tuples(st.integers(0, 5), delays), max_size=12))
-def test_step_interleaved_with_run_matches_run_alone(initial, respawns,
-                                                     slices):
-    """``step()`` pops from the structures ``run`` drains: any mix of
-    single steps and bounded runs executes what one ``run()`` does, and
-    each bounded run stops exactly where the reference heap's does."""
+       slices=st.lists(delays, max_size=12))
+def test_bounded_run_slices_match_run_alone(initial, respawns, slices):
+    """Any sequence of bounded runs executes what one ``run()`` does —
+    a bound that splits a bucket leaves the rest of it live — and each
+    stops exactly where the reference heap's does."""
     def drive(sim, log):
-        for steps, advance in slices:
-            stepped = sum(sim.step() for _ in range(steps))
+        for advance in slices:
             ran = sim.run(until=sim.now + advance)
-            log.append(("slice", stepped, ran, sim.now))
+            log.append(("slice", ran, sim.now))
         sim.run()
 
     def events(log):
         return [entry for entry in log if entry[0] != "slice"]
 
-    mixed_log = _run_program(Simulator(), initial, respawns, drive)
+    sliced_log = _run_program(Simulator(), initial, respawns, drive)
     plain_log = _run_program(Simulator(), initial, respawns)
-    assert events(mixed_log) == plain_log
-    # The heap engine's step() does not trace, so compare what the
-    # slices did: events per step burst, per bounded run, and the clock.
-    heap_log = _run_program(HeapSimulator(), initial, respawns, drive)
-    assert ([e for e in mixed_log if e[0] == "slice"]
-            == [e for e in heap_log if e[0] == "slice"])
+    assert events(sliced_log) == plain_log
+    assert sliced_log == _run_program(HeapSimulator(), initial, respawns,
+                                      drive)
 
 
 @settings(max_examples=20, deadline=None)

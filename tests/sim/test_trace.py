@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter, summarize
+from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter
 
 
 class TestTimeSeries:
@@ -11,8 +11,7 @@ class TestTimeSeries:
         ts.record(10, 1.0)
         ts.record(20, 3.0)
         assert len(ts) == 2
-        assert ts.times() == [10, 20]
-        assert ts.values() == [1.0, 3.0]
+        assert ts.samples == [(10, 1.0), (20, 3.0)]
 
     def test_mean_empty_is_zero(self):
         assert TimeSeries().mean() == 0.0
@@ -88,20 +87,6 @@ class TestRateMeter:
         series = meter.series_gbps()
         assert series == [(0, pytest.approx(1.0))]
 
-    def test_mean_gbps_over_span(self):
-        meter = RateMeter(1_000)
-        meter.add_bytes(0, 125)
-        meter.add_bytes(1_000, 125)
-        # 2000 bits over 2 us = 1 Gbps
-        assert meter.mean_gbps(0, 2_000) == pytest.approx(1.0)
-
     def test_empty_meter(self):
         meter = RateMeter(1_000)
         assert meter.series_gbps() == []
-        assert meter.mean_gbps() == 0.0
-
-
-def test_summarize():
-    stats = summarize([3.0, 1.0, 2.0])
-    assert stats == {"count": 3, "min": 1.0, "mean": 2.0, "max": 3.0}
-    assert summarize([])["count"] == 0

@@ -2,9 +2,39 @@
 
 import pytest
 
+from repro.net.node import Device
+from repro.net.packet import DATA_HEADER_BYTES, FlowKey, data_packet
+from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
 from repro.switch.buffer import SharedBuffer
 from repro.switch.ecn import EcnConfig, EcnMarker
+from repro.switch.lb import EcmpLB
+from repro.switch.switch import Switch
+
+
+WIRE = data_packet(FlowKey(0, 1), 0, 1000).wire_bytes
+
+
+class Sink(Device):
+    def receive(self, packet, in_port):
+        pass
+
+
+def busy_port(buffer):
+    """A switch egress port over ``buffer`` that is already serializing
+    one packet, so everything enqueued next has to wait in the pool."""
+    sim = Simulator()
+    switch = Switch(sim, "sw", lb=EcmpLB(), buffer=buffer,
+                    ecn_marker=EcnMarker(EcnConfig(), SimRng(0)))
+    port = switch.add_port(1e9, 0)
+    port.connect(Sink(sim, "sink"))
+    assert port.enqueue(data_packet(FlowKey(0, 1), 0, 1000))
+    assert buffer.used_bytes == 0       # on the wire, not in the pool
+    return sim, port
+
+
+def enqueue(port, payload=1000):
+    return port.enqueue(data_packet(FlowKey(0, 1), 1, payload))
 
 
 class TestSharedBuffer:
@@ -13,40 +43,43 @@ class TestSharedBuffer:
             SharedBuffer(0)
 
     def test_admit_until_full(self):
-        buf = SharedBuffer(1000)
-        assert buf.can_admit(600, 0)
-        buf.reserve(600)
-        assert not buf.can_admit(500, 0)
-        assert buf.can_admit(400, 0)
+        buf = SharedBuffer(2 * WIRE + 100)
+        _, port = busy_port(buf)
+        assert enqueue(port) and enqueue(port)
+        assert buf.used_bytes == 2 * WIRE
+        assert not enqueue(port)                    # 100 bytes left
+        assert buf.used_bytes == 2 * WIRE and port.packets_dropped == 1
+        assert enqueue(port, payload=100 - DATA_HEADER_BYTES)
+        assert buf.used_bytes == buf.capacity_bytes
 
     def test_release_frees_space(self):
-        buf = SharedBuffer(1000)
-        buf.reserve(800)
-        buf.release(800)
+        buf = SharedBuffer(2 * WIRE)
+        sim, port = busy_port(buf)
+        assert enqueue(port) and enqueue(port) and not enqueue(port)
+        sim.run()                                   # both dequeued
         assert buf.used_bytes == 0
-        assert buf.can_admit(1000, 0)
+        assert enqueue(port)
 
     def test_peak_tracking(self):
-        buf = SharedBuffer(1000)
-        buf.reserve(300)
-        buf.reserve(400)
-        buf.release(700)
-        assert buf.peak_bytes == 700
+        buf = SharedBuffer(10 * WIRE)
+        sim, port = busy_port(buf)
+        for _ in range(3):
+            enqueue(port)
+        sim.run()
+        assert buf.used_bytes == 0
+        assert buf.peak_bytes == 3 * WIRE
 
     def test_per_port_cap(self):
-        buf = SharedBuffer(10_000, per_port_cap_bytes=1000)
-        assert buf.can_admit(900, 0)
-        assert not buf.can_admit(900, 500)
-
-    def test_underflow_is_programming_error(self):
-        buf = SharedBuffer(100)
-        with pytest.raises(AssertionError):
-            buf.release(1)
-
-    def test_overflow_without_check_is_programming_error(self):
-        buf = SharedBuffer(100)
-        with pytest.raises(AssertionError):
-            buf.reserve(200)
+        buf = SharedBuffer(10 * WIRE, per_port_cap_bytes=2 * WIRE)
+        sim, port = busy_port(buf)
+        assert enqueue(port) and enqueue(port)
+        assert not enqueue(port)                    # pool has room, port not
+        assert buf.used_bytes == 2 * WIRE
+        other = port.owner.add_port(1e9, 0)         # the cap is per port
+        other.connect(port.peer)
+        assert other.enqueue(data_packet(FlowKey(0, 1), 0, 1000))
+        assert enqueue(other)
+        assert buf.used_bytes == 3 * WIRE
 
 
 class TestEcnConfig:

@@ -155,7 +155,6 @@ class TestBufferIntegration:
         sim.run()
         # ~1 in flight + ~1 queued within budget; the rest dropped.
         assert len(sinks[1].received) < 10
-        assert sw.buffer.rejections == 0  # rejections counted at port level
         port = sw.routes[1][0]
         assert port.packets_dropped > 0
 
