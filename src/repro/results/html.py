@@ -9,8 +9,12 @@ series, direct end-labels, and native ``<title>`` tooltips on markers.
 
 from __future__ import annotations
 
+import re
 from html import escape as esc  # noqa: F401 - re-exported for callers
 from typing import Optional, Sequence
+
+#: Finds a character :func:`html.escape` would replace.
+_ESCAPABLE = re.compile("[&<>\"']").search
 
 #: Categorical series slots (light, dark) in fixed assignment order —
 #: a series keeps its slot even when others are filtered out.
@@ -138,15 +142,18 @@ def table(headers: Sequence[str], rows: Sequence[Sequence[object]], *,
     head = "".join(
         f'<th{num if i in numeric else ""}>{esc(h)}</th>'
         for i, h in enumerate(headers))
+    # One template per table, one search per row: a row is escaped cell
+    # by cell only when some text cell of it holds a character to escape.
+    row_html = "<tr>" + "".join(
+        f'<td{num if i in numeric else ""}>%s</td>'
+        for i in range(len(headers))) + "</tr>"
+    text = [i for i in range(len(headers)) if i not in raw]
     body = []
     for row in rows:
-        cells = []
-        for i, cell in enumerate(row):
-            content = str(cell) if i in raw else esc(str(cell))
-            cells.append(
-                f'<td{num if i in numeric else ""}>'
-                f"{content}</td>")
-        body.append("<tr>" + "".join(cells) + "</tr>")
+        if _ESCAPABLE("".join([str(row[i]) for i in text])):
+            row = [cell if i in raw else esc(str(cell))
+                   for i, cell in enumerate(row)]
+        body.append(row_html % tuple(row))
     return (f'<table><thead><tr>{head}</tr></thead>'
             f'<tbody>{"".join(body)}</tbody></table>')
 

@@ -114,6 +114,38 @@ def arena_cells(conn: sqlite3.Connection, run_id: int) -> list[dict]:
         "ORDER BY cell_order", (run_id,))]
 
 
+def arena_run_json(conn: sqlite3.Connection, run_id: int) -> Optional[str]:
+    """``{"run_id", "cells", "ranking"}`` of one run as JSON text, or
+    ``None`` for an unknown run — the ``/api/arena/<id>`` body.
+
+    The stored ``cell_json`` / ``row_json`` fragments are joined as
+    they are, never parsed: the text loads to the same value as
+    :func:`arena_cells` and :func:`arena_ranking` return.
+    """
+    cells = [row[0] for row in conn.execute(
+        "SELECT cell_json FROM arena_cells WHERE run_id=? "
+        "ORDER BY cell_order", (run_id,))]
+    if not cells:
+        return None
+    ranking = [row[0] for row in conn.execute(
+        "SELECT row_json FROM arena_ranking WHERE run_id=? "
+        "ORDER BY rank", (run_id,))]
+    return ('{"run_id": %d, "cells": [%s], "ranking": [%s]}'
+            % (run_id, ", ".join(cells), ", ".join(ranking)))
+
+
+def arena_cell_rows(conn: sqlite3.Connection, run_id: int) -> list:
+    """What ``/arena/<id>`` shows of each cell, in cell order, read from
+    the columns ingest filled beside ``cell_json``: ``(spec_hash, lb,
+    transport, cc, workload, topology, seed, completed, mean_slowdown,
+    goodput_gbps, nack_validity)``."""
+    return conn.execute(
+        "SELECT spec_hash, lb, transport, cc, workload, topology, seed, "
+        "completed, mean_slowdown, goodput_gbps, nack_validity "
+        "FROM arena_cells WHERE run_id=? ORDER BY cell_order",
+        (run_id,)).fetchall()
+
+
 def ranking_over_time(conn: sqlite3.Connection) -> dict:
     """Rank and slowdown trajectories per (lb, transport) pair.
 
@@ -123,24 +155,21 @@ def ranking_over_time(conn: sqlite3.Connection) -> dict:
     their rank in the most recent run — the dashboard's headline chart.
     """
     run_ids = _run_ids(conn, "repro-arena")
-    by_pair: dict[tuple, dict] = {}
-    for row in conn.execute(
+    column = {run_id: i for i, run_id in enumerate(run_ids)}
+    by_pair: dict[tuple, tuple[list, list]] = {}
+    for run_id, rank, lb, transport, slowdown in conn.execute(
             "SELECT run_id, rank, lb, transport, mean_slowdown "
             "FROM arena_ranking ORDER BY run_id, rank"):
-        pair = (row["lb"], row["transport"])
-        entry = by_pair.setdefault(pair, {
-            "lb": row["lb"], "transport": row["transport"],
-            "ranks": {}, "slowdowns": {}})
-        entry["ranks"][row["run_id"]] = row["rank"]
-        entry["slowdowns"][row["run_id"]] = row["mean_slowdown"]
-    series = []
-    last = run_ids[-1] if run_ids else None
-    for entry in by_pair.values():
-        series.append({
-            "lb": entry["lb"], "transport": entry["transport"],
-            "latest_rank": entry["ranks"].get(last),
-            "ranks": [entry["ranks"].get(r) for r in run_ids],
-            "slowdowns": [entry["slowdowns"].get(r) for r in run_ids]})
+        lists = by_pair.get((lb, transport))
+        if lists is None:
+            lists = by_pair[lb, transport] = ([None] * len(run_ids),
+                                              [None] * len(run_ids))
+        i = column[run_id]
+        lists[0][i] = rank
+        lists[1][i] = slowdown
+    series = [{"lb": lb, "transport": transport, "latest_rank": ranks[-1],
+               "ranks": ranks, "slowdowns": slowdowns}
+              for (lb, transport), (ranks, slowdowns) in by_pair.items()]
     series.sort(key=lambda s: (s["latest_rank"] is None,
                                s["latest_rank"] or 0,
                                s["lb"], s["transport"]))

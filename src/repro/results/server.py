@@ -1,11 +1,14 @@
 """``repro serve`` — the live experiment dashboard.
 
-Stdlib only: a :class:`http.server.ThreadingHTTPServer` whose handler
-threads borrow **read-only** sqlite connections from the
-:class:`Dashboard`'s free list for the length of one render, so
-concurrent page loads never share a connection or contend with a sweep
-writing the store in WAL mode, and a connection, once opened, serves
-every later request until ``server_close()``.
+Stdlib only: an :class:`http.server.HTTPServer` that hands each accepted
+socket to one of :data:`WORKERS` resident threads, which borrow
+**read-only** sqlite connections from the :class:`Dashboard`'s free list
+for the length of one render, so concurrent page loads never share a
+connection or contend with a sweep writing the store in WAL mode, and a
+thread or connection, once started, serves every later request until
+``server_close()``.  A response costs what its bytes cost: JSON is
+encoded in C, or joined from the text the store already holds, and
+tables are filled from columns.
 
 Routing is two plain tables of ``(pattern, renderer)`` entries — pages
 that read the store and are handed a connection, and the two that never
@@ -22,7 +25,8 @@ Pages
 * ``/cell/<run_id>/<hash>`` per-cell drill-down + Perfetto deep link
 * ``/faults``               recovery / goodput-dip panels per scenario
 * ``/bench``                events/sec + tracing-overhead trend lines
-* ``/api/...``              the JSON twins of every page
+* ``/api/...``              the JSON twins of every page (compact:
+  pipe through ``python -m json.tool`` to read one)
 * ``/traces/<file>``        exported Perfetto traces (``--traces`` dir)
 """
 
@@ -30,11 +34,12 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import re
 import sqlite3
 import threading
 from contextlib import closing, contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Callable, Iterator, Optional
 from urllib.parse import quote
 
@@ -45,6 +50,15 @@ from repro.results.store import connect_readonly
 PERFETTO_UI = "https://ui.perfetto.dev/#!/?url="
 
 Conn = sqlite3.Connection
+
+#: Resident request threads: a browser opens at most six connections to
+#: one host, and each thread holds at most one store connection.
+WORKERS = 6
+
+#: Seconds a client may leave a socket silent, mid-request or before
+#: one, until its worker hangs up: a bounded pool must not be held by
+#: connections that never speak (a browser's preconnects do not).
+READ_TIMEOUT_S = 5.0
 
 
 class Dashboard:
@@ -146,11 +160,12 @@ class Dashboard:
     @staticmethod
     def _json(doc, status: int = 200) -> tuple[int, str, bytes]:
         return (status, "application/json",
-                json.dumps(doc, indent=2, sort_keys=True).encode())
+                json.dumps(doc, sort_keys=True).encode())
 
     # -- pages ---------------------------------------------------------
     def page_health(self, host: str) -> tuple[int, str, bytes]:
         return self._json({"ok": True, "db": self.db_path,
+                           "workers": WORKERS,
                            "connections_open": self.connections_open,
                            "connections_opened": self.connections_opened})
 
@@ -229,7 +244,7 @@ class Dashboard:
                        run_id: str) -> tuple[int, str, bytes]:
         run_id = int(run_id)
         ranking = Q.arena_ranking(conn, run_id)
-        cells = Q.arena_cells(conn, run_id)
+        cells = Q.arena_cell_rows(conn, run_id)
         if not cells:
             return self._html(H.page(f"arena run {run_id}",
                                      H.card("<p>unknown run</p>")),
@@ -246,17 +261,13 @@ class Dashboard:
             ["rank", "lb", "transport", "slowdown", "goodput Gbps",
              "reorder", "nack validity", "cells"],
             rank_rows, numeric=(0, 3, 4, 5, 6, 7), raw=(1,)))
-        cell_rows = []
-        for c in cells:
-            link = (f'<a href="/cell/{run_id}/{c["spec_hash"]}">'
-                    f'{c["spec_hash"][:10]}</a>')
-            cell_rows.append(
-                (link, c["lb"], c["transport"], c["cc"], c["workload"],
-                 c["topology"], c["seed"],
-                 "yes" if c["completed"] else "NO",
-                 f"{c['mean_slowdown']:.3f}",
-                 f"{c['goodput_gbps']:.3f}",
-                 f"{c['nack_validity']:.3f}"))
+        cell_rows = [
+            (f'<a href="/cell/{run_id}/{spec_hash}">{spec_hash[:10]}</a>',
+             lb, transport, cc, workload, topology, seed,
+             "yes" if completed else "NO", f"{slowdown:.3f}",
+             f"{goodput:.3f}", f"{validity:.3f}")
+            for (spec_hash, lb, transport, cc, workload, topology, seed,
+                 completed, slowdown, goodput, validity) in cells]
         body += "<h2>cells</h2>" + H.card(H.table(
             ["cell", "lb", "transport", "cc", "workload", "topology",
              "seed", "done", "slowdown", "goodput", "validity"],
@@ -394,12 +405,10 @@ class Dashboard:
 
     def api_arena_run(self, conn: Conn, host: str,
                       run_id: str) -> tuple[int, str, bytes]:
-        cells = Q.arena_cells(conn, int(run_id))
-        if not cells:
+        doc = Q.arena_run_json(conn, int(run_id))
+        if doc is None:
             return self._json({"error": "unknown run"}, status=404)
-        return self._json({"run_id": int(run_id), "cells": cells,
-                           "ranking": Q.arena_ranking(conn,
-                                                      int(run_id))})
+        return 200, "application/json", doc.encode()
 
     def api_ranking_over_time(self, conn: Conn,
                               host: str) -> tuple[int, str, bytes]:
@@ -439,6 +448,8 @@ class Dashboard:
 def make_handler(dashboard: Dashboard,
                  quiet: bool = False) -> type:
     class Handler(BaseHTTPRequestHandler):
+        timeout = READ_TIMEOUT_S
+
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             host = self.headers.get("Host") or "localhost"
             status, ctype, body = dashboard.render(self.path, host=host)
@@ -447,7 +458,10 @@ def make_handler(dashboard: Dashboard,
             self.send_header("Content-Length", str(len(body)))
             self.send_header("Cache-Control", "no-cache")
             self.end_headers()
-            self.wfile.write(body)
+            if self.command != "HEAD":
+                self.wfile.write(body)
+
+        do_HEAD = do_GET  # noqa: N815 - the GET's headers, no body
 
         def log_message(self, fmt, *args) -> None:
             if not quiet:  # pragma: no cover - console chatter
@@ -456,24 +470,54 @@ def make_handler(dashboard: Dashboard,
     return Handler
 
 
-class DashboardServer(ThreadingHTTPServer):
-    """The threaded server plus the :class:`Dashboard` it serves, whose
-    connections ``server_close()`` closes."""
+class DashboardServer(HTTPServer):
+    """The server, the :data:`WORKERS` threads that answer what it
+    accepts, and the :class:`Dashboard` they render; ``server_close()``
+    joins the threads and closes the dashboard's connections."""
 
     def __init__(self, address: tuple[str, int], dashboard: Dashboard,
                  quiet: bool = False) -> None:
         self.dashboard = dashboard
         super().__init__(address, make_handler(dashboard, quiet=quiet))
+        self._accepted: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers = [threading.Thread(target=self._work, daemon=True)
+                         for _ in range(WORKERS)]
+        for worker in self._workers:
+            worker.start()
+
+    def process_request(self, request, client_address) -> None:
+        self._accepted.put((request, client_address))
+
+    def _work(self) -> None:
+        """Answer accepted sockets in turn, until ``server_close()``."""
+        while True:
+            accepted = self._accepted.get()
+            if accepted is None:
+                return
+            try:
+                self.finish_request(*accepted)
+            except Exception:
+                self.handle_error(*accepted)
+            finally:
+                self.shutdown_request(accepted[0])
 
     def server_close(self) -> None:
+        """Idempotent.  Sockets accepted before the call are answered
+        first (the queue is first in, first out), so a silent one can
+        hold the join for up to :data:`READ_TIMEOUT_S`."""
         super().server_close()
+        for _ in self._workers:
+            self._accepted.put(None)
+        for worker in self._workers:
+            worker.join()
+        self._workers = []
         self.dashboard.close()
 
 
 def make_server(db_path: str, *, host: str = "127.0.0.1",
                 port: int = 8000, traces_dir: Optional[str] = None,
                 quiet: bool = False) -> DashboardServer:
-    """Bound, ready-to-``serve_forever`` threaded server (port 0 OK)."""
+    """Bound, ready-to-``serve_forever`` server (port 0 OK)."""
     return DashboardServer((host, port),
                            Dashboard(db_path, traces_dir=traces_dir),
                            quiet=quiet)

@@ -1,21 +1,35 @@
 """Dashboard smoke tests: headless rendering and a real HTTP round trip."""
 
+import http.client
 import json
+import re
+import socket
 import sys
 import threading
-import urllib.request
+import time
 from contextlib import closing, contextmanager
 
 import pytest
 
 from repro.results import ResultsStore, ingest_doc
+from repro.results import query as Q
 from repro.results import server as server_module
 from repro.results.query import arena_cells
-from repro.results.server import Dashboard, check_pages, make_server
+from repro.results.server import (WORKERS, Dashboard, check_pages,
+                                  make_server)
 from repro.results.store import connect_readonly
 
 from tests.results.test_store import (make_arena_doc, make_bench_doc,
                                       make_faults_doc)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """A pool that ``server_close()`` did not join fails the test that
+    started it."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 @pytest.fixture()
@@ -63,11 +77,19 @@ def serving(db):
         assert not thread.is_alive()
 
 
+def request(server, method, path):
+    """One request on a connection of its own, whatever the status:
+    ``(status, headers, body)``."""
+    with closing(http.client.HTTPConnection(*server.server_address[:2],
+                                            timeout=10)) as conn:
+        conn.request(method, path)
+        response = conn.getresponse()
+        return response.status, response.headers, response.read()
+
+
 def fetch(server, path):
-    host, port = server.server_address[:2]
-    with urllib.request.urlopen(f"http://{host}:{port}{path}",
-                                timeout=10) as resp:
-        return resp.status, resp.headers["Content-Type"], resp.read()
+    status, headers, body = request(server, "GET", path)
+    return status, headers["Content-Type"], body
 
 
 class TestHeadlessRendering:
@@ -153,6 +175,64 @@ class TestHeadlessRendering:
         assert '<a href="/arena/2">run 2</a>' in page
 
 
+class TestFastPathsAgreeWithTheQueryLayer:
+    """The API bodies are encoded, one of them joined from stored text,
+    without the query functions that define them, and ``/arena/<id>``
+    reads columns where ``Q.arena_cells`` reads ``cell_json``: neither
+    may say anything the query layer does not."""
+
+    def test_every_api_route_serves_its_query_value(self, db,
+                                                    open_dashboard):
+        dashboard = open_dashboard(db)
+        spec_hash = first_spec_hash(db)
+        with dashboard.reader() as conn:
+            twins = {
+                "/api/summary": Q.summary(conn),
+                "/api/arena/runs": {"runs": Q.arena_runs(conn)},
+                "/api/ranking-over-time": Q.ranking_over_time(conn),
+                f"/api/cell/1/{spec_hash}":
+                    Q.cell_detail(conn, 1, spec_hash),
+                "/api/faults": {"panels": Q.fault_panels(conn)},
+                "/api/bench": Q.bench_series(conn),
+            }
+            for run_id in (1, 2):
+                twins[f"/api/arena/{run_id}"] = {
+                    "run_id": run_id,
+                    "cells": Q.arena_cells(conn, run_id),
+                    "ranking": Q.arena_ranking(conn, run_id)}
+        for pattern, _ in dashboard.routes:
+            if pattern.pattern.startswith("^/api/"):
+                assert any(pattern.match(path) for path in twins), \
+                    f"no twin checked for {pattern.pattern}"
+        for path, expected in twins.items():
+            status, ctype, body = dashboard.render(path)
+            assert (status, ctype) == (200, "application/json"), path
+            assert json.loads(body) == expected, path
+            assert b"\n" not in body, path
+
+    def test_arena_run_table_shows_what_cell_json_holds(self, db,
+                                                        open_dashboard):
+        dashboard = open_dashboard(db)
+        with dashboard.reader() as conn:
+            cells = Q.arena_cells(conn, 2)
+        page = dashboard.render("/arena/2")[2].decode()
+        table = page.split("<h2>cells</h2>")[1]
+        rows = [re.findall(r"<td[^>]*>(.*?)</td>", row)
+                for row in re.findall(r"<tr>(.*?)</tr>", table)[1:]]
+        assert len(rows) == len(cells) > 0
+        for shown, cell in zip(rows, cells):
+            assert shown[0] == (
+                f'<a href="/cell/2/{cell["spec_hash"]}">'
+                f'{cell["spec_hash"][:10]}</a>')
+            assert shown[1:] == [
+                cell["lb"], cell["transport"], cell["cc"],
+                cell["workload"], cell["topology"], str(cell["seed"]),
+                "yes" if cell["completed"] else "NO",
+                f"{cell['mean_slowdown']:.3f}",
+                f"{cell['goodput_gbps']:.3f}",
+                f"{cell['nack_validity']:.3f}"]
+
+
 class TestTraces:
     def test_trace_served_and_deep_linked(self, db, tmp_path,
                                           open_dashboard):
@@ -190,18 +270,71 @@ class TestHttpRoundTrip:
     def test_threaded_server_serves_pages_and_api(self, db):
         with serving(db) as server:
             status, ctype, body = fetch(server, "/")
+            threads = threading.active_count()
             assert status == 200
             assert "text/html" in ctype
             assert b"</html>" in body
             assert json.loads(fetch(server, "/api/summary")[2])[
                 "arena_runs"] == 2
-            assert json.loads(fetch(server, "/healthz")[2])["ok"] is True
+            health = json.loads(fetch(server, "/healthz")[2])
+            assert health["ok"] is True and health["workers"] == WORKERS
+            # The workers are resident: no request started a thread.
+            assert threading.active_count() == threads
+
+    def test_head_answers_with_the_headers_of_the_get(self, db):
+        with serving(db) as server:
+            for path, expected in (("/", 200), ("/api/summary", 200),
+                                   ("/nope", 404)):
+                status, headers, body = request(server, "HEAD", path)
+                got, get_headers, get_body = request(server, "GET", path)
+                assert status == got == expected, path
+                assert body == b"" and get_body, path
+                for name in ("Content-Type", "Content-Length"):
+                    assert headers[name] == get_headers[name], path
+                assert int(headers["Content-Length"]) == len(get_body)
+
+    def test_oversized_request_line_is_refused_unrendered(self, db):
+        with serving(db) as server:
+            rendered = []
+            inner = server.dashboard.render
+
+            def render(path, host="localhost"):
+                rendered.append(path)
+                return inner(path, host=host)
+
+            server.dashboard.render = render
+            status, _, _ = request(server, "GET",
+                                   "/arena?x=" + "a" * 70_000)
+            assert status == 414 and rendered == []
+            assert request(server, "GET", "/arena")[0] == 200
+            assert rendered == ["/arena"]
+
+    def test_stalled_clients_cannot_hold_the_pool(self, db):
+        """More silent connections than workers: each is hung up on
+        after the read timeout, and a request queued behind them all is
+        answered as soon as a worker is free."""
+        timeout = 0.5
+        with serving(db) as server:
+            server.RequestHandlerClass.timeout = timeout
+            stalled = [socket.create_connection(server.server_address[:2],
+                                                timeout=10)
+                       for _ in range(WORKERS + 1)]
+            try:
+                start = time.monotonic()
+                assert fetch(server, "/arena")[0] == 200
+                assert time.monotonic() - start < timeout + 1
+                for sock in stalled:
+                    assert sock.recv(1) == b""
+            finally:
+                for sock in stalled:
+                    sock.close()
 
     def test_concurrent_clients_share_at_most_one_connection_each(
             self, db, monkeypatch, open_dashboard):
         """8 clients x 50 requests over the ledger's page mix: every
         response is the headless render of its path, and the server
-        opens at most one connection per client (400 before reuse)."""
+        opens at most one connection per client and per worker (400
+        before reuse)."""
         clients, requests_each = 8, 50
         spec_hash = first_spec_hash(db, 2)
         paths = ["/", "/arena", "/arena/2", f"/cell/2/{spec_hash}",
@@ -251,6 +384,7 @@ class TestHttpRoundTrip:
         assert 1 <= len(opened) <= clients
         assert health["connections_opened"] == len(opened)
         assert health["connections_open"] == len(opened)
+        assert health["connections_opened"] <= health["workers"]
         # server_close() closed every one of them.
         assert dashboard.connections_open == 0
 
