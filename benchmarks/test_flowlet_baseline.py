@@ -47,13 +47,6 @@ def _run(gap_us=None, scheme="flowlet", seed=4):
 
 
 @pytest.mark.figure("flowlet-baseline")
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1, not flowlet: on this 100 G fabric Themis-D's 8-bit "
-    "PSN ring holds 425 entries, past its 127-entry compare window, so "
-    "aliased tPSNs let invalid NACKs through and Themis reads 70.13 Gbps "
-    "against 73.99 for the 0.2 us gap; with full-width PSNs forced into "
-    "ThemisDest._entry_for it reads 88.67 and this passes.  The item-1 "
-    "fix deletes this marker."))
 def test_flowlet_dilemma(benchmark):
     def sweep():
         rows = {gap: _run(gap_us=gap) for gap in GAPS_US}

@@ -12,7 +12,8 @@ from repro.harness.collective_runner import EvalScale, fig5_config
 from repro.harness.network import Network
 from repro.harness.report import format_table
 from repro.themis.audit import audit_network
-from repro.themis.memory import FLOW_ENTRY_BYTES
+from repro.themis.memory import FLOW_ENTRY_BYTES, queue_entry_bytes
+from repro.themis.ring_queue import psn_bits_for
 
 
 @pytest.mark.figure("memory-audit")
@@ -33,19 +34,23 @@ def test_memory_audit_matches_model(benchmark):
         audits = audit_network(net)
         # Runtime ring capacity for any cross-rack flow:
         from repro.net.packet import FlowKey
-        cap = net._queue_capacity_for(FlowKey(0, scale.nics_per_tor))
+        flow = FlowKey(0, scale.nics_per_tor)
+        cap = net._queue_capacity_for(flow)
+        n_paths = net._n_paths_for(flow)
         done = all(c.complete for c in colls)
         net.stop()
-        return audits, cap, done
+        return audits, cap, n_paths, done
 
-    audits, ring_capacity, done = benchmark.pedantic(run, rounds=1,
-                                                     iterations=1)
+    audits, ring_capacity, n_paths, done = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     assert done
 
+    # Eq. 4 prices each entry at the width the ring derives.
+    ring_bytes = ring_capacity * queue_entry_bytes(
+        psn_bits_for(ring_capacity, n_paths))
     rows = []
     for audit in audits:
-        model_dest = audit.flow_entries * (FLOW_ENTRY_BYTES
-                                           + ring_capacity)
+        model_dest = audit.flow_entries * (FLOW_ENTRY_BYTES + ring_bytes)
         rows.append([audit.switch_name, audit.flow_entries,
                      audit.dest_bytes, model_dest, audit.source_bytes])
     print("\n=== Measured Themis switch state vs Eq. 4 ===")
@@ -61,8 +66,8 @@ def test_memory_audit_matches_model(benchmark):
                     * (scale.num_tors - 1))
     assert total_qps == expected_qps
     for audit, row in zip(audits, rows):
-        # The measured footprint equals the model exactly when every ring
-        # uses the default 1-byte truncated entries.
+        # Every ring on the fabric has the same capacity and N, hence
+        # the same width: the measured footprint equals the model.
         assert audit.dest_bytes == row[3]
     # And the grand total stays tiny relative to switch SRAM.
     total = sum(a.total_bytes for a in audits)

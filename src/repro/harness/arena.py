@@ -103,10 +103,6 @@ def run_arena_cell(params: dict, seed: int) -> dict:
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}")
     net = Network(config)
-    # Once every posted message is delivered and acknowledged only idle
-    # DCQCN timers and stray control packets remain, and none of them
-    # moves a cell metric: stop there, not at the deadline.
-    net.metrics.on_idle = net.stop
     deadline_ns = int(params["deadline_us"] * 1000)
     nics = net.topology.num_nics
     if workload == "incast":

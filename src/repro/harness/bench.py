@@ -103,9 +103,9 @@ def build_scenario(name: str, quick: bool, sim=None,
     """The wired fabric of one scenario with its traffic posted.
 
     Quick mode shrinks message sizes ~8x for CI smoke runs.  The fabric
-    stops at the last receiver (``net.stop`` tears the NIC timers down so
-    the queue drains), so a run measures the traffic regime, not an
-    arbitrarily long tail of idle DCQCN timer ticks.
+    stops once every message is delivered and acknowledged (the one
+    stop rule of :class:`~repro.harness.workload.Traffic`), so a run
+    measures the traffic regime, not a tail of idle DCQCN timer ticks.
     """
     (num_tors, num_spines, nics_per_tor), pairs, nbytes, lossy = \
         _SCENARIO_SPECS[name]
@@ -117,8 +117,7 @@ def build_scenario(name: str, quick: bool, sim=None,
                   recorder=recorder)
     if lossy:
         lossy_uplinks(net, net.topology.tors[:1], 0.01, "bench-loss")
-    post_messages(net, pairs, nbytes // 8 if quick else nbytes,
-                  on_done=net.stop)
+    post_messages(net, pairs, nbytes // 8 if quick else nbytes)
     return net
 
 

@@ -155,8 +155,8 @@ class Metrics:
 
         # Posted messages still open — sends not yet acknowledged plus
         # receives not yet delivered — and the hook fired when the count
-        # returns to zero (``metrics.on_idle = net.stop`` ends a run at
-        # completion instead of ticking idle timers to a deadline).
+        # returns to zero (``Traffic`` wires it to ``net.stop``, ending a
+        # run at completion instead of ticking idle timers to a deadline).
         self.open_messages = 0
         self.on_idle: Optional[Callable[[], None]] = None
 

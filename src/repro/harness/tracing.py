@@ -62,9 +62,8 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
         net.metrics.trace_window_ns = trace_window_ns
     if loss > 0.0:
         lossy_uplinks(net, net.topology.tors, loss, "trace-loss")
-    # Stop at the last receiver; ``net.traffic.done_ns`` keeps the time.
     post_messages(net, alltoall_pairs(nodes), message_bytes,
-                  on_done=net.stop, watch=watch_flows)
+                  watch=watch_flows)
     if faults is not None:
         from repro.faults.injector import FaultInjector
         net.fault_injector = FaultInjector(net, faults)

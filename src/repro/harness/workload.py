@@ -2,21 +2,20 @@
 
 Every experiment family runs the same shape: post messages (or start a
 collective per group) on a wired :class:`~repro.harness.network.Network`,
-optionally stop the fabric when the last part finishes, and remember when
-that was.  The bench scenarios, the traced alltoall (hence fault
+stop the fabric once the traffic is over, and remember when the last
+part finished.  The bench scenarios, the traced alltoall (hence fault
 campaigns), the arena cell, the Fig. 1 rings and the Fig. 5 runner all
 post through here and read the same :class:`Traffic` handle, also
 reachable afterwards as ``net.traffic``.
 
-The stop rule stays the caller's: bench and trace pass ``net.stop`` so
-the run ends at the last receiver instead of ticking idle DCQCN timers
-to the deadline; the arena stops on ``metrics.on_idle``, Fig. 1 and
-Fig. 5 run to the deadline, so none of them passes one.
+The one stop rule, set by :class:`Traffic`: ``net.stop`` once every
+posted message is delivered *and* acknowledged, so no ACK is cancelled
+in flight and only idle timers, which move no metric, are cut short.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.collectives import COLLECTIVE_CLASSES, Collective
 from repro.switch.switch import Switch
@@ -31,17 +30,16 @@ class Traffic:
     A part is one message (counted at its receiver) or one collective.
     """
 
-    def __init__(self, net: "Network", parts: int,
-                 on_done: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, net: "Network", parts: int) -> None:
         self.net = net
         self.left = parts
-        self.on_done = on_done
         #: Simulated time the last part finished; None until then.  After
         #: ``net.stop()`` a bounded run drains to its deadline, so
         #: ``net.now_ns`` no longer tells.
         self.done_ns: Optional[int] = None
         self.collectives: list[Collective] = []
         net.traffic = self
+        net.metrics.on_idle = net.stop
 
     @property
     def complete(self) -> bool:
@@ -56,8 +54,6 @@ class Traffic:
         self.left -= 1
         if self.left == 0:
             self.done_ns = self.net.now_ns
-            if self.on_done is not None:
-                self.on_done()
 
 
 def alltoall_pairs(nodes: int) -> list[tuple[int, int]]:
@@ -66,15 +62,13 @@ def alltoall_pairs(nodes: int) -> list[tuple[int, int]]:
 
 
 def post_messages(net: "Network", pairs: Sequence[tuple[int, int]],
-                  nbytes: int, *,
-                  on_done: Optional[Callable[[], None]] = None,
-                  watch: bool = False) -> Traffic:
+                  nbytes: int, *, watch: bool = False) -> Traffic:
     """Post one ``nbytes`` message per (src, dst) pair, in order.
 
     ``watch`` enables the per-flow throughput meters first (the campaign
     goodput-dip metric needs them).
     """
-    traffic = Traffic(net, len(pairs), on_done)
+    traffic = Traffic(net, len(pairs))
     for src, dst in pairs:
         if watch:
             net.watch_flow(src, dst)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.themis.dest import ThemisDest
 from repro.themis.memory import FLOW_ENTRY_BYTES, PATHMAP_ENTRY_BYTES, \
-    QUEUE_ENTRY_BYTES
+    queue_entry_bytes
 from repro.themis.source import ThemisSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,13 +27,12 @@ class SwitchAudit:
 
     switch_name: str
     flow_entries: int
-    queue_entry_slots: int
+    queue_bytes: int            # every ring entry at its actual width
     pathmap_entries: int
 
     @property
     def dest_bytes(self) -> int:
-        return (self.flow_entries * FLOW_ENTRY_BYTES
-                + self.queue_entry_slots * QUEUE_ENTRY_BYTES)
+        return self.flow_entries * FLOW_ENTRY_BYTES + self.queue_bytes
 
     @property
     def source_bytes(self) -> int:
@@ -47,16 +46,14 @@ class SwitchAudit:
 def audit_switch(switch: "Switch") -> SwitchAudit:
     """Price the Themis state currently held by one switch."""
     flow_entries = 0
-    queue_slots = 0
+    queue_bytes = 0
     pathmap_entries = 0
     for mw in switch.middleware:
         if isinstance(mw, ThemisDest):
             for entry in mw.table.entries():
                 flow_entries += 1
-                # Entries using widened PSNs (non-power-of-two N) are
-                # priced at their actual width.
-                width_bytes = max(1, entry.queue.psn_bits // 8)
-                queue_slots += entry.queue.capacity * width_bytes
+                queue_bytes += entry.queue.capacity * queue_entry_bytes(
+                    entry.queue.psn_bits)
         elif isinstance(mw, ThemisSource):
             if mw.config.spray_mode == "pathmap":
                 pathmap_entries += sum(len(pm) for pm
@@ -65,7 +62,7 @@ def audit_switch(switch: "Switch") -> SwitchAudit:
                 # Direct mode keeps one base-path word per flow instead
                 # of a PathMap; price it like one entry per flow.
                 pathmap_entries += len(mw._base_cache)
-    return SwitchAudit(switch.name, flow_entries, queue_slots,
+    return SwitchAudit(switch.name, flow_entries, queue_bytes,
                        pathmap_entries)
 
 

@@ -16,9 +16,8 @@ class ThemisConfig:
     ``enable_validation`` / ``enable_compensation`` exist for the ablation
     benchmarks — production Themis runs with both on.
 
-    ``psn_bits`` models the truncated 1-byte PSN stored per ring-queue
-    entry (§4's memory estimate); comparisons use serial-number arithmetic
-    so wraparound inside the last-hop window is handled.
+    The width of a ring entry is not a knob: it follows from the ring's
+    capacity and the path count (``ring_queue.psn_bits_for``).
 
     ``spray_mode`` selects how Themis-S realizes Eq. 1: ``"direct"`` picks
     the ToR uplink index directly (2-tier Clos, §3.2), ``"pathmap"``
@@ -30,7 +29,6 @@ class ThemisConfig:
     queue_entries_override: int | None = None
     enable_validation: bool = True
     enable_compensation: bool = True
-    psn_bits: int = 8
     spray_mode: str = "direct"
 
     def __post_init__(self) -> None:
@@ -38,8 +36,6 @@ class ThemisConfig:
             raise ValueError("capacity factor F must exceed 1.0 (§4)")
         if self.spray_mode not in ("direct", "pathmap"):
             raise ValueError("spray_mode must be 'direct' or 'pathmap'")
-        if not 4 <= self.psn_bits <= 32:
-            raise ValueError("psn_bits out of range")
 
     def queue_entries(self, last_hop_bandwidth_bps: float,
                       last_hop_rtt_ns: int, mtu_bytes: int) -> int:

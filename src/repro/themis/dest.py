@@ -108,14 +108,8 @@ class ThemisDest(Middleware):
         entry = self.table.get(flow)
         if entry is not None:
             return entry
-        n_paths = self.n_paths_for(flow)
-        capacity = self.queue_capacity_for(flow)
-        psn_bits = self.config.psn_bits
-        # Truncated mod-N comparison is only exact when N divides the
-        # truncated space; fall back to full PSNs otherwise.
-        if (1 << psn_bits) % n_paths != 0:
-            psn_bits = 32
-        return self.table.get_or_create(flow, n_paths, capacity, psn_bits)
+        return self.table.get_or_create(flow, self.n_paths_for(flow),
+                                        self.queue_capacity_for(flow))
 
     def _on_data_to_nic(self, switch: Switch, packet: Packet) -> None:
         entry = self._entry_for(packet.flow)
@@ -181,8 +175,8 @@ class ThemisDest(Middleware):
                                   n_paths=entry.n_paths,
                                   ring_len=len(entry.queue))
             return True
-        # Eq. 3 in the (possibly truncated) PSN space: psn_bits is chosen
-        # so that 2^bits is a multiple of N, making the residue exact.
+        # Eq. 3 in the (possibly truncated) PSN space: psn_bits_for makes
+        # 2^bits a multiple of N, so the residue is exact.
         epsn_trunc = entry.queue.truncate(packet.epsn)
         if entry.same_path(tpsn, epsn_trunc):
             self.metrics.themis.nacks_forwarded += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.packet import FlowKey
-from repro.themis.ring_queue import PsnRingQueue
+from repro.themis.ring_queue import PsnRingQueue, psn_bits_for
 
 
 @dataclass
@@ -52,11 +52,11 @@ class FlowTable:
         return self._entries.get(flow)
 
     def get_or_create(self, flow: FlowKey, n_paths: int,
-                      queue_capacity: int, psn_bits: int = 8) -> FlowEntry:
+                      queue_capacity: int) -> FlowEntry:
         entry = self._entries.get(flow)
         if entry is None:
-            entry = FlowEntry(flow, n_paths,
-                              PsnRingQueue(queue_capacity, psn_bits))
+            entry = FlowEntry(flow, n_paths, PsnRingQueue(
+                queue_capacity, psn_bits_for(queue_capacity, n_paths)))
             self._entries[flow] = entry
         return entry
 

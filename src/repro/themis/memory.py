@@ -5,7 +5,9 @@ Reproduces the paper's switch SRAM budget:
 * Themis-S: ``M_PathMap = N_paths * 2 bytes``.
 * Themis-D per QP: a 20-byte flow-table entry (13 B QP id + 3 B blocked
   ePSN + 1 B Valid + 3 B queue metadata) plus the ring queue of
-  ``ceil(BW * RTT_last * F / MTU)`` one-byte truncated PSNs.
+  ``ceil(BW * RTT_last * F / MTU)`` truncated PSNs, each as wide as
+  :func:`~repro.themis.ring_queue.psn_bits_for` makes it (one byte at
+  Table 1's reference values).
 * Total: ``M_PathMap + M_QP * N_QP * N_NIC``.
 
 With Table 1's reference values this lands at ~193 KB; see EXPERIMENTS.md
@@ -17,15 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.themis.ring_queue import psn_bits_for
+
 FLOW_ENTRY_QP_ID_BYTES = 13
 FLOW_ENTRY_BEPSN_BYTES = 3
 FLOW_ENTRY_VALID_BYTES = 1
 FLOW_ENTRY_QUEUE_META_BYTES = 3
 FLOW_ENTRY_BYTES = (FLOW_ENTRY_QP_ID_BYTES + FLOW_ENTRY_BEPSN_BYTES
                     + FLOW_ENTRY_VALID_BYTES + FLOW_ENTRY_QUEUE_META_BYTES)
-QUEUE_ENTRY_BYTES = 1
 PATHMAP_ENTRY_BYTES = 2
 TOFINO_SRAM_BYTES = 64 * 1024 * 1024
+
+
+def queue_entry_bytes(psn_bits: int) -> int:
+    """Bytes of one ring entry holding a ``psn_bits``-wide PSN."""
+    return math.ceil(psn_bits / 8)
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,8 @@ def memory_overhead(params: MemoryParams = MemoryParams()
     """Evaluate Eq. 4 of the paper."""
     pathmap = params.n_paths * PATHMAP_ENTRY_BYTES
     entries = queue_entries(params)
-    per_qp = FLOW_ENTRY_BYTES + entries * QUEUE_ENTRY_BYTES
+    per_qp = FLOW_ENTRY_BYTES + entries * queue_entry_bytes(
+        psn_bits_for(entries, params.n_paths))
     total = pathmap + per_qp * params.n_qp * params.n_nic
     return MemoryBreakdown(pathmap_bytes=pathmap, queue_entries=entries,
                            per_qp_bytes=per_qp, total_bytes=total)

@@ -3,8 +3,8 @@
 Themis-D caches the PSN of every in-flight packet on the ToR->NIC hop in a
 fixed-capacity FIFO ring, one per QP.  Entries store *truncated* PSNs
 (1 byte in the paper's §4 memory budget), so "larger than ePSN" uses
-serial-number arithmetic within the truncated space — valid because the
-ring only ever holds roughly one last-hop BDP of consecutive PSNs.
+serial-number arithmetic within the truncated space — sound only while
+the ring holds fewer than ``2^(bits-1)`` entries (:func:`psn_bits_for`).
 
 When a NACK carrying ``ePSN`` arrives, :meth:`find_tpsn` dequeues entries
 in arrival order until the first PSN greater than ``ePSN``; that PSN is the
@@ -22,12 +22,26 @@ from collections import deque
 from typing import Optional
 
 
+def psn_bits_for(capacity: int, n_paths: int) -> int:
+    """Entry width of a ``capacity``-entry ring over ``n_paths`` paths:
+    the smallest ``bits >= 8`` (the paper's 1-byte entry) whose serial
+    window ``2^(bits-1)`` exceeds the capacity and whose space ``2^bits``
+    N divides (Eq. 3's residue survives truncation); else 32, full PSNs.
+    """
+    for bits in range(8, 32):
+        if (1 << (bits - 1)) > capacity and (1 << bits) % n_paths == 0:
+            return bits
+    return 32
+
+
 class PsnRingQueue:
     """Fixed-capacity FIFO of truncated PSNs; the oldest entry gives way."""
 
     def __init__(self, capacity: int, psn_bits: int = 8) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if capacity >= 1 << (psn_bits - 1):
+            raise ValueError(f"{capacity} entries alias {psn_bits}-bit PSNs")
         self.capacity = int(capacity)
         self.psn_bits = psn_bits
         self._mask = (1 << psn_bits) - 1

@@ -298,7 +298,7 @@ class TestDropAccounting:
                             nics_per_tor=2, link_bandwidth_bps=100e9)
         net = Network(NetworkConfig(topology=topo, scheme="rps",
                                     transport="ideal", seed=1))
-        post_messages(net, alltoall_pairs(8), 200_000, on_done=net.stop)
+        post_messages(net, alltoall_pairs(8), 200_000)
         install(net, nic_flap())
         net.run(until_ns=LONG)
         assert net.metrics.all_flows_done()

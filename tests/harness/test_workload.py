@@ -18,26 +18,33 @@ def make(scheme="rps"):
 
 class TestPostMessages:
     def test_stop_callback_fires_once_at_the_last_receiver(self):
+        """``done_ns`` is the last receiver; the stop fires once, when the
+        last sender has its ACK too — never before."""
         net = make()
-        fired = []
-        traffic = post_messages(net, alltoall_pairs(4), 20_000,
-                                on_done=lambda: fired.append(net.now_ns))
+        traffic = post_messages(net, alltoall_pairs(4), 20_000)
         assert net.traffic is traffic
+        assert net.metrics.on_idle == net.stop
+        fired = []
+        net.metrics.on_idle = lambda: (fired.append(net.now_ns), net.stop())
         assert (traffic.left, traffic.complete) == (12, False)
         assert traffic.done_ns is None and traffic.end_ns == net.now_ns
         net.run(until_ns=DEADLINE)
-        assert traffic.complete and fired == [traffic.done_ns]
-        last = max(f.receiver_done_ns for f in net.metrics.flows.values())
+        flows = net.metrics.flows.values()
+        last = max(f.receiver_done_ns for f in flows)
+        assert traffic.complete
         assert traffic.done_ns == traffic.end_ns == last
+        assert fired == [max(f.sender_done_ns for f in flows)]
+        assert fired[0] >= traffic.done_ns
 
     def test_the_stop_rule_does_not_move_the_done_time(self):
         stopped, idle = make(), make()
-        post_messages(stopped, alltoall_pairs(4), 20_000,
-                      on_done=stopped.stop)
+        post_messages(stopped, alltoall_pairs(4), 20_000)
         post_messages(idle, alltoall_pairs(4), 20_000)
+        idle.metrics.on_idle = None
         stopped.run(until_ns=DEADLINE)
         idle.run(until_ns=DEADLINE)
         assert stopped.traffic.done_ns == idle.traffic.done_ns
+        assert stopped.metrics.summary() == idle.metrics.summary()
         # The clock drains to the deadline; done_ns is what remembers.
         assert stopped.now_ns == DEADLINE > stopped.traffic.done_ns
 

@@ -29,7 +29,7 @@ class TestAudit:
         net = loaded_network(n_flows=1)
         audit = next(a for a in audit_network(net) if a.flow_entries)
         assert audit.dest_bytes \
-            == FLOW_ENTRY_BYTES + audit.queue_entry_slots
+            == FLOW_ENTRY_BYTES + audit.queue_bytes
 
     def test_source_side_base_cache_priced(self):
         net = loaded_network(n_flows=2)
@@ -46,6 +46,20 @@ class TestAudit:
         net.post_message(0, 1, 50_000)  # same rack
         net.run(until_ns=10_000_000_000)
         assert all(a.total_bytes == 0 for a in audit_network(net))
+
+    def test_widened_entries_are_priced_at_their_width(self):
+        """A 100 G fabric's 425-entry ring over N = 4 paths needs 10-bit
+        entries, so each costs 2 bytes, not 1."""
+        net = Network(NetworkConfig(topology=TopologySpec(num_tors=2),
+                                    scheme="themis", seed=1))
+        net.post_message(0, 2, 50_000)
+        net.run(until_ns=10_000_000_000)
+        (entry,) = [e for tor in net.topology.tors
+                    for mw in tor.middleware if hasattr(mw, "table")
+                    for e in mw.table.entries()]
+        assert (entry.queue.capacity, entry.n_paths) == (425, 4)
+        audit = next(a for a in audit_network(net) if a.flow_entries)
+        assert audit.dest_bytes == FLOW_ENTRY_BYTES + 425 * 2
 
     def test_audit_scales_with_qp_count(self):
         small = sum(a.total_bytes

@@ -1,8 +1,7 @@
 """Unit tests for ThemisConfig sizing math."""
 
-import pytest
-
 from repro.themis.config import ThemisConfig
+from repro.themis.ring_queue import psn_bits_for
 
 
 class TestQueueEntries:
@@ -28,16 +27,9 @@ class TestQueueEntries:
 
 
 class TestValidation:
-    def test_psn_bits_range(self):
-        with pytest.raises(ValueError):
-            ThemisConfig(psn_bits=2)
-        with pytest.raises(ValueError):
-            ThemisConfig(psn_bits=64)
-
     def test_defaults_match_paper(self):
         cfg = ThemisConfig()
         assert cfg.queue_capacity_factor == 1.5   # Table 1's F
-        assert cfg.psn_bits == 8                  # 1-byte entries (§4)
         assert cfg.enable_validation and cfg.enable_compensation
 
 
@@ -60,5 +52,6 @@ class TestFatTreeIntegration:
                    for e in mw.table.entries()]
         assert entries
         assert all(e.n_paths == 4 for e in entries)
-        # Non-power-of-two? 4 divides 256, so 1-byte PSNs suffice.
-        assert all(e.queue.psn_bits == 8 for e in entries)
+        assert all(e.queue.psn_bits
+                   == psn_bits_for(e.queue.capacity, e.n_paths)
+                   for e in entries)

@@ -56,6 +56,15 @@ class TestScaling:
         big = queue_entries(MemoryParams(mtu_bytes=4500))
         assert big < small
 
+    def test_entry_width_is_the_rings_derived_width(self):
+        """A ring past 127 entries (RTT_last x 4) or N = 512 paths no
+        longer fits 1-byte entries; each entry then costs 2 bytes."""
+        long = memory_overhead(MemoryParams(rtt_last_s=8e-6))
+        assert long.queue_entries == 400
+        assert long.per_qp_bytes == FLOW_ENTRY_BYTES + 400 * 2
+        wide = memory_overhead(MemoryParams(n_paths=512))
+        assert wide.per_qp_bytes == FLOW_ENTRY_BYTES + 100 * 2
+
     def test_total_scales_with_qps_and_nics(self):
         base = memory_overhead(MemoryParams()).total_bytes
         double_qp = memory_overhead(MemoryParams(n_qp=200)).total_bytes

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.themis.ring_queue import PsnRingQueue
+from repro.themis.ring_queue import PsnRingQueue, psn_bits_for
 
 
 class TestBasics:
@@ -42,6 +42,41 @@ class TestBasics:
         q = PsnRingQueue(4, psn_bits=8)
         q.enqueue(0x1FF)
         assert q.dequeue() == 0xFF
+
+    def test_a_ring_that_aliases_is_refused(self):
+        """425 entries (the ring of every 100 G fabric) overrun 8 bits'
+        127-entry serial window; 127 is the largest 8-bit ring."""
+        with pytest.raises(ValueError, match="alias"):
+            PsnRingQueue(425, psn_bits=8)
+        with pytest.raises(ValueError, match="alias"):
+            PsnRingQueue(128, psn_bits=8)
+        assert PsnRingQueue(127, psn_bits=8).capacity == 127
+        assert PsnRingQueue(425, psn_bits=psn_bits_for(425, 4)).capacity \
+            == 425
+
+    def test_table1_and_fig1_widths(self):
+        assert psn_bits_for(100, 256) == 8     # Table 1: 1-byte entries
+        assert psn_bits_for(67, 4) == 8        # Fig. 5's ring
+        assert psn_bits_for(425, 2) == 10      # every 100 G fabric
+        assert psn_bits_for(100, 512) == 9     # N outgrows one byte
+        assert psn_bits_for(100, 3) == 32      # no power of two: full PSN
+
+
+@given(st.integers(min_value=1, max_value=1 << 24),
+       st.integers(min_value=1, max_value=1 << 12))
+def test_psn_bits_for_is_the_smallest_sound_width(capacity, n_paths):
+    """Property: the width keeps the serial compare sound for the whole
+    ring and Eq. 3's residue exact, and no narrower width (down to the
+    paper's byte) does both."""
+    def sound(bits):
+        return (1 << (bits - 1)) > capacity and (1 << bits) % n_paths == 0
+
+    bits = psn_bits_for(capacity, n_paths)
+    assert 8 <= bits <= 32
+    assert (1 << (bits - 1)) > capacity
+    assert bits == 32 or (1 << bits) % n_paths == 0
+    assert not any(sound(b) for b in range(8, bits))
+    PsnRingQueue(capacity, psn_bits=bits)      # never refused
 
 
 class TestFindTpsn:
