@@ -84,7 +84,6 @@ class Dcqcn(CongestionControl):
 
         self.rate_trace = rate_trace
         self.decreases = 0
-        self.increases = 0
 
         # CC observability channel (repro.obs), attached by the harness
         # cc factory together with a display location (None = disabled).
@@ -175,7 +174,6 @@ class Dcqcn(CongestionControl):
 
     def _do_increase(self) -> None:
         cfg = self.config
-        self.increases += 1
         if cfg.byte_counter_bytes is None:
             # Timer-only operation: fast recovery for F rounds, then
             # additive increase, hyper after a further H rounds.

@@ -19,9 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 FLOW_FIELDS = (
     "src", "dst", "qp", "bytes_posted", "packets_sent",
-    "retransmissions", "spurious_retransmissions", "nacks_received",
-    "cnps_received", "timeouts", "receiver_duplicates", "receiver_ooo",
-    "start_ns", "sender_done_ns", "receiver_done_ns", "goodput_gbps",
+    "retransmissions", "nacks_received", "cnps_received", "timeouts",
+    "receiver_duplicates", "receiver_ooo", "start_ns", "sender_done_ns",
+    "receiver_done_ns", "goodput_gbps",
 )
 
 
@@ -38,8 +38,7 @@ def flows_to_csv(metrics: "Metrics", path: str | Path) -> Path:
             writer.writerow([
                 flow.src, flow.dst, flow.qp, stats.bytes_posted,
                 stats.packets_sent, stats.retransmissions,
-                stats.spurious_retransmissions, stats.nacks_received,
-                stats.cnps_received, stats.timeouts,
+                stats.nacks_received, stats.cnps_received, stats.timeouts,
                 stats.receiver_duplicates, stats.receiver_ooo,
                 stats.start_ns, stats.sender_done_ns,
                 stats.receiver_done_ns,
@@ -53,7 +52,9 @@ def run_to_json(metrics: "Metrics", path: str | Path, *,
     """Whole-run payload: global summary + Themis stats + per-flow."""
     payload = {
         "summary": metrics.summary(),
-        "themis": asdict(metrics.themis),
+        # nacks_inspected is a property, which asdict() leaves out.
+        "themis": {"nacks_inspected": metrics.themis.nacks_inspected,
+                   **asdict(metrics.themis)},
         "flows": [
             {
                 "flow": str(flow),

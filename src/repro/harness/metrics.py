@@ -63,7 +63,8 @@ class JobCounters:
 
 @dataclass
 class FlowStats:
-    """Per-flow (per sender QP) counters and timings."""
+    """Per-flow (per sender QP) counters and timings: the one record of
+    packets sent and retransmitted, which the run totals sum."""
 
     flow: FlowKey
     start_ns: int = 0
@@ -72,7 +73,6 @@ class FlowStats:
     bytes_posted: int = 0
     packets_sent: int = 0
     retransmissions: int = 0
-    spurious_retransmissions: int = 0
     nacks_received: int = 0
     cnps_received: int = 0
     timeouts: int = 0
@@ -95,15 +95,20 @@ class FlowStats:
 
 @dataclass
 class ThemisStats:
-    """Counters for the in-network middleware."""
+    """Counters for the in-network middleware.  A cancelled compensation
+    is not counted here: the NACK audit's ``nack_cancel`` records own
+    that number."""
 
-    nacks_inspected: int = 0
     nacks_blocked: int = 0
     nacks_forwarded: int = 0
     nacks_compensated: int = 0
-    compensation_cancelled: int = 0
     tpsn_not_found: int = 0
     queue_overflows: int = 0
+
+    @property
+    def nacks_inspected(self) -> int:
+        """Every inspected NACK is either blocked or forwarded."""
+        return self.nacks_blocked + self.nacks_forwarded
 
     @property
     def block_ratio(self) -> float:
@@ -120,22 +125,21 @@ class Metrics:
         self.sim = sim
         self.trace_window_ns = trace_window_ns
 
-        # Global counters
-        self.data_packets_sent = 0
-        self.data_bytes_sent = 0
-        self.retransmissions = 0
+        # Global counters, each bumped where the event happens: drops by
+        # on_drop, the control packets by the receiver that emits them.
+        # Data packets sent and retransmitted are per-flow (FlowStats)
+        # and summed on read.
         self.drops = 0
         self.nacks_generated = 0
         self.acks_generated = 0
         self.cnps_generated = 0
-        self.ecn_marks_seen = 0
 
         self.flows: dict[FlowKey, FlowStats] = {}
         self.themis = ThemisStats()
 
         # Time series used by the Fig. 1 motivation study; only populated
-        # for flows registered via watch_flow().  QPs bump the plain
-        # counters themselves and test membership per packet, so
+        # for flows registered via watch_flow().  QPs bump their FlowStats
+        # themselves and test membership per packet, so
         # ``on_data_sent`` / ``on_delivered`` are entered for watched
         # flows only.
         self.watched: set[FlowKey] = set()
@@ -148,9 +152,10 @@ class Metrics:
         # packet drop so the sender can schedule a clean retransmission.
         self.drop_listeners: list[Callable[[Packet], None]] = []
 
-        # ACK-generation hook: called with (flow, cumulative epsn) every
-        # time a receiver emits an ACK.  REPS entropy recycling rides
-        # this (see repro.switch.lb.RepsLB); empty list = free.
+        # ACK-generation hook: the receiver calls each with (flow,
+        # cumulative epsn) every time it emits an ACK.  REPS entropy
+        # recycling rides this (see repro.switch.lb.RepsLB); empty
+        # list = free.
         self.ack_listeners: list[Callable[[FlowKey, int], None]] = []
 
         # Posted messages still open — sends not yet acknowledged plus
@@ -214,17 +219,6 @@ class Metrics:
         for listener in self.drop_listeners:
             listener(packet)
 
-    def on_nack_generated(self, flow: FlowKey) -> None:
-        self.nacks_generated += 1
-
-    def on_ack_generated(self, flow: FlowKey, epsn: int = 0) -> None:
-        self.acks_generated += 1
-        for listener in self.ack_listeners:
-            listener(flow, epsn)
-
-    def on_cnp_generated(self, flow: FlowKey) -> None:
-        self.cnps_generated += 1
-
     def message_closed(self) -> None:
         """A posted send was acknowledged or a posted receive delivered.
 
@@ -240,12 +234,19 @@ class Metrics:
     # Aggregates
     # ------------------------------------------------------------------
     @property
+    def data_packets_sent(self) -> int:
+        return sum(f.packets_sent for f in self.flows.values())
+
+    @property
+    def retransmissions(self) -> int:
+        return sum(f.retransmissions for f in self.flows.values())
+
+    @property
     def spurious_ratio(self) -> float:
         """Fraction of all transmitted data packets that were
         retransmissions — the paper's Fig. 1b headline number."""
-        if self.data_packets_sent == 0:
-            return 0.0
-        return self.retransmissions / self.data_packets_sent
+        sent = self.data_packets_sent
+        return self.retransmissions / sent if sent else 0.0
 
     def all_flows_done(self) -> bool:
         return all(f.receiver_done_ns is not None

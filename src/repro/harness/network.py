@@ -107,9 +107,10 @@ class NetworkConfig:
     pfc: Optional[PfcConfig] = None
     #: Flowlet inactivity gap for scheme="flowlet" (§2.3 baseline).
     flowlet_gap_ns: int = 50 * US
-    #: Install the Themis-D NACK-validation middleware on every ToR even
-    #: for non-Themis schemes (no PSN spraying at the source) — the
-    #: arena's "themis transport" axis.  Ignored for themis*/conweave*.
+    #: Install the Themis-D NACK-validation middleware on every ToR of a
+    #: non-Themis scheme (no PSN spraying at the source) — the arena's
+    #: "themis transport" axis.  Refused with themis*/conweave*, which
+    #: install their own ToR middleware.
     themis_overlay: bool = False
     #: Settings for the conweave / conweave_spray baselines (§2.3).
     conweave: ConweaveConfig = field(default_factory=ConweaveConfig)
@@ -120,6 +121,10 @@ class NetworkConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
+        if self.themis_overlay and self.scheme.startswith(
+                ("themis", "conweave")):
+            raise ValueError("themis_overlay composes with a non-Themis, "
+                             f"non-ConWeave scheme, not {self.scheme!r}")
 
     def variant(self, **changes) -> "NetworkConfig":
         """Derived config (e.g. same workload, different scheme)."""
@@ -152,6 +157,11 @@ class Network:
         self.topology = self._build_topology()
         self.nics = self._build_nics()
         self.topology.build_routes()
+        #: Themis-S realizes Eq. 1 through a PathMap (Fig. 3) on a fat
+        #: tree and picks the uplink directly elsewhere; the overlay has
+        #: no Themis-S and keeps first-hop N.
+        self.sprays_by_pathmap = (config.scheme.startswith("themis")
+                                  and config.topology.kind == "fat_tree")
         if config.scheme.startswith("themis"):
             self._install_themis()
         elif config.scheme.startswith("conweave"):
@@ -274,13 +284,10 @@ class Network:
                           enable_compensation=False)
         elif scheme == "themis_nocomp":
             cfg = replace(cfg, enable_compensation=False)
-        if (self.config.topology.kind == "fat_tree"
-                and cfg.spray_mode == "direct"):
-            cfg = replace(cfg, spray_mode="pathmap")
         return cfg
 
     def _n_paths_for(self, flow: FlowKey) -> int:
-        if self._themis_cfg.spray_mode == "pathmap":
+        if self.sprays_by_pathmap:
             return self.topology.path_count(flow.src, flow.dst)
         return self.topology.equal_paths(flow.src, flow.dst)
 
@@ -298,7 +305,7 @@ class Network:
     def _install_themis(self) -> None:
         self._themis_cfg = self._themis_config()
         provider = None
-        if self._themis_cfg.spray_mode == "pathmap":
+        if self.sprays_by_pathmap:
             def provider(flow: FlowKey, sport: int) -> list[int]:
                 return build_pathmap(self.topology, flow, sport,
                                      self._n_paths_for(flow))

@@ -100,8 +100,8 @@ class Packet:
     __slots__ = (
         "pkt_id", "ptype", "flow", "psn", "epsn", "payload_bytes",
         "wire_bytes", "udp_sport", "ecn_marked", "is_retx", "path_index",
-        "sent_at", "themis_generated", "hops", "is_data", "is_control",
-        "src", "dst", "_in_pool",
+        "themis_generated", "is_data", "is_control", "src", "dst",
+        "_in_pool",
     )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -132,8 +132,8 @@ def release_packet(packet: Packet) -> None:
 
 
 def _make(ptype: PacketType, flow: FlowKey, psn: int = 0, epsn: int = 0,
-          payload_bytes: int = 0, udp_sport: int = 0, is_retx: bool = False,
-          sent_at: int = 0) -> Packet:
+          payload_bytes: int = 0, udp_sport: int = 0,
+          is_retx: bool = False) -> Packet:
     """Every packet is built here: a recycled instance when the pool has
     one, with every field (re)initialised.
 
@@ -162,18 +162,15 @@ def _make(ptype: PacketType, flow: FlowKey, psn: int = 0, epsn: int = 0,
     pkt.ecn_marked = False
     pkt.is_retx = is_retx
     pkt.path_index = None
-    pkt.sent_at = sent_at
     pkt.themis_generated = False
-    pkt.hops = 0
     return pkt
 
 
 def data_packet(flow: FlowKey, psn: int, payload_bytes: int, *,
-                udp_sport: int = 0, is_retx: bool = False,
-                sent_at: int = 0) -> Packet:
+                udp_sport: int = 0, is_retx: bool = False) -> Packet:
     """Build a data segment."""
     return _make(PacketType.DATA, flow, psn, 0, payload_bytes,
-                 udp_sport, is_retx, sent_at)
+                 udp_sport, is_retx)
 
 
 def ack_packet(data_flow: FlowKey, epsn: int) -> Packet:

@@ -63,7 +63,7 @@ class Port:
         "_control", "_data", "queued_bytes",
         "_free_at", "_pump_armed", "_data_paused", "_pump_cb",
         "buffer", "marker", "loss_rate",
-        "up", "_loss_rng", "bytes_sent", "packets_sent", "packets_dropped",
+        "up", "_loss_rng", "bytes_sent", "packets_dropped",
         "busy_ns", "on_drop", "_rec_enq", "_rec_deq", "_rec_drop",
         "_rec_ecn",
     )
@@ -115,7 +115,6 @@ class Port:
 
         # Stats
         self.bytes_sent = 0
-        self.packets_sent = 0
         self.packets_dropped = 0
         self.busy_ns = 0
         self.on_drop: Optional[Callable[[Packet, "Port"], None]] = None
@@ -250,8 +249,6 @@ class Port:
                             and self._loss_rng is not None
                             and self._loss_rng.random() < self.loss_rate):
             self.bytes_sent += wire
-            self.packets_sent += 1
-            packet.hops += 1
             # Delivery dispatches straight into the peer's receive(),
             # no per-packet trampoline.
             self._fire2(tx_ns + self.delay_ns, self._peer_recv,

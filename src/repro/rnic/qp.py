@@ -177,15 +177,12 @@ class SenderQp:
         flow = self.flow
         payload = self._short_tails.get(psn, self._segment_bytes)
         packet = _make(PacketType.DATA, flow, psn, 0, payload,
-                       self.udp_sport, is_retx, now)
-        metrics = self.metrics
-        metrics.data_packets_sent += 1
-        metrics.data_bytes_sent += payload
+                       self.udp_sport, is_retx)
         stats = self.stats
         stats.packets_sent += 1
         if is_retx:
-            metrics.retransmissions += 1
             stats.retransmissions += 1
+        metrics = self.metrics
         watched = metrics.watched
         if watched and flow in watched:
             metrics.on_data_sent(flow, packet)

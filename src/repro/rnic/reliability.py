@@ -154,10 +154,10 @@ class ReceiverQp:
             self._ack_event = None
         self._unacked_advance = 0
         metrics = self.metrics
+        metrics.acks_generated += 1
         if metrics.ack_listeners:
-            metrics.on_ack_generated(self.flow, self.epsn)
-        else:
-            metrics.acks_generated += 1
+            for listener in metrics.ack_listeners:
+                listener(self.flow, self.epsn)
         # _make with the precomputed control flow == ack_packet(flow, ...)
         # minus the per-ACK FlowKey reversal.
         self.nic.transmit(_make(PacketType.ACK, self._ctrl_flow, 0,
@@ -171,7 +171,7 @@ class ReceiverQp:
         it is telemetry only; under the MPRDMA-style ``"epsn+trigger"``
         policy it is stamped into the packet's ``psn`` field.
         """
-        self.metrics.on_nack_generated(self.flow)
+        self.metrics.nacks_generated += 1
         if self.rec_nack is not None:
             self.rec_nack.nack_emit(self.sim.now, self.nic.name, self.flow,
                                     self.epsn, observed_psn)
@@ -186,7 +186,7 @@ class ReceiverQp:
                 and now - self._last_cnp_ns < self.config.cnp_interval_ns):
             return
         self._last_cnp_ns = now
-        self.metrics.on_cnp_generated(self.flow)
+        self.metrics.cnps_generated += 1
         self.nic.transmit(_make(PacketType.CNP, self._ctrl_flow))
 
     def stop(self) -> None:
@@ -233,12 +233,8 @@ class NicSrReceiver(SrReceiver):
 
 
 class GbnReceiver(ReceiverQp):
-    """Go-Back-N receiver of previous-generation RNICs (CX-4/5)."""
-
-    def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
-                 config: RnicConfig, metrics: "Metrics") -> None:
-        super().__init__(sim, nic, flow, config, metrics)
-        self.ooo_dropped = 0
+    """Go-Back-N receiver of previous-generation RNICs (CX-4/5): every
+    out-of-order arrival (``FlowStats.receiver_ooo``) is dropped."""
 
     def _handle_unexpected(self, packet: Packet) -> None:
         if packet.psn < self.epsn:
@@ -247,7 +243,6 @@ class GbnReceiver(ReceiverQp):
             return
         # OOO: dropped outright by this NIC generation.
         self.stats.receiver_ooo += 1
-        self.ooo_dropped += 1
         if not self.nack_sent_for_epsn:
             self.nack_sent_for_epsn = True
             self._send_nack(packet.psn)

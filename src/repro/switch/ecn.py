@@ -48,11 +48,9 @@ class EcnMarker:
         self._span = max(1, config.kmax_bytes - config.kmin_bytes)
         self._u01 = rng.u01
         self.marked = 0
-        self.evaluated = 0
 
     def should_mark(self, queue_bytes: int) -> bool:
         """Decide marking for a packet that sees ``queue_bytes`` ahead."""
-        self.evaluated += 1
         if queue_bytes <= self._kmin:
             return False
         if queue_bytes >= self._kmax:

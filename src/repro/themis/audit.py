@@ -55,7 +55,7 @@ def audit_switch(switch: "Switch") -> SwitchAudit:
                 queue_bytes += entry.queue.capacity * queue_entry_bytes(
                     entry.queue.psn_bits)
         elif isinstance(mw, ThemisSource):
-            if mw.config.spray_mode == "pathmap":
+            if mw.pathmap_provider is not None:
                 pathmap_entries += sum(len(pm) for pm
                                        in mw._pathmaps.values())
             else:

@@ -16,26 +16,21 @@ class ThemisConfig:
     ``enable_validation`` / ``enable_compensation`` exist for the ablation
     benchmarks — production Themis runs with both on.
 
-    The width of a ring entry is not a knob: it follows from the ring's
-    capacity and the path count (``ring_queue.psn_bits_for``).
-
-    ``spray_mode`` selects how Themis-S realizes Eq. 1: ``"direct"`` picks
-    the ToR uplink index directly (2-tier Clos, §3.2), ``"pathmap"``
-    rewrites the UDP source port through a PathMap so downstream linear
-    ECMP becomes deterministic (3-tier, Fig. 3).
+    Two things are not knobs.  The width of a ring entry follows from the
+    ring's capacity and the path count (``ring_queue.psn_bits_for``).
+    How Themis-S realizes Eq. 1 follows from the topology: ``Network``
+    hands a fat tree's ``ThemisSource`` a PathMap provider (Fig. 3) and
+    every other fabric's none, so its ToR picks the uplink directly.
     """
 
     queue_capacity_factor: float = 1.5
     queue_entries_override: int | None = None
     enable_validation: bool = True
     enable_compensation: bool = True
-    spray_mode: str = "direct"
 
     def __post_init__(self) -> None:
         if self.queue_capacity_factor <= 1.0:
             raise ValueError("capacity factor F must exceed 1.0 (§4)")
-        if self.spray_mode not in ("direct", "pathmap"):
-            raise ValueError("spray_mode must be 'direct' or 'pathmap'")
 
     def queue_entries(self, last_hop_bandwidth_bps: float,
                       last_hop_rtt_ns: int, mtu_bytes: int) -> int:

@@ -72,7 +72,6 @@ class ThemisDest(Middleware):
             if not entry.valid:
                 continue
             entry.valid = False
-            self.metrics.themis.compensation_cancelled += 1
             if self.rec is not None and switch is not None:
                 self.rec.nack_cancel(switch.sim.now, switch.name,
                                      entry.flow, entry.blocked_epsn,
@@ -115,9 +114,7 @@ class ThemisDest(Middleware):
         entry = self._entry_for(packet.flow)
         if self.config.enable_compensation and entry.valid:
             self._compensation_check(switch, entry, packet.psn)
-        before = entry.queue.overflows
-        entry.queue.enqueue(packet.psn)
-        if entry.queue.overflows > before:
+        if entry.queue.enqueue(packet.psn):
             self.metrics.themis.queue_overflows += 1
 
     def _compensation_check(self, switch: Switch, entry: FlowEntry,
@@ -127,7 +124,6 @@ class ThemisDest(Middleware):
         if psn == bepsn:
             # The "lost" packet arrived after all: nothing to compensate.
             entry.valid = False
-            self.metrics.themis.compensation_cancelled += 1
             if self.rec is not None:
                 self.rec.nack_cancel(switch.sim.now, switch.name,
                                      entry.flow, bepsn, "bepsn_arrived")
@@ -136,7 +132,6 @@ class ThemisDest(Middleware):
             # A later packet on the *same* path overtook the blocked ePSN:
             # it is genuinely lost.  Craft the NACK the RNIC cannot send.
             entry.valid = False
-            entry.nacks_compensated += 1
             self.metrics.themis.nacks_compensated += 1
             if self.rec is not None:
                 self.rec.nack_compensate(switch.sim.now, switch.name,
@@ -153,7 +148,6 @@ class ThemisDest(Middleware):
             return True
         data_flow = packet.flow.reversed()
         entry = self.table.get(data_flow)
-        self.metrics.themis.nacks_inspected += 1
         rec = self.rec
         if entry is None:
             # No state (e.g. NACK before any data was seen) — be
@@ -168,7 +162,6 @@ class ThemisDest(Middleware):
         if tpsn is None:
             self.metrics.themis.tpsn_not_found += 1
             self.metrics.themis.nacks_forwarded += 1
-            entry.nacks_forwarded += 1
             if rec is not None:
                 rec.nack_classify(switch.sim.now, switch.name, data_flow,
                                   packet.epsn, "no_tpsn",
@@ -180,7 +173,6 @@ class ThemisDest(Middleware):
         epsn_trunc = entry.queue.truncate(packet.epsn)
         if entry.same_path(tpsn, epsn_trunc):
             self.metrics.themis.nacks_forwarded += 1
-            entry.nacks_forwarded += 1
             if rec is not None:
                 rec.nack_classify(switch.sim.now, switch.name, data_flow,
                                   packet.epsn, "forwarded", tpsn=tpsn,
@@ -188,7 +180,6 @@ class ThemisDest(Middleware):
                                   ring_len=len(entry.queue))
             return True
         self.metrics.themis.nacks_blocked += 1
-        entry.nacks_blocked += 1
         armed = False
         guard = None
         if self.config.enable_compensation:
@@ -199,7 +190,6 @@ class ThemisDest(Middleware):
             # provably not lost and compensation would only ever fire
             # spuriously.  Arm only when the ePSN is absent.
             if entry.queue.contains(packet.epsn):
-                self.metrics.themis.compensation_cancelled += 1
                 guard = "epsn_in_ring"
             else:
                 if rec is not None and entry.valid \

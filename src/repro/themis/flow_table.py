@@ -24,10 +24,6 @@ class FlowEntry:
     queue: PsnRingQueue
     blocked_epsn: Optional[int] = None   # BePSN
     valid: bool = False                  # compensation armed?
-    # Bookkeeping (not part of the 20-byte hardware entry)
-    nacks_blocked: int = 0
-    nacks_forwarded: int = 0
-    nacks_compensated: int = 0
 
     def same_path(self, psn_a: int, psn_b: int) -> bool:
         """Eq. 3: two PSNs map to the same path iff equal mod N."""

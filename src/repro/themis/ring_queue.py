@@ -47,7 +47,6 @@ class PsnRingQueue:
         self._mask = (1 << psn_bits) - 1
         self._half = 1 << (psn_bits - 1)
         self._entries: deque[int] = deque(maxlen=self.capacity)
-        self.overflows = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -64,16 +63,17 @@ class PsnRingQueue:
         return 0 < ((a - b) & self._mask) < self._half
 
     # ------------------------------------------------------------------
-    def enqueue(self, psn: int) -> None:
-        """Record a PSN leaving toward the NIC.
+    def enqueue(self, psn: int) -> bool:
+        """Record a PSN leaving toward the NIC; ``True`` when the oldest
+        entry gave way to it.
 
         On overflow the oldest entry is evicted (the hardware ring simply
         wraps); §4 sizes the queue so this only happens when RTT spikes
         beyond the provisioning factor F.
         """
-        if len(self._entries) == self.capacity:
-            self.overflows += 1
+        overflow = len(self._entries) == self.capacity
         self._entries.append(psn & self._mask)
+        return overflow
 
     def dequeue(self) -> int:
         return self._entries.popleft()  # IndexError when empty

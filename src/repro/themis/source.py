@@ -8,12 +8,14 @@ attached NIC, Themis-S deterministically assigns the path
 where ``P_base`` is the index plain ECMP would have chosen for the flow
 (so un-sprayed and sprayed deployments share the same base path layout).
 
-Two realizations:
+Two realizations, chosen by construction:
 
-* ``direct`` — 2-tier Clos: the ToR picks uplink ``path_i`` directly.
-* ``pathmap`` — multi-tier: the packet's UDP source port is rewritten
-  through the flow's PathMap so every downstream linear-ECMP hop becomes
-  a deterministic function of ``PSN mod N`` (Fig. 3).
+* direct (no ``pathmap_provider``) — 2-tier Clos: the ToR picks uplink
+  ``path_i`` directly.
+* PathMap (a ``pathmap_provider``) — multi-tier: the packet's UDP source
+  port is rewritten through the flow's PathMap so every downstream
+  linear-ECMP hop becomes a deterministic function of ``PSN mod N``
+  (Fig. 3).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.themis.config import ThemisConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.metrics import Metrics
 
-#: pathmap mode: callable resolving a flow + base sport to its delta table.
+#: PathMap realization: resolves a flow + base sport to its delta table.
 PathmapProvider = Callable[[FlowKey, int], Sequence[int]]
 
 
@@ -42,9 +44,6 @@ class ThemisSource(Middleware):
         self.config = config
         self.metrics = metrics
         self.pathmap_provider = pathmap_provider
-        if config.spray_mode == "pathmap" and pathmap_provider is None:
-            raise ValueError("pathmap mode needs a pathmap_provider")
-        self.packets_sprayed = 0
         self.enabled = True
         self._base_cache: dict[FlowKey, int] = {}
         self._pathmaps: dict[FlowKey, Sequence[int]] = {}
@@ -69,32 +68,30 @@ class ThemisSource(Middleware):
                 and packet.flow.dst not in switch.down_nics)
 
     # ------------------------------------------------------------------
-    # pathmap mode: header rewrite at ingress
+    # PathMap realization: header rewrite at ingress
     # ------------------------------------------------------------------
     def on_packet(self, switch: Switch, packet: Packet,
                   in_port: Optional[Port]) -> bool:
-        if (self.enabled and self.config.spray_mode == "pathmap"
+        if (self.enabled and self.pathmap_provider is not None
                 and self._is_spray_candidate(switch, packet)):
             pathmap = self._pathmaps.get(packet.flow)
             if pathmap is None:
-                assert self.pathmap_provider is not None
                 pathmap = self.pathmap_provider(packet.flow,
                                                 packet.udp_sport)
                 self._pathmaps[packet.flow] = pathmap
             residue = packet.psn % len(pathmap)
             packet.udp_sport ^= pathmap[residue]
             packet.path_index = residue
-            self.packets_sprayed += 1
         return True
 
     # ------------------------------------------------------------------
-    # direct mode: uplink selection override
+    # direct realization: uplink selection override
     # ------------------------------------------------------------------
     def select_port(self, switch: Switch, packet: Packet,
                     candidates: Sequence[Port]) -> Optional[Port]:
         if not self.enabled:
             return None
-        if self.config.spray_mode != "direct":
+        if self.pathmap_provider is not None:
             return None  # rewritten header steers downstream ECMP instead
         if not self._is_spray_candidate(switch, packet):
             return None
@@ -107,5 +104,4 @@ class ThemisSource(Middleware):
             self._base_cache[packet.flow] = base
         index = (packet.psn % n + base) % n
         packet.path_index = index
-        self.packets_sprayed += 1
         return candidates[index]

@@ -35,5 +35,10 @@ class TestExport:
         payload = json.loads(path.read_text())
         assert payload["experiment"]["scheme"] == "themis"
         assert len(payload["flows"]) == 2
-        assert "nacks_blocked" in payload["themis"]
+        themis = payload["themis"]
+        assert list(themis) == ["nacks_inspected", "nacks_blocked",
+                                "nacks_forwarded", "nacks_compensated",
+                                "tpsn_not_found", "queue_overflows"]
+        assert themis["nacks_inspected"] \
+            == themis["nacks_blocked"] + themis["nacks_forwarded"]
         assert payload["summary"]["data_packets_sent"] > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness.network import (Network, NetworkConfig, SCHEMES,
                                    TopologySpec, TRANSPORTS)
+from repro.net.packet import FlowKey
 from repro.themis.dest import ThemisDest
 from repro.themis.source import ThemisSource
 
@@ -47,7 +48,33 @@ class TestConstruction:
         topo = TopologySpec(kind="fat_tree", fat_tree_k=4,
                             link_bandwidth_bps=25e9)
         net = Network(NetworkConfig(topology=topo, scheme="themis"))
-        assert net._themis_cfg.spray_mode == "pathmap"
+        assert net.sprays_by_pathmap
+        sources = [m for tor in net.topology.tors for m in tor.middleware
+                   if isinstance(m, ThemisSource)]
+        assert sources and all(s.pathmap_provider is not None
+                               for s in sources)
+
+    def test_leaf_spine_themis_picks_uplinks_directly(self):
+        net = Network(NetworkConfig(topology=SMALL, scheme="themis"))
+        assert not net.sprays_by_pathmap
+        assert all(m.pathmap_provider is None
+                   for tor in net.topology.tors for m in tor.middleware
+                   if isinstance(m, ThemisSource))
+
+    @pytest.mark.parametrize("scheme", ["themis", "themis_nocomp",
+                                        "conweave", "conweave_spray"])
+    def test_overlay_refused_with_its_own_tor_middleware(self, scheme):
+        with pytest.raises(ValueError, match="themis_overlay"):
+            NetworkConfig(topology=SMALL, scheme=scheme, themis_overlay=True)
+
+    def test_overlay_on_a_fat_tree_keeps_first_hop_paths(self):
+        topo = TopologySpec(kind="fat_tree", fat_tree_k=4,
+                            link_bandwidth_bps=25e9)
+        net = Network(NetworkConfig(topology=topo, scheme="rps",
+                                    themis_overlay=True))
+        assert not net.sprays_by_pathmap
+        assert net._n_paths_for(FlowKey(0, 15)) \
+            == net.topology.equal_paths(0, 15)
 
 
 class TestEndToEnd:

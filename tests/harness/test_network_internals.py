@@ -47,7 +47,7 @@ class TestNPathsResolution:
         topo = TopologySpec(kind="fat_tree", fat_tree_k=4,
                             link_bandwidth_bps=25e9)
         net = themis_net(topology=topo)
-        assert net._themis_cfg.spray_mode == "pathmap"
+        assert net.sprays_by_pathmap
         assert net._n_paths_for(FlowKey(0, 15)) == 4   # (k/2)^2
         assert net._n_paths_for(FlowKey(0, 2)) == 2    # same pod
 

@@ -66,14 +66,6 @@ class TestSerialization:
         sim.run()
         assert [p.psn for _, p in dst.received] == list(range(10))
 
-    def test_hop_counter_increments(self):
-        sim = Simulator()
-        port, dst = make_port(sim)
-        pkt = data_packet(FlowKey(0, 1), 0, 100)
-        port.enqueue(pkt)
-        sim.run()
-        assert pkt.hops == 1
-
 
 class TestPriority:
     def test_control_preempts_queued_data(self):
@@ -156,6 +148,5 @@ class TestAccounting:
         for i in range(5):
             port.enqueue(data_packet(FlowKey(0, 1), i, 100))
         sim.run()
-        assert port.packets_sent == 5
         assert port.bytes_sent == 5 * 158
         assert port.busy_ns > 0

@@ -110,6 +110,20 @@ def switch_port(sim, *, buffer_bytes=10**6, ecn=EcnConfig()):
     return switch, port, sink
 
 
+def marker_calls(marker):
+    """The queue depths ``marker.should_mark`` is consulted with, from
+    now on (the port calls it through the instance)."""
+    depths = []
+    should_mark = marker.should_mark
+
+    def recording(queue_bytes):
+        depths.append(queue_bytes)
+        return should_mark(queue_bytes)
+
+    marker.should_mark = recording
+    return depths
+
+
 class TestIdlePortAccounting:
     """A data packet through an idle switch port (never in the FIFO)."""
 
@@ -124,14 +138,15 @@ class TestIdlePortAccounting:
         assert switch.buffer.peak_bytes == 1000
         sim.run()
         assert sink.received == [(8000, pkt)]
-        assert port.busy_ns == 8000 and port.packets_sent == 1
+        assert port.busy_ns == 8000 and port.bytes_sent == 1000
 
     def test_marker_evaluates_once_at_the_packets_own_depth(self):
         sim = Simulator()
         switch, port, _ = switch_port(sim)
+        depths = marker_calls(switch.ecn_marker)
         pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
         port.enqueue(pkt)
-        assert switch.ecn_marker.evaluated == 1
+        assert depths == [1000]
         assert not pkt.ecn_marked          # 1000 B is below kmin
 
     def test_kmin_zero_marks_it(self):
@@ -139,15 +154,16 @@ class TestIdlePortAccounting:
         # kmax == kmin == 0: any depth at all is marked, without a draw.
         switch, port, _ = switch_port(
             sim, ecn=EcnConfig(kmin_bytes=0, kmax_bytes=0))
+        depths = marker_calls(switch.ecn_marker)
         pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
         port.enqueue(pkt)
         assert pkt.ecn_marked
-        assert (switch.ecn_marker.evaluated, switch.ecn_marker.marked) \
-            == (1, 1)
+        assert (len(depths), switch.ecn_marker.marked) == (1, 1)
 
     def test_full_buffer_drops_with_one_on_drop(self):
         sim = Simulator()
         switch, port, sink = switch_port(sim, buffer_bytes=999)
+        depths = marker_calls(switch.ecn_marker)
         dropped = []
         port.on_drop = lambda pkt, prt: dropped.append(pkt)
         pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
@@ -156,7 +172,7 @@ class TestIdlePortAccounting:
         assert dropped == [pkt] and port.packets_dropped == 1
         assert sink.received == [] and port.busy_ns == 0
         assert switch.buffer.used_bytes == switch.buffer.peak_bytes == 0
-        assert switch.ecn_marker.evaluated == 0
+        assert depths == []
 
     def test_pfc_ingress_credit_is_returned(self):
         sim = Simulator()

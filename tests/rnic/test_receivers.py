@@ -165,7 +165,7 @@ class TestGbn:
         h.deliver(0)
         h.deliver(2)
         assert h.receiver.epsn == 1
-        assert h.receiver.ooo_dropped == 1
+        assert h.receiver.stats.receiver_ooo == 1
         # Delivering 1 now does NOT heal 2 (it was dropped, must be resent)
         h.deliver(1)
         assert h.receiver.epsn == 2

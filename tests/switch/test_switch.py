@@ -68,7 +68,7 @@ class TestForwarding:
             sw.receive(data_packet(FlowKey(src, 7, 0), 0, 100,
                                    udp_sport=src * 997), None)
         sim.run()
-        used = [p for p in ports if p.packets_sent > 0]
+        used = [p for p in ports if p.bytes_sent > 0]
         assert len(used) > 1
 
     def test_control_packets_take_deterministic_path(self):
@@ -84,7 +84,7 @@ class TestForwarding:
         for _ in range(20):
             sw.receive(ack_packet(FlowKey(1, 2), 0), None)
         sim.run()
-        used = [p for p in ports if p.packets_sent > 0]
+        used = [p for p in ports if p.bytes_sent > 0]
         assert len(used) == 1
 
 
@@ -122,8 +122,8 @@ class TestMiddleware:
         for psn in range(10):
             sw.receive(data_packet(FlowKey(0, 1), psn, 100), None)
         sim.run()
-        assert ports[-1].packets_sent == 10
-        assert ports[0].packets_sent == 0
+        assert ports[-1].bytes_sent == 10 * 158
+        assert ports[0].bytes_sent == 0
 
     def test_middleware_chain_order(self):
         calls = []

@@ -55,6 +55,64 @@ def test_traced_alltoall_event_counts():
     assert (recorder.total_events(), net.sim.executed) == (8807, 7934)
 
 
+def counter_surface(net: Network) -> tuple:
+    """Every count a run reports: ``Metrics.summary()``, the ACKs sent,
+    each ``ThemisStats`` count and a CRC of the per-flow counters."""
+    metrics = net.metrics
+    themis = metrics.themis
+    flows = sorted((tuple(f.flow), f.packets_sent, f.retransmissions,
+                    f.nacks_received, f.timeouts, f.receiver_ooo,
+                    f.receiver_duplicates) for f in metrics.flows.values())
+    return (metrics.summary(), metrics.acks_generated,
+            (themis.nacks_inspected, themis.nacks_blocked,
+             themis.nacks_forwarded, themis.nacks_compensated,
+             themis.tpsn_not_found, themis.queue_overflows),
+            zlib.crc32(repr(flows).encode()))
+
+
+def _summary(sent, retx, ratio, drops, nacks, cnps, goodput,
+             themis=(0, 0, 0), **traced):
+    blocked, forwarded, compensated = themis
+    return {"data_packets_sent": sent, "retransmissions": retx,
+            "spurious_ratio": ratio, "drops": drops,
+            "nacks_generated": nacks, "cnps_generated": cnps,
+            "themis_blocked": blocked, "themis_forwarded": forwarded,
+            "themis_compensated": compensated,
+            "mean_goodput_gbps": goodput, **traced}
+
+
+NO_THEMIS = (0, 0, 0, 0, 0, 0)
+SURFACES = {
+    "incast": (_summary(2681, 71, 0.0265, 0, 421, 75, 8.352), 1148,
+               NO_THEMIS, 2829200242),
+    "alltoall": (_summary(10912, 0, 0.0, 0, 0, 0, 2.364), 9984,
+                 NO_THEMIS, 1464439564),
+    "lossy": (_summary(2842, 66, 0.0232, 16, 97, 0, 7.511), 1436,
+              NO_THEMIS, 2279477334),
+    "traced": (_summary(
+        789, 5, 0.0063, 5, 5, 0, 7.546, themis=(5, 0, 3),
+        trace_events=8807,
+        trace_counts={"cc_rate": 5, "deq": 2922, "drop": 5, "enq": 2922,
+                      "hop": 2877, "nack_cancel": 2, "nack_classify": 5,
+                      "nack_compensate": 3, "nack_emit": 5, "qp_state": 61,
+                      "total": 8807}),
+        271, (5, 5, 0, 3, 0, 0), 873947468),
+}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_counter_surface(name):
+    if name == "traced":
+        net, _ = run_traced_alltoall(
+            nodes=8, loss=0.01, seed=7, message_bytes=20_000,
+            scheme="themis", retain_all=True)
+    else:
+        net = bench.build_scenario(name, quick=True)
+        net.run(until_ns=bench.DEADLINE_NS)
+        net.stop()
+    assert counter_surface(net) == SURFACES[name]
+
+
 def test_fig1_themis_row():
     result = run_motivation(motivation_config(scheme="themis", seed=1))
     summary = result.summary

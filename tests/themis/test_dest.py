@@ -5,6 +5,7 @@ from repro.harness.metrics import Metrics
 from repro.net.node import Device
 from repro.net.packet import (FlowKey, PacketType, data_packet,
                               nack_packet)
+from repro.obs.record import NACK, Recorder
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
 from repro.switch.buffer import SharedBuffer
@@ -164,6 +165,8 @@ class TestCompensation:
     def test_arrival_of_bepsn_cancels(self):
         """§3.4: if the blocked ePSN packet shows up, no compensation."""
         h = DestHarness()
+        recorder = Recorder(retain=[NACK])
+        h.dest.rec = recorder.channel(NACK)
         for psn in (0, 1, 3):
             h.data(psn)
         h.nack(2)
@@ -172,7 +175,9 @@ class TestCompensation:
         h.sim.run()
         comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
         assert comp == []
-        assert h.metrics.themis.compensation_cancelled == 1
+        cancels = [data for _, _, name, _, data in recorder.records(NACK)
+                   if name == "nack_cancel"]
+        assert [c["reason"] for c in cancels] == ["bepsn_arrived"]
 
     def test_different_path_packet_does_not_trigger(self):
         h = DestHarness()

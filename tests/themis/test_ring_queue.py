@@ -33,9 +33,8 @@ class TestBasics:
 
     def test_overflow_evicts_oldest(self):
         q = PsnRingQueue(3)
-        for psn in range(5):
-            q.enqueue(psn)
-        assert q.overflows == 2
+        evicted = [q.enqueue(psn) for psn in range(5)]
+        assert evicted == [False, False, False, True, True]
         assert q.snapshot() == [2, 3, 4]
 
     def test_truncation_to_one_byte(self):

@@ -17,7 +17,7 @@ FLOW = FlowKey(0, 9)  # local NIC 0 -> remote NIC 9
 
 
 class SourceHarness:
-    def __init__(self, n_paths=4):
+    def __init__(self, n_paths=4, pathmap_provider=None):
         self.sim = Simulator()
         self.tor = Switch(self.sim, "stor", lb=EcmpLB(),
                           buffer=SharedBuffer(10**6),
@@ -30,7 +30,8 @@ class SourceHarness:
             port.connect(sink)
             self.uplinks.append(port)
         self.tor.routes[9] = self.uplinks
-        self.source = ThemisSource(ThemisConfig())
+        self.source = ThemisSource(ThemisConfig(),
+                                   pathmap_provider=pathmap_provider)
         self.tor.add_middleware(self.source)
 
     def select(self, psn, sport=500):
@@ -72,9 +73,8 @@ class TestDirectMode:
 
     def test_counts_sprayed_packets(self):
         h = SourceHarness(n_paths=4)
-        for psn in range(5):
-            h.select(psn)
-        assert h.source.packets_sprayed == 5
+        sprayed = [h.select(psn)[0] for psn in range(5)]
+        assert all(pkt.path_index is not None for pkt in sprayed)
 
     def test_control_packets_not_sprayed(self):
         h = SourceHarness(n_paths=4)
@@ -95,15 +95,49 @@ class TestDirectMode:
         assert h.source.select_port(h.tor, pkt, h.uplinks) is None
 
 
+class TestPathmapMode:
+    """Built with a PathMap provider, Themis-S rewrites the header at
+    ingress and leaves the uplink to the LB (Fig. 3)."""
+
+    DELTAS = (0, 3, 5, 6)
+
+    def harness(self):
+        provided = []
+
+        def provider(flow, sport):
+            provided.append((flow, sport))
+            return self.DELTAS
+
+        return SourceHarness(n_paths=4, pathmap_provider=provider), provided
+
+    def test_sport_rewritten_through_the_pathmap(self):
+        h, provided = self.harness()
+        for psn in range(8):
+            pkt = data_packet(FLOW, psn, 1000, udp_sport=500)
+            assert h.source.on_packet(h.tor, pkt, None)
+            assert pkt.udp_sport == 500 ^ self.DELTAS[psn % 4]
+            assert pkt.path_index == psn % 4
+        assert provided == [(FLOW, 500)]    # one PathMap per flow, cached
+
+    def test_select_port_defers_to_the_lb(self):
+        h, _ = self.harness()
+        pkt = data_packet(FLOW, 3, 1000, udp_sport=500)
+        h.source.on_packet(h.tor, pkt, None)
+        assert h.source.select_port(h.tor, pkt, h.uplinks) is None
+        index = ecmp_index(pkt, 4, salt=h.tor.hash_salt, rot=h.tor.hash_rot)
+        assert h.tor._select(pkt, h.uplinks) is h.uplinks[index]
+
+    def test_transit_and_control_untouched(self):
+        h, provided = self.harness()
+        transit = data_packet(FlowKey(5, 9), 1, 1000, udp_sport=500)
+        ack = ack_packet(FlowKey(9, 0), 3)
+        for pkt in (transit, ack):
+            h.source.on_packet(h.tor, pkt, None)
+        assert transit.udp_sport == 500 and transit.path_index is None
+        assert ack.path_index is None and provided == []
+
+
 class TestConfigValidation:
-    def test_pathmap_mode_needs_provider(self):
-        with pytest.raises(ValueError):
-            ThemisSource(ThemisConfig(spray_mode="pathmap"))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ThemisConfig(spray_mode="nonsense")
-
     def test_capacity_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             ThemisConfig(queue_capacity_factor=0.9)
