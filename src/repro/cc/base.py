@@ -10,20 +10,25 @@ invalid NACKs in the fabric.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.sim.engine import Simulator
 
 
 class CongestionControl:
     """Strategy interface; one instance per sender QP."""
 
+    #: Bytes left before the byte counter's next increase stage, or
+    #: ``None`` when this CC keeps no byte counter: the sender then skips
+    #: :meth:`on_bytes_sent` on its per-packet path.
+    bytes_to_increase: Optional[int] = None
+
     def __init__(self, sim: Simulator, line_rate_bps: float) -> None:
         self.sim = sim
         self.line_rate_bps = float(line_rate_bps)
-
-    @property
-    def rate_bps(self) -> float:
-        """Current paced sending rate."""
-        raise NotImplementedError
+        #: Current paced sending rate, read by the sender once per packet
+        #: (a plain attribute, so the read is not a call).
+        self.rate_bps = self.line_rate_bps
 
     def on_cnp(self) -> None:
         """A DCQCN congestion notification arrived for this QP."""
@@ -35,7 +40,8 @@ class CongestionControl:
         """Retransmission timeout fired."""
 
     def on_bytes_sent(self, nbytes: int) -> None:
-        """Data transmitted — drives DCQCN's byte-counter increases."""
+        """Data transmitted — drives DCQCN's byte-counter increases.
+        The sender calls it only while :attr:`bytes_to_increase` is set."""
 
     def stop(self) -> None:
         """Cancel any pending timers (QP teardown)."""
@@ -46,9 +52,6 @@ class FixedRate(CongestionControl):
 
     Used by the *Ideal* transport baseline in Fig. 1d, which isolates the
     cost of spurious retransmissions + slow starts: Ideal never slows down
-    and never retransmits spuriously.
+    and never retransmits spuriously.  Its rate stays the line rate
+    :meth:`CongestionControl.__init__` sets.
     """
-
-    @property
-    def rate_bps(self) -> float:
-        return self.line_rate_bps

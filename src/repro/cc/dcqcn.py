@@ -26,7 +26,6 @@ from typing import Optional
 
 from repro.cc.base import CongestionControl
 from repro.sim.engine import US, Simulator
-from repro.sim.events import Event
 from repro.obs.timeseries import TimeSeries
 
 
@@ -68,7 +67,6 @@ class Dcqcn(CongestionControl):
                  rate_trace: Optional[TimeSeries] = None) -> None:
         super().__init__(sim, line_rate_bps)
         self.config = config
-        self.rate_current = float(line_rate_bps)
         self.rate_target = float(line_rate_bps)
         self.alpha = 1.0
         self.min_rate_bps = line_rate_bps * config.min_rate_fraction
@@ -78,9 +76,12 @@ class Dcqcn(CongestionControl):
         self._last_decrease_ns: Optional[int] = None
         self._increase_stage = 0       # timer-driven stage counter
         self._byte_stage = 0           # byte-counter stage counter
-        self._bytes_acc = 0
-        self._increase_event: Optional[Event] = None
-        self._alpha_event: Optional[Event] = None
+        self.bytes_to_increase = config.byte_counter_bytes
+        # Timer tokens (``Simulator.fire`` idiom): bumped on arm and on
+        # cancel, odd while armed; a tick armed with a stale token is a
+        # no-op.
+        self._increase_token = 0
+        self._alpha_token = 0
 
         self.rate_trace = rate_trace
         self.decreases = 0
@@ -91,18 +92,13 @@ class Dcqcn(CongestionControl):
         self.rec_loc = ""
 
     # ------------------------------------------------------------------
-    @property
-    def rate_bps(self) -> float:
-        return self.rate_current
-
     def _set_rate(self, rate: float) -> None:
-        self.rate_current = min(self.line_rate_bps,
-                                max(self.min_rate_bps, rate))
+        self.rate_bps = min(self.line_rate_bps,
+                            max(self.min_rate_bps, rate))
         if self.rate_trace is not None:
-            self.rate_trace.record(self.sim.now, self.rate_current)
+            self.rate_trace.record(self.sim.now, self.rate_bps)
         if self.rec is not None:
-            self.rec.cc_rate(self.sim.now, self.rec_loc,
-                             self.rate_current)
+            self.rec.cc_rate(self.sim.now, self.rec_loc, self.rate_bps)
 
     # ------------------------------------------------------------------
     # Decrease path
@@ -124,7 +120,7 @@ class Dcqcn(CongestionControl):
 
     def on_timeout(self) -> None:
         if self.config.timeout_drops_to_min:
-            self.rate_target = self.rate_current
+            self.rate_target = self.rate_bps
             self._set_rate(self.min_rate_bps)
             self._reset_recovery()
 
@@ -135,42 +131,45 @@ class Dcqcn(CongestionControl):
             return
         self._last_decrease_ns = now
         self.decreases += 1
-        self.rate_target = self.rate_current
-        self._set_rate(self.rate_current * (1 - self.alpha / 2))
+        self.rate_target = self.rate_bps
+        self._set_rate(self.rate_bps * (1 - self.alpha / 2))
         self._reset_recovery()
         self._restart_alpha_timer()
 
     def _reset_recovery(self) -> None:
         self._increase_stage = 0
         self._byte_stage = 0
-        self._bytes_acc = 0
-        if self._increase_event is not None:
-            self._increase_event.cancel()
-        self._increase_event = self.sim.schedule(
-            self.config.ti_ns, self._increase_tick)
+        self.bytes_to_increase = self.config.byte_counter_bytes
+        token = self._increase_token
+        if token & 1:
+            token += 1                 # cancel the armed increase timer
+        self._increase_token = token = token + 1
+        self.sim.fire(self.config.ti_ns, self._increase_tick, token)
 
     # ------------------------------------------------------------------
     # Increase path
     # ------------------------------------------------------------------
-    def _increase_tick(self) -> None:
-        self._increase_event = None
+    def _increase_tick(self, token: int) -> None:
+        if token != self._increase_token:
+            return
         self._increase_stage += 1
         self._do_increase()
-        if not self._fully_recovered():
-            self._increase_event = self.sim.schedule(
-                self.config.ti_ns, self._increase_tick)
+        if self._fully_recovered():
+            self._increase_token = token + 1
+        else:
+            self.sim.fire(self.config.ti_ns, self._increase_tick, token)
 
     def on_bytes_sent(self, nbytes: int) -> None:
         """Byte-counter increase clock (DCQCN's second trigger)."""
-        if self.config.byte_counter_bytes is None:
+        left = self.bytes_to_increase
+        if left is None or self._fully_recovered():
             return
-        if self._fully_recovered():
-            return
-        self._bytes_acc += nbytes
-        while self._bytes_acc >= self.config.byte_counter_bytes:
-            self._bytes_acc -= self.config.byte_counter_bytes
+        left -= nbytes
+        while left <= 0:
+            left += self.config.byte_counter_bytes
             self._byte_stage += 1
             self._do_increase()
+        self.bytes_to_increase = left
 
     def _do_increase(self) -> None:
         cfg = self.config
@@ -199,35 +198,36 @@ class Dcqcn(CongestionControl):
             elif max(ft, fb) > cfg.fast_recovery_rounds:
                 self.rate_target = min(self.line_rate_bps,
                                        self.rate_target + self.rate_ai_bps)
-        self._set_rate((self.rate_current + self.rate_target) / 2)
+        self._set_rate((self.rate_bps + self.rate_target) / 2)
 
     def _fully_recovered(self) -> bool:
-        return (self.rate_current >= self.line_rate_bps * 0.999
+        return (self.rate_bps >= self.line_rate_bps * 0.999
                 and self.rate_target >= self.line_rate_bps)
 
     # ------------------------------------------------------------------
     # Alpha decay
     # ------------------------------------------------------------------
     def _restart_alpha_timer(self) -> None:
-        if self._alpha_event is not None:
-            self._alpha_event.cancel()
-        self._alpha_event = self.sim.schedule(
-            self.config.alpha_timer_ns, self._alpha_tick)
+        token = self._alpha_token
+        if token & 1:
+            token += 1                 # cancel the armed alpha timer
+        self._alpha_token = token = token + 1
+        self.sim.fire(self.config.alpha_timer_ns, self._alpha_tick, token)
 
-    def _alpha_tick(self) -> None:
-        self._alpha_event = None
+    def _alpha_tick(self, token: int) -> None:
+        if token != self._alpha_token:
+            return
         self.alpha *= (1 - self.config.alpha_g)
         # Below ~0.005 a decrease changes the rate by <0.25%; park the
         # timer (the next CNP/decrease restarts it) so idle QPs quiesce.
         if self.alpha > 5e-3:
-            self._alpha_event = self.sim.schedule(
-                self.config.alpha_timer_ns, self._alpha_tick)
+            self.sim.fire(self.config.alpha_timer_ns, self._alpha_tick, token)
+        else:
+            self._alpha_token = token + 1
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        if self._increase_event is not None:
-            self._increase_event.cancel()
-            self._increase_event = None
-        if self._alpha_event is not None:
-            self._alpha_event.cancel()
-            self._alpha_event = None
+        if self._increase_token & 1:
+            self._increase_token += 1
+        if self._alpha_token & 1:
+            self._alpha_token += 1

@@ -22,7 +22,6 @@ from repro.net.packet import FlowKey, PacketType, _make
 from repro.obs.record import QP as OBS_QP
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC, Simulator
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.metrics import Metrics
@@ -72,16 +71,19 @@ class SenderQp:
         self._retx_queue: list[int] = []
         self._retx_set: set[int] = set()
 
-        self._send_event: Optional[Event] = None
+        # Timer tokens (``Simulator.fire`` idiom): each timer is one int,
+        # bumped on arm and on cancel, odd while armed.  The callback gets
+        # the token it was armed with and returns at once if it is stale.
+        self._send_token = 0
         self._next_allowed_ns = 0
 
-        self._rto_event: Optional[Event] = None
+        self._rto_token = 0
         self._rto_current_ns = config.rto_ns
         # Lazy RTO: the deadline the armed timer must respect.  Re-arming
-        # on every ACK only moves this timestamp; the already-scheduled
-        # event checks it when it fires and re-schedules the remainder,
-        # so the per-ACK cancel+schedule churn disappears from the
-        # calendar (one timer event per RTO span instead of per packet).
+        # on every ACK only moves this timestamp; the already-armed timer
+        # checks it when it fires and sleeps the remainder, so the per-ACK
+        # re-arm churn disappears from the calendar (one timer event per
+        # RTO span instead of per packet).
         self._rto_deadline = 0
 
         self.stats = metrics.flow_stats(flow)
@@ -141,19 +143,22 @@ class SenderQp:
     def _maybe_schedule_send(self) -> None:
         # Inlined _has_work()/_window_open() — this runs after every
         # sent packet and every ACK.
-        if self._send_event is not None:
-            return
+        token = self._send_token
+        if token & 1:
+            return  # armed already
         if not self._retx_queue:
             if (self.next_psn >= self.total_psns
                     or self.next_psn - self.snd_una
                     >= self.config.max_inflight_packets):
                 return  # re-kicked when an ACK frees window space
         delay = self._next_allowed_ns - self.sim.now
-        self._send_event = self.sim.schedule(delay if delay > 0 else 0,
-                                             self._send_one)
+        self._send_token = token = token + 1
+        self.sim.fire(delay if delay > 0 else 0, self._send_one, token)
 
-    def _send_one(self) -> None:
-        self._send_event = None
+    def _send_one(self, token: int) -> None:
+        if token != self._send_token:
+            return  # cancelled by stop()
+        self._send_token = token + 1
         retx = self._retx_queue
         if retx:
             psn = retx.pop(0)
@@ -189,7 +194,8 @@ class SenderQp:
         self._enqueue(packet)
         cc = self.cc
         wire = packet.wire_bytes
-        cc.on_bytes_sent(wire)
+        if cc.bytes_to_increase is not None:
+            cc.on_bytes_sent(wire)
         gap_ns = int(wire * 8 * SEC / cc.rate_bps)
         base = self._next_allowed_ns
         if now > base:
@@ -197,13 +203,15 @@ class SenderQp:
         base += gap_ns if gap_ns > 1 else 1
         self._next_allowed_ns = base
         # _maybe_schedule_send(), with the pacing delay known positive.
-        # The event slot is tested because a drop on the uplink may have
-        # re-armed it already (the Ideal transport's loss oracle).
-        if self._send_event is None and (
+        # The token is tested because a drop on the uplink may have
+        # re-armed the timer already (the Ideal transport's loss oracle).
+        token = self._send_token
+        if not token & 1 and (
                 retx or (self.next_psn < self.total_psns
                          and self.next_psn - self.snd_una
                          < self.config.max_inflight_packets)):
-            self._send_event = sim.schedule(base - now, self._send_one)
+            self._send_token = token = token + 1
+            sim.fire(base - now, self._send_one, token)
 
     # ------------------------------------------------------------------
     # Reliability feedback
@@ -211,7 +219,7 @@ class SenderQp:
     def on_ack(self, epsn: int) -> None:
         if epsn > self.snd_una:
             self._advance_una(epsn)
-        if self._send_event is None:
+        if not self._send_token & 1:
             self._maybe_schedule_send()
 
     def on_nack(self, epsn: int,
@@ -300,20 +308,23 @@ class SenderQp:
             self._rto_deadline = 0
             return
         self._rto_deadline = self.sim.now + self._rto_current_ns
-        if self._rto_event is None:
-            self._rto_event = self.sim.schedule(self._rto_current_ns,
-                                                self._rto_fire)
+        token = self._rto_token
+        if not token & 1:
+            self._rto_token = token = token + 1
+            self.sim.fire(self._rto_current_ns, self._rto_fire, token)
 
-    def _rto_fire(self) -> None:
-        self._rto_event = None
+    def _rto_fire(self, token: int) -> None:
+        if token != self._rto_token:
+            return  # cancelled by stop()
         if self.snd_una >= self.total_psns:
+            self._rto_token = token + 1
             return
         remaining = self._rto_deadline - self.sim.now
         if remaining > 0:
-            # ACKs pushed the deadline out while this event was in
-            # flight; sleep the remainder instead of having paid a
-            # cancel+schedule per ACK.
-            self._rto_event = self.sim.schedule(remaining, self._rto_fire)
+            # ACKs pushed the deadline out while this timer was in
+            # flight; sleep the remainder, still armed with the same
+            # token, instead of having paid a re-arm per ACK.
+            self.sim.fire(remaining, self._rto_fire, token)
             return
         self.stats.timeouts += 1
         if self.rec is not None:
@@ -331,18 +342,16 @@ class SenderQp:
             int(self._rto_current_ns * self.config.rto_backoff),
             self.config.rto_max_ns)
         self._rto_deadline = self.sim.now + self._rto_current_ns
-        self._rto_event = self.sim.schedule(self._rto_current_ns,
-                                            self._rto_fire)
+        self.sim.fire(self._rto_current_ns, self._rto_fire, token)
         self._maybe_schedule_send()
 
     def stop(self) -> None:
-        """Tear down timers (end of experiment)."""
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-        if self._send_event is not None:
-            self._send_event.cancel()
-            self._send_event = None
+        """Tear down timers (end of experiment): an armed timer's token
+        goes stale, so its pending entry runs as a no-op."""
+        if self._rto_token & 1:
+            self._rto_token += 1
+        if self._send_token & 1:
+            self._send_token += 1
         self.cc.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -33,7 +33,6 @@ from repro.obs.record import NACK as OBS_NACK
 from repro.rnic.bitmap import OooTracker
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.metrics import Metrics
@@ -77,7 +76,9 @@ class ReceiverQp:
         self._posted_psns = 0
 
         self._unacked_advance = 0
-        self._ack_event: Optional[Event] = None
+        #: Delayed-ACK timer token (``Simulator.fire`` idiom, as in
+        #: ``SenderQp``): bumped on arm and on cancel, odd while armed.
+        self._ack_token = 0
         self._last_cnp_ns: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -125,7 +126,7 @@ class ReceiverQp:
         self._unacked_advance += epsn - psn
         if self._unacked_advance >= self.config.ack_coalesce_packets:
             self._send_ack()
-        elif self._ack_event is None:
+        elif not self._ack_token & 1:
             self._schedule_delayed_ack()
         expected = self._expected
         if expected and expected[0][0] <= epsn:
@@ -140,18 +141,19 @@ class ReceiverQp:
     # ACK emission (coalesced cumulative ACKs)
     # ------------------------------------------------------------------
     def _schedule_delayed_ack(self) -> None:
-        if self._ack_event is None:
-            self._ack_event = self.sim.schedule(self.config.delayed_ack_ns,
-                                                self._delayed_ack_fire)
+        token = self._ack_token
+        if not token & 1:
+            self._ack_token = token = token + 1
+            self.sim.fire(self.config.delayed_ack_ns, self._delayed_ack_fire,
+                          token)
 
-    def _delayed_ack_fire(self) -> None:
-        self._ack_event = None
-        self._send_ack()
+    def _delayed_ack_fire(self, token: int) -> None:
+        if token == self._ack_token:  # else an ACK or stop() came since
+            self._send_ack()
 
     def _send_ack(self) -> None:
-        if self._ack_event is not None:
-            self._ack_event.cancel()
-            self._ack_event = None
+        if self._ack_token & 1:
+            self._ack_token += 1      # disarm the delayed ACK
         self._unacked_advance = 0
         metrics = self.metrics
         metrics.acks_generated += 1
@@ -190,9 +192,8 @@ class ReceiverQp:
         self.nic.transmit(_make(PacketType.CNP, self._ctrl_flow))
 
     def stop(self) -> None:
-        if self._ack_event is not None:
-            self._ack_event.cancel()
-            self._ack_event = None
+        if self._ack_token & 1:
+            self._ack_token += 1
 
 
 class SrReceiver(ReceiverQp):

@@ -30,11 +30,13 @@ Three invariants carry the calendar's correctness:
 
 There is no horizon and no compaction.  A dict has room for any key, so a
 timer seconds ahead costs the same insert as a wake-up 100 ns ahead and is
-never migrated.  A cancelled entry stays in its bucket until the clock
-reaches it and is dropped there; since the retransmission timer became
-lazy (an ACK moves a deadline instead of cancelling and re-scheduling)
-the remaining re-arms (DCQCN, delayed ACK) leave at most one timer
-period's worth of tombstones per QP.
+never migrated.  A cancelled :class:`~repro.sim.events.Event` stays in
+its bucket until the clock reaches it and is dropped there.  No per-QP
+timer leaves such a tombstone any more: send pacing, RTO, delayed ACK and
+DCQCN's two clocks are armed with :meth:`Simulator.fire` and a token (see
+there), so a cancelled one runs as a no-op.  Only cold callers (fault
+injector, PFC, training loop, ConWeave, the Ideal oracle) still
+``schedule``.
 
 All simulation time is expressed in **integer nanoseconds** — the
 module-level constants :data:`NS`, :data:`US`, :data:`MS` and :data:`SEC`
@@ -54,9 +56,10 @@ Executed events are returned to a free list and may be reused by a later
 ``schedule``.  A caller that keeps the returned handle must drop (or null
 out) the reference once the callback has fired; calling
 :meth:`Event.cancel` on a handle whose event already ran may cancel an
-unrelated future event once the object has been recycled.  Every timer in
-this codebase follows the pattern of clearing its stored handle in the
-callback's first line.
+unrelated future event once the object has been recycled.  Two callers
+keep a handle — ConWeave's reorder timer and the performance ledger's
+``sim.cancel_ns`` micro-benchmark — and both clear it in the callback's
+first line (or never reuse it).
 """
 
 from __future__ import annotations
@@ -187,6 +190,17 @@ class Simulator:
         Caller contract: ``delay`` must be a non-negative **integer**
         (no ``int()`` coercion here — a float would silently break
         bucket indexing, so the sub-ns case raises instead).
+
+        A cancellable timer rides it with a token instead of a handle:
+        keep one int per timer, bump it on arm and on cancel (odd while
+        armed), pass it as ``arg``, and return at once from the callback
+        when it no longer equals the stored one.  Cancelling is then one
+        increment and the cancelled entry runs as a no-op; it consumes the
+        one ``seq`` ``schedule`` would have, so real events keep their
+        ``(time, seq)``.  Compare tokens, not deadlines: a timer
+        cancelled and re-armed in the same nanosecond leaves two entries
+        due at the same time.  ``SenderQp``, ``ReceiverQp`` and ``Dcqcn``
+        arm all their timers this way.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")

@@ -200,7 +200,7 @@ class AdaptiveRoutingLB(LoadBalancer):
     def __init__(self, rng: SimRng, bin_bytes: int = 4096) -> None:
         if bin_bytes < 1:
             raise ValueError("bin size must be positive")
-        self._rng = rng
+        self._u01 = rng.u01
         self.bin_bytes = bin_bytes
 
     def select(self, switch: "Switch", packet: Packet,
@@ -219,7 +219,8 @@ class AdaptiveRoutingLB(LoadBalancer):
                 ties = [port]
         if len(ties) == 1:
             return ties[0]
-        return ties[self._rng.choice(len(ties))]
+        # Flattened SimRng.choice, as in RandomSprayLB.
+        return ties[int(self._u01() * len(ties))]
 
 
 class RepsLB(LoadBalancer):

@@ -148,10 +148,13 @@ class Switch(Device):
         if len(candidates) == 1:
             # Downlink hops have exactly one route; skip the selector.
             port = candidates[0]
-        elif candidates:
+        elif not candidates:
+            return self._no_route(packet)
+        elif middleware or packet.is_control:
             port = self._select(packet, candidates)
         else:
-            return self._no_route(packet)
+            # _select's last line: data on a switch with no middleware.
+            port = self.lb.select(self, packet, candidates)
         if not port.enqueue(packet) and pfc is not None:
             pfc.on_egress(packet)  # dropped at admission: credit
 
@@ -200,8 +203,8 @@ class Switch(Device):
             self.metrics.on_drop(packet)
 
     def _select(self, packet: Packet, candidates: list[Port]) -> Port:
-        if len(candidates) == 1:
-            return candidates[0]
+        """Egress among several candidates (callers take a single route
+        themselves)."""
         if packet.is_control:
             # Control traffic stays on a single hashed path: commodity
             # fabrics never spray the lossless ACK/NACK class.

@@ -110,7 +110,7 @@ class TestIncrease:
         cc.on_cnp()
         sim.run()
         assert cc.rate_bps == pytest.approx(LINE, rel=1e-3)
-        assert cc._increase_event is None  # no perpetual timer
+        assert sim.pending == 0  # no perpetual timer
 
     def test_slow_ti_means_slow_recovery(self):
         sim_fast = Simulator()
@@ -162,7 +162,11 @@ class TestTrace:
         cc = make(sim, ti_ns=10 * US)
         cc.on_cnp()
         cc.stop()
-        assert sim.run() == 0  # nothing pending fires a callback
+        state = (cc.rate_bps, cc.rate_target, cc.alpha,
+                 cc._increase_stage, cc._byte_stage)
+        sim.run()  # the cancelled ticks still run, as no-ops
+        assert (cc.rate_bps, cc.rate_target, cc.alpha,
+                cc._increase_stage, cc._byte_stage) == state
 
 
 class TestFixedRate:
@@ -217,7 +221,10 @@ class TestByteCounter:
         # increase machinery parks itself.
         sim.run(until=200 * US)
         assert cc.rate_bps == pytest.approx(cc.line_rate_bps, rel=1e-3)
-        assert cc._increase_event is None
+        stage = cc._increase_stage
+        sim.run()
+        assert cc._increase_stage == stage
+        assert sim.pending == 0
 
     def test_decrease_resets_byte_state(self):
         sim = Simulator()
@@ -228,7 +235,7 @@ class TestByteCounter:
         sim.schedule(1, cc.on_cnp)
         sim.run()
         assert cc._byte_stage == 0
-        assert cc._bytes_acc == 0
+        assert cc.bytes_to_increase == 10_000
 
     def test_recovered_qp_ignores_bytes(self):
         sim = Simulator()

@@ -31,8 +31,11 @@ from tests.sim.heap_oracle import HeapSimulator
 #: cancel+schedule per ACK, shifting ``seq`` allocation).  Flow
 #: completion times and RNG substreams are unchanged; both engines agree
 #: on the new sequence (see test_engines_execute_identical_sequences).
-GOLDEN_SHA256 = ("3e949d77f60f1f9f89739d5d2c8f4b3f"
-                 "aae3738fc533b31810b3f6397977230e")
+#: Re-pinned when the per-QP timers moved from ``schedule``/``cancel`` to
+#: ``fire`` with a token: every entry keeps its (time, seq), but a
+#: cancelled timer now runs (as a no-op) and so appears in the sequence.
+GOLDEN_SHA256 = ("3fc3ab17ccbd311403ba338a0b75c8dc"
+                 "c8b79735407c37291fdeff751de9252b")
 
 
 def _run_traced(sim):
