@@ -8,7 +8,6 @@ Subcommands mirror the paper's experiments:
 * ``sweep``       — a full Fig. 5 panel (``--workers/--resume/--timeout``
   for parallel, checkpointed execution).
 * ``jobs``        — status of a sweep checkpoint file.
-* ``bench``       — engine perf benchmark (``--baseline`` gates CI).
 * ``pathmap``     — build and print a PathMap on a fat-tree (Fig. 3).
 * ``trace``       — traced lossy alltoall + NACK-decision causality audit
   (``--perfetto`` exports a Chrome/Perfetto trace; ``--spec/--name``
@@ -244,20 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     job.add_argument("--checkpoint", required=True, metavar="PATH",
                      help="JSONL checkpoint written by sweep --resume")
 
-    ben = sub.add_parser("bench", parents=[out_flags],
-                         help="engine perf benchmark "
-                              "(writes BENCH_engine.json)")
-    ben.add_argument("--quick", action="store_true",
-                     help="~8x smaller messages; CI smoke mode")
-    ben.add_argument("--repeats", type=int, default=None,
-                     help="best-of-N repeats per measurement "
-                          "(default: 3 full, 1 quick)")
-    ben.add_argument("--out", default="BENCH_engine.json",
-                     help="result file (empty string to skip writing)")
-    ben.add_argument("--baseline", metavar="PATH", default=None,
-                     help="tracked bench JSON to gate against; exits "
-                          "non-zero on regression")
-
     pmap = sub.add_parser("pathmap", parents=[out_flags],
                           help="Fig. 3 PathMap on a fat-tree")
     pmap.add_argument("--k", type=int, default=4)
@@ -354,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="ingest result documents into "
                                       "the store")
     res_ing.add_argument("paths", nargs="+", metavar="DOC",
-                         help="repro-arena-v1 / repro-faults-v1 / "
-                              "BENCH_engine.json files")
+                         help="repro-arena-v1 / repro-faults-v1 docs, or "
+                              "a bench history document "
+                              "(schema_version + scenarios)")
     res_sub.add_parser("list", parents=[out_flags, db_flag],
                        help="list ingested runs + store counts")
     res_shw = res_sub.add_parser("show", parents=[out_flags, db_flag],
@@ -532,21 +518,6 @@ def cmd_pathmap(args: argparse.Namespace, console: Console) -> int:
                     "sport": args.sport, "n_paths": n,
                     "deltas": list(deltas)})
     return 0
-
-
-def cmd_bench(args: argparse.Namespace, console: Console) -> int:
-    from repro.harness.bench import check_regression, run_bench
-    doc = run_bench(quick=args.quick, repeats=args.repeats,
-                    out=args.out or None, echo=console.info)
-    rc = 0
-    if args.baseline:
-        regressions = check_regression(doc, args.baseline, echo=console.info)
-        for line in regressions:
-            console.out(f"REGRESSION: {line}")
-        doc = dict(doc, regressions=regressions)
-        rc = 1 if regressions else 0
-    console.result(doc)
-    return rc
 
 
 def cmd_trace(args: argparse.Namespace, console: Console) -> int:
@@ -829,7 +800,6 @@ def cmd_serve(args: argparse.Namespace, console: Console) -> int:
 
 COMMANDS = {
     "memory": cmd_memory,
-    "bench": cmd_bench,
     "motivation": cmd_motivation,
     "collective": cmd_collective,
     "sweep": cmd_sweep,

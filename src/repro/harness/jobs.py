@@ -56,7 +56,8 @@ CHECKPOINT_VERSION = 1
 
 #: Start method for worker subprocesses: ``fork`` where available (cheap,
 #: inherits the warm interpreter), else ``spawn``.  Callers needing
-#: pyperf-style cold processes (the bench harness) pass ``"spawn"``.
+#: cold processes pass ``"spawn"`` (the performance ledger does, to price
+#: a spawned job).
 _DEFAULT_MP_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                       else "spawn")
 
@@ -159,7 +160,6 @@ def run_callable(params: dict, seed: int) -> dict:
 JOB_KINDS: dict[str, str] = {
     "collective": "repro.harness.collective_runner:run_collective_cell",
     "callable": "repro.harness.jobs:run_callable",
-    "bench": "repro.harness.bench:run_bench_cell",
     "fault_cell": "repro.faults.campaign:run_cell",
     "arena_cell": "repro.harness.arena:run_arena_cell",
 }
@@ -422,10 +422,6 @@ class JobRunner:
             return outcomes
         finally:
             self._close_cache()
-
-    def run_one(self, spec: JobSpec) -> JobOutcome:
-        """Convenience single-job entry point (used by the bench)."""
-        return self.run([spec])[spec.spec_hash]
 
     # -- internals -----------------------------------------------------
     def _inproc(self) -> bool:

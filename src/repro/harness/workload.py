@@ -3,7 +3,7 @@
 Every experiment family runs the same shape: post messages (or start a
 collective per group) on a wired :class:`~repro.harness.network.Network`,
 stop the fabric once the traffic is over, and remember when the last
-part finished.  The bench scenarios, the traced alltoall (hence fault
+part finished.  The reference scenarios, the traced alltoall (hence fault
 campaigns), the arena cell, the Fig. 1 rings and the Fig. 5 runner all
 post through here and read the same :class:`Traffic` handle, also
 reachable afterwards as ``net.traffic``.

@@ -2,8 +2,8 @@
 
 ROADMAP item 5 ("serve results to many users"): every prior PR emits
 spec-hashed documents — ``repro arena --out`` (``repro-arena-v1``),
-``repro faults run --out`` (``repro-faults-v1``), and the tracked
-``BENCH_engine.json`` history — and this package turns them into one
+``repro faults run --out`` (``repro-faults-v1``), and bench history
+documents from earlier nightly runs — and this package turns them into one
 browsable, cacheable system of record:
 
 * :mod:`repro.results.store` — the SQLite store.  Its primary key is the

@@ -5,8 +5,11 @@ marker:
 
 * ``repro-arena-v1``  — ``repro arena --out`` (PR 9),
 * ``repro-faults-v1`` — ``repro faults run --out``,
-* bench history       — ``BENCH_engine.json`` (``schema_version`` int),
+* bench history       — a ``schema_version`` int plus ``scenarios``,
   normalised to the ``repro-bench-v<N>`` schema string in the store.
+  Nothing in the repo writes one any more; the family stays because
+  existing stores hold nightly history and the performance ledger's
+  ``dashboard_serve`` workload ingests synthetic ones to time ``/bench``.
 
 Ingest is **validating** (a malformed document raises
 :class:`IngestError` and no row lands) and **lossless** for the
@@ -187,8 +190,8 @@ def _family_of_doc(doc: dict) -> DocFamily:
     if family is None:
         raise IngestError(
             f"unrecognised document (schema={doc.get('schema')!r}); "
-            "expected a repro-arena-v1 / repro-faults-v1 doc or "
-            "BENCH_engine.json")
+            "expected a repro-arena-v1 / repro-faults-v1 doc or a bench "
+            "history document (schema_version + scenarios)")
     return family
 
 

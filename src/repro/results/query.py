@@ -242,7 +242,10 @@ def fault_panels(conn: sqlite3.Connection) -> list[dict]:
 # Bench
 # ----------------------------------------------------------------------
 def bench_series(conn: sqlite3.Connection) -> dict:
-    """events/sec trend per (scenario, engine) plus per-run meta."""
+    """events/sec trend per (scenario, engine) plus per-run meta.
+
+    Behind ``/bench`` and ``/api/bench``: kept for the bench history
+    existing stores hold and for the ledger's ``dashboard_serve``."""
     runs = conn.execute(
         "SELECT run_id, meta_json, source FROM runs "
         "WHERE schema LIKE 'repro-bench%' ORDER BY run_id").fetchall()

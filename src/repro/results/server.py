@@ -24,7 +24,9 @@ Pages
 * ``/arena/<run_id>``       one run: ranked table + cell grid
 * ``/cell/<run_id>/<hash>`` per-cell drill-down + Perfetto deep link
 * ``/faults``               recovery / goodput-dip panels per scenario
-* ``/bench``                events/sec + tracing-overhead trend lines
+* ``/bench``                events/sec + tracing-overhead trend lines of
+  ingested bench history (kept for existing stores and the ledger's
+  ``dashboard_serve`` workload)
 * ``/api/...``              the JSON twins of every page (compact:
   pipe through ``python -m json.tool`` to read one)
 * ``/traces/<file>``        exported Perfetto traces (``--traces`` dir)
@@ -370,9 +372,9 @@ class Dashboard:
     def page_bench(self, conn: Conn, host: str) -> tuple[int, str, bytes]:
         data = Q.bench_series(conn)
         if not data["run_ids"]:
-            body = H.card("<p>No bench history ingested. Ingest the "
-                          "tracked <code>BENCH_engine.json</code> or a "
-                          "nightly <code>bench-full.json</code>.</p>")
+            body = H.card("<p>No bench history ingested. Ingest a bench "
+                          "history document (<code>schema_version</code> "
+                          "+ <code>scenarios</code>).</p>")
         else:
             labels = [f"run {r}" for r in data["run_ids"]]
             calendar = [(s["scenario"], s["events_per_sec"])

@@ -134,15 +134,10 @@ class SenderQp:
     def inflight(self) -> int:
         return self.next_psn - self.snd_una
 
-    def _has_work(self) -> bool:
-        return bool(self._retx_queue) or self.next_psn < self.total_psns
-
-    def _window_open(self) -> bool:
-        return self.inflight < self.config.max_inflight_packets
-
     def _maybe_schedule_send(self) -> None:
-        # Inlined _has_work()/_window_open() — this runs after every
-        # sent packet and every ACK.
+        # Arm a send when a retransmission is queued, or when new PSNs
+        # remain and the window has room.  Runs after every sent packet
+        # and every ACK.
         token = self._send_token
         if token & 1:
             return  # armed already

@@ -124,7 +124,7 @@ class TestJobKind:
         from repro.harness.jobs import JobRunner
         spec = campaign_specs(FAST_FLAP, [5])[0]
         outcome = JobRunner(workers=1, isolation="subprocess") \
-            .run_one(spec)
+            .run([spec])[spec.spec_hash]
         assert outcome.ok
         assert validate_result(outcome.result) == []
         inproc = run_cell({"spec": FAST_FLAP}, seed=5)

@@ -34,17 +34,6 @@ class TestParser:
         assert parse(["serve"]).db == parse(["results", "list"]).db \
             == "results.sqlite"
 
-    @pytest.mark.parametrize("flag", [
-        ["--cost-model-out", "x.json"],
-        ["--max-regression", "0.5"],
-        ["--max-tracing-regression", "0.5"],
-    ])
-    def test_retired_bench_flags_are_rejected(self, flag, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["bench", "--quick"] + flag)
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
     def test_motivation_scheme_validation(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["motivation", "--scheme", "nope"])
@@ -210,7 +199,7 @@ class TestUnwritableOutput:
         ["profile", "--nodes", "4", "--bytes", "2000", "--out"],
         ["trace", "--nodes", "4", "--perfetto"],
         ["trace", "--nodes", "4", "--dump"],
-        ["bench", "--quick", "--out"],
+        ["collective", "--out"],
         ["arena", "--quick", "--out"],
     ])
     def test_one_error_line_before_the_run(self, argv, tmp_path, capsys,

@@ -112,8 +112,8 @@ class TestJobSpec:
 class TestJobKinds:
     def test_every_kind_names_an_importable_cell_function(self):
         from repro.harness.jobs import JOB_KINDS, resolve_target
-        assert set(JOB_KINDS) == {"collective", "callable", "bench",
-                                  "fault_cell", "arena_cell"}
+        assert set(JOB_KINDS) == {"collective", "callable", "fault_cell",
+                                  "arena_cell"}
         for target in JOB_KINDS.values():
             assert callable(resolve_target(target))
 

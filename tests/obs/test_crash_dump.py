@@ -98,7 +98,8 @@ class TestJobWorkerCrashDump:
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         try:
             runner = JobRunner(workers=1, isolation="inproc", retries=0)
-            outcome = runner.run_one(_callable_spec("_traced_boom"))
+            spec = _callable_spec("_traced_boom")
+            outcome = runner.run([spec])[spec.spec_hash]
         finally:
             set_active(None)
         assert outcome.status == "failed"
@@ -117,11 +118,12 @@ class TestJobWorkerCrashDump:
         wiring one and must not be handed the first job's events."""
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         try:
-            first = JobRunner(isolation="inproc").run_one(
-                _callable_spec("_traced_ok"))
+            ok = _callable_spec("_traced_ok")
+            boom = _callable_spec("_plain_boom")
+            first = JobRunner(isolation="inproc").run([ok])[ok.spec_hash]
             assert first.ok
-            outcome = JobRunner(isolation=isolation, retries=0).run_one(
-                _callable_spec("_plain_boom"))
+            outcome = JobRunner(isolation=isolation, retries=0).run(
+                [boom])[boom.spec_hash]
         finally:
             set_active(None)
             _finished_runs.clear()
@@ -135,7 +137,8 @@ class TestJobWorkerCrashDump:
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         runner = JobRunner(workers=1, isolation="subprocess", retries=0,
                            mp_method="spawn")
-        outcome = runner.run_one(_callable_spec("_traced_boom"))
+        spec = _callable_spec("_traced_boom")
+        outcome = runner.run([spec])[spec.spec_hash]
         assert outcome.status == "failed"
         assert "traced worker exploded" in outcome.error
         assert "[flight recorder: " in outcome.error

@@ -2,10 +2,12 @@
 
 import gc
 import json
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
 
+from repro.harness.bench import DEADLINE_NS, build_scenario
 from repro.obs.record import (ALL_CATEGORIES, NACK, PACKET, QUEUE,
                               InvariantError, Recorder, active_recorder,
                               check_invariant, dump_active_flight,
@@ -168,6 +170,30 @@ class TestActiveRegistry:
         gc.collect()
         assert active_recorder() is None
         set_active(None)
+
+
+def _observed(name, recorder):
+    """Executed events, summary (minus trace keys) and per-flow counters
+    of one quick scenario run under ``recorder``."""
+    net = build_scenario(name, quick=True, recorder=recorder)
+    net.run(until_ns=DEADLINE_NS)
+    summary = {k: v for k, v in net.metrics.summary().items()
+               if not k.startswith("trace_")}
+    flows = {flow: asdict(stats) for flow, stats in net.metrics.flows.items()}
+    return net.sim.executed, summary, flows
+
+
+@pytest.mark.parametrize("name", ["alltoall", "lossy"])
+def test_recorder_is_observation_only(name):
+    """An all-category recorder watches a run without changing it."""
+    untraced = _observed(name, None)
+    recorder = Recorder()
+    try:
+        traced = _observed(name, recorder)
+    finally:
+        set_active(None)
+    assert recorder.total_events() > 0
+    assert traced == untraced
 
 
 class TestCheckInvariant:

@@ -122,6 +122,32 @@ def make_bench_doc() -> dict:
     }
 
 
+def _scenario(name: str, events: int, wall_s: float, events_per_sec: int,
+              sim_time_ns: int) -> dict:
+    return {"scenario": name, "engine": "calendar", "events": events,
+            "wall_s": wall_s, "events_per_sec": events_per_sec,
+            "sim_time_ns": sim_time_ns, "completed": True}
+
+
+#: The last bench history document the repo tracked, value for value.
+LAST_BENCH_HISTORY = {
+    "schema_version": 5,
+    "generated_by": "python -m repro bench",
+    "quick": False,
+    "python": "3.11.7",
+    "engine": {"kind": "calendar", "bucket_ns": 64},
+    "measurement": {"repeats": 3, "estimator": "min wall time",
+                    "fresh_process": True, "gc_disabled": True},
+    "scenarios": {
+        "incast": _scenario("incast", 178626, 0.5054, 353427, 11858380),
+        "alltoall": _scenario("alltoall", 1257712, 2.3247, 541021, 329929),
+        "lossy": _scenario("lossy", 185194, 0.5329, 347499, 111022156),
+    },
+    "tracing": {"scenario": "alltoall", "events": 1257712, "wall_s": 2.759,
+                "events_per_sec": 455856, "overhead_ratio": 1.187},
+}
+
+
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2)
 
@@ -354,12 +380,17 @@ class TestBenchIngest:
         assert engines == {"calendar", "heap", "traced"}
 
     def test_tracked_bench_history_ingests(self, tmp_path):
-        """The repo's real BENCH_engine.json is a valid ingest source."""
-        path = os.path.join(REPO_ROOT, "BENCH_engine.json")
+        """The last bench history file the repo tracked (schema v5, three
+        scenarios plus the traced run) is still a valid ingest source."""
+        path = tmp_path / "bench-history.json"
+        path.write_text(json.dumps(LAST_BENCH_HISTORY, indent=2))
         with ResultsStore(str(tmp_path / "r.sqlite")) as store:
-            receipt = ingest_file(store, path)
+            receipt = ingest_file(store, str(path))
             assert receipt["kind"] == "bench"
-            assert receipt["scenarios"] >= 1
+            assert receipt["scenarios"] == 3
+            engines = sorted(r["engine"] for r in store.conn.execute(
+                "SELECT engine FROM bench_scenarios"))
+        assert engines == ["calendar"] * 3 + ["traced"]
 
     def test_bench_runs_do_not_re_emit(self, tmp_path):
         from repro.results import emit_doc
