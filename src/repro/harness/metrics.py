@@ -196,12 +196,12 @@ class Metrics:
     # ------------------------------------------------------------------
     # Event sinks
     # ------------------------------------------------------------------
-    def on_data_sent(self, flow: FlowKey, packet: Packet) -> None:
-        """Fig. 1b windows of a watched flow (the sender QP has already
-        counted the packet)."""
+    def on_data_sent(self, flow: FlowKey, is_retx: bool) -> None:
+        """Fig. 1b windows of a watched flow, at the pacing instant (the
+        sender QP has already counted the segment)."""
         now = self.sim.now
         self.sent_counters[flow].add(now)
-        if packet.is_retx:
+        if is_retx:
             self.retx_counters[flow].add(now)
 
     def on_delivered(self, flow: FlowKey, packet: Packet) -> None:

@@ -90,6 +90,9 @@ class Rnic(Device):
             raise ValueError(f"{self.name} cannot receive flow {flow}")
         qp = self.receivers.get(flow)
         if qp is None:
+            # Receivers enqueue their ACK/NACK/CNPs on the uplink directly.
+            if self.uplink is None:
+                raise RuntimeError(f"{self.name} is not attached to a ToR")
             cls = RECEIVER_CLASSES[self.transport]
             qp = cls(self.sim, self, flow, self.config, self.metrics)
             self.receivers[flow] = qp
@@ -115,11 +118,6 @@ class Rnic(Device):
     # ------------------------------------------------------------------
     # Wire I/O
     # ------------------------------------------------------------------
-    def transmit(self, packet: Packet) -> None:
-        if self.uplink is None:
-            raise RuntimeError(f"{self.name} is not attached to a ToR")
-        self.uplink.enqueue(packet)
-
     def receive(self, packet: Packet, in_port: Optional[Port]) -> None:
         """Consume a delivered packet and recycle it.
 

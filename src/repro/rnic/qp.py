@@ -4,7 +4,8 @@ The sender QP models what commodity RNIC hardware does with an RC QP:
 
 * serializes posted messages into PSN-numbered MTU segments,
 * paces them at the congestion-control rate (hardware rate pacing — the
-  very property that breaks flowlet LB, §2.3),
+  very property that breaks flowlet LB, §2.3) and builds each packet only
+  when the uplink transmits it (:meth:`SenderQp.wire_packet`),
 * on a NACK: retransmits the expected-PSN segment (selective repeat) or
   rewinds (Go-Back-N), *and reports the NACK to congestion control*, which
   is the spurious slow-start coupling Themis defuses,
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
-from repro.net.packet import FlowKey, PacketType, _make
+from repro.net.packet import (DATA_HEADER_BYTES, FlowKey, Packet,
+                              PacketType, _make)
 from repro.obs.record import QP as OBS_QP
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC, Simulator
@@ -54,7 +56,6 @@ class SenderQp:
         #: NACK carries its trigger PSN), skew-induced NACKs are ignored
         #: at the sender instead of at the ToR.
         self.nack_filter_n_paths = nack_filter_n_paths
-        self.nacks_filtered = 0
 
         self._messages: list[_Message] = []
         self._next_completion = 0              # index into _messages
@@ -88,12 +89,12 @@ class SenderQp:
 
         self.stats = metrics.flow_stats(flow)
 
-        # The uplink's enqueue, resolved once at QP creation like the
-        # recorder channel below: whoever builds the NIC attaches its
+        # The uplink's token enqueue, resolved once at QP creation like
+        # the recorder channel below: whoever builds the NIC attaches its
         # uplink before posting traffic.
         if nic.uplink is None:
             raise RuntimeError(f"{nic.name} is not attached to a ToR")
-        self._enqueue = nic.uplink.enqueue
+        self._enqueue = nic.uplink.enqueue_token
 
         # QP-state observability channel (repro.obs); resolved once at QP
         # creation from the NIC's recorder (None = disabled).
@@ -175,9 +176,8 @@ class SenderQp:
         sim = self.sim
         now = sim.now
         flow = self.flow
-        payload = self._short_tails.get(psn, self._segment_bytes)
-        packet = _make(PacketType.DATA, flow, psn, 0, payload,
-                       self.udp_sport, is_retx)
+        wire = (self._short_tails.get(psn, self._segment_bytes)
+                + DATA_HEADER_BYTES)
         stats = self.stats
         stats.packets_sent += 1
         if is_retx:
@@ -185,10 +185,11 @@ class SenderQp:
         metrics = self.metrics
         watched = metrics.watched
         if watched and flow in watched:
-            metrics.on_data_sent(flow, packet)
-        self._enqueue(packet)
+            metrics.on_data_sent(flow, is_retx)
+        # The segment leaves as a send token; the uplink builds its
+        # packet (wire_packet) when it pops the token for the wire.
+        self._enqueue(self, ~psn if is_retx else psn, wire)
         cc = self.cc
-        wire = packet.wire_bytes
         if cc.bytes_to_increase is not None:
             cc.on_bytes_sent(wire)
         gap_ns = int(wire * 8 * SEC / cc.rate_bps)
@@ -207,6 +208,21 @@ class SenderQp:
                          < self.config.max_inflight_packets)):
             self._send_token = token = token + 1
             sim.fire(base - now, self._send_one, token)
+
+    def wire_packet(self, psn: int) -> Packet:
+        """Build the segment of a send token: *psn* as :meth:`_send_one`
+        enqueued it, ``~psn`` for a retransmission.
+
+        The uplink calls this as it pops the token to transmit it (or to
+        drop it), so a backlogged uplink holds tokens, and packets exist
+        only from the wire onwards.
+        """
+        is_retx = psn < 0
+        if is_retx:
+            psn = ~psn
+        return _make(PacketType.DATA, self.flow, psn, 0,
+                     self._short_tails.get(psn, self._segment_bytes),
+                     self.udp_sport, is_retx)
 
     # ------------------------------------------------------------------
     # Reliability feedback
@@ -227,7 +243,6 @@ class SenderQp:
                 and trigger_psn % self.nack_filter_n_paths
                 != epsn % self.nack_filter_n_paths):
             # Eq. 3 at the sender: different path => skew, not loss.
-            self.nacks_filtered += 1
             self._maybe_schedule_send()
             return
         if self.rec is not None:

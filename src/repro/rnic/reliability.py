@@ -162,8 +162,8 @@ class ReceiverQp:
                 listener(self.flow, self.epsn)
         # _make with the precomputed control flow == ack_packet(flow, ...)
         # minus the per-ACK FlowKey reversal.
-        self.nic.transmit(_make(PacketType.ACK, self._ctrl_flow, 0,
-                                self.epsn))
+        self.nic.uplink.enqueue(_make(PacketType.ACK, self._ctrl_flow, 0,
+                                      self.epsn))
 
     def _send_nack(self, observed_psn: int) -> None:
         """Emit a NACK for the current ePSN, caused by the out-of-order
@@ -180,7 +180,7 @@ class ReceiverQp:
         nack = _make(PacketType.NACK, self._ctrl_flow, 0, self.epsn)
         if self.nack_policy == "epsn+trigger":
             nack.psn = observed_psn
-        self.nic.transmit(nack)
+        self.nic.uplink.enqueue(nack)
 
     def _maybe_send_cnp(self) -> None:
         now = self.sim.now
@@ -189,7 +189,7 @@ class ReceiverQp:
             return
         self._last_cnp_ns = now
         self.metrics.cnps_generated += 1
-        self.nic.transmit(_make(PacketType.CNP, self._ctrl_flow))
+        self.nic.uplink.enqueue(_make(PacketType.CNP, self._ctrl_flow))
 
     def stop(self) -> None:
         if self._ack_token & 1:

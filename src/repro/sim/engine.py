@@ -184,8 +184,9 @@ class Simulator:
         The entry is a bare ``(time, seq, callback, arg)`` tuple and the
         callback runs as ``callback(arg)``; it cannot be cancelled.  This
         is the per-packet hot path (serializer boundary wake-ups alone
-        are ~40%% of all events in a busy fabric), where skipping the
-        Event pool round-trip is worth a branch in the run loop.
+        are 16–36 % of all events on the ledger's simulations), where
+        skipping the Event pool round-trip is worth a branch in the run
+        loop.
 
         Caller contract: ``delay`` must be a non-negative **integer**
         (no ``int()`` coercion here — a float would silently break

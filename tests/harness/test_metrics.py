@@ -49,7 +49,8 @@ class TestMetrics:
     def test_on_data_sent_counts(self):
         net = two_nics()
         metrics = net.metrics
-        flow = net.post_message(0, 1, 1000)
+        flow = net.watch_flow(0, 1)
+        net.post_message(0, 1, 1000)
         net.run(until_ns=0)                         # PSN 0 is on the wire
         net.nics[0].senders[flow].force_retransmit(0)
         net.run()
@@ -59,6 +60,14 @@ class TestMetrics:
         stats = metrics.flows[flow]
         assert stats.packets_sent == 2
         assert stats.retransmissions == 1
+        # The watched flow's windows take the sender's retx flag, not a
+        # packet: both segments land in them at their pacing instants.
+        assert metrics.sent_counters[flow].total() == 2
+        assert metrics.retx_counters[flow].total() == 1
+        metrics.on_data_sent(flow, False)
+        metrics.on_data_sent(flow, True)
+        assert metrics.sent_counters[flow].total() == 4
+        assert metrics.retx_counters[flow].total() == 2
 
     def test_spurious_ratio_empty(self):
         assert self._metrics().spurious_ratio == 0.0

@@ -34,6 +34,10 @@ class Wire:
                           packet.epsn))
         return True
 
+    def enqueue_token(self, sender, psn, wire):
+        """An idle uplink: the paced segment is built and sent at once."""
+        self.enqueue(sender.wire_packet(psn))
+
 
 def nic_on_wire(nic_id):
     sim = Simulator()
