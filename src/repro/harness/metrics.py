@@ -197,8 +197,8 @@ class Metrics:
     # Event sinks
     # ------------------------------------------------------------------
     def on_data_sent(self, flow: FlowKey, is_retx: bool) -> None:
-        """Fig. 1b windows of a watched flow, at the pacing instant (the
-        sender QP has already counted the segment)."""
+        """Fig. 1b windows of a watched flow, at the instant the uplink
+        pulls the segment (the sender QP has already counted it)."""
         now = self.sim.now
         self.sent_counters[flow].add(now)
         if is_retx:

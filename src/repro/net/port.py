@@ -36,20 +36,25 @@ PFC egress credit the queued path makes, then hands the packet to
 :meth:`Port._pump`, whose transmit tail is the only one.  The engine calls
 and their order are those of append-then-pop.  A port whose
 ``queue_enq``/``queue_deq`` channels are wired always queues, so a traced
-run records one of each per data packet.
+run records one of each per packet through a switch port (a NIC
+uplink's ring records a QP joining it and a segment pulled).
 
-Send tokens
------------
-A NIC uplink is where a sender's backlog waits, and a real RNIC builds a
-packet from the posted message only when it transmits it.  So a sender
-QP hands its uplink a *send token* (:meth:`Port.enqueue_token`: the QP,
-the segment's PSN and its wire bytes, counted in ``queued_bytes``): the
-data FIFO holds the QP and ``_token_psns``, created on the first
-backlog, the PSN.  :meth:`_pump` and :meth:`flush` build the packet
-(``SenderQp.wire_packet``) when they pop the token, before the loss,
-link-down or drop decision; an idle uplink builds at once.  A
-backlogged uplink therefore holds no packets, and its segments take
-their ``pkt_id`` in wire order.  Switch ports only ever queue packets.
+Pull-mode uplink
+----------------
+A NIC uplink is a TX arbiter, as a commodity RNIC's scheduler (and the
+ns-3 RDMA model's NIC dequeue) is: its data FIFO is a round-robin ring
+of sender QPs that have an eligible segment, never of packets.  A QP
+joins the ring through :meth:`Port.ready` when its pacing gap ends, and
+an idle uplink pulls from it at once.  Whenever the wire frees,
+:meth:`_pump` pops the head QP and asks it for its next segment
+(``SenderQp.pull``: a retransmission first, else new data, stamped and
+built at that instant, before the loss or link-down decision).  The QP
+stays on the ring, at its tail, only if its next pacing gap ends by the
+time the wire frees; otherwise it waits off the ring on its pacing
+timer.  So a rate cut or a retransmission acts at the QP's next turn, a
+backlogged uplink holds no per-segment state (its ``queued_bytes`` stays
+0), and data segments take their ``pkt_id`` in wire order.  Switch
+ports only ever queue packets.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class Port:
         "sim", "owner", "bandwidth_bps", "delay_ns", "_ns_per_byte",
         "nominal_bandwidth_bps", "nominal_delay_ns",
         "name", "index", "peer", "_peer_recv", "_fire", "_fire2",
-        "_control", "_data", "_token_psns", "queued_bytes",
+        "_control", "_data", "queued_bytes",
         "_free_at", "_pump_armed", "_data_paused", "_pump_cb",
         "buffer", "marker", "loss_rate",
         "up", "_loss_rng", "bytes_sent", "packets_dropped",
@@ -106,11 +111,8 @@ class Port:
         self._fire2 = sim.fire2
 
         self._control: deque[Packet] = deque()
-        # Data packets, or on a NIC uplink the senders of send tokens.
+        # Data packets, or on a NIC uplink the ring of sender QPs.
         self._data: deque[Packet | SenderQp] = deque()
-        # PSNs of the send tokens in ``_data``, oldest first; a port that
-        # never queues a token (every switch port) never allocates it.
-        self._token_psns: Optional[deque[int]] = None
         self.queued_bytes = 0          # data bytes waiting (excl. in-flight)
         self._free_at = 0              # ns when the serializer frees up
         self._pump_armed = False       # boundary wake-up pending?
@@ -223,29 +225,14 @@ class Port:
                 self._fire(self._free_at - now, self._pump_cb)
         return True
 
-    def enqueue_token(self, sender: "SenderQp", psn: int,
-                      wire: int) -> None:
-        """Queue one paced data segment of *sender* as a send token of
-        *wire* bytes (NIC uplinks only: no buffer, never refused).
-
-        The packet is built by ``sender.wire_packet(psn)`` when the token
-        is popped for the wire — at once when the port is idle, the same
-        test :meth:`enqueue` makes.  *psn* is passed back untouched.
-        """
-        if not (self._pump_armed or self._data_paused or self._data
-                or self._control) and self._rec_enq is None \
-                and self.sim.now >= self._free_at:
-            self._pump(sender.wire_packet(psn))
-            return
+    def ready(self, sender: "SenderQp") -> None:
+        """Put *sender*, whose pacing gap has ended, on this NIC uplink's
+        ring; an idle uplink pulls its segment at once.  The caller keeps
+        a QP on the ring at most once."""
         data = self._data
         data.append(sender)
-        psns = self._token_psns
-        if psns is None:
-            psns = self._token_psns = deque()
-        psns.append(psn)
-        self.queued_bytes = depth = self.queued_bytes + wire
         if self._rec_enq is not None:
-            self._rec_enq(self.sim.now, self.name, depth, len(data))
+            self._rec_enq(self.sim.now, self.name, 0, len(data))
         if not self._pump_armed:
             now = self.sim.now
             if now >= self._free_at:
@@ -254,12 +241,17 @@ class Port:
                 self._pump_armed = True
                 self._fire(self._free_at - now, self._pump_cb)
 
+    def withdraw(self, sender: "SenderQp") -> None:
+        """Take *sender* off the ring if it waits there (QP teardown)."""
+        if sender in self._data:
+            self._data.remove(sender)
+
     # ------------------------------------------------------------------
     def _pump(self, packet: Optional[Packet] = None) -> None:
         """Fold one packet's whole transmit into one scheduled delivery
-        event: *packet* when :meth:`enqueue` or :meth:`enqueue_token`
-        found the port idle, else the next eligible one popped from the
-        FIFOs (a send token is built here).
+        event: *packet* when :meth:`enqueue` found the port idle, else
+        the next eligible one popped from the FIFOs or, on a NIC uplink,
+        pulled from the QP at the head of the ring.
 
         Doubles as the boundary wake-up callback (scheduled via
         ``sim.fire``), so its first action is to disarm the wake-up flag.
@@ -282,13 +274,20 @@ class Port:
                 pfc = self.owner.pfc
                 if pfc is not None:
                     pfc.on_egress(packet)
-            else:
-                if packet.__class__ is not Packet:
-                    # A NIC uplink's send token: build the segment now,
-                    # before the loss and link-down decision below.
-                    packet = packet.wire_packet(self._token_psns.popleft())
+            elif packet.__class__ is Packet:
                 wire = packet.wire_bytes
                 self.queued_bytes -= wire
+            else:
+                # A NIC uplink: the head QP builds its next segment now,
+                # before the loss and link-down decision below, and goes
+                # back to the tail if it is still eligible.  A QP left
+                # with nothing to send drops off the ring.
+                packet = packet.pull()
+                while packet is None:
+                    if not data:
+                        return
+                    packet = data.popleft().pull()
+                wire = packet.wire_bytes
             if self._rec_deq is not None:
                 self._rec_deq(self.sim.now, self.name,
                               self.queued_bytes, len(data))
@@ -384,18 +383,15 @@ class Port:
         Data packets release their shared-buffer bytes and PFC ingress
         credit before the drop, as a transmitted packet would — the
         invariant suite checks ``buffer.used_bytes == 0`` after runs.
-        A send token is built into its packet first, so the DROP record
-        and ``on_drop`` see the segment.  Returns the number of packets
-        flushed.
+        A NIC uplink's ring holds QPs, not segments: it stays.  Returns
+        the number of packets flushed.
         """
         flushed = 0
         while self._control:
             self._drop(self._control.popleft(), reason)
             flushed += 1
-        while self._data:
+        while self._data and self._data[0].__class__ is Packet:
             packet = self._data.popleft()
-            if packet.__class__ is not Packet:
-                packet = packet.wire_packet(self._token_psns.popleft())
             self.queued_bytes -= packet.wire_bytes
             if self.buffer is not None:
                 self.buffer.used_bytes -= packet.wire_bytes

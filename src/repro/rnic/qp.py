@@ -4,8 +4,9 @@ The sender QP models what commodity RNIC hardware does with an RC QP:
 
 * serializes posted messages into PSN-numbered MTU segments,
 * paces them at the congestion-control rate (hardware rate pacing — the
-  very property that breaks flowlet LB, §2.3) and builds each packet only
-  when the uplink transmits it (:meth:`SenderQp.wire_packet`),
+  very property that breaks flowlet LB, §2.3): when its gap ends it waits
+  on its uplink's round-robin ring, and the uplink pulls and builds each
+  segment as the wire frees (:meth:`SenderQp.pull`),
 * on a NACK: retransmits the expected-PSN segment (selective repeat) or
   rewinds (Go-Back-N), *and reports the NACK to congestion control*, which
   is the spurious slow-start coupling Themis defuses,
@@ -75,6 +76,8 @@ class SenderQp:
         # Timer tokens (``Simulator.fire`` idiom): each timer is one int,
         # bumped on arm and on cancel, odd while armed.  The callback gets
         # the token it was armed with and returns at once if it is stale.
+        # The send token stays odd while the QP waits on its uplink's
+        # ring as well as on its pacing timer.
         self._send_token = 0
         self._next_allowed_ns = 0
 
@@ -89,12 +92,12 @@ class SenderQp:
 
         self.stats = metrics.flow_stats(flow)
 
-        # The uplink's token enqueue, resolved once at QP creation like
-        # the recorder channel below: whoever builds the NIC attaches its
-        # uplink before posting traffic.
+        # The uplink whose ring this QP waits on, resolved once at QP
+        # creation like the recorder channel below: whoever builds the
+        # NIC attaches its uplink before posting traffic.
         if nic.uplink is None:
             raise RuntimeError(f"{nic.name} is not attached to a ToR")
-        self._enqueue = nic.uplink.enqueue_token
+        self._uplink = nic.uplink
 
         # QP-state observability channel (repro.obs); resolved once at QP
         # creation from the NIC's recorder (None = disabled).
@@ -136,48 +139,64 @@ class SenderQp:
         return self.next_psn - self.snd_una
 
     def _maybe_schedule_send(self) -> None:
-        # Arm a send when a retransmission is queued, or when new PSNs
-        # remain and the window has room.  Runs after every sent packet
-        # and every ACK.
+        # When a retransmission is queued, or new PSNs remain and the
+        # window has room: join the uplink's ring now if the pacing gap
+        # has ended, else arm the pacing timer.  Runs after every ACK,
+        # NACK, post and timeout.
         token = self._send_token
         if token & 1:
-            return  # armed already
+            return  # on the ring or the pacing timer already
         if not self._retx_queue:
             if (self.next_psn >= self.total_psns
                     or self.next_psn - self.snd_una
                     >= self.config.max_inflight_packets):
                 return  # re-kicked when an ACK frees window space
-        delay = self._next_allowed_ns - self.sim.now
         self._send_token = token = token + 1
-        self.sim.fire(delay if delay > 0 else 0, self._send_one, token)
+        delay = self._next_allowed_ns - self.sim.now
+        if delay > 0:
+            self.sim.fire(delay, self._send_one, token)
+        else:
+            self._uplink.ready(self)
 
     def _send_one(self, token: int) -> None:
+        """Pacing timer: the gap has ended, so the QP joins its uplink's
+        ring, still armed (the token stays odd until it leaves)."""
         if token != self._send_token:
             return  # cancelled by stop()
-        self._send_token = token + 1
+        self._uplink.ready(self)
+
+    def pull(self) -> Optional[Packet]:
+        """The uplink's turn: build the next segment, a retransmission
+        first, else new data, stamping its PSN, the counters and the next
+        pacing gap at this instant.  Returns ``None``, off the ring, when
+        nothing is left to send.
+
+        The QP goes back on the ring's tail if its next gap ends by the
+        time the wire frees; otherwise it waits off the ring on its pacing
+        timer.
+        """
         retx = self._retx_queue
-        if retx:
+        while retx:
             psn = retx.pop(0)
             self._retx_set.discard(psn)
-            if psn < self.snd_una:  # stale entry, already acked
-                self._maybe_schedule_send()
-                return
-        elif (self.next_psn < self.total_psns
-              and self.next_psn - self.snd_una
-              < self.config.max_inflight_packets):
-            psn = self.next_psn
-            self.next_psn = psn + 1
+            if psn >= self.snd_una:
+                break  # else a stale entry, already acked
         else:
-            return
+            psn = self.next_psn
+            if (psn >= self.total_psns
+                    or psn - self.snd_una
+                    >= self.config.max_inflight_packets):
+                self._send_token += 1
+                return None
+            self.next_psn = psn + 1
         highest = self.highest_sent
         is_retx = psn <= highest
         if psn > highest:
             self.highest_sent = psn
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         flow = self.flow
-        wire = (self._short_tails.get(psn, self._segment_bytes)
-                + DATA_HEADER_BYTES)
+        payload = self._short_tails.get(psn, self._segment_bytes)
+        wire = payload + DATA_HEADER_BYTES
         stats = self.stats
         stats.packets_sent += 1
         if is_retx:
@@ -186,9 +205,6 @@ class SenderQp:
         watched = metrics.watched
         if watched and flow in watched:
             metrics.on_data_sent(flow, is_retx)
-        # The segment leaves as a send token; the uplink builds its
-        # packet (wire_packet) when it pops the token for the wire.
-        self._enqueue(self, ~psn if is_retx else psn, wire)
         cc = self.cc
         if cc.bytes_to_increase is not None:
             cc.on_bytes_sent(wire)
@@ -198,30 +214,20 @@ class SenderQp:
             base = now
         base += gap_ns if gap_ns > 1 else 1
         self._next_allowed_ns = base
-        # _maybe_schedule_send(), with the pacing delay known positive.
-        # The token is tested because a drop on the uplink may have
-        # re-armed the timer already (the Ideal transport's loss oracle).
-        token = self._send_token
-        if not token & 1 and (
-                retx or (self.next_psn < self.total_psns
-                         and self.next_psn - self.snd_una
-                         < self.config.max_inflight_packets)):
-            self._send_token = token = token + 1
-            sim.fire(base - now, self._send_one, token)
-
-    def wire_packet(self, psn: int) -> Packet:
-        """Build the segment of a send token: *psn* as :meth:`_send_one`
-        enqueued it, ``~psn`` for a retransmission.
-
-        The uplink calls this as it pops the token to transmit it (or to
-        drop it), so a backlogged uplink holds tokens, and packets exist
-        only from the wire onwards.
-        """
-        is_retx = psn < 0
-        if is_retx:
-            psn = ~psn
-        return _make(PacketType.DATA, self.flow, psn, 0,
-                     self._short_tails.get(psn, self._segment_bytes),
+        if retx or (self.next_psn < self.total_psns
+                    and self.next_psn - self.snd_una
+                    < self.config.max_inflight_packets):
+            # The wire frees once the uplink has serialized this segment
+            # (the same arithmetic as ``Port._pump``, which calls us).
+            uplink = self._uplink
+            tx_ns = int(wire * uplink._ns_per_byte)
+            if base <= now + (tx_ns if tx_ns > 0 else 1):
+                uplink._data.append(self)
+            else:
+                self.sim.fire(base - now, self._send_one, self._send_token)
+        else:
+            self._send_token += 1
+        return _make(PacketType.DATA, flow, psn, 0, payload,
                      self.udp_sport, is_retx)
 
     # ------------------------------------------------------------------
@@ -357,11 +363,13 @@ class SenderQp:
 
     def stop(self) -> None:
         """Tear down timers (end of experiment): an armed timer's token
-        goes stale, so its pending entry runs as a no-op."""
+        goes stale, so its pending entry runs as a no-op, and a QP
+        waiting on its uplink's ring leaves it."""
         if self._rto_token & 1:
             self._rto_token += 1
         if self._send_token & 1:
             self._send_token += 1
+            self._uplink.withdraw(self)
         self.cc.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

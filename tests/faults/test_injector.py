@@ -205,7 +205,8 @@ class TestSwitchReboot:
 
 class TestPartition:
     """A scheduled partition: spine0 reboots while tor0's only other
-    uplink is down, so spine1 holds packets for NICs it cannot reach."""
+    uplink is down, so tor0 holds nic0's segments for a NIC it cannot
+    reach (nic0 -> nic2 is still sending when the routes are rebuilt)."""
 
     def partitioned(self, recorder=None, **config):
         net = make(seed=0, recorder=recorder, **config)
@@ -214,7 +215,7 @@ class TestPartition:
                 .add(SwitchReboot(switch="spine0", at_us=19, down_us=7))
                 .add(LinkFlap(link="tor0:spine1", at_us=10, down_us=16)))
         net.post_message(0, 1, 10_000, qp=0)
-        net.post_message(0, 2, 35_147, qp=1)
+        net.post_message(0, 2, 80_000, qp=1)
         net.run(until_ns=LONG)
         return net
 

@@ -353,30 +353,31 @@ class TestFaultsCommand:
     def test_trace_with_fault_link_flag(self, capsys):
         """``--name link-flap-smoke`` is the run the retired
         ``--fault-link tor0:spine0 --fault-at-us 40 --fault-down-us 80``
-        made: the numbers below were recorded from those flags on the
-        commit before they went."""
+        made (the numbers matched those flags' output on the commit
+        before they went); they were re-pinned once since, when NIC
+        uplinks became pull-mode TX arbiters."""
         import json
         rc = main(["--json", "trace", "nacks", "--nodes", "8",
                    "--bytes", "200000", "--name", "link-flap-smoke"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["audit"] == {
-            "armed_open": 0, "blocked": 35, "cancelled": 14,
-            "compensated": 21, "decisions": 35, "forwarded": 0,
+            "armed_open": 0, "blocked": 49, "cancelled": 25,
+            "compensated": 24, "decisions": 49, "forwarded": 0,
             "no_state": 0, "no_tpsn": 0, "unexplained": 0}
         assert payload["metrics"] == {
-            "cnps_generated": 39, "data_packets_sent": 8206, "drops": 422,
-            "mean_goodput_gbps": 5.723, "nacks_generated": 44,
-            "retransmissions": 422, "spurious_ratio": 0.0514,
-            "themis_blocked": 35, "themis_compensated": 21,
-            "themis_forwarded": 0, "trace_events": 88462,
+            "cnps_generated": 35, "data_packets_sent": 8212, "drops": 428,
+            "mean_goodput_gbps": 6.64, "nacks_generated": 62,
+            "retransmissions": 428, "spurious_ratio": 0.0521,
+            "themis_blocked": 49, "themis_compensated": 24,
+            "themis_forwarded": 0, "trace_events": 84242,
             "trace_counts": {
-                "cc_rate": 769, "deq": 29953, "drop": 422,
-                "ecn_mark": 271, "enq": 29953, "fault_link_down": 1,
-                "fault_link_up": 1, "fault_reconverge": 2, "hop": 26498,
-                "nack_cancel": 14, "nack_classify": 35,
-                "nack_compensate": 21, "nack_emit": 44, "qp_state": 478,
-                "total": 88462}}
+                "cc_rate": 814, "deq": 29977, "drop": 428,
+                "ecn_mark": 271, "enq": 24395, "fault_link_down": 1,
+                "fault_link_up": 1, "fault_reconverge": 2, "hop": 27709,
+                "nack_cancel": 25, "nack_classify": 49,
+                "nack_compensate": 24, "nack_emit": 62, "qp_state": 484,
+                "total": 84242}}
         assert payload["faults"] == {"spec": "link-flap-smoke",
                                      "scheduled": 2, "applied": 2,
                                      "recorded": 4}

@@ -61,7 +61,7 @@ class TestMetrics:
         assert stats.packets_sent == 2
         assert stats.retransmissions == 1
         # The watched flow's windows take the sender's retx flag, not a
-        # packet: both segments land in them at their pacing instants.
+        # packet: both segments land in them as the uplink pulls them.
         assert metrics.sent_counters[flow].total() == 2
         assert metrics.retx_counters[flow].total() == 1
         metrics.on_data_sent(flow, False)

@@ -34,9 +34,13 @@ class Wire:
                           packet.epsn))
         return True
 
-    def enqueue_token(self, sender, psn, wire):
-        """An idle uplink: the paced segment is built and sent at once."""
-        self.enqueue(sender.wire_packet(psn))
+    def ready(self, sender):
+        """An idle uplink: the QP's segment is pulled and sent at once
+        (every message here is one segment, so the QP never stays)."""
+        self.enqueue(sender.pull())
+
+    def withdraw(self, sender):
+        """Nothing waits: ``ready`` pulls at once."""
 
 
 def nic_on_wire(nic_id):

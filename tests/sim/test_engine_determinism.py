@@ -34,8 +34,12 @@ from tests.sim.heap_oracle import HeapSimulator
 #: Re-pinned when the per-QP timers moved from ``schedule``/``cancel`` to
 #: ``fire`` with a token: every entry keeps its (time, seq), but a
 #: cancelled timer now runs (as a no-op) and so appears in the sequence.
-GOLDEN_SHA256 = ("3fc3ab17ccbd311403ba338a0b75c8dc"
-                 "c8b79735407c37291fdeff751de9252b")
+#: Re-pinned when NIC uplinks became pull-mode TX arbiters: a QP whose
+#: pacing gap has ended waits on its uplink's ring and the wire pulls its
+#: segment, so backlogged QPs schedule no ``_send_one`` events and
+#: segments leave in round-robin order of the ring (a model change).
+GOLDEN_SHA256 = ("8ada95506ca1000c63a4cb23a698cdbc"
+                 "46aab1baa6b140016da9d55874d37b65")
 
 
 def _run_traced(sim):
