@@ -84,7 +84,6 @@ class Dcqcn(CongestionControl):
         self._alpha_token = 0
 
         self.rate_trace = rate_trace
-        self.decreases = 0
 
         # CC observability channel (repro.obs), attached by the harness
         # cc factory together with a display location (None = disabled).
@@ -130,7 +129,6 @@ class Dcqcn(CongestionControl):
                 and now - self._last_decrease_ns < self.config.td_ns):
             return
         self._last_decrease_ns = now
-        self.decreases += 1
         self.rate_target = self.rate_bps
         self._set_rate(self.rate_bps * (1 - self.alpha / 2))
         self._reset_recovery()

@@ -16,7 +16,9 @@ executes job lists on a bounded pool of **per-job subprocesses**, giving
   would fail again);
 * **checkpoint/resume** — completed results stream to an append-only
   JSONL file keyed by spec-hash, so an interrupted sweep resumes where
-  it left off instead of recomputing.
+  it left off instead of recomputing;
+* **reclamation** — an in-process job's garbage, its finished fabric
+  above all, is freed as the job ends (``JobRunner._run_inproc``).
 
 Determinism contract
 --------------------
@@ -39,6 +41,7 @@ the environment.  A new family adds one cell function and one row.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import json
@@ -253,11 +256,24 @@ class JobOutcome:
                    from_checkpoint=True)
 
 
+def _is_record(doc: object) -> bool:
+    """Does *doc* hold a spec that parses and re-hashes to its
+    ``spec_hash``?  Only such a record may stand in for a job."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("spec"), dict):
+        return False
+    try:
+        return JobSpec.from_dict(doc["spec"]).spec_hash == doc.get("spec_hash")
+    except KeyError:
+        return False
+
+
 def read_checkpoint(path: str) -> list[dict]:
-    """All parseable records of a checkpoint file, oldest first.
+    """All well-formed records of a checkpoint file, oldest first.
 
     A truncated final line (interrupted mid-write) is skipped rather
     than treated as corruption — that is the expected crash artefact.
+    So is a record whose spec is missing, malformed or does not re-hash
+    to its ``spec_hash``: its job re-runs.
     """
     records = []
     if not path or not os.path.exists(path):
@@ -271,7 +287,7 @@ def read_checkpoint(path: str) -> list[dict]:
                 doc = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if isinstance(doc, dict) and "spec_hash" in doc:
+            if _is_record(doc):
                 records.append(doc)
     return records
 
@@ -297,7 +313,7 @@ def checkpoint_status(path: str) -> dict:
     failed = [r for r in latest.values() if r.get("status") != "done"]
     kinds: dict[str, int] = {}
     for r in latest.values():
-        kind = r.get("spec", {}).get("kind", "?")
+        kind = r["spec"]["kind"]
         kinds[kind] = kinds.get(kind, 0) + 1
     return {"path": path,
             "records": len(records),
@@ -310,7 +326,7 @@ def checkpoint_status(path: str) -> dict:
             "elapsed_s": round(sum(r.get("elapsed_s", 0.0)
                                    for r in done), 3),
             "failures": [{"spec_hash": r["spec_hash"],
-                          "label": r.get("spec", {}).get("label", ""),
+                          "label": r["spec"].get("label", ""),
                           "error": r.get("error")} for r in failed]}
 
 
@@ -485,6 +501,29 @@ class JobRunner:
             fh.flush()
 
     def _run_inproc(self, attempt: _Attempt) -> JobOutcome:
+        """One in-process job, whose garbage is reclaimed as it ends.
+
+        A finished fabric is one big reference cycle (devices and ports,
+        calendar entries and QPs, ``metrics.on_idle = net.stop``) that
+        the cyclic collector would otherwise reach only at its next rare
+        full pass, so a sweep's dead fabrics pile up.  The heap that
+        exists before the job is frozen, and one full collection after
+        it therefore scans only what the job allocated.  Only the
+        outermost runner does this (a nested runner's jobs are reclaimed
+        with the job that runs it), and it does so even when the caller
+        has disabled the collector: ``gc.disable()`` stops the automatic
+        passes, which would leave every fabric of the sweep alive.
+        """
+        if gc.get_freeze_count():
+            return self._attempt_inproc(attempt)
+        gc.freeze()
+        try:
+            return self._attempt_inproc(attempt)
+        finally:
+            gc.collect()
+            gc.unfreeze()
+
+    def _attempt_inproc(self, attempt: _Attempt) -> JobOutcome:
         """Serial execution; retries cover exceptions only (no process
         to crash, no timeout enforcement)."""
         start = time.perf_counter()

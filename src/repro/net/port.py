@@ -82,7 +82,7 @@ class Port:
         "_control", "_data", "queued_bytes",
         "_free_at", "_pump_armed", "_data_paused", "_pump_cb",
         "buffer", "marker", "loss_rate",
-        "up", "_loss_rng", "bytes_sent", "packets_dropped",
+        "up", "_loss_rng", "bytes_sent",
         "busy_ns", "on_drop", "_rec_enq", "_rec_deq", "_rec_drop",
         "_rec_ecn",
     )
@@ -135,7 +135,6 @@ class Port:
 
         # Stats
         self.bytes_sent = 0
-        self.packets_dropped = 0
         self.busy_ns = 0
         self.on_drop: Optional[Callable[[Packet, "Port"], None]] = None
 
@@ -318,7 +317,6 @@ class Port:
     def _drop(self, packet: Packet, reason: str = "admission") -> None:
         """Every discard at a port: one DROP record with *reason*, one
         ``on_drop`` call (``Metrics.on_drop`` on a wired fabric)."""
-        self.packets_dropped += 1
         if self._rec_drop is not None:
             self._rec_drop.drop(self.sim.now, self.name, packet, reason)
         if self.on_drop is not None:

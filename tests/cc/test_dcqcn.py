@@ -52,8 +52,9 @@ class TestDecrease:
     def test_nack_triggers_decrease(self):
         cc = make(Simulator())
         cc.on_nack()
-        assert cc.rate_bps < LINE
-        assert cc.decreases == 1
+        assert cc.rate_bps == LINE / 2      # one cut at alpha = 1
+        cc.on_nack()                        # same instant: TD-gated
+        assert cc.rate_bps == LINE / 2
 
     def test_nack_decrease_can_be_disabled(self):
         cc = make(Simulator(), nack_triggers_decrease=False)

@@ -1,5 +1,8 @@
-"""Job-runner semantics: isolation, retry, timeout, resume, determinism."""
+"""Job-runner semantics: isolation, retry, timeout, resume, determinism,
+and reclaiming each in-process job's garbage as the job ends."""
 
+import dataclasses
+import gc
 import json
 import os
 import time
@@ -51,6 +54,26 @@ def sleep_forever(seed):
 
 def always_raises(seed):
     raise ValueError(f"deterministic failure for seed {seed}")
+
+
+def quick_arena_specs(seed=1):
+    """Three quick arena cells on the 8-NIC leaf-spine."""
+    from repro.harness.arena import QUICK_TOPOLOGIES, arena_job_specs
+    return arena_job_specs(
+        lbs=("ecmp", "rps", "reps"), transports=("commodity",),
+        workloads=("alltoall",),
+        topologies={"leaf_spine": QUICK_TOPOLOGIES["leaf_spine"]},
+        seeds=(seed,))
+
+
+def nested_arena_run(seed):
+    """Quick arena cells on a runner of the job's own: the smallest
+    freeze count any inner job ended with."""
+    counts = []
+    raise_on_failures(run_jobs(
+        quick_arena_specs(seed),
+        progress=lambda message: counts.append(gc.get_freeze_count())))
+    return min(counts)
 
 
 def _callable_spec(fn, seed, **kwargs):
@@ -281,6 +304,111 @@ class TestCheckpointResume:
     def test_missing_checkpoint_reads_empty(self, tmp_path):
         assert read_checkpoint(str(tmp_path / "absent.jsonl")) == []
         assert checkpoint_status(str(tmp_path / "absent.jsonl"))["jobs"] == 0
+
+    def test_a_record_that_does_not_rehash_is_not_reused(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        one, two = _callable_spec(square, 1), _callable_spec(square, 2)
+        run_jobs([one], checkpoint=ckpt)
+        (record,) = read_checkpoint(ckpt)
+        # Seed 1's spec and result, filed under seed 2's hash.
+        with open(ckpt, "a") as fh:
+            fh.write(json.dumps({**record, "spec_hash": two.spec_hash}) + "\n")
+        assert list(load_completed(ckpt)) == [one.spec_hash]
+        outcome = run_jobs([two], checkpoint=ckpt)[two.spec_hash]
+        assert outcome.result == {"value": 4.0}
+        assert not outcome.from_checkpoint
+
+    @pytest.mark.parametrize("spec", [{}, {"kind": "callable"}, "callable",
+                                      None, [1]])
+    def test_a_malformed_record_is_skipped(self, tmp_path, spec):
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        done = _callable_spec(square, 3)
+        run_jobs([done], checkpoint=ckpt)
+        with open(ckpt, "a") as fh:
+            fh.write(json.dumps({"spec_hash": "0123456789abcdef",
+                                 "spec": spec, "status": "done",
+                                 "result": {"value": 0.0}}) + "\n")
+        assert [r["spec_hash"] for r in read_checkpoint(ckpt)] \
+            == [done.spec_hash]
+        specs = [done, _callable_spec(square, 4)]
+        outcomes = run_jobs(specs, checkpoint=ckpt)
+        assert [outcomes[s.spec_hash].result["value"]
+                for s in specs] == [9.0, 16.0]
+        status = checkpoint_status(ckpt)
+        assert (status["jobs"], status["done"]) == (2, 2)
+
+
+def live_networks():
+    from repro.harness.network import Network
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Network))
+
+
+class TestReclaimingFabrics:
+    """An in-process job's fabric is freed as the job ends, not at the
+    cyclic collector's next full pass.  The collector is at its
+    defaults except where a test disables it."""
+
+    @staticmethod
+    def run_watched(specs, **kwargs):
+        """``run_jobs`` in-process, plus (first word of each progress
+        message, Networks alive then that were not alive before)."""
+        assert not gc.get_freeze_count()
+        gc.collect()
+        before = live_networks()    # kept alive by earlier tests
+        seen = []
+        outcomes = run_jobs(specs, progress=lambda message: seen.append(
+            (message.split()[0], live_networks() - before)), **kwargs)
+        assert gc.get_freeze_count() == 0
+        return outcomes, seen
+
+    def test_no_fabric_outlives_its_job(self):
+        assert gc.isenabled()
+        specs = quick_arena_specs()
+        outcomes, seen = self.run_watched(specs)
+        assert all(outcome.ok for outcome in outcomes.values())
+        assert seen == [("done", 0)] * len(specs)
+
+    def test_a_job_that_raises_leaves_no_fabric(self):
+        good = quick_arena_specs()[0]
+        # ``int(params["bytes"])`` raises once the Network is built.
+        bad = dataclasses.replace(good,
+                                  params={**good.params, "bytes": "many"})
+        outcomes, seen = self.run_watched([bad, good])
+        assert "ValueError" in outcomes[bad.spec_hash].error
+        assert seen == [("failed", 0), ("done", 0)]
+
+    @pytest.mark.parametrize("source", ["cache", "checkpoint"])
+    def test_a_run_with_nothing_to_execute_never_freezes(
+            self, tmp_path, monkeypatch, source):
+        specs = quick_arena_specs()
+        opts = {source: str(tmp_path / "store")}
+        run_jobs(specs, **opts)
+        freeze = gc.freeze
+        frozen = []
+        monkeypatch.setattr(gc, "freeze",
+                            lambda: frozen.append(1) or freeze())
+        outcomes, seen = self.run_watched(specs, **opts)
+        assert all(o.from_cache or o.from_checkpoint
+                   for o in outcomes.values())
+        assert seen == [("skip", 0)] * len(specs)
+        assert frozen == []
+
+    def test_a_nested_runner_leaves_the_freeze_to_the_outermost(self):
+        spec = _callable_spec(nested_arena_run, 1)
+        outcomes, seen = self.run_watched([spec])
+        # Every inner job ended inside the outer job's frozen bracket.
+        assert outcomes[spec.spec_hash].result["value"] > 0
+        assert seen == [("done", 0)]
+
+    def test_a_disabled_collector_still_gets_its_fabrics_back(self):
+        specs = quick_arena_specs()
+        gc.disable()
+        try:
+            _, seen = self.run_watched(specs)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [("done", 0)] * len(specs)
 
 
 class TestSweepIntegration:

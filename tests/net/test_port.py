@@ -29,6 +29,21 @@ def make_port(sim, bandwidth_bps=1e9, delay_ns=100):
     return port, dst
 
 
+def drop_log(port):
+    """The packets *port* discards from now on, as its ``on_drop`` hook
+    sees them (any hook already installed still runs)."""
+    dropped = []
+    inner = port.on_drop
+
+    def on_drop(packet, at):
+        dropped.append(packet)
+        if inner is not None:
+            inner(packet, at)
+
+    port.on_drop = on_drop
+    return dropped
+
+
 def full_buffer():
     """A shared buffer with no room left: admits no data packet."""
     buffer = SharedBuffer(1)
@@ -86,12 +101,14 @@ class TestPriority:
         sim = Simulator()
         port, dst = make_port(sim)
         port.buffer = full_buffer()
+        dropped = drop_log(port)
         port.enqueue(ack_packet(FlowKey(1, 0), 1))
-        port.enqueue(data_packet(FlowKey(0, 1), 0, 100))
+        data = data_packet(FlowKey(0, 1), 0, 100)
+        port.enqueue(data)
         sim.run()
         assert len(dst.received) == 1
         assert dst.received[0][1].is_control
-        assert port.packets_dropped == 1
+        assert dropped == [data]
 
 
 class TestDropsAndFaults:
@@ -109,11 +126,12 @@ class TestDropsAndFaults:
         sim = Simulator()
         port, dst = make_port(sim)
         port.set_loss(0.5, SimRng(3))
+        dropped = drop_log(port)
         for i in range(200):
             port.enqueue(data_packet(FlowKey(0, 1), i, 100))
         sim.run()
         assert 0 < len(dst.received) < 200
-        assert port.packets_dropped == 200 - len(dst.received)
+        assert len(dropped) == 200 - len(dst.received)
 
     def test_loss_rate_validation(self):
         sim = Simulator()
@@ -125,10 +143,11 @@ class TestDropsAndFaults:
         sim = Simulator()
         port, dst = make_port(sim)
         port.up = False
+        dropped = drop_log(port)
         port.enqueue(data_packet(FlowKey(0, 1), 0, 100))
         sim.run()
         assert dst.received == []
-        assert port.packets_dropped == 1
+        assert len(dropped) == 1
 
 
 class TestAccounting:

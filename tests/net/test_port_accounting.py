@@ -20,7 +20,7 @@ from repro.switch.ecn import EcnConfig, EcnMarker
 from repro.switch.lb import EcmpLB
 from repro.switch.pfc import PfcConfig, PfcController
 from repro.switch.switch import Switch
-from tests.net.test_port import SinkDevice, make_port
+from tests.net.test_port import SinkDevice, drop_log, make_port
 
 
 class TestBusyNsConservation:
@@ -54,13 +54,14 @@ class TestBusyNsConservation:
         sim = Simulator()
         port, dst = make_port(sim, bandwidth_bps=1e9, delay_ns=0)
         port.set_loss(1.0, SimRng(3))
+        dropped = drop_log(port)
         pkts = [data_packet(FlowKey(0, 1), i, 1000 - 58) for i in range(4)]
         expected = sum(port.serialization_ns(p) for p in pkts)
         for pkt in pkts:
             port.enqueue(pkt)
         sim.run()
         assert dst.received == []
-        assert port.packets_dropped == 4
+        assert dropped == pkts
         assert port.busy_ns == expected
 
     def test_idle_gaps_do_not_accrue(self):
@@ -169,7 +170,7 @@ class TestIdlePortAccounting:
         pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
         assert not port.enqueue(pkt)
         sim.run()
-        assert dropped == [pkt] and port.packets_dropped == 1
+        assert dropped == [pkt]
         assert sink.received == [] and port.busy_ns == 0
         assert switch.buffer.used_bytes == switch.buffer.peak_bytes == 0
         assert depths == []
