@@ -1,10 +1,10 @@
 """The LB arena: head-to-head comparison of spraying policies.
 
 ROADMAP item 3 ("baseline zoo + arena"): sweep every load-balancing
-policy x transport (commodity RNIC vs. Themis-D NACK validation) x CC
-setting across alltoall/incast/allreduce workloads on leaf-spine,
-fat-tree, and dragonfly fabrics, and rank the (lb, transport) pairs by
-mean FCT slowdown — the comparison table the paper's evaluation could
+policy x RNIC transport (``NetworkConfig.transport``) x CC setting
+across alltoall/incast/allreduce workloads on leaf-spine, fat-tree, and
+dragonfly fabrics, and rank the (lb, transport) pairs by mean FCT
+slowdown — the comparison table the paper's evaluation could
 not produce because most of these competitors postdate it.
 
 Every cell is a :class:`repro.harness.jobs.JobSpec` (kind
@@ -34,9 +34,11 @@ ARENA_SCHEMA = "repro-arena-v1"
 #: The zoo, in rank-table order.  Every entry is a NetworkConfig scheme.
 LB_POLICIES = ("ecmp", "rps", "flowlet", "ar",
                "reps", "prime", "spritz", "sprinklers")
-#: "commodity" = plain NIC-SR transport; "themis" = NIC-SR plus the
-#: Themis-D NACK-validation overlay on every ToR (no PSN spraying).
-ARENA_TRANSPORTS = ("commodity", "themis")
+#: Default transport axis, any of ``repro.harness.network.TRANSPORTS``:
+#: commodity NIC-SR selective repeat, and the Ideal oracle (no spurious
+#: NACKs, real losses repaired out of band) that bounds what any NACK
+#: filter can buy.
+ARENA_TRANSPORTS = ("nic_sr", "ideal")
 WORKLOADS = ("alltoall", "incast", "allreduce")
 CC_SETTINGS = ("dcqcn", "fixed")
 
@@ -86,17 +88,13 @@ def run_arena_cell(params: dict, seed: int) -> dict:
     from repro.harness.workload import post_messages, start_collectives
 
     topo_spec = TopologySpec(**params["topo"])
-    transport = params["transport"]
-    if transport not in ARENA_TRANSPORTS:
-        raise ValueError(f"unknown arena transport {transport!r}")
     cc = params["cc"]
     if cc not in CC_SETTINGS:
         raise ValueError(f"unknown cc setting {cc!r}")
     config = NetworkConfig(
         topology=topo_spec,
         scheme=params["lb"],
-        transport="nic_sr",
-        themis_overlay=transport == "themis",
+        transport=params["transport"],
         dcqcn=None if cc == "fixed" else NetworkConfig().dcqcn,
         seed=seed)
     workload = params["workload"]
@@ -143,11 +141,11 @@ def _cell_metrics(net, completed: bool, deadline_ns: int) -> dict:
         sum(f.receiver_ooo for f in metrics.flows.values())
         / max(1, metrics.data_packets_sent))
     # NACK validity: fraction of *delivered* NACKs justified by a real
-    # loss.  Themis-D blocks spurious NACKs in-network, so they never
-    # reach the sender and must not count against validity — that
-    # subtraction is exactly the overlay's contribution showing up in
-    # the ranking.  No delivered NACKs = vacuously valid; more than
-    # drops = the excess is spurious (multi-path skew misread as loss).
+    # loss.  A NACK Themis-D blocks in-network never reaches the sender
+    # and does not count; no arena LB installs Themis-D, so
+    # nacks_blocked reads 0 here.  No delivered NACKs = vacuously valid;
+    # more than drops = the excess is spurious (multi-path skew misread
+    # as loss).
     nacks = metrics.nacks_generated
     delivered = nacks - metrics.themis.nacks_blocked
     nack_validity = (1.0 if delivered <= 0

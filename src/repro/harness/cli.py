@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated LB policies "
                           "(default: the full zoo)")
     arn.add_argument("--transports", default=None,
-                     help="comma-separated arena transports "
-                          "(commodity,themis)")
+                     help="comma-separated RNIC transports "
+                          "(nic_sr,gbn,ideal,mp_rdma; default nic_sr,ideal)")
     arn.add_argument("--ccs", default=None,
                      help="comma-separated CC settings (dcqcn,fixed; "
                           "default dcqcn)")
@@ -683,7 +683,7 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
     topo_names = csv(args.topos, tuple(presets))
     for flag, chosen, known in (
             ("--lbs", lbs, arena.LB_POLICIES),
-            ("--transports", transports, arena.ARENA_TRANSPORTS),
+            ("--transports", transports, TRANSPORTS),
             ("--ccs", ccs, arena.CC_SETTINGS),
             ("--workloads", workloads, arena.WORKLOADS),
             ("--topos", topo_names, tuple(presets))):

@@ -20,10 +20,6 @@ Supported schemes (``NetworkConfig.scheme``):
 ``sprinklers``            variable-size striping (baseline zoo)
 ========================  ====================================================
 
-``NetworkConfig.themis_overlay`` composes the Themis-D NACK-validation
-middleware with *any* non-Themis LB scheme — the arena's "themis"
-transport axis, measuring what in-network NACK filtering buys each
-spraying policy.
 """
 
 from __future__ import annotations
@@ -107,11 +103,6 @@ class NetworkConfig:
     pfc: Optional[PfcConfig] = None
     #: Flowlet inactivity gap for scheme="flowlet" (§2.3 baseline).
     flowlet_gap_ns: int = 50 * US
-    #: Install the Themis-D NACK-validation middleware on every ToR of a
-    #: non-Themis scheme (no PSN spraying at the source) — the arena's
-    #: "themis transport" axis.  Refused with themis*/conweave*, which
-    #: install their own ToR middleware.
-    themis_overlay: bool = False
     #: Settings for the conweave / conweave_spray baselines (§2.3).
     conweave: ConweaveConfig = field(default_factory=ConweaveConfig)
     seed: int = 1
@@ -121,10 +112,6 @@ class NetworkConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.themis_overlay and self.scheme.startswith(
-                ("themis", "conweave")):
-            raise ValueError("themis_overlay composes with a non-Themis, "
-                             f"non-ConWeave scheme, not {self.scheme!r}")
 
     def variant(self, **changes) -> "NetworkConfig":
         """Derived config (e.g. same workload, different scheme)."""
@@ -158,16 +145,13 @@ class Network:
         self.nics = self._build_nics()
         self.topology.build_routes()
         #: Themis-S realizes Eq. 1 through a PathMap (Fig. 3) on a fat
-        #: tree and picks the uplink directly elsewhere; the overlay has
-        #: no Themis-S and keeps first-hop N.
+        #: tree and picks the uplink directly elsewhere.
         self.sprays_by_pathmap = (config.scheme.startswith("themis")
                                   and config.topology.kind == "fat_tree")
         if config.scheme.startswith("themis"):
             self._install_themis()
         elif config.scheme.startswith("conweave"):
             self._install_conweave()
-        elif config.themis_overlay:
-            self._install_themis_overlay()
         if self._reps_lbs:
             self.metrics.ack_listeners.append(self._reps_recycle)
         if config.transport == "ideal":
@@ -317,20 +301,6 @@ class Network:
             tor.add_middleware(ThemisSource(
                 self._themis_cfg, self.metrics,
                 pathmap_provider=provider))
-
-    def _install_themis_overlay(self) -> None:
-        """Themis-D validation over a non-Themis LB scheme.
-
-        No source-side PSN spraying is installed, so Eq. 1's path
-        inference runs against whatever reordering the configured LB
-        produces — the arena's "themis transport" axis.
-        """
-        self._themis_cfg = self.config.themis
-        for tor in self.topology.tors:
-            tor.add_middleware(ThemisDest(
-                self._themis_cfg, self.metrics,
-                n_paths_for=self._n_paths_for,
-                queue_capacity_for=self._queue_capacity_for))
 
     def _reps_recycle(self, flow: FlowKey, epsn: int) -> None:
         """Metrics ack_listeners hook: fan one cumulative ACK out to

@@ -240,6 +240,7 @@ class TestBadInput:
         ["sweep", "--schemes", "nope"],
         ["faults", "run", "--name", "link-flap-smoke", "--seeds", "0"],
         ["trace", "--nodes", "8", "--spec", "no/such/scenario.json"],
+        ["arena", "--quick", "--transports", "commodity"],
     ])
     def test_one_error_line_and_nothing_runs(self, argv, capsys,
                                              monkeypatch):

@@ -60,7 +60,7 @@ def quick_arena_specs(seed=1):
     """Three quick arena cells on the 8-NIC leaf-spine."""
     from repro.harness.arena import QUICK_TOPOLOGIES, arena_job_specs
     return arena_job_specs(
-        lbs=("ecmp", "rps", "reps"), transports=("commodity",),
+        lbs=("ecmp", "rps", "reps"), transports=("nic_sr",),
         workloads=("alltoall",),
         topologies={"leaf_spine": QUICK_TOPOLOGIES["leaf_spine"]},
         seeds=(seed,))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.harness.network import (Network, NetworkConfig, SCHEMES,
                                    TopologySpec, TRANSPORTS)
-from repro.net.packet import FlowKey
 from repro.themis.dest import ThemisDest
 from repro.themis.source import ThemisSource
 
@@ -60,21 +59,6 @@ class TestConstruction:
         assert all(m.pathmap_provider is None
                    for tor in net.topology.tors for m in tor.middleware
                    if isinstance(m, ThemisSource))
-
-    @pytest.mark.parametrize("scheme", ["themis", "themis_nocomp",
-                                        "conweave", "conweave_spray"])
-    def test_overlay_refused_with_its_own_tor_middleware(self, scheme):
-        with pytest.raises(ValueError, match="themis_overlay"):
-            NetworkConfig(topology=SMALL, scheme=scheme, themis_overlay=True)
-
-    def test_overlay_on_a_fat_tree_keeps_first_hop_paths(self):
-        topo = TopologySpec(kind="fat_tree", fat_tree_k=4,
-                            link_bandwidth_bps=25e9)
-        net = Network(NetworkConfig(topology=topo, scheme="rps",
-                                    themis_overlay=True))
-        assert not net.sprays_by_pathmap
-        assert net._n_paths_for(FlowKey(0, 15)) \
-            == net.topology.equal_paths(0, 15)
 
 
 class TestEndToEnd:

@@ -116,7 +116,7 @@ class TestArenaWarmRun:
     def test_cold_and_warm_docs_byte_identical(self, tmp_path):
         db = str(tmp_path / "r.sqlite")
         kwargs = dict(
-            lbs=("ecmp",), transports=("commodity", "themis"),
+            lbs=("ecmp",), transports=("nic_sr", "ideal"),
             ccs=("dcqcn",), workloads=("alltoall",),
             topologies={
                 "leaf_spine": arena.QUICK_TOPOLOGIES["leaf_spine"]},

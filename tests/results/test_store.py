@@ -55,7 +55,7 @@ def fake_cell_metrics(i: int, *, slowdown: float = None) -> dict:
 def make_arena_doc(lbs=("ecmp", "reps"), seeds=(1,),
                    metrics=None) -> dict:
     """A valid ``repro-arena-v1`` document from synthetic metrics."""
-    specs = arena_job_specs(lbs=lbs, transports=("commodity",),
+    specs = arena_job_specs(lbs=lbs, transports=("nic_sr",),
                             ccs=("dcqcn",), workloads=("alltoall",),
                             topologies={"leaf_spine": {
                                 "kind": "leaf_spine", "num_tors": 4,

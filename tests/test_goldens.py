@@ -31,15 +31,31 @@ from repro.harness.workload import start_collectives
 from repro.sim.engine import SEC
 
 
-def doc_crc(doc: dict) -> int:
+def doc_crc(doc: object) -> int:
     """CRC-32 of a result document's canonical JSON (sorted keys, no
     whitespace)."""
     return zlib.crc32(canonical_json(doc).encode())
 
 
-def test_quick_arena_document():
-    assert doc_crc(run_arena(quick=True, workers=1, seeds=(7,))) \
-        == 3574876600
+@pytest.fixture(scope="module")
+def quick_arena() -> dict:
+    return run_arena(quick=True, workers=1, seeds=(7,))
+
+
+def test_quick_arena_document(quick_arena):
+    assert doc_crc(quick_arena) == 4200862039
+
+
+def test_quick_arena_nic_sr_cells(quick_arena):
+    """The ``nic_sr`` half of the quick arena, with the transport name
+    and spec hash left out, is the commodity model the arena ran before
+    its transport axis became ``NetworkConfig.transport``."""
+    cells = [{k: v for k, v in cell.items()
+              if k not in ("transport", "spec_hash")}
+             for cell in quick_arena["cells"]
+             if cell["transport"] == "nic_sr"]
+    assert len(cells) == 72
+    assert doc_crc(cells) == 2528648996
 
 
 def test_link_flap_campaign_document():
