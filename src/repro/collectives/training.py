@@ -49,8 +49,8 @@ class TrainingJob:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Kick off iteration 0 (after one compute phase)."""
-        self.network.sim.schedule(self.compute_time_ns,
-                                  self._begin_iteration)
+        self.network.sim.fire(self.compute_time_ns,
+                              TrainingJob._begin_iteration, self)
 
     def _begin_iteration(self) -> None:
         self._iteration_start_ns = self.network.now_ns
@@ -74,8 +74,8 @@ class TrainingJob:
         if self._iteration >= self.iterations:
             self.done = True
             return
-        self.network.sim.schedule(self.compute_time_ns,
-                                  self._begin_iteration)
+        self.network.sim.fire(self.compute_time_ns,
+                              TrainingJob._begin_iteration, self)
 
     # ------------------------------------------------------------------
     @property

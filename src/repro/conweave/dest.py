@@ -25,18 +25,17 @@ from typing import Optional
 from repro.conweave.config import ConweaveConfig
 from repro.net.packet import FlowKey, Packet, PacketType
 from repro.net.port import Port
-from repro.sim.events import Event
 from repro.switch.switch import Middleware, Switch
 
 
 class _QpReorderState:
-    __slots__ = ("expected", "buffer", "timer", "deadline")
+    __slots__ = ("expected", "buffer", "timer_token")
 
     def __init__(self) -> None:
         self.expected = 0
         self.buffer: dict[int, Packet] = {}
-        self.timer: Optional[Event] = None
-        self.deadline = 0
+        #: Reorder-timer token (``Simulator.fire`` idiom): odd while armed.
+        self.timer_token = 0
 
 
 class InOrderDest(Middleware):
@@ -76,7 +75,7 @@ class InOrderDest(Middleware):
             # Forward this packet *before* draining the run it unblocks,
             # then consume it (the pipeline must not forward it twice).
             switch.forward(packet)
-            self._drain(switch, packet.flow, state)
+            self._drain(switch, state)
             return False
         # Out of order: hold it.
         if psn not in state.buffer:
@@ -86,14 +85,13 @@ class InOrderDest(Middleware):
                 self.peak_buffer = len(state.buffer)
         if len(state.buffer) >= self.config.buffer_packets:
             self.overflow_flushes += 1
-            self._flush(switch, packet.flow, state)
+            self._flush(switch, state)
         else:
-            self._arm_timer(switch, packet.flow, state)
+            self._arm_timer(switch, state)
         return False
 
     # ------------------------------------------------------------------
-    def _drain(self, switch: Switch, flow: FlowKey,
-               state: _QpReorderState) -> None:
+    def _drain(self, switch: Switch, state: _QpReorderState) -> None:
         """Release the contiguous run now unblocked by an in-order
         arrival (the arrival itself is forwarded by the caller)."""
         while state.expected in state.buffer:
@@ -101,10 +99,9 @@ class InOrderDest(Middleware):
             state.expected += 1
             self.delivered_in_order += 1
             switch.forward(held)
-        self._rearm_or_cancel(switch, flow, state)
+        self._rearm_or_cancel(switch, state)
 
-    def _flush(self, switch: Switch, flow: FlowKey,
-               state: _QpReorderState) -> None:
+    def _flush(self, switch: Switch, state: _QpReorderState) -> None:
         """Give up on the gap: deliver everything buffered in ascending
         PSN order and resume ordered delivery after the highest PSN let
         through (the skipped gap is now the NIC's problem to NACK)."""
@@ -112,33 +109,26 @@ class InOrderDest(Middleware):
         for psn in psns:
             switch.forward(state.buffer.pop(psn))
         state.expected = psns[-1] + 1 if psns else state.expected
-        self._rearm_or_cancel(switch, flow, state)
+        self._rearm_or_cancel(switch, state)
 
-    def _arm_timer(self, switch: Switch, flow: FlowKey,
-                   state: _QpReorderState) -> None:
-        if state.timer is not None:
-            return
-        state.deadline = switch.sim.now + self.config.reorder_timeout_ns
-        state.timer = switch.sim.schedule(
-            self.config.reorder_timeout_ns, self._timer_fire, switch,
-            flow)
+    def _arm_timer(self, switch: Switch, state: _QpReorderState) -> None:
+        token = state.timer_token
+        if not token & 1:
+            state.timer_token = token = token + 1
+            switch.sim.fire2(self.config.reorder_timeout_ns,
+                             self._timer_fire, state, token)
 
-    def _rearm_or_cancel(self, switch: Switch, flow: FlowKey,
+    def _rearm_or_cancel(self, switch: Switch,
                          state: _QpReorderState) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
+        if state.timer_token & 1:
+            state.timer_token += 1
         if state.buffer:
-            self._arm_timer(switch, flow, state)
+            self._arm_timer(switch, state)
 
-    def _timer_fire(self, switch: Switch, flow: FlowKey) -> None:
-        state = self._state.get(flow)
-        if state is None:
-            return
-        state.timer = None
-        if not state.buffer:
-            return
+    def _timer_fire(self, state: _QpReorderState, token: int) -> None:
+        if token != state.timer_token:
+            return  # cancelled: a drain or a flush came since
         self.timeout_flushes += 1
         # The gap packet is presumed lost: one timeout expires the whole
         # episode and ordered delivery resumes past the flushed run.
-        self._flush(switch, flow, state)
+        self._flush(self._switch, state)

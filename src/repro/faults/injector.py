@@ -2,7 +2,7 @@
 
 The :class:`FaultInjector` takes a compiled scenario spec
 (:func:`repro.faults.spec.compiled_spec`) and schedules each action as a
-first-class engine event via ``sim.schedule_at``.  Every applied action
+first-class engine event via ``sim.fire``.  Every applied action
 is emitted on the ``FAULT`` observability category, so a flight-ring dump
 or a retained trace always shows *what the fabric did to itself* next to
 what the protocol machinery decided — failures never appear as silent
@@ -118,8 +118,9 @@ class FaultInjector:
         if self.installed:
             raise RuntimeError("fault schedule already installed")
         self.installed = True
+        sim = self.net.sim
         for ev in self.events:
-            self.net.sim.schedule_at(_ns(ev["at_us"]), self._apply, ev)
+            sim.fire(_ns(ev["at_us"]) - sim.now, self._apply, ev)
         return len(self.events)
 
     # ------------------------------------------------------------------
@@ -145,7 +146,8 @@ class FaultInjector:
         target = ev.get("link") or ev.get("switch") or "?"
         self.applied.append((self.net.sim.now, kind, target))
         if kind in RECONVERGE_KINDS:
-            self.net.sim.schedule(self.converge_ns, self._reconverge)
+            self.net.sim.fire(self.converge_ns, FaultInjector._reconverge,
+                              self)
 
     def _emit(self, loc: str, action: str, **detail) -> None:
         if self.rec is not None:

@@ -79,12 +79,6 @@ class FlowStats:
     receiver_duplicates: int = 0
     receiver_ooo: int = 0
 
-    @property
-    def retransmission_ratio(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return self.retransmissions / self.packets_sent
-
     def goodput_gbps(self) -> float:
         """Application goodput: posted bytes over sender completion time."""
         if self.sender_done_ns is None or self.sender_done_ns <= self.start_ns:

@@ -410,8 +410,8 @@ class Network:
             return
         sender = self.nics[packet.flow.src].senders.get(packet.flow)
         if sender is not None:
-            self.sim.schedule(ORACLE_NOTIFY_NS, sender.force_retransmit,
-                              packet.psn)
+            self.sim.fire(ORACLE_NOTIFY_NS, sender.force_retransmit,
+                          packet.psn)
 
     # ------------------------------------------------------------------
     # Workload API

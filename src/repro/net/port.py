@@ -157,10 +157,6 @@ class Port:
         # peer's receive() without a per-packet trampoline.
         self._peer_recv = peer.receive
 
-    def serialization_ns(self, packet: Packet) -> int:
-        ns = int(packet.wire_bytes * self._ns_per_byte)
-        return ns if ns > 0 else 1
-
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         """Transmit a packet, now if the port is idle, else after queueing.

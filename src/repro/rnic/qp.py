@@ -125,12 +125,6 @@ class SenderQp:
         self._arm_rto()
         self._maybe_schedule_send()
 
-    def payload_for(self, psn: int) -> int:
-        """Payload bytes carried by segment ``psn``."""
-        if not 0 <= psn < self.total_psns:
-            raise ValueError(f"PSN {psn} was never posted on {self.flow}")
-        return self._short_tails.get(psn, self._segment_bytes)
-
     # ------------------------------------------------------------------
     # Pacing / transmission
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Discrete-event simulation core (engine, events, RNG)."""
+"""Discrete-event simulation core (engine, timers, RNG)."""
 
-from repro.sim.engine import MS, NS, SEC, US, SimulationError, Simulator
-from repro.sim.events import Event
+from repro.sim.engine import (MS, NS, SEC, US, SimulationError, Simulator,
+                              Timer)
 from repro.sim.rng import SimRng
 
 __all__ = [
-    "Simulator", "SimulationError", "Event", "SimRng",
+    "Simulator", "SimulationError", "Timer", "SimRng",
     "NS", "US", "MS", "SEC",
 ]

@@ -7,9 +7,8 @@ keys says which bucket is next, and one more heap (``_live``) takes the
 entries that arrive inside the window already being drained.  Claiming
 the next bucket is one ``heappop`` plus one ``dict.pop``; the bucket is
 sorted once and dispatched in a tight loop.  Queue entries are plain
-``(time, seq, ...)`` tuples so every ordering comparison happens in C
-instead of calling ``Event.__lt__``, and executed
-:class:`~repro.sim.events.Event` objects are recycled through a free list.
+``(time, seq, callback, arg)`` or ``(time, seq, callback, arg1, arg2)``
+tuples, so every ordering comparison happens in C.
 
 The original single binary-heap engine lives on as the test oracle
 (``tests/sim/heap_oracle.py``): the golden determinism tests run full
@@ -30,36 +29,25 @@ Three invariants carry the calendar's correctness:
 
 There is no horizon and no compaction.  A dict has room for any key, so a
 timer seconds ahead costs the same insert as a wake-up 100 ns ahead and is
-never migrated.  A cancelled :class:`~repro.sim.events.Event` stays in
-its bucket until the clock reaches it and is dropped there.  No per-QP
-timer leaves such a tombstone any more: send pacing, RTO, delayed ACK and
-DCQCN's two clocks are armed with :meth:`Simulator.fire` and a token (see
-there), so a cancelled one runs as a no-op.  Only cold callers (fault
-injector, PFC, training loop, ConWeave, the Ideal oracle) still
-``schedule``.
+never migrated.  Nothing is ever removed from the calendar: a cancelled
+timer stays in its bucket and runs as a no-op when the clock reaches it.
+Every timer of the model — send pacing, RTO, delayed ACK, DCQCN's two
+clocks, ConWeave's reorder timeout — is armed with :meth:`Simulator.fire`
+and a token (see there); cold one-shot callers (PFC, the fault injector,
+the training loop, the Ideal oracle) use plain ``fire``.  The handle
+returned by :meth:`Simulator.schedule` is a :class:`Timer` riding ``fire``.
 
 All simulation time is expressed in **integer nanoseconds** — the
 module-level constants :data:`NS`, :data:`US`, :data:`MS` and :data:`SEC`
 convert other units into nanoseconds so call sites read naturally::
 
-    sim.schedule(5 * US, port.dequeue)
+    sim.fire(5 * US, Port.pause_data, port)
 
 Determinism contract
 --------------------
 Two runs with identical inputs and seeds execute the exact same event
 sequence.  This requires (a) the ``seq`` tie-break, and (b) all randomness
 flowing through :class:`repro.sim.rng.SimRng`.
-
-Pooling invariant
------------------
-Executed events are returned to a free list and may be reused by a later
-``schedule``.  A caller that keeps the returned handle must drop (or null
-out) the reference once the callback has fired; calling
-:meth:`Event.cancel` on a handle whose event already ran may cancel an
-unrelated future event once the object has been recycled.  Two callers
-keep a handle — ConWeave's reorder timer and the performance ledger's
-``sim.cancel_ns`` micro-benchmark — and both clear it in the callback's
-first line (or never reuse it).
 """
 
 from __future__ import annotations
@@ -67,8 +55,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from typing import Any, Callable, Optional
-
-from repro.sim.events import Event
 
 #: One nanosecond (the base time unit).
 NS = 1
@@ -86,8 +72,6 @@ SEC = 1_000_000_000
 #: bucket, never per empty one.
 DEFAULT_BUCKET_NS = 64
 
-#: Ceiling on the Event free list (objects, not bytes).
-_EVENT_POOL_CAP = 8192
 #: Sentinel "no bound" time, far beyond any simulated horizon (~146 y).
 _FAR_FUTURE = 1 << 62
 
@@ -98,7 +82,35 @@ _heappush = heapq.heappush
 
 
 class SimulationError(RuntimeError):
-    """Raised on scheduler misuse (e.g. scheduling in the past)."""
+    """Raised on scheduler misuse (e.g. a negative delay)."""
+
+
+class Timer:
+    """Handle returned by :meth:`Simulator.schedule`.
+
+    The calendar entry is ``fire(delay, Timer.run, timer)``; :meth:`cancel`
+    turns it into a no-op that still runs when the clock reaches it.  A
+    handle is never reused, so cancelling a spent timer is harmless.
+    """
+
+    __slots__ = ("callback", "args")
+
+    def __init__(self, callback: Callable[..., Any], args: tuple) -> None:
+        self.callback = callback
+        self.args = args
+
+    def run(self) -> None:
+        self.callback(*self.args)
+
+    def cancel(self) -> None:
+        """Idempotent; drops the references so a cancelled entry pinned
+        in the calendar does not keep packet graphs alive."""
+        self.callback = _noop
+        self.args = ()
+
+
+def _noop() -> None:
+    """Callback of a cancelled :class:`Timer`."""
 
 
 class Simulator:
@@ -116,7 +128,7 @@ class Simulator:
 
     __slots__ = (
         "now", "trace", "_shift", "_buckets", "_order",
-        "_live", "_cur_end", "_event_pool", "_seq", "_executed",
+        "_live", "_cur_end", "_seq", "_executed",
         "_running", "batches",
     )
 
@@ -132,7 +144,6 @@ class Simulator:
         self._live: list = []
         self._cur_end = 0              # nothing claimed yet
 
-        self._event_pool: list[Event] = []
         self._seq = 0
         self._executed = 0
         self._running = False
@@ -144,49 +155,17 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    # The three entry points differ only in the entry tuple they build;
+    # The two entry points differ only in the entry tuple they build;
     # the insert is repeated in each because a shared helper would cost
     # a Python call per simulated event.
-    def schedule(self, delay: int, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + int(delay)
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, callback, args)
-        if time < self._cur_end:
-            _heappush(self._live, (time, seq, event))
-        else:
-            key = time >> self._shift
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [(time, seq, event)]
-                _heappush(self._order, key)
-            else:
-                bucket.append((time, seq, event))
-        return event
-
     def fire(self, delay: int, callback: Callable[[Any], Any],
              arg: Any = None) -> None:
-        """Fire-and-forget schedule: no :class:`Event`, no handle.
+        """Schedule ``callback(arg)`` ``delay`` ns from now; no handle.
 
-        The entry is a bare ``(time, seq, callback, arg)`` tuple and the
-        callback runs as ``callback(arg)``; it cannot be cancelled.  This
-        is the per-packet hot path (serializer boundary wake-ups alone
-        are 16–36 % of all events on the ledger's simulations), where
-        skipping the Event pool round-trip is worth a branch in the run
-        loop.
+        The entry is a bare ``(time, seq, callback, arg)`` tuple and
+        cannot be removed from the calendar.  Every event of the model is
+        armed here or through :meth:`fire2`; serializer boundary wake-ups
+        alone are 16–36 % of all events on the ledger's simulations.
 
         Caller contract: ``delay`` must be a non-negative **integer**
         (no ``int()`` coercion here — a float would silently break
@@ -196,12 +175,11 @@ class Simulator:
         keep one int per timer, bump it on arm and on cancel (odd while
         armed), pass it as ``arg``, and return at once from the callback
         when it no longer equals the stored one.  Cancelling is then one
-        increment and the cancelled entry runs as a no-op; it consumes the
-        one ``seq`` ``schedule`` would have, so real events keep their
-        ``(time, seq)``.  Compare tokens, not deadlines: a timer
-        cancelled and re-armed in the same nanosecond leaves two entries
-        due at the same time.  ``SenderQp``, ``ReceiverQp`` and ``Dcqcn``
-        arm all their timers this way.
+        increment and the cancelled entry runs as a no-op.  Compare
+        tokens, not deadlines: a timer cancelled and re-armed in the same
+        nanosecond leaves two entries due at the same time.
+        ``SenderQp``, ``ReceiverQp``, ``Dcqcn`` and ConWeave's
+        ``InOrderDest`` arm all their timers this way.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -246,14 +224,16 @@ class Simulator:
             else:
                 bucket.append((time, seq, callback, arg1, arg2))
 
-    def schedule_at(self, time: int, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute time."""
-        time = int(time)
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
-        return self.schedule(time - self.now, callback, *args)
+    def schedule(self, delay: int, callback: Callable[..., Any],
+                 *args: Any) -> Timer:
+        """Run ``callback(*args)`` ``delay`` ns from now; the returned
+        :class:`Timer` can cancel it.  The model's own timers use
+        :meth:`fire` and a token instead, which keeps each handler's
+        qualname in traces and profiles (this entry shows as
+        ``Timer.run``)."""
+        timer = Timer(callback, args)
+        self.fire(int(delay), Timer.run, timer)
+        return timer
 
     # ------------------------------------------------------------------
     # Execution
@@ -292,8 +272,6 @@ class Simulator:
         # Local aliases for the per-event hot loop.
         heappop = heapq.heappop
         trace = self.trace
-        pool = self._event_pool
-        pool_append = pool.append
         buckets = self._buckets
         order = self._order
         shift = self._shift
@@ -334,7 +312,6 @@ class Simulator:
                 pos = 0
                 n = len(batch)
                 merged = 0   # late inserts drained from ``live``
-                skipped = 0  # lazily-cancelled Event entries
                 try:
                     while pos < n:
                         entry = batch[pos]
@@ -343,42 +320,22 @@ class Simulator:
                             merged += 1
                         else:
                             pos += 1
-                        ln = len(entry)
-                        if ln == 5:           # fire2() delivery entry
-                            self.now = entry[0]
-                            if trace is not None:
-                                trace(entry[0], entry[1], entry[2])
+                        self.now = entry[0]
+                        if trace is not None:
+                            trace(entry[0], entry[1], entry[2])
+                        if len(entry) == 5:   # fire2() delivery entry
                             entry[2](entry[3], entry[4])
-                        elif ln == 4:         # fire() wake-up entry
-                            self.now = entry[0]
-                            if trace is not None:
-                                trace(entry[0], entry[1], entry[2])
+                        else:                 # fire() entry
                             entry[2](entry[3])
-                        else:                 # full Event entry
-                            event = entry[2]
-                            if event.cancelled:
-                                skipped += 1
-                                event.args = ()
-                                if len(pool) < _EVENT_POOL_CAP:
-                                    pool_append(event)
-                                continue
-                            self.now = entry[0]
-                            if trace is not None:
-                                trace(entry[0], entry[1], event.callback)
-                            event.callback(*event.args)
-                            event.callback = None
-                            event.args = ()
-                            if len(pool) < _EVENT_POOL_CAP:
-                                pool_append(event)
                     # Counting once per batch beats one increment per
-                    # event: everything consumed ran except cancellations.
-                    executed += n + merged - skipped
+                    # event: everything consumed ran.
+                    executed += n + merged
                 except BaseException:
                     # Restore the unexecuted tail so a callback raising
                     # mid-batch leaves the queue intact for post-mortems.
                     # The entry that raised was consumed but does not
                     # count as executed.
-                    executed += pos + merged - skipped - 1
+                    executed += pos + merged - 1
                     live.extend(batch[pos:])
                     heapq.heapify(live)
                     raise
@@ -394,7 +351,7 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of queued entries (including lazily-cancelled ones).
+        """Number of queued entries (cancelled timers included).
 
         Computed on demand — the hot path maintains no entry counter.
         """

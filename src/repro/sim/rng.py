@@ -99,11 +99,5 @@ class SimRng:
         """Exponentially distributed sample with the given mean."""
         return self._gen.expovariate(1.0 / mean)
 
-    def shuffled(self, items: list) -> list:
-        """Return a new list with the items in random order."""
-        out = list(items)
-        self._gen.shuffle(out)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimRng(seed={self.seed})"

@@ -86,7 +86,7 @@ class PfcController:
                 self.rec.pfc(self.sim.now, in_port.name, "pause",
                              occupancy)
             # The PAUSE frame crosses the wire back to the transmitter.
-            self.sim.schedule(in_port.delay_ns, in_port.pause_data)
+            self.sim.fire(in_port.delay_ns, Port.pause_data, in_port)
 
     def on_egress(self, packet: Packet) -> None:
         """Credit a departing data packet back to its upstream port."""
@@ -104,7 +104,7 @@ class PfcController:
             if self.rec is not None:
                 self.rec.pfc(self.sim.now, in_port.name, "resume",
                              occupancy)
-            self.sim.schedule(in_port.delay_ns, in_port.resume_data)
+            self.sim.fire(in_port.delay_ns, Port.resume_data, in_port)
 
     # ------------------------------------------------------------------
     # Injected PFC storms (repro.faults): a malfunctioning neighbour
@@ -120,7 +120,7 @@ class PfcController:
             if self.rec is not None:
                 self.rec.pfc(self.sim.now, port.name, "storm_pause",
                              self._ingress_bytes.get(port, 0))
-            self.sim.schedule(port.delay_ns, port.pause_data)
+            self.sim.fire(port.delay_ns, Port.pause_data, port)
 
     def release_storm_pause(self, port: Port) -> None:
         """End the storm hold; resume unless occupancy still demands
@@ -135,7 +135,7 @@ class PfcController:
         if self.rec is not None:
             self.rec.pfc(self.sim.now, port.name, "storm_resume",
                          self._ingress_bytes.get(port, 0))
-        self.sim.schedule(port.delay_ns, port.resume_data)
+        self.sim.fire(port.delay_ns, Port.resume_data, port)
 
     def ingress_occupancy(self, port: Port) -> int:
         return self._ingress_bytes.get(port, 0)

@@ -47,6 +47,17 @@ class DestHarness:
     def run(self, until=None):
         self.sim.run(until=until)
 
+    def timer_fires(self):
+        """Times at which a reorder-timer entry runs, stale or live."""
+        fires = []
+
+        def trace(time, seq, callback):
+            if callback.__qualname__ == "InOrderDest._timer_fire":
+                fires.append(time)
+
+        self.sim.trace = trace
+        return fires
+
 
 class TestConfig:
     def test_validation(self):
@@ -111,6 +122,31 @@ class TestInOrderDest:
         h.data(1)        # the late straggler
         h.run()
         assert h.nic.psns == [0, 2, 1]
+
+    def test_gap_filled_before_timeout_leaves_a_no_op_entry(self):
+        h = DestHarness(reorder_timeout_ns=10 * US)
+        fires = h.timer_fires()
+        h.data(0)
+        h.data(2)        # arms the timer, due at 10 us
+        h.run(until=1 * US)
+        h.data(1)        # fills the gap: the timer is cancelled
+        h.run()
+        assert h.nic.psns == [0, 1, 2]
+        assert h.dest.timeout_flushes == 0
+        assert fires == [10 * US]   # the stale entry ran, as a no-op
+
+    def test_timer_rearmed_after_drain_flushes_once(self):
+        h = DestHarness(reorder_timeout_ns=10 * US)
+        fires = h.timer_fires()
+        h.data(0)
+        h.data(2)
+        h.data(4)        # timer armed at 0, due at 10 us
+        h.run(until=1 * US)
+        h.data(1)        # drains 1, 2; 4 still waits: re-armed, 11 us
+        h.run()
+        assert h.nic.psns == [0, 1, 2, 4]
+        assert h.dest.timeout_flushes == 1
+        assert fires == [10 * US, 11 * US]
 
     def test_overflow_flushes(self):
         h = DestHarness(buffer_packets=4)

@@ -26,15 +26,6 @@ class TestFlowStats:
         stats.bytes_posted = 1000
         assert stats.goodput_gbps() == 0.0
 
-    def test_retransmission_ratio(self):
-        stats = FlowStats(FlowKey(0, 1))
-        stats.packets_sent = 100
-        stats.retransmissions = 16
-        assert stats.retransmission_ratio == pytest.approx(0.16)
-
-    def test_ratio_zero_without_traffic(self):
-        assert FlowStats(FlowKey(0, 1)).retransmission_ratio == 0.0
-
 
 class TestMetrics:
     def _metrics(self):

@@ -28,7 +28,7 @@ class TestBusyNsConservation:
         sim = Simulator()
         port, dst = make_port(sim, bandwidth_bps=1e9, delay_ns=100)
         pkts = [data_packet(FlowKey(0, 1), i, 1000 - 58) for i in range(5)]
-        expected = sum(port.serialization_ns(p) for p in pkts)
+        expected = sum(p.wire_bytes * 8 for p in pkts)  # ns at 1 Gb/s
         for pkt in pkts:
             port.enqueue(pkt)
         sim.run()
@@ -41,7 +41,7 @@ class TestBusyNsConservation:
         pkts = [data_packet(FlowKey(0, 1), 0, 1000 - 58),
                 ack_packet(FlowKey(1, 0), 7),
                 data_packet(FlowKey(0, 1), 1, 500 - 58)]
-        expected = sum(port.serialization_ns(p) for p in pkts)
+        expected = sum(p.wire_bytes * 8 for p in pkts)  # ns at 1 Gb/s
         for pkt in pkts:
             port.enqueue(pkt)
         sim.run()
@@ -56,7 +56,7 @@ class TestBusyNsConservation:
         port.set_loss(1.0, SimRng(3))
         dropped = drop_log(port)
         pkts = [data_packet(FlowKey(0, 1), i, 1000 - 58) for i in range(4)]
-        expected = sum(port.serialization_ns(p) for p in pkts)
+        expected = sum(p.wire_bytes * 8 for p in pkts)  # ns at 1 Gb/s
         for pkt in pkts:
             port.enqueue(pkt)
         sim.run()

@@ -21,17 +21,19 @@ class TestProfiler:
     def run_workload(self, sim):
         fired = {"n": 0}
 
-        def tick():
+        def tick(_):
             busy()
             fired["n"] += 1
             if fired["n"] < 50:
-                sim.schedule(100, tick)
+                sim.fire(100, tick)
 
-        def tock():
+        def tock(_):
             busy(500)
 
-        sim.schedule(0, tick)
-        sim.schedule(50, tock)
+        # ``fire`` keeps each handler's qualname; a ``schedule``d entry
+        # would profile as ``Timer.run``.
+        sim.fire(0, tick)
+        sim.fire(50, tock)
         prof = Profiler(sim).attach()
         sim.run()
         prof.detach()

@@ -43,6 +43,21 @@ class NicPair:
     def run(self, until=None):
         return self.sim.run(until=until)
 
+    def tap(self):
+        """List of ``(psn, payload_bytes)``, one per data segment NIC 0's
+        uplink delivers, filled in as the run goes."""
+        seen = []
+        uplink = self.nics[0].uplink
+        deliver = uplink._peer_recv
+
+        def record(packet, port):
+            if packet.is_data:
+                seen.append((packet.psn, packet.payload_bytes))
+            deliver(packet, port)
+
+        uplink._peer_recv = record
+        return seen
+
 
 @pytest.fixture
 def nic_pair():

@@ -53,12 +53,15 @@ def test_psn_space_is_exactly_the_segment_count(sizes):
 def test_payload_bytes_conserved_per_message(sizes, seed):
     """Sum of segment payloads reconstructs each message exactly."""
     pair = NicPair()
+    seen = pair.tap()
     for nbytes in sizes:
         pair.nics[0].post_send(1, nbytes)
-    sender = pair.nics[0].senders[FlowKey(0, 1)]
+        pair.nics[1].expect_message(0, nbytes)
+    pair.run()
+    payload = dict(seen)          # PSN -> payload bytes on the wire
     psn = 0
     for nbytes in sizes:
         npkts = pair.config.packets_for(nbytes)
-        total = sum(sender.payload_for(psn + k) for k in range(npkts))
+        total = sum(payload[psn + k] for k in range(npkts))
         assert total == nbytes
         psn += npkts

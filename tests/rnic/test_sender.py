@@ -1,7 +1,5 @@
 """Unit tests for the sender QP: pacing, completions, NACK/RTO reaction."""
 
-import pytest
-
 from repro.cc.base import FixedRate
 from repro.net.packet import FlowKey
 from repro.rnic.config import RnicConfig
@@ -40,19 +38,22 @@ class TestMessaging:
         assert sender.total_psns == 2 * cfg.packets_for(30_000)
 
     def test_payload_for_last_packet_is_remainder(self, nic_pair):
-        nic0 = nic_pair.nics[0]
-        nic0.post_send(1, 2000)
-        sender = nic0.senders[FlowKey(0, 1)]
+        seen = nic_pair.tap()
+        nic_pair.nics[0].post_send(1, 2000)
+        nic_pair.nics[1].expect_message(0, 2000)
+        nic_pair.run()
         payload = nic_pair.config.payload_bytes
-        assert sender.payload_for(0) == payload
-        assert sender.payload_for(1) == 2000 - payload
+        assert seen == [(0, payload), (1, 2000 - payload)]
 
     def test_payload_for_unposted_psn_raises(self, nic_pair):
-        nic0 = nic_pair.nics[0]
-        nic0.post_send(1, 1000)
-        sender = nic0.senders[FlowKey(0, 1)]
-        with pytest.raises(ValueError):
-            sender.payload_for(99)
+        """No segment exists past the posted PSNs: the wire carries the
+        one posted segment and nothing after it."""
+        seen = nic_pair.tap()
+        nic_pair.nics[0].post_send(1, 1000)
+        nic_pair.nics[1].expect_message(0, 1000)
+        nic_pair.run()
+        assert seen == [(0, 1000)]
+        assert nic_pair.nics[0].senders[FlowKey(0, 1)].total_psns == 1
 
     def test_stats_bytes_posted(self, nic_pair):
         nic_pair.nics[0].post_send(1, 123_456)

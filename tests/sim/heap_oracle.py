@@ -11,8 +11,26 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import SimulationError
-from repro.sim.events import Event
+from repro.sim.engine import SimulationError, Timer
+
+
+class Event:
+    """One heap entry: ``callback(*args)`` due at ``time``, ordered by
+    ``(time, seq)`` through a Python-level ``__lt__``."""
+
+    __slots__ = ("time", "seq", "callback", "args")
+
+    def __init__(self, time: int, seq: int,
+                 callback: Callable[..., Any], args: tuple) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+
+    def __lt__(self, other: "Event") -> bool:
+        if self.time != other.time:
+            return self.time < other.time
+        return self.seq < other.seq
 
 
 class HeapSimulator:
@@ -20,10 +38,9 @@ class HeapSimulator:
 
     The original implementation, kept (plus the drain-to-``until`` fix) so
     the calendar engine's execution order can be A/B-checked against it.
-    Prefer :class:`Simulator` everywhere else; this one allocates a fresh
-    :class:`Event` per schedule and pays a Python-level ``__lt__`` call
-    for every heap comparison.  Deliberately *not* micro-optimised (no
-    ``__slots__``, no inlining): it is the measurement baseline.
+    It allocates a fresh :class:`Event` per entry and pays a Python-level
+    ``__lt__`` call for every heap comparison; its ordering code is the
+    seed engine's, unchanged, because that is what it vouches for.
     """
 
     def __init__(self) -> None:
@@ -38,38 +55,32 @@ class HeapSimulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
+    def _push(self, delay: int, callback: Callable[..., Any],
+              args: tuple) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + int(delay), callback, *args)
+        heapq.heappush(self._heap, Event(self.now + int(delay), self._seq,
+                                         callback, args))
+        self._seq += 1
 
     def fire(self, delay: int, callback: Callable[[Any], Any],
              arg: Any = None) -> None:
-        """Fire-and-forget schedule (API parity with :class:`Simulator`).
-
-        The seed engine has only Events, so this simply schedules one;
-        the ``seq`` consumed here keeps both engines' sequence counters
-        in lockstep, which the golden determinism test relies on.
-        """
-        self.schedule(delay, callback, arg)
+        """``callback(arg)`` ``delay`` ns from now; consumes one ``seq``
+        exactly as :meth:`Simulator.fire` does."""
+        self._push(delay, callback, (arg,))
 
     def fire2(self, delay: int, callback: Callable[[Any, Any], Any],
               arg1: Any, arg2: Any) -> None:
         """Two-argument fire (API parity with :class:`Simulator`)."""
-        self.schedule(delay, callback, arg1, arg2)
+        self._push(delay, callback, (arg1, arg2))
 
-    def schedule_at(self, time: int, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}")
-        event = Event(int(time), self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
+    def schedule(self, delay: int, callback: Callable[..., Any],
+                 *args: Any) -> Timer:
+        """A cancellable :class:`Timer` riding :meth:`fire`, as in
+        :meth:`Simulator.schedule`: a cancelled one runs as a no-op."""
+        timer = Timer(callback, args)
+        self.fire(delay, Timer.run, timer)
+        return timer
 
     # ------------------------------------------------------------------
     # Execution
@@ -83,9 +94,6 @@ class HeapSimulator:
         try:
             while self._heap:
                 event = self._heap[0]
-                if event.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
                 if until is not None and event.time > until:
                     if until > self.now:
                         self.now = until
@@ -108,7 +116,7 @@ class HeapSimulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of heap entries (including lazily-cancelled ones)."""
+        """Number of heap entries (cancelled timers included)."""
         return len(self._heap)
 
     @property

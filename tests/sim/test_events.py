@@ -1,6 +1,7 @@
-"""Unit tests for Event primitives."""
+"""Unit tests for the heap oracle's entry and the engine's timer handle."""
 
-from repro.sim.events import Event
+from repro.sim.engine import Simulator, Timer
+from tests.sim.heap_oracle import Event
 
 
 class TestOrdering:
@@ -18,18 +19,22 @@ class TestOrdering:
 
 class TestCancel:
     def test_cancel_releases_references(self):
-        """Cancelled events pinned in the heap must not keep packet
-        graphs alive (they are lazily discarded)."""
+        """A cancelled timer stays in the calendar until the clock
+        reaches it, so it must not keep packet graphs alive."""
         payload = object()
-        event = Event(5, 0, lambda x: None, (payload,))
-        event.cancel()
-        assert event.cancelled
-        assert event.args == ()
+        ran = []
+        timer = Simulator().schedule(5, ran.append, payload)
+        timer.cancel()
+        assert timer.args == ()
+        assert timer.callback != ran.append
         # The callback is swapped for a no-op and stays callable.
-        event.callback()
+        timer.run()
+        assert ran == []
 
     def test_double_cancel_safe(self):
-        event = Event(5, 0, lambda: None, ())
-        event.cancel()
-        event.cancel()
-        assert event.cancelled
+        ran = []
+        timer = Timer(ran.append, (1,))
+        timer.cancel()
+        timer.cancel()
+        timer.run()
+        assert ran == [] and timer.args == ()

@@ -51,11 +51,3 @@ def test_exponential_positive_mean():
     vals = [rng.exponential(10.0) for _ in range(2000)]
     assert all(v >= 0 for v in vals)
     assert 8.0 < sum(vals) / len(vals) < 12.0
-
-
-def test_shuffled_is_permutation():
-    rng = SimRng(19)
-    items = list(range(10))
-    out = rng.shuffled(items)
-    assert sorted(out) == items
-    assert items == list(range(10))  # input untouched
