@@ -16,7 +16,8 @@ and congestion estimate ``alpha``:
 * **Alpha decay** — every ``alpha_timer`` without a decrease:
   ``alpha <- (1-g)*alpha``.
 
-The (TI, TD) pair is exactly the knob swept in Fig. 5.
+The (TI, TD) pair is exactly the knob swept in Fig. 5.  The other
+parameters are the module constants below; no experiment varies them.
 """
 
 from __future__ import annotations
@@ -28,27 +29,27 @@ from repro.cc.base import CongestionControl
 from repro.sim.engine import US, Simulator
 from repro.obs.timeseries import TimeSeries
 
+# Increase steps and the floor scale with line rate (100G and 400G alike).
+ALPHA_G = 1.0 / 256.0       # alpha gain g
+ALPHA_TIMER_NS = 55 * US    # alpha-decay period
+FAST_RECOVERY_ROUNDS = 5    # F
+HYPER_AFTER_ROUNDS = 5      # additive rounds between F and hyper
+RATE_AI_FRACTION = 0.005    # Rai = 0.5% of line rate
+RATE_HAI_FRACTION = 0.05    # Rhai = 5% of line rate
+MIN_RATE_FRACTION = 0.002   # floor = 0.2% of line rate
+
 
 @dataclass(frozen=True)
 class DcqcnConfig:
     """DCQCN parameters.
 
     ``ti_ns``/``td_ns`` default to the recommended configuration the paper
-    sweeps first: TI = 900 us, TD = 4 us.  Increase steps scale with line
-    rate so one config works across 100G and 400G experiments.
+    sweeps first: TI = 900 us, TD = 4 us.
     """
 
     ti_ns: int = 900 * US
     td_ns: int = 4 * US
-    alpha_g: float = 1.0 / 256.0
-    alpha_timer_ns: int = 55 * US
-    fast_recovery_rounds: int = 5
-    hyper_after_rounds: int = 5
-    rate_ai_fraction: float = 0.005    # Rai = 0.5% of line rate
-    rate_hai_fraction: float = 0.05    # Rhai = 5% of line rate
-    min_rate_fraction: float = 0.002   # floor = 0.2% of line rate
     nack_triggers_decrease: bool = True
-    timeout_drops_to_min: bool = True
     #: DCQCN's byte counter B: every B transmitted bytes also trigger an
     #: increase event (the spec's second increase clock).  ``None``
     #: disables it, leaving the timer as the only increase driver.
@@ -69,9 +70,9 @@ class Dcqcn(CongestionControl):
         self.config = config
         self.rate_target = float(line_rate_bps)
         self.alpha = 1.0
-        self.min_rate_bps = line_rate_bps * config.min_rate_fraction
-        self.rate_ai_bps = line_rate_bps * config.rate_ai_fraction
-        self.rate_hai_bps = line_rate_bps * config.rate_hai_fraction
+        self.min_rate_bps = line_rate_bps * MIN_RATE_FRACTION
+        self.rate_ai_bps = line_rate_bps * RATE_AI_FRACTION
+        self.rate_hai_bps = line_rate_bps * RATE_HAI_FRACTION
 
         self._last_decrease_ns: Optional[int] = None
         self._increase_stage = 0       # timer-driven stage counter
@@ -104,8 +105,7 @@ class Dcqcn(CongestionControl):
     # ------------------------------------------------------------------
     def on_cnp(self) -> None:
         self._restart_alpha_timer()
-        self.alpha = (1 - self.config.alpha_g) * self.alpha \
-            + self.config.alpha_g
+        self.alpha = (1 - ALPHA_G) * self.alpha + ALPHA_G
         self._maybe_decrease()
 
     def on_nack(self) -> None:
@@ -118,10 +118,9 @@ class Dcqcn(CongestionControl):
             self._maybe_decrease()
 
     def on_timeout(self) -> None:
-        if self.config.timeout_drops_to_min:
-            self.rate_target = self.rate_bps
-            self._set_rate(self.min_rate_bps)
-            self._reset_recovery()
+        self.rate_target = self.rate_bps
+        self._set_rate(self.min_rate_bps)
+        self._reset_recovery()
 
     def _maybe_decrease(self) -> None:
         now = self.sim.now
@@ -170,32 +169,23 @@ class Dcqcn(CongestionControl):
         self.bytes_to_increase = left
 
     def _do_increase(self) -> None:
-        cfg = self.config
-        if cfg.byte_counter_bytes is None:
+        if self.config.byte_counter_bytes is None:
             # Timer-only operation: fast recovery for F rounds, then
             # additive increase, hyper after a further H rounds.
             stage = self._increase_stage
-            if stage > cfg.fast_recovery_rounds:
-                if stage > (cfg.fast_recovery_rounds
-                            + cfg.hyper_after_rounds):
-                    self.rate_target = min(
-                        self.line_rate_bps,
-                        self.rate_target + self.rate_hai_bps)
-                else:
-                    self.rate_target = min(
-                        self.line_rate_bps,
-                        self.rate_target + self.rate_ai_bps)
+            hyper = stage > FAST_RECOVERY_ROUNDS + HYPER_AFTER_ROUNDS
+            additive = stage > FAST_RECOVERY_ROUNDS
         else:
             # Dual-clock operation per the DCQCN spec: fast recovery
             # while neither counter passed F, hyper once both did,
             # additive in between.
             ft, fb = self._increase_stage, self._byte_stage
-            if min(ft, fb) > cfg.fast_recovery_rounds:
-                self.rate_target = min(self.line_rate_bps,
-                                       self.rate_target + self.rate_hai_bps)
-            elif max(ft, fb) > cfg.fast_recovery_rounds:
-                self.rate_target = min(self.line_rate_bps,
-                                       self.rate_target + self.rate_ai_bps)
+            hyper = min(ft, fb) > FAST_RECOVERY_ROUNDS
+            additive = max(ft, fb) > FAST_RECOVERY_ROUNDS
+        if additive:  # hyper implies additive on both clocks
+            step = self.rate_hai_bps if hyper else self.rate_ai_bps
+            self.rate_target = min(self.line_rate_bps,
+                                   self.rate_target + step)
         self._set_rate((self.rate_bps + self.rate_target) / 2)
 
     def _fully_recovered(self) -> bool:
@@ -210,16 +200,16 @@ class Dcqcn(CongestionControl):
         if token & 1:
             token += 1                 # cancel the armed alpha timer
         self._alpha_token = token = token + 1
-        self.sim.fire(self.config.alpha_timer_ns, self._alpha_tick, token)
+        self.sim.fire(ALPHA_TIMER_NS, self._alpha_tick, token)
 
     def _alpha_tick(self, token: int) -> None:
         if token != self._alpha_token:
             return
-        self.alpha *= (1 - self.config.alpha_g)
+        self.alpha *= (1 - ALPHA_G)
         # Below ~0.005 a decrease changes the rate by <0.25%; park the
         # timer (the next CNP/decrease restarts it) so idle QPs quiesce.
         if self.alpha > 5e-3:
-            self.sim.fire(self.config.alpha_timer_ns, self._alpha_tick, token)
+            self.sim.fire(ALPHA_TIMER_NS, self._alpha_tick, token)
         else:
             self._alpha_token = token + 1
 

@@ -42,11 +42,27 @@ class ScenarioError(ValueError):
     """A fault scenario is malformed or targets nothing in the fabric."""
 
 
-def _us(value: float, name: str, *, minimum: float = 0.0) -> float:
-    value = float(value)
-    if value < minimum:
-        raise ScenarioError(f"{name} must be >= {minimum}, got {value}")
-    return value
+def _us(value, name: str, *, minimum: float = 0.0) -> float:
+    """A JSON number (a bool is not one) >= ``minimum``, finite."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not minimum <= value < 1e308):
+        raise ScenarioError(f"{name} must be a finite number >= {minimum}"
+                            f", got {value!r}")
+    return float(value)
+
+
+def _fraction(value, name: str, *, one_allowed: bool) -> None:
+    """Check a number in (0, 1), or in (0, 1] when ``one_allowed``."""
+    number = _us(value, name)
+    if not (0.0 < number < 1.0 or (one_allowed and number == 1.0)):
+        bounds = "(0, 1]" if one_allowed else "(0, 1)"
+        raise ScenarioError(f"{name} must be in {bounds}, got {value!r}")
+
+
+def _direction(value) -> None:
+    if value not in ("ab", "ba", "both"):
+        raise ScenarioError(f"direction must be ab, ba or both, "
+                            f"got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -65,8 +81,9 @@ class LinkFlap:
     def events(self) -> list[dict]:
         at = _us(self.at_us, "at_us")
         down = _us(self.down_us, "down_us", minimum=1e-3)
-        if self.repeat < 1:
-            raise ScenarioError("repeat must be >= 1")
+        if type(self.repeat) is not int or self.repeat < 1:
+            raise ScenarioError(
+                f"repeat must be an integer >= 1, got {self.repeat!r}")
         period = (_us(self.period_us, "period_us", minimum=down + 1e-3)
                   if self.period_us is not None else 2.0 * down)
         out = []
@@ -91,9 +108,7 @@ class RateDegrade:
     def events(self) -> list[dict]:
         at = _us(self.at_us, "at_us")
         dur = _us(self.duration_us, "duration_us", minimum=1e-3)
-        if not 0.0 < self.factor < 1.0:
-            raise ScenarioError(
-                f"degrade factor must be in (0, 1), got {self.factor}")
+        _fraction(self.factor, "factor", one_allowed=False)
         return [
             {"at_us": at, "kind": "degrade", "link": self.link,
              "factor": self.factor},
@@ -115,8 +130,7 @@ class LatencyShift:
         at = _us(self.at_us, "at_us")
         dur = _us(self.duration_us, "duration_us", minimum=1e-3)
         extra = _us(self.extra_us, "extra_us", minimum=1e-3)
-        if self.direction not in ("ab", "ba", "both"):
-            raise ScenarioError(f"bad direction {self.direction!r}")
+        _direction(self.direction)
         return [
             {"at_us": at, "kind": "latency_shift", "link": self.link,
              "extra_us": extra, "direction": self.direction},
@@ -172,9 +186,7 @@ class RandomLoss:
     def events(self) -> list[dict]:
         at = _us(self.at_us, "at_us")
         dur = _us(self.duration_us, "duration_us", minimum=1e-3)
-        if not 0.0 < self.rate <= 1.0:
-            raise ScenarioError(
-                f"loss rate must be in (0, 1], got {self.rate}")
+        _fraction(self.rate, "rate", one_allowed=True)
         return [
             {"at_us": at, "kind": "loss", "link": self.link,
              "rate": self.rate},
@@ -244,10 +256,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     name = doc.get("name")
     if not name or not isinstance(name, str):
         raise ScenarioError("scenario needs a non-empty string 'name'")
+    workload = doc.get("workload", {})
+    if not isinstance(workload, dict):
+        raise ScenarioError("'workload' must be an object")
     scenario = Scenario(
         name=name,
         converge_us=doc.get("converge_us", DEFAULT_CONVERGE_US),
-        workload=dict(doc.get("workload", {})))
+        workload=dict(workload))
     layers = doc.get("layers", [])
     if not isinstance(layers, list):
         raise ScenarioError("'layers' must be a list")
@@ -255,16 +270,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not isinstance(layer_doc, dict) or "kind" not in layer_doc:
             raise ScenarioError(f"layer {i} needs a 'kind' field")
         kind = layer_doc["kind"]
-        cls = LAYER_KINDS.get(kind)
+        cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise ScenarioError(
                 f"layer {i}: unknown kind {kind!r} "
                 f"(expected one of {sorted(LAYER_KINDS)})")
         params = {k: v for k, v in layer_doc.items() if k != "kind"}
         try:
-            scenario.add(cls(**params))
-        except TypeError as exc:
+            layer = cls(**params)
+            layer.events()          # field checks, named by layer here
+        except (TypeError, ScenarioError) as exc:
             raise ScenarioError(f"layer {i} ({kind}): {exc}") from None
+        scenario.add(layer)
     return scenario
 
 
@@ -305,6 +322,9 @@ def validate_compiled(spec: dict) -> None:
             raise ScenarioError(f"compiled spec missing {key!r}")
     if spec.get("version", SPEC_VERSION) != SPEC_VERSION:
         raise ScenarioError(f"unsupported spec version {spec['version']}")
+    if not isinstance(spec.get("workload", {}), dict):
+        raise ScenarioError("'workload' must be an object")
+    _us(spec.get("converge_us", 0.0), "converge_us")
     events = spec["events"]
     if not isinstance(events, list):
         raise ScenarioError("'events' must be a list")
@@ -313,20 +333,28 @@ def validate_compiled(spec: dict) -> None:
         if not isinstance(ev, dict):
             raise ScenarioError(f"event {i} must be a dict")
         kind = ev.get("kind")
-        if kind not in EVENT_KINDS:
+        if not isinstance(kind, str) or kind not in EVENT_KINDS:
             raise ScenarioError(f"event {i}: unknown kind {kind!r}")
-        at = ev.get("at_us")
-        if not isinstance(at, (int, float)) or at < 0:
-            raise ScenarioError(f"event {i}: bad at_us {at!r}")
-        if at < last:
-            raise ScenarioError(f"event {i}: events not time-sorted")
-        last = at
         target_key = "switch" if kind in ("reboot", "recover",
                                           "pfc_storm", "storm_end") \
             else "link"
-        if not isinstance(ev.get(target_key), str):
-            raise ScenarioError(
-                f"event {i} ({kind}): missing {target_key!r} target")
+        try:  # and the payload the injector reads for this kind
+            if not isinstance(ev.get(target_key), str):
+                raise ScenarioError(f"missing {target_key!r} target")
+            at = _us(ev.get("at_us"), "at_us")
+            if kind == "degrade":
+                _fraction(ev.get("factor"), "factor", one_allowed=False)
+            elif kind == "loss":
+                _fraction(ev.get("rate"), "rate", one_allowed=True)
+            elif kind == "latency_shift":
+                _us(ev.get("extra_us"), "extra_us", minimum=1e-3)
+            if "direction" in ev:
+                _direction(ev["direction"])
+        except ScenarioError as exc:
+            raise ScenarioError(f"event {i} ({kind}): {exc}") from None
+        if at < last:
+            raise ScenarioError(f"event {i}: events not time-sorted")
+        last = at
 
 
 def spec_duration_us(spec: dict) -> float:

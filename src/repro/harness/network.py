@@ -37,8 +37,7 @@ from repro.net.packet import FlowKey, Packet
 from repro.obs import record as obs_record
 from repro.obs.record import Recorder
 from repro.net.topology import Topology, dragonfly, fat_tree, leaf_spine
-from repro.rnic.config import RnicConfig
-from repro.rnic.nic import Rnic
+from repro.rnic import RECEIVER_CLASSES, Rnic, RnicConfig
 from repro.sim.engine import US, Simulator
 from repro.sim.rng import SimRng
 from repro.switch.buffer import SharedBuffer
@@ -56,7 +55,10 @@ from repro.themis.source import ThemisSource
 SCHEMES = ("ecmp", "rps", "ar", "flowlet", "themis", "themis_noval",
            "themis_nocomp", "conweave", "conweave_spray",
            "reps", "prime", "spritz", "sprinklers")
-TRANSPORTS = ("nic_sr", "gbn", "ideal", "mp_rdma")
+TRANSPORTS = tuple(RECEIVER_CLASSES)
+
+#: Every fabric's RNICs run the one commodity-RNIC model.
+RNIC_CONFIG = RnicConfig()
 
 #: Delay before the Ideal transport's oracle notifies the sender of a drop
 #: (stands in for one fabric RTT of detection latency).
@@ -94,7 +96,6 @@ class NetworkConfig:
     scheme: str = "ecmp"
     transport: str = "nic_sr"
     dcqcn: Optional[DcqcnConfig] = field(default_factory=DcqcnConfig)
-    rnic: RnicConfig = field(default_factory=RnicConfig)
     themis: ThemisConfig = field(default_factory=ThemisConfig)
     ecn: EcnConfig = field(default_factory=EcnConfig)
     buffer_bytes: int = 64 * 1024 * 1024
@@ -112,10 +113,6 @@ class NetworkConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
-
-    def variant(self, **changes) -> "NetworkConfig":
-        """Derived config (e.g. same workload, different scheme)."""
-        return replace(self, **changes)
 
 
 class Network:
@@ -186,7 +183,7 @@ class Network:
             return PrimeLB()
         if scheme == "spritz":
             return SpritzLB(self.rng.fork(f"spz-{name}"),
-                            mtu_bytes=self.config.rnic.mtu_bytes)
+                            mtu_bytes=RNIC_CONFIG.mtu_bytes)
         if scheme == "sprinklers":
             return SprinklersLB()
         # ECMP for both the ecmp scheme and as the non-sprayed fallback in
@@ -247,7 +244,7 @@ class Network:
         line_rate = self.config.topology.link_bandwidth_bps
         for nic_id in range(self.topology.num_nics):
             nic = Rnic(self.sim, nic_id,
-                       config=self.config.rnic, metrics=self.metrics,
+                       config=RNIC_CONFIG, metrics=self.metrics,
                        rng=self.rng.fork(f"nic{nic_id}"),
                        cc_factory=self._cc_factory_for(line_rate),
                        transport=self.config.transport)
@@ -284,7 +281,7 @@ class Network:
         queueing_ns = int(self.config.ecn.kmax_bytes * 8 * 1e9 / bandwidth)
         rtt_ns = 2 * spec.link_delay_ns + queueing_ns
         return self._themis_cfg.queue_entries(
-            bandwidth, rtt_ns, self.config.rnic.mtu_bytes)
+            bandwidth, rtt_ns, RNIC_CONFIG.mtu_bytes)
 
     def _install_themis(self) -> None:
         self._themis_cfg = self._themis_config()

@@ -181,9 +181,7 @@ class Port:
             buf = self.buffer
             if buf is not None:
                 used = buf.used_bytes + wire
-                cap = buf.per_port_cap_bytes
-                if used > buf.capacity_bytes or (cap is not None
-                                                 and depth > cap):
+                if used > buf.capacity_bytes:
                     self._drop(packet)
                     return False
                 if used > buf.peak_bytes:

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 from repro.net.packet import DATA_HEADER_BYTES, DEFAULT_MTU
 from repro.sim.engine import MS, US
 
+DELAYED_ACK_NS = 2 * US     # ACK delay of a not-yet-full coalescing batch
+CNP_INTERVAL_NS = 50 * US   # at most one CNP per flow per interval
+
 
 @dataclass(frozen=True)
 class RnicConfig:
@@ -22,8 +25,6 @@ class RnicConfig:
     mtu_bytes: int = DEFAULT_MTU
     max_inflight_packets: int = 1024
     ack_coalesce_packets: int = 4
-    delayed_ack_ns: int = 2 * US
-    cnp_interval_ns: int = 50 * US
     rto_ns: int = 400 * US
     rto_backoff: float = 2.0
     rto_max_ns: int = 4 * MS

@@ -51,8 +51,9 @@ class Rnic(Device):
         #: Observability recorder (repro.obs), attached by the harness
         #: before any QP exists; QPs resolve their channels from it.
         self.recorder = None
-        #: MPRDMA-mode hook (set by the harness): resolves a flow to its
-        #: equal-cost path count so senders can apply Eq. 3 themselves.
+        #: MPRDMA-mode hook (the harness sets it for ``mp_rdma`` only):
+        #: resolves a flow to its equal-cost path count so senders can
+        #: apply Eq. 3 themselves.
         self.nack_filter_paths: Optional[Callable[[FlowKey], int]] = None
 
         self.senders: dict[FlowKey, SenderQp] = {}
@@ -72,10 +73,8 @@ class Rnic(Device):
         if qp is None:
             sport = self.rng.randint(1024, 65536)
             cc = self.cc_factory(flow)
-            filter_n = None
-            if self.transport == "mp_rdma" \
-                    and self.nack_filter_paths is not None:
-                filter_n = self.nack_filter_paths(flow)
+            filter_n = (None if self.nack_filter_paths is None
+                        else self.nack_filter_paths(flow))
             qp = SenderQp(self.sim, self, flow, cc, self.config,
                           self.metrics, udp_sport=sport,
                           gbn=self.transport == "gbn",
@@ -141,9 +140,7 @@ class Rnic(Device):
                 if packet.ptype is PacketType.ACK:
                     sender.on_ack(packet.epsn)
                 elif packet.ptype is PacketType.NACK:
-                    trigger = packet.psn if self.transport == "mp_rdma" \
-                        else None
-                    sender.on_nack(packet.epsn, trigger_psn=trigger)
+                    sender.on_nack(packet.epsn, packet.psn)
                 elif packet.ptype is PacketType.CNP:
                     sender.on_cnp()
         # release_packet(packet), inline: once per delivered packet.

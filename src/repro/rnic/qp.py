@@ -250,11 +250,8 @@ class SenderQp:
                               "nack_rewind" if self.gbn else "nack_retx",
                               epsn=epsn, inflight=self.inflight)
         if self.gbn:
-            # Go-Back-N: rewind and resend everything from the expected PSN.
             if epsn < self.next_psn:
-                self.next_psn = epsn
-                self._retx_queue.clear()
-                self._retx_set.clear()
+                self._go_back_n(epsn)
         else:
             self._queue_retx(epsn)
         self.cc.on_nack()
@@ -269,6 +266,11 @@ class SenderQp:
         without touching congestion control."""
         self._queue_retx(psn)
         self._maybe_schedule_send()
+
+    def _go_back_n(self, psn: int) -> None:
+        self.next_psn = psn
+        self._retx_queue.clear()
+        self._retx_set.clear()
 
     def _queue_retx(self, psn: int) -> None:
         if psn < self.snd_una or psn >= self.total_psns:
@@ -342,9 +344,7 @@ class SenderQp:
                               "rto", snd_una=self.snd_una,
                               rto_ns=self._rto_current_ns)
         if self.gbn:
-            self.next_psn = self.snd_una
-            self._retx_queue.clear()
-            self._retx_set.clear()
+            self._go_back_n(self.snd_una)
         else:
             self._queue_retx(self.snd_una)
         self.cc.on_timeout()

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.net.packet import FlowKey, Packet, PacketType, _make
 from repro.obs.record import NACK as OBS_NACK
 from repro.rnic.bitmap import OooTracker
-from repro.rnic.config import RnicConfig
+from repro.rnic.config import CNP_INTERVAL_NS, DELAYED_ACK_NS, RnicConfig
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -144,8 +144,7 @@ class ReceiverQp:
         token = self._ack_token
         if not token & 1:
             self._ack_token = token = token + 1
-            self.sim.fire(self.config.delayed_ack_ns, self._delayed_ack_fire,
-                          token)
+            self.sim.fire(DELAYED_ACK_NS, self._delayed_ack_fire, token)
 
     def _delayed_ack_fire(self, token: int) -> None:
         if token == self._ack_token:  # else an ACK or stop() came since
@@ -185,7 +184,7 @@ class ReceiverQp:
     def _maybe_send_cnp(self) -> None:
         now = self.sim.now
         if (self._last_cnp_ns is not None
-                and now - self._last_cnp_ns < self.config.cnp_interval_ns):
+                and now - self._last_cnp_ns < CNP_INTERVAL_NS):
             return
         self._last_cnp_ns = now
         self.metrics.cnps_generated += 1

@@ -192,22 +192,20 @@ class AdaptiveRoutingLB(LoadBalancer):
     pseudo-randomly among the least-congested ports, so consecutive
     packets of one flow still interleave across several uplinks — the
     per-packet reordering that makes "AR + commodity RNIC" the paper's
-    problem case.  ``bin_bytes`` is the quantization step.
+    problem case.
     """
 
     name = "ar"
+    BIN_BYTES = 4096            # queue-depth quantization step
 
-    def __init__(self, rng: SimRng, bin_bytes: int = 4096) -> None:
-        if bin_bytes < 1:
-            raise ValueError("bin size must be positive")
+    def __init__(self, rng: SimRng) -> None:
         self._u01 = rng.u01
-        self.bin_bytes = bin_bytes
 
     def select(self, switch: "Switch", packet: Packet,
                candidates: Sequence["Port"]) -> "Port":
         # One pass: the least-loaded bin and, in candidate order, the
         # ports in it.
-        bin_bytes = self.bin_bytes
+        bin_bytes = self.BIN_BYTES
         best_bin = -1
         ties: list = []
         for port in candidates:
@@ -243,12 +241,10 @@ class RepsLB(LoadBalancer):
     """
 
     name = "reps"
+    CACHE_SIZE = 64             # entries per flow's recycle cache
 
-    def __init__(self, rng: SimRng, cache_size: int = 64) -> None:
-        if cache_size < 1:
-            raise ValueError("cache size must be positive")
+    def __init__(self, rng: SimRng) -> None:
         self._rng = rng
-        self.cache_size = cache_size
         #: flow -> deque[(entropy, port)] of ACK-proven entropies.
         self._cache: dict[FlowKey, deque] = {}
         #: flow -> {psn: (entropy, port)} awaiting ACK coverage.
@@ -293,7 +289,7 @@ class RepsLB(LoadBalancer):
             return
         cache = self._cache.get(flow)
         if cache is None:
-            cache = self._cache[flow] = deque(maxlen=self.cache_size)
+            cache = self._cache[flow] = deque(maxlen=self.CACHE_SIZE)
         for psn in sorted(acked):
             entropy, port = inflight.pop(psn)
             if port.up:
@@ -323,21 +319,17 @@ class PrimeLB(LoadBalancer):
     Each packet's 16-bit entropy is composed from a stable per-flow part
     (the ECMP hash) XOR a rolling Weyl-sequence part, so consecutive
     packets decorrelate without any RNG.  Disjoint 4-bit fields of the
-    entropy nominate ``probes`` candidate ports and the one with the
+    entropy nominate ``PROBES`` candidate ports and the one with the
     smallest quantized backlog wins — "power of two choices" steered
     entirely by the entropy, keeping the scheme stateless beyond one
     per-flow counter (deployable in an RNIC pipeline).
     """
 
     name = "prime"
+    PROBES = 2                  # of the entropy's four 4-bit fields
+    BIN_BYTES = 4096            # backlog quantization step
 
-    def __init__(self, probes: int = 2, bin_bytes: int = 4096) -> None:
-        if not 1 <= probes <= 4:
-            raise ValueError("probes must be in 1..4")
-        if bin_bytes < 1:
-            raise ValueError("bin size must be positive")
-        self.probes = probes
-        self.bin_bytes = bin_bytes
+    def __init__(self) -> None:
         #: flow -> packets seen (the rolling part's phase).
         self._count: dict[FlowKey, int] = {}
 
@@ -353,10 +345,10 @@ class PrimeLB(LoadBalancer):
         n = len(candidates)
         best_port = None
         best_bin = None
-        for part in range(self.probes):
+        for part in range(self.PROBES):
             index = ((entropy >> (4 * part)) & 0xF) % n
             port = candidates[index]
-            backlog = port.queued_bytes // self.bin_bytes
+            backlog = port.queued_bytes // self.BIN_BYTES
             if best_bin is None or backlog < best_bin:
                 best_port, best_bin = port, backlog
         return best_port
@@ -376,13 +368,10 @@ class SpritzLB(LoadBalancer):
     """
 
     name = "spritz"
+    ALPHA = 0.25                # EWMA gain of the backlog score
 
-    def __init__(self, rng: SimRng, alpha: float = 0.25,
-                 mtu_bytes: int = 1000) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+    def __init__(self, rng: SimRng, mtu_bytes: int = 1000) -> None:
         self._rng = rng
-        self.alpha = alpha
         self.mtu_bytes = mtu_bytes
         #: port -> EWMA of queued bytes (persistent path state).
         self._ewma: dict = {}
@@ -390,7 +379,7 @@ class SpritzLB(LoadBalancer):
     def select(self, switch: "Switch", packet: Packet,
                candidates: Sequence["Port"]) -> "Port":
         ewma = self._ewma
-        alpha = self.alpha
+        alpha = self.ALPHA
         weights = []
         total = 0.0
         for port in candidates:
@@ -421,11 +410,9 @@ class SprinklersLB(LoadBalancer):
     """
 
     name = "sprinklers"
+    MAX_STRIPE_LOG2 = 6         # stripes of 1 .. 64 packets
 
-    def __init__(self, max_stripe_log2: int = 6) -> None:
-        if not 0 <= max_stripe_log2 <= 12:
-            raise ValueError("max_stripe_log2 must be in 0..12")
-        self.max_stripe_log2 = max_stripe_log2
+    def __init__(self) -> None:
         #: flow -> (stripe shift, per-flow salt), cached.
         self._stripe: dict[FlowKey, tuple] = {}
 
@@ -436,7 +423,7 @@ class SprinklersLB(LoadBalancer):
         if cached is None:
             h = ecmp_hash(flow.src, flow.dst, flow.qp, 0x5A5A,
                           salt=switch.hash_salt, rot=switch.hash_rot)
-            cached = (h % (self.max_stripe_log2 + 1), h)
+            cached = (h % (self.MAX_STRIPE_LOG2 + 1), h)
             self._stripe[flow] = cached
         shift, flow_salt = cached
         stripe = packet.psn >> shift

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.themis import memory
+
 
 @dataclass(frozen=True)
 class ThemisConfig:
@@ -34,10 +36,10 @@ class ThemisConfig:
 
     def queue_entries(self, last_hop_bandwidth_bps: float,
                       last_hop_rtt_ns: int, mtu_bytes: int) -> int:
-        """Ring-queue capacity from the last-hop BDP (§4)."""
+        """Ring-queue capacity (§4): Table 1's formula, at least 4."""
         if self.queue_entries_override is not None:
             return self.queue_entries_override
-        bdp_bytes = last_hop_bandwidth_bps * last_hop_rtt_ns / 1e9 / 8.0
-        entries = int(-(-bdp_bytes * self.queue_capacity_factor
-                        // mtu_bytes))
-        return max(4, entries)
+        return max(4, memory.queue_entries(memory.MemoryParams(
+            bandwidth_bps=last_hop_bandwidth_bps,
+            rtt_last_s=last_hop_rtt_ns / 1e9, mtu_bytes=mtu_bytes,
+            expansion_factor=self.queue_capacity_factor)))

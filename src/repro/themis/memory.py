@@ -74,8 +74,10 @@ class MemoryBreakdown:
 def queue_entries(params: MemoryParams) -> int:
     """N_entries = ceil(BW * RTT_last * F / MTU), BW*RTT in bytes."""
     bdp_bytes = params.bandwidth_bps * params.rtt_last_s / 8.0
-    return math.ceil(bdp_bytes * params.expansion_factor
-                     / params.mtu_bytes)
+    entries = bdp_bytes * params.expansion_factor / params.mtu_bytes
+    # Round off the float noise of RTT in seconds first (2e-6 is not
+    # exact in binary), so an exactly whole quotient gains no entry.
+    return math.ceil(round(entries, 9))
 
 
 def memory_overhead(params: MemoryParams = MemoryParams()

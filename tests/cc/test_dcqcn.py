@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cc.base import FixedRate
-from repro.cc.dcqcn import Dcqcn, DcqcnConfig
+from repro.cc.dcqcn import (ALPHA_TIMER_NS, FAST_RECOVERY_ROUNDS,
+                             HYPER_AFTER_ROUNDS, Dcqcn, DcqcnConfig)
 from repro.sim.engine import US, Simulator
 from repro.obs.timeseries import TimeSeries
 
@@ -84,10 +85,10 @@ class TestAlpha:
 
     def test_alpha_decays_without_cnps(self):
         sim = Simulator()
-        cc = make(sim, alpha_timer_ns=10 * US)
+        cc = make(sim)
         cc.on_cnp()
         alpha_after_cnp = cc.alpha
-        sim.run(until=500 * US)
+        sim.run(until=2 * ALPHA_TIMER_NS)
         assert cc.alpha < alpha_after_cnp
 
     def test_nack_does_not_touch_alpha(self):
@@ -137,15 +138,21 @@ class TestIncrease:
         assert cc._increase_stage == 0 or cc._increase_stage < stage_before
 
     def test_hyper_increase_raises_target_faster(self):
-        sim = Simulator()
-        cfg = dict(ti_ns=10 * US, fast_recovery_rounds=2,
-                   hyper_after_rounds=1)
-        cc = make(sim, **cfg)
-        cc.on_cnp()
-        sim.run(until=35 * US)   # past fast recovery + additive
-        target_before = cc.rate_target
-        sim.run(until=45 * US)   # hyper round
-        assert cc.rate_target >= target_before
+        # Timer stages past F add Rai to the target, and past F + H Rhai.
+        cc = make(Simulator())
+        cc.rate_target = LINE / 2
+        steps = []
+        for stage in (FAST_RECOVERY_ROUNDS,
+                      FAST_RECOVERY_ROUNDS + 1,
+                      FAST_RECOVERY_ROUNDS + HYPER_AFTER_ROUNDS,
+                      FAST_RECOVERY_ROUNDS + HYPER_AFTER_ROUNDS + 1):
+            cc._increase_stage = stage
+            before = cc.rate_target
+            cc._do_increase()
+            steps.append(cc.rate_target - before)
+        assert steps == [0, cc.rate_ai_bps, cc.rate_ai_bps,
+                         cc.rate_hai_bps]
+        assert cc.rate_hai_bps > cc.rate_ai_bps
 
 
 class TestTrace:
@@ -208,8 +215,7 @@ class TestByteCounter:
 
     def test_hyper_requires_both_clocks(self):
         sim = Simulator()
-        cc = make(sim, ti_ns=10 * US, byte_counter_bytes=10_000,
-                  fast_recovery_rounds=2)
+        cc = make(sim, ti_ns=10 * US, byte_counter_bytes=10_000)
         cc.on_cnp()
         # Drive the byte clock far past F while the timer stays behind.
         cc.on_bytes_sent(100_000)   # byte stage 10 > F; timer stage 0

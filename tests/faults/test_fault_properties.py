@@ -90,7 +90,7 @@ def test_conservation_under_random_fault_schedules(seed, layers,
     for qp, (src, dst, nbytes) in enumerate(workload):
         stats = net.metrics.flows[FlowKey(src, dst, qp)]
         assert stats.bytes_posted == nbytes
-        needed = net.config.rnic.packets_for(nbytes)
+        needed = net.nics[src].config.packets_for(nbytes)
         assert stats.packets_sent >= needed
         assert stats.retransmissions == stats.packets_sent - needed
 

@@ -1,10 +1,15 @@
 """Tests for the declarative fault-scenario spec layer."""
 
+import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.faults.spec import (DEFAULT_CONVERGE_US, LatencyShift, LinkFlap,
+from repro.faults.scenarios import BUILTIN_SCENARIOS
+from repro.faults.spec import (DEFAULT_CONVERGE_US, LAYER_KINDS,
+                               LatencyShift, LinkFlap,
                                PfcStorm, RandomLoss, RateDegrade, Scenario,
                                ScenarioError, SwitchReboot, compiled_spec,
                                load_scenario, scenario_from_dict,
@@ -167,6 +172,89 @@ class TestCompiledSpec:
         spec = {"name": "x", "events": [{"at_us": 0, "kind": "reboot"}]}
         with pytest.raises(ScenarioError, match="missing 'switch'"):
             validate_compiled(spec)
+
+
+def layer_form(scenario: Scenario) -> dict:
+    """The declarative JSON form of a builder scenario."""
+    kinds = {cls: kind for kind, cls in LAYER_KINDS.items()}
+    return {"name": scenario.name, "converge_us": scenario.converge_us,
+            "workload": dict(scenario.workload),
+            "layers": [{"kind": kinds[type(layer)],
+                        **dataclasses.asdict(layer)}
+                       for layer in scenario.layers]}
+
+
+def field_paths(doc: dict) -> list[tuple]:
+    """Every top-level field, and every field of every layer or event."""
+    paths = [(key,) for key in doc]
+    for key in ("layers", "events"):
+        for i, item in enumerate(doc.get(key, [])):
+            paths.extend((key, i, name) for name in item)
+    return paths
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
+       compiled=st.booleans(), data=st.data(), value=json_values)
+def test_any_mistyped_field_is_a_scenario_error(name, compiled, data,
+                                                value):
+    """Replace one field of a builtin scenario, in layer or compiled
+    form, with any JSON value: ``compiled_spec`` returns a spec or raises
+    ``ScenarioError``, never anything else."""
+    scenario = BUILTIN_SCENARIOS[name]()
+    doc = copy.deepcopy(scenario.compile() if compiled
+                        else layer_form(scenario))
+    *parents, leaf = data.draw(st.sampled_from(field_paths(doc)))
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[leaf] = value
+    try:
+        spec = compiled_spec(doc)
+    except ScenarioError:
+        return
+    assert isinstance(spec, dict)
+
+
+def test_builtin_scenarios_round_trip_through_layer_form():
+    for name, build in BUILTIN_SCENARIOS.items():
+        scenario = build()
+        assert compiled_spec(layer_form(scenario)) == scenario.compile()
+
+
+def test_compiled_payload_is_checked():
+    """Fields only the injector reads fail at validation, not mid-run."""
+    for event, field in (
+            ({"kind": "degrade", "factor": 1.5}, "factor"),
+            ({"kind": "loss", "rate": "0.1"}, "rate"),
+            ({"kind": "latency_shift", "extra_us": None}, "extra_us"),
+            ({"kind": "latency_end", "direction": "up"}, "direction")):
+        spec = {"name": "x", "events": [
+            {"at_us": 0, "link": "a:b", **event}]}
+        with pytest.raises(ScenarioError,
+                           match=rf"event 0 \({event['kind']}\): {field}"):
+            validate_compiled(spec)
+    with pytest.raises(ScenarioError, match="converge_us"):
+        validate_compiled({"name": "x", "converge_us": "x", "events": []})
+
+
+def test_layer_errors_name_index_kind_and_field():
+    doc = {"name": "x", "layers": [
+        {"kind": "link_flap", "link": "a:b", "at_us": 0, "down_us": 1},
+        {"kind": "random_loss", "link": "a:b", "at_us": 0,
+         "duration_us": 1, "rate": True}]}
+    with pytest.raises(ScenarioError,
+                       match=r"^layer 1 \(random_loss\): rate must be "):
+        compiled_spec(doc)
 
 
 class TestExampleSpec:

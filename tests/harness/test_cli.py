@@ -267,6 +267,29 @@ class TestBadInput:
             ["trace", "--nodes", "8", "--spec", str(spec_file)], capsys,
             monkeypatch)
 
+    @pytest.mark.parametrize("doc", [
+        {"name": "p", "layers": [{"kind": "link_flap",
+                                  "link": "tor0:spine0", "at_us": None,
+                                  "down_us": 10}]},
+        {"name": "p", "layers": [{"kind": "link_flap",
+                                  "link": "tor0:spine0", "at_us": 5,
+                                  "down_us": 10, "repeat": "2"}]},
+        {"name": "p", "layers": [{"kind": "degrade",
+                                  "link": "tor0:spine0", "at_us": 5,
+                                  "duration_us": 10, "factor": "0.5"}]},
+        {"name": "p", "converge_us": "x", "layers": []},
+    ], ids=["null-at_us", "string-repeat", "string-factor",
+            "string-converge_us"])
+    @pytest.mark.parametrize("command", [
+        ["faults", "show"], ["faults", "run"], ["trace", "--nodes", "8"]])
+    def test_malformed_scenario_field(self, doc, command, tmp_path, capsys,
+                                      monkeypatch):
+        import json
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(doc))
+        self.test_one_error_line_and_nothing_runs(
+            [*command, "--spec", str(spec_file)], capsys, monkeypatch)
+
     def test_failure_inside_a_running_simulation_still_raises(
             self, monkeypatch):
         def broken(self, until_ns=None):

@@ -24,12 +24,6 @@ class TestConstruction:
         net = Network(NetworkConfig(topology=SMALL))
         assert len(net.nics) == 4
 
-    def test_variant_derives_config(self):
-        cfg = NetworkConfig(topology=SMALL, scheme="ecmp")
-        var = cfg.variant(scheme="themis")
-        assert var.scheme == "themis"
-        assert var.topology == cfg.topology
-
     def test_themis_middleware_only_on_tors(self):
         net = Network(NetworkConfig(topology=SMALL, scheme="themis"))
         for tor in net.topology.tors:

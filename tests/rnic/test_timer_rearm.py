@@ -10,10 +10,10 @@ exactly one effect lands at the re-armed time.
 """
 
 from repro.cc.base import FixedRate
-from repro.cc.dcqcn import Dcqcn, DcqcnConfig
+from repro.cc.dcqcn import ALPHA_G, ALPHA_TIMER_NS, Dcqcn, DcqcnConfig
 from repro.harness.metrics import Metrics
 from repro.net.packet import FlowKey, PacketType, data_packet
-from repro.rnic.config import RnicConfig
+from repro.rnic.config import DELAYED_ACK_NS, RnicConfig
 from repro.rnic.nic import Rnic
 from repro.sim.engine import US, Simulator
 from repro.sim.rng import SimRng
@@ -73,30 +73,28 @@ def test_receiver_delayed_ack_rearmed_after_stop():
     nic.receive(data_packet(flow, 0, 1000), None)   # arms the delayed ACK
     nic.receivers[flow].stop()
     nic.receive(data_packet(flow, 1, 1000), None)   # re-arms it at t = 0
-    sim.run(until=CONFIG.delayed_ack_ns - 1)
+    sim.run(until=DELAYED_ACK_NS - 1)
     assert nic.uplink.sent == []
-    sim.run(until=CONFIG.delayed_ack_ns)
-    assert nic.uplink.sent == [(CONFIG.delayed_ack_ns, PacketType.ACK, 0, 2)]
+    sim.run(until=DELAYED_ACK_NS)
+    assert nic.uplink.sent == [(DELAYED_ACK_NS, PacketType.ACK, 0, 2)]
 
 
 def test_dcqcn_alpha_timer_rearmed_after_stop():
     sim = Simulator()
-    cfg = DcqcnConfig(alpha_timer_ns=10 * US, ti_ns=1000 * US)
-    cc = Dcqcn(sim, LINE, cfg)
+    cc = Dcqcn(sim, LINE, DcqcnConfig(ti_ns=1000 * US))
     cc.on_cnp()                 # cut, alpha timer armed
     cc.stop()
     cc.on_cnp()                 # TD-gated: only the alpha timer, re-armed
     alpha = cc.alpha
-    sim.run(until=10 * US - 1)
+    sim.run(until=ALPHA_TIMER_NS - 1)
     assert cc.alpha == alpha
-    sim.run(until=10 * US)
-    assert cc.alpha == alpha * (1 - cfg.alpha_g)
+    sim.run(until=ALPHA_TIMER_NS)
+    assert cc.alpha == alpha * (1 - ALPHA_G)
 
 
 def test_dcqcn_increase_timer_rearmed_after_stop():
     sim = Simulator()
-    cfg = DcqcnConfig(ti_ns=10 * US, alpha_timer_ns=1000 * US)
-    cc = Dcqcn(sim, LINE, cfg)
+    cc = Dcqcn(sim, LINE, DcqcnConfig(ti_ns=10 * US))
     cc.on_cnp()                 # cut, increase timer armed
     cc.stop()
     cc.on_timeout()             # drops to the floor, re-arms it at t = 0

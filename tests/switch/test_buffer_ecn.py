@@ -71,18 +71,6 @@ class TestSharedBuffer:
         assert buf.used_bytes == 0
         assert buf.peak_bytes == 3 * WIRE
 
-    def test_per_port_cap(self):
-        buf = SharedBuffer(10 * WIRE, per_port_cap_bytes=2 * WIRE)
-        sim, port = busy_port(buf)
-        assert enqueue(port) and enqueue(port)
-        assert not enqueue(port)                    # pool has room, port not
-        assert buf.used_bytes == 2 * WIRE
-        other = port.owner.add_port(1e9, 0)         # the cap is per port
-        other.connect(port.peer)
-        assert other.enqueue(data_packet(FlowKey(0, 1), 0, 1000))
-        assert enqueue(other)
-        assert buf.used_bytes == 3 * WIRE
-
 
 class TestEcnConfig:
     def test_threshold_validation(self):

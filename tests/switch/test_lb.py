@@ -1,7 +1,5 @@
 """Unit tests for load balancers and the linear ECMP hash."""
 
-import pytest
-
 from repro.net.node import Device
 from repro.net.packet import FlowKey, data_packet
 from repro.sim.engine import Simulator
@@ -104,7 +102,7 @@ class TestAdaptiveRoutingLB:
     def test_avoids_backlogged_port(self):
         sim = Simulator()
         sw, ports = make_switch(sim)
-        lb = AdaptiveRoutingLB(SimRng(1), bin_bytes=1000)
+        lb = AdaptiveRoutingLB(SimRng(1))
         # Pile several bins worth of backlog on port 0.
         for i in range(10):
             ports[0].enqueue(data_packet(FlowKey(0, 1), i, 1000))
@@ -119,7 +117,3 @@ class TestAdaptiveRoutingLB:
         picks = {lb.select(sw, data_packet(FlowKey(1, 2), p, 100), ports)
                  for p in range(100)}
         assert len(picks) == 4
-
-    def test_bin_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveRoutingLB(SimRng(0), bin_bytes=0)

@@ -123,7 +123,7 @@ def test_reps_never_resurrects_dead_link_entropy(seed, ops):
     must leave no dead-port state behind."""
     sim = Simulator()
     sw, ports = make_switch(sim, n_ports=4)
-    lb = RepsLB(SimRng(seed), cache_size=16)
+    lb = RepsLB(SimRng(seed))
     next_psn = {}
     flows = [FlowKey(0, 9), FlowKey(1, 9), FlowKey(2, 8), FlowKey(3, 8)]
     for op, arg in ops:

@@ -13,11 +13,15 @@ a no-op, so it moves when a change cancels timers more or less often.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import zlib
 
 import pytest
 
+from repro.cc.dcqcn import DcqcnConfig
 from repro.collectives.group import cross_rack_groups
+from repro.conweave.config import ConweaveConfig
 from repro.faults.campaign import build_faults_doc, run_campaign
 from repro.faults.scenarios import builtin
 from repro.harness import bench
@@ -25,10 +29,17 @@ from repro.harness.arena import run_arena
 from repro.harness.collective_runner import EvalScale, fig5_config
 from repro.harness.jobs import canonical_json
 from repro.harness.motivation import motivation_config, run_motivation
-from repro.harness.network import Network
+from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.tracing import run_traced_alltoall
 from repro.harness.workload import start_collectives
+from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC
+from repro.switch.buffer import SharedBuffer
+from repro.switch.ecn import EcnConfig
+from repro.switch.lb import (AdaptiveRoutingLB, EcmpLB, FlowletLB, PrimeLB,
+                             RandomSprayLB, RepsLB, SprinklersLB, SpritzLB)
+from repro.switch.pfc import PfcConfig
+from repro.themis.config import ThemisConfig
 
 
 def doc_crc(doc: object) -> int:
@@ -139,6 +150,49 @@ def test_counter_surface(name):
         net.run(until_ns=bench.DEADLINE_NS)
         net.stop()
     assert counter_surface(net) == SURFACES[name]
+
+
+#: Every value an experiment can set: the fields of the eight config
+#: dataclasses and the defaulted keywords of the shared buffer and the
+#: eight load balancers.  docs/architecture.md ("Where each setting is
+#: set") names the caller of each; a new knob is a deliberate diff here.
+SETTABLE = {
+    NetworkConfig: ("topology", "scheme", "transport", "dcqcn", "themis",
+                    "ecn", "buffer_bytes", "pfc", "flowlet_gap_ns",
+                    "conweave", "seed"),
+    TopologySpec: ("kind", "num_tors", "num_spines", "nics_per_tor",
+                   "fat_tree_k", "df_groups", "df_routers", "df_hosts",
+                   "df_global_links", "link_bandwidth_bps",
+                   "link_delay_ns"),
+    RnicConfig: ("mtu_bytes", "max_inflight_packets",
+                 "ack_coalesce_packets", "rto_ns", "rto_backoff",
+                 "rto_max_ns"),
+    DcqcnConfig: ("ti_ns", "td_ns", "nack_triggers_decrease",
+                  "byte_counter_bytes"),
+    ThemisConfig: ("queue_capacity_factor", "queue_entries_override",
+                   "enable_validation", "enable_compensation"),
+    EcnConfig: ("kmin_bytes", "kmax_bytes", "pmax"),
+    PfcConfig: ("xoff_bytes", "xon_bytes"),
+    ConweaveConfig: ("reorder_timeout_ns", "buffer_packets",
+                     "flip_interval_ns"),
+    SharedBuffer: (),
+    EcmpLB: (), RandomSprayLB: (), FlowletLB: ("gap_ns",),
+    AdaptiveRoutingLB: (), RepsLB: (), PrimeLB: (),
+    SpritzLB: ("mtu_bytes",), SprinklersLB: (),
+}
+
+
+def settable(cls) -> tuple:
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return tuple(name for name, param
+                 in inspect.signature(cls).parameters.items()
+                 if param.default is not param.empty)
+
+
+def test_settable_surface():
+    assert {cls: settable(cls) for cls in SETTABLE} == SETTABLE
+    assert sum(map(len, SETTABLE.values())) == 46
 
 
 def test_fig1_themis_row():

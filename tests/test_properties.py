@@ -48,7 +48,7 @@ def test_random_workloads_complete_and_conserve(scheme, seed, flows):
         # 3. Receiver finished no earlier than sender started.
         assert stats.receiver_done_ns >= stats.start_ns
         # 4. Sent >= needed; retransmissions accounted inside the total.
-        needed = net.config.rnic.packets_for(nbytes)
+        needed = net.nics[src].config.packets_for(nbytes)
         assert stats.packets_sent >= needed
         assert stats.retransmissions == stats.packets_sent - needed
 

@@ -1,6 +1,7 @@
 """Unit tests for Themis-S: PSN-based spraying (Eq. 1) in both modes."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.net.node import Device
 from repro.net.packet import FlowKey, ack_packet, data_packet
@@ -11,9 +12,12 @@ from repro.switch.ecn import EcnConfig, EcnMarker
 from repro.switch.lb import EcmpLB, ecmp_index
 from repro.switch.switch import Switch
 from repro.themis.config import ThemisConfig
+from repro.themis.pathmap import apply_pathmap, build_pathmap, trace_path
 from repro.themis.source import ThemisSource
+from tests.themis.test_pathmap import build_fat_tree
 
 FLOW = FlowKey(0, 9)  # local NIC 0 -> remote NIC 9
+FAT_TREE = build_fat_tree(k=4)
 
 
 class SourceHarness:
@@ -52,6 +56,26 @@ class TestDirectMode:
             expected = (psn % 4 + base) % 4
             assert port is h.uplinks[expected]
             assert pkt.path_index == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4, 8]),
+           flows=st.lists(st.tuples(st.integers(10, 500),
+                                    st.integers(0, 0xFFFF)),
+                          min_size=1, max_size=4,
+                          unique_by=lambda flow: flow[0]),
+           start=st.integers(0, (1 << 24) - 17))
+    def test_any_n_consecutive_psns_hit_each_uplink_once(self, n, flows,
+                                                          start):
+        """Eq. 1 under any N, any flow (hence any P_base) and any start
+        PSN: every window of N consecutive PSNs covers the N uplinks."""
+        h = SourceHarness(n_paths=n)
+        for dst, sport in flows:
+            flow = FlowKey(0, dst)
+            picks = [h.uplinks.index(h.tor._select(
+                data_packet(flow, psn, 1000, udp_sport=sport), h.uplinks))
+                for psn in range(start, start + 2 * n)]
+            for i in range(n + 1):
+                assert sorted(picks[i:i + n]) == list(range(n))
 
     def test_same_residue_same_path(self):
         """The property Eq. 3 relies on."""
@@ -126,6 +150,29 @@ class TestPathmapMode:
         assert h.source.select_port(h.tor, pkt, h.uplinks) is None
         index = ecmp_index(pkt, 4, salt=h.tor.hash_salt, rot=h.tor.hash_rot)
         assert h.tor._select(pkt, h.uplinks) is h.uplinks[index]
+
+    @settings(max_examples=40, deadline=None)
+    @given(src=st.integers(0, 15), dst=st.integers(0, 15),
+           sport=st.integers(0, 0xFFFF), start=st.integers(0, 1 << 20))
+    def test_fat_tree_pathmap_covers_n_paths(self, src, dst, sport, start):
+        """On a k = 4 fat tree, N consecutive PSNs take each PathMap
+        delta once, and the N rewritten headers trace N distinct paths."""
+        topo = FAT_TREE
+        n = topo.path_count(src, dst)
+        assume(n > 1)  # else one ToR: nothing to spray
+        flow = FlowKey(src, dst)
+        deltas = build_pathmap(topo, flow, sport, n)
+        source = ThemisSource(ThemisConfig(),
+                              pathmap_provider=lambda f, s: deltas)
+        tor = topo.nic_tor[src]
+        sports = []
+        for psn in range(start, start + n):
+            pkt = data_packet(flow, psn, 1000, udp_sport=sport)
+            source.on_packet(tor, pkt, None)
+            assert pkt.udp_sport == apply_pathmap(deltas, sport, psn)
+            sports.append(pkt.udp_sport)
+        assert sorted(s ^ sport for s in sports) == sorted(deltas)
+        assert len({trace_path(topo, flow, s) for s in sports}) == n
 
     def test_transit_and_control_untouched(self):
         h, provided = self.harness()
