@@ -11,41 +11,34 @@ compensation has to carry the recovery.
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 
 FLOW_BYTES = 2_000_000
 SCHEMES = ("rps", "themis_noval", "themis_nocomp", "themis")
 
 
 def _run(scheme, loss_rate=0.0, seed=3):
-    net = Network(motivation_config(scheme=scheme, seed=seed))
+    net = build_motivation(motivation_config(scheme=scheme, seed=seed),
+                           flow_bytes=FLOW_BYTES)
     if loss_rate:
         for sw in net.topology.switches:
             if sw.name.startswith("spine"):
                 for port in sw.ports:
                     port.set_loss(loss_rate,
                                   net.rng.fork(f"loss-{port.name}"))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=30_000_000_000)
+    run_built(net, 30_000_000_000)
     metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
-    completion = max(done) if metrics.all_flows_done() else None
-    timeouts = sum(f.timeouts for f in metrics.flows.values())
-    net.stop()
     return {
         "scheme": scheme,
-        "completion_us": completion / 1000 if completion else None,
+        "completion_us": (net.traffic.done_ns / 1000
+                          if net.traffic.complete else None),
         "retx_ratio": metrics.spurious_ratio,
         "nacks": metrics.nacks_generated,
         "blocked": metrics.themis.nacks_blocked,
         "compensated": metrics.themis.nacks_compensated,
-        "timeouts": timeouts,
+        "timeouts": sum(f.timeouts for f in metrics.flows.values()),
         "drops": metrics.drops,
         "goodput": metrics.mean_goodput_gbps(),
     }

@@ -9,11 +9,9 @@ once capacity covers the last-hop BDP (plus queueing slack), misses stop.
 import pytest
 
 from collections import OrderedDict
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 from repro.themis.config import ThemisConfig
 
 FLOW_BYTES = 2_000_000
@@ -24,13 +22,10 @@ def _run(capacity):
     cfg = motivation_config(
         scheme="themis",
         themis=ThemisConfig(queue_entries_override=capacity))
-    net = Network(cfg)
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=30_000_000_000)
+    net = build_motivation(cfg, flow_bytes=FLOW_BYTES)
+    run_built(net, 30_000_000_000)
     metrics = net.metrics
     inspected = metrics.themis.nacks_inspected
-    net.stop()
     return {
         "capacity": capacity,
         "miss_ratio": (metrics.themis.tpsn_not_found / inspected
@@ -39,7 +34,7 @@ def _run(capacity):
         "blocked_frac": metrics.themis.block_ratio,
         "retx_ratio": metrics.spurious_ratio,
         "goodput": metrics.mean_goodput_gbps(),
-        "done": metrics.all_flows_done(),
+        "done": net.traffic.complete,
     }
 
 

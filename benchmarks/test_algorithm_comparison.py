@@ -8,10 +8,8 @@ ordering is algorithm-independent.
 
 import pytest
 
-from repro.collectives import COLLECTIVE_CLASSES
-from repro.collectives.group import cross_rack_groups
-from repro.harness.collective_runner import EvalScale, fig5_config
-from repro.harness.network import Network
+from repro.harness.collective_runner import (EvalScale, fig5_config,
+                                             run_collective)
 from repro.harness.report import format_table, percent
 
 ALGORITHMS = ("allreduce", "hd_allreduce")
@@ -19,34 +17,21 @@ SCHEMES = ("ecmp", "ar", "themis")
 TI_TD = (900, 4)
 
 
-def _run(algorithm, scheme, scale):
-    config = fig5_config(scheme, *TI_TD, scale=scale)
-    net = Network(config)
-    groups = cross_rack_groups(scale.num_tors, scale.nics_per_tor)
-    cls = COLLECTIVE_CLASSES[algorithm]
-    colls = [cls(net, members, scale.collective_bytes)
-             for members in groups]
-    for coll in colls:
-        coll.start()
-    net.run(until_ns=120_000_000_000)
-    done = all(c.complete for c in colls)
-    tail = max(c.completion_time_ns() for c in colls) if done else None
-    net.stop()
-    return {"done": done, "tail_ms": tail / 1e6 if tail else None}
-
-
 @pytest.mark.figure("algorithm-comparison")
 def test_themis_wins_across_algorithms(benchmark):
     scale = EvalScale()
     results = benchmark.pedantic(
-        lambda: {(a, s): _run(a, s, scale)
+        lambda: {(a, s): run_collective(fig5_config(s, *TI_TD, scale=scale),
+                                        a, scale=scale,
+                                        deadline_ns=120_000_000_000)
                  for a in ALGORITHMS for s in SCHEMES},
         rounds=1, iterations=1)
 
     print(f"\n=== Allreduce algorithms x schemes at DCQCN{TI_TD} ===")
     rows = []
     for algorithm in ALGORITHMS:
-        tails = {s: results[(algorithm, s)]["tail_ms"] for s in SCHEMES}
+        tails = {s: results[(algorithm, s)].tail_completion_ms
+                 for s in SCHEMES}
         gain = 1 - tails["themis"] / tails["ar"]
         rows.append([algorithm] + [f"{tails[s]:.3f}" for s in SCHEMES]
                     + [percent(gain)])
@@ -54,8 +39,9 @@ def test_themis_wins_across_algorithms(benchmark):
         ["algorithm", "ECMP ms", "AR ms", "Themis ms", "Themis vs AR"],
         rows))
 
-    assert all(r["done"] for r in results.values())
+    assert all(r.completed for r in results.values())
     for algorithm in ALGORITHMS:
-        tails = {s: results[(algorithm, s)]["tail_ms"] for s in SCHEMES}
+        tails = {s: results[(algorithm, s)].tail_completion_ms
+                 for s in SCHEMES}
         assert tails["themis"] < tails["ar"], algorithm
         assert tails["themis"] < tails["ecmp"], algorithm

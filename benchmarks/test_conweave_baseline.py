@@ -14,12 +14,10 @@ reordering packets in the fabric:
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.conweave.config import ConweaveConfig
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 from repro.sim.engine import US
 from repro.themis.audit import audit_network
 
@@ -33,17 +31,14 @@ CONWEAVE = ConweaveConfig(buffer_packets=512, flip_interval_ns=500 * US,
 
 
 def _run(scheme, seed=5):
-    net = Network(motivation_config(scheme=scheme, seed=seed,
-                                    conweave=CONWEAVE))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=120_000_000_000)
+    net = build_motivation(motivation_config(scheme=scheme, seed=seed,
+                                             conweave=CONWEAVE),
+                           flow_bytes=FLOW_BYTES)
+    run_built(net, 120_000_000_000)
     metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
     out = {
-        "done": metrics.all_flows_done(),
-        "tail_us": max(done) / 1000 if done else None,
+        "done": net.traffic.complete,
+        "tail_us": net.traffic.end_ns / 1000,
         "nacks": metrics.nacks_generated,
         "retx": metrics.spurious_ratio,
         "goodput": metrics.mean_goodput_gbps(),
@@ -60,7 +55,6 @@ def _run(scheme, seed=5):
     if scheme.startswith("themis"):
         out["themis_state_bytes"] = sum(a.total_bytes
                                         for a in audit_network(net))
-    net.stop()
     return out
 
 

@@ -14,11 +14,8 @@ traffic:
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import motivation_config, run_motivation
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
 
 FLOW_BYTES = 2_000_000
 
@@ -33,24 +30,17 @@ CONDITIONS = (
 
 
 def _run(scheme, transport, seed=4):
-    net = Network(motivation_config(scheme=scheme, transport=transport,
-                                    seed=seed))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=120_000_000_000)
-    metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
-    out = {
-        "done": metrics.all_flows_done(),
-        "tail_us": max(done) / 1000 if done else None,
-        "retx": metrics.spurious_ratio,
-        "goodput": metrics.mean_goodput_gbps(),
+    result = run_motivation(
+        motivation_config(scheme=scheme, transport=transport, seed=seed),
+        flow_bytes=FLOW_BYTES, deadline_ns=120_000_000_000)
+    return {
+        "done": result.completed,
+        "tail_us": result.duration_ns / 1000,
+        "retx": result.avg_retx_ratio,
+        "goodput": result.mean_goodput_gbps,
         "needs_new_nic": transport in ("mp_rdma", "ideal"),
         "needs_switch": scheme.startswith(("themis", "conweave")),
     }
-    net.stop()
-    return out
 
 
 @pytest.mark.figure("design-space")

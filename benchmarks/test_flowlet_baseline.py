@@ -10,11 +10,9 @@ This sweep measures both horns of the dilemma on the Fig. 1 workload.
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 from repro.sim.engine import US
 from repro.switch.lb import FlowletLB
 
@@ -26,23 +24,18 @@ def _run(gap_us=None, scheme="flowlet", seed=4):
     kwargs = {}
     if gap_us is not None:
         kwargs["flowlet_gap_ns"] = int(gap_us * US)
-    net = Network(motivation_config(scheme=scheme, seed=seed, **kwargs))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=60_000_000_000)
+    net = build_motivation(motivation_config(scheme=scheme, seed=seed,
+                                             **kwargs),
+                           flow_bytes=FLOW_BYTES)
+    run_built(net, 60_000_000_000)
     metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
-    splits = sum(s.lb.flowlet_switches for s in net.topology.switches
-                 if isinstance(s.lb, FlowletLB))
-    net.stop()
     return {
-        "tail_us": max(done) / 1000 if metrics.all_flows_done() else None,
-        "splits": splits,
+        "splits": sum(s.lb.flowlet_switches for s in net.topology.switches
+                      if isinstance(s.lb, FlowletLB)),
         "retx": metrics.spurious_ratio,
         "nacks": metrics.nacks_generated,
         "goodput": metrics.mean_goodput_gbps(),
-        "done": metrics.all_flows_done(),
+        "done": net.traffic.complete,
     }
 
 

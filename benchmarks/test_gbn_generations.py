@@ -9,28 +9,23 @@ all three on the Fig. 1 workload.
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 
 FLOW_BYTES = 1_000_000
 TRANSPORTS = ("gbn", "nic_sr", "ideal")
 
 
 def _run(transport, seed=6):
-    net = Network(motivation_config(transport=transport, seed=seed))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=120_000_000_000)
+    net = build_motivation(motivation_config(transport=transport, seed=seed),
+                           flow_bytes=FLOW_BYTES)
+    run_built(net, 120_000_000_000)
     metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
-    net.stop()
     return {
-        "done": metrics.all_flows_done(),
-        "tail_us": max(done) / 1000 if done else None,
+        "done": net.traffic.complete,
+        "tail_us": (net.traffic.done_ns / 1000 if net.traffic.complete
+                    else None),
         "retx": metrics.spurious_ratio,
         # A GBN receiver drops every out-of-order arrival; the others
         # keep them all.

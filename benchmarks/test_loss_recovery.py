@@ -8,35 +8,29 @@ NACK-driven instead of degenerating to RTO waits.
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 
 FLOW_BYTES = 1_000_000
 LOSS_RATES = (0.0005, 0.002, 0.01)
 
 
 def _run(scheme, loss_rate, seed=11):
-    net = Network(motivation_config(scheme=scheme, seed=seed))
+    net = build_motivation(motivation_config(scheme=scheme, seed=seed),
+                           flow_bytes=FLOW_BYTES)
     for sw in net.topology.switches:
         if sw.name.startswith("spine"):
             for port in sw.ports:
                 port.set_loss(loss_rate, net.rng.fork(f"l{port.name}"))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  FLOW_BYTES)
-    net.run(until_ns=60_000_000_000)
+    run_built(net, 60_000_000_000)
     metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
-    timeouts = sum(f.timeouts for f in metrics.flows.values())
-    net.stop()
     return {
-        "done": metrics.all_flows_done(),
-        "tail_us": max(done) / 1000 if done else None,
+        "done": net.traffic.complete,
+        "tail_us": (net.traffic.done_ns / 1000 if net.traffic.complete
+                    else None),
         "drops": metrics.drops,
-        "timeouts": timeouts,
+        "timeouts": sum(f.timeouts for f in metrics.flows.values()),
         "compensated": metrics.themis.nacks_compensated,
         "forwarded": metrics.themis.nacks_forwarded,
     }

@@ -8,9 +8,11 @@ what Eq. 4 predicts for the same QP census and ring capacity.
 
 import pytest
 
-from repro.harness.collective_runner import EvalScale, fig5_config
-from repro.harness.network import Network
+from repro.harness.collective_runner import (EvalScale, build_collective,
+                                             fig5_config)
 from repro.harness.report import format_table
+from repro.harness.workload import run_built
+from repro.net.packet import FlowKey
 from repro.themis.audit import audit_network
 from repro.themis.memory import FLOW_ENTRY_BYTES, queue_entry_bytes
 from repro.themis.ring_queue import psn_bits_for
@@ -21,25 +23,13 @@ def test_memory_audit_matches_model(benchmark):
     scale = EvalScale()
 
     def run():
-        config = fig5_config("themis", 10, 200, scale=scale)
-        net = Network(config)
-        from repro.collectives import AllToAll
-        from repro.collectives.group import cross_rack_groups
-        groups = cross_rack_groups(scale.num_tors, scale.nics_per_tor)
-        colls = [AllToAll(net, members, scale.collective_bytes)
-                 for members in groups]
-        for coll in colls:
-            coll.start()
-        net.run(until_ns=60_000_000_000)
-        audits = audit_network(net)
+        net = build_collective(fig5_config("themis", 10, 200, scale=scale),
+                               "alltoall", scale.collective_bytes)
+        run_built(net, 60_000_000_000)
         # Runtime ring capacity for any cross-rack flow:
-        from repro.net.packet import FlowKey
         flow = FlowKey(0, scale.nics_per_tor)
-        cap = net._queue_capacity_for(flow)
-        n_paths = net._n_paths_for(flow)
-        done = all(c.complete for c in colls)
-        net.stop()
-        return audits, cap, n_paths, done
+        return (audit_network(net), net._queue_capacity_for(flow),
+                net._n_paths_for(flow), net.traffic.complete)
 
     audits, ring_capacity, n_paths, done = benchmark.pedantic(
         run, rounds=1, iterations=1)

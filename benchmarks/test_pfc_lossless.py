@@ -13,11 +13,10 @@ Many production RoCE fabrics instead run PFC.  Two demonstrations:
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.motivation import motivation_config
+from repro.harness.motivation import build_motivation, motivation_config
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.report import format_table, percent
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 from repro.sim.engine import US
 from repro.switch.pfc import PfcConfig
 
@@ -39,27 +38,25 @@ def _run_incast(pfc, seed=9):
     receiver = 4
     for src in (0, 1, 2, 3, 5, 6, 7):
         net.post_message(src, receiver, INCAST_BYTES, qp=src)
-    net.run(until_ns=120_000_000_000)
+    run_built(net, 120_000_000_000)
     return _collect(net)
 
 
 def _run_ring(scheme, pfc, seed=9):
-    net = Network(motivation_config(scheme=scheme, seed=seed, pfc=pfc))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  RING_BYTES)
-    net.run(until_ns=120_000_000_000)
+    net = build_motivation(motivation_config(scheme=scheme, seed=seed,
+                                             pfc=pfc),
+                           flow_bytes=RING_BYTES)
+    run_built(net, 120_000_000_000)
     return _collect(net)
 
 
 def _collect(net):
     metrics = net.metrics
-    pauses = sum(s.pfc.pauses_sent for s in net.topology.switches
-                 if s.pfc is not None)
-    net.stop()
     return {
         "done": metrics.all_flows_done(),
         "drops": metrics.drops,
-        "pauses": pauses,
+        "pauses": sum(s.pfc.pauses_sent for s in net.topology.switches
+                      if s.pfc is not None),
         "retx": metrics.spurious_ratio,
         "nacks": metrics.nacks_generated,
         "blocked": metrics.themis.nacks_blocked,

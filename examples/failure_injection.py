@@ -14,30 +14,28 @@ Run:  python examples/failure_injection.py [loss_rate]
 import sys
 
 from repro import motivation_config
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
-from repro.harness.network import Network
+from repro.harness.motivation import build_motivation
 from repro.harness.report import format_table
-from repro.harness.workload import post_messages
+from repro.harness.workload import run_built
 
 
 def run(scheme: str, loss_rate: float) -> dict:
-    net = Network(motivation_config(scheme=scheme, seed=7))
+    net = build_motivation(motivation_config(scheme=scheme, seed=7),
+                           flow_bytes=1_000_000)
     for switch in net.topology.switches:
         if switch.name.startswith("spine"):
             for port in switch.ports:
                 port.set_loss(loss_rate,
                               net.rng.fork(f"loss-{port.name}"))
-    post_messages(net, ring_pairs(interleaved_ring_groups(8, 2)),
-                  1_000_000)
-    net.run(until_ns=60_000_000_000)
+    run_built(net, 60_000_000_000)
 
     metrics = net.metrics
-    done = [f.receiver_done_ns for f in metrics.flows.values()
-            if f.receiver_done_ns is not None]
+    traffic = net.traffic
     return {
         "scheme": scheme,
-        "completed": metrics.all_flows_done(),
-        "tail_us": max(done) / 1000 if done else float("nan"),
+        "completed": traffic.complete,
+        "tail_us": (traffic.done_ns / 1000 if traffic.complete
+                    else float("nan")),
         "drops": metrics.drops,
         "timeouts": sum(f.timeouts for f in metrics.flows.values()),
         "nacks": metrics.nacks_generated,

@@ -85,7 +85,8 @@ def run_arena_cell(params: dict, seed: int) -> dict:
     consult the environment.
     """
     from repro.harness.network import Network, NetworkConfig, TopologySpec
-    from repro.harness.workload import post_messages, start_collectives
+    from repro.harness.workload import (post_messages, run_built,
+                                        start_collectives)
 
     topo_spec = TopologySpec(**params["topo"])
     cc = params["cc"]
@@ -111,8 +112,7 @@ def run_arena_cell(params: dict, seed: int) -> dict:
     else:
         traffic = start_collectives(net, workload, [list(range(nics))],
                                     int(params["bytes"]))
-    net.run(until_ns=deadline_ns)
-    net.stop()
+    run_built(net, deadline_ns)
     return _cell_metrics(net, traffic.complete, deadline_ns)
 
 

@@ -521,7 +521,9 @@ def cmd_pathmap(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_trace(args: argparse.Namespace, console: Console) -> int:
-    from repro.harness.tracing import build_traced_alltoall, run_built
+    from repro.harness.tracing import (TRACE_DEADLINE_NS,
+                                       build_traced_alltoall)
+    from repro.harness.workload import run_built
     from repro.obs.nacks import build_audit, format_report
     from repro.obs.record import NACK
 
@@ -539,7 +541,7 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
     console.info(f"running traced {args.nodes}-node alltoall "
                  f"(scheme={args.scheme}, loss={args.loss:.3f}, "
                  f"seed={args.seed}) ...")
-    run_built(net)
+    run_built(net, TRACE_DEADLINE_NS)
     console.info(f"{recorder.total_events()} trace events recorded, "
                  f"{net.sim.executed} sim events executed")
     audit = build_audit(recorder.records(NACK))
@@ -578,7 +580,9 @@ def cmd_trace(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, console: Console) -> int:
-    from repro.harness.tracing import build_traced_alltoall, run_built
+    from repro.harness.tracing import (TRACE_DEADLINE_NS,
+                                       build_traced_alltoall)
+    from repro.harness.workload import run_built
     from repro.obs.profile import Profiler
     from repro.obs.record import Recorder
 
@@ -594,7 +598,7 @@ def cmd_profile(args: argparse.Namespace, console: Console) -> int:
     console.info(f"profiling {args.nodes}-node alltoall "
                  f"(scheme={args.scheme}, loss={args.loss:.3f}) ...")
     with Profiler(net.sim) as prof:
-        run_built(net)
+        run_built(net, TRACE_DEADLINE_NS)
     console.out(prof.format_table(top=args.top))
     doc = {"params": _traced_params(args),
            "sim_events": net.sim.executed, **prof.report(top=args.top)}

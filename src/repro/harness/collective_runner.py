@@ -15,7 +15,7 @@ from typing import Optional
 from repro.cc.dcqcn import DcqcnConfig
 from repro.collectives.group import cross_rack_groups
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.harness.workload import start_collectives
+from repro.harness.workload import run_built, start_collectives
 from repro.sim.engine import MS, SEC, US
 from repro.switch.ecn import EcnConfig
 
@@ -93,6 +93,19 @@ class CollectiveRunResult:
         return self.tail_completion_ns / MS
 
 
+def build_collective(config: NetworkConfig, collective: str,
+                     nbytes: int) -> Network:
+    """The Fig. 5 fabric with ``collective`` started in every cross-rack
+    group; run it with :func:`~repro.harness.workload.run_built` and read
+    ``net.traffic``."""
+    net = Network(config)
+    spec = config.topology
+    start_collectives(net, collective,
+                      cross_rack_groups(spec.num_tors, spec.nics_per_tor),
+                      nbytes)
+    return net
+
+
 def run_collective(config: NetworkConfig, collective: str, *,
                    bytes_per_group: Optional[int] = None,
                    scale: Optional[EvalScale] = None,
@@ -101,22 +114,16 @@ def run_collective(config: NetworkConfig, collective: str, *,
     """Run ``collective`` in every cross-rack group simultaneously."""
     scale = scale or EvalScale.from_env()
     nbytes = bytes_per_group or scale.collective_bytes
-    net = Network(config)
-    spec = config.topology
-    traffic = start_collectives(
-        net, collective,
-        cross_rack_groups(spec.num_tors, spec.nics_per_tor), nbytes)
-    net.run(until_ns=deadline_ns)
-    completed = traffic.complete
-    net.stop()
-
+    net = build_collective(config, collective, nbytes)
+    run_built(net, deadline_ns)
+    traffic = net.traffic
     times = [coll.completion_time_ns() if coll.complete else deadline_ns
              for coll in traffic.collectives]
     return CollectiveRunResult(
         scheme=config.scheme, collective=collective,
         bytes_per_group=nbytes,
         tail_completion_ns=max(times),
-        group_completion_ns=times, completed=completed,
+        group_completion_ns=times, completed=traffic.complete,
         summary=net.metrics.summary())
 
 

@@ -258,8 +258,16 @@ class JobOutcome:
 
 def _is_record(doc: object) -> bool:
     """Does *doc* hold a spec that parses and re-hashes to its
-    ``spec_hash``?  Only such a record may stand in for a job."""
+    ``spec_hash``, a dict ``result`` if it is done, and numbers for
+    ``attempts`` and ``elapsed_s``?  Only such a record may stand in for
+    a job."""
     if not isinstance(doc, dict) or not isinstance(doc.get("spec"), dict):
+        return False
+    if (doc.get("status") == "done"
+            and not isinstance(doc.get("result"), dict)):
+        return False
+    if not all(isinstance(doc.get(key, 0), (int, float))
+               for key in ("attempts", "elapsed_s")):
         return False
     try:
         return JobSpec.from_dict(doc["spec"]).spec_hash == doc.get("spec_hash")
@@ -273,7 +281,8 @@ def read_checkpoint(path: str) -> list[dict]:
     A truncated final line (interrupted mid-write) is skipped rather
     than treated as corruption — that is the expected crash artefact.
     So is a record whose spec is missing, malformed or does not re-hash
-    to its ``spec_hash``: its job re-runs.
+    to its ``spec_hash``, a done record without a dict result, and one
+    whose ``attempts`` or ``elapsed_s`` is not a number: its job re-runs.
     """
     records = []
     if not path or not os.path.exists(path):

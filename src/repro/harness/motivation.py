@@ -23,7 +23,7 @@ from typing import Optional
 from repro.cc.dcqcn import DcqcnConfig
 from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.harness.workload import post_messages
+from repro.harness.workload import post_messages, run_built
 from repro.net.packet import FlowKey
 from repro.obs.timeseries import TimeSeries
 from repro.sim.engine import SEC, US
@@ -82,24 +82,33 @@ class MotivationResult:
         return self.avg_rate_gbps / self.line_rate_gbps
 
 
+def build_motivation(config: Optional[NetworkConfig] = None, *,
+                     flow_bytes: int = DEFAULT_FLOW_BYTES,
+                     watch: tuple[int, int] = (0, 2)) -> Network:
+    """The Fig. 1 fabric with its two-ring traffic posted and flow
+    ``watch`` traced; run it with :func:`~repro.harness.workload.run_built`
+    and read ``net.traffic``."""
+    if config is None:
+        config = motivation_config()
+    net = Network(config)
+    net.watch_flow(*watch)
+    spec = config.topology
+    post_messages(net, ring_pairs(interleaved_ring_groups(
+        spec.num_tors * spec.nics_per_tor, 2)), flow_bytes)
+    return net
+
+
 def run_motivation(config: Optional[NetworkConfig] = None, *,
                    flow_bytes: int = DEFAULT_FLOW_BYTES,
                    watch: tuple[int, int] = (0, 2),
                    deadline_ns: int = DEFAULT_DEADLINE_NS
                    ) -> MotivationResult:
     """Run the two-ring workload and collect the Fig. 1 measurements."""
-    if config is None:
-        config = motivation_config()
-    net = Network(config)
-    num_nodes = (config.topology.num_tors
-                 * config.topology.nics_per_tor)
-    watched = net.watch_flow(*watch)
-
-    traffic = post_messages(
-        net, ring_pairs(interleaved_ring_groups(num_nodes, 2)), flow_bytes)
-
-    net.run(until_ns=deadline_ns)
-    net.stop()
+    net = build_motivation(config, flow_bytes=flow_bytes, watch=watch)
+    run_built(net, deadline_ns)
+    config = net.config
+    traffic = net.traffic
+    watched = FlowKey(*watch)
 
     metrics = net.metrics
     line_gbps = config.topology.link_bandwidth_bps / 1e9

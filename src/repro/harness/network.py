@@ -33,7 +33,7 @@ from repro.conweave.config import ConweaveConfig
 from repro.conweave.dest import InOrderDest
 from repro.conweave.source import RerouteSource
 from repro.harness.metrics import Metrics
-from repro.net.packet import FlowKey, Packet
+from repro.net.packet import DEFAULT_MTU, FlowKey, Packet
 from repro.obs import record as obs_record
 from repro.obs.record import Recorder
 from repro.net.topology import Topology, dragonfly, fat_tree, leaf_spine
@@ -183,7 +183,7 @@ class Network:
             return PrimeLB()
         if scheme == "spritz":
             return SpritzLB(self.rng.fork(f"spz-{name}"),
-                            mtu_bytes=RNIC_CONFIG.mtu_bytes)
+                            mtu_bytes=DEFAULT_MTU)
         if scheme == "sprinklers":
             return SprinklersLB()
         # ECMP for both the ecmp scheme and as the non-sprayed fallback in
@@ -281,7 +281,7 @@ class Network:
         queueing_ns = int(self.config.ecn.kmax_bytes * 8 * 1e9 / bandwidth)
         rtt_ns = 2 * spec.link_delay_ns + queueing_ns
         return self._themis_cfg.queue_entries(
-            bandwidth, rtt_ns, RNIC_CONFIG.mtu_bytes)
+            bandwidth, rtt_ns, DEFAULT_MTU)
 
     def _install_themis(self) -> None:
         self._themis_cfg = self._themis_config()

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.workload import (alltoall_pairs, lossy_uplinks,
-                                    post_messages)
+                                    post_messages, run_built)
 from repro.obs.record import ALL_CATEGORIES, FAULT, NACK, Recorder
 from repro.sim.engine import MS, US
 
@@ -69,14 +69,6 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
         net.fault_injector = FaultInjector(net, faults)
         net.fault_injector.install()
     return net, recorder
-
-
-def run_built(net: Network, deadline_ns: int = TRACE_DEADLINE_NS) -> None:
-    """Run a built traced network until its traffic is done (or the
-    deadline), then cancel the NIC timers: the one way a traced run is
-    executed (``repro trace``, ``repro profile``, fault cells)."""
-    net.run(until_ns=deadline_ns)
-    net.stop()
 
 
 def run_traced_alltoall(*, deadline_ns: int = TRACE_DEADLINE_NS,

@@ -1,12 +1,12 @@
-"""Traffic posting, the stop rule and the done time — in one place.
+"""Traffic posting, the stop rule, the run and the done time — in one place.
 
 Every experiment family runs the same shape: post messages (or start a
 collective per group) on a wired :class:`~repro.harness.network.Network`,
-stop the fabric once the traffic is over, and remember when the last
-part finished.  The reference scenarios, the traced alltoall (hence fault
-campaigns), the arena cell, the Fig. 1 rings and the Fig. 5 runner all
-post through here and read the same :class:`Traffic` handle, also
-reachable afterwards as ``net.traffic``.
+run it with :func:`run_built`, stop the fabric once the traffic is over,
+and remember when the last part finished.  The reference scenarios, the
+traced alltoall (hence fault campaigns), the arena cell, the Fig. 1 rings
+and the Fig. 5 runner all post through here and read the same
+:class:`Traffic` handle, also reachable afterwards as ``net.traffic``.
 
 The one stop rule, set by :class:`Traffic`: ``net.stop`` once every
 posted message is delivered *and* acknowledged, so no ACK is cancelled
@@ -90,6 +90,14 @@ def start_collectives(net: "Network", collective: str,
         coll.on_complete = traffic.part_done
         coll.start()
     return traffic
+
+
+def run_built(net: "Network", deadline_ns: int) -> None:
+    """Run a built network until its traffic is done (or the deadline),
+    then cancel the NIC timers: the one run-and-stop every cell, bench
+    and traced run ends with."""
+    net.run(until_ns=deadline_ns)
+    net.stop()
 
 
 def lossy_uplinks(net: "Network", tors: Iterable[Switch], loss: float,

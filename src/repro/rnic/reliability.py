@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.net.packet import FlowKey, Packet, PacketType, _make
 from repro.obs.record import NACK as OBS_NACK
 from repro.rnic.bitmap import OooTracker
-from repro.rnic.config import CNP_INTERVAL_NS, DELAYED_ACK_NS, RnicConfig
+from repro.rnic.config import (ACK_COALESCE_PACKETS, CNP_INTERVAL_NS,
+                               DELAYED_ACK_NS, RnicConfig)
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -124,7 +125,7 @@ class ReceiverQp:
         self.epsn = epsn
         self.nack_sent_for_epsn = False
         self._unacked_advance += epsn - psn
-        if self._unacked_advance >= self.config.ack_coalesce_packets:
+        if self._unacked_advance >= ACK_COALESCE_PACKETS:
             self._send_ack()
         elif not self._ack_token & 1:
             self._schedule_delayed_ack()

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.harness.collective_runner import EvalScale
-from repro.harness.jobs import (JobSpec, callable_target,
+from repro.harness.jobs import (JobOutcome, JobSpec, callable_target,
                                 checkpoint_status, load_completed,
                                 raise_on_failures, read_checkpoint,
                                 run_jobs)
@@ -336,6 +336,38 @@ class TestCheckpointResume:
                 for s in specs] == [9.0, 16.0]
         status = checkpoint_status(ckpt)
         assert (status["jobs"], status["done"]) == (2, 2)
+
+    def test_a_done_record_without_a_result_is_rerun(self, tmp_path):
+        from repro.harness.arena import (QUICK_TOPOLOGIES, arena_job_specs,
+                                         run_arena)
+        axes = {"lbs": ("ecmp",), "transports": ("nic_sr",),
+                "workloads": ("alltoall",),
+                "topologies": {"leaf_spine": QUICK_TOPOLOGIES["leaf_spine"]}}
+        (spec,) = arena_job_specs(**axes)
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        # The spec re-hashes, but the done record carries no result.
+        with open(ckpt, "w") as fh:
+            fh.write(json.dumps(
+                JobOutcome(spec=spec, status="done").to_record()) + "\n")
+        counters = JobCounters()
+        doc = run_arena(checkpoint=ckpt, counters=counters, **axes)
+        assert counters.skipped == 0
+        (record,) = read_checkpoint(ckpt)
+        assert doc["cells"][0]["tail_ns"] == record["result"]["tail_ns"] > 0
+
+    @pytest.mark.parametrize("field", ["attempts", "elapsed_s"])
+    def test_a_non_numeric_attempts_or_elapsed_is_skipped(self, tmp_path,
+                                                          field):
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        spec = _callable_spec(square, 5)
+        run_jobs([spec], checkpoint=ckpt)
+        (record,) = read_checkpoint(ckpt)
+        with open(ckpt, "a") as fh:
+            fh.write(json.dumps({**record, field: "x"}) + "\n")
+        status = checkpoint_status(ckpt)
+        assert (status["jobs"], status["done"], status["retried"]) \
+            == (1, 1, 0)
+        assert read_checkpoint(ckpt) == [record]
 
 
 def live_networks():

@@ -4,7 +4,8 @@ import pytest
 
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.workload import (alltoall_pairs, lossy_uplinks,
-                                    post_messages, start_collectives)
+                                    post_messages, run_built,
+                                    start_collectives)
 from repro.switch.switch import Switch
 
 TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=2,
@@ -81,6 +82,30 @@ class TestStartCollectives:
     def test_unknown_collective(self):
         with pytest.raises(ValueError, match="unknown collective"):
             start_collectives(make(), "gossip", [[0, 2]], 40_000)
+
+
+def armed_timers(net):
+    """How many QP timers (send, RTO, delayed ACK) are armed: an odd
+    token is an armed one."""
+    tokens = [token for nic in net.nics
+              for qp in nic.senders.values()
+              for token in (qp._send_token, qp._rto_token)]
+    tokens += [qp._ack_token for nic in net.nics
+               for qp in nic.receivers.values()]
+    return sum(token & 1 for token in tokens)
+
+
+class TestRunBuilt:
+    def test_the_deadline_first_leaves_no_timer_armed(self):
+        net, bare = make(), make()
+        traffic = post_messages(net, alltoall_pairs(4), 4_000_000)
+        post_messages(bare, alltoall_pairs(4), 4_000_000)
+        run_built(net, 10_000)
+        bare.run(until_ns=10_000)
+        assert not traffic.complete and traffic.done_ns is None
+        assert net.now_ns == bare.now_ns == 10_000
+        assert armed_timers(bare) > 0
+        assert armed_timers(net) == 0
 
 
 def test_lossy_uplinks_share_one_named_substream():

@@ -122,7 +122,7 @@ class TestNicSr:
 class TestAckGeneration:
     def test_acks_coalesced(self):
         h = Harness()
-        for psn in range(4):  # ack_coalesce_packets = 4
+        for psn in range(4):  # ACK_COALESCE_PACKETS = 4
             h.deliver(psn)
         acks = h.control_sent(PacketType.ACK)
         assert len(acks) == 1

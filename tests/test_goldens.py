@@ -20,18 +20,17 @@ import zlib
 import pytest
 
 from repro.cc.dcqcn import DcqcnConfig
-from repro.collectives.group import cross_rack_groups
 from repro.conweave.config import ConweaveConfig
 from repro.faults.campaign import build_faults_doc, run_campaign
 from repro.faults.scenarios import builtin
 from repro.harness import bench
 from repro.harness.arena import run_arena
-from repro.harness.collective_runner import EvalScale, fig5_config
+from repro.harness.collective_runner import (EvalScale, build_collective,
+                                             fig5_config)
 from repro.harness.jobs import canonical_json
 from repro.harness.motivation import motivation_config, run_motivation
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.tracing import run_traced_alltoall
-from repro.harness.workload import start_collectives
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC
 from repro.switch.buffer import SharedBuffer
@@ -164,8 +163,7 @@ SETTABLE = {
                    "fat_tree_k", "df_groups", "df_routers", "df_hosts",
                    "df_global_links", "link_bandwidth_bps",
                    "link_delay_ns"),
-    RnicConfig: ("mtu_bytes", "max_inflight_packets",
-                 "ack_coalesce_packets", "rto_ns", "rto_backoff",
+    RnicConfig: ("max_inflight_packets", "rto_ns", "rto_backoff",
                  "rto_max_ns"),
     DcqcnConfig: ("ti_ns", "td_ns", "nack_triggers_decrease",
                   "byte_counter_bytes"),
@@ -192,7 +190,7 @@ def settable(cls) -> tuple:
 
 def test_settable_surface():
     assert {cls: settable(cls) for cls in SETTABLE} == SETTABLE
-    assert sum(map(len, SETTABLE.values())) == 46
+    assert sum(map(len, SETTABLE.values())) == 44
 
 
 def test_fig1_themis_row():
@@ -207,13 +205,10 @@ def test_fig1_themis_row():
 def fig5_smoke(scheme: str, scale: EvalScale):
     """A smoke-size Fig. 5 cell, built and started: 400 kB ring allreduce
     in every cross-rack group.  Returns ``(net, traffic)``."""
-    config = fig5_config(scheme, ti_us=10, td_us=4, scale=scale, seed=7)
-    net = Network(config)
-    spec = config.topology
-    traffic = start_collectives(
-        net, "allreduce",
-        cross_rack_groups(spec.num_tors, spec.nics_per_tor), 400_000)
-    return net, traffic
+    net = build_collective(
+        fig5_config(scheme, ti_us=10, td_us=4, scale=scale, seed=7),
+        "allreduce", 400_000)
+    return net, net.traffic
 
 
 @pytest.mark.parametrize("scheme, golden", [

@@ -9,7 +9,7 @@ from repro.harness.collective_runner import EvalScale, fig5_config
 from repro.harness.motivation import motivation_config
 from repro.harness.network import Network
 from repro.harness.tracing import build_traced_alltoall
-from repro.net.packet import FlowKey
+from repro.net.packet import DEFAULT_MTU, FlowKey
 from repro.themis.config import ThemisConfig
 from repro.themis.memory import MemoryParams, queue_entries
 from repro.themis.ring_queue import psn_bits_for
@@ -60,14 +60,14 @@ class TestQueueEntries:
             bandwidth = spec.link_bandwidth_bps
             rtt_ns = (2 * spec.link_delay_ns + int(
                 net.config.ecn.kmax_bytes * 8 * 1e9 / bandwidth))
-            mtu = net.nics[0].config.mtu_bytes
             factor = net.config.themis.queue_capacity_factor
             got = net._queue_capacity_for(
                 FlowKey(0, net.topology.num_nics - 1))
             assert got == max(4, queue_entries(MemoryParams(
                 bandwidth_bps=bandwidth, rtt_last_s=rtt_ns / 1e9,
-                mtu_bytes=mtu, expansion_factor=factor)))
-            assert got == exact_entries(bandwidth, rtt_ns, mtu, factor)
+                mtu_bytes=DEFAULT_MTU, expansion_factor=factor)))
+            assert got == exact_entries(bandwidth, rtt_ns, DEFAULT_MTU,
+                                        factor)
             sizes[name] = got
         assert sizes == {"traced": 425, "fig1": 425, "fig5-smoke": 37}
 

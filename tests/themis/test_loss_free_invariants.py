@@ -12,22 +12,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.arena import QUICK_TOPOLOGIES
+from repro.harness.motivation import build_motivation
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.tracing import run_traced_alltoall
-from repro.harness.workload import alltoall_pairs, post_messages
+from repro.harness.workload import alltoall_pairs, post_messages, run_built
 from repro.sim.engine import SEC, US
 
 MESSAGE_BYTES = 400_000
 
 
-def run_themis(topo: TopologySpec, pairs) -> Network:
-    net = Network(NetworkConfig(topology=topo, scheme="themis", seed=1))
-    traffic = post_messages(net, pairs, MESSAGE_BYTES)
-    net.run(until_ns=SEC)
-    net.stop()
-    assert traffic.complete
+def themis_config(topo: TopologySpec) -> NetworkConfig:
+    return NetworkConfig(topology=topo, scheme="themis", seed=1)
+
+
+def run_themis(net: Network) -> Network:
+    run_built(net, SEC)
+    assert net.traffic.complete
     return net
 
 
@@ -46,15 +47,16 @@ def test_fig1_rings_forward_no_nack(n_paths):
     topo = TopologySpec(kind="leaf_spine", num_tors=4, num_spines=n_paths,
                         nics_per_tor=2, link_bandwidth_bps=100e9,
                         link_delay_ns=US)
-    assert_nothing_spurious(
-        run_themis(topo, ring_pairs(interleaved_ring_groups(8, 2))))
+    assert_nothing_spurious(run_themis(build_motivation(
+        themis_config(topo), flow_bytes=MESSAGE_BYTES)))
 
 
 def test_quick_arena_fat_tree_alltoall_forwards_no_nack():
     """PathMap-mode Themis on the quick arena's k = 4 fat tree (407-entry
     rings at 25 G); with 8-bit entries 12 NACKs got through."""
-    topo = TopologySpec(**QUICK_TOPOLOGIES["fat_tree"])
-    assert_nothing_spurious(run_themis(topo, alltoall_pairs(16)))
+    net = Network(themis_config(TopologySpec(**QUICK_TOPOLOGIES["fat_tree"])))
+    post_messages(net, alltoall_pairs(16), MESSAGE_BYTES)
+    assert_nothing_spurious(run_themis(net))
 
 
 def test_traced_alltoall_closes_every_message_without_a_retransmission():
