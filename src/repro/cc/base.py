@@ -16,7 +16,10 @@ from repro.sim.engine import Simulator
 
 
 class CongestionControl:
-    """Strategy interface; one instance per sender QP."""
+    """Strategy interface; one instance per sender QP, slotted like the
+    QP (a subclass lists its own fields)."""
+
+    __slots__ = ("sim", "line_rate_bps", "rate_bps")
 
     #: Bytes left before the byte counter's next increase stage, or
     #: ``None`` when this CC keeps no byte counter: the sender then skips
@@ -55,3 +58,5 @@ class FixedRate(CongestionControl):
     and never retransmits spuriously.  Its rate stays the line rate
     :meth:`CongestionControl.__init__` sets.
     """
+
+    __slots__ = ()

@@ -63,6 +63,13 @@ class DcqcnConfig:
 class Dcqcn(CongestionControl):
     """Per-QP DCQCN reaction point."""
 
+    __slots__ = (
+        "config", "rate_target", "alpha", "min_rate_bps", "rate_ai_bps",
+        "rate_hai_bps", "_last_decrease_ns", "_increase_stage",
+        "_byte_stage", "bytes_to_increase", "_increase_token",
+        "_alpha_token", "rate_trace", "rec", "rec_loc",
+    )
+
     def __init__(self, sim: Simulator, line_rate_bps: float,
                  config: DcqcnConfig,
                  rate_trace: Optional[TimeSeries] = None) -> None:

@@ -61,7 +61,7 @@ class JobCounters:
         return ", ".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     """Per-flow (per sender QP) counters and timings: the one record of
     packets sent and retransmitted, which the run totals sum."""

@@ -67,7 +67,10 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return path
 
 
-_TYPE_NAMES = {dict: "an object", list: "a list", bool: "a bool"}
+#: A ``types`` entry for any JSON number.
+NUMBER = (int, float)
+_TYPE_NAMES = {dict: "an object", list: "a list", bool: "a bool",
+               int: "an int", str: "a string", NUMBER: "a number"}
 
 
 def field_problems(obj: dict, required: Sequence[str] = (), *,
@@ -78,7 +81,8 @@ def field_problems(obj: dict, required: Sequence[str] = (), *,
     A labelled object (a cell, a ranking row) names all its absent fields
     in one problem; an unlabelled one (a whole document, a job result)
     reports one problem per key.  ``types`` constrains keys that are
-    present.  Anything but an object is itself the one problem.
+    present; a bool satisfies only ``bool``, never ``int`` or
+    :data:`NUMBER`.  Anything but an object is itself the one problem.
     """
     if not isinstance(obj, dict):
         return [f"{label or 'document'} is not an object"]
@@ -89,6 +93,10 @@ def field_problems(obj: dict, required: Sequence[str] = (), *,
         problems = [f"missing key {key!r}" for key in missing]
     where = f"{label}." if label else ""
     for key, expected in (types or {}).items():
-        if key in obj and not isinstance(obj[key], expected):
+        if key not in obj:
+            continue
+        value = obj[key]
+        if not isinstance(value, expected) or (
+                isinstance(value, bool) and expected is not bool):
             problems.append(f"{where}{key} is not {_TYPE_NAMES[expected]}")
     return problems

@@ -186,7 +186,10 @@ class Port:
                     return False
                 if used > buf.peak_bytes:
                     buf.peak_bytes = used
-                if not packet.ecn_marked and self.marker.should_mark(depth):
+                # At or below kmin the marker neither marks nor draws.
+                marker = self.marker
+                if (depth > marker.kmin and not packet.ecn_marked
+                        and marker.should_mark(depth)):
                     packet.ecn_marked = True
                     if self._rec_ecn is not None:
                         self._rec_ecn.ecn_mark(self.sim.now, self.name,

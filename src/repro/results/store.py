@@ -20,7 +20,10 @@ Concurrency model: a single writer (the runner / the ingest CLI) on one
 connection in WAL mode, any number of readers on their own read-only
 connections (:func:`connect_readonly`) — which is how the dashboard
 serves concurrent traffic: it keeps the connections it opens and lends
-one to each render (:class:`repro.results.server.Dashboard`).
+one to each render (:class:`repro.results.server.Dashboard`).  Two
+writers on one file (two ``run_arena(cache=...)`` parents) take turns:
+each commit waits out the other's lock, and two handles opening a new
+file at once retry its switch to WAL (:meth:`ResultsStore._enable_wal`).
 
 Durability: the writer runs ``synchronous=NORMAL`` under WAL.  A commit
 is appended to the WAL without an fsync of its own; the file is synced
@@ -155,7 +158,7 @@ class ResultsStore:
         self.conn.row_factory = sqlite3.Row
         # WAL lets dashboard readers proceed while a sweep is writing;
         # NORMAL syncs at checkpoints, not per commit (module docstring).
-        self.conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal()
         self.conn.execute("PRAGMA synchronous=NORMAL")
         self.conn.executescript(_SCHEMA)
         version = self.conn.execute("PRAGMA user_version").fetchone()[0]
@@ -167,6 +170,26 @@ class ResultsStore:
                 f"{self.path}: store schema v{version}, this build "
                 f"expects v{SCHEMA_VERSION}")
         self.conn.commit()
+
+    def _enable_wal(self) -> None:
+        """Switch the file to WAL (a no-op once it is).
+
+        Two handles opening a new file at once both hold a shared lock
+        and both ask for the exclusive one; sqlite breaks that deadlock
+        by failing one of them at once, without waiting out the busy
+        timeout, so the loser retries for as long as that timeout (5 s,
+        ``sqlite3.connect``'s default).
+        """
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                self.conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if ("locked" not in str(exc)
+                        or time.monotonic() > deadline):
+                    raise
+                time.sleep(0.01)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -13,20 +13,10 @@ class OooTracker(set):
     """Set of PSNs received ahead of the expected PSN.
 
     A ``set`` subclass, so the per-packet questions a receiver asks
-    (``psn in tracker``, ``if tracker``) are answered in C.
+    (``psn in tracker``, ``if tracker``) and ``add`` are answered in C.
     """
 
-    __slots__ = ("peak_size",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.peak_size = 0
-
-    def add(self, psn: int) -> None:
-        super().add(psn)
-        size = len(self)
-        if size > self.peak_size:
-            self.peak_size = size
+    __slots__ = ()
 
     def advance(self, epsn: int) -> int:
         """Consume the contiguous run starting at ``epsn``.

@@ -31,14 +31,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rnic.nic import Rnic
 
 
-@dataclass
+@dataclass(slots=True)
 class _Message:
     end_psn: int
     on_done: Optional[Callable[[], None]]
 
 
 class SenderQp:
-    """One direction of an RC queue pair, sender side."""
+    """One direction of an RC queue pair, sender side.
+
+    Slotted, like every per-flow object (the receiver QP, its congestion
+    control and :class:`~repro.harness.metrics.FlowStats`): a flow holds
+    only the fields below, with no per-instance dict.
+    """
+
+    __slots__ = (
+        "sim", "nic", "flow", "cc", "config", "metrics", "udp_sport",
+        "gbn", "nack_filter_n_paths", "_messages", "_next_completion",
+        "_segment_bytes", "_short_tails", "total_psns", "next_psn",
+        "snd_una", "highest_sent", "_retx_queue", "_send_token",
+        "_next_allowed_ns", "_rto_token", "_rto_current_ns",
+        "_rto_deadline", "stats", "_uplink", "rec", "_rec_loc",
+    )
 
     def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
                  cc: CongestionControl, config: RnicConfig,
@@ -70,8 +84,11 @@ class SenderQp:
         self.snd_una = 0           # cumulative: all PSNs below are acked
         self.highest_sent = -1
 
+        #: PSNs queued for retransmission, oldest request first, each at
+        #: most once: the one record of what is to be resent.  It never
+        #: held more than one PSN on a ledger simulation or a builtin
+        #: fault scenario, so membership is a list scan.
         self._retx_queue: list[int] = []
-        self._retx_set: set[int] = set()
 
         # Timer tokens (``Simulator.fire`` idiom): each timer is one int,
         # bumped on arm and on cancel, odd while armed.  The callback gets
@@ -172,7 +189,6 @@ class SenderQp:
         retx = self._retx_queue
         while retx:
             psn = retx.pop(0)
-            self._retx_set.discard(psn)
             if psn >= self.snd_una:
                 break  # else a stale entry, already acked
         else:
@@ -270,22 +286,20 @@ class SenderQp:
     def _go_back_n(self, psn: int) -> None:
         self.next_psn = psn
         self._retx_queue.clear()
-        self._retx_set.clear()
 
     def _queue_retx(self, psn: int) -> None:
         if psn < self.snd_una or psn >= self.total_psns:
             return
-        if psn in self._retx_set:
-            return
-        self._retx_set.add(psn)
-        self._retx_queue.append(psn)
+        if psn not in self._retx_queue:
+            self._retx_queue.append(psn)
 
     def _advance_una(self, epsn: int) -> None:
         if epsn <= self.snd_una:
             return
         self.snd_una = min(epsn, self.total_psns)
-        while self._retx_queue and self._retx_queue[0] < self.snd_una:
-            self._retx_set.discard(self._retx_queue.pop(0))
+        retx = self._retx_queue
+        while retx and retx[0] < self.snd_una:
+            retx.pop(0)
         self._fire_completions()
         self._arm_rto(reset_backoff=True)
 

@@ -25,7 +25,6 @@ per-QP CNP generation for DCQCN, and message-completion bookkeeping.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import FlowKey, Packet, PacketType, _make
@@ -41,7 +40,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ReceiverQp:
-    """Common receiver-side state: ACK/CNP emission and completions."""
+    """Common receiver-side state: ACK/CNP emission and completions.
+
+    Slotted, and so is every subclass: a receiver holds only these
+    fields (``nack_policy`` is per class).
+    """
+
+    __slots__ = (
+        "sim", "nic", "flow", "_ctrl_flow", "config", "metrics", "stats",
+        "epsn", "nack_sent_for_epsn", "tracker", "rec_nack", "_expected",
+        "_posted_psns", "_unacked_advance", "_ack_token", "_last_cnp_ns",
+    )
 
     #: What an out-of-order arrival makes this receiver send: ``None``
     #: (nothing), ``"epsn"`` (a NACK carrying only the expected PSN) or
@@ -72,8 +81,10 @@ class ReceiverQp:
         self.rec_nack = None if recorder is None \
             else recorder.channel(OBS_NACK)
 
-        self._expected: deque[tuple[int, Optional[Callable[[], None]]]] \
-            = deque()                 # (end_psn, callback)
+        #: Posted receives not yet complete, oldest first: one or two
+        #: entries on a collective's QP.
+        self._expected: list[tuple[int, Optional[Callable[[], None]]]] \
+            = []                      # (end_psn, callback)
         self._posted_psns = 0
 
         self._unacked_advance = 0
@@ -98,7 +109,7 @@ class ReceiverQp:
 
     def _check_completions(self) -> None:
         while self._expected and self._expected[0][0] <= self.epsn:
-            _, on_done = self._expected.popleft()
+            _, on_done = self._expected.pop(0)
             self.stats.receiver_done_ns = self.sim.now
             if on_done is not None:
                 on_done()
@@ -200,6 +211,8 @@ class SrReceiver(ReceiverQp):
     """Selective repeat: out-of-order arrivals are kept in a tracker and
     answered according to the subclass's ``nack_policy``."""
 
+    __slots__ = ()
+
     def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
                  config: RnicConfig, metrics: "Metrics") -> None:
         super().__init__(sim, nic, flow, config, metrics)
@@ -232,10 +245,14 @@ class NicSrReceiver(SrReceiver):
     """Selective-repeat receiver of current commodity RNICs (§2.2): the
     NACK carries only the ePSN."""
 
+    __slots__ = ()
+
 
 class GbnReceiver(ReceiverQp):
     """Go-Back-N receiver of previous-generation RNICs (CX-4/5): every
     out-of-order arrival (``FlowStats.receiver_ooo``) is dropped."""
+
+    __slots__ = ()
 
     def _handle_unexpected(self, packet: Packet) -> None:
         if packet.psn < self.epsn:
@@ -253,6 +270,8 @@ class IdealReceiver(SrReceiver):
     """Oracle transport: OOO-tolerant, never NACKs, loss repaired out of
     band (the harness wires drops straight to the sender)."""
 
+    __slots__ = ()
+
     nack_policy = None
 
 
@@ -266,6 +285,8 @@ class MpRdmaReceiver(SrReceiver):
     needed.  The paper's point is that no off-the-shelf RNIC implements
     this; it lives here as the what-if comparator.
     """
+
+    __slots__ = ()
 
     nack_policy = "epsn+trigger"
 

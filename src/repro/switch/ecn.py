@@ -41,8 +41,10 @@ class EcnMarker:
         self.config = config
         self._rng = rng
         # Thresholds copied out of the (frozen) config: should_mark runs
-        # once per data packet per hop, so the attribute chain matters.
-        self._kmin = config.kmin_bytes
+        # once per data packet per hop above kmin, so the attribute chain
+        # matters.  ``Port.enqueue`` reads ``kmin`` itself and skips the
+        # call at or below it, where the answer is False without a draw.
+        self.kmin = config.kmin_bytes
         self._kmax = config.kmax_bytes
         self._pmax = config.pmax
         self._span = max(1, config.kmax_bytes - config.kmin_bytes)
@@ -51,13 +53,13 @@ class EcnMarker:
 
     def should_mark(self, queue_bytes: int) -> bool:
         """Decide marking for a packet that sees ``queue_bytes`` ahead."""
-        if queue_bytes <= self._kmin:
+        if queue_bytes <= self.kmin:
             return False
         if queue_bytes >= self._kmax:
             self.marked += 1
             return True
         hit = (self._u01()
-               < self._pmax * (queue_bytes - self._kmin) / self._span)
+               < self._pmax * (queue_bytes - self.kmin) / self._span)
         if hit:
             self.marked += 1
         return hit

@@ -311,20 +311,22 @@ class TestBadInput:
 
     def test_ingest_of_a_document_sqlite_refuses_writes_nothing(
             self, tmp_path, capsys):
-        """Passes the structural validator, fails a NOT NULL column
-        after the run row and its cells went in: one error line, exit 1,
-        and the store holds no part of it."""
+        """Passes the structural validator (a NaN is a number, which
+        sqlite stores as NULL), fails a NOT NULL column after the run row
+        and its cells went in: one error line, exit 1, and the store
+        holds no part of it."""
         import json
         from repro.results import ResultsStore
         from tests.results.test_store import make_arena_doc
         doc = make_arena_doc()
-        doc["ranking"][0]["lb"] = None
+        doc["ranking"][0]["mean_nack_validity"] = float("nan")
         path, db = tmp_path / "arena.json", str(tmp_path / "r.sqlite")
         path.write_text(json.dumps(doc))
         assert main(["results", "ingest", "--db", db, str(path)]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out == [f"error: {path}: invalid arena doc: NOT NULL "
-                       "constraint failed: arena_ranking.lb"]
+                       "constraint failed: "
+                       "arena_ranking.mean_nack_validity"]
         with ResultsStore(db) as store:
             counts = store.counts()
         assert counts["runs"] == counts["arena_cells"] == 0

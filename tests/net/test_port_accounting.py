@@ -143,12 +143,28 @@ class TestIdlePortAccounting:
 
     def test_marker_evaluates_once_at_the_packets_own_depth(self):
         sim = Simulator()
-        switch, port, _ = switch_port(sim)
+        # kmin 999 B: the 1000 B packet is the only thing queued, so its
+        # own depth alone is above kmin (and far below kmax).
+        switch, port, _ = switch_port(
+            sim, ecn=EcnConfig(kmin_bytes=999, kmax_bytes=10**6))
         depths = marker_calls(switch.ecn_marker)
         pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
         port.enqueue(pkt)
         assert depths == [1000]
-        assert not pkt.ecn_marked          # 1000 B is below kmin
+
+    def test_at_or_below_kmin_no_marker_call_and_no_draw(self):
+        sim = Simulator()
+        for kmin in (1000, 100_000):       # at kmin, then below it
+            switch, port, _ = switch_port(
+                sim, ecn=EcnConfig(kmin_bytes=kmin, kmax_bytes=10**6))
+            marker = switch.ecn_marker
+            depths = marker_calls(marker)
+            state = marker._rng._gen.getstate()
+            pkt = data_packet(FlowKey(0, 1), 0, 1000 - 58)
+            port.enqueue(pkt)
+            assert (depths, marker.marked) == ([], 0)
+            assert marker._rng._gen.getstate() == state   # no draw
+            assert not pkt.ecn_marked
 
     def test_kmin_zero_marks_it(self):
         sim = Simulator()

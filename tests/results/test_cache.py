@@ -7,6 +7,8 @@ observable difference is the :class:`JobCounters` bookkeeping.
 """
 
 import json
+import multiprocessing
+import traceback
 
 from repro.faults.campaign import build_faults_doc, run_campaign
 from repro.faults.scenarios import builtin
@@ -23,6 +25,28 @@ def square(seed):
 
 def always_raises(seed):
     raise ValueError(f"deterministic failure for seed {seed}")
+
+
+#: Two overlapping tiny arena grids (``ecmp`` and ``reps`` in both).
+WRITER_GRIDS = (("ecmp", "rps", "reps"), ("ecmp", "reps", "prime"))
+
+
+def _grid_kwargs(lbs):
+    return dict(lbs=lbs, transports=("nic_sr", "ideal"), ccs=("dcqcn",),
+                workloads=("alltoall",),
+                topologies={
+                    "leaf_spine": arena.QUICK_TOPOLOGIES["leaf_spine"]},
+                seeds=(1,), quick=True, message_bytes=4_000)
+
+
+def _arena_writer(db, lbs, start, results):
+    """One spawned parent: its own arena run through the shared store."""
+    try:
+        start.wait(timeout=60)
+        doc = arena.run_arena(cache=db, **_grid_kwargs(lbs))
+        results.put(("ok", len(doc["cells"])))
+    except Exception:  # reported to the test, not swallowed
+        results.put(("error", traceback.format_exc()))
 
 
 def _spec(fn, seed, **kwargs):
@@ -110,6 +134,34 @@ class TestRunnerCache:
         warm = JobCounters()
         JobRunner(cache=db, counters=warm).run(specs)
         assert warm.cache_hits == 4 and warm.executed == 0
+
+
+class TestTwoWritersOneStore:
+    def test_concurrent_arena_runs_share_the_cache(self, tmp_path):
+        """Two parents, each a ``run_arena(cache=db)``, write one store
+        at the same time: both finish, no ``database is locked``
+        escapes, and every spec hash has exactly one row."""
+        db = str(tmp_path / "r.sqlite")
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(len(WRITER_GRIDS))
+        results = ctx.Queue()
+        writers = [ctx.Process(target=_arena_writer,
+                               args=(db, lbs, start, results))
+                   for lbs in WRITER_GRIDS]
+        for writer in writers:
+            writer.start()
+        outcomes = [results.get(timeout=120) for _ in writers]
+        for writer in writers:
+            writer.join(timeout=30)
+        assert outcomes == [("ok", 6)] * len(WRITER_GRIDS)
+        assert [writer.exitcode for writer in writers] == [0] * len(writers)
+        hashes = {spec.spec_hash for lbs in WRITER_GRIDS
+                  for spec in arena.arena_job_specs(**_grid_kwargs(lbs))}
+        with ResultsStore(db) as store:
+            rows = store.conn.execute(
+                "SELECT spec_hash, COUNT(*) FROM job_results "
+                "GROUP BY spec_hash").fetchall()
+        assert {tuple(row) for row in rows} == {(h, 1) for h in hashes}
 
 
 class TestArenaWarmRun:

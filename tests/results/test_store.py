@@ -8,6 +8,7 @@ store is lossless, not a lossy summary.
 
 import json
 import os
+import re
 import signal
 import sqlite3
 import subprocess
@@ -202,6 +203,40 @@ def test_ingest_of_a_mistyped_field_is_all_or_nothing(field, value):
             assert rows(store) == before    # committed or pending
         else:
             assert rows(store)["runs"] == before["runs"] + 1
+
+
+#: Wrong-typed values for the checked fields of an arena cell or ranking
+#: row: a string for a number, a number for a string, and a bool, which
+#: is no number.  None may reach the store: the dashboard renders what
+#: it holds, and a string metric there is an HTTP 500.
+ARENA_MISTYPED = [
+    *[("cells", "cell[0]", field, "x")
+      for field in ("mean_slowdown", "goodput_gbps", "reorder_rate",
+                    "nack_validity", "seed", "tail_ns", "nacks",
+                    "completed")],
+    ("cells", "cell[0]", "mean_slowdown", True),
+    ("cells", "cell[0]", "lb", 7),
+    ("cells", "cell[0]", "spec_hash", 7),
+    *[("ranking", "ranking[0]", field, "x")
+      for field in ("mean_goodput_gbps", "mean_nack_validity",
+                    "completed_cells")],
+    ("ranking", "ranking[0]", "mean_reorder_rate", True),
+    ("ranking", "ranking[0]", "transport", 7),
+]
+
+
+@pytest.mark.parametrize("section, label, field, value", ARENA_MISTYPED)
+def test_mistyped_arena_field_is_refused_before_any_row(
+        section, label, field, value):
+    doc = make_arena_doc()
+    doc[section][0][field] = value
+    with ResultsStore(":memory:") as store:
+        with pytest.raises(IngestError,
+                           match=re.escape(f"{label}.{field} is not")):
+            ingest_doc(store, doc)
+        assert all(store.conn.execute(
+            f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
+            for table in DETAIL_TABLES)
 
 
 # ----------------------------------------------------------------------

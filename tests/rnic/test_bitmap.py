@@ -31,13 +31,6 @@ class TestOooTracker:
         tracker = OooTracker()
         assert tracker.advance(10) == 10
 
-    def test_peak_size(self):
-        tracker = OooTracker()
-        for psn in range(5):
-            tracker.add(psn + 1)
-        tracker.advance(1)
-        assert tracker.peak_size == 5
-
     def test_smallest(self):
         tracker = OooTracker()
         tracker.add(9)

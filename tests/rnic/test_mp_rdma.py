@@ -50,7 +50,7 @@ class TestSenderFiltering:
         rate = sender.cc.rate_bps
         sender.on_nack(epsn, trigger_psn=trigger_psn)
         return (sender.stats.nacks_received - received,
-                epsn in sender._retx_set, sender.cc.rate_bps < rate)
+                epsn in sender._retx_queue, sender.cc.rate_bps < rate)
 
     def test_invalid_nack_filtered(self, make_nic_pair):
         nic_pair, sender = self._sender(make_nic_pair, filter_n=2)

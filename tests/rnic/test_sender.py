@@ -1,8 +1,14 @@
 """Unit tests for the sender QP: pacing, completions, NACK/RTO reaction."""
 
+import tracemalloc
+
+import pytest
+
 from repro.cc.base import FixedRate
+from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey
 from repro.rnic.config import RnicConfig
+from repro.rnic.reliability import RECEIVER_CLASSES
 from repro.sim.engine import MS, US
 
 
@@ -198,13 +204,60 @@ class TestOracle:
         assert sender.complete
 
 
+def _posted_alltoall(transport, nics=16):
+    """A 4-ToR leaf-spine fabric with one message posted on every
+    ordered NIC pair; returns it with the tracemalloc bytes per flow of
+    the posting (the fabric itself is built before tracing starts)."""
+    topo = TopologySpec(kind="leaf_spine", num_tors=4, num_spines=4,
+                        nics_per_tor=nics // 4, link_bandwidth_bps=100e9,
+                        link_delay_ns=US)
+    net = Network(NetworkConfig(topology=topo, scheme="rps",
+                                transport=transport, seed=7))
+    pairs = [(s, d) for s in range(nics) for d in range(nics) if s != d]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src, dst in pairs:
+            net.post_message(src, dst, 120_000, on_receiver_done=_no_op)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return net, grown / len(pairs)
+
+
+def _no_op():
+    pass
+
+
 class TestFootprint:
-    def test_sender_qp_keeps_28_attributes(self, nic_pair):
-        """992 QPs live at once on the full alltoall: a 30th instance
-        attribute grows each ``SenderQp.__dict__`` from 296 B to 1 584 B
-        (CPython 3.11), about 1.3 MB over the run.  Send tokens keep
-        their PSNs on the uplink, not here, so a new field has room for
-        one more."""
-        nic_pair.nics[0].post_send(1, 10_000)
-        sender = nic_pair.nics[0].senders[FlowKey(0, 1)]
-        assert len(vars(sender)) == 28
+    """Every flow holds a sender QP, a receiver QP, a congestion control
+    and a ``FlowStats``; an all-to-all holds N x (N - 1) of each at once
+    (992 on the ledger's ``spray_alltoall``, 65 280 on a 256-NIC
+    fabric).  docs/benchmarking.md, "Per-flow footprint"."""
+
+    @pytest.mark.parametrize("transport", sorted(RECEIVER_CLASSES))
+    def test_per_flow_objects_have_no_dict(self, transport):
+        """Slotted: a per-instance dict costs 296 B on CPython 3.11, and
+        1 584 B once a 30th attribute breaks key sharing."""
+        net, _ = _posted_alltoall(transport, nics=4)
+        flow = FlowKey(0, 1)
+        sender = net.nics[0].senders[flow]
+        receiver = net.nics[1].receivers[flow]
+        objects = [sender, receiver, sender.cc, sender.stats,
+                   sender._messages[0]]
+        if receiver.tracker is not None:
+            objects.append(receiver.tracker)
+        assert [type(obj).__name__ for obj in objects
+                if hasattr(obj, "__dict__")] == []
+
+    def test_bytes_per_flow_ceiling(self):
+        """Posting 240 flows allocates 2 357-2 403 B per flow on CPython
+        3.10-3.13 (3 513-3 851 B before the per-flow classes were
+        slotted, the receive queue became a list and the retransmission
+        set was deleted); the ceiling sits about 10 % above."""
+        _, per_flow = _posted_alltoall("nic_sr")
+        assert per_flow <= 2_600, (
+            f"{per_flow:.0f} B per flow: a per-flow object grew")
