@@ -8,6 +8,7 @@ simultaneously.  :func:`cross_rack_groups` reproduces that assignment.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,3 +97,61 @@ class Collective:
     def chunk_bytes(self) -> int:
         """Per-step chunk: the buffer split across the group."""
         return -(-self.total_bytes // self.size)
+
+
+class StepCollective(Collective):
+    """The step engine of the ring and halving-doubling collectives.
+
+    Every node runs ``num_steps`` exchanges in order and enters step
+    ``s+1`` only once its step-``s`` send is acknowledged *and* its
+    step-``s`` receive delivered.  Every step's receive is pre-posted at
+    start (RDMA receive semantics), so a receive is delivered whenever
+    its data lands; each step keeps its own flag because a partner
+    running ahead on another QP can deliver step ``s+1`` first.
+    Subclasses set ``num_steps`` and declare :meth:`exchange`.
+    """
+
+    num_steps: int
+
+    def exchange(self, position: int, step: int
+                 ) -> tuple[int, int, int, int]:
+        """``(send-to position, receive-from position, bytes, qp)`` of
+        ``position``'s step ``step``."""
+        raise NotImplementedError
+
+    def _launch(self) -> None:
+        self._step = [0] * self.size
+        self._sent = [False] * self.size
+        self._received = [[False] * self.num_steps
+                          for _ in range(self.size)]
+        for position, node in enumerate(self.members):
+            for step in range(self.num_steps):
+                _, source, nbytes, qp = self.exchange(position, step)
+                self.network.nics[node].expect_message(
+                    self.members[source], nbytes, qp=qp,
+                    on_done=partial(self._on_received, position, step))
+            self._post(position)
+
+    def _post(self, position: int) -> None:
+        dest, _, nbytes, qp = self.exchange(position, self._step[position])
+        self._sent[position] = False
+        self.network.nics[self.members[position]].post_send(
+            self.members[dest], nbytes, qp=qp,
+            on_done=partial(self._on_sent, position))
+
+    def _on_sent(self, position: int) -> None:
+        self._sent[position] = True
+        self._advance(position)
+
+    def _on_received(self, position: int, step: int) -> None:
+        self._received[position][step] = True
+        self._advance(position)
+
+    def _advance(self, position: int) -> None:
+        step = self._step[position]
+        if self._sent[position] and self._received[position][step]:
+            self._step[position] = step + 1
+            if step + 1 == self.num_steps:
+                self._node_finished()
+            else:
+                self._post(position)

@@ -8,22 +8,22 @@ has fewer, larger steps and a different (butterfly) communication graph,
 so it exercises distinct ECMP collision patterns — useful as a workload
 beyond the paper's two.
 
-Each node advances to step ``s+1`` only after both its send and its
-receive of step ``s`` completed (a true pairwise exchange).  Each
-(node, step) pair uses its own QP since partners change every step.
+Each step is a true pairwise exchange on the step engine
+(:class:`~repro.collectives.group.StepCollective`), and each (node, step)
+pair uses its own QP since partners change every step.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.collectives.group import Collective
+from repro.collectives.group import StepCollective
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.network import Network
 
 
-class HalvingDoublingAllreduce(Collective):
+class HalvingDoublingAllreduce(StepCollective):
     """Butterfly allreduce; group size must be a power of two."""
 
     name = "hd_allreduce"
@@ -35,64 +35,23 @@ class HalvingDoublingAllreduce(Collective):
         if n & (n - 1):
             raise ValueError("halving-doubling needs a power-of-two group")
         self._log_n = n.bit_length() - 1
-        #: per step: (partner distance, message bytes)
-        self._schedule: list[tuple[int, int]] = []
+        self.num_steps = 2 * self._log_n
+        halves = []                               # reduce-scatter sizes
         size = total_bytes
-        for _ in range(self._log_n):              # reduce-scatter phase
+        for _ in range(self._log_n):
             size = -(-size // 2)
-            self._schedule.append((0, size))      # distance filled below
-        for step in range(self._log_n):           # allgather phase
-            self._schedule.append((0, self._schedule[
-                self._log_n - 1 - step][1]))
-        distances = ([n >> (k + 1) for k in range(self._log_n)]
-                     + [1 << k for k in range(self._log_n)])
-        self._schedule = [(d, s) for d, (_, s)
-                          in zip(distances, self._schedule)]
-        self._step = [0] * n
-        self._send_done = [0] * n
-        self._recv_done = [0] * n
-
-    @property
-    def num_steps(self) -> int:
-        return 2 * self._log_n
+            halves.append(size)
+        #: per step: message bytes (the allgather mirrors the halving)
+        self._bytes = halves + halves[::-1]
 
     def partner(self, position: int, step: int) -> int:
-        distance, _ = self._schedule[step]
+        log_n = self._log_n
+        distance = (self.size >> (step + 1) if step < log_n
+                    else 1 << (step - log_n))
         return position ^ distance
 
-    # ------------------------------------------------------------------
-    def _launch(self) -> None:
-        for position in range(self.size):
-            self._post_step(position)
-
-    def _post_step(self, position: int) -> None:
-        step = self._step[position]
-        if step >= self.num_steps:
-            return
-        node = self.members[position]
-        peer = self.members[self.partner(position, step)]
-        _, nbytes = self._schedule[step]
-        # One QP per (pair direction, step): partners change every step.
-        qp = self.qp * self.num_steps + step
-        self.network.nics[node].post_send(
-            peer, nbytes, qp=qp,
-            on_done=self._make_cb(position, is_send=True))
-        self.network.nics[node].expect_message(
-            peer, nbytes, qp=qp,
-            on_done=self._make_cb(position, is_send=False))
-
-    def _make_cb(self, position: int, is_send: bool):
-        def callback() -> None:
-            if is_send:
-                self._send_done[position] += 1
-            else:
-                self._recv_done[position] += 1
-            done = min(self._send_done[position],
-                       self._recv_done[position])
-            if done > self._step[position]:
-                self._step[position] = done
-                if done == self.num_steps:
-                    self._node_finished()
-                else:
-                    self._post_step(position)
-        return callback
+    def exchange(self, position: int, step: int
+                 ) -> tuple[int, int, int, int]:
+        """Swap with the step's partner, on a QP of its own."""
+        peer = self.partner(position, step)
+        return peer, peer, self._bytes[step], self.qp * self.num_steps + step

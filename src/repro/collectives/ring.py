@@ -2,11 +2,9 @@
 
 All three follow the same dataflow: at every step each node sends one
 chunk to its right neighbour and receives one from its left neighbour.
-The per-node dependency is the real algorithmic one — a node may enter
-step ``s+1`` only after (a) its step-``s`` send completed (the data left
-and was acknowledged) and (b) its step-``s`` receive completed (it now
-holds the data to reduce/forward).  Receives for all steps are pre-posted,
-matching RDMA receive semantics; sends are posted as dependencies clear.
+The step loop (pre-posted receives, a send posted once the previous
+step's send is acknowledged and its receive delivered) is
+:class:`~repro.collectives.group.StepCollective`'s.
 
 Each (node -> right neighbour) pair reuses a single QP across all steps,
 so PSN numbering is continuous — exactly the state Themis-D's per-QP ring
@@ -17,14 +15,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.collectives.group import Collective
+from repro.collectives.group import StepCollective
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.network import Network
 
 
-class RingCollective(Collective):
-    """Shared engine; subclasses fix the number of ring steps."""
+class RingCollective(StepCollective):
+    """Ring dataflow on the step engine; subclasses fix the number of
+    ring steps."""
 
     name = "ring"
 
@@ -34,58 +33,12 @@ class RingCollective(Collective):
         if num_steps < 1:
             raise ValueError("need at least one ring step")
         self.num_steps = num_steps
-        self._send_done = [0] * self.size   # per node: steps fully sent
-        self._recv_done = [0] * self.size   # per node: steps fully received
-        self._next_step = [0] * self.size   # per node: next step to post
 
-    # ------------------------------------------------------------------
-    def _right(self, position: int) -> int:
-        return self.members[(position + 1) % self.size]
-
-    def _launch(self) -> None:
-        for position in range(self.size):
-            node = self.members[position]
-            # Pre-post every step's receive (from the left neighbour).
-            for step in range(self.num_steps):
-                self.network.nics[node].expect_message(
-                    self.members[(position - 1) % self.size],
-                    self.chunk_bytes(), qp=self.qp,
-                    on_done=self._make_recv_cb(position))
-            self._post_step(position)
-
-    def _post_step(self, position: int) -> None:
-        step = self._next_step[position]
-        if step >= self.num_steps:
-            return
-        self._next_step[position] += 1
-        node = self.members[position]
-        self.network.nics[node].post_send(
-            self._right(position), self.chunk_bytes(), qp=self.qp,
-            on_done=self._make_send_cb(position))
-
-    # Callbacks are built per position; completions arrive strictly in
-    # step order because both sides process one QP's PSN space in order.
-    def _make_send_cb(self, position: int):
-        def callback() -> None:
-            self._send_done[position] += 1
-            self._on_progress(position)
-        return callback
-
-    def _make_recv_cb(self, position: int):
-        def callback() -> None:
-            self._recv_done[position] += 1
-            self._on_progress(position)
-        return callback
-
-    def _on_progress(self, position: int) -> None:
-        done = min(self._send_done[position], self._recv_done[position])
-        if done >= self.num_steps:
-            if self._next_step[position] == self.num_steps:
-                self._next_step[position] += 1  # guard against double fire
-                self._node_finished()
-            return
-        if done >= self._next_step[position]:
-            self._post_step(position)
+    def exchange(self, position: int, step: int
+                 ) -> tuple[int, int, int, int]:
+        """Send right, receive from the left, one chunk, one QP."""
+        return ((position + 1) % self.size, (position - 1) % self.size,
+                self.chunk_bytes(), self.qp)
 
 
 class RingAllreduce(RingCollective):

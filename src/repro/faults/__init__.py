@@ -13,9 +13,10 @@ Three pieces:
   parallel job runner and reports recovery-time / goodput-dip /
   NACK-validity metrics.
 
-``spec`` has no heavy dependencies and is imported eagerly; the injector
-and campaign layers (which pull in the network stack and the harness)
-load lazily so low-level packages can import :mod:`repro.faults` freely.
+Only ``spec`` (no heavy dependencies) is re-exported here, so low-level
+packages can import :mod:`repro.faults` freely; the injector and campaign
+layers pull in the network stack and the harness and are imported from
+their own modules.
 """
 
 from repro.faults.spec import (DEFAULT_CONVERGE_US, LAYER_KINDS,
@@ -32,31 +33,4 @@ __all__ = [
     "LAYER_KINDS", "DEFAULT_CONVERGE_US",
     "compiled_spec", "scenario_from_dict", "load_scenario",
     "validate_compiled", "spec_duration_us",
-    # Lazily loaded:
-    "FaultInjector",
-    "run_cell", "run_campaign", "campaign_specs", "validate_result",
-    "BUILTIN_SCENARIOS", "builtin",
 ]
-
-_LAZY = {
-    "FaultInjector": ("repro.faults.injector", "FaultInjector"),
-    "run_cell": ("repro.faults.campaign", "run_cell"),
-    "run_campaign": ("repro.faults.campaign", "run_campaign"),
-    "campaign_specs": ("repro.faults.campaign", "campaign_specs"),
-    "validate_result": ("repro.faults.campaign", "validate_result"),
-    "BUILTIN_SCENARIOS": ("repro.faults.scenarios", "BUILTIN_SCENARIOS"),
-    "builtin": ("repro.faults.scenarios", "builtin"),
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    import importlib
-
-    module = importlib.import_module(target[0])
-    value = getattr(module, target[1])
-    globals()[name] = value
-    return value

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.faults.spec import compiled_spec, spec_duration_us
-from repro.harness.report import field_problems
+from repro.harness.report import NUMBER_OR_NULL, field_problems
 
 #: Goodput is "recovered" at this fraction of the pre-fault mean.
 RECOVERY_FRACTION = 0.9
@@ -316,7 +316,13 @@ def validate_faults_doc(doc: dict) -> list[str]:
             problems.append(f"cell[{i}] is not an object")
             continue
         problems += field_problems(cell, _DOC_CELL_KEYS, label=f"cell[{i}]",
-                                   types={"goodput": dict, "nacks": dict})
+                                   types={"goodput": dict, "nacks": dict,
+                                          "tail_stretch": NUMBER_OR_NULL})
+        if isinstance(cell.get("goodput"), dict):
+            problems += field_problems(
+                cell["goodput"], label=f"cell[{i}].goodput",
+                types=dict.fromkeys(("dip_frac", "recovery_ns"),
+                                    NUMBER_OR_NULL))
     if not cells and not doc.get("failures"):
         problems.append("document has neither cells nor failures")
     return problems

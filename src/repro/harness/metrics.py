@@ -67,7 +67,7 @@ class FlowStats:
     packets sent and retransmitted, which the run totals sum."""
 
     flow: FlowKey
-    start_ns: int = 0
+    start_ns: int = 0               # the flow's first post (SenderQp)
     sender_done_ns: Optional[int] = None
     receiver_done_ns: Optional[int] = None
     bytes_posted: int = 0
@@ -169,7 +169,7 @@ class Metrics:
     def flow_stats(self, flow: FlowKey) -> FlowStats:
         stats = self.flows.get(flow)
         if stats is None:
-            stats = FlowStats(flow, start_ns=self.sim.now)
+            stats = FlowStats(flow)
             self.flows[flow] = stats
         return stats
 

@@ -7,6 +7,7 @@ show; these helpers keep that formatting in one place.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -67,10 +68,12 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return path
 
 
-#: A ``types`` entry for any JSON number.
+#: A ``types`` entry for any finite JSON number, and for one or null.
 NUMBER = (int, float)
+NUMBER_OR_NULL = (int, float, type(None))
 _TYPE_NAMES = {dict: "an object", list: "a list", bool: "a bool",
-               int: "an int", str: "a string", NUMBER: "a number"}
+               int: "an int", str: "a string", NUMBER: "a number",
+               NUMBER_OR_NULL: "a number or null"}
 
 
 def field_problems(obj: dict, required: Sequence[str] = (), *,
@@ -82,7 +85,9 @@ def field_problems(obj: dict, required: Sequence[str] = (), *,
     in one problem; an unlabelled one (a whole document, a job result)
     reports one problem per key.  ``types`` constrains keys that are
     present; a bool satisfies only ``bool``, never ``int`` or
-    :data:`NUMBER`.  Anything but an object is itself the one problem.
+    :data:`NUMBER`, and a NaN or infinity no type (``json`` reads them,
+    but they are not JSON and sqlite stores a NaN as NULL).  Anything but
+    an object is itself the one problem.
     """
     if not isinstance(obj, dict):
         return [f"{label or 'document'} is not an object"]
@@ -99,4 +104,6 @@ def field_problems(obj: dict, required: Sequence[str] = (), *,
         if not isinstance(value, expected) or (
                 isinstance(value, bool) and expected is not bool):
             problems.append(f"{where}{key} is not {_TYPE_NAMES[expected]}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{where}{key} is not finite ({value})")
     return problems

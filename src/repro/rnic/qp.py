@@ -130,7 +130,10 @@ class SenderQp:
     # ------------------------------------------------------------------
     def post_send(self, nbytes: int,
                   on_done: Optional[Callable[[], None]] = None) -> None:
-        """Queue a message; PSN numbering continues across messages."""
+        """Queue a message; PSN numbering continues across messages.
+        The flow's first post stamps ``FlowStats.start_ns``."""
+        if not self._messages:
+            self.stats.start_ns = self.sim.now
         npkts = self.config.packets_for(nbytes)
         self.total_psns += npkts
         self._messages.append(_Message(self.total_psns, on_done))

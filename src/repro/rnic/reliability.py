@@ -81,8 +81,8 @@ class ReceiverQp:
         self.rec_nack = None if recorder is None \
             else recorder.channel(OBS_NACK)
 
-        #: Posted receives not yet complete, oldest first: one or two
-        #: entries on a collective's QP.
+        #: Posted receives not yet complete, oldest first: a ring QP
+        #: holds every step's receive from the collective's start.
         self._expected: list[tuple[int, Optional[Callable[[], None]]]] \
             = []                      # (end_psn, callback)
         self._posted_psns = 0

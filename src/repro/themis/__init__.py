@@ -7,8 +7,7 @@ from repro.themis.flow_table import FlowEntry, FlowTable
 from repro.themis.memory import (FLOW_ENTRY_BYTES, MemoryBreakdown,
                                  MemoryParams, memory_overhead,
                                  queue_entries)
-from repro.themis.pathmap import (apply_pathmap, build_pathmap,
-                                  pathmap_memory_bytes, trace_path)
+from repro.themis.pathmap import apply_pathmap, build_pathmap, trace_path
 from repro.themis.ring_queue import PsnRingQueue
 from repro.themis.source import ThemisSource
 
@@ -16,6 +15,6 @@ __all__ = [
     "ThemisConfig", "ThemisSource", "ThemisDest", "FlowTable", "FlowEntry",
     "PsnRingQueue", "MemoryParams", "MemoryBreakdown", "memory_overhead",
     "queue_entries", "FLOW_ENTRY_BYTES", "build_pathmap", "apply_pathmap",
-    "trace_path", "pathmap_memory_bytes",
+    "trace_path",
     "SwitchAudit", "audit_switch", "audit_network",
 ]

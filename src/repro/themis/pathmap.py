@@ -89,8 +89,3 @@ def build_pathmap(topology: Topology, flow: FlowKey, base_sport: int,
 def apply_pathmap(deltas: Sequence[int], base_sport: int, psn: int) -> int:
     """Header modification of Fig. 3 step 3: sport' = sport xor delta."""
     return base_sport ^ deltas[psn % len(deltas)]
-
-
-def pathmap_memory_bytes(n_paths: int) -> int:
-    """Each entry stores a 16-bit sport delta (§4)."""
-    return n_paths * 2

@@ -42,7 +42,7 @@ class TestSchedule:
     def test_message_sizes_halve_then_double(self):
         net = make_network(num_tors=8)
         coll = HalvingDoublingAllreduce(net, list(range(8)), 80_000)
-        sizes = [s for _, s in coll._schedule]
+        sizes = [coll.exchange(0, s)[2] for s in range(coll.num_steps)]
         assert sizes == [40_000, 20_000, 10_000, 10_000, 20_000, 40_000]
 
 

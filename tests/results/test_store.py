@@ -7,6 +7,7 @@ store is lossless, not a lossy summary.
 """
 
 import json
+import math
 import os
 import re
 import signal
@@ -233,6 +234,36 @@ def test_mistyped_arena_field_is_refused_before_any_row(
     with ResultsStore(":memory:") as store:
         with pytest.raises(IngestError,
                            match=re.escape(f"{label}.{field} is not")):
+            ingest_doc(store, doc)
+        assert all(store.conn.execute(
+            f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
+            for table in DETAIL_TABLES)
+
+
+#: Numbers ``json`` reads but JSON has not: sqlite would store a NaN as
+#: NULL (``/faults`` shows "-") and re-emit it as a bare ``NaN`` token.
+NON_FINITE_FIELDS = [
+    (make_arena_doc, ("cells", 0, "goodput_gbps"), "cell[0].goodput_gbps"),
+    (make_arena_doc, ("ranking", 0, "mean_nack_validity"),
+     "ranking[0].mean_nack_validity"),
+    (make_faults_doc, ("cells", 0, "tail_stretch"), "cell[0].tail_stretch"),
+    (make_faults_doc, ("cells", 0, "goodput", "dip_frac"),
+     "cell[0].goodput.dip_frac"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, path, label", NON_FINITE_FIELDS)
+def test_non_finite_number_is_refused_before_any_row(make, path, label,
+                                                      value):
+    doc = make()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with ResultsStore(":memory:") as store:
+        with pytest.raises(IngestError,
+                           match=re.escape(f"{label} is not finite")):
             ingest_doc(store, doc)
         assert all(store.conn.execute(
             f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0

@@ -31,6 +31,7 @@ from repro.harness.jobs import canonical_json
 from repro.harness.motivation import motivation_config, run_motivation
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.tracing import run_traced_alltoall
+from repro.harness.workload import run_built
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC
 from repro.switch.buffer import SharedBuffer
@@ -228,3 +229,22 @@ def test_fig5_smoke_pair_with_ecn(scheme, golden):
             sum(s.ecn_marker.marked for s in net.topology.switches),
             net.metrics.retransmissions, net.metrics.nacks_generated) \
         == golden
+
+
+@pytest.mark.parametrize("scheme, golden", [
+    ("ecmp", (554_132, 56_325)),
+    ("ar", (1_161_266, 64_122)),
+    ("themis", (252_476, 58_540))])
+def test_fig5_hd_smoke(scheme, golden):
+    """The halving-doubling twin of the Fig. 5 smoke cell: 400 kB HD
+    allreduce in every cross-rack group.  Its per-step QPs let a partner
+    running ahead deliver step ``s+1`` before step ``s``, which a
+    step gate that counts receives instead of flagging each step gets
+    wrong (the ``ecmp`` row moves)."""
+    net = build_collective(fig5_config(scheme, 900, 4, scale=EvalScale(),
+                                       seed=7), "hd_allreduce", 400_000)
+    run_built(net, 20 * SEC)
+    assert net.traffic.complete
+    tail = max(coll.completion_time_ns()
+               for coll in net.traffic.collectives)
+    assert (tail, net.sim.executed) == golden

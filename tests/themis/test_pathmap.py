@@ -11,8 +11,9 @@ from repro.switch.ecn import EcnConfig, EcnMarker
 from repro.switch.lb import EcmpLB
 from repro.switch.switch import Switch
 from repro.net.node import Device
-from repro.themis.pathmap import (apply_pathmap, build_pathmap,
-                                  pathmap_memory_bytes, trace_path)
+from repro.themis.memory import (PATHMAP_ENTRY_BYTES, MemoryParams,
+                                 memory_overhead)
+from repro.themis.pathmap import apply_pathmap, build_pathmap, trace_path
 
 
 def build_fat_tree(k=4):
@@ -98,7 +99,10 @@ class TestBuildPathmap:
             build_pathmap(ft_topology, FlowKey(0, 15), 700, 0)
 
     def test_memory_model(self):
-        assert pathmap_memory_bytes(256) == 512
+        """Each PathMap entry is one 16-bit sport delta (§4)."""
+        assert PATHMAP_ENTRY_BYTES == 2
+        assert memory_overhead(MemoryParams(n_paths=256)).pathmap_bytes \
+            == 512
 
 
 class TestLeafSpinePathmap:
