@@ -32,15 +32,13 @@ def test_fig1_motivation(benchmark):
 
     print("\n=== Figure 1b: retransmission ratio over time "
           f"(flow {nic_sr.watched_flow}) ===")
-    print(format_series(nic_sr.retx_ratio_series, time_unit_ns=1000,
-                        time_label="us"))
+    print(format_series(nic_sr.retx_ratio_series))
     print(f"Average spurious retransmission ratio (all flows): "
           f"{percent(nic_sr.avg_retx_ratio)}  [paper: ~16%]")
 
     print("\n=== Figure 1c: sending rate over time (Gbps) ===")
     print(sparkline([v for _, v in nic_sr.rate_series_gbps]))
-    print(format_series(nic_sr.rate_series_gbps, time_unit_ns=1000,
-                        time_label="us", value_fmt="{:.1f} Gbps"))
+    print(format_series(nic_sr.rate_series_gbps, value_fmt="{:.1f} Gbps"))
     print(f"Average rate: {nic_sr.avg_rate_gbps:.1f} / "
           f"{nic_sr.line_rate_gbps:.0f} Gbps "
           f"({percent(nic_sr.avg_rate_fraction)})  [paper: ~86%]")

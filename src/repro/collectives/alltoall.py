@@ -23,8 +23,8 @@ class AllToAll(Collective):
     name = "alltoall"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, qp: int = 0) -> None:
-        super().__init__(network, members, total_bytes, qp=qp)
+                 total_bytes: int) -> None:
+        super().__init__(network, members, total_bytes)
         self._pending_recvs = [self.size - 1] * self.size
 
     def _launch(self) -> None:
@@ -34,9 +34,8 @@ class AllToAll(Collective):
                 if peer == node:
                     continue
                 self.network.nics[node].expect_message(
-                    peer, chunk, qp=self.qp,
-                    on_done=self._make_recv_cb(position))
-                self.network.nics[node].post_send(peer, chunk, qp=self.qp)
+                    peer, chunk, on_done=self._make_recv_cb(position))
+                self.network.nics[node].post_send(peer, chunk)
 
     def _make_recv_cb(self, position: int):
         def callback() -> None:

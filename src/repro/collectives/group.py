@@ -49,7 +49,7 @@ class Collective:
     name = "collective"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, qp: int = 0) -> None:
+                 total_bytes: int) -> None:
         if len(set(members)) != len(members) or len(members) < 2:
             raise ValueError("need >= 2 distinct members")
         if total_bytes < len(members):
@@ -57,7 +57,6 @@ class Collective:
         self.network = network
         self.members = list(members)
         self.total_bytes = int(total_bytes)
-        self.qp = qp
         self.start_ns: Optional[int] = None
         self.done_ns: Optional[int] = None
         #: Called once, when the last member finishes.

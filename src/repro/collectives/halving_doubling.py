@@ -29,8 +29,8 @@ class HalvingDoublingAllreduce(StepCollective):
     name = "hd_allreduce"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, qp: int = 0) -> None:
-        super().__init__(network, members, total_bytes, qp=qp)
+                 total_bytes: int) -> None:
+        super().__init__(network, members, total_bytes)
         n = self.size
         if n & (n - 1):
             raise ValueError("halving-doubling needs a power-of-two group")
@@ -52,6 +52,6 @@ class HalvingDoublingAllreduce(StepCollective):
 
     def exchange(self, position: int, step: int
                  ) -> tuple[int, int, int, int]:
-        """Swap with the step's partner, on a QP of its own."""
+        """Swap with the step's partner, on QP ``step``."""
         peer = self.partner(position, step)
-        return peer, peer, self._bytes[step], self.qp * self.num_steps + step
+        return peer, peer, self._bytes[step], step

@@ -28,17 +28,17 @@ class RingCollective(StepCollective):
     name = "ring"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, num_steps: int, qp: int = 0) -> None:
-        super().__init__(network, members, total_bytes, qp=qp)
+                 total_bytes: int, *, num_steps: int) -> None:
+        super().__init__(network, members, total_bytes)
         if num_steps < 1:
             raise ValueError("need at least one ring step")
         self.num_steps = num_steps
 
     def exchange(self, position: int, step: int
                  ) -> tuple[int, int, int, int]:
-        """Send right, receive from the left, one chunk, one QP."""
+        """Send right, receive from the left, one chunk, QP 0."""
         return ((position + 1) % self.size, (position - 1) % self.size,
-                self.chunk_bytes(), self.qp)
+                self.chunk_bytes(), 0)
 
 
 class RingAllreduce(RingCollective):
@@ -47,9 +47,9 @@ class RingAllreduce(RingCollective):
     name = "allreduce"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, qp: int = 0) -> None:
+                 total_bytes: int) -> None:
         super().__init__(network, members, total_bytes,
-                         num_steps=2 * (len(members) - 1), qp=qp)
+                         num_steps=2 * (len(members) - 1))
 
 
 class RingAllgather(RingCollective):
@@ -58,9 +58,9 @@ class RingAllgather(RingCollective):
     name = "allgather"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, qp: int = 0) -> None:
+                 total_bytes: int) -> None:
         super().__init__(network, members, total_bytes,
-                         num_steps=len(members) - 1, qp=qp)
+                         num_steps=len(members) - 1)
 
 
 class RingReduceScatter(RingCollective):
@@ -69,6 +69,6 @@ class RingReduceScatter(RingCollective):
     name = "reducescatter"
 
     def __init__(self, network: "Network", members: list[int],
-                 total_bytes: int, *, qp: int = 0) -> None:
+                 total_bytes: int) -> None:
         super().__init__(network, members, total_bytes,
-                         num_steps=len(members) - 1, qp=qp)
+                         num_steps=len(members) - 1)

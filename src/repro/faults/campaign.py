@@ -23,21 +23,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.faults.spec import compiled_spec, spec_duration_us
+from repro.faults.spec import (DEFAULT_WORKLOAD, compiled_spec,
+                               spec_duration_us)
 from repro.harness.report import NUMBER_OR_NULL, field_problems
 
 #: Goodput is "recovered" at this fraction of the pre-fault mean.
 RECOVERY_FRACTION = 0.9
-
-#: Workload defaults for a cell; the spec's ``workload`` section
-#: overrides any of them.
-DEFAULT_WORKLOAD = {
-    "nodes": 8,
-    "message_bytes": 20_000,
-    "scheme": "themis",
-    "loss": 0.0,
-    "trace_window_us": 10.0,
-}
 
 RESULT_VERSION = 1
 
@@ -53,11 +44,9 @@ FAULTS_SCHEMA = "repro-faults-v1"
 def run_cell(params: dict, seed: int) -> dict:
     """Execute one campaign cell; returns the JSON result document.
 
-    ``params`` carries ``{"spec": <compiled scenario spec>}`` plus an
-    optional ``"deadline_ns"``.
+    ``params`` carries ``{"spec": <compiled scenario spec>}``.
     """
-    from repro.harness.tracing import (TRACE_DEADLINE_NS,
-                                       run_traced_alltoall)
+    from repro.harness.tracing import run_traced_alltoall
     from repro.obs.nacks import build_audit
     from repro.obs.record import FAULT, NACK
     from repro.sim.engine import US
@@ -71,8 +60,7 @@ def run_cell(params: dict, seed: int) -> dict:
             message_bytes=workload["message_bytes"],
             scheme=workload["scheme"], faults=fault_spec,
             watch_flows=True,
-            trace_window_ns=int(round(workload["trace_window_us"] * US)),
-            deadline_ns=int(params.get("deadline_ns", TRACE_DEADLINE_NS)))
+            trace_window_ns=int(round(workload["trace_window_us"] * US)))
 
     base_net, _ = once(None)
     net, recorder = once(spec)
@@ -207,8 +195,7 @@ def campaign_specs(spec, seeds: Sequence[int]) -> list:
             for seed in seeds]
 
 
-def run_campaign(spec, seeds: Sequence[int], *, counters=None,
-                 **runner_opts) -> dict:
+def run_campaign(spec, seeds: Sequence[int], **runner_opts) -> dict:
     """Run every (scenario, seed) cell on the job runner; aggregate.
 
     ``runner_opts`` are :class:`~repro.harness.jobs.JobRunner` keywords
@@ -224,7 +211,7 @@ def run_campaign(spec, seeds: Sequence[int], *, counters=None,
 
     doc = compiled_spec(spec)
     specs = campaign_specs(doc, seeds)
-    counters = counters if counters is not None else JobCounters()
+    counters = JobCounters()
     outcomes = run_jobs(specs, counters=counters, **runner_opts)
 
     cells, failures, problems = [], [], []

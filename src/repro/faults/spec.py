@@ -37,6 +37,16 @@ SPEC_VERSION = 1
 #: control-plane update), in microseconds.
 DEFAULT_CONVERGE_US = 25.0
 
+#: The traced alltoall a campaign cell runs (``repro.faults.campaign``);
+#: a scenario's ``workload`` object may override any of these keys.
+DEFAULT_WORKLOAD = {
+    "nodes": 8,
+    "message_bytes": 20_000,
+    "scheme": "themis",
+    "loss": 0.0,
+    "trace_window_us": 10.0,
+}
+
 
 class ScenarioError(ValueError):
     """A fault scenario is malformed or targets nothing in the fabric."""
@@ -57,6 +67,37 @@ def _fraction(value, name: str, *, one_allowed: bool) -> None:
     if not (0.0 < number < 1.0 or (one_allowed and number == 1.0)):
         bounds = "(0, 1]" if one_allowed else "(0, 1)"
         raise ScenarioError(f"{name} must be in {bounds}, got {value!r}")
+
+
+def _workload(workload) -> None:
+    """Check every key of a scenario's ``workload`` object against
+    :data:`DEFAULT_WORKLOAD`: known, and of the type and range the
+    campaign cell can run."""
+    from repro.harness.network import SCHEMES
+    if not isinstance(workload, dict):
+        raise ScenarioError("'workload' must be an object")
+    for key, value in workload.items():
+        name = f"workload.{key}"
+        if key not in DEFAULT_WORKLOAD:
+            raise ScenarioError(f"{name}: unknown key (expected one of "
+                                f"{sorted(DEFAULT_WORKLOAD)})")
+        if key in ("nodes", "message_bytes"):
+            low = 4 if key == "nodes" else 1
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < low or (key == "nodes" and value % 2)):
+                what = "an even integer" if key == "nodes" else "an integer"
+                raise ScenarioError(f"{name} must be {what} >= {low}, "
+                                    f"got {value!r}")
+        elif key == "scheme":
+            if not isinstance(value, str) or value not in SCHEMES:
+                raise ScenarioError(f"{name} must be one of {SCHEMES}, "
+                                    f"got {value!r}")
+        elif key == "loss":
+            if _us(value, name) >= 1.0:
+                raise ScenarioError(f"{name} must be in [0, 1), "
+                                    f"got {value!r}")
+        else:
+            _us(value, name, minimum=1e-3)
 
 
 def _direction(value) -> None:
@@ -322,8 +363,7 @@ def validate_compiled(spec: dict) -> None:
             raise ScenarioError(f"compiled spec missing {key!r}")
     if spec.get("version", SPEC_VERSION) != SPEC_VERSION:
         raise ScenarioError(f"unsupported spec version {spec['version']}")
-    if not isinstance(spec.get("workload", {}), dict):
-        raise ScenarioError("'workload' must be an object")
+    _workload(spec.get("workload", {}))
     _us(spec.get("converge_us", 0.0), "converge_us")
     events = spec["events"]
     if not isinstance(events, list):

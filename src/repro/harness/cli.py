@@ -46,7 +46,8 @@ from repro.collectives import COLLECTIVE_CLASSES
 from repro.harness.collective_runner import (EvalScale, fig5_config,
                                              run_collective)
 from repro.harness.motivation import motivation_config, run_motivation
-from repro.harness.network import SCHEMES, TRANSPORTS
+from repro.harness.network import (SCHEMES, TRANSPORTS, Network,
+                                   NetworkConfig, TopologySpec)
 from repro.harness.report import (format_table, percent, sparkline,
                                   write_json)
 from repro.harness.sweep import DCQCN_SWEEP, run_fig5_sweep
@@ -392,6 +393,8 @@ def cmd_memory(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_motivation(args: argparse.Namespace, console: Console) -> int:
+    if args.flow_bytes < 1:
+        return _fail(console, "--flow-bytes must be >= 1")
     config = motivation_config(scheme=args.scheme,
                                transport=args.transport, seed=args.seed)
     result = run_motivation(config, flow_bytes=args.flow_bytes)
@@ -421,6 +424,10 @@ def cmd_motivation(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_collective(args: argparse.Namespace, console: Console) -> int:
+    if not args.ti_us > 0:
+        return _fail(console, "--ti-us must be > 0")
+    if not args.td_us >= 0:
+        return _fail(console, "--td-us must be >= 0")
     scale = EvalScale.from_env()
     config = fig5_config(args.scheme, args.ti_us, args.td_us,
                          scale=scale, seed=args.seed)
@@ -697,6 +704,15 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
     if args.seeds < 1:
         return _fail(console, "--seeds must be >= 1")
     topologies = {name: presets[name] for name in topo_names}
+    if args.bytes is not None:
+        # Every collective splits the message across the fabric's NICs.
+        nics = max(Network(NetworkConfig(topology=TopologySpec(**topo)))
+                   .topology.num_nics for topo in topologies.values())
+        if args.bytes < nics:
+            return _fail(console, f"--bytes must be >= {nics}, the NIC "
+                                  f"count of the largest chosen topology")
+    if args.deadline_us is not None and not args.deadline_us > 0:
+        return _fail(console, "--deadline-us must be > 0")
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     counters = JobCounters()
     n_cells = (len(lbs) * len(transports) * len(ccs) * len(workloads)

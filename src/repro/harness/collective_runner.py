@@ -107,13 +107,13 @@ def build_collective(config: NetworkConfig, collective: str,
 
 
 def run_collective(config: NetworkConfig, collective: str, *,
-                   bytes_per_group: Optional[int] = None,
                    scale: Optional[EvalScale] = None,
                    deadline_ns: int = DEFAULT_DEADLINE_NS
                    ) -> CollectiveRunResult:
-    """Run ``collective`` in every cross-rack group simultaneously."""
+    """Run ``collective`` (``scale.collective_bytes`` per group) in every
+    cross-rack group simultaneously."""
     scale = scale or EvalScale.from_env()
-    nbytes = bytes_per_group or scale.collective_bytes
+    nbytes = scale.collective_bytes
     net = build_collective(config, collective, nbytes)
     run_built(net, deadline_ns)
     traffic = net.traffic
@@ -132,6 +132,5 @@ def run_collective_cell(params: dict, seed: int) -> dict:
     scale = EvalScale(**params["scale"])
     config = fig5_config(params["scheme"], params["ti_us"],
                          params["td_us"], scale=scale, seed=seed)
-    return asdict(run_collective(
-        config, params["collective"],
-        bytes_per_group=params.get("bytes_per_group"), scale=scale))
+    return asdict(run_collective(config, params["collective"],
+                                 scale=scale))

@@ -114,10 +114,10 @@ class ThemisStats:
 class Metrics:
     """Experiment-wide counters, per-flow stats, and optional traces."""
 
-    def __init__(self, sim: Simulator,
-                 trace_window_ns: int = 100 * US) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.trace_window_ns = trace_window_ns
+        #: Window of the watched-flow series; the fault campaign widens it.
+        self.trace_window_ns = 100 * US
 
         # Global counters, each bumped where the event happens: drops by
         # on_drop, the control packets by the receiver that emits them.

@@ -32,6 +32,8 @@ from repro.sim.engine import SEC, US
 #: size-scaled (see DESIGN.md §3); pass ``flow_bytes`` to raise it.
 DEFAULT_FLOW_BYTES = 4_000_000
 DEFAULT_DEADLINE_NS = 2 * SEC
+#: The flow Fig. 1b/1c trace: node 0 to the next node of its ring.
+WATCHED_FLOW = FlowKey(0, 2)
 
 
 def motivation_config(scheme: str = "rps", transport: str = "nic_sr",
@@ -83,15 +85,14 @@ class MotivationResult:
 
 
 def build_motivation(config: Optional[NetworkConfig] = None, *,
-                     flow_bytes: int = DEFAULT_FLOW_BYTES,
-                     watch: tuple[int, int] = (0, 2)) -> Network:
-    """The Fig. 1 fabric with its two-ring traffic posted and flow
-    ``watch`` traced; run it with :func:`~repro.harness.workload.run_built`
-    and read ``net.traffic``."""
+                     flow_bytes: int = DEFAULT_FLOW_BYTES) -> Network:
+    """The Fig. 1 fabric with its two-ring traffic posted and
+    :data:`WATCHED_FLOW` traced; run it with
+    :func:`~repro.harness.workload.run_built` and read ``net.traffic``."""
     if config is None:
         config = motivation_config()
     net = Network(config)
-    net.watch_flow(*watch)
+    net.metrics.watch_flow(WATCHED_FLOW)
     spec = config.topology
     post_messages(net, ring_pairs(interleaved_ring_groups(
         spec.num_tors * spec.nics_per_tor, 2)), flow_bytes)
@@ -100,15 +101,14 @@ def build_motivation(config: Optional[NetworkConfig] = None, *,
 
 def run_motivation(config: Optional[NetworkConfig] = None, *,
                    flow_bytes: int = DEFAULT_FLOW_BYTES,
-                   watch: tuple[int, int] = (0, 2),
                    deadline_ns: int = DEFAULT_DEADLINE_NS
                    ) -> MotivationResult:
     """Run the two-ring workload and collect the Fig. 1 measurements."""
-    net = build_motivation(config, flow_bytes=flow_bytes, watch=watch)
+    net = build_motivation(config, flow_bytes=flow_bytes)
     run_built(net, deadline_ns)
     config = net.config
     traffic = net.traffic
-    watched = FlowKey(*watch)
+    watched = WATCHED_FLOW
 
     metrics = net.metrics
     line_gbps = config.topology.link_bandwidth_bps / 1e9
@@ -144,14 +144,9 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
     return result
 
 
-def run_fig1d_comparison(*, flow_bytes: int = DEFAULT_FLOW_BYTES,
-                         seed: int = 1) -> dict[str, MotivationResult]:
+def run_fig1d_comparison(*, flow_bytes: int = DEFAULT_FLOW_BYTES
+                         ) -> dict[str, MotivationResult]:
     """NIC-SR vs Ideal average throughput under random spraying."""
-    return {
-        "nic_sr": run_motivation(
-            motivation_config(transport="nic_sr", seed=seed),
-            flow_bytes=flow_bytes),
-        "ideal": run_motivation(
-            motivation_config(transport="ideal", seed=seed),
-            flow_bytes=flow_bytes),
-    }
+    return {transport: run_motivation(motivation_config(transport=transport),
+                                      flow_bytes=flow_bytes)
+            for transport in ("nic_sr", "ideal")}

@@ -24,7 +24,7 @@ Supported schemes (``NetworkConfig.scheme``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cc.base import CongestionControl, FixedRate
@@ -257,16 +257,6 @@ class Network:
     # ------------------------------------------------------------------
     # Themis installation
     # ------------------------------------------------------------------
-    def _themis_config(self) -> ThemisConfig:
-        cfg = self.config.themis
-        scheme = self.config.scheme
-        if scheme == "themis_noval":
-            cfg = replace(cfg, enable_validation=False,
-                          enable_compensation=False)
-        elif scheme == "themis_nocomp":
-            cfg = replace(cfg, enable_compensation=False)
-        return cfg
-
     def _n_paths_for(self, flow: FlowKey) -> int:
         if self.sprays_by_pathmap:
             return self.topology.path_count(flow.src, flow.dst)
@@ -280,11 +270,15 @@ class Network:
         bandwidth = spec.link_bandwidth_bps
         queueing_ns = int(self.config.ecn.kmax_bytes * 8 * 1e9 / bandwidth)
         rtt_ns = 2 * spec.link_delay_ns + queueing_ns
-        return self._themis_cfg.queue_entries(
+        return self.config.themis.queue_entries(
             bandwidth, rtt_ns, DEFAULT_MTU)
 
     def _install_themis(self) -> None:
-        self._themis_cfg = self._themis_config()
+        # The ablation schemes switch Themis-D's halves off: themis_noval
+        # both (spraying only), themis_nocomp compensation.
+        scheme = self.config.scheme
+        validate = scheme != "themis_noval"
+        compensate = scheme == "themis"
         provider = None
         if self.sprays_by_pathmap:
             def provider(flow: FlowKey, sport: int) -> list[int]:
@@ -292,12 +286,12 @@ class Network:
                                      self._n_paths_for(flow))
         for tor in self.topology.tors:
             tor.add_middleware(ThemisDest(
-                self._themis_cfg, self.metrics,
+                self.config.themis, self.metrics,
                 n_paths_for=self._n_paths_for,
-                queue_capacity_for=self._queue_capacity_for))
+                queue_capacity_for=self._queue_capacity_for,
+                validate=validate, compensate=compensate))
             tor.add_middleware(ThemisSource(
-                self._themis_cfg, self.metrics,
-                pathmap_provider=provider))
+                self.config.themis, pathmap_provider=provider))
 
     def _reps_recycle(self, flow: FlowKey, epsn: int) -> None:
         """Metrics ack_listeners hook: fan one cumulative ACK out to
@@ -414,20 +408,18 @@ class Network:
     # Workload API
     # ------------------------------------------------------------------
     def post_message(self, src: int, dst: int, nbytes: int, *, qp: int = 0,
-                     on_sender_done: Optional[Callable[[], None]] = None,
                      on_receiver_done: Optional[Callable[[], None]] = None
                      ) -> FlowKey:
         """Post a message on the (src, dst, qp) QP and pre-post the
         matching receive.  Returns the flow key."""
-        flow = self.nics[src].post_send(dst, nbytes, qp=qp,
-                                        on_done=on_sender_done)
+        flow = self.nics[src].post_send(dst, nbytes, qp=qp)
         self.nics[dst].expect_message(src, nbytes, qp=qp,
                                       on_done=on_receiver_done)
         return flow
 
-    def watch_flow(self, src: int, dst: int, qp: int = 0) -> FlowKey:
-        """Enable traces for a flow.  Call before posting messages."""
-        flow = FlowKey(src, dst, qp)
+    def watch_flow(self, src: int, dst: int) -> FlowKey:
+        """Enable traces for the flow on QP 0.  Call before posting."""
+        flow = FlowKey(src, dst)
         self.metrics.watch_flow(flow)
         return flow
 

@@ -29,16 +29,16 @@ def format_table(headers: Sequence[str],
 
 
 def format_series(series: Sequence[tuple[int, float]], *,
-                  time_unit_ns: int = 1000, time_label: str = "us",
                   value_fmt: str = "{:.3f}", max_rows: int = 20) -> str:
-    """Down-sampled (time, value) listing for figure-style series."""
+    """Down-sampled (time in ns, value) listing for figure-style series,
+    times printed in microseconds."""
     if not series:
         return "(empty series)"
     step = max(1, len(series) // max_rows)
     sampled = list(series[::step])
     if sampled[-1] != series[-1]:
         sampled.append(series[-1])
-    lines = [f"{t / time_unit_ns:>12.1f} {time_label}  "
+    lines = [f"{t / 1000:>12.1f} us  "
              + value_fmt.format(v) for t, v in sampled]
     return "\n".join(lines)
 

@@ -58,7 +58,6 @@ def sweep_job_specs(collective: str = "allreduce", *,
                     schemes: Sequence[str] = DEFAULT_SCHEMES,
                     conditions: Sequence[tuple[float, float]] = DCQCN_SWEEP,
                     scale: Optional[EvalScale] = None,
-                    bytes_per_group: Optional[int] = None,
                     seed: int = 1) -> list[JobSpec]:
     """Expand one Fig. 5 panel into self-describing job specs.
 
@@ -76,7 +75,6 @@ def sweep_job_specs(collective: str = "allreduce", *,
                 params={"scheme": scheme,
                         "ti_us": float(ti_us), "td_us": float(td_us),
                         "collective": collective,
-                        "bytes_per_group": bytes_per_group,
                         "scale": asdict(scale)},
                 label=(f"{collective}/{scheme} "
                        f"TI={ti_us:g}us TD={td_us:g}us seed={seed}")))
@@ -87,7 +85,6 @@ def run_fig5_sweep(collective: str = "allreduce", *,
                    schemes: Sequence[str] = DEFAULT_SCHEMES,
                    conditions: Sequence[tuple[float, float]] = DCQCN_SWEEP,
                    scale: Optional[EvalScale] = None,
-                   bytes_per_group: Optional[int] = None,
                    seed: int = 1, **runner_opts) -> SweepResult:
     """Run every (condition, scheme) cell of one Fig. 5 panel.
 
@@ -96,8 +93,7 @@ def run_fig5_sweep(collective: str = "allreduce", *,
     ``counters``, ``progress``).
     """
     specs = sweep_job_specs(collective, schemes=schemes,
-                            conditions=conditions, scale=scale,
-                            bytes_per_group=bytes_per_group, seed=seed)
+                            conditions=conditions, scale=scale, seed=seed)
     outcomes = run_jobs(specs, **runner_opts)
     raise_on_failures(outcomes)
 

@@ -71,10 +71,10 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
     return net, recorder
 
 
-def run_traced_alltoall(*, deadline_ns: int = TRACE_DEADLINE_NS,
-                        **build) -> tuple[Network, Recorder]:
+def run_traced_alltoall(**build) -> tuple[Network, Recorder]:
     """Build (``build`` = :func:`build_traced_alltoall` keywords) and run
-    the traced alltoall; returns (network, recorder)."""
+    the traced alltoall to :data:`TRACE_DEADLINE_NS`; returns (network,
+    recorder)."""
     net, recorder = build_traced_alltoall(**build)
-    run_built(net, deadline_ns)
+    run_built(net, TRACE_DEADLINE_NS)
     return net, recorder

@@ -396,11 +396,6 @@ class Port:
             flushed += 1
         return flushed
 
-    @property
-    def busy(self) -> bool:
-        """Is the serializer occupied right now?"""
-        return self.sim.now < self._free_at
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         peer = self.peer.name if self.peer else "?"
         return f"Port({self.name}->{peer}, q={self.queued_bytes}B)"

@@ -17,7 +17,7 @@ is the uplink to spine ``i``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.net.link import Link
 from repro.net.node import Device
@@ -29,17 +29,21 @@ SwitchFactory = Callable[[str], Switch]
 
 
 class Topology:
-    """Switch graph + NIC attachment slots + route tables."""
+    """Switch graph + NIC attachment slots + route tables.
 
-    def __init__(self, sim: Simulator, name: str = "topo") -> None:
+    Every cable of one fabric, switch-to-switch and host alike, runs at
+    ``link_bandwidth_bps`` with ``link_delay_ns`` of propagation delay.
+    """
+
+    def __init__(self, sim: Simulator, link_bandwidth_bps: float,
+                 link_delay_ns: int) -> None:
         self.sim = sim
-        self.name = name
+        self.link_bandwidth_bps = link_bandwidth_bps
+        self.link_delay_ns = link_delay_ns
         self.switches: list[Switch] = []
         self.tors: list[Switch] = []
         #: nic id -> ToR switch it attaches under
         self.nic_tor: dict[int, Switch] = {}
-        #: nic id -> (host link bandwidth, delay)
-        self._nic_link: dict[int, tuple[float, int]] = {}
         #: nic id -> ToR's egress port toward that NIC (after attach)
         self.tor_down_port: dict[int, Port] = {}
         #: switch -> [(egress port, neighbor switch)]
@@ -47,7 +51,6 @@ class Topology:
         #: every cable in wiring order: fabric links then host links
         self.links: list[Link] = []
         self._link_by_name: dict[str, Link] = {}
-        self._routes_built = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -59,24 +62,21 @@ class Topology:
             self.tors.append(switch)
         return switch
 
-    def connect_switches(self, a: Switch, b: Switch,
-                         bandwidth_bps: float, delay_ns: int) -> None:
+    def connect_switches(self, a: Switch, b: Switch) -> None:
         """Create the bidirectional link ``a <-> b``."""
-        port_ab = a.add_port(bandwidth_bps, delay_ns)
+        port_ab = a.add_port(self.link_bandwidth_bps, self.link_delay_ns)
         port_ab.connect(b)
-        port_ba = b.add_port(bandwidth_bps, delay_ns)
+        port_ba = b.add_port(self.link_bandwidth_bps, self.link_delay_ns)
         port_ba.connect(a)
         self._adjacency[a].append((port_ab, b))
         self._adjacency[b].append((port_ba, a))
         self._register_link(Link(a.name, b.name, port_ab, port_ba,
                                  kind="fabric"))
 
-    def register_nic_slot(self, nic_id: int, tor: Switch,
-                          bandwidth_bps: float, delay_ns: int) -> None:
+    def register_nic_slot(self, nic_id: int, tor: Switch) -> None:
         if nic_id in self.nic_tor:
             raise ValueError(f"NIC {nic_id} already registered")
         self.nic_tor[nic_id] = tor
-        self._nic_link[nic_id] = (bandwidth_bps, delay_ns)
         tor.down_nics.add(nic_id)
 
     @property
@@ -86,7 +86,7 @@ class Topology:
     def attach_nic(self, nic_id: int, nic: Device) -> Port:
         """Wire a NIC device into its slot; returns the NIC's uplink port."""
         tor = self.nic_tor[nic_id]
-        bandwidth, delay = self._nic_link[nic_id]
+        bandwidth, delay = self.link_bandwidth_bps, self.link_delay_ns
         down = tor.add_port(bandwidth, delay)
         down.connect(nic)
         self.tor_down_port[nic_id] = down
@@ -154,7 +154,6 @@ class Topology:
                     continue
                 for nic_id in nic_ids:
                     switch.routes[nic_id] = next_hops
-        self._routes_built = True
 
     def _bfs_distances(self, root: Switch) -> dict[Switch, int]:
         """Hop counts to ``root`` over *live* links.
@@ -219,10 +218,9 @@ class Topology:
 # ----------------------------------------------------------------------
 def leaf_spine(sim: Simulator, switch_factory: SwitchFactory, *,
                num_tors: int, num_spines: int, nics_per_tor: int,
-               link_bandwidth_bps: float, link_delay_ns: int = US,
-               host_bandwidth_bps: Optional[float] = None,
-               host_delay_ns: Optional[int] = None) -> Topology:
-    """2-tier leaf-spine with 1:1 subscription by default.
+               link_bandwidth_bps: float, link_delay_ns: int = US
+               ) -> Topology:
+    """2-tier leaf-spine with 1:1 subscription.
 
     NIC ids are assigned ``tor_index * nics_per_tor + slot``; ToR uplink
     ``i`` goes to spine ``i`` on every ToR, so candidate index == spine
@@ -230,42 +228,33 @@ def leaf_spine(sim: Simulator, switch_factory: SwitchFactory, *,
     """
     if num_tors < 1 or num_spines < 1 or nics_per_tor < 1:
         raise ValueError("topology dimensions must be >= 1")
-    host_bandwidth_bps = host_bandwidth_bps or link_bandwidth_bps
-    host_delay_ns = host_delay_ns if host_delay_ns is not None else link_delay_ns
 
-    topo = Topology(sim, "leaf-spine")
+    topo = Topology(sim, link_bandwidth_bps, link_delay_ns)
     tors = [topo.add_switch(switch_factory(f"tor{i}"), is_tor=True)
             for i in range(num_tors)]
     spines = [topo.add_switch(switch_factory(f"spine{i}"))
               for i in range(num_spines)]
     for tor in tors:
         for spine in spines:
-            topo.connect_switches(tor, spine, link_bandwidth_bps,
-                                  link_delay_ns)
+            topo.connect_switches(tor, spine)
     nic_id = 0
     for tor in tors:
         for _ in range(nics_per_tor):
-            topo.register_nic_slot(nic_id, tor, host_bandwidth_bps,
-                                   host_delay_ns)
+            topo.register_nic_slot(nic_id, tor)
             nic_id += 1
     return topo
 
 
 def fat_tree(sim: Simulator, switch_factory: SwitchFactory, *, k: int,
-             link_bandwidth_bps: float, link_delay_ns: int = US,
-             nics_per_tor: Optional[int] = None) -> Topology:
-    """3-tier fat-tree with parameter ``k`` (k pods, k^3/4 hosts max).
-
-    ``nics_per_tor`` trims hosts per edge switch (defaults to k/2).
-    """
+             link_bandwidth_bps: float, link_delay_ns: int = US
+             ) -> Topology:
+    """3-tier fat-tree with parameter ``k``: k pods, k/2 hosts per edge
+    switch, k^3/4 hosts."""
     if k < 2 or k % 2:
         raise ValueError("fat-tree k must be even and >= 2")
     half = k // 2
-    nics_per_tor = nics_per_tor if nics_per_tor is not None else half
-    if nics_per_tor > half:
-        raise ValueError(f"nics_per_tor must be <= k/2 = {half}")
 
-    topo = Topology(sim, f"fat-tree-k{k}")
+    topo = Topology(sim, link_bandwidth_bps, link_delay_ns)
     cores = [[topo.add_switch(switch_factory(f"core{g}_{i}"))
               for i in range(half)] for g in range(half)]
     nic_id = 0
@@ -277,15 +266,12 @@ def fat_tree(sim: Simulator, switch_factory: SwitchFactory, *, k: int,
         for a, agg in enumerate(aggs):
             # Aggregation switch `a` of every pod connects to core group `a`.
             for core in cores[a]:
-                topo.connect_switches(agg, core, link_bandwidth_bps,
-                                      link_delay_ns)
+                topo.connect_switches(agg, core)
             for edge in edges:
-                topo.connect_switches(edge, agg, link_bandwidth_bps,
-                                      link_delay_ns)
+                topo.connect_switches(edge, agg)
         for edge in edges:
-            for _ in range(nics_per_tor):
-                topo.register_nic_slot(nic_id, edge, link_bandwidth_bps,
-                                       link_delay_ns)
+            for _ in range(half):
+                topo.register_nic_slot(nic_id, edge)
                 nic_id += 1
     return topo
 
@@ -293,9 +279,8 @@ def fat_tree(sim: Simulator, switch_factory: SwitchFactory, *, k: int,
 def dragonfly(sim: Simulator, switch_factory: SwitchFactory, *,
               groups: int, routers_per_group: int, hosts_per_router: int,
               global_links_per_router: int = 1,
-              link_bandwidth_bps: float, link_delay_ns: int = US,
-              host_bandwidth_bps: Optional[float] = None,
-              host_delay_ns: Optional[int] = None) -> Topology:
+              link_bandwidth_bps: float, link_delay_ns: int = US
+              ) -> Topology:
     """Canonical dragonfly: complete graph inside each group, one (or
     more) global links between every group pair.
 
@@ -323,30 +308,26 @@ def dragonfly(sim: Simulator, switch_factory: SwitchFactory, *,
             f"{groups} groups need {groups - 1} global links per group "
             f"but only {routers_per_group} routers x "
             f"{global_links_per_router} global ports are available")
-    host_bandwidth_bps = host_bandwidth_bps or link_bandwidth_bps
-    host_delay_ns = host_delay_ns if host_delay_ns is not None else link_delay_ns
 
-    topo = Topology(sim, f"dragonfly-g{groups}")
+    topo = Topology(sim, link_bandwidth_bps, link_delay_ns)
     routers = [[topo.add_switch(switch_factory(f"df{g}_{r}"), is_tor=True)
                 for r in range(routers_per_group)] for g in range(groups)]
     # Intra-group: complete graph.
     for group in routers:
         for i in range(routers_per_group):
             for j in range(i + 1, routers_per_group):
-                topo.connect_switches(group[i], group[j],
-                                      link_bandwidth_bps, link_delay_ns)
+                topo.connect_switches(group[i], group[j])
     # Inter-group: palmtree global links.
     glpr = global_links_per_router
     for x in range(groups):
         for y in range(x + 1, groups):
             a = routers[x][((y - 1) // glpr) % routers_per_group]
             b = routers[y][(x // glpr) % routers_per_group]
-            topo.connect_switches(a, b, link_bandwidth_bps, link_delay_ns)
+            topo.connect_switches(a, b)
     nic_id = 0
     for group in routers:
         for router in group:
             for _ in range(hosts_per_router):
-                topo.register_nic_slot(nic_id, router, host_bandwidth_bps,
-                                       host_delay_ns)
+                topo.register_nic_slot(nic_id, router)
                 nic_id += 1
     return topo

@@ -1,15 +1,16 @@
 """Console output helper for the CLI.
 
 Every subcommand routes its output through one :class:`Console` so the
-harness has exactly three output contracts:
+harness has exactly three output contracts, all on stdout:
 
-* default      — human-readable text on stdout (``info``/``table``),
+* default      — human-readable text (``info``/``out``),
 * ``--quiet``  — informational chatter suppressed, results still shown,
-* ``--json``   — a single machine-readable JSON document on stdout
-                 (``result``); all text output suppressed.
+* ``--json``   — a single machine-readable JSON document (``result``);
+                 all text output suppressed.
 
-Errors and warnings always go to stderr so ``--json`` stdout stays a
-clean, parseable stream.
+A command that refuses its input (``cli._fail``) prints one
+``error: ...`` line, or under ``--json`` the document
+``{"error": ...}``, and exits with code 2.
 """
 
 from __future__ import annotations
@@ -23,23 +24,20 @@ class Console:
     """Routed, mode-aware printing for CLI subcommands."""
 
     def __init__(self, *, quiet: bool = False, json_mode: bool = False,
-                 stream: Optional[TextIO] = None,
-                 err_stream: Optional[TextIO] = None) -> None:
+                 stream: Optional[TextIO] = None) -> None:
         self.quiet = quiet
         self.json_mode = json_mode
         self.stream = stream if stream is not None else sys.stdout
-        self.err_stream = err_stream if err_stream is not None \
-            else sys.stderr
         self._result_doc: Optional[dict] = None
 
     # ------------------------------------------------------------------
-    def info(self, *parts: Any, sep: str = " ") -> None:
+    def info(self, *parts: Any) -> None:
         """Progress/log line: suppressed under --quiet and --json."""
         if self.quiet or self.json_mode:
             return
-        print(*parts, sep=sep, file=self.stream)
+        print(*parts, file=self.stream)
 
-    def out(self, *parts: Any, sep: str = " ") -> None:
+    def out(self, *parts: Any) -> None:
         """Primary human-readable output: suppressed only under --json.
 
         Use for the lines a script piping the default output would want
@@ -47,13 +45,7 @@ class Console:
         """
         if self.json_mode:
             return
-        print(*parts, sep=sep, file=self.stream)
-
-    def warn(self, *parts: Any, sep: str = " ") -> None:
-        print("warning:", *parts, sep=sep, file=self.err_stream)
-
-    def error(self, *parts: Any, sep: str = " ") -> None:
-        print("error:", *parts, sep=sep, file=self.err_stream)
+        print(*parts, file=self.stream)
 
     # ------------------------------------------------------------------
     def result(self, doc: dict) -> None:

@@ -487,10 +487,8 @@ def _default_dump_path(reason: str, tag: str | None = None) -> Path:
     return directory / ("-".join(parts) + ".jsonl")
 
 
-def dump_active_flight(reason: str,
-                       directory: str | Path | None = None, *,
-                       tag: str | None = None,
-                       ) -> Optional[Path]:
+def dump_active_flight(reason: str, *,
+                       tag: str | None = None) -> Optional[Path]:
     """Dump the active recorder's flight ring; best-effort, never raises.
 
     Returns the dump path, or ``None`` when no recorder is active or the
@@ -502,11 +500,8 @@ def dump_active_flight(reason: str,
     if rec is None:
         return None
     try:
-        if directory is None:
-            path = _default_dump_path(reason, tag)
-        else:
-            path = Path(directory) / _default_dump_path(reason, tag).name
-        return rec.dump_flight(path, reason=reason)
+        return rec.dump_flight(_default_dump_path(reason, tag),
+                               reason=reason)
     except Exception:  # pragma: no cover - defensive
         return None
 

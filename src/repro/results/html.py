@@ -169,15 +169,12 @@ def swatch(slot: int) -> str:
 
 def line_chart(labels: Sequence[str],
                series: Sequence[tuple[str, Sequence[Optional[float]]]],
-               *, width: int = 640, height: int = 200,
-               y_fmt: str = "{:,.0f}",
-               invert_y: bool = False) -> str:
-    """Multi-series SVG line chart.
+               *, y_fmt: str = "{:,.0f}") -> str:
+    """Multi-series SVG line chart, 640 x 200 user units.
 
     ``labels`` name the x positions (one per point); each series is
     ``(name, values)`` with ``None`` for gaps.  At most 8 series (the
     categorical palette's fixed slots); callers cap before this.
-    ``invert_y`` puts small values on top (rank charts: 1 is best).
     """
     series = list(series)[:8]
     values = [v for _, vs in series for v in vs if v is not None]
@@ -188,6 +185,7 @@ def line_chart(labels: Sequence[str],
         lo, hi = lo - 1, hi + 1
     pad = 0.08 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    width, height = 640, 200
     ml, mr, mt, mb = 56, 16, 10, 24
     iw, ih = width - ml - mr, height - mt - mb
     n = len(labels)
@@ -196,10 +194,7 @@ def line_chart(labels: Sequence[str],
         return ml + (iw * i / max(1, n - 1) if n > 1 else iw / 2)
 
     def y(v: float) -> float:
-        frac = (v - lo) / (hi - lo)
-        if invert_y:
-            frac = 1.0 - frac
-        return mt + ih * (1.0 - frac)
+        return mt + ih * (1.0 - (v - lo) / (hi - lo))
 
     parts = [f'<svg viewBox="0 0 {width} {height}" role="img" '
              f'style="width:100%;max-width:{width}px;height:auto">']

@@ -57,16 +57,10 @@ def summary(conn: sqlite3.Connection) -> dict:
     return _scalars(conn, _SUMMARY)
 
 
-def list_runs(conn: sqlite3.Connection,
-              schema_prefix: Optional[str] = None) -> list[dict]:
-    sql = ("SELECT run_id, schema, name, source, ingested_s "
-           "FROM runs")
-    args: tuple = ()
-    if schema_prefix:
-        sql += " WHERE schema LIKE ?"
-        args = (schema_prefix + "%",)
-    sql += " ORDER BY run_id"
-    return [dict(r) for r in conn.execute(sql, args)]
+def list_runs(conn: sqlite3.Connection) -> list[dict]:
+    return [dict(r) for r in conn.execute(
+        "SELECT run_id, schema, name, source, ingested_s "
+        "FROM runs ORDER BY run_id")]
 
 
 def _run_ids(conn: sqlite3.Connection, schema_prefix: str) -> list[int]:

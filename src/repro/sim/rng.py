@@ -19,19 +19,19 @@ from __future__ import annotations
 import random
 import zlib
 
-#: Reserved substream label for the fault-injection subsystem
+#: Reserved fork label for the fault-injection subsystem
 #: (:mod:`repro.faults`).  All fault randomness hangs off this one named
-#: substream so that *enabling a fault schedule can never perturb* the
-#: packet-level streams: :meth:`SimRng.fork` and :meth:`SimRng.substream`
-#: derive the child seed arithmetically without drawing from the parent,
-#: and no baseline component ever forks this label.
+#: stream so that *enabling a fault schedule can never perturb* the
+#: packet-level streams: :meth:`SimRng.fork` derives the child seed
+#: arithmetically without drawing from the parent, and no baseline
+#: component ever forks this label.
 FAULT_STREAM = "faults"
 
 
 class SimRng:
     """Deterministic random source with labelled sub-streams."""
 
-    __slots__ = ("seed", "_gen", "_random", "u01", "_substreams")
+    __slots__ = ("seed", "_gen", "_random", "u01")
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
@@ -41,42 +41,26 @@ class SimRng:
         # and call straight into the C generator per draw.
         self._random = self._gen.random
         self.u01 = self._random
-        self._substreams: dict[str, "SimRng"] = {}
 
     def fork(self, label: str) -> "SimRng":
         """Derive an independent stream keyed by ``label``.
 
         The child seed mixes the parent seed with a CRC of the label, so
         ``fork("portA")`` yields the same stream across runs regardless of
-        fork order.  Each call returns a *fresh* generator; use
-        :meth:`substream` when multiple consumers must share one stream.
+        fork order.  Each call returns a *fresh* generator.
         """
         mixed = (self.seed * 0x9E3779B1 + zlib.crc32(label.encode())) % (2**63)
         return SimRng(mixed)
 
-    def substream(self, label: str) -> "SimRng":
-        """Named, *cached* substream: one shared generator per label.
-
-        Unlike :meth:`fork`, repeated calls with the same label return the
-        same :class:`SimRng` instance, so independent consumers (e.g. the
-        fault scenario compiler and the injector) advance one common
-        stream deterministically.  Derivation never draws from the parent,
-        so taking a substream cannot perturb any other stream.
-        """
-        child = self._substreams.get(label)
-        if child is None:
-            child = self.fork(label)
-            self._substreams[label] = child
-        return child
-
     def fault_stream(self) -> "SimRng":
-        """The dedicated fault-injection substream (see :data:`FAULT_STREAM`).
+        """The dedicated fault-injection stream (see :data:`FAULT_STREAM`).
 
         The contract the determinism golden tests pin down: a run that
         never calls this draws exactly the same packet-level randomness as
-        a run that does, because the substream is derived, not drawn.
+        a run that does, because the stream is derived, not drawn.  Each
+        injector calls it once.
         """
-        return self.substream(FAULT_STREAM)
+        return self.fork(FAULT_STREAM)
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high)``."""
@@ -94,10 +78,6 @@ class SimRng:
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
         return self._random()
-
-    def exponential(self, mean: float) -> float:
-        """Exponentially distributed sample with the given mean."""
-        return self._gen.expovariate(1.0 / mean)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimRng(seed={self.seed})"

@@ -15,9 +15,6 @@ class ThemisConfig:
     queue holds ``ceil(BDP_last_hop / MTU * F)`` entries so transient RTT
     fluctuation on the ToR->NIC hop does not evict in-flight PSNs early.
 
-    ``enable_validation`` / ``enable_compensation`` exist for the ablation
-    benchmarks — production Themis runs with both on.
-
     Two things are not knobs.  The width of a ring entry follows from the
     ring's capacity and the path count (``ring_queue.psn_bits_for``).
     How Themis-S realizes Eq. 1 follows from the topology: ``Network``
@@ -27,8 +24,6 @@ class ThemisConfig:
 
     queue_capacity_factor: float = 1.5
     queue_entries_override: int | None = None
-    enable_validation: bool = True
-    enable_compensation: bool = True
 
     def __post_init__(self) -> None:
         if self.queue_capacity_factor <= 1.0:

@@ -39,9 +39,14 @@ class ThemisDest(Middleware):
 
     def __init__(self, config: ThemisConfig, metrics: "Metrics", *,
                  n_paths_for: Callable[[FlowKey], int],
-                 queue_capacity_for: Callable[[FlowKey], int]) -> None:
+                 queue_capacity_for: Callable[[FlowKey], int],
+                 validate: bool = True, compensate: bool = True) -> None:
         self.config = config
         self.metrics = metrics
+        #: Production Themis-D runs both halves; the ``themis_noval`` /
+        #: ``themis_nocomp`` ablation schemes switch them off.
+        self.validate = validate
+        self.compensate = compensate
         self.n_paths_for = n_paths_for
         self.queue_capacity_for = queue_capacity_for
         self.table = FlowTable()
@@ -112,7 +117,7 @@ class ThemisDest(Middleware):
 
     def _on_data_to_nic(self, switch: Switch, packet: Packet) -> None:
         entry = self._entry_for(packet.flow)
-        if self.config.enable_compensation and entry.valid:
+        if self.compensate and entry.valid:
             self._compensation_check(switch, entry, packet.psn)
         if entry.queue.enqueue(packet.psn):
             self.metrics.themis.queue_overflows += 1
@@ -144,7 +149,7 @@ class ThemisDest(Middleware):
     # NACK path: tPSN identification + Eq. 3 validation
     # ------------------------------------------------------------------
     def _on_nack_from_nic(self, switch: Switch, packet: Packet) -> bool:
-        if not self.config.enable_validation:
+        if not self.validate:
             return True
         data_flow = packet.flow.reversed()
         entry = self.table.get(data_flow)
@@ -182,7 +187,7 @@ class ThemisDest(Middleware):
         self.metrics.themis.nacks_blocked += 1
         armed = False
         guard = None
-        if self.config.enable_compensation:
+        if self.compensate:
             # Arming guard: the NACK is one last-hop RTT stale.  If the
             # expected packet already traversed the ToR it sits in the
             # ring *behind* the trigger (the trigger always passes the

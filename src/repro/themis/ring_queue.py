@@ -51,10 +51,6 @@ class PsnRingQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def full(self) -> bool:
-        return len(self._entries) == self.capacity
-
     def truncate(self, psn: int) -> int:
         return psn & self._mask
 
@@ -74,9 +70,6 @@ class PsnRingQueue:
         overflow = len(self._entries) == self.capacity
         self._entries.append(psn & self._mask)
         return overflow
-
-    def dequeue(self) -> int:
-        return self._entries.popleft()  # IndexError when empty
 
     def find_tpsn(self, epsn: int) -> Optional[int]:
         """Dequeue until the first PSN larger than ``epsn`` (the tPSN).

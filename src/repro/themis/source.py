@@ -20,16 +20,13 @@ Two realizations, chosen by construction:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.net.packet import FlowKey, Packet
 from repro.net.port import Port
 from repro.switch.lb import ecmp_index
 from repro.switch.switch import Middleware, Switch
 from repro.themis.config import ThemisConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.harness.metrics import Metrics
 
 #: PathMap realization: resolves a flow + base sport to its delta table.
 PathmapProvider = Callable[[FlowKey, int], Sequence[int]]
@@ -39,10 +36,8 @@ class ThemisSource(Middleware):
     """Source-ToR middleware enforcing PSN-based spraying."""
 
     def __init__(self, config: ThemisConfig,
-                 metrics: "Metrics | None" = None,
                  pathmap_provider: Optional[PathmapProvider] = None) -> None:
         self.config = config
-        self.metrics = metrics
         self.pathmap_provider = pathmap_provider
         self.enabled = True
         self._base_cache: dict[FlowKey, int] = {}

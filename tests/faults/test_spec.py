@@ -185,8 +185,10 @@ def layer_form(scenario: Scenario) -> dict:
 
 
 def field_paths(doc: dict) -> list[tuple]:
-    """Every top-level field, and every field of every layer or event."""
+    """Every top-level field, every workload key, and every field of
+    every layer or event."""
     paths = [(key,) for key in doc]
+    paths.extend(("workload", name) for name in doc.get("workload", {}))
     for key in ("layers", "events"):
         for i, item in enumerate(doc.get(key, [])):
             paths.extend((key, i, name) for name in item)
@@ -245,6 +247,39 @@ def test_compiled_payload_is_checked():
             validate_compiled(spec)
     with pytest.raises(ScenarioError, match="converge_us"):
         validate_compiled({"name": "x", "converge_us": "x", "events": []})
+
+
+@pytest.mark.parametrize("workload, key", [
+    ({"nodes": 8, "message_byte": 400_000}, "message_byte"),
+    ({"nodes": "8"}, "nodes"),
+    ({"nodes": 6.0}, "nodes"),
+    ({"nodes": 7}, "nodes"),
+    ({"nodes": 2}, "nodes"),
+    ({"message_bytes": 0}, "message_bytes"),
+    ({"message_bytes": True}, "message_bytes"),
+    ({"scheme": "nope"}, "scheme"),
+    ({"scheme": ["themis"]}, "scheme"),
+    ({"loss": 1.0}, "loss"),
+    ({"loss": -0.1}, "loss"),
+    ({"trace_window_us": 0}, "trace_window_us"),
+    ({"trace_window_us": "10"}, "trace_window_us"),
+])
+def test_workload_section_is_checked(workload, key):
+    """The campaign cell's workload is checked at compile time, in
+    every form, with the offending key named: unchecked, a misspelt key
+    runs the defaults silently and a mistyped value fails the job."""
+    layer_doc = {"name": "x", "workload": workload, "layers": []}
+    compiled = {"name": "x", "workload": workload, "events": []}
+    for doc in (layer_doc, compiled):
+        with pytest.raises(ScenarioError, match=rf"^workload\.{key}"):
+            compiled_spec(doc)
+
+
+def test_every_campaign_workload_key_is_accepted():
+    spec = compiled_spec({"name": "x", "layers": [], "workload": {
+        "nodes": 4, "message_bytes": 1, "scheme": "ecmp", "loss": 0,
+        "trace_window_us": 2.5}})
+    assert spec["workload"]["scheme"] == "ecmp"
 
 
 def test_layer_errors_name_index_kind_and_field():

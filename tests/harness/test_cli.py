@@ -241,6 +241,10 @@ class TestBadInput:
         ["faults", "run", "--name", "link-flap-smoke", "--seeds", "0"],
         ["trace", "--nodes", "8", "--spec", "no/such/scenario.json"],
         ["arena", "--quick", "--transports", "commodity"],
+        ["collective", "--ti-us", "-1"],
+        ["motivation", "--flow-bytes", "0"],
+        ["arena", "--quick", "--bytes", "0"],
+        ["arena", "--quick", "--deadline-us", "-5"],
     ])
     def test_one_error_line_and_nothing_runs(self, argv, capsys,
                                              monkeypatch):
@@ -278,8 +282,12 @@ class TestBadInput:
                                   "link": "tor0:spine0", "at_us": 5,
                                   "duration_us": 10, "factor": "0.5"}]},
         {"name": "p", "converge_us": "x", "layers": []},
+        {"name": "p", "workload": {"nodes": 8, "message_byte": 400_000},
+         "layers": []},
+        {"name": "p", "workload": {"nodes": "8"}, "layers": []},
     ], ids=["null-at_us", "string-repeat", "string-factor",
-            "string-converge_us"])
+            "string-converge_us", "misspelt-workload-key",
+            "string-nodes"])
     @pytest.mark.parametrize("command", [
         ["faults", "show"], ["faults", "run"], ["trace", "--nodes", "8"]])
     def test_malformed_scenario_field(self, doc, command, tmp_path, capsys,

@@ -1,5 +1,7 @@
 """Unit tests for the Fig. 5 collective runner and sweep machinery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.collective_runner import (EvalScale, fig5_config,
@@ -61,8 +63,8 @@ class TestRunCollective:
 
     def test_bytes_override(self):
         cfg = fig5_config("ecmp", 10, 200, scale=TINY)
-        result = run_collective(cfg, "allreduce", scale=TINY,
-                                bytes_per_group=40_000)
+        result = run_collective(
+            cfg, "allreduce", scale=replace(TINY, collective_bytes=40_000))
         assert result.bytes_per_group == 40_000
 
 

@@ -60,9 +60,10 @@ class TestEndToEnd:
     def test_cross_rack_message_completes(self, scheme):
         net = Network(NetworkConfig(topology=SMALL, scheme=scheme))
         done = {"snd": False, "rcv": False}
-        net.post_message(0, 2, 200_000,
-                         on_sender_done=lambda: done.update(snd=True),
-                         on_receiver_done=lambda: done.update(rcv=True))
+        net.nics[0].post_send(2, 200_000,
+                              on_done=lambda: done.update(snd=True))
+        net.nics[2].expect_message(
+            0, 200_000, on_done=lambda: done.update(rcv=True))
         net.run(until_ns=5_000_000_000)
         assert done == {"snd": True, "rcv": True}
 

@@ -114,11 +114,11 @@ class TestLeafSpine:
 
     def test_duplicate_nic_slot_rejected(self):
         sim = Simulator()
-        topo = Topology(sim)
+        topo = Topology(sim, 1e9, 100)
         sw = topo.add_switch(factory(sim)("t"), is_tor=True)
-        topo.register_nic_slot(0, sw, 1e9, 100)
+        topo.register_nic_slot(0, sw)
         with pytest.raises(ValueError):
-            topo.register_nic_slot(0, sw, 1e9, 100)
+            topo.register_nic_slot(0, sw)
 
 
 class TestFatTree:
@@ -134,9 +134,6 @@ class TestFatTree:
         sim = Simulator()
         with pytest.raises(ValueError):
             fat_tree(sim, factory(sim), k=3, link_bandwidth_bps=1e9)
-        with pytest.raises(ValueError):
-            fat_tree(sim, factory(sim), k=4, nics_per_tor=3,
-                     link_bandwidth_bps=1e9)
 
     def test_cross_pod_path_count(self):
         sim = Simulator()

@@ -186,13 +186,12 @@ class TestFaultCampaignWarmRun:
     def test_cold_and_warm_docs_byte_identical(self, tmp_path):
         db = str(tmp_path / "r.sqlite")
         spec = builtin("link-flap-smoke").compile()
-        cold = JobCounters()
-        s1 = run_campaign(spec, [1], cache=db, counters=cold)
-        warm = JobCounters()
-        s2 = run_campaign(spec, [1], cache=db, counters=warm)
+        s1 = run_campaign(spec, [1], cache=db)
+        s2 = run_campaign(spec, [1], cache=db)
         d1, d2 = build_faults_doc(s1), build_faults_doc(s2)
         assert json.dumps(d1, indent=2) == json.dumps(d2, indent=2)
-        assert cold.executed == 1 and warm.executed == 0
-        assert warm.cache_hits == 1
+        cold, warm = s1["jobs"], s2["jobs"]
+        assert cold["jobs_completed"] == 1 and warm["jobs_completed"] == 0
+        assert warm["jobs_cache_hits"] == 1
         # The versioned doc must exclude the cold/warm-varying counters.
         assert "jobs" in s1 and "jobs" not in d1

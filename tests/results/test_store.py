@@ -564,7 +564,9 @@ def arena_runs_per_run(conn) -> list[dict]:
     """``arena_runs`` as it was computed before it became one grouped
     statement: two statements per ingested run.  Kept as the oracle."""
     rows = []
-    for run in list_runs(conn, "repro-arena"):
+    for run in list_runs(conn):
+        if not run["schema"].startswith("repro-arena"):
+            continue
         best = conn.execute(
             "SELECT lb, transport, mean_slowdown FROM arena_ranking "
             "WHERE run_id=? AND rank=1", (run["run_id"],)).fetchone()

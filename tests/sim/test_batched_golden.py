@@ -38,8 +38,8 @@ def _fingerprint(net):
         for port in switch.ports:
             busy[port.name] = port.busy_ns
     rng = {"root": _rng_digest(net.rng)}
-    for label, child in net.rng._substreams.items():
-        rng[f"sub:{label}"] = _rng_digest(child)
+    if net.fault_injector is not None:
+        rng["faults"] = _rng_digest(net.fault_injector.rng)
     for nic in net.nics:
         busy[nic.uplink.name] = nic.uplink.busy_ns
         rng[f"nic{nic.nic_id}"] = _rng_digest(nic.rng)
@@ -59,7 +59,8 @@ def _run(scenario, sim, faults=None):
 
     net.sim.trace = trace
     if faults is not None:
-        faults(net).install()
+        net.fault_injector = faults(net)
+        net.fault_injector.install()
     net.run(until_ns=DEADLINE_NS)
     net.stop()
     return log, _fingerprint(net)

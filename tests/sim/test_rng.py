@@ -45,9 +45,3 @@ def test_random_unit_interval():
     vals = [rng.random() for _ in range(100)]
     assert all(0.0 <= v < 1.0 for v in vals)
 
-
-def test_exponential_positive_mean():
-    rng = SimRng(17)
-    vals = [rng.exponential(10.0) for _ in range(2000)]
-    assert all(v >= 0 for v in vals)
-    assert 8.0 < sum(vals) / len(vals) < 12.0

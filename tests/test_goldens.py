@@ -15,31 +15,53 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import re
 import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.cc.dcqcn import DcqcnConfig
+from repro.collectives import (AllToAll, Collective,
+                               HalvingDoublingAllreduce, RingAllgather,
+                               RingAllreduce, RingReduceScatter, TrainingJob)
+from repro.collectives.group import StepCollective
+from repro.collectives.ring import RingCollective
 from repro.conweave.config import ConweaveConfig
-from repro.faults.campaign import build_faults_doc, run_campaign
+from repro.faults.campaign import build_faults_doc, run_campaign, run_cell
 from repro.faults.scenarios import builtin
 from repro.harness import bench
-from repro.harness.arena import run_arena
+from repro.harness.arena import arena_job_specs, run_arena, run_arena_cell
 from repro.harness.collective_runner import (EvalScale, build_collective,
-                                             fig5_config)
-from repro.harness.jobs import canonical_json
-from repro.harness.motivation import motivation_config, run_motivation
+                                             fig5_config, run_collective,
+                                             run_collective_cell)
+from repro.harness.jobs import JobRunner, canonical_json
+from repro.harness.metrics import Metrics
+from repro.harness.motivation import (build_motivation, motivation_config,
+                                      run_fig1d_comparison, run_motivation)
 from repro.harness.network import Network, NetworkConfig, TopologySpec
-from repro.harness.tracing import run_traced_alltoall
-from repro.harness.workload import run_built
+from repro.harness.report import format_series
+from repro.harness.sweep import run_fig5_sweep, sweep_job_specs
+from repro.harness.tracing import build_traced_alltoall, run_traced_alltoall
+from repro.harness.workload import (Traffic, lossy_uplinks, post_messages,
+                                    run_built, start_collectives)
+from repro.net.topology import Topology, dragonfly, fat_tree, leaf_spine
+from repro.obs.console import Console
+from repro.obs.record import Recorder, dump_active_flight
+from repro.results.html import line_chart
+from repro.results.query import list_runs
 from repro.rnic.config import RnicConfig
-from repro.sim.engine import SEC
+from repro.sim.engine import SEC, Simulator
+from repro.sim.rng import SimRng
 from repro.switch.buffer import SharedBuffer
 from repro.switch.ecn import EcnConfig
 from repro.switch.lb import (AdaptiveRoutingLB, EcmpLB, FlowletLB, PrimeLB,
                              RandomSprayLB, RepsLB, SprinklersLB, SpritzLB)
 from repro.switch.pfc import PfcConfig
 from repro.themis.config import ThemisConfig
+from repro.themis.dest import ThemisDest
+from repro.themis.ring_queue import PsnRingQueue
+from repro.themis.source import ThemisSource
 
 
 def doc_crc(doc: object) -> int:
@@ -168,8 +190,7 @@ SETTABLE = {
                  "rto_max_ns"),
     DcqcnConfig: ("ti_ns", "td_ns", "nack_triggers_decrease",
                   "byte_counter_bytes"),
-    ThemisConfig: ("queue_capacity_factor", "queue_entries_override",
-                   "enable_validation", "enable_compensation"),
+    ThemisConfig: ("queue_capacity_factor", "queue_entries_override"),
     EcnConfig: ("kmin_bytes", "kmax_bytes", "pmax"),
     PfcConfig: ("xoff_bytes", "xon_bytes"),
     ConweaveConfig: ("reorder_timeout_ns", "buffer_packets",
@@ -191,7 +212,90 @@ def settable(cls) -> tuple:
 
 def test_settable_surface():
     assert {cls: settable(cls) for cls in SETTABLE} == SETTABLE
-    assert sum(map(len, SETTABLE.values())) == 44
+    assert sum(map(len, SETTABLE.values())) == 42
+
+
+#: The defaulted keywords of the callables that build and run fabrics.
+#: Each one kept has a caller that sets it, or a stated test-only
+#: reason, in docs/architecture.md ("Where each setting is set").
+KEYWORDS = {
+    Topology: (), Topology.connect_switches: (),
+    Topology.register_nic_slot: (),
+    leaf_spine: ("link_delay_ns",), fat_tree: ("link_delay_ns",),
+    dragonfly: ("global_links_per_router", "link_delay_ns"),
+    Network: ("sim", "recorder"),
+    Network.post_message: ("qp", "on_receiver_done"),
+    Network.watch_flow: (), Network.run: ("until_ns",),
+    Metrics: (),
+    Collective: (), StepCollective: (), RingCollective: (),
+    RingAllreduce: (), RingAllgather: (), RingReduceScatter: (),
+    HalvingDoublingAllreduce: (), AllToAll: (), TrainingJob: (),
+    motivation_config: ("scheme", "transport", "seed"),
+    build_motivation: ("config", "flow_bytes"),
+    run_motivation: ("config", "flow_bytes", "deadline_ns"),
+    run_fig1d_comparison: ("flow_bytes",),
+    EvalScale: ("num_tors", "num_spines", "nics_per_tor",
+                "collective_bytes", "link_bandwidth_bps", "ecn_kmin_bytes",
+                "ecn_kmax_bytes", "buffer_bytes"),
+    fig5_config: ("scale", "seed"), build_collective: (),
+    run_collective: ("scale", "deadline_ns"), run_collective_cell: (),
+    Traffic: (), post_messages: ("watch",), start_collectives: (),
+    lossy_uplinks: (), run_built: (),
+    build_traced_alltoall: ("nodes", "loss", "seed", "message_bytes",
+                            "scheme", "recorder", "retain_all", "faults",
+                            "watch_flows", "trace_window_ns"),
+    run_traced_alltoall: (),
+    arena_job_specs: ("lbs", "transports", "ccs", "workloads",
+                      "topologies", "seeds", "quick", "message_bytes",
+                      "deadline_us"),
+    run_arena: ("workers", "timeout_s", "retries", "checkpoint", "cache",
+                "counters", "progress"),
+    run_arena_cell: (),
+    sweep_job_specs: ("collective", "schemes", "conditions", "scale",
+                      "seed"),
+    run_fig5_sweep: ("collective", "schemes", "conditions", "scale",
+                     "seed"),
+    run_campaign: (), run_cell: (),
+    JobRunner: ("workers", "timeout_s", "retries", "backoff_s",
+                "checkpoint", "cache", "isolation", "mp_method", "counters",
+                "progress"),
+    Recorder: ("categories", "ring_capacity", "retain"),
+    Simulator: ("bucket_ns",),
+    Console: ("quiet", "json_mode", "stream"), Console.info: (),
+    Console.out: (),
+    ThemisDest: ("validate", "compensate"),
+    ThemisSource: ("pathmap_provider",),
+    SimRng: ("seed",), PsnRingQueue: ("psn_bits",),
+    list_runs: (), dump_active_flight: ("tag",), line_chart: ("y_fmt",),
+    format_series: ("value_fmt", "max_rows"),
+}
+
+
+def defaulted(fn) -> tuple:
+    return tuple(name for name, param
+                 in inspect.signature(fn).parameters.items()
+                 if param.default is not param.empty)
+
+
+def test_keyword_surface():
+    assert {fn: defaulted(fn) for fn in KEYWORDS} == KEYWORDS
+    assert sum(map(len, KEYWORDS.values())) == 93
+
+
+def test_every_setting_and_keyword_has_a_row():
+    """docs/architecture.md names each settable value and each kept
+    keyword in its own table row, and nothing else."""
+    doc = (Path(__file__).parents[1] / "docs" / "architecture.md"
+           ).read_text()
+    section = doc.split("### Where each setting is set", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    names = [f"{cls.__name__}.{name}" if dataclasses.is_dataclass(cls)
+             else f"{cls.__qualname__}({name}=)"
+             for cls, names in SETTABLE.items() for name in names]
+    names += [f"{fn.__qualname__}({name}=)"
+              for fn, names in KEYWORDS.items() for name in names]
+    assert sorted(rows) == sorted(names)
 
 
 def test_fig1_themis_row():

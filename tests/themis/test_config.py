@@ -96,7 +96,6 @@ class TestValidation:
     def test_defaults_match_paper(self):
         cfg = ThemisConfig()
         assert cfg.queue_capacity_factor == 1.5   # Table 1's F
-        assert cfg.enable_validation and cfg.enable_compensation
 
 
 class TestFatTreeIntegration:

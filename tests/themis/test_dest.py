@@ -30,7 +30,7 @@ class Sink(Device):
 
 
 class DestHarness:
-    def __init__(self, *, config=None, n_paths=N_PATHS, capacity=32):
+    def __init__(self, *, n_paths=N_PATHS, capacity=32, **ablation):
         self.sim = Simulator()
         self.metrics = Metrics(self.sim)
         self.tor = Switch(self.sim, "dtor", lb=EcmpLB(),
@@ -46,9 +46,9 @@ class DestHarness:
         up.connect(self.remote)
         self.tor.routes[0] = [up]
         self.dest = ThemisDest(
-            config or ThemisConfig(), self.metrics,
+            ThemisConfig(), self.metrics,
             n_paths_for=lambda flow: n_paths,
-            queue_capacity_for=lambda flow: capacity)
+            queue_capacity_for=lambda flow: capacity, **ablation)
         self.tor.add_middleware(self.dest)
 
     def data(self, psn):
@@ -109,7 +109,7 @@ class TestValidation:
         assert h.metrics.themis.tpsn_not_found == 1
 
     def test_validation_disabled_forwards_everything(self):
-        h = DestHarness(config=ThemisConfig(enable_validation=False))
+        h = DestHarness(validate=False)
         for psn in (0, 1, 3):
             h.data(psn)
         assert h.nack(2)
@@ -205,7 +205,7 @@ class TestCompensation:
         assert comp == []
 
     def test_compensation_disabled(self):
-        h = DestHarness(config=ThemisConfig(enable_compensation=False))
+        h = DestHarness(compensate=False)
         for psn in (0, 1, 3):
             h.data(psn)
         h.nack(2)
