@@ -17,7 +17,7 @@ from repro.harness.analysis import (flow_fairness, link_utilization,
                                     uplink_imbalance)
 from repro.harness.export import flows_to_csv, run_to_json
 from repro.harness.report import format_table
-from repro.obs import PACKET, Recorder
+from repro.obs.record import PACKET, Recorder
 
 TOPO = TopologySpec(kind="leaf_spine", num_tors=2, num_spines=8,
                     nics_per_tor=8, link_bandwidth_bps=25e9)

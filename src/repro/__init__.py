@@ -19,36 +19,46 @@ Quickstart::
     print(net.metrics.summary())
 """
 
-from repro.cc import Dcqcn, DcqcnConfig, FixedRate
-from repro.collectives import (AllToAll, HalvingDoublingAllreduce,
-                               RingAllgather, RingAllreduce,
-                               RingReduceScatter, TrainingJob,
-                               cross_rack_groups, interleaved_ring_groups)
-from repro.harness import (DCQCN_SWEEP, CollectiveRunResult, EvalScale,
-                           Metrics, MotivationResult, Network,
-                           NetworkConfig, SweepResult, TopologySpec,
-                           fig5_config, motivation_config, run_collective,
-                           run_fig1d_comparison, run_fig5_sweep,
-                           run_motivation)
-from repro.net import FlowKey, Packet, PacketType
-from repro.rnic import Rnic, RnicConfig
-from repro.switch import EcnConfig
-from repro.themis import (MemoryParams, ThemisConfig, memory_overhead,
-                          build_pathmap)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Network", "NetworkConfig", "TopologySpec", "Metrics",
-    "ThemisConfig", "memory_overhead", "MemoryParams", "build_pathmap",
-    "Dcqcn", "DcqcnConfig", "FixedRate", "EcnConfig",
-    "Rnic", "RnicConfig", "FlowKey", "Packet", "PacketType",
-    "RingAllreduce", "RingAllgather", "RingReduceScatter", "AllToAll",
-    "HalvingDoublingAllreduce", "TrainingJob",
-    "cross_rack_groups", "interleaved_ring_groups",
-    "run_motivation", "motivation_config", "run_fig1d_comparison",
-    "MotivationResult", "run_collective", "CollectiveRunResult",
-    "fig5_config", "EvalScale", "run_fig5_sweep", "SweepResult",
-    "DCQCN_SWEEP",
-    "__version__",
-]
+#: The quickstart names, by defining module.  They load on first use
+#: (PEP 562), so ``import repro.harness.network`` pulls in no sweep, job
+#: runner or audit it does not call.
+_HOMES = {
+    "repro.harness.network": ("Network", "NetworkConfig", "TopologySpec"),
+    "repro.harness.metrics": ("Metrics",),
+    "repro.themis.config": ("ThemisConfig",),
+    "repro.themis.memory": ("memory_overhead", "MemoryParams"),
+    "repro.themis.pathmap": ("build_pathmap",),
+    "repro.cc.dcqcn": ("Dcqcn", "DcqcnConfig"),
+    "repro.cc.base": ("FixedRate",),
+    "repro.switch.ecn": ("EcnConfig",),
+    "repro.rnic.nic": ("Rnic",),
+    "repro.rnic.config": ("RnicConfig",),
+    "repro.net.packet": ("FlowKey", "Packet", "PacketType"),
+    "repro.collectives": ("RingAllreduce", "RingAllgather",
+                          "RingReduceScatter", "AllToAll",
+                          "HalvingDoublingAllreduce", "TrainingJob",
+                          "cross_rack_groups", "interleaved_ring_groups"),
+    "repro.harness.motivation": ("run_motivation", "motivation_config",
+                                 "run_fig1d_comparison", "MotivationResult"),
+    "repro.harness.collective_runner": ("run_collective",
+                                        "CollectiveRunResult",
+                                        "fig5_config", "EvalScale"),
+    "repro.harness.sweep": ("run_fig5_sweep", "SweepResult", "DCQCN_SWEEP"),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items()
+            for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

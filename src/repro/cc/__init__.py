@@ -1,6 +1,1 @@
 """Congestion control (DCQCN and fixed-rate baseline)."""
-
-from repro.cc.base import CongestionControl, FixedRate
-from repro.cc.dcqcn import Dcqcn, DcqcnConfig
-
-__all__ = ["CongestionControl", "FixedRate", "Dcqcn", "DcqcnConfig"]

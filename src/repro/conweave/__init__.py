@@ -1,7 +1,1 @@
 """ConWeave-style baseline: flow rerouting + in-network reordering."""
-
-from repro.conweave.config import ConweaveConfig
-from repro.conweave.dest import InOrderDest
-from repro.conweave.source import RerouteSource
-
-__all__ = ["ConweaveConfig", "InOrderDest", "RerouteSource"]

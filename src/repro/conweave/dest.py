@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.conweave.config import ConweaveConfig
-from repro.net.packet import FlowKey, Packet, PacketType
+from repro.net.packet import DATA, FlowKey, Packet
 from repro.net.port import Port
 from repro.switch.switch import Middleware, Switch
 
@@ -55,7 +55,7 @@ class InOrderDest(Middleware):
     # ------------------------------------------------------------------
     def on_packet(self, switch: Switch, packet: Packet,
                   in_port: Optional[Port]) -> bool:
-        if packet.ptype is not PacketType.DATA:
+        if packet.ptype is not DATA:
             return True
         if packet.flow.dst not in switch.down_nics \
                 or packet.flow.src in switch.down_nics:

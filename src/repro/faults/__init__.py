@@ -13,24 +13,7 @@ Three pieces:
   parallel job runner and reports recovery-time / goodput-dip /
   NACK-validity metrics.
 
-Only ``spec`` (no heavy dependencies) is re-exported here, so low-level
-packages can import :mod:`repro.faults` freely; the injector and campaign
-layers pull in the network stack and the harness and are imported from
-their own modules.
+Import names from their modules: ``spec`` has no heavy dependencies,
+while the injector and campaign layers pull in the network stack and
+the harness.
 """
-
-from repro.faults.spec import (DEFAULT_CONVERGE_US, LAYER_KINDS,
-                               LatencyShift, LinkFlap, PfcStorm,
-                               RandomLoss, RateDegrade, Scenario,
-                               ScenarioError, SwitchReboot,
-                               compiled_spec, load_scenario,
-                               scenario_from_dict, spec_duration_us,
-                               validate_compiled)
-
-__all__ = [
-    "Scenario", "ScenarioError", "LinkFlap", "RateDegrade",
-    "LatencyShift", "SwitchReboot", "PfcStorm", "RandomLoss",
-    "LAYER_KINDS", "DEFAULT_CONVERGE_US",
-    "compiled_spec", "scenario_from_dict", "load_scenario",
-    "validate_compiled", "spec_duration_us",
-]

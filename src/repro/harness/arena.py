@@ -22,12 +22,13 @@ per-cell table, ``ranking`` the per-(lb, transport) aggregate.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from repro.harness.jobs import (JobOutcome, JobSpec, raise_on_failures,
-                                run_jobs)
 from repro.harness.metrics import JobCounters
 from repro.harness.report import NUMBER, field_problems, format_table
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a sweep runs
+    from repro.harness.jobs import JobOutcome, JobSpec
 
 ARENA_SCHEMA = "repro-arena-v1"
 
@@ -178,6 +179,8 @@ def arena_job_specs(*, lbs: Sequence[str] = LB_POLICIES,
                     deadline_us: Optional[float] = None
                     ) -> list[JobSpec]:
     """The cell list, in the deterministic order aggregation relies on."""
+    from repro.harness.jobs import JobSpec
+
     if topologies is None:
         topologies = QUICK_TOPOLOGIES if quick else FULL_TOPOLOGIES
     if message_bytes is None:
@@ -209,6 +212,8 @@ def run_arena(*, workers: int = 1, timeout_s: Optional[float] = None,
     bitwise-identical for any worker count — and, with ``cache`` (a
     results-store path), for a warm re-run that executes zero jobs.
     """
+    from repro.harness.jobs import raise_on_failures, run_jobs
+
     specs = arena_job_specs(**spec_kwargs)
     outcomes = run_jobs(specs, workers=workers, timeout_s=timeout_s,
                         retries=retries, checkpoint=checkpoint, cache=cache,

@@ -45,7 +45,6 @@ import gc
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -56,14 +55,6 @@ from repro.harness.metrics import JobCounters
 from repro.obs.record import dump_active_flight, set_active
 
 CHECKPOINT_VERSION = 1
-
-#: Start method for worker subprocesses: ``fork`` where available (cheap,
-#: inherits the warm interpreter), else ``spawn``.  Callers needing
-#: cold processes pass ``"spawn"`` (the performance ledger does, to price
-#: a spawned job).
-_DEFAULT_MP_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                      else "spawn")
-
 
 # ----------------------------------------------------------------------
 # Job specs
@@ -395,7 +386,7 @@ class JobRunner:
         self.cache = cache
         self._cache_store = None
         self.isolation = isolation
-        self.mp_method = mp_method or _DEFAULT_MP_METHOD
+        self.mp_method = mp_method
         self.counters = counters if counters is not None else JobCounters()
         self.progress = progress
 
@@ -563,7 +554,17 @@ class JobRunner:
     # -- subprocess pool -----------------------------------------------
     def _run_pool(self, pending: list[_Attempt],
                   outcomes: dict[str, JobOutcome]) -> None:
-        ctx = multiprocessing.get_context(self.mp_method)
+        # Only this path needs multiprocessing (and the socket and pickle
+        # machinery it loads); an in-process sweep never imports it.
+        import multiprocessing
+
+        # ``fork`` where available (cheap, inherits the warm interpreter),
+        # else ``spawn``.  Callers needing cold processes pass ``"spawn"``
+        # (the performance ledger does, to price a spawned job).
+        method = self.mp_method or (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        ctx = multiprocessing.get_context(method)
         active: list[_Active] = []
         try:
             while pending or active:
@@ -615,8 +616,9 @@ class JobRunner:
 
     def _reap(self, active: list[_Active], pending: list[_Attempt],
               outcomes: dict[str, JobOutcome]) -> None:
-        multiprocessing.connection.wait(
-            [slot.conn for slot in active], timeout=0.05)
+        from multiprocessing.connection import wait
+
+        wait([slot.conn for slot in active], timeout=0.05)
         now = time.monotonic()
         for slot in list(active):
             message = None

@@ -25,19 +25,19 @@ Supported schemes (``NetworkConfig.scheme``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl, FixedRate
 from repro.cc.dcqcn import Dcqcn, DcqcnConfig
 from repro.conweave.config import ConweaveConfig
-from repro.conweave.dest import InOrderDest
-from repro.conweave.source import RerouteSource
 from repro.harness.metrics import Metrics
 from repro.net.packet import DEFAULT_MTU, FlowKey, Packet
 from repro.obs import record as obs_record
 from repro.obs.record import Recorder
 from repro.net.topology import Topology, dragonfly, fat_tree, leaf_spine
-from repro.rnic import RECEIVER_CLASSES, Rnic, RnicConfig
+from repro.rnic.config import RnicConfig
+from repro.rnic.nic import Rnic
+from repro.rnic.reliability import RECEIVER_CLASSES
 from repro.sim.engine import US, Simulator
 from repro.sim.rng import SimRng
 from repro.switch.buffer import SharedBuffer
@@ -45,12 +45,11 @@ from repro.switch.ecn import EcnConfig, EcnMarker
 from repro.switch.lb import (AdaptiveRoutingLB, EcmpLB, FlowletLB,
                              PrimeLB, RandomSprayLB, RepsLB,
                              SprinklersLB, SpritzLB)
-from repro.switch.pfc import PfcConfig, PfcController
 from repro.switch.switch import Switch
 from repro.themis.config import ThemisConfig
-from repro.themis.dest import ThemisDest
-from repro.themis.pathmap import build_pathmap
-from repro.themis.source import ThemisSource
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by _switch_factory
+    from repro.switch.pfc import PfcConfig
 
 SCHEMES = ("ecmp", "rps", "ar", "flowlet", "themis", "themis_noval",
            "themis_nocomp", "conweave", "conweave_spray",
@@ -199,6 +198,7 @@ class Network:
                                  self.rng.fork(f"ecn-{name}")),
             metrics=self.metrics)
         if self.config.pfc is not None:
+            from repro.switch.pfc import PfcController
             switch.pfc = PfcController(self.sim, switch, self.config.pfc)
         return switch
 
@@ -276,6 +276,10 @@ class Network:
     def _install_themis(self) -> None:
         # The ablation schemes switch Themis-D's halves off: themis_noval
         # both (spraying only), themis_nocomp compensation.
+        from repro.themis.dest import ThemisDest
+        from repro.themis.pathmap import build_pathmap
+        from repro.themis.source import ThemisSource
+
         scheme = self.config.scheme
         validate = scheme != "themis_noval"
         compensate = scheme == "themis"
@@ -307,6 +311,9 @@ class Network:
         packet spraying to measure what full packet-level LB would
         demand of the reordering resources.
         """
+        from repro.conweave.dest import InOrderDest
+        from repro.conweave.source import RerouteSource
+
         self.conweave_dests: list[InOrderDest] = []
         for tor in self.topology.tors:
             dest = InOrderDest(self.config.conweave)
@@ -382,7 +389,7 @@ class Network:
                 port._rec_drop = drop
                 port._rec_ecn = ecn
             for mw in switch.middleware:
-                if isinstance(mw, ThemisDest):
+                if hasattr(mw, "rec"):  # Themis-D, the one NACK filter
                     mw.rec = nack
         for nic in self.nics:
             nic.recorder = rec

@@ -1,14 +1,1 @@
 """Commodity RNIC model: QPs, reliable transports, pacing."""
-
-from repro.rnic.bitmap import OooTracker
-from repro.rnic.config import RnicConfig
-from repro.rnic.nic import Rnic
-from repro.rnic.qp import SenderQp
-from repro.rnic.reliability import (RECEIVER_CLASSES, GbnReceiver,
-                                    IdealReceiver, NicSrReceiver,
-                                    ReceiverQp)
-
-__all__ = [
-    "Rnic", "RnicConfig", "SenderQp", "ReceiverQp", "NicSrReceiver",
-    "GbnReceiver", "IdealReceiver", "OooTracker", "RECEIVER_CLASSES",
-]

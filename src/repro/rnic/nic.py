@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
 from repro.net.node import Device
-from repro.net.packet import (_POOL_CAP, FlowKey, Packet, PacketType,
+from repro.net.packet import (_POOL_CAP, ACK, CNP, NACK, FlowKey, Packet,
                               _pool)
 from repro.net.port import Port
 from repro.rnic.config import RnicConfig
@@ -137,11 +137,11 @@ class Rnic(Device):
             # is keyed by that direction so no FlowKey is built here.
             sender = self._senders_by_ctrl.get(packet.flow)
             if sender is not None:
-                if packet.ptype is PacketType.ACK:
+                if packet.ptype is ACK:
                     sender.on_ack(packet.epsn)
-                elif packet.ptype is PacketType.NACK:
+                elif packet.ptype is NACK:
                     sender.on_nack(packet.epsn, packet.psn)
-                elif packet.ptype is PacketType.CNP:
+                elif packet.ptype is CNP:
                     sender.on_cnp()
         # release_packet(packet), inline: once per delivered packet.
         if not packet._in_pool:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
-from repro.net.packet import (DATA_HEADER_BYTES, FlowKey, Packet,
-                              PacketType, _make)
+from repro.net.packet import (DATA, DATA_HEADER_BYTES, FlowKey, Packet,
+                              _make)
 from repro.obs.record import QP as OBS_QP
 from repro.rnic.config import RnicConfig
 from repro.sim.engine import SEC, Simulator
@@ -240,8 +240,7 @@ class SenderQp:
                 self.sim.fire(base - now, self._send_one, self._send_token)
         else:
             self._send_token += 1
-        return _make(PacketType.DATA, flow, psn, 0, payload,
-                     self.udp_sport, is_retx)
+        return _make(DATA, flow, psn, 0, payload, self.udp_sport, is_retx)
 
     # ------------------------------------------------------------------
     # Reliability feedback

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.packet import FlowKey, Packet, PacketType, _make
+from repro.net.packet import ACK, CNP, NACK, FlowKey, Packet, _make
 from repro.obs.record import NACK as OBS_NACK
 from repro.rnic.bitmap import OooTracker
 from repro.rnic.config import (ACK_COALESCE_PACKETS, CNP_INTERVAL_NS,
@@ -71,8 +71,9 @@ class ReceiverQp:
 
         self.epsn = 0
         self.nack_sent_for_epsn = False
-        #: PSNs held above the ePSN; a receiver that keeps none (Go-Back-N)
-        #: leaves it ``None``.
+        #: PSNs held above the ePSN, from the first out-of-order arrival
+        #: on (most flows never see one); a receiver that keeps none
+        #: (Go-Back-N) leaves it ``None``.
         self.tracker: Optional[OooTracker] = None
 
         # NACK observability channel (repro.obs); resolved once at QP
@@ -173,8 +174,7 @@ class ReceiverQp:
                 listener(self.flow, self.epsn)
         # _make with the precomputed control flow == ack_packet(flow, ...)
         # minus the per-ACK FlowKey reversal.
-        self.nic.uplink.enqueue(_make(PacketType.ACK, self._ctrl_flow, 0,
-                                      self.epsn))
+        self.nic.uplink.enqueue(_make(ACK, self._ctrl_flow, 0, self.epsn))
 
     def _send_nack(self, observed_psn: int) -> None:
         """Emit a NACK for the current ePSN, caused by the out-of-order
@@ -188,7 +188,7 @@ class ReceiverQp:
         if self.rec_nack is not None:
             self.rec_nack.nack_emit(self.sim.now, self.nic.name, self.flow,
                                     self.epsn, observed_psn)
-        nack = _make(PacketType.NACK, self._ctrl_flow, 0, self.epsn)
+        nack = _make(NACK, self._ctrl_flow, 0, self.epsn)
         if self.nack_policy == "epsn+trigger":
             nack.psn = observed_psn
         self.nic.uplink.enqueue(nack)
@@ -200,7 +200,7 @@ class ReceiverQp:
             return
         self._last_cnp_ns = now
         self.metrics.cnps_generated += 1
-        self.nic.uplink.enqueue(_make(PacketType.CNP, self._ctrl_flow))
+        self.nic.uplink.enqueue(_make(CNP, self._ctrl_flow))
 
     def stop(self) -> None:
         if self._ack_token & 1:
@@ -213,14 +213,10 @@ class SrReceiver(ReceiverQp):
 
     __slots__ = ()
 
-    def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
-                 config: RnicConfig, metrics: "Metrics") -> None:
-        super().__init__(sim, nic, flow, config, metrics)
-        self.tracker = OooTracker()
-
     def _handle_unexpected(self, packet: Packet) -> None:
         psn = packet.psn
-        if psn < self.epsn or psn in self.tracker:
+        tracker = self.tracker
+        if psn < self.epsn or (tracker is not None and psn in tracker):
             # Duplicate: the payload was already received — every one of
             # these corresponds to a wasted (spurious or repeated)
             # retransmission arriving.
@@ -235,7 +231,9 @@ class SrReceiver(ReceiverQp):
         watched = metrics.watched
         if watched and self.flow in watched:
             metrics.on_delivered(self.flow, packet)
-        self.tracker.add(psn)
+        if tracker is None:
+            self.tracker = tracker = OooTracker()
+        tracker.add(psn)
         if self.nack_policy is not None and not self.nack_sent_for_epsn:
             self.nack_sent_for_epsn = True
             self._send_nack(psn)

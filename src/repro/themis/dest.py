@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.packet import FlowKey, Packet, PacketType, nack_packet
+from repro.net.packet import NACK, FlowKey, Packet, nack_packet
 from repro.net.port import Port
 from repro.switch.switch import Middleware, Switch
 from repro.themis.config import ThemisConfig
@@ -98,7 +98,7 @@ class ThemisDest(Middleware):
                 and packet.flow.src not in switch.down_nics):
             self._on_data_to_nic(switch, packet)
             return True
-        if (packet.ptype is PacketType.NACK
+        if (packet.ptype is NACK
                 and not packet.themis_generated
                 and packet.flow.src in switch.down_nics
                 and packet.flow.dst not in switch.down_nics):

@@ -4,7 +4,8 @@ The ``repro.sim.trace`` and ``repro.harness.tracer`` deprecation shims
 have been deleted after their deprecation window, and so has the
 ``repro.obs.capture`` middleware tracer they pointed at: per-hop packet
 capture is the Recorder's PACKET channel (``tests/harness/test_tracer.py``).
-``repro.obs.timeseries`` is the only home of the series types.
+``repro.obs.timeseries`` is the only home of the series types, and the
+package itself re-exports nothing (``tests/test_imports.py``).
 """
 
 import importlib
@@ -30,13 +31,24 @@ class TestShimsRemoved:
 
 
 class TestObsPackageSurface:
-    def test_lazy_exports_resolve(self):
-        import repro.obs as obs
-        for name in ("Recorder", "PACKET", "Profiler",
-                     "build_audit", "format_report", "NackAudit",
-                     "NackDecision", "export_chrome_trace",
-                     "write_chrome_trace", "validate_chrome_trace"):
-            assert getattr(obs, name) is not None
+    """``repro.obs`` re-exports nothing; every name has one home."""
+
+    def test_names_live_in_their_modules(self):
+        homes = {
+            "repro.obs.record": ("Recorder", "PACKET", "NACK", "FAULT",
+                                 "set_active", "dump_active_flight"),
+            "repro.obs.profile": ("Profiler",),
+            "repro.obs.nacks": ("build_audit", "format_report", "NackAudit",
+                                "NackDecision"),
+            "repro.obs.perfetto": ("export_chrome_trace",
+                                   "write_chrome_trace",
+                                   "validate_chrome_trace"),
+            "repro.obs.console": ("Console",),
+        }
+        for module, names in homes.items():
+            mod = importlib.import_module(module)
+            for name in names:
+                assert getattr(mod, name) is not None, (module, name)
 
     def test_unknown_attribute_raises(self):
         import repro.obs as obs

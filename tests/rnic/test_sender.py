@@ -7,6 +7,7 @@ import pytest
 from repro.cc.base import FixedRate
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey
+from repro.rnic.bitmap import OooTracker
 from repro.rnic.config import RnicConfig
 from repro.rnic.reliability import RECEIVER_CLASSES
 from repro.sim.engine import MS, US
@@ -246,18 +247,22 @@ class TestFootprint:
         flow = FlowKey(0, 1)
         sender = net.nics[0].senders[flow]
         receiver = net.nics[1].receivers[flow]
+        # The out-of-order tracker appears at the first out-of-order
+        # arrival, so it is checked on its own.
         objects = [sender, receiver, sender.cc, sender.stats,
-                   sender._messages[0]]
-        if receiver.tracker is not None:
-            objects.append(receiver.tracker)
+                   sender._messages[0], OooTracker()]
         assert [type(obj).__name__ for obj in objects
                 if hasattr(obj, "__dict__")] == []
 
     def test_bytes_per_flow_ceiling(self):
-        """Posting 240 flows allocates 2 357-2 403 B per flow on CPython
-        3.10-3.13 (3 513-3 851 B before the per-flow classes were
-        slotted, the receive queue became a list and the retransmission
-        set was deleted); the ceiling sits about 10 % above."""
+        """Posting 240 flows allocates 2 152-2 168 B per flow on CPython
+        3.10-3.13 in a fresh process, about 2 140 B inside the suite
+        (earlier tests leave free lists that posting reuses untraced).
+        A receiver creates its out-of-order tracker at the first
+        out-of-order arrival; when every receiver built one it read
+        2 250-2 405 B in every order tried, 3 513-3 851 B before the
+        per-flow classes were slotted.  The ceiling sits between the
+        two, about 2.5 % above the highest value."""
         _, per_flow = _posted_alltoall("nic_sr")
-        assert per_flow <= 2_600, (
+        assert per_flow <= 2_220, (
             f"{per_flow:.0f} B per flow: a per-flow object grew")
