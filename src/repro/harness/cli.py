@@ -42,18 +42,15 @@ import os
 import sys
 from typing import Optional, Sequence
 
+# Only what the parser's choices and every command need; each command
+# imports its own experiment family, so ``repro --help`` or a command's
+# argument error loads no job runner, sweep or results store.
 from repro.collectives import COLLECTIVE_CLASSES
-from repro.harness.collective_runner import (EvalScale, fig5_config,
-                                             run_collective)
-from repro.harness.motivation import motivation_config, run_motivation
 from repro.harness.network import (SCHEMES, TRANSPORTS, Network,
                                    NetworkConfig, TopologySpec)
 from repro.harness.report import (format_table, percent, sparkline,
                                   write_json)
-from repro.harness.sweep import DCQCN_SWEEP, run_fig5_sweep
 from repro.obs.console import Console
-from repro.themis.memory import (MemoryParams, TOFINO_SRAM_BYTES,
-                                 memory_overhead)
 
 
 def _output_flag_parent() -> argparse.ArgumentParser:
@@ -368,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_memory(args: argparse.Namespace, console: Console) -> int:
+    from repro.themis.memory import (MemoryParams, TOFINO_SRAM_BYTES,
+                                     memory_overhead)
+
     try:
         params = MemoryParams(
             n_paths=args.n_paths, bandwidth_bps=args.bandwidth_gbps * 1e9,
@@ -395,6 +395,7 @@ def cmd_memory(args: argparse.Namespace, console: Console) -> int:
 def cmd_motivation(args: argparse.Namespace, console: Console) -> int:
     if args.flow_bytes < 1:
         return _fail(console, "--flow-bytes must be >= 1")
+    from repro.harness.motivation import motivation_config, run_motivation
     config = motivation_config(scheme=args.scheme,
                                transport=args.transport, seed=args.seed)
     result = run_motivation(config, flow_bytes=args.flow_bytes)
@@ -428,6 +429,8 @@ def cmd_collective(args: argparse.Namespace, console: Console) -> int:
         return _fail(console, "--ti-us must be > 0")
     if not args.td_us >= 0:
         return _fail(console, "--td-us must be >= 0")
+    from repro.harness.collective_runner import (EvalScale, fig5_config,
+                                                 run_collective)
     scale = EvalScale.from_env()
     config = fig5_config(args.scheme, args.ti_us, args.td_us,
                          scale=scale, seed=args.seed)
@@ -459,6 +462,7 @@ def cmd_sweep(args: argparse.Namespace, console: Console) -> int:
     problem = _bad_choice("--schemes", schemes, SCHEMES)
     if problem:
         return _fail(console, problem)
+    from repro.harness.sweep import DCQCN_SWEEP, run_fig5_sweep
     counters = JobCounters()
     result = run_fig5_sweep(args.collective, schemes=schemes,
                             seed=args.seed, counters=counters,
@@ -503,7 +507,6 @@ def cmd_jobs(args: argparse.Namespace, console: Console) -> int:
 
 
 def cmd_pathmap(args: argparse.Namespace, console: Console) -> int:
-    from repro.harness.network import Network, NetworkConfig, TopologySpec
     from repro.net.packet import FlowKey
     from repro.themis.pathmap import build_pathmap, trace_path
 

@@ -59,10 +59,14 @@ CHECKPOINT_VERSION = 1
 # ----------------------------------------------------------------------
 # Job specs
 # ----------------------------------------------------------------------
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: object) -> str:
     """Canonical JSON: sorted keys, no whitespace — the stable hash input
-    and the form payloads take in checkpoints and the results store."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    and the form payloads take in checkpoints and the results store.
+    One shared encoder (it holds only its settings) serves every call."""
+    return _CANONICAL.encode(obj)
 
 
 def _json_roundtrip(obj: object) -> object:
@@ -248,10 +252,10 @@ class JobOutcome:
 
 
 def _is_record(doc: object) -> bool:
-    """Does *doc* hold a spec that parses and re-hashes to its
-    ``spec_hash``, a dict ``result`` if it is done, and numbers for
-    ``attempts`` and ``elapsed_s``?  Only such a record may stand in for
-    a job."""
+    """Does *doc* hold a well-typed spec (str ``kind``, int ``seed``,
+    dict ``params``, str ``label``) that re-hashes to its ``spec_hash``,
+    a dict ``result`` if it is done, and numbers for ``attempts`` and
+    ``elapsed_s``?  Only such a record may stand in for a job."""
     if not isinstance(doc, dict) or not isinstance(doc.get("spec"), dict):
         return False
     if (doc.get("status") == "done"
@@ -261,9 +265,16 @@ def _is_record(doc: object) -> bool:
                for key in ("attempts", "elapsed_s")):
         return False
     try:
-        return JobSpec.from_dict(doc["spec"]).spec_hash == doc.get("spec_hash")
+        spec = JobSpec.from_dict(doc["spec"])
     except KeyError:
         return False
+    # ``bool`` is an ``int``, but ``true`` is not a seed.
+    if not (isinstance(spec.kind, str) and isinstance(spec.label, str)
+            and isinstance(spec.params, dict)
+            and isinstance(spec.seed, int)
+            and not isinstance(spec.seed, bool)):
+        return False
+    return spec.spec_hash == doc.get("spec_hash")
 
 
 def read_checkpoint(path: str) -> list[dict]:
@@ -285,7 +296,7 @@ def read_checkpoint(path: str) -> list[dict]:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or an over-long int
                 continue
             if _is_record(doc):
                 records.append(doc)
@@ -410,6 +421,10 @@ class JobRunner:
                      if self.checkpoint else {})
         store = self._cache_handle()
         try:
+            # One read of the cache for every hash the checkpoint left.
+            hits = (store.get_job_results(
+                        [h for h in unique if h not in completed])
+                    if store is not None else {})
             pending: list[_Attempt] = []
             for spec_hash, spec in unique.items():
                 prior = completed.get(spec_hash)
@@ -418,8 +433,7 @@ class JobRunner:
                     self.counters.skipped += 1
                     self._emit(f"skip {spec.describe()} (checkpointed)")
                     continue
-                cached = (store.get_job_result(spec_hash)
-                          if store is not None else None)
+                cached = hits.get(spec_hash)
                 if cached is not None:
                     outcomes[spec_hash] = JobOutcome(
                         spec=spec, status="done", result=cached,
@@ -461,7 +475,7 @@ class JobRunner:
         if self.cache is None:
             return None
         if self._cache_store is None:
-            if hasattr(self.cache, "get_job_result"):
+            if hasattr(self.cache, "get_job_results"):
                 self._cache_store = self.cache
             else:
                 from repro.results.store import ResultsStore

@@ -40,12 +40,16 @@ import json
 import os
 import sqlite3
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.harness.jobs import canonical_json
 from repro.results.query import table_counts
 
 SCHEMA_VERSION = 1
+
+#: Hashes per ``get_job_results`` statement: below the 999 host
+#: parameters that SQLite builds before 3.32 allow in one statement.
+JOB_READ_CHUNK = 900
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS job_results (
@@ -203,17 +207,42 @@ class ResultsStore:
 
     # -- run cache (job results) ---------------------------------------
     def get_job_result(self, spec_hash: str) -> Optional[dict]:
-        """The cached payload for a spec-hash, or ``None`` on a miss.
+        """The cached payload for a spec-hash, or ``None`` on a miss."""
+        return self.get_job_results((spec_hash,)).get(spec_hash)
 
-        The payload went through canonical JSON on the way in, so what
-        comes back is structurally identical to a fresh
-        ``execute_spec`` payload — the property the byte-identical
-        warm-run guarantee rests on.
+    def get_job_results(self, spec_hashes: Iterable[str]) -> dict[str, dict]:
+        """spec-hash -> cached payload for every requested hash the store
+        holds; a miss is absent, and a repeated hash is read once.
+
+        One ``SELECT ... IN (...)`` per :data:`JOB_READ_CHUNK` hashes, so
+        a warm sweep is one statement, not one per spec.  The payloads
+        went through canonical JSON on the way in, so what comes back is
+        structurally identical to a fresh ``execute_spec`` payload — the
+        property the byte-identical warm-run guarantee rests on.
         """
-        row = self.conn.execute(
-            "SELECT result_json FROM job_results WHERE spec_hash=?",
-            (spec_hash,)).fetchone()
-        return None if row is None else json.loads(row["result_json"])
+        wanted = list(dict.fromkeys(spec_hashes))
+        found: dict[str, dict] = {}
+        # Plain tuple rows: this cursor does not build ``sqlite3.Row``s.
+        cursor = self.conn.cursor()
+        cursor.row_factory = None
+        try:
+            for start in range(0, len(wanted), JOB_READ_CHUNK):
+                chunk = wanted[start:start + JOB_READ_CHUNK]
+                rows = cursor.execute(
+                    "SELECT spec_hash, result_json FROM job_results "
+                    f"WHERE spec_hash IN ({','.join('?' * len(chunk))})",
+                    chunk).fetchall()
+                if rows:
+                    # One decode for the whole chunk: each stored text is
+                    # one JSON object, so joined they form one array (a
+                    # text that is not would misalign it: zip refuses).
+                    payloads = json.loads(
+                        f"[{','.join(text for _, text in rows)}]")
+                    found.update(zip((h for h, _ in rows), payloads,
+                                     strict=True))
+        finally:
+            cursor.close()
+        return found
 
     def put_job_result(self, spec, result: dict) -> None:
         """Insert/refresh one completed job (spec is a ``JobSpec``)."""

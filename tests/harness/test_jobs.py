@@ -3,17 +3,20 @@ and reclaiming each in-process job's garbage as the job ends."""
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness.collective_runner import EvalScale
 from repro.harness.jobs import (JobOutcome, JobSpec, callable_target,
-                                checkpoint_status, load_completed,
-                                raise_on_failures, read_checkpoint,
-                                run_jobs)
+                                canonical_json, checkpoint_status,
+                                load_completed, raise_on_failures,
+                                read_checkpoint, run_jobs)
 from repro.harness.metrics import JobCounters
 from repro.harness.replication import replicate, replicate_many
 from repro.harness.sweep import DCQCN_SWEEP, run_fig5_sweep, sweep_job_specs
@@ -82,6 +85,49 @@ def _callable_spec(fn, seed, **kwargs):
                            "kwargs": kwargs})
 
 
+#: Any JSON value (NaN and the infinities included: ``json`` writes and
+#: reads them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+SPEC_FIELDS = ("kind", "seed", "params", "label")
+
+
+def _rehash(spec: dict) -> str:
+    """The spec-hash a reader recomputes for a spec document."""
+    return hashlib.sha256(canonical_json(
+        {"kind": spec["kind"], "seed": spec["seed"],
+         "params": spec.get("params", {})}).encode()).hexdigest()[:16]
+
+
+@st.composite
+def mangled_records(draw):
+    """A checkpoint record whose spec fields are kept, deleted or
+    replaced by any JSON value, plus added fields; its ``spec_hash`` is
+    the spec's true re-hash where one exists, so the type checks, not
+    the hash check, must catch a wrong-typed field."""
+    spec = {"kind": "callable", "seed": 1,
+            "params": {"target": "m:f"}, "label": "x"}
+    for key in SPEC_FIELDS:
+        action = draw(st.sampled_from(("keep", "delete", "replace")))
+        if action == "delete":
+            del spec[key]
+        elif action == "replace":
+            spec[key] = draw(JSON_VALUES)
+    spec.update(draw(st.dictionaries(st.text(), JSON_VALUES, max_size=2)))
+    try:
+        spec_hash = _rehash(spec)
+    except KeyError:
+        spec_hash = draw(JSON_VALUES)
+    return {"v": 1, "spec_hash": spec_hash, "spec": spec,
+            "status": draw(st.sampled_from(("done", "failed"))),
+            "attempts": 1, "elapsed_s": 0.1, "error": None,
+            "result": {"value": 1.0}}
+
+
 class TestJobSpec:
     def test_spec_hash_is_stable_and_param_sensitive(self):
         a = JobSpec(kind="callable", seed=1, params={"target": "m:f"})
@@ -118,6 +164,20 @@ class TestJobSpec:
         other = dataclasses.replace(spec, seed=2)
         assert other.spec_hash == fresh(other) != spec.spec_hash
         assert JobSpec.from_dict(spec.to_dict()).spec_hash == spec.spec_hash
+
+    def test_a_quick_arena_spec_hash_is_pinned(self):
+        """Every spec-hash lives inside emitted documents and run caches:
+        an encoder change that moves them fails here by name."""
+        from repro.harness.arena import arena_job_specs
+        spec = arena_job_specs(quick=True, seeds=(7,))[0]
+        assert spec.label == "ecmp/nic_sr/dcqcn/alltoall/leaf_spine/s7"
+        assert spec.spec_hash == "5407403b0323e729"
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_json_is_sorted_compact_dumps(self, value):
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))
 
     def test_callable_target_rejects_lambdas(self):
         assert callable_target(lambda s: s) is None
@@ -289,6 +349,17 @@ class TestCheckpointResume:
         assert len(read_checkpoint(ckpt)) == 1
         assert spec.spec_hash in load_completed(ckpt)
 
+    def test_an_int_too_long_to_parse_is_skipped(self, tmp_path):
+        """``json`` refuses an int of more than 4 300 digits with a
+        ``ValueError`` that is not a ``JSONDecodeError``."""
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        spec = _callable_spec(square, 2)
+        run_jobs([spec], checkpoint=ckpt)
+        with open(ckpt, "a") as fh:
+            fh.write('{"attempts": ' + "9" * 5_000 + "}\n")
+        assert list(load_completed(ckpt)) == [spec.spec_hash]
+        assert checkpoint_status(ckpt)["records"] == 1
+
     def test_checkpoint_status_summary(self, tmp_path):
         ckpt = str(tmp_path / "ckpt.jsonl")
         run_jobs([_callable_spec(square, s) for s in (1, 2)],
@@ -354,6 +425,50 @@ class TestCheckpointResume:
         assert counters.skipped == 0
         (record,) = read_checkpoint(ckpt)
         assert doc["cells"][0]["tail_ns"] == record["result"]["tail_ns"] > 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("kind", ["x"]), ("kind", {"a": 1}), ("seed", "1"), ("seed", True),
+        ("seed", 1.0), ("params", [1]), ("label", 3)])
+    def test_a_wrong_typed_spec_field_is_skipped(self, tmp_path, field,
+                                                 value):
+        """The spec re-hashes to its ``spec_hash``, but a field has the
+        wrong type: the record is skipped, so ``repro jobs
+        --checkpoint`` (``checkpoint_status``) reports only the good
+        one."""
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        good = _callable_spec(square, 6)
+        run_jobs([good], checkpoint=ckpt)
+        spec = {"kind": "callable", "seed": 1, "params": {}, "label": "",
+                field: value}
+        with open(ckpt, "a") as fh:
+            fh.write(json.dumps({"spec_hash": _rehash(spec), "spec": spec,
+                                 "status": "done",
+                                 "result": {"value": 0.0}}) + "\n")
+        assert [r["spec_hash"] for r in read_checkpoint(ckpt)] \
+            == [good.spec_hash]
+        assert list(load_completed(ckpt)) == [good.spec_hash]
+        status = checkpoint_status(ckpt)
+        assert (status["jobs"], status["kinds"]) == (1, {"callable": 1})
+
+    @given(st.lists(mangled_records(), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_record_line_is_a_record_or_skipped(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "ckpt.jsonl")
+            with open(ckpt, "w") as fh:
+                for record in records:
+                    fh.write(json.dumps(record) + "\n")
+            kept = read_checkpoint(ckpt)
+            completed = load_completed(ckpt)
+            status = checkpoint_status(ckpt)
+        for record in kept:
+            spec = JobSpec.from_dict(record["spec"])
+            assert isinstance(spec.kind, str)
+            assert type(spec.seed) is int
+            assert isinstance(spec.params, dict)
+            assert isinstance(spec.label, str)
+        assert set(completed) <= {r["spec_hash"] for r in kept}
+        assert status["records"] == len(kept)
 
     @pytest.mark.parametrize("field", ["attempts", "elapsed_s"])
     def test_a_non_numeric_attempts_or_elapsed_is_skipped(self, tmp_path,

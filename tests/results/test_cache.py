@@ -119,6 +119,42 @@ class TestRunnerCache:
         assert out.from_checkpoint and not out.from_cache
         assert counters.skipped == 1 and counters.cache_hits == 0
 
+    def test_one_cache_read_for_what_the_checkpoint_left(self, tmp_path):
+        """A run asks the store once, for the unique hashes the
+        checkpoint did not settle; a spec held by both is surfaced
+        ``from_checkpoint``, and the progress lines name each source."""
+        db = str(tmp_path / "r.sqlite")
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        both, cached, new = (_spec(square, s) for s in (1, 2, 3))
+        JobRunner(cache=db, checkpoint=ckpt).run([both])
+        JobRunner(cache=db).run([cached])
+        with ResultsStore(db) as store:
+            reads = []
+            batched = store.get_job_results
+
+            def get_job_results(spec_hashes):
+                reads.append(list(spec_hashes))
+                return batched(spec_hashes)
+
+            store.get_job_results = get_job_results
+            counters, lines = JobCounters(), []
+            outcomes = JobRunner(cache=store, checkpoint=ckpt,
+                                 counters=counters, progress=lines.append
+                                 ).run([both, cached, new, cached, both])
+        assert reads == [[cached.spec_hash, new.spec_hash]]
+        assert outcomes[both.spec_hash].from_checkpoint
+        assert not outcomes[both.spec_hash].from_cache
+        assert outcomes[cached.spec_hash].from_cache
+        assert not outcomes[new.spec_hash].from_cache
+        assert [o.result for o in outcomes.values()] == \
+            [{"value": 1.0}, {"value": 4.0}, {"value": 9.0}]
+        assert (counters.submitted, counters.skipped, counters.cache_hits,
+                counters.executed) == (3, 1, 1, 1)
+        assert [line.split()[0] for line in lines] == ["skip", "skip",
+                                                       "done"]
+        assert lines[0].endswith("(checkpointed)")
+        assert lines[1].endswith("(cached)")
+
     def test_open_store_accepted_directly(self, tmp_path):
         with ResultsStore(str(tmp_path / "r.sqlite")) as store:
             JobRunner(cache=store).run([_spec(square, 9)])

@@ -29,7 +29,7 @@ from repro.results import (IngestError, ResultsStore, detect_doc_kind,
                            ingest_file)
 from repro.results.query import (arena_runs, latest_run_id, list_runs,
                                  summary, table_counts)
-from repro.results.store import connect_readonly
+from repro.results.store import JOB_READ_CHUNK, connect_readonly
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -294,6 +294,55 @@ class TestJobResults:
             store.put_job_result(spec, {"value": 2})
             assert store.get_job_result(spec.spec_hash) == {"value": 2}
             assert store.counts()["job_results"] == 1
+
+    def test_batched_read_is_one_statement_per_chunk(self, tmp_path):
+        """2 000 specs, every fourth never stored: ceil(2000 / chunk)
+        SELECTs, the per-hash answers, misses absent, and a repeated
+        hash read once."""
+        specs = [JobSpec(kind="callable", seed=seed, params={"t": "m:f"})
+                 for seed in range(2_000)]
+        hashes = [spec.spec_hash for spec in specs]
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            for seed, spec in enumerate(specs):
+                if seed % 4:
+                    store.put_job_result(spec, {"value": seed})
+            expected = {h: store.get_job_result(h) for h in hashes}
+            expected = {h: r for h, r in expected.items() if r is not None}
+            statements = []
+            store.conn.set_trace_callback(statements.append)
+            try:
+                got = store.get_job_results(hashes + hashes[:50])
+            finally:
+                store.conn.set_trace_callback(None)
+        assert got == expected
+        assert len(got) == 1_500 and hashes[0] not in got
+        selects = [sql for sql in statements if sql.startswith("SELECT")]
+        assert len(selects) == math.ceil(2_000 / JOB_READ_CHUNK) == 3
+        assert sum(sql.count("'") // 2 for sql in selects) == 2_000
+
+    def test_batched_read_refuses_a_text_that_is_not_one_object(
+            self, tmp_path):
+        """Rows are decoded as one joined array; a stored text holding
+        two objects must fail loudly, not shift every later payload onto
+        the wrong hash."""
+        one, two = (JobSpec(kind="callable", seed=s, params={"t": "m:f"})
+                    for s in (1, 2))
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            store.put_job_result(one, {"value": 1})
+            store.put_job_result(two, {"value": 2})
+            store.conn.execute(
+                "UPDATE job_results SET result_json=? WHERE spec_hash=?",
+                ('{"value":1},{"value":3}', one.spec_hash))
+            with pytest.raises(ValueError):
+                store.get_job_results([one.spec_hash, two.spec_hash])
+
+    def test_batched_read_of_nothing_runs_no_statement(self, tmp_path):
+        with ResultsStore(str(tmp_path / "r.sqlite")) as store:
+            statements = []
+            store.conn.set_trace_callback(statements.append)
+            assert store.get_job_results([]) == {}
+            assert store.get_job_results(["0123456789abcdef"]) == {}
+        assert len(statements) == 1
 
     def test_schema_version_mismatch_refuses(self, tmp_path):
         path = str(tmp_path / "r.sqlite")

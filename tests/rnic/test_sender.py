@@ -1,9 +1,13 @@
 """Unit tests for the sender QP: pacing, completions, NACK/RTO reaction."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.cc.base import FixedRate
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey
@@ -233,6 +237,16 @@ def _no_op():
     pass
 
 
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+#: Bytes per posted flow in a fresh interpreter, whatever ran before.
+_FOOTPRINT_PROBE = """
+from tests.rnic.test_sender import _posted_alltoall
+print(_posted_alltoall("nic_sr")[1])
+"""
+
+
 class TestFootprint:
     """Every flow holds a sender QP, a receiver QP, a congestion control
     and a ``FlowStats``; an all-to-all holds N x (N - 1) of each at once
@@ -255,14 +269,20 @@ class TestFootprint:
                 if hasattr(obj, "__dict__")] == []
 
     def test_bytes_per_flow_ceiling(self):
-        """Posting 240 flows allocates 2 152-2 168 B per flow on CPython
-        3.10-3.13 in a fresh process, about 2 140 B inside the suite
-        (earlier tests leave free lists that posting reuses untraced).
-        A receiver creates its out-of-order tracker at the first
-        out-of-order arrival; when every receiver built one it read
-        2 250-2 405 B in every order tried, 3 513-3 851 B before the
-        per-flow classes were slotted.  The ceiling sits between the
-        two, about 2.5 % above the highest value."""
-        _, per_flow = _posted_alltoall("nic_sr")
+        """Posting 240 flows allocates 2 151-2 168 B per flow on CPython
+        3.10-3.13, measured in a fresh interpreter: inside the suite it
+        read 2 035-2 143 B, by which tests ran before (they leave free
+        lists that posting reuses untraced).  A receiver creates its
+        out-of-order tracker at the first out-of-order arrival; when
+        every receiver built one it read 2 250-2 405 B in every order
+        tried, 3 513-3 851 B before the per-flow classes were slotted.
+        The ceiling sits between the two, about 2.5 % above the highest
+        value."""
+        out = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_PROBE], cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(
+                None, [SRC, os.environ.get("PYTHONPATH")]))},
+            capture_output=True, text=True, check=True).stdout
+        per_flow = float(out.splitlines()[-1])
         assert per_flow <= 2_220, (
             f"{per_flow:.0f} B per flow: a per-flow object grew")
