@@ -27,7 +27,6 @@ from typing import Optional
 
 from repro.cc.base import CongestionControl
 from repro.sim.engine import US, Simulator
-from repro.obs.timeseries import TimeSeries
 
 # Increase steps and the floor scale with line rate (100G and 400G alike).
 ALPHA_G = 1.0 / 256.0       # alpha gain g
@@ -67,12 +66,11 @@ class Dcqcn(CongestionControl):
         "config", "rate_target", "alpha", "min_rate_bps", "rate_ai_bps",
         "rate_hai_bps", "_last_decrease_ns", "_increase_stage",
         "_byte_stage", "bytes_to_increase", "_increase_token",
-        "_alpha_token", "rate_trace", "rec", "rec_loc",
+        "_alpha_token", "rec", "rec_loc",
     )
 
     def __init__(self, sim: Simulator, line_rate_bps: float,
-                 config: DcqcnConfig,
-                 rate_trace: Optional[TimeSeries] = None) -> None:
+                 config: DcqcnConfig) -> None:
         super().__init__(sim, line_rate_bps)
         self.config = config
         self.rate_target = float(line_rate_bps)
@@ -91,8 +89,6 @@ class Dcqcn(CongestionControl):
         self._increase_token = 0
         self._alpha_token = 0
 
-        self.rate_trace = rate_trace
-
         # CC observability channel (repro.obs), attached by the harness
         # cc factory together with a display location (None = disabled).
         self.rec = None
@@ -102,8 +98,6 @@ class Dcqcn(CongestionControl):
     def _set_rate(self, rate: float) -> None:
         self.rate_bps = min(self.line_rate_bps,
                             max(self.min_rate_bps, rate))
-        if self.rate_trace is not None:
-            self.rate_trace.record(self.sim.now, self.rate_bps)
         if self.rec is not None:
             self.rec.cc_rate(self.sim.now, self.rec_loc, self.rate_bps)
 

@@ -48,19 +48,20 @@ def run_cell(params: dict, seed: int) -> dict:
     """
     from repro.harness.tracing import run_traced_alltoall
     from repro.obs.nacks import build_audit
-    from repro.obs.record import FAULT, NACK
+    from repro.obs.record import FAULT, NACK, Recorder
     from repro.sim.engine import US
 
     spec = compiled_spec(params["spec"])
     workload = {**DEFAULT_WORKLOAD, **spec.get("workload", {})}
 
     def once(fault_spec: Optional[dict]):
+        recorder = Recorder(retain={NACK, FAULT}, window_ns=int(
+            round(workload["trace_window_us"] * US)))
         return run_traced_alltoall(
             nodes=workload["nodes"], loss=workload["loss"], seed=seed,
             message_bytes=workload["message_bytes"],
             scheme=workload["scheme"], faults=fault_spec,
-            watch_flows=True,
-            trace_window_ns=int(round(workload["trace_window_us"] * US)))
+            recorder=recorder)
 
     base_net, _ = once(None)
     net, recorder = once(spec)
@@ -70,7 +71,7 @@ def run_cell(params: dict, seed: int) -> dict:
     last_ns = injector.last_event_ns if injector else None
     converge_ns = injector.converge_ns if injector else 0
 
-    goodput = _goodput_metrics(net.metrics, first_ns,
+    goodput = _goodput_metrics(recorder, net.metrics.flows, first_ns,
                                None if last_ns is None
                                else last_ns + converge_ns)
     audit = build_audit(recorder.records(NACK))
@@ -107,19 +108,21 @@ def run_cell(params: dict, seed: int) -> dict:
     }
 
 
-def _goodput_metrics(metrics, first_fault_ns: Optional[int],
+def _goodput_metrics(recorder, flows, first_fault_ns: Optional[int],
                      fault_end_ns: Optional[int]) -> dict:
-    """Aggregate the watched flows' goodput windows into dip/recovery.
+    """Aggregate the recorder's delivered-byte windows into dip/recovery.
 
+    Each window sums the flows' Gbps in ``flows`` order (post order).
     Pre-fault mean is taken over windows strictly before the first
     fault; the dip is the worst window between first fault and fault
     end; recovery is the first post-fault-span window back at
     ``RECOVERY_FRACTION`` of the pre-fault mean.
     """
-    window_ns = metrics.trace_window_ns
+    window_ns = recorder.window_ns
+    per_flow = recorder.delivered_gbps()
     aggregate: dict[int, float] = {}
-    for meter in metrics.throughput_meters.values():
-        for t, gbps in meter.series_gbps():
+    for flow in flows:
+        for t, gbps in per_flow.get(flow, ()):
             aggregate[t] = aggregate.get(t, 0.0) + gbps
     series = sorted(aggregate.items())
     doc: dict = {

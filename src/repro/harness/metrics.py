@@ -2,8 +2,9 @@
 
 One :class:`Metrics` instance per experiment run.  Components push raw
 events (packet sent, retransmission, drop, NACK blocked, ...) and the
-harness reads aggregated counters, per-flow records, and time series out of
-it to regenerate the paper's figures.
+harness reads aggregated counters and per-flow records out of it to
+regenerate the paper's figures (time series are the recorder's:
+``repro.obs.record.Recorder(window_ns=...)``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.packet import FlowKey, Packet
-from repro.sim.engine import US, Simulator
-from repro.obs.timeseries import RateMeter, TimeSeries, WindowedCounter
+from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.port import Port
@@ -112,12 +112,10 @@ class ThemisStats:
 
 
 class Metrics:
-    """Experiment-wide counters, per-flow stats, and optional traces."""
+    """Experiment-wide counters and per-flow stats."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        #: Window of the watched-flow series; the fault campaign widens it.
-        self.trace_window_ns = 100 * US
 
         # Global counters, each bumped where the event happens: drops by
         # on_drop, the control packets by the receiver that emits them.
@@ -130,17 +128,6 @@ class Metrics:
 
         self.flows: dict[FlowKey, FlowStats] = {}
         self.themis = ThemisStats()
-
-        # Time series used by the Fig. 1 motivation study; only populated
-        # for flows registered via watch_flow().  QPs bump their FlowStats
-        # themselves and test membership per packet, so
-        # ``on_data_sent`` / ``on_delivered`` are entered for watched
-        # flows only.
-        self.watched: set[FlowKey] = set()
-        self.sent_counters: dict[FlowKey, WindowedCounter] = {}
-        self.retx_counters: dict[FlowKey, WindowedCounter] = {}
-        self.rate_traces: dict[FlowKey, TimeSeries] = {}
-        self.throughput_meters: dict[FlowKey, RateMeter] = {}
 
         # Oracle hook used by the Ideal transport: called on every data
         # packet drop so the sender can schedule a clean retransmission.
@@ -173,37 +160,9 @@ class Metrics:
             self.flows[flow] = stats
         return stats
 
-    def watch_flow(self, flow: FlowKey) -> None:
-        """Enable per-window traces for one flow (Fig. 1b/1c plumbing)."""
-        self.watched.add(flow)
-        self.sent_counters.setdefault(
-            flow, WindowedCounter(self.trace_window_ns))
-        self.retx_counters.setdefault(
-            flow, WindowedCounter(self.trace_window_ns))
-        self.rate_traces.setdefault(flow, TimeSeries(f"rate {flow}"))
-        self.throughput_meters.setdefault(
-            flow, RateMeter(self.trace_window_ns))
-
-    def rate_trace_for(self, flow: FlowKey) -> Optional[TimeSeries]:
-        return self.rate_traces.get(flow)
-
     # ------------------------------------------------------------------
     # Event sinks
     # ------------------------------------------------------------------
-    def on_data_sent(self, flow: FlowKey, is_retx: bool) -> None:
-        """Fig. 1b windows of a watched flow, at the instant the uplink
-        pulls the segment (the sender QP has already counted it)."""
-        now = self.sim.now
-        self.sent_counters[flow].add(now)
-        if is_retx:
-            self.retx_counters[flow].add(now)
-
-    def on_delivered(self, flow: FlowKey, packet: Packet) -> None:
-        """In-order delivery progress at the receiver (goodput)."""
-        if flow in self.watched:
-            self.throughput_meters[flow].add_bytes(self.sim.now,
-                                                   packet.payload_bytes)
-
     def on_drop(self, packet: Packet,
                 port: Optional["Port"] = None) -> None:
         """One discarded packet.  Shaped like the ``Port.on_drop`` hook so

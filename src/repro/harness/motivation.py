@@ -25,7 +25,7 @@ from repro.collectives.group import interleaved_ring_groups, ring_pairs
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.harness.workload import post_messages, run_built
 from repro.net.packet import FlowKey
-from repro.obs.timeseries import TimeSeries
+from repro.obs.record import CC, Recorder
 from repro.sim.engine import SEC, US
 
 #: Paper value: 100 MB per flow at 100 Gbps.  Pure-Python default is
@@ -34,6 +34,8 @@ DEFAULT_FLOW_BYTES = 4_000_000
 DEFAULT_DEADLINE_NS = 2 * SEC
 #: The flow Fig. 1b/1c trace: node 0 to the next node of its ring.
 WATCHED_FLOW = FlowKey(0, 2)
+#: Fig. 1b's window: retransmissions over sends per 100 us.
+WINDOW_NS = 100 * US
 
 
 def motivation_config(scheme: str = "rps", transport: str = "nic_sr",
@@ -86,13 +88,14 @@ class MotivationResult:
 
 def build_motivation(config: Optional[NetworkConfig] = None, *,
                      flow_bytes: int = DEFAULT_FLOW_BYTES) -> Network:
-    """The Fig. 1 fabric with its two-ring traffic posted and
-    :data:`WATCHED_FLOW` traced; run it with
-    :func:`~repro.harness.workload.run_built` and read ``net.traffic``."""
+    """The Fig. 1 fabric with its two-ring traffic posted, and a recorder
+    that keeps what Fig. 1b/1c plot (the sink's windows, the ``cc_rate``
+    rows); run it with :func:`~repro.harness.workload.run_built` and read
+    ``net.traffic``."""
     if config is None:
         config = motivation_config()
-    net = Network(config)
-    net.metrics.watch_flow(WATCHED_FLOW)
+    net = Network(config, recorder=Recorder(
+        categories=(CC,), retain=(CC,), window_ns=WINDOW_NS))
     spec = config.topology
     post_messages(net, ring_pairs(interleaved_ring_groups(
         spec.num_tors * spec.nics_per_tor, 2)), flow_bytes)
@@ -120,28 +123,43 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
         drops=metrics.drops, nacks=metrics.nacks_generated,
         summary=metrics.summary())
 
-    sent = metrics.sent_counters[watched]
-    retx = metrics.retx_counters[watched]
-    result.retx_ratio_series = type(sent).ratio_series(retx, sent)
+    recorder = net.recorder
+    result.retx_ratio_series = recorder.retx_ratios().get(watched, [])
     result.avg_retx_ratio = metrics.spurious_ratio
 
-    trace = metrics.rate_traces[watched]
-    result.rate_series_gbps = [(t, v / 1e9) for t, v in trace.samples]
+    loc = f"cc:{watched}"    # the harness's label of the flow's CC rows
+    rates = [(t, data["rate_bps"])
+             for t, _, _, where, data in recorder.records(CC)
+             if where == loc]
+    result.rate_series_gbps = [(t, v / 1e9) for t, v in rates]
     stats = metrics.flows.get(watched)
-    if trace.samples and stats is not None:
+    if rates and stats is not None:
         end = stats.sender_done_ns or net.now_ns
         # The rate in force from flow start to completion: line rate
         # until the first change, the last value held to the end.
-        in_force = TimeSeries(samples=[
-            (stats.start_ns, config.topology.link_bandwidth_bps),
-            *(s for s in trace.samples if s[0] <= end)])
-        in_force.record(end, in_force.samples[-1][1])
-        result.avg_rate_gbps = in_force.time_weighted_mean() / 1e9
+        in_force = [(stats.start_ns, config.topology.link_bandwidth_bps),
+                    *(r for r in rates if r[0] <= end)]
+        in_force.append((end, in_force[-1][1]))
+        result.avg_rate_gbps = time_weighted_mean(in_force) / 1e9
     else:
         result.avg_rate_gbps = line_gbps
 
     result.mean_goodput_gbps = metrics.mean_goodput_gbps()
     return result
+
+
+def time_weighted_mean(samples: list[tuple[int, float]]) -> float:
+    """Mean of ``(time_ns, value)`` samples, each weighted by how long it
+    held (the last one not at all); the plain mean if no time passes."""
+    total = 0.0
+    weight = 0
+    for (t0, v), (t1, _) in zip(samples, samples[1:]):
+        total += v * (t1 - t0)
+        weight += t1 - t0
+    if weight == 0:
+        return (sum(v for _, v in samples) / len(samples)
+                if samples else 0.0)
+    return total / weight
 
 
 def run_fig1d_comparison(*, flow_bytes: int = DEFAULT_FLOW_BYTES

@@ -229,8 +229,7 @@ class Network:
         def factory(flow: FlowKey) -> CongestionControl:
             if self.config.dcqcn is None or self.config.transport == "ideal":
                 return FixedRate(self.sim, line_rate_bps)
-            cc = Dcqcn(self.sim, line_rate_bps, self.config.dcqcn,
-                       rate_trace=self.metrics.rate_trace_for(flow))
+            cc = Dcqcn(self.sim, line_rate_bps, self.config.dcqcn)
             if self.recorder is not None:
                 cc.rec = self.recorder.channel(obs_record.CC)
                 # Only pay the label f-string when the CC category is on.
@@ -422,12 +421,6 @@ class Network:
         flow = self.nics[src].post_send(dst, nbytes, qp=qp)
         self.nics[dst].expect_message(src, nbytes, qp=qp,
                                       on_done=on_receiver_done)
-        return flow
-
-    def watch_flow(self, src: int, dst: int) -> FlowKey:
-        """Enable traces for the flow on QP 0.  Call before posting."""
-        flow = FlowKey(src, dst)
-        self.metrics.watch_flow(flow)
         return flow
 
     def run(self, until_ns: Optional[int] = None) -> int:

@@ -27,8 +27,6 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
                           recorder: Optional[Recorder] = None,
                           retain_all: bool = False,
                           faults: Optional[dict] = None,
-                          watch_flows: bool = False,
-                          trace_window_ns: Optional[int] = None,
                           ) -> tuple[Network, Recorder]:
     """A lossy alltoall fabric with a recorder threaded through it.
 
@@ -41,9 +39,7 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
     ``faults`` takes a compiled fault-scenario spec
     (:func:`repro.faults.spec.compiled_spec` output or anything it
     accepts); the installed :class:`~repro.faults.injector.FaultInjector`
-    is exposed as ``net.fault_injector``.  ``watch_flows`` enables
-    per-flow throughput meters on every alltoall pair — the campaign
-    goodput-dip metric needs them.
+    is exposed as ``net.fault_injector``.
     """
     if nodes < 4 or nodes % 2:
         raise ValueError("nodes must be even and >= 4")
@@ -58,12 +54,9 @@ def build_traced_alltoall(*, nodes: int = 32, loss: float = 0.01,
     net = Network(NetworkConfig(topology=topo, scheme=scheme,
                                 transport="nic_sr", seed=seed),
                   recorder=recorder)
-    if trace_window_ns is not None:
-        net.metrics.trace_window_ns = trace_window_ns
     if loss > 0.0:
         lossy_uplinks(net, net.topology.tors, loss, "trace-loss")
-    post_messages(net, alltoall_pairs(nodes), message_bytes,
-                  watch=watch_flows)
+    post_messages(net, alltoall_pairs(nodes), message_bytes)
     if faults is not None:
         from repro.faults.injector import FaultInjector
         net.fault_injector = FaultInjector(net, faults)

@@ -62,16 +62,10 @@ def alltoall_pairs(nodes: int) -> list[tuple[int, int]]:
 
 
 def post_messages(net: "Network", pairs: Sequence[tuple[int, int]],
-                  nbytes: int, *, watch: bool = False) -> Traffic:
-    """Post one ``nbytes`` message per (src, dst) pair, in order.
-
-    ``watch`` enables the per-flow throughput meters first (the campaign
-    goodput-dip metric needs them).
-    """
+                  nbytes: int) -> Traffic:
+    """Post one ``nbytes`` message per (src, dst) pair, in order."""
     traffic = Traffic(net, len(pairs))
     for src, dst in pairs:
-        if watch:
-            net.watch_flow(src, dst)
         net.post_message(src, dst, nbytes,
                          on_receiver_done=traffic.part_done)
     return traffic

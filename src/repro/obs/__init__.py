@@ -1,12 +1,12 @@
 """repro.obs — observability layer.
 
-Structured tracing and the always-on flight recorder
-(:mod:`repro.obs.record`), the NACK causality audit
+Structured tracing, the always-on flight recorder and the time-series
+sink (:mod:`repro.obs.record`), the NACK causality audit
 (:mod:`repro.obs.nacks`), Perfetto export (:mod:`repro.obs.perfetto`),
-engine profiling (:mod:`repro.obs.profile`), time-series primitives
-(:mod:`repro.obs.timeseries`), and the CLI console helper
+engine profiling (:mod:`repro.obs.profile`), and the CLI console helper
 (:mod:`repro.obs.console`).  Per-hop packet capture is the recorder's
-``PACKET`` channel: ``Recorder(retain={PACKET})``.
+``PACKET`` channel: ``Recorder(retain={PACKET})``; per-window totals
+are its sink: ``Recorder(window_ns=...)``.
 
 Import names from their modules (``from repro.obs.record import
 Recorder``): this package imports none of them, so a simulation that

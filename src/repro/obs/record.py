@@ -33,6 +33,11 @@ ring's ``append``, the counts list and their category's retained list,
 so a call site pays one plain function call; every other emitter is a
 method that hands its row to :meth:`Recorder._emit`.
 
+``Recorder(window_ns=W)`` adds a sink that reduces instead of recording:
+per-(flow, ``W``-ns window) totals of data segments sent, retransmitted
+and delivered (payload bytes).  It writes no row, ring entry or count;
+without ``window_ns`` its two emitters are ``None``.
+
 The record shape every consumer reads, ``(time_ns, category, name,
 location, data)`` with ``data`` a dict of scalars, is **materialized
 lazily** — only when :meth:`records` or :meth:`dump_flight` is called —
@@ -215,6 +220,32 @@ def _queue_closure(name_id, ring_append, counts, retained):
     return queue_event
 
 
+def _window_closures(window_ns, sent, retx, delivered):
+    """The time-series sink's emitters: add into ``(flow, window)`` totals."""
+    def window_sent(t: int, flow: "FlowKey", is_retx: bool) -> None:
+        key = (flow, t // window_ns)
+        sent[key] = sent.get(key, 0) + 1
+        if is_retx:
+            retx[key] = retx.get(key, 0) + 1
+
+    def window_delivered(t: int, flow: "FlowKey", nbytes: int) -> None:
+        key = (flow, t // window_ns)
+        delivered[key] = delivered.get(key, 0) + nbytes
+
+    return window_sent, window_delivered
+
+
+def _per_flow(window_ns: int, totals: dict, value) -> dict:
+    """``{flow: [(window_start_ns, value(key, total)), ...]}`` in time
+    order, over the windows something was added to."""
+    out: dict = {}
+    for key in sorted(totals):
+        flow, index = key
+        out.setdefault(flow, []).append(
+            (index * window_ns, value(key, totals[key])))
+    return out
+
+
 class Recorder:
     """Typed trace-event recorder with per-category enable flags.
 
@@ -231,11 +262,16 @@ class Recorder:
         unbounded append-only buffer of compact rows) for offline
         analysis — e.g. ``{NACK}`` for the causality audit, or all
         categories for a Perfetto export.
+    window_ns:
+        Turns on the time-series sink (segments sent and retransmitted
+        as the uplink pulls them, payload delivered), read back with
+        :meth:`retx_ratios` and :meth:`delivered_gbps`.
     """
 
     def __init__(self, categories: Optional[Iterable[str]] = None, *,
                  ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 retain: Iterable[str] = ()) -> None:
+                 retain: Iterable[str] = (),
+                 window_ns: Optional[int] = None) -> None:
         cats = ALL_CATEGORIES if categories is None else tuple(categories)
         unknown = set(cats) - set(ALL_CATEGORIES)
         if unknown:
@@ -275,6 +311,18 @@ class Recorder:
                                         queued)
         self.queue_deq = _queue_closure(_ID_Q_DEQ, ring_append, counts,
                                         queued)
+
+        #: Time-series sink: ``(flow, window index)`` -> total, fed by
+        #: ``window_sent(t, flow, is_retx)`` and
+        #: ``window_delivered(t, flow, nbytes)`` (``None`` when off).
+        self.window_ns = window_ns
+        self._sent, self._retx, self._delivered = {}, {}, {}
+        self.window_sent = self.window_delivered = None
+        if window_ns is not None:
+            if window_ns <= 0:
+                raise ValueError("window_ns must be positive")
+            self.window_sent, self.window_delivered = _window_closures(
+                window_ns, self._sent, self._retx, self._delivered)
 
         self.dumps: list[Path] = []
 
@@ -396,6 +444,23 @@ class Recorder:
             return [mat(e) for e in retained]
         cats = self._name_cats
         return [mat(e) for e in self._ring if cats[e[0]] == category]
+
+    def retx_ratios(self) -> dict:
+        """Fig. 1b: per flow, ``[(window_start_ns, retransmitted /
+        sent), ...]`` over the windows that retransmitted; a window with
+        no retransmission, or with no send at all, has no ratio."""
+        sent = self._sent
+        return _per_flow(self.window_ns, self._retx,
+                         lambda key, retx: retx / sent[key])
+
+    def delivered_gbps(self) -> dict:
+        """Per flow, ``[(window_start_ns, delivered Gbps), ...]`` over the
+        windows that delivered payload."""
+        # Bytes per window to bit/s to Gbps, in this order: the faults
+        # document's CRC pins the rounding.
+        scale = 8.0 * 1e9 / self.window_ns / 1e9
+        return _per_flow(self.window_ns, self._delivered,
+                         lambda key, nbytes: nbytes * scale)
 
     @property
     def counts(self) -> dict:

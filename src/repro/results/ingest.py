@@ -70,11 +70,13 @@ def _emit_arena(store: ResultsStore, run) -> dict:
 # ----------------------------------------------------------------------
 # Faults
 # ----------------------------------------------------------------------
+#: The top-level keys of a faults document that ride ``meta_json``.
+_FAULTS_META = ("scenario", "duration_us", "seeds", "failures",
+                "validation_problems", "aggregate")
+
+
 def _ingest_faults(store: ResultsStore, doc: dict, source: str) -> dict:
-    meta = {k: doc[k] for k in ("scenario", "duration_us", "seeds",
-                                "failures", "validation_problems",
-                                "aggregate")
-            if k in doc}
+    meta = {k: doc[k] for k in _FAULTS_META if k in doc}
     run_id = store.insert_run(doc["schema"], doc["scenario"],
                               source=source, meta=meta)
     store.insert_rows("fault_cells", [
@@ -152,17 +154,23 @@ class DocFamily(NamedTuple):
     ingest: Callable[[ResultsStore, dict, str], dict]
     #: ``None``: the family is stored for charts, not re-emitted.
     emit: Optional[Callable[[ResultsStore, object], dict]]
+    #: The top-level keys a stored run keeps; any other is refused, not
+    #: dropped from the re-emitted document.  ``None``: it keeps all.
+    fields: Optional[tuple[str, ...]]
 
 
 FAMILIES = (
     DocFamily("arena", "repro-arena-",
               "repro.harness.arena:structural_problems",
-              _ingest_arena, _emit_arena),
+              _ingest_arena, _emit_arena,
+              ("schema", "axes", "cells", "ranking")),
     DocFamily("faults", "repro-faults-",
               "repro.faults.campaign:validate_faults_doc",
-              _ingest_faults, _emit_faults),
+              _ingest_faults, _emit_faults,
+              ("schema", "cells", *_FAULTS_META)),
     DocFamily("bench", "repro-bench-",
-              "repro.results.ingest:_validate_bench", _ingest_bench, None),
+              "repro.results.ingest:_validate_bench", _ingest_bench, None,
+              None),
 )
 
 
@@ -211,6 +219,9 @@ def ingest_doc(store: ResultsStore, doc: dict, *,
     """
     family = _family_of_doc(doc)
     problems = resolve_target(family.validate)(doc)
+    if family.fields is not None:
+        problems += [f"unknown field {key!r}" for key in doc
+                     if key not in family.fields]
     if problems:
         raise IngestError(f"invalid {family.kind} doc: {problems[:3]}")
     try:

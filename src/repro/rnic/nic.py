@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.metrics import Metrics
 
 #: Signature for per-QP congestion-control construction: receives the data
-#: flow so the harness can attach rate traces to watched flows.
+#: flow so the harness can label the CC's trace channel with it.
 CcFactory = Callable[[FlowKey], CongestionControl]
 
 

@@ -52,6 +52,7 @@ class SenderQp:
         "snd_una", "highest_sent", "_retx_queue", "_send_token",
         "_next_allowed_ns", "_rto_token", "_rto_current_ns",
         "_rto_deadline", "stats", "_uplink", "rec", "_rec_loc",
+        "_window_sent",
     )
 
     def __init__(self, sim: Simulator, nic: "Rnic", flow: FlowKey,
@@ -124,6 +125,9 @@ class SenderQp:
         # category disabled no per-QP string is ever formatted.
         self._rec_loc = ("" if self.rec is None
                          else f"{nic.name}/qp{flow.qp}->nic{flow.dst}")
+        # The recorder's time-series sink (None = off).
+        self._window_sent = (None if recorder is None
+                             else recorder.window_sent)
 
     # ------------------------------------------------------------------
     # Posting work
@@ -214,10 +218,9 @@ class SenderQp:
         stats.packets_sent += 1
         if is_retx:
             stats.retransmissions += 1
-        metrics = self.metrics
-        watched = metrics.watched
-        if watched and flow in watched:
-            metrics.on_data_sent(flow, is_retx)
+        window_sent = self._window_sent
+        if window_sent is not None:
+            window_sent(now, flow, is_retx)
         cc = self.cc
         if cc.bytes_to_increase is not None:
             cc.on_bytes_sent(wire)

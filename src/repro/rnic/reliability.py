@@ -48,7 +48,8 @@ class ReceiverQp:
 
     __slots__ = (
         "sim", "nic", "flow", "_ctrl_flow", "config", "metrics", "stats",
-        "epsn", "nack_sent_for_epsn", "tracker", "rec_nack", "_expected",
+        "epsn", "nack_sent_for_epsn", "tracker", "rec_nack",
+        "_window_delivered", "_expected",
         "_posted_psns", "_unacked_advance", "_ack_token", "_last_cnp_ns",
     )
 
@@ -81,6 +82,9 @@ class ReceiverQp:
         recorder = getattr(nic, "recorder", None)
         self.rec_nack = None if recorder is None \
             else recorder.channel(OBS_NACK)
+        # The recorder's time-series sink (None = off).
+        self._window_delivered = None if recorder is None \
+            else recorder.window_delivered
 
         #: Posted receives not yet complete, oldest first: a ring QP
         #: holds every step's receive from the collective's start.
@@ -128,10 +132,9 @@ class ReceiverQp:
             return
         # The expected PSN, the same on every receiver: deliver, advance
         # over whatever was held above it, acknowledge, complete.
-        metrics = self.metrics
-        watched = metrics.watched
-        if watched and self.flow in watched:
-            metrics.on_delivered(self.flow, packet)
+        window_delivered = self._window_delivered
+        if window_delivered is not None:
+            window_delivered(self.sim.now, self.flow, packet.payload_bytes)
         tracker = self.tracker
         epsn = tracker.advance(psn + 1) if tracker else psn + 1
         self.epsn = epsn
@@ -227,10 +230,9 @@ class SrReceiver(ReceiverQp):
         # tell multi-path skew from loss, assumes loss, and NACKs the
         # expected PSN — but only once per ePSN value.
         self.stats.receiver_ooo += 1
-        metrics = self.metrics
-        watched = metrics.watched
-        if watched and self.flow in watched:
-            metrics.on_delivered(self.flow, packet)
+        window_delivered = self._window_delivered
+        if window_delivered is not None:
+            window_delivered(self.sim.now, self.flow, packet.payload_bytes)
         if tracker is None:
             self.tracker = tracker = OooTracker()
         tracker.add(psn)

@@ -6,7 +6,7 @@ from repro.cc.base import FixedRate
 from repro.cc.dcqcn import (ALPHA_TIMER_NS, FAST_RECOVERY_ROUNDS,
                              HYPER_AFTER_ROUNDS, Dcqcn, DcqcnConfig)
 from repro.sim.engine import US, Simulator
-from repro.obs.timeseries import TimeSeries
+from repro.obs.record import CC, Recorder
 
 LINE = 100e9
 
@@ -157,13 +157,21 @@ class TestIncrease:
 
 class TestTrace:
     def test_rate_trace_records_changes(self):
+        """The rate trace is the CC channel's ``cc_rate`` rows: one per
+        rate change, stamped with the rate now in force."""
         sim = Simulator()
-        trace = TimeSeries("rate")
-        cc = Dcqcn(sim, LINE, DcqcnConfig(ti_ns=10 * US), rate_trace=trace)
+        recorder = Recorder(categories=(CC,), retain=(CC,))
+        cc = Dcqcn(sim, LINE, DcqcnConfig(ti_ns=10 * US))
+        cc.rec, cc.rec_loc = recorder.channel(CC), "cc:test"
         cc.on_cnp()
+        assert [d["rate_bps"] for *_, d in recorder.records(CC)] \
+            == [cc.rate_bps]
         sim.run(until=100 * US)
-        assert len(trace) >= 2
-        assert trace.samples[0][1] == pytest.approx(LINE / 2, rel=0.01)
+        rows = recorder.records(CC)
+        assert len(rows) >= 2
+        assert rows[0][4]["rate_bps"] == pytest.approx(LINE / 2, rel=0.01)
+        assert [loc for _, _, _, loc, _ in rows] == ["cc:test"] * len(rows)
+        assert rows[-1][4]["rate_bps"] == cc.rate_bps
 
     def test_stop_cancels_timers(self):
         sim = Simulator()

@@ -5,13 +5,14 @@ import pytest
 from repro.harness.metrics import FlowStats, Metrics
 from repro.harness.network import Network, NetworkConfig, TopologySpec
 from repro.net.packet import FlowKey, data_packet
-from repro.sim.engine import Simulator
+from repro.obs.record import Recorder
+from repro.sim.engine import US, Simulator
 
 
-def two_nics():
+def two_nics(recorder=None):
     """Two NICs under one ToR: the senders do the counting."""
     return Network(NetworkConfig(topology=TopologySpec(
-        num_tors=1, num_spines=1, nics_per_tor=2)))
+        num_tors=1, num_spines=1, nics_per_tor=2)), recorder=recorder)
 
 
 class TestFlowStats:
@@ -38,10 +39,10 @@ class TestMetrics:
         assert metrics.flow_stats(flow) is stats
 
     def test_on_data_sent_counts(self):
-        net = two_nics()
+        recorder = Recorder(window_ns=100 * US)
+        net = two_nics(recorder)
         metrics = net.metrics
-        flow = net.watch_flow(0, 1)
-        net.post_message(0, 1, 1000)
+        flow = net.post_message(0, 1, 1000)
         net.run(until_ns=0)                         # PSN 0 is on the wire
         net.nics[0].senders[flow].force_retransmit(0)
         net.run()
@@ -51,46 +52,33 @@ class TestMetrics:
         stats = metrics.flows[flow]
         assert stats.packets_sent == 2
         assert stats.retransmissions == 1
-        # The watched flow's windows take the sender's retx flag, not a
+        # The recorder's windows take the sender's retx flag, not a
         # packet: both segments land in them as the uplink pulls them.
-        assert metrics.sent_counters[flow].total() == 2
-        assert metrics.retx_counters[flow].total() == 1
-        metrics.on_data_sent(flow, False)
-        metrics.on_data_sent(flow, True)
-        assert metrics.sent_counters[flow].total() == 4
-        assert metrics.retx_counters[flow].total() == 2
+        assert recorder.retx_ratios() == {flow: [(0, 0.5)]}
 
     def test_spurious_ratio_empty(self):
         assert self._metrics().spurious_ratio == 0.0
 
-    def test_watch_flow_creates_trace_sinks(self):
-        metrics = self._metrics()
-        flow = FlowKey(2, 3)
-        metrics.watch_flow(flow)
-        assert flow in metrics.sent_counters
-        assert flow in metrics.rate_traces
-        assert metrics.rate_trace_for(flow) is not None
-        assert metrics.rate_trace_for(FlowKey(9, 9)) is None
-
     def test_watched_flow_series_populated(self):
-        net = two_nics()
-        metrics = net.metrics
-        flow = net.watch_flow(0, 1)
-        net.post_message(0, 1, 1000)
-        net.run()
-        assert metrics.sent_counters[flow].total() == 1
-        assert metrics.retx_counters[flow].total() == 0
-        # 1000 B delivered inside the first 100 us window.
-        assert metrics.throughput_meters[flow].series_gbps() == [
-            (0, pytest.approx(0.08))]
-        assert metrics.data_packets_sent == 1       # counted once
-
-    def test_unwatched_flow_has_no_series(self):
-        net = two_nics()
-        net.watch_flow(1, 0)
+        recorder = Recorder(window_ns=100 * US)
+        net = two_nics(recorder)
         flow = net.post_message(0, 1, 1000)
         net.run()
-        assert flow not in net.metrics.sent_counters
+        assert recorder.retx_ratios() == {}         # no retransmission
+        # 1000 B delivered inside the first 100 us window.
+        assert recorder.delivered_gbps() == {
+            flow: [(0, pytest.approx(0.08))]}
+        assert net.metrics.data_packets_sent == 1   # counted once
+
+    def test_unwatched_flow_has_no_series(self):
+        """A run whose recorder has no window keeps no series, and its
+        QPs hold no sink."""
+        recorder = Recorder()
+        net = two_nics(recorder)
+        flow = net.post_message(0, 1, 1000)
+        net.run()
+        assert net.nics[0].senders[flow]._window_sent is None
+        assert net.nics[1].receivers[flow]._window_delivered is None
         assert net.metrics.flows[flow].packets_sent == 1
 
     def test_all_flows_done(self):

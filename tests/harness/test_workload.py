@@ -55,11 +55,6 @@ class TestPostMessages:
         assert [(f.src, f.dst) for f in net.metrics.flows] \
             == [(3, 0), (1, 2)]
 
-    def test_watch_enables_throughput_meters(self):
-        net = make()
-        post_messages(net, [(0, 2)], 5_000, watch=True)
-        assert len(net.metrics.throughput_meters) == 1
-
     def test_unfinished_traffic_reports_the_clock(self):
         net = make()
         traffic = post_messages(net, [(0, 2)], 4_000_000)

@@ -4,8 +4,9 @@ The ``repro.sim.trace`` and ``repro.harness.tracer`` deprecation shims
 have been deleted after their deprecation window, and so has the
 ``repro.obs.capture`` middleware tracer they pointed at: per-hop packet
 capture is the Recorder's PACKET channel (``tests/harness/test_tracer.py``).
-``repro.obs.timeseries`` is the only home of the series types, and the
-package itself re-exports nothing (``tests/test_imports.py``).
+``repro.obs.timeseries`` is gone too: time series are the Recorder's
+window sink (``Recorder(window_ns=)``; ``tests/test_imports.py`` checks
+the old module is gone).  The package itself re-exports nothing.
 """
 
 import importlib
@@ -23,11 +24,8 @@ class TestShimsRemoved:
 
     def test_canonical_homes_export_the_types(self):
         from repro.obs.record import PACKET, Recorder
-        from repro.obs.timeseries import (RateMeter, TimeSeries,
-                                          WindowedCounter)
-        for obj in (Recorder, RateMeter, TimeSeries, WindowedCounter):
-            assert obj is not None
         assert Recorder(retain={PACKET}).retain == {PACKET}
+        assert Recorder(window_ns=1_000).window_ns == 1_000
 
 
 class TestObsPackageSurface:

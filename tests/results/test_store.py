@@ -25,8 +25,8 @@ from repro.harness.arena import (arena_job_specs, build_arena_doc,
 from repro.harness.jobs import JobOutcome, JobSpec
 from repro.faults.campaign import FAULTS_SCHEMA, validate_faults_doc
 from repro.results import (IngestError, ResultsStore, detect_doc_kind,
-                           emit_arena_doc, emit_faults_doc, ingest_doc,
-                           ingest_file)
+                           emit_arena_doc, emit_doc, emit_faults_doc,
+                           ingest_doc, ingest_file)
 from repro.results.query import (arena_runs, latest_run_id, list_runs,
                                  summary, table_counts)
 from repro.results.store import JOB_READ_CHUNK, connect_readonly
@@ -268,6 +268,81 @@ def test_non_finite_number_is_refused_before_any_row(make, path, label,
         assert all(store.conn.execute(
             f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
             for table in DETAIL_TABLES)
+
+
+@pytest.mark.parametrize("make", [make_arena_doc, make_faults_doc])
+def test_unknown_top_level_field_is_refused_by_name(make):
+    """The store keeps a fixed set of top-level keys per re-emittable
+    family; it used to drop any other silently, so the re-emitted
+    document lost it."""
+    doc = make()
+    doc["extra"] = {"x": 1}
+    with ResultsStore(":memory:") as store:
+        with pytest.raises(IngestError, match="unknown field 'extra'"):
+            ingest_doc(store, doc)
+        assert all(store.conn.execute(
+            f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
+            for table in DETAIL_TABLES)
+
+
+def object_paths(doc: dict) -> list[tuple]:
+    """The path of the document and of every object in it."""
+    return [()] + [path for path in json_paths(doc)
+                   if isinstance(_at(doc, path), dict)]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(make=st.sampled_from(DOC_MAKERS), data=st.data())
+def test_reshaped_document_ingests_or_names_a_field(make, data):
+    """ROADMAP item 18: a valid document with fields deleted, copied
+    under an extra name or added either ingests or raises
+    ``IngestError`` naming a field it touched, and a refused document
+    leaves no row anywhere.  Nothing else is raised.  An ingested arena
+    or faults document re-emits byte for byte, so a top-level key the
+    store cannot keep is refused, not dropped."""
+    doc = make()
+    touched = set()
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        path = data.draw(st.sampled_from(object_paths(doc)), label="path")
+        node = _at(doc, path)
+        touched.update(key for key in path if isinstance(key, str))
+        op = data.draw(st.sampled_from(
+            ("delete", "copy", "add") if node else ("add",)), label="op")
+        name = data.draw(st.sampled_from(
+            ("extra", "lb_copy", "seed2", "cells_", "Schema")),
+            label="name")
+        if op == "add":
+            node[name] = data.draw(st.sampled_from(
+                (None, 1, "x", [], {"x": 1})), label="value")
+            touched.add(name)
+            continue
+        key = data.draw(st.sampled_from(sorted(node)), label="key")
+        touched.add(key)
+        if op == "delete":
+            del node[key]
+        else:
+            node[name] = json.loads(json.dumps(node[key]))
+            touched.add(name)
+
+    with ResultsStore(":memory:") as store:
+        try:
+            ingest_doc(store, doc)
+        except IngestError as exc:
+            assert any(key in str(exc) for key in touched), str(exc)
+            assert all(store.conn.execute(
+                f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
+                for table in DETAIL_TABLES)
+        else:
+            assert store.conn.execute(
+                "SELECT COUNT(*) FROM runs").fetchone()[0] == 1
+            if make is not make_bench_doc:
+                assert dumps(emit_doc(store, 1)) == dumps(doc)
 
 
 # ----------------------------------------------------------------------

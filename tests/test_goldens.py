@@ -225,7 +225,7 @@ KEYWORDS = {
     dragonfly: ("global_links_per_router", "link_delay_ns"),
     Network: ("sim", "recorder"),
     Network.post_message: ("qp", "on_receiver_done"),
-    Network.watch_flow: (), Network.run: ("until_ns",),
+    Network.run: ("until_ns",),
     Metrics: (),
     Collective: (), StepCollective: (), RingCollective: (),
     RingAllreduce: (), RingAllgather: (), RingReduceScatter: (),
@@ -239,11 +239,10 @@ KEYWORDS = {
                 "ecn_kmax_bytes", "buffer_bytes"),
     fig5_config: ("scale", "seed"), build_collective: (),
     run_collective: ("scale", "deadline_ns"), run_collective_cell: (),
-    Traffic: (), post_messages: ("watch",), start_collectives: (),
+    Traffic: (), post_messages: (), start_collectives: (),
     lossy_uplinks: (), run_built: (),
     build_traced_alltoall: ("nodes", "loss", "seed", "message_bytes",
-                            "scheme", "recorder", "retain_all", "faults",
-                            "watch_flows", "trace_window_ns"),
+                            "scheme", "recorder", "retain_all", "faults"),
     run_traced_alltoall: (),
     arena_job_specs: ("lbs", "transports", "ccs", "workloads",
                       "topologies", "seeds", "quick", "message_bytes",
@@ -259,7 +258,7 @@ KEYWORDS = {
     JobRunner: ("workers", "timeout_s", "retries", "backoff_s",
                 "checkpoint", "cache", "isolation", "mp_method", "counters",
                 "progress"),
-    Recorder: ("categories", "ring_capacity", "retain"),
+    Recorder: ("categories", "ring_capacity", "retain", "window_ns"),
     Simulator: ("bucket_ns",),
     Console: ("quiet", "json_mode", "stream"), Console.info: (),
     Console.out: (),
@@ -279,7 +278,7 @@ def defaulted(fn) -> tuple:
 
 def test_keyword_surface():
     assert {fn: defaulted(fn) for fn in KEYWORDS} == KEYWORDS
-    assert sum(map(len, KEYWORDS.values())) == 93
+    assert sum(map(len, KEYWORDS.values())) == 91
 
 
 def test_every_setting_and_keyword_has_a_row():
@@ -305,6 +304,22 @@ def test_fig1_themis_row():
     assert (result.nacks, summary["themis_blocked"],
             summary["themis_forwarded"], summary["retransmissions"]) \
         == (4807, 4807, 0, 0)
+
+
+@pytest.mark.parametrize("scheme, golden", [("rps", 3329852359),
+                                            ("themis", 1386862219)])
+def test_fig1_series(scheme, golden):
+    """What Fig. 1b-1d plot: the watched flow's retransmission-ratio and
+    rate series, their averages, the mean goodput and the run's length."""
+    result = run_motivation(motivation_config(scheme=scheme),
+                            flow_bytes=2_000_000)
+    assert doc_crc({
+        "retx_ratio_series": result.retx_ratio_series,
+        "rate_series_gbps": result.rate_series_gbps,
+        "avg_retx_ratio": result.avg_retx_ratio,
+        "avg_rate_gbps": result.avg_rate_gbps,
+        "mean_goodput_gbps": result.mean_goodput_gbps,
+        "duration_ns": result.duration_ns}) == golden
 
 
 def fig5_smoke(scheme: str, scale: EvalScale):

@@ -11,6 +11,7 @@ error load no job runner, sweep or results store.  docs/architecture.md
 states the layering.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -98,6 +99,15 @@ def test_network_loads_no_optional_subsystem(fresh_modules):
     after_import, _ = fresh_modules
     assert "repro.harness.network" in after_import
     assert sorted(set(NOT_LOADED) & after_import) == []
+
+
+def test_one_time_series_path(fresh_modules):
+    """Time series are the recorder's window sink; the old primitives
+    module neither loads with the network nor exists."""
+    after_import, _ = fresh_modules
+    assert "repro.obs.timeseries" not in after_import
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.timeseries")
 
 
 def test_rps_fabric_loads_no_installer_module(fresh_modules):
