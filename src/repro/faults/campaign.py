@@ -21,7 +21,7 @@ is what lets campaigns ride the checkpoint/resume machinery of
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.faults.spec import (DEFAULT_WORKLOAD, compiled_spec,
                                spec_duration_us)
@@ -36,6 +36,10 @@ RESULT_VERSION = 1
 #: ``repro faults run --out`` — the ingest format of ``repro.results``
 #: (mirrors ``repro-arena-v1`` for the arena).
 FAULTS_SCHEMA = "repro-faults-v1"
+#: Its top-level keys, in the order :func:`run_campaign` writes them
+#: (``aggregate`` only when a cell ran); the store refuses any other.
+FAULTS_FIELDS = ("schema", "scenario", "duration_us", "seeds", "cells",
+                 "failures", "validation_problems", "aggregate")
 
 
 # ----------------------------------------------------------------------
@@ -157,34 +161,6 @@ def _goodput_metrics(recorder, flows, first_fault_ns: Optional[int],
 
 
 # ----------------------------------------------------------------------
-# Result validation (CI gate)
-# ----------------------------------------------------------------------
-_REQUIRED_KEYS = ("version", "scenario", "seed", "workload", "completed",
-                  "goodput", "faults", "nacks", "drops",
-                  "retransmissions")
-
-
-def validate_result(doc: dict) -> list[str]:
-    """Schema check for one cell result; returns a list of problems."""
-    if not isinstance(doc, dict):
-        return ["result is not a dict"]
-    problems = field_problems(doc, _REQUIRED_KEYS, types={
-        "completed": bool, "faults": dict, "nacks": dict})
-    if doc.get("version") != RESULT_VERSION:
-        problems.append(f"bad version {doc.get('version')!r}")
-    faults = doc.get("faults")
-    if isinstance(faults, dict) \
-            and faults.get("applied") != faults.get("scheduled"):
-        problems.append(f"only {faults.get('applied')} of "
-                        f"{faults.get('scheduled')} fault events applied")
-    nacks = doc.get("nacks")
-    if isinstance(nacks, dict) and nacks.get("unexplained", 1) != 0:
-        problems.append(f"{nacks.get('unexplained')} unexplained NACK "
-                        "decision(s) — compensation state was corrupted")
-    return problems
-
-
-# ----------------------------------------------------------------------
 # Campaigns over the parallel runner
 # ----------------------------------------------------------------------
 def campaign_specs(spec, seeds: Sequence[int]) -> list:
@@ -199,120 +175,153 @@ def campaign_specs(spec, seeds: Sequence[int]) -> list:
 
 
 def run_campaign(spec, seeds: Sequence[int], **runner_opts) -> dict:
-    """Run every (scenario, seed) cell on the job runner; aggregate.
+    """Run every (scenario, seed) cell on the job runner; returns the
+    ``repro-faults-v1`` document.
 
     ``runner_opts`` are :class:`~repro.harness.jobs.JobRunner` keywords
     (``workers``, ``timeout_s``, ``retries``, ``checkpoint``, ``cache``,
-    ``progress``).  Cells are aggregated in seed order regardless of
-    completion order, so a parallel campaign is bitwise-identical to a
-    serial one.  The versioned document (:func:`build_faults_doc`)
-    additionally excludes the job counters, so a cache-warm re-run emits
-    identical bytes.
+    ``counters``, ``progress``).  Cells are aggregated in seed order
+    regardless of completion order, and the job counters stay out of the
+    document, so a parallel or cache-warm campaign writes the same bytes
+    as a serial cold one.
     """
     from repro.harness.jobs import run_jobs
-    from repro.harness.metrics import JobCounters
 
     doc = compiled_spec(spec)
     specs = campaign_specs(doc, seeds)
-    counters = JobCounters()
-    outcomes = run_jobs(specs, counters=counters, **runner_opts)
+    outcomes = run_jobs(specs, **runner_opts)
 
     cells, failures, problems = [], [], []
     for job in specs:
         outcome = outcomes[job.spec_hash]
         if outcome.ok:
             cells.append(outcome.result)
-            for problem in validate_result(outcome.result):
-                problems.append(f"seed {job.seed}: {problem}")
+            problems += [f"seed {job.seed}: {problem}" for _, problem
+                         in _cell_problems(outcome.result, "cell")]
         else:
             failures.append({"seed": job.seed, "error": outcome.error})
-    summary = {
-        "scenario": doc["name"],
-        "duration_us": spec_duration_us(doc),
-        "seeds": list(seeds),
-        "cells": cells,
-        "failures": failures,
-        "validation_problems": problems,
-        "jobs": counters.summary(),
-    }
+    campaign = {"schema": FAULTS_SCHEMA, "scenario": doc["name"],
+                "duration_us": spec_duration_us(doc), "seeds": list(seeds),
+                "cells": cells, "failures": failures,
+                "validation_problems": problems}
     if cells:
-        recoveries = [c["goodput"]["recovery_ns"] for c in cells
-                      if c["goodput"]["recovery_ns"] is not None]
-        dips = [c["goodput"]["dip_frac"] for c in cells
-                if c["goodput"]["dip_frac"] is not None]
-        stretches = [c["tail_stretch"] for c in cells
-                     if c["tail_stretch"] is not None]
-        summary["aggregate"] = {
-            "completed": sum(1 for c in cells if c["completed"]),
-            "cells": len(cells),
-            "unexplained_nacks": sum(c["nacks"]["unexplained"]
-                                     for c in cells),
-            "mean_recovery_ns": (round(sum(recoveries) / len(recoveries))
-                                 if recoveries else None),
-            "worst_dip_frac": max(dips) if dips else None,
-            "worst_tail_stretch": max(stretches) if stretches else None,
-        }
-    return summary
+        campaign["aggregate"] = aggregate([headline(c) for c in cells])
+    return campaign
+
+
+def headline(cell: dict) -> dict:
+    """What the CLI table, the results store and the dashboard show of
+    one cell, flat: ``seed``, ``completed``, ``tail_stretch``,
+    ``dip_frac``, ``recovery_ns`` and ``unexplained`` (NACK decisions),
+    in the order of the store's ``fault_cells`` columns."""
+    goodput = cell["goodput"]
+    return {"seed": cell["seed"], "completed": cell["completed"],
+            "tail_stretch": cell["tail_stretch"],
+            "dip_frac": goodput["dip_frac"],
+            "recovery_ns": goodput["recovery_ns"],
+            "unexplained": cell["nacks"]["unexplained"]}
+
+
+def aggregate(rows: Sequence[dict]) -> dict:
+    """The campaign headline over :func:`headline` rows; a document's
+    ``aggregate`` and each ``/faults`` panel are this one function."""
+    def known(key: str) -> list:
+        return [row[key] for row in rows if row[key] is not None]
+
+    recoveries = known("recovery_ns")
+    return {
+        "completed": sum(1 for row in rows if row["completed"]),
+        "cells": len(rows),
+        "unexplained_nacks": sum(row["unexplained"] for row in rows),
+        "mean_recovery_ns": (round(sum(recoveries) / len(recoveries))
+                             if recoveries else None),
+        "worst_dip_frac": max(known("dip_frac"), default=None),
+        "worst_tail_stretch": max(known("tail_stretch"), default=None),
+    }
 
 
 # ----------------------------------------------------------------------
-# The versioned output document
+# The document contract
 # ----------------------------------------------------------------------
-_DOC_KEYS = ("schema", "scenario", "duration_us", "seeds", "cells",
-             "failures", "validation_problems")
-_DOC_CELL_KEYS = ("scenario", "seed", "completed", "tail_stretch",
-                  "goodput", "nacks")
+_CELL_FIELDS = ("version", "scenario", "seed", "workload", "completed",
+                "tail_stretch", "goodput", "faults", "nacks", "drops",
+                "retransmissions")
+# Every field the store, the dashboard, the CLI table or the aggregate
+# reads is typed: the store renders whatever it took in.
+_CELL_TYPES = {"scenario": str, "seed": int, "completed": bool,
+               "tail_stretch": NUMBER_OR_NULL, "goodput": dict,
+               "faults": dict, "nacks": dict}
+_NESTED_TYPES = {
+    "goodput": dict.fromkeys(("dip_frac", "recovery_ns"), NUMBER_OR_NULL),
+    "faults": dict.fromkeys(("scheduled", "applied"), int),
+    "nacks": {"unexplained": int},
+}
 
 
-def build_faults_doc(summary: dict) -> dict:
-    """The ``repro-faults-v1`` document for a campaign summary.
+def _cell_problems(cell: dict, label: str) -> Iterator[tuple[bool, str]]:
+    """``(structural, problem)`` pairs for one cell result.
 
-    Everything in the summary except ``jobs``: the job counters carry
-    wall-clock/scheduling state (retries, cache hits) that differs
-    between a cold and a cache-warm run of the same campaign, and the
-    document must be byte-identical across both.
+    A malformed cell is structural.  A well-formed cell whose fault
+    schedule did not fully apply, or whose NACK audit holds unexplained
+    compensation decisions, is an outcome: the document stays valid and
+    the campaign lists the problem in ``validation_problems``.
     """
-    doc = {"schema": FAULTS_SCHEMA,
-           **{key: summary[key] for key in _DOC_KEYS[1:]}}
-    if "aggregate" in summary:
-        doc["aggregate"] = summary["aggregate"]
-    return doc
+    problems = field_problems(cell, _CELL_FIELDS, label=label,
+                              types=_CELL_TYPES)
+    if isinstance(cell, dict):
+        if cell.get("version", RESULT_VERSION) != RESULT_VERSION:
+            problems.append(f"{label}.version is {cell['version']!r}, "
+                            f"expected {RESULT_VERSION}")
+        for key, types in _NESTED_TYPES.items():
+            if isinstance(cell.get(key), dict):
+                problems += field_problems(cell[key], tuple(types),
+                                           label=f"{label}.{key}",
+                                           types=types)
+    if problems:
+        yield from ((True, problem) for problem in problems)
+        return
+    faults, unexplained = cell["faults"], cell["nacks"]["unexplained"]
+    if faults["applied"] != faults["scheduled"]:
+        yield False, (f"only {faults['applied']} of {faults['scheduled']} "
+                      "fault events applied")
+    if unexplained:
+        yield False, (f"{unexplained} unexplained NACK decision(s) — "
+                      "compensation state was corrupted")
 
 
-def validate_faults_doc(doc: dict) -> list[str]:
-    """Schema check for a ``repro-faults-v1`` document; returns problems.
-
-    Structural only: a campaign whose cells carry resilience failures is
-    still a well-formed document (those failures live in
-    ``validation_problems``), same as ``validate_arena_doc``'s split
-    between shape and outcome.
-    """
+def _doc_problems(doc: dict) -> Iterator[tuple[bool, str]]:
+    """``(structural, problem)`` pairs for a ``repro-faults-v1``
+    document: its own shape, then each cell's (:func:`_cell_problems`)."""
     if not isinstance(doc, dict):
-        return ["document is not an object"]
-    problems = field_problems(doc, _DOC_KEYS, types={
-        "cells": list, "failures": list, "validation_problems": list})
+        yield True, "document is not an object"
+        return
+    yield from ((True, f"unknown field {key!r}") for key in doc
+                if key not in FAULTS_FIELDS)
     if doc.get("schema") != FAULTS_SCHEMA:
-        problems.append(f"schema is {doc.get('schema')!r}, "
-                        f"expected {FAULTS_SCHEMA!r}")
-    if not isinstance(doc.get("scenario"), str) or not doc.get("scenario"):
-        problems.append("scenario missing or empty")
-    if not isinstance(doc.get("seeds"), list) or not doc.get("seeds"):
-        problems.append("seeds missing or empty")
+        yield True, (f"schema is {doc.get('schema')!r}, "
+                     f"expected {FAULTS_SCHEMA!r}")
+    yield from ((True, problem) for problem in field_problems(
+        doc, FAULTS_FIELDS[:-1], types={"scenario": str, **dict.fromkeys(
+            ("seeds", "cells", "failures", "validation_problems"), list)}))
+    yield from ((True, f"{key} is empty") for key in ("scenario", "seeds")
+                if doc.get(key) in ("", []))
     cells = doc.get("cells")
     if not isinstance(cells, list):
         cells = []
     for i, cell in enumerate(cells):
-        if not isinstance(cell, dict):
-            problems.append(f"cell[{i}] is not an object")
-            continue
-        problems += field_problems(cell, _DOC_CELL_KEYS, label=f"cell[{i}]",
-                                   types={"goodput": dict, "nacks": dict,
-                                          "tail_stretch": NUMBER_OR_NULL})
-        if isinstance(cell.get("goodput"), dict):
-            problems += field_problems(
-                cell["goodput"], label=f"cell[{i}].goodput",
-                types=dict.fromkeys(("dip_frac", "recovery_ns"),
-                                    NUMBER_OR_NULL))
+        yield from _cell_problems(cell, f"cell[{i}]")
     if not cells and not doc.get("failures"):
-        problems.append("document has neither cells nor failures")
-    return problems
+        yield True, "document has neither cells nor failures"
+
+
+def validate_faults_doc(doc: dict) -> list[str]:
+    """Structural problems of a ``repro-faults-v1`` document.
+
+    A campaign whose cells carry resilience failures is still a
+    well-formed document (those failures live in its
+    ``validation_problems``), the same split as ``validate_arena_doc``'s
+    between shape and outcome.  This is the check the results store runs
+    before it writes a row.
+    """
+    return [problem for structural, problem in _doc_problems(doc)
+            if structural]

@@ -285,6 +285,8 @@ def _rank(cells: Sequence[dict]) -> list[dict]:
 # ----------------------------------------------------------------------
 # Validation + rendering
 # ----------------------------------------------------------------------
+#: The top-level keys of a ``repro-arena-v1`` document, in order.
+_DOC_FIELDS = ("schema", "axes", "cells", "ranking")
 _CELL_FIELDS = ("lb", "transport", "cc", "workload", "topology", "seed",
                 "spec_hash", "completed", "tail_ns", "mean_slowdown",
                 "goodput_gbps", "reorder_rate", "nack_validity")
@@ -317,6 +319,8 @@ def _doc_problems(doc: dict) -> Iterator[tuple[bool, str]]:
     it is the one non-structural problem (the results store ingests such
     documents, the CI gate rejects them).
     """
+    yield from ((True, f"unknown field {key!r}") for key in doc
+                if key not in _DOC_FIELDS)
     if doc.get("schema") != ARENA_SCHEMA:
         yield True, (f"schema is {doc.get('schema')!r}, "
                      f"expected {ARENA_SCHEMA!r}")

@@ -645,40 +645,40 @@ def cmd_faults(args: argparse.Namespace, console: Console) -> int:
     # run
     if args.seeds < 1:
         return _fail(console, "--seeds must be >= 1")
-    from repro.faults.campaign import build_faults_doc, run_campaign
+    from repro.faults.campaign import headline, run_campaign
+    from repro.harness.metrics import JobCounters
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     console.info(f"campaign {spec['name']!r}: {len(spec['events'])} "
                  f"fault events x {len(seeds)} seeds "
                  f"(workers={args.workers})")
-    summary = run_campaign(spec, seeds, **_runner_opts(args, console))
+    counters = JobCounters()
+    doc = run_campaign(spec, seeds, counters=counters,
+                       **_runner_opts(args, console))
     def shown(value):
         return "-" if value is None else value
 
-    rows = [(cell["seed"], "yes" if cell["completed"] else "NO",
-             shown(cell["tail_stretch"]),
-             shown(cell["goodput"]["dip_frac"]),
-             shown(cell["goodput"]["recovery_ns"]),
-             cell["nacks"]["unexplained"])
-            for cell in summary["cells"]]
+    rows = [(row["seed"], "yes" if row["completed"] else "NO",
+             shown(row["tail_stretch"]), shown(row["dip_frac"]),
+             shown(row["recovery_ns"]), row["unexplained"])
+            for row in map(headline, doc["cells"])]
     console.out(format_table(
         ["seed", "done", "stretch", "dip", "recovery_ns",
          "unexplained"], rows))
-    for failure in summary["failures"]:
+    for failure in doc["failures"]:
         console.out(f"FAILED seed {failure['seed']}: {failure['error']}")
-    for problem in summary["validation_problems"]:
+    for problem in doc["validation_problems"]:
         console.out(f"INVALID: {problem}")
-    if "aggregate" in summary:
-        agg = summary["aggregate"]
+    if "aggregate" in doc:
+        agg = doc["aggregate"]
         console.out(f"{agg['completed']}/{agg['cells']} cells completed; "
                     f"unexplained NACK decisions: "
                     f"{agg['unexplained_nacks']}")
-    # The versioned ingest document: the summary minus the job counters,
-    # so a cache-warm re-run writes identical bytes.
-    _write_doc(console, args.out, build_faults_doc(summary))
-    console.result(summary)
-    ok = (not summary["failures"]
-          and not summary["validation_problems"])
-    return 0 if ok else 1
+    # The document holds no job counters, so a cache-warm re-run writes
+    # identical bytes; the --json result adds them.
+    _write_doc(console, args.out, doc)
+    console.result({**doc, "jobs": counters.summary()})
+    return 0 if not doc["failures"] and not doc["validation_problems"] \
+        else 1
 
 
 def cmd_arena(args: argparse.Namespace, console: Console) -> int:

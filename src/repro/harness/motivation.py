@@ -127,7 +127,8 @@ def run_motivation(config: Optional[NetworkConfig] = None, *,
     result.retx_ratio_series = recorder.retx_ratios().get(watched, [])
     result.avg_retx_ratio = metrics.spurious_ratio
 
-    loc = f"cc:{watched}"    # the harness's label of the flow's CC rows
+    # The label the watched QP's own CC writes (a fixed-rate CC has none).
+    loc = getattr(net.nics[watched.src].senders[watched].cc, "rec_loc", None)
     rates = [(t, data["rate_bps"])
              for t, _, _, where, data in recorder.records(CC)
              if where == loc]

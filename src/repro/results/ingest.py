@@ -27,7 +27,7 @@ import sqlite3
 from typing import Callable, NamedTuple, Optional
 
 from repro.harness.jobs import resolve_target
-from repro.harness.report import field_problems
+from repro.harness.report import NUMBER, NUMBER_OR_NULL, field_problems
 from repro.results import query
 from repro.results.store import ResultsStore
 
@@ -70,51 +70,53 @@ def _emit_arena(store: ResultsStore, run) -> dict:
 # ----------------------------------------------------------------------
 # Faults
 # ----------------------------------------------------------------------
-#: The top-level keys of a faults document that ride ``meta_json``.
-_FAULTS_META = ("scenario", "duration_us", "seeds", "failures",
-                "validation_problems", "aggregate")
-
-
 def _ingest_faults(store: ResultsStore, doc: dict, source: str) -> dict:
-    meta = {k: doc[k] for k in _FAULTS_META if k in doc}
+    from repro.faults.campaign import headline
+    # Every top-level key but the schema (a column) and the cells rides
+    # meta_json.
+    meta = {k: v for k, v in doc.items() if k not in ("schema", "cells")}
     run_id = store.insert_run(doc["schema"], doc["scenario"],
                               source=source, meta=meta)
+    # The fault_cells columns are the cell's headline, in its key order.
     store.insert_rows("fault_cells", [
-        (run_id, i, c["scenario"], c["seed"], int(bool(c["completed"])),
-         c.get("tail_stretch"), c["goodput"].get("dip_frac"),
-         c["goodput"].get("recovery_ns"),
-         c["nacks"].get("unexplained", 0), json.dumps(c))
+        (run_id, i, c["scenario"], *headline(c).values(), json.dumps(c))
         for i, c in enumerate(doc["cells"])])
     return {"run_id": run_id, "kind": "faults",
             "cells": len(doc["cells"])}
 
 
 def _emit_faults(store: ResultsStore, run) -> dict:
-    from repro.faults.campaign import build_faults_doc
+    from repro.faults.campaign import FAULTS_FIELDS
     cells = [json.loads(row["cell_json"]) for row in store.conn.execute(
         "SELECT cell_json FROM fault_cells WHERE run_id=? "
         "ORDER BY cell_order", (run["run_id"],))]
-    doc = build_faults_doc({**json.loads(run["meta_json"]), "cells": cells})
-    doc["schema"] = run["schema"]
-    return doc
+    doc = {**json.loads(run["meta_json"]), "schema": run["schema"],
+           "cells": cells}
+    return {key: doc[key] for key in FAULTS_FIELDS if key in doc}
 
 
 # ----------------------------------------------------------------------
 # Bench
 # ----------------------------------------------------------------------
+#: What ``bench_scenarios`` and ``/bench`` read of each measured run.
+_BENCH_TYPES = {"events": int, "wall_s": NUMBER, "events_per_sec": NUMBER}
+
+
 def _validate_bench(doc: dict) -> list[str]:
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, dict) or not scenarios:
         return ["bench doc has no scenarios"]
-    required = ("events", "wall_s", "events_per_sec")
     problems = [problem for name, res in scenarios.items()
                 for problem in field_problems(
-                    res, required, label=f"bench scenario {name!r}")]
+                    res, tuple(_BENCH_TYPES), label=f"scenarios.{name}",
+                    types=_BENCH_TYPES)]
     for key in ("heap_baseline", "tracing"):
-        if doc.get(key):
-            problems += field_problems(doc[key], required + ("scenario",),
-                                       label=key)
-    return problems
+        if key in doc:
+            problems += field_problems(
+                doc[key], (*_BENCH_TYPES, "scenario"), label=key,
+                types={**_BENCH_TYPES, "overhead_ratio": NUMBER_OR_NULL})
+    return problems + field_problems(
+        doc, types={"speedup_vs_heap": NUMBER_OR_NULL})
 
 
 def _ingest_bench(store: ResultsStore, doc: dict, source: str) -> dict:
@@ -129,7 +131,7 @@ def _ingest_bench(store: ResultsStore, doc: dict, source: str) -> dict:
             for name, res in doc["scenarios"].items()]
     rows += [(doc[key]["scenario"], engine, doc[key])
              for key, engine in (("heap_baseline", "heap"),
-                                 ("tracing", "traced")) if doc.get(key)]
+                                 ("tracing", "traced")) if key in doc]
     store.insert_rows("bench_scenarios", [
         (run_id, scenario, engine, res["events"], res["wall_s"],
          res["events_per_sec"]) for scenario, engine, res in rows])
@@ -149,28 +151,24 @@ class DocFamily(NamedTuple):
     prefix: str
     #: ``"module:qualname"`` of ``doc -> problems`` (structural ones only:
     #: an incomplete cell is data), resolved when a document arrives so
-    #: the store never imports a family it is not asked about.
+    #: the store never imports a family it is not asked about.  A
+    #: re-emitted family's validator also refuses any top-level key its
+    #: ``emit`` would not rebuild.
     validate: str
     ingest: Callable[[ResultsStore, dict, str], dict]
     #: ``None``: the family is stored for charts, not re-emitted.
     emit: Optional[Callable[[ResultsStore, object], dict]]
-    #: The top-level keys a stored run keeps; any other is refused, not
-    #: dropped from the re-emitted document.  ``None``: it keeps all.
-    fields: Optional[tuple[str, ...]]
 
 
 FAMILIES = (
     DocFamily("arena", "repro-arena-",
               "repro.harness.arena:structural_problems",
-              _ingest_arena, _emit_arena,
-              ("schema", "axes", "cells", "ranking")),
+              _ingest_arena, _emit_arena),
     DocFamily("faults", "repro-faults-",
               "repro.faults.campaign:validate_faults_doc",
-              _ingest_faults, _emit_faults,
-              ("schema", "cells", *_FAULTS_META)),
+              _ingest_faults, _emit_faults),
     DocFamily("bench", "repro-bench-",
-              "repro.results.ingest:_validate_bench", _ingest_bench, None,
-              None),
+              "repro.results.ingest:_validate_bench", _ingest_bench, None),
 )
 
 
@@ -219,9 +217,6 @@ def ingest_doc(store: ResultsStore, doc: dict, *,
     """
     family = _family_of_doc(doc)
     problems = resolve_target(family.validate)(doc)
-    if family.fields is not None:
-        problems += [f"unknown field {key!r}" for key in doc
-                     if key not in family.fields]
     if problems:
         raise IngestError(f"invalid {family.kind} doc: {problems[:3]}")
     try:

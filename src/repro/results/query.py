@@ -200,36 +200,22 @@ def cell_detail(conn: sqlite3.Connection, run_id: int,
 # Faults
 # ----------------------------------------------------------------------
 def fault_panels(conn: sqlite3.Connection) -> list[dict]:
-    """Per-scenario recovery/dip panels across every ingested run."""
-    panels: dict[str, dict] = {}
+    """Per-scenario recovery/dip panels across every ingested run, each
+    with the campaign's own aggregate over its cells."""
+    panels: dict[str, list[dict]] = {}
     for row in conn.execute(
-            "SELECT f.run_id, f.scenario, f.seed, f.completed, "
-            "f.tail_stretch, f.dip_frac, f.recovery_ns, f.unexplained "
-            "FROM fault_cells f ORDER BY f.run_id, f.cell_order"):
-        panel = panels.setdefault(row["scenario"], {
-            "scenario": row["scenario"], "cells": []})
-        panel["cells"].append({
-            "run_id": row["run_id"], "seed": row["seed"],
-            "completed": bool(row["completed"]),
-            "tail_stretch": row["tail_stretch"],
-            "dip_frac": row["dip_frac"],
-            "recovery_ns": row["recovery_ns"],
-            "unexplained": row["unexplained"]})
-    for panel in panels.values():
-        cells = panel["cells"]
-        recoveries = [c["recovery_ns"] for c in cells
-                      if c["recovery_ns"] is not None]
-        dips = [c["dip_frac"] for c in cells
-                if c["dip_frac"] is not None]
-        panel["aggregate"] = {
-            "cells": len(cells),
-            "completed": sum(1 for c in cells if c["completed"]),
-            "unexplained_nacks": sum(c["unexplained"] for c in cells),
-            "mean_recovery_ns": (round(sum(recoveries) / len(recoveries))
-                                 if recoveries else None),
-            "worst_dip_frac": max(dips) if dips else None,
-        }
-    return sorted(panels.values(), key=lambda p: p["scenario"])
+            "SELECT run_id, scenario, seed, completed, tail_stretch, "
+            "dip_frac, recovery_ns, unexplained "
+            "FROM fault_cells ORDER BY run_id, cell_order"):
+        cell = dict(row)
+        cell["completed"] = bool(cell["completed"])
+        panels.setdefault(cell.pop("scenario"), []).append(cell)
+    if not panels:
+        return []
+    from repro.faults.campaign import aggregate
+    return [{"scenario": scenario, "cells": cells,
+             "aggregate": aggregate(cells)}
+            for scenario, cells in sorted(panels.items())]
 
 
 # ----------------------------------------------------------------------

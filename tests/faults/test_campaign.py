@@ -3,8 +3,10 @@
 import json
 
 from repro.faults.campaign import (campaign_specs, run_campaign, run_cell,
-                                   validate_result)
+                                   validate_faults_doc)
 from repro.faults.spec import LinkFlap, Scenario
+from repro.harness.metrics import JobCounters
+from repro.results import ResultsStore
 
 #: Fast mid-flight flap: the default 8-node/20kB workload finishes in
 #: ~17us of simulated time, so the fault must land inside that.
@@ -15,10 +17,22 @@ FAST_FLAP = (Scenario("fast-flap")
 EMPTY = Scenario("empty").compile()
 
 
+def campaign_of(tmp_path, result: object) -> dict:
+    """The one-seed ``FAST_FLAP`` campaign whose cell returned
+    ``result``, served from a run cache so no job executes."""
+    db = str(tmp_path / "cache.sqlite")
+    with ResultsStore(db) as store:
+        store.put_job_result(campaign_specs(FAST_FLAP, [1])[0], result)
+    return run_campaign(FAST_FLAP, [1], cache=db)
+
+
 class TestRunCell:
-    def test_result_validates_and_faults_bite(self):
+    def test_result_validates_and_faults_bite(self, tmp_path):
         doc = run_cell({"spec": FAST_FLAP}, seed=1)
-        assert validate_result(doc) == []
+        campaign = campaign_of(tmp_path, doc)
+        assert campaign["cells"] == [doc]
+        assert validate_faults_doc(campaign) == []
+        assert campaign["validation_problems"] == []
         assert doc["completed"]
         assert doc["faults"]["applied"] == 2
         assert doc["faults"]["fault_events_recorded"] >= 2
@@ -65,20 +79,35 @@ class TestDeterminism:
 
 
 class TestValidateResult:
-    def test_rejects_partial_application(self):
+    """One per-cell check: its outcome problems fill a campaign's
+    ``validation_problems`` and leave the document well-formed."""
+
+    def test_rejects_partial_application(self, tmp_path):
         doc = run_cell({"spec": FAST_FLAP}, seed=1)
         doc["faults"]["applied"] -= 1
-        assert any("fault events applied" in p
-                   for p in validate_result(doc))
+        campaign = campaign_of(tmp_path, doc)
+        assert campaign["validation_problems"] \
+            == ["seed 1: only 1 of 2 fault events applied"]
+        assert validate_faults_doc(campaign) == []
 
-    def test_rejects_unexplained_nacks(self):
+    def test_rejects_unexplained_nacks(self, tmp_path):
         doc = run_cell({"spec": FAST_FLAP}, seed=1)
         doc["nacks"]["unexplained"] = 3
-        assert any("unexplained" in p for p in validate_result(doc))
+        campaign = campaign_of(tmp_path, doc)
+        assert any("3 unexplained NACK" in p
+                   for p in campaign["validation_problems"])
+        assert campaign["aggregate"]["unexplained_nacks"] == 3
+        assert validate_faults_doc(campaign) == []
 
     def test_rejects_missing_keys(self):
-        assert validate_result({"version": 1}) != []
-        assert validate_result("nope") == ["result is not a dict"]
+        doc = {"schema": "repro-faults-v1", "scenario": "s",
+               "duration_us": 1.0, "seeds": [1, 2],
+               "cells": [{"version": 1}, "nope"], "failures": [],
+               "validation_problems": []}
+        problems = validate_faults_doc(doc)
+        assert any(p.startswith("cell[0] missing fields: ['scenario'")
+                   for p in problems)
+        assert "cell[1] is not an object" in problems
 
 
 class TestCampaign:
@@ -92,27 +121,29 @@ class TestCampaign:
             == [s.spec_hash for s in again]
 
     def test_serial_campaign_aggregates(self):
-        summary = run_campaign(FAST_FLAP, [1, 2], workers=1)
-        assert summary["scenario"] == "fast-flap"
-        assert summary["failures"] == []
-        assert summary["validation_problems"] == []
-        assert len(summary["cells"]) == 2
-        agg = summary["aggregate"]
+        doc = run_campaign(FAST_FLAP, [1, 2], workers=1)
+        assert validate_faults_doc(doc) == []
+        assert doc["scenario"] == "fast-flap"
+        assert doc["failures"] == []
+        assert doc["validation_problems"] == []
+        assert len(doc["cells"]) == 2
+        agg = doc["aggregate"]
         assert agg["completed"] == 2
         assert agg["unexplained_nacks"] == 0
 
     def test_parallel_equals_serial(self):
         serial = run_campaign(FAST_FLAP, [1, 2], workers=1)
         parallel = run_campaign(FAST_FLAP, [1, 2], workers=2)
-        assert serial["cells"] == parallel["cells"]
-        assert serial["aggregate"] == parallel["aggregate"]
+        assert serial == parallel
 
     def test_campaign_resumes_from_checkpoint(self, tmp_path):
         ckpt = str(tmp_path / "campaign.jsonl")
+        counters = JobCounters()
         first = run_campaign(FAST_FLAP, [1], checkpoint=ckpt)
-        second = run_campaign(FAST_FLAP, [1], checkpoint=ckpt)
-        assert first["cells"] == second["cells"]
-        assert second["jobs"]["jobs_skipped_from_checkpoint"] == 1
+        second = run_campaign(FAST_FLAP, [1], checkpoint=ckpt,
+                              counters=counters)
+        assert first == second
+        assert (counters.skipped, counters.executed) == (1, 0)
 
 
 class TestJobKind:
@@ -126,6 +157,5 @@ class TestJobKind:
         outcome = JobRunner(workers=1, isolation="subprocess") \
             .run([spec])[spec.spec_hash]
         assert outcome.ok
-        assert validate_result(outcome.result) == []
         inproc = run_cell({"spec": FAST_FLAP}, seed=5)
         assert outcome.result == inproc

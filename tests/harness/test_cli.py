@@ -319,24 +319,25 @@ class TestBadInput:
 
     def test_ingest_of_a_document_sqlite_refuses_writes_nothing(
             self, tmp_path, capsys):
-        """Passes the structural validator (a faults cell's NACK counts
-        are not typed), fails a NOT NULL column after the run row and
-        the first cell went in: one error line, exit 1, and the store
-        holds no part of it."""
+        """Passes the structural validator, fails the bench table's
+        primary key after the run row and the first scenario row went in
+        (a scenario measured on the engine the heap baseline names): one
+        error line, exit 1, and the store holds no part of it."""
         import json
         from repro.results import ResultsStore
-        from tests.results.test_store import make_faults_doc
-        doc = make_faults_doc()
-        doc["cells"][-1]["nacks"]["unexplained"] = None
-        path, db = tmp_path / "faults.json", str(tmp_path / "r.sqlite")
+        from tests.results.test_store import make_bench_doc
+        doc = make_bench_doc()
+        doc["scenarios"]["alltoall-lossy"]["engine"] = "heap"
+        path, db = tmp_path / "bench.json", str(tmp_path / "r.sqlite")
         path.write_text(json.dumps(doc))
         assert main(["results", "ingest", "--db", db, str(path)]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert out == [f"error: {path}: invalid faults doc: NOT NULL "
-                       "constraint failed: fault_cells.unexplained"]
+        assert out == [f"error: {path}: invalid bench doc: UNIQUE "
+                       "constraint failed: bench_scenarios.run_id, "
+                       "bench_scenarios.scenario, bench_scenarios.engine"]
         with ResultsStore(db) as store:
-            counts = store.counts()
-        assert counts["runs"] == counts["fault_cells"] == 0
+            assert store.counts()["runs"] == store.conn.execute(
+                "SELECT COUNT(*) FROM bench_scenarios").fetchone()[0] == 0
 
 
 class TestFaultsCommand:
@@ -378,6 +379,11 @@ class TestFaultsCommand:
         assert payload["aggregate"]["unexplained_nacks"] == 0
         written = json.loads(out_file.read_text())
         assert written["cells"][0]["faults"]["applied"] == 2
+        # The job counters ride the --json result, never the document:
+        # a cache-warm re-run must write the same bytes.
+        assert payload["jobs"]["jobs_completed"] == 1
+        assert "jobs" not in written
+        assert {**written, "jobs": payload["jobs"]} == payload
 
     def test_run_requires_spec_or_name(self):
         with pytest.raises(SystemExit):

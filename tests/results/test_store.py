@@ -17,7 +17,7 @@ import sys
 from contextlib import closing
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.harness.arena import (arena_job_specs, build_arena_doc,
@@ -29,6 +29,7 @@ from repro.results import (IngestError, ResultsStore, detect_doc_kind,
                            ingest_doc, ingest_file)
 from repro.results.query import (arena_runs, latest_run_id, list_runs,
                                  summary, table_counts)
+from repro.results.server import check_pages
 from repro.results.store import JOB_READ_CHUNK, connect_readonly
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -279,6 +280,84 @@ def test_unknown_top_level_field_is_refused_by_name(make):
     doc["extra"] = {"x": 1}
     with ResultsStore(":memory:") as store:
         with pytest.raises(IngestError, match="unknown field 'extra'"):
+            ingest_doc(store, doc)
+        assert all(store.conn.execute(
+            f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
+            for table in DETAIL_TABLES)
+
+
+@settings(max_examples=300, deadline=None)
+@example(field=(make_faults_doc, ("cells", 0, "nacks", "unexplained")),
+         value="x", delete=False)
+@example(field=(make_bench_doc,
+                ("scenarios", "alltoall-lossy", "events_per_sec")),
+         value="fast", delete=False)
+@example(field=(make_bench_doc, ("tracing", "overhead_ratio")),
+         value="x", delete=False)
+@example(field=(make_bench_doc, ("speedup_vs_heap",)), value="x",
+         delete=False)
+@example(field=(make_bench_doc, ("tracing",)), value=None, delete=False)
+@given(field=st.sampled_from(DOC_FIELDS),
+       value=st.sampled_from([None, True, 7, 2.5, "x", [1], {"x": 1}]),
+       delete=st.booleans())
+def test_accepted_document_renders_every_page(tmp_path_factory, field,
+                                               value, delete):
+    """A document the store accepts renders every dashboard page: with
+    one field deleted or replaced by a value of another JSON type, it is
+    either an ``IngestError`` or every page and API twin answers 200."""
+    make, path = field
+    doc = make()
+    parent = _at(doc, path[:-1])
+    if delete:
+        del parent[path[-1]]
+    else:
+        assume(json_type(parent[path[-1]]) != json_type(value))
+        parent[path[-1]] = value
+    db = str(tmp_path_factory.mktemp("render") / "r.sqlite")
+    with ResultsStore(db) as store:
+        try:
+            ingest_doc(store, doc)
+        except IngestError:
+            return
+    assert check_pages(db) == []
+
+
+#: Shapes the store once took and then mis-counted or failed to render:
+#: a cell without ``nacks.unexplained`` counted as 0 unexplained NACKs,
+#: a string count or rate broke ``/faults`` or ``/bench`` with an HTTP
+#: 500, ``completed: "no"`` counted as completed, and a string seed was
+#: stored as text.
+MISSHAPEN = [
+    pytest.param(make_faults_doc, ("cells", 0, "nacks", "unexplained"),
+                 None, "cell[0].nacks missing fields: ['unexplained']",
+                 id="faults-unexplained-missing"),
+    pytest.param(make_faults_doc, ("cells", 0, "nacks", "unexplained"),
+                 "x", "cell[0].nacks.unexplained is not an int",
+                 id="faults-unexplained-string"),
+    pytest.param(make_faults_doc, ("cells", 0, "completed"), "no",
+                 "cell[0].completed is not a bool",
+                 id="faults-completed-string"),
+    pytest.param(make_faults_doc, ("cells", 0, "seed"), "two",
+                 "cell[0].seed is not an int", id="faults-seed-string"),
+    pytest.param(make_bench_doc,
+                 ("scenarios", "alltoall-lossy", "events_per_sec"), "fast",
+                 "scenarios.alltoall-lossy.events_per_sec is not a number",
+                 id="bench-events-per-sec-string"),
+]
+
+
+@pytest.mark.parametrize("make, path, value, problem", MISSHAPEN)
+def test_misshapen_document_is_refused_by_field(make, path, value,
+                                                problem):
+    """``value`` ``None`` deletes the field."""
+    doc = make()
+    parent = _at(doc, path[:-1])
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with ResultsStore(":memory:") as store:
+        with pytest.raises(IngestError, match=re.escape(problem)):
             ingest_doc(store, doc)
         assert all(store.conn.execute(
             f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
@@ -671,6 +750,8 @@ class TestQueries:
         assert agg["cells"] == 2
         assert agg["unexplained_nacks"] == 0
         assert agg["mean_recovery_ns"] == 20_000
+        # The campaign's own aggregate, over the stored cells.
+        assert agg == make_faults_doc()["aggregate"]
 
     def test_bench_series(self, conn):
         from repro.results.query import bench_series

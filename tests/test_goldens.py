@@ -28,7 +28,7 @@ from repro.collectives import (AllToAll, Collective,
 from repro.collectives.group import StepCollective
 from repro.collectives.ring import RingCollective
 from repro.conweave.config import ConweaveConfig
-from repro.faults.campaign import build_faults_doc, run_campaign, run_cell
+from repro.faults.campaign import run_campaign, run_cell
 from repro.faults.scenarios import builtin
 from repro.harness import bench
 from repro.harness.arena import arena_job_specs, run_arena, run_arena_cell
@@ -92,8 +92,8 @@ def test_quick_arena_nic_sr_cells(quick_arena):
 
 
 def test_link_flap_campaign_document():
-    summary = run_campaign(builtin("link-flap-smoke"), [1, 2])
-    assert doc_crc(build_faults_doc(summary)) == 1191303070
+    doc = run_campaign(builtin("link-flap-smoke"), [1, 2])
+    assert doc_crc(doc) == 1191303070
 
 
 @pytest.mark.parametrize("name, live, no_ops", [
