@@ -194,12 +194,14 @@ def run_campaign(spec, seeds: Sequence[int], **runner_opts) -> dict:
     cells, failures, problems = [], [], []
     for job in specs:
         outcome = outcomes[job.spec_hash]
-        if outcome.ok:
-            cells.append(outcome.result)
-            problems += [f"seed {job.seed}: {problem}" for _, problem
-                         in _cell_problems(outcome.result, "cell")]
+        checked = (list(_cell_problems(outcome.result, "cell"))
+                   if outcome.ok else [(True, outcome.error)])
+        malformed = [p for structural, p in checked if structural]
+        if malformed:   # a failed job, or a stale or corrupted cache row
+            failures.append({"seed": job.seed, "error": "; ".join(malformed)})
         else:
-            failures.append({"seed": job.seed, "error": outcome.error})
+            cells.append(outcome.result)
+            problems += [f"seed {job.seed}: {p}" for _, p in checked]
     campaign = {"schema": FAULTS_SCHEMA, "scenario": doc["name"],
                 "duration_us": spec_duration_us(doc), "seeds": list(seeds),
                 "cells": cells, "failures": failures,
@@ -212,8 +214,7 @@ def run_campaign(spec, seeds: Sequence[int], **runner_opts) -> dict:
 def headline(cell: dict) -> dict:
     """What the CLI table, the results store and the dashboard show of
     one cell, flat: ``seed``, ``completed``, ``tail_stretch``,
-    ``dip_frac``, ``recovery_ns`` and ``unexplained`` (NACK decisions),
-    in the order of the store's ``fault_cells`` columns."""
+    ``dip_frac``, ``recovery_ns`` and ``unexplained`` (NACK decisions)."""
     goodput = cell["goodput"]
     return {"seed": cell["seed"], "completed": cell["completed"],
             "tail_stretch": cell["tail_stretch"],
@@ -300,8 +301,9 @@ def _doc_problems(doc: dict) -> Iterator[tuple[bool, str]]:
     if doc.get("schema") != FAULTS_SCHEMA:
         yield True, (f"schema is {doc.get('schema')!r}, "
                      f"expected {FAULTS_SCHEMA!r}")
+    required = tuple(key for key in FAULTS_FIELDS if key != "aggregate")
     yield from ((True, problem) for problem in field_problems(
-        doc, FAULTS_FIELDS[:-1], types={"scenario": str, **dict.fromkeys(
+        doc, required, types={"scenario": str, **dict.fromkeys(
             ("seeds", "cells", "failures", "validation_problems"), list)}))
     yield from ((True, f"{key} is empty") for key in ("scenario", "seeds")
                 if doc.get(key) in ("", []))

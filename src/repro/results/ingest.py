@@ -77,10 +77,11 @@ def _ingest_faults(store: ResultsStore, doc: dict, source: str) -> dict:
     meta = {k: v for k, v in doc.items() if k not in ("schema", "cells")}
     run_id = store.insert_run(doc["schema"], doc["scenario"],
                               source=source, meta=meta)
-    # The fault_cells columns are the cell's headline, in its key order.
     store.insert_rows("fault_cells", [
-        (run_id, i, c["scenario"], *headline(c).values(), json.dumps(c))
-        for i, c in enumerate(doc["cells"])])
+        (run_id, i, c["scenario"], h["seed"], h["completed"],
+         h["tail_stretch"], h["dip_frac"], h["recovery_ns"],
+         h["unexplained"], json.dumps(c))
+        for i, c in enumerate(doc["cells"]) for h in [headline(c)]])
     return {"run_id": run_id, "kind": "faults",
             "cells": len(doc["cells"])}
 

@@ -17,13 +17,13 @@ FAST_FLAP = (Scenario("fast-flap")
 EMPTY = Scenario("empty").compile()
 
 
-def campaign_of(tmp_path, result: object) -> dict:
+def campaign_of(tmp_path, result: object, seed: int = 1) -> dict:
     """The one-seed ``FAST_FLAP`` campaign whose cell returned
     ``result``, served from a run cache so no job executes."""
     db = str(tmp_path / "cache.sqlite")
     with ResultsStore(db) as store:
-        store.put_job_result(campaign_specs(FAST_FLAP, [1])[0], result)
-    return run_campaign(FAST_FLAP, [1], cache=db)
+        store.put_job_result(campaign_specs(FAST_FLAP, [seed])[0], result)
+    return run_campaign(FAST_FLAP, [seed], cache=db)
 
 
 class TestRunCell:
@@ -109,6 +109,18 @@ class TestValidateResult:
                    for p in problems)
         assert "cell[1] is not an object" in problems
 
+    def test_malformed_cell_result_is_a_failure(self, tmp_path):
+        """A cached result of another shape (a stale or corrupted run
+        cache row) fails its seed; the campaign still returns."""
+        campaign = campaign_of(tmp_path, {"version": 1})
+        assert campaign["cells"] == []
+        assert [f["seed"] for f in campaign["failures"]] == [1]
+        assert campaign["failures"][0]["error"].startswith(
+            "cell missing fields: ['scenario'")
+        assert campaign["validation_problems"] == []
+        assert "aggregate" not in campaign
+        assert validate_faults_doc(campaign) == []
+
 
 class TestCampaign:
     def test_specs_are_stable_per_seed(self):
@@ -151,11 +163,15 @@ class TestJobKind:
         from repro.harness.jobs import JOB_KINDS
         assert "fault_cell" in JOB_KINDS
 
-    def test_fault_cell_runs_in_subprocess(self):
+    def test_fault_cell_runs_in_subprocess(self, tmp_path):
         from repro.harness.jobs import JobRunner
         spec = campaign_specs(FAST_FLAP, [5])[0]
         outcome = JobRunner(workers=1, isolation="subprocess") \
             .run([spec])[spec.spec_hash]
         assert outcome.ok
+        campaign = campaign_of(tmp_path, outcome.result, seed=5)
+        assert campaign["cells"] == [outcome.result]
+        assert validate_faults_doc(campaign) == []
+        assert campaign["validation_problems"] == []
         inproc = run_cell({"spec": FAST_FLAP}, seed=5)
         assert outcome.result == inproc

@@ -177,34 +177,51 @@ DETAIL_TABLES = ("runs", "arena_cells", "arena_ranking", "fault_cells",
 
 
 @settings(max_examples=300, deadline=None)
+@example(field=(make_faults_doc, ("cells", 0, "nacks", "unexplained")),
+         value="x", delete=False)
+@example(field=(make_bench_doc,
+                ("scenarios", "alltoall-lossy", "events_per_sec")),
+         value="fast", delete=False)
+@example(field=(make_bench_doc, ("tracing", "overhead_ratio")),
+         value="x", delete=False)
+@example(field=(make_bench_doc, ("speedup_vs_heap",)), value="x",
+         delete=False)
+@example(field=(make_bench_doc, ("tracing",)), value=None, delete=False)
 @given(field=st.sampled_from(DOC_FIELDS),
-       value=st.sampled_from([None, True, 7, 2.5, "x", [1], {"x": 1}]))
-def test_ingest_of_a_mistyped_field_is_all_or_nothing(field, value):
+       value=st.sampled_from([None, True, 7, 2.5, "x", [1], {"x": 1}]),
+       delete=st.booleans())
+def test_ingest_of_a_mistyped_field_is_all_or_nothing(
+        tmp_path_factory, field, value, delete):
     """ROADMAP item 7's ingester property: one field of a valid document
-    replaced by a value of another JSON type either ingests or raises
-    ``IngestError``, and a refused document leaves no row anywhere."""
+    deleted or replaced by a value of another JSON type either raises
+    ``IngestError`` and leaves no row anywhere, or ingests, and then
+    every dashboard page and API twin answers 200 (item 18: a document
+    the store accepts renders)."""
     make, path = field
     doc = make()
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    assume(json_type(parent[path[-1]]) != json_type(value))
-    parent[path[-1]] = value
+    parent = _at(doc, path[:-1])
+    if delete:
+        del parent[path[-1]]
+    else:
+        assume(json_type(parent[path[-1]]) != json_type(value))
+        parent[path[-1]] = value
 
     def rows(store):
         return {table: store.conn.execute(
             f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in DETAIL_TABLES}
 
-    with ResultsStore(":memory:") as store:
+    db = str(tmp_path_factory.mktemp("ingest") / "r.sqlite")
+    with ResultsStore(db) as store:
         ingest_doc(store, make_bench_doc(), source="before")
         before = rows(store)
         try:
             ingest_doc(store, doc)
         except IngestError:
             assert rows(store) == before    # committed or pending
-        else:
-            assert rows(store)["runs"] == before["runs"] + 1
+            return
+        assert rows(store)["runs"] == before["runs"] + 1
+    assert check_pages(db) == []
 
 
 #: Wrong-typed values for the checked fields of an arena cell or ranking
@@ -284,42 +301,6 @@ def test_unknown_top_level_field_is_refused_by_name(make):
         assert all(store.conn.execute(
             f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
             for table in DETAIL_TABLES)
-
-
-@settings(max_examples=300, deadline=None)
-@example(field=(make_faults_doc, ("cells", 0, "nacks", "unexplained")),
-         value="x", delete=False)
-@example(field=(make_bench_doc,
-                ("scenarios", "alltoall-lossy", "events_per_sec")),
-         value="fast", delete=False)
-@example(field=(make_bench_doc, ("tracing", "overhead_ratio")),
-         value="x", delete=False)
-@example(field=(make_bench_doc, ("speedup_vs_heap",)), value="x",
-         delete=False)
-@example(field=(make_bench_doc, ("tracing",)), value=None, delete=False)
-@given(field=st.sampled_from(DOC_FIELDS),
-       value=st.sampled_from([None, True, 7, 2.5, "x", [1], {"x": 1}]),
-       delete=st.booleans())
-def test_accepted_document_renders_every_page(tmp_path_factory, field,
-                                               value, delete):
-    """A document the store accepts renders every dashboard page: with
-    one field deleted or replaced by a value of another JSON type, it is
-    either an ``IngestError`` or every page and API twin answers 200."""
-    make, path = field
-    doc = make()
-    parent = _at(doc, path[:-1])
-    if delete:
-        del parent[path[-1]]
-    else:
-        assume(json_type(parent[path[-1]]) != json_type(value))
-        parent[path[-1]] = value
-    db = str(tmp_path_factory.mktemp("render") / "r.sqlite")
-    with ResultsStore(db) as store:
-        try:
-            ingest_doc(store, doc)
-        except IngestError:
-            return
-    assert check_pages(db) == []
 
 
 #: Shapes the store once took and then mis-counted or failed to render:
