@@ -224,23 +224,29 @@ def run_arena(*, workers: int = 1, timeout_s: Optional[float] = None,
 
 def build_arena_doc(specs: Sequence[JobSpec],
                     outcomes: dict[str, JobOutcome]) -> dict:
-    cells = []
-    for spec in specs:
-        result = outcomes[spec.spec_hash].result
-        cell = {"lb": spec.params["lb"],
-                "transport": spec.params["transport"],
-                "cc": spec.params["cc"],
-                "workload": spec.params["workload"],
-                "topology": spec.params["topology"],
-                "seed": spec.seed,
-                "spec_hash": spec.spec_hash}
-        cell.update(result)
-        cells.append(cell)
+    """The document of ``specs``' results.  A result that breaks the cell
+    contract (a stale or corrupted run-cache row) is a ``ValueError``
+    naming its cell, checked only when the document cannot be built."""
+    results = [outcomes[spec.spec_hash].result for spec in specs]
+    try:
+        cells = [{**_spec_fields(spec), **result}
+                 for spec, result in zip(specs, results)]
+        ranking = _rank(cells)
+    except (KeyError, TypeError):
+        for spec, result in zip(specs, results):
+            cell = ({**_spec_fields(spec), **result}
+                    if isinstance(result, dict) else result)
+            problems = field_problems(cell, _CELL_FIELDS, label="cell",
+                                      types=_CELL_TYPES)
+            if problems:
+                raise ValueError(f"malformed arena cell result for "
+                                 f"{spec.describe()}: {problems[0]}") \
+                    from None
+        raise
 
     def axis(key: str) -> list:
         return list(dict.fromkeys(cell[key] for cell in cells))
 
-    ranking = _rank(cells)
     return {
         "schema": ARENA_SCHEMA,
         "axes": {"lbs": axis("lb"), "transports": axis("transport"),
@@ -249,6 +255,15 @@ def build_arena_doc(specs: Sequence[JobSpec],
         "cells": cells,
         "ranking": ranking,
     }
+
+
+def _spec_fields(spec: JobSpec) -> dict:
+    """The cell fields its spec fixes; the job result holds the rest."""
+    params = spec.params
+    return {"lb": params["lb"], "transport": params["transport"],
+            "cc": params["cc"], "workload": params["workload"],
+            "topology": params["topology"], "seed": spec.seed,
+            "spec_hash": spec.spec_hash}
 
 
 def _rank(cells: Sequence[dict]) -> list[dict]:

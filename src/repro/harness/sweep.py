@@ -98,9 +98,18 @@ def run_fig5_sweep(collective: str = "allreduce", *,
     raise_on_failures(outcomes)
 
     result = SweepResult(collective)
-    runs = (CollectiveRunResult(**outcomes[spec.spec_hash].result)
+    runs = (_run_result(spec, outcomes[spec.spec_hash].result)
             for spec in specs)  # spec order = (condition, scheme) order
     for ti_us, td_us in conditions:
         result.runs[(ti_us, td_us)] = {scheme: next(runs)
                                        for scheme in schemes}
     return result
+
+
+def _run_result(spec: JobSpec, result: object) -> CollectiveRunResult:
+    """``spec``'s result; a stale or corrupted one names its cell."""
+    try:
+        return CollectiveRunResult(**result)
+    except TypeError as exc:
+        raise ValueError(f"malformed collective result for "
+                         f"{spec.describe()}: {exc}") from None

@@ -50,7 +50,7 @@ def audit_switch(switch: "Switch") -> SwitchAudit:
     pathmap_entries = 0
     for mw in switch.middleware:
         if isinstance(mw, ThemisDest):
-            for entry in mw.table.entries():
+            for entry in mw.table.values():
                 flow_entries += 1
                 queue_bytes += entry.queue.capacity * queue_entry_bytes(
                     entry.queue.psn_bits)

@@ -11,6 +11,7 @@ from repro.harness.arena import (ARENA_SCHEMA, arena_job_specs,
                                  validate_arena_doc)
 from repro.harness.jobs import JobSpec, execute_spec
 from repro.harness.network import TRANSPORTS
+from repro.results.store import ResultsStore
 
 SMALL = dict(lbs=("reps", "prime"), transports=("nic_sr",),
              ccs=("dcqcn",), workloads=("alltoall",),
@@ -131,6 +132,37 @@ class TestArenaRun:
         table = render_arena_table(doc)
         assert "reps" in table and "prime" in table
         assert "slowdown" in table
+
+
+def stale_cache_error(tmp_path, result):
+    """What the one-cell ``SMALL`` arena raises when its run cache holds
+    ``result`` for the cell: ``(the cell's label, the message)``."""
+    one = dict(SMALL, lbs=("reps",))
+    spec = arena_job_specs(**one)[0]
+    db = str(tmp_path / "cache.sqlite")
+    with ResultsStore(db) as store:
+        store.put_job_result(spec, result)
+    with pytest.raises(ValueError) as exc:
+        run_arena(cache=db, **one)
+    return spec.describe(), str(exc.value)
+
+
+class TestStaleCache:
+    """A cached cell result of another shape (a stale or corrupted run
+    cache row) is one error naming the cell and the contract it breaks,
+    not a KeyError or TypeError from the ranking."""
+
+    def test_missing_fields_name_the_cell(self, tmp_path):
+        label, message = stale_cache_error(tmp_path, {"version": 1})
+        assert label in message
+        assert "missing fields: ['completed'" in message
+
+    def test_mistyped_metric_names_the_cell(self, tmp_path):
+        cell = run_arena_cell(small_params(), seed=1)
+        label, message = stale_cache_error(
+            tmp_path, {**cell, "mean_slowdown": "x"})
+        assert label in message
+        assert "mean_slowdown is not a number" in message
 
 
 class TestValidation:

@@ -6,7 +6,9 @@ import pytest
 
 from repro.harness.collective_runner import (EvalScale, fig5_config,
                                              run_collective)
-from repro.harness.sweep import DCQCN_SWEEP, SweepResult, run_fig5_sweep
+from repro.harness.sweep import (DCQCN_SWEEP, SweepResult, run_fig5_sweep,
+                                 sweep_job_specs)
+from repro.results.store import ResultsStore
 
 TINY = EvalScale(num_tors=2, num_spines=2, nics_per_tor=2,
                  collective_bytes=100_000, link_bandwidth_bps=25e9)
@@ -87,6 +89,20 @@ class TestSweep:
             conditions=((10, 200), (10, 50)), scale=TINY)
         lo, hi = result.improvement_range("ecmp", "themis")
         assert lo <= hi
+
+    def test_stale_cached_result_names_the_cell(self, tmp_path):
+        """A cached result of another shape is one error naming the
+        cell, not a bare TypeError from the result class."""
+        one = dict(schemes=("themis",), conditions=((10, 200),),
+                   scale=TINY)
+        spec = sweep_job_specs("allgather", **one)[0]
+        db = str(tmp_path / "cache.sqlite")
+        with ResultsStore(db) as store:
+            store.put_job_result(spec, {"version": 1})
+        with pytest.raises(ValueError) as exc:
+            run_fig5_sweep("allgather", cache=db, **one)
+        assert spec.describe() in str(exc.value)
+        assert "version" in str(exc.value)
 
     def test_default_sweep_constants(self):
         assert DCQCN_SWEEP == ((900, 4), (300, 4), (10, 4), (10, 50),

@@ -115,6 +115,17 @@ def test_rps_fabric_loads_no_installer_module(fresh_modules):
     assert sorted(set(NOT_LOADED + INSTALLER_ONLY) & after_build) == []
 
 
+def test_themis_core_is_pure():
+    """Themis-D's rules (FlowEntry) run without a fabric: importing them
+    loads no engine, switch, recorder or harness module."""
+    loaded = _probe("import json, sys\n"
+                    "import repro.themis.flow_table\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert [m for m in loaded if m.startswith(
+        ("repro.sim", "repro.switch", "repro.obs", "repro.harness"))] == []
+    assert "repro.themis.flow_table" in loaded
+
+
 def test_every_quickstart_name_resolves():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name

@@ -56,7 +56,7 @@ class TestAudit:
         net.run(until_ns=10_000_000_000)
         (entry,) = [e for tor in net.topology.tors
                     for mw in tor.middleware if hasattr(mw, "table")
-                    for e in mw.table.entries()]
+                    for e in mw.table.values()]
         assert (entry.queue.capacity, entry.n_paths) == (425, 4)
         audit = next(a for a in audit_network(net) if a.flow_entries)
         assert audit.dest_bytes == FLOW_ENTRY_BYTES + 425 * 2

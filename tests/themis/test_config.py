@@ -114,7 +114,7 @@ class TestFatTreeIntegration:
         assert net.metrics.all_flows_done()
         entries = [e for tor in net.topology.tors
                    for mw in tor.middleware if hasattr(mw, "table")
-                   for e in mw.table.entries()]
+                   for e in mw.table.values()]
         assert entries
         assert all(e.n_paths == 4 for e in entries)
         assert all(e.queue.psn_bits

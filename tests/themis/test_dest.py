@@ -1,5 +1,6 @@
-"""Unit tests for Themis-D: tPSN identification, Eq. 3 validation, and
-NACK compensation — driven packet by packet against a mock ToR."""
+"""Unit tests for the Themis-D switch adapter, driven packet by packet
+against a mock ToR: what it counts, traces and forwards for the rules'
+verdicts.  The rules themselves are tested in test_flow_table.py."""
 
 from repro.harness.metrics import Metrics
 from repro.net.node import Device
@@ -51,9 +52,9 @@ class DestHarness:
             queue_capacity_for=lambda flow: capacity, **ablation)
         self.tor.add_middleware(self.dest)
 
-    def data(self, psn):
+    def data(self, psn, flow=FLOW):
         """Data packet from the fabric heading to the local NIC."""
-        pkt = data_packet(FLOW, psn, 1000)
+        pkt = data_packet(flow, psn, 1000)
         self.tor.receive(pkt, None)
         return pkt
 
@@ -68,19 +69,37 @@ class DestHarness:
     def entry(self):
         return self.dest.table.get(FLOW)
 
+    def trace(self):
+        """Record the NACK audit channel from here on; returns the
+        recorder."""
+        recorder = Recorder(retain=[NACK])
+        self.dest.rec = recorder.channel(NACK)
+        return recorder
+
+    def crafted(self):
+        """Themis-generated NACKs sent toward the remote sender."""
+        self.sim.run()
+        return [p for p in self.remote.got
+                if p.ptype is PacketType.NACK and p.themis_generated]
+
+
+def nack_events(recorder, name):
+    """``data`` of every retained NACK-audit record called ``name``."""
+    return [data for _, _, kind, _, data in recorder.records(NACK)
+            if kind == name]
+
 
 class TestValidation:
     def test_invalid_nack_blocked(self):
-        """Fig. 4b: arrivals 0,1,3 -> NACK(2); tPSN=3, 3%2 != 2%2."""
+        """Fig. 4b at the switch: the blocked NACK never leaves."""
         h = DestHarness()
         for psn in (0, 1, 3):
             h.data(psn)
         assert not h.nack(2)
         assert h.metrics.themis.nacks_blocked == 1
+        assert h.metrics.themis.nacks_forwarded == 0
 
     def test_valid_nack_forwarded(self):
-        """Same-path overtake: arrivals 0,1,4 -> NACK(2); tPSN=4,
-        4%2 == 2%2 -> the PSN-2 packet is genuinely lost."""
         h = DestHarness()
         for psn in (0, 1, 4):
             h.data(psn)
@@ -88,25 +107,38 @@ class TestValidation:
         assert h.metrics.themis.nacks_forwarded == 1
         assert h.metrics.themis.nacks_blocked == 0
 
-    def test_fig4b_full_sequence(self):
-        h = DestHarness()
-        for psn in (0, 1, 3, 2):
-            h.data(psn)
-        assert not h.nack(2)      # tPSN=3 -> invalid
-        h.data(6)
-        h.data(2)                  # duplicate retransmit arriving late
-        assert h.nack(4)           # tPSN=6 -> 6%2 == 4%2 -> valid
-
     def test_unknown_flow_nack_forwarded_conservatively(self):
         h = DestHarness()
+        recorder = h.trace()
         assert h.nack(0)
         assert h.metrics.themis.tpsn_not_found == 1
+        assert h.metrics.themis.nacks_forwarded == 1
+        assert [c["verdict"] for c in nack_events(
+            recorder, "nack_classify")] == ["no_state"]
 
     def test_drained_queue_forwards_conservatively(self):
         h = DestHarness()
+        recorder = h.trace()
         h.data(0)
         assert h.nack(5)  # no PSN > 5 in queue
         assert h.metrics.themis.tpsn_not_found == 1
+        assert h.metrics.themis.nacks_forwarded == 1
+        assert [c["verdict"] for c in nack_events(
+            recorder, "nack_classify")] == ["no_tpsn"]
+
+    def test_classify_trace_carries_the_verdict(self):
+        h = DestHarness()
+        recorder = h.trace()
+        for psn in (0, 1, 3, 2):
+            h.data(psn)
+        h.nack(2)                  # blocked; 2 is in the ring: guarded
+        h.data(6)
+        h.nack(4)                  # tPSN 6: forwarded
+        first, second = nack_events(recorder, "nack_classify")
+        assert (first["verdict"], first["tpsn"], first["armed"],
+                first["guard"]) == ("blocked", 3, False, "epsn_in_ring")
+        assert (second["verdict"], second["tpsn"]) == ("forwarded", 6)
+        assert first["n_paths"] == N_PATHS
 
     def test_validation_disabled_forwards_everything(self):
         h = DestHarness(validate=False)
@@ -114,6 +146,7 @@ class TestValidation:
             h.data(psn)
         assert h.nack(2)
         assert h.metrics.themis.nacks_blocked == 0
+        assert h.metrics.themis.nacks_inspected == 0
 
     def test_intra_rack_traffic_ignored(self):
         """Themis-D only tracks cross-rack QPs."""
@@ -134,86 +167,93 @@ class TestValidation:
 
 class TestCompensation:
     def test_fig4c_compensates_when_loss_confirmed(self):
-        """Fig. 4c: block NACK(2), then PSN 4 (same path as 2) arrives
-        while 2 never does -> Themis crafts NACK(2)."""
+        """Fig. 4c at the switch: the crafted NACK(2) leaves toward the
+        sender, once."""
         h = DestHarness()
+        recorder = h.trace()
         for psn in (0, 1, 3):
             h.data(psn)
         assert not h.nack(2)
-        entry = h.entry()
-        assert entry.valid and entry.blocked_epsn == 2
-        h.data(4)
-        h.sim.run()
-        comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
-        assert len(comp) == 1
-        assert comp[0].epsn == 2
-        assert comp[0].themis_generated
-        assert not entry.valid
-        assert h.metrics.themis.nacks_compensated == 1
-
-    def test_compensation_fires_once(self):
-        h = DestHarness()
-        for psn in (0, 1, 3):
-            h.data(psn)
-        h.nack(2)
         h.data(4)
         h.data(6)  # same residue again: must NOT re-fire
-        h.sim.run()
-        comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
-        assert len(comp) == 1
+        comp = h.crafted()
+        assert [p.epsn for p in comp] == [2]
+        assert h.metrics.themis.nacks_compensated == 1
+        assert nack_events(recorder, "nack_compensate") \
+            == [{"flow": str(FLOW), "bepsn": 2, "prove_psn": 4}]
 
     def test_arrival_of_bepsn_cancels(self):
-        """§3.4: if the blocked ePSN packet shows up, no compensation."""
         h = DestHarness()
-        recorder = Recorder(retain=[NACK])
-        h.dest.rec = recorder.channel(NACK)
+        recorder = h.trace()
         for psn in (0, 1, 3):
             h.data(psn)
         h.nack(2)
         h.data(2)   # the "lost" packet was only delayed
-        h.data(4)   # same residue afterwards: must not fire
-        h.sim.run()
-        comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
-        assert comp == []
-        cancels = [data for _, _, name, _, data in recorder.records(NACK)
-                   if name == "nack_cancel"]
-        assert [c["reason"] for c in cancels] == ["bepsn_arrived"]
+        h.data(4)
+        assert h.crafted() == []
+        assert [c["reason"] for c in nack_events(recorder, "nack_cancel")] \
+            == ["bepsn_arrived"]
 
-    def test_different_path_packet_does_not_trigger(self):
+    def test_rearm_traces_superseded_before_the_block(self):
         h = DestHarness()
+        recorder = h.trace()
         for psn in (0, 1, 3):
             h.data(psn)
         h.nack(2)
-        h.data(5)   # 5 % 2 != 2 % 2: different path, says nothing about 2
-        h.sim.run()
-        comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
-        assert comp == []
-        assert h.entry().valid  # still armed
-
-    def test_arming_guard_when_epsn_already_passed_tor(self):
-        """The stale-NACK case: PSN 2 passed the ToR (it is in the ring
-        behind the trigger) before its NACK arrived.  Compensation must
-        not arm — PSN 2 is demonstrably not lost."""
-        h = DestHarness()
-        for psn in (0, 1, 3, 2):   # 2 passes the ToR before the NACK
-            h.data(psn)
-        assert not h.nack(2)
-        assert not h.entry().valid
-        h.data(4)
-        h.sim.run()
-        comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
-        assert comp == []
+        h.data(5)
+        h.data(7)
+        h.nack(4)
+        names = [(kind, data.get("reason") or data.get("verdict"))
+                 for _, _, kind, _, data in recorder.records(NACK)]
+        assert names == [("nack_classify", "blocked"),
+                         ("nack_cancel", "superseded"),
+                         ("nack_classify", "blocked")]
+        assert nack_events(recorder, "nack_cancel")[0]["bepsn"] == 2
 
     def test_compensation_disabled(self):
         h = DestHarness(compensate=False)
+        recorder = h.trace()
         for psn in (0, 1, 3):
             h.data(psn)
         h.nack(2)
         h.data(4)
-        h.sim.run()
-        comp = [p for p in h.remote.got if p.ptype is PacketType.NACK]
-        assert comp == []
+        assert h.crafted() == []
         assert h.entry().blocked_epsn is None
+        assert nack_events(recorder, "nack_classify")[0]["guard"] \
+            == "compensation_disabled"
+
+
+class TestPathFailure:
+    def test_disable_cancels_every_armed_register(self):
+        """§6 fallback: each armed QP gets one traced cancel; the
+        unarmed one none."""
+        h = DestHarness()
+        recorder = h.trace()
+        armed = (FLOW, FlowKey(0, 1, 1))
+        for flow in armed + (FlowKey(0, 1, 2),):
+            for psn in (0, 1, 3):
+                h.data(psn, flow)
+        for flow in armed:
+            h.tor.receive(nack_packet(flow, 2), None)
+        h.dest.disable()
+        assert nack_events(recorder, "nack_cancel") == [
+            {"flow": str(flow), "bepsn": 2,
+             "reason": "path_failure_disable"} for flow in armed]
+        assert not any(e.valid for e in h.dest.table.values())
+        # Disabled, the stage passes everything through untouched.
+        h.data(4)
+        assert h.crafted() == []
+        h.dest.disable()           # already dark: nothing more traced
+        assert len(recorder.records(NACK)) == 4
+
+    def test_enable_starts_from_an_empty_table(self):
+        h = DestHarness()
+        h.data(0)
+        h.dest.disable()
+        h.dest.enable()
+        assert h.dest.table == {}
+        h.data(1)
+        assert list(h.dest.table) == [FLOW]
 
 
 class TestFlowTableIntegration:

@@ -1,9 +1,10 @@
 """Model-checking properties of Themis-D x NIC-SR (hypothesis).
 
 An abstract pipeline — deterministic PSN spraying over N per-path FIFOs,
-arbitrary cross-path interleavings, a real NIC-SR receiver, a real
-Themis-D — explored across thousands of arrival orders.  Two theorems
-the design relies on:
+arbitrary cross-path interleavings, a real NIC-SR receiver, Themis-D's
+rule core (:class:`~repro.themis.flow_table.FlowEntry`, no switch) —
+explored across thousands of arrival orders.  Two theorems the design
+relies on:
 
 * **No false compensation**: on a loss-free run, Themis never fabricates
   a NACK, for *any* FIFO-respecting interleaving.
@@ -21,60 +22,51 @@ from repro.rnic.config import RnicConfig
 from repro.rnic.nic import Rnic
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
-from repro.themis.config import ThemisConfig
-from repro.themis.dest import ThemisDest
+from repro.themis.flow_table import COMPENSATE, FlowEntry
 
 FLOW = FlowKey(0, 1)
 
 
-class MiniToR:
-    """Just enough switch surface for ThemisDest: down NICs + forward."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.down_nics = {1}
-        self.to_sender = []          # NACKs surviving toward the sender
-
-    def forward(self, packet):
-        self.to_sender.append(packet)
-
-
 class Pipeline:
-    """ToR (Themis-D) wired synchronously to a NIC-SR receiver."""
+    """Themis-D's core at the ToR, wired synchronously to a NIC-SR
+    receiver whose NACKs ride straight back to it."""
 
     def __init__(self, n_paths, capacity=256):
-        self.sim = Simulator()
-        self.metrics = Metrics(self.sim)
-        self.tor = MiniToR(self.sim)
-        self.dest = ThemisDest(
-            ThemisConfig(), self.metrics,
-            n_paths_for=lambda flow: n_paths,
-            queue_capacity_for=lambda flow: capacity)
-        nic = Rnic(self.sim, 1, config=RnicConfig(),
-                   metrics=self.metrics, rng=SimRng(0),
-                   cc_factory=lambda f: FixedRate(self.sim, 1e9))
+        sim = Simulator()
+        self.metrics = Metrics(sim)
+        self.entry = FlowEntry(FLOW, n_paths, capacity)
+        #: ``(epsn, crafted)`` of every NACK surviving toward the sender.
+        self.to_sender = []
+        self.verdicts = []
+        nic = Rnic(sim, 1, config=RnicConfig(), metrics=self.metrics,
+                   rng=SimRng(0), cc_factory=lambda f: FixedRate(sim, 1e9))
         pipeline = self
 
         class Loopback:
             def enqueue(self, packet):
                 if packet.ptype is PacketType.NACK:
-                    # The NACK rides back to the ToR instantly.
-                    if pipeline.dest.on_packet(pipeline.tor, packet,
-                                               None):
-                        pipeline.tor.to_sender.append(packet)
+                    pipeline.on_nack(packet.epsn)
                 return True
 
         nic.uplink = Loopback()
         self.receiver = nic.receiver(FLOW)
 
+    def on_nack(self, epsn):
+        verdict = self.entry.classify(epsn, arm=True)[0]
+        self.verdicts.append(verdict)
+        if verdict != "blocked":
+            self.to_sender.append((epsn, False))
+
     def deliver(self, psn):
-        packet = data_packet(FLOW, psn, 100)
-        if self.dest.on_packet(self.tor, packet, None):
-            self.receiver.on_data(packet)
+        if self.entry.on_last_hop(psn) & COMPENSATE:
+            self.to_sender.append((self.entry.blocked_epsn, True))
+        self.receiver.on_data(data_packet(FLOW, psn, 100))
 
     def sender_nack_epsns(self):
-        return {p.epsn for p in self.tor.to_sender
-                if p.ptype is PacketType.NACK}
+        return {epsn for epsn, _ in self.to_sender}
+
+    def crafted(self):
+        return [epsn for epsn, crafted in self.to_sender if crafted]
 
 
 def fifo_interleavings(n_packets, n_paths):
@@ -115,13 +107,11 @@ def test_lossless_runs_never_compensate(n_paths, data):
     for psn in order:
         pipe.deliver(psn)
     # Theorem 1: no fabricated NACKs without loss.
-    assert pipe.metrics.themis.nacks_compensated == 0
+    assert pipe.crafted() == []
     # Sanity: the receiver assembled the whole stream.
     assert pipe.receiver.epsn == n_packets
-    # Accounting closes.
-    themis = pipe.metrics.themis
-    assert themis.nacks_inspected \
-        == themis.nacks_blocked + themis.nacks_forwarded
+    # Accounting closes: every NACK the NIC sent got one verdict.
+    assert len(pipe.verdicts) == pipe.metrics.nacks_generated
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,6 +161,4 @@ def test_compensated_nacks_name_only_truly_lost_psns(n_paths, data):
             pipe.deliver(psn)
     for psn in range(n_packets, n_packets + n_paths + 1):
         pipe.deliver(psn)
-    fabricated = [p for p in pipe.tor.to_sender
-                  if p.ptype is PacketType.NACK and p.themis_generated]
-    assert all(p.epsn == dropped for p in fabricated)
+    assert all(epsn == dropped for epsn in pipe.crafted())
