@@ -729,6 +729,12 @@ def cmd_arena(args: argparse.Namespace, console: Console) -> int:
         lbs=lbs, transports=transports, ccs=ccs, workloads=workloads,
         topologies=topologies, seeds=seeds, quick=args.quick,
         message_bytes=args.bytes, deadline_us=args.deadline_us)
+    # A cached cell result mistyped where the ranking does not look (a
+    # stale or corrupted run cache) still builds a document; refuse it
+    # here, not in ``run_arena``, so a warm arena pays nothing for it.
+    problems = arena.structural_problems(doc)
+    if problems:
+        return _fail(console, problems[0])
     console.out(arena.render_arena_table(doc))
     incomplete = [c for c in doc["cells"] if not c["completed"]]
     if incomplete:

@@ -115,7 +115,8 @@ class Metrics:
     """Experiment-wide counters and per-flow stats."""
 
     def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+        # ``sim`` is unread; it stays while the ledger's micro-benchmarks
+        # (``benchmarks/ledger``) still pass it.
 
         # Global counters, each bumped where the event happens: drops by
         # on_drop, the control packets by the receiver that emits them.

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.harness.report import NUMBER, field_problems
+
 
 @dataclass(frozen=True)
 class ReplicatedStat:
@@ -58,17 +60,19 @@ class ReplicatedStat:
 
 
 def _evaluate_seeds(extractor: Callable[[int], object],
-                    seeds: Sequence[int], *, workers: int = 1,
-                    **runner_opts) -> list:
+                    seeds: Sequence[int], *, value_type: type,
+                    workers: int = 1, **runner_opts) -> list:
     """One ``extractor(seed)`` evaluation per seed, in seed order.
 
     With ``workers>1`` the per-seed runs fan out across the job runner
     (per-seed subprocess isolation, crash retry, and whatever other
     :class:`~repro.harness.jobs.JobRunner` keywords ``runner_opts``
-    carries — ``timeout_s``, ``checkpoint``, ...) — provided the
-    extractor is importable from a worker (a module-level function).
+    carries — ``timeout_s``, ``checkpoint``, ``cache``, ...) — provided
+    the extractor is importable from a worker (a module-level function).
     Lambdas and closures cannot cross a process boundary, so they fall
-    back to the serial path.
+    back to the serial path.  A job result whose ``value`` is missing or
+    not a ``value_type`` (a stale or corrupted run-cache row) is one
+    ``ValueError`` naming its seed.
     """
     from repro.harness.jobs import (JobSpec, callable_target,
                                     raise_on_failures, run_jobs)
@@ -83,7 +87,16 @@ def _evaluate_seeds(extractor: Callable[[int], object],
                      label=f"{target} seed={s}") for s in seeds]
     outcomes = run_jobs(specs, workers=workers, **runner_opts)
     raise_on_failures(outcomes)
-    return [outcomes[spec.spec_hash].result["value"] for spec in specs]
+    values = []
+    for spec in specs:
+        result = outcomes[spec.spec_hash].result
+        problems = field_problems(result, ("value",),
+                                  types={"value": value_type})
+        if problems:
+            raise ValueError(f"malformed result of {target} for seed "
+                             f"{spec.seed}: {problems[0]}")
+        values.append(result["value"])
+    return values
 
 
 def replicate(metric: Callable[[int], float], *,
@@ -91,7 +104,8 @@ def replicate(metric: Callable[[int], float], *,
               name: str = "metric", **runner_opts) -> ReplicatedStat:
     """Evaluate ``metric(seed)`` across seeds (``runner_opts``: see
     :func:`_evaluate_seeds`)."""
-    values = _evaluate_seeds(metric, seeds, **runner_opts)
+    values = _evaluate_seeds(metric, seeds, value_type=NUMBER,
+                             **runner_opts)
     return ReplicatedStat(name, tuple(float(v) for v in values))
 
 
@@ -103,7 +117,8 @@ def replicate_many(metrics: Callable[[int], dict], *,
     One simulation per seed; every key of the returned dict becomes a
     :class:`ReplicatedStat`.
     """
-    rows = _evaluate_seeds(metrics, seeds, **runner_opts)
+    rows = _evaluate_seeds(metrics, seeds, value_type=dict,
+                           **runner_opts)
     keys = rows[0].keys()
     for row in rows[1:]:
         if row.keys() != keys:

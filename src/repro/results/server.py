@@ -475,44 +475,76 @@ def make_handler(dashboard: Dashboard,
 class DashboardServer(HTTPServer):
     """The server, the :data:`WORKERS` threads that answer what it
     accepts, and the :class:`Dashboard` they render; ``server_close()``
-    joins the threads and closes the dashboard's connections."""
+    joins the threads and closes the dashboard's connections.
+
+    An accepted socket goes to the most recently idle worker (a stack of
+    per-worker hand-off queues), so a client that sends one request at a
+    time keeps being answered by the same thread, and the threads it
+    does not need grow no malloc arena of their own.  A socket accepted
+    while every worker is busy waits on the shared queue, which a worker
+    drains before it goes idle again.
+    """
 
     def __init__(self, address: tuple[str, int], dashboard: Dashboard,
                  quiet: bool = False) -> None:
         self.dashboard = dashboard
         super().__init__(address, make_handler(dashboard, quiet=quiet))
         self._accepted: queue.SimpleQueue = queue.SimpleQueue()
-        self._workers = [threading.Thread(target=self._work, daemon=True)
-                         for _ in range(WORKERS)]
+        self._handoff_lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []
+        self._inboxes = [queue.SimpleQueue() for _ in range(WORKERS)]
+        self._workers = [threading.Thread(target=self._work, args=(inbox,),
+                                          daemon=True)
+                         for inbox in self._inboxes]
         for worker in self._workers:
             worker.start()
 
     def process_request(self, request, client_address) -> None:
-        self._accepted.put((request, client_address))
+        with self._handoff_lock:
+            inbox = self._idle.pop() if self._idle else self._accepted
+        inbox.put((request, client_address))
 
-    def _work(self) -> None:
+    def _next(self, inbox: queue.SimpleQueue):
+        """A socket left on the shared queue for the worker that owns
+        ``inbox``, or ``None`` once that worker is back on top of the
+        idle stack (its next socket then arrives in ``inbox``)."""
+        with self._handoff_lock:
+            try:
+                return self._accepted.get_nowait()
+            except queue.Empty:
+                self._idle.append(inbox)
+        return None
+
+    def _work(self, inbox: queue.SimpleQueue) -> None:
         """Answer accepted sockets in turn, until ``server_close()``."""
+        accepted = self._next(inbox)
         while True:
-            accepted = self._accepted.get()
             if accepted is None:
-                return
+                accepted = inbox.get()
+                if accepted is None:
+                    return
             try:
                 self.finish_request(*accepted)
             except Exception:
                 self.handle_error(*accepted)
-            finally:
-                self.shutdown_request(accepted[0])
+            # The response is written: take the next socket (or rejoin
+            # the idle stack) before closing this one, so the client's
+            # next request finds this thread on top.
+            answered, accepted = accepted, self._next(inbox)
+            self.shutdown_request(answered[0])
 
     def server_close(self) -> None:
         """Idempotent.  Sockets accepted before the call are answered
-        first (the queue is first in, first out), so a silent one can
-        hold the join for up to :data:`READ_TIMEOUT_S`."""
+        first (each worker drains the shared queue before it reads its
+        own), so a silent one can hold the join for up to
+        :data:`READ_TIMEOUT_S`."""
         super().server_close()
-        for _ in self._workers:
-            self._accepted.put(None)
+        for inbox in self._inboxes:
+            inbox.put(None)
         for worker in self._workers:
             worker.join()
         self._workers = []
+        self._inboxes = []
         self.dashboard.close()
 
 

@@ -93,6 +93,10 @@ CREATE TABLE IF NOT EXISTS arena_cells (
     PRIMARY KEY (run_id, cell_order)
 );
 CREATE INDEX IF NOT EXISTS arena_cells_hash ON arena_cells(spec_hash);
+-- Covers the per-run cell counts of ``query.arena_runs``, so ``/arena``
+-- never reads ``cell_json``; an older store gets it from its next writer.
+CREATE INDEX IF NOT EXISTS arena_cells_run_completed
+    ON arena_cells(run_id, completed);
 
 CREATE TABLE IF NOT EXISTS arena_ranking (
     run_id             INTEGER NOT NULL REFERENCES runs(run_id),

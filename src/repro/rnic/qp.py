@@ -105,7 +105,8 @@ class SenderQp:
         # on every ACK only moves this timestamp; the already-armed timer
         # checks it when it fires and sleeps the remainder, so the per-ACK
         # re-arm churn disappears from the calendar (one timer event per
-        # RTO span instead of per packet).
+        # RTO span instead of per packet).  Only a backoff reset can move
+        # the deadline earlier; that arms a fresh entry (``_arm_rto``).
         self._rto_deadline = 0
 
         self.stats = metrics.flow_stats(flow)
@@ -338,11 +339,17 @@ class SenderQp:
             # completed state when it fires and do nothing.
             self._rto_deadline = 0
             return
-        self._rto_deadline = self.sim.now + self._rto_current_ns
+        deadline = self.sim.now + self._rto_current_ns
         token = self._rto_token
         if not token & 1:
             self._rto_token = token = token + 1
             self.sim.fire(self._rto_current_ns, self._rto_fire, token)
+        elif deadline < self._rto_deadline:
+            # A backoff reset moved the deadline earlier than the pending
+            # entry: arm a fresh one, and the stale entry runs as a no-op.
+            self._rto_token = token = token + 2
+            self.sim.fire(self._rto_current_ns, self._rto_fire, token)
+        self._rto_deadline = deadline
 
     def _rto_fire(self, token: int) -> None:
         if token != self._rto_token:

@@ -28,7 +28,8 @@ class ThemisDest(Middleware):
                  n_paths_for: Callable[[FlowKey], int],
                  queue_capacity_for: Callable[[FlowKey], int],
                  validate: bool = True, compensate: bool = True) -> None:
-        self.config = config
+        # ``config`` is unread; it stays while the ledger's micro-
+        # benchmarks (``benchmarks/ledger``) still pass it.
         self.metrics = metrics
         #: Production Themis-D runs both halves; the ``themis_noval`` /
         #: ``themis_nocomp`` ablation schemes switch them off.

@@ -227,3 +227,32 @@ class TestArenaCli:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert validate_arena_doc(doc) == []
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("completed", "no", "cell[0].completed is not a bool"),
+        ("tail_ns", "x", "cell[0].tail_ns is not an int"),
+    ])
+    def test_mistyped_cached_cell_is_refused_unwritten(
+            self, tmp_path, capsys, field, value, problem):
+        """A cached cell result mistyped where the ranking does not look
+        still builds a document; ``repro arena`` refuses it by its first
+        problem and writes nothing."""
+        from repro.harness.cli import main
+        db = str(tmp_path / "cache.sqlite")
+        out = tmp_path / "arena.json"
+        argv = ["--quiet", "arena", "--quick", "--lbs", "reps",
+                "--transports", "nic_sr", "--workloads", "alltoall",
+                "--topos", "leaf_spine", "--cache", db]
+        assert main(argv) == 0
+        with ResultsStore(db) as store:
+            ((spec_hash, text),) = store.conn.execute(
+                "SELECT spec_hash, result_json FROM job_results")
+            store.conn.execute(
+                "UPDATE job_results SET result_json=? WHERE spec_hash=?",
+                (json.dumps({**json.loads(text), field: value}),
+                 spec_hash))
+            store.conn.commit()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: {problem}\n"
+        assert not out.exists()

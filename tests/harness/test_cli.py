@@ -393,8 +393,9 @@ class TestFaultsCommand:
         """``--name link-flap-smoke`` is the run the retired
         ``--fault-link tor0:spine0 --fault-at-us 40 --fault-down-us 80``
         made (the numbers matched those flags' output on the commit
-        before they went); they were re-pinned once since, when NIC
-        uplinks became pull-mode TX arbiters."""
+        before they went); they were re-pinned twice since, when NIC
+        uplinks became pull-mode TX arbiters and when progress after a
+        timeout began re-arming the RTO at the reset backoff."""
         import json
         rc = main(["--json", "trace", "nacks", "--nodes", "8",
                    "--bytes", "200000", "--name", "link-flap-smoke"])
@@ -406,17 +407,17 @@ class TestFaultsCommand:
             "no_state": 0, "no_tpsn": 0, "unexplained": 0}
         assert payload["metrics"] == {
             "cnps_generated": 35, "data_packets_sent": 8212, "drops": 428,
-            "mean_goodput_gbps": 6.64, "nacks_generated": 62,
+            "mean_goodput_gbps": 6.688, "nacks_generated": 62,
             "retransmissions": 428, "spurious_ratio": 0.0521,
             "themis_blocked": 49, "themis_compensated": 24,
-            "themis_forwarded": 0, "trace_events": 84242,
+            "themis_forwarded": 0, "trace_events": 84101,
             "trace_counts": {
-                "cc_rate": 814, "deq": 29977, "drop": 428,
+                "cc_rate": 673, "deq": 29977, "drop": 428,
                 "ecn_mark": 271, "enq": 24395, "fault_link_down": 1,
                 "fault_link_up": 1, "fault_reconverge": 2, "hop": 27709,
                 "nack_cancel": 25, "nack_classify": 49,
                 "nack_compensate": 24, "nack_emit": 62, "qp_state": 484,
-                "total": 84242}}
+                "total": 84101}}
         assert payload["faults"] == {"spec": "link-flap-smoke",
                                      "scheduled": 2, "applied": 2,
                                      "recorded": 4}

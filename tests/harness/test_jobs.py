@@ -617,6 +617,28 @@ class TestReplicationIntegration:
         stats = replicate_many(seed_metrics, seeds=(1, 2), workers=2)
         assert stats["double"].values == (2.0, 4.0)
 
+    @pytest.mark.parametrize("cached, replicator, problem", [
+        ({"version": 1}, replicate, "missing key 'value'"),
+        ({"value": "x"}, replicate, "value is not a number"),
+        ({"value": 2.0}, replicate_many, "value is not an object"),
+    ])
+    def test_stale_cached_value_names_the_seed(self, tmp_path, cached,
+                                               replicator, problem):
+        """A cached row of another shape (a stale or corrupted run
+        cache) is one error naming its seed and the missing or mistyped
+        ``value``, not a bare ``KeyError``."""
+        import math
+        from repro.results.store import ResultsStore
+        db = str(tmp_path / "cache.sqlite")
+        spec = JobSpec(kind="callable", seed=4,
+                       params={"target": "math:sqrt"})
+        with ResultsStore(db) as store:
+            store.put_job_result(spec, cached)
+        with pytest.raises(ValueError) as exc:
+            replicator(math.sqrt, seeds=(4,), workers=2, cache=db)
+        assert "seed 4" in str(exc.value)
+        assert problem in str(exc.value)
+
     def test_lambda_falls_back_to_serial(self):
         stat = replicate(lambda s: float(s), seeds=(4, 5), workers=4)
         assert stat.values == (4.0, 5.0)

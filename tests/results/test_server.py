@@ -388,6 +388,38 @@ class TestHttpRoundTrip:
         # server_close() closed every one of them.
         assert dashboard.connections_open == 0
 
+    def test_one_client_at_a_time_stays_on_one_worker(self, db):
+        """A client that sends 50 requests one after another, each once
+        the last is answered and hung up on, is answered by one of the
+        six workers: the worker rejoins the top of the idle stack before
+        it closes the socket, so the next request finds it there (a
+        first-in, first-out hand-off would rotate such a client across all
+        six).  A client that does not wait for the hang-up can reach the
+        server first, and is then answered by the next worker down."""
+        spec_hash = first_spec_hash(db)
+        paths = ["/", "/arena", "/arena/1", f"/cell/1/{spec_hash}",
+                 "/api/arena/1"]
+        with serving(db) as server:
+            answered_by = []
+            inner = server.dashboard.render
+
+            def render(path, host="localhost"):
+                answered_by.append(threading.get_ident())
+                return inner(path, host=host)
+
+            server.dashboard.render = render
+            for i in range(50):
+                with socket.create_connection(server.server_address[:2],
+                                              timeout=10) as sock:
+                    sock.sendall(f"GET {paths[i % len(paths)]} HTTP/1.0"
+                                 "\r\n\r\n".encode())
+                    response = b""
+                    while chunk := sock.recv(65536):
+                        response += chunk
+                assert response.startswith(b"HTTP/1.0 200 ")
+        assert len(answered_by) == 50
+        assert len(set(answered_by)) == 1
+
     def test_server_close_closes_connections_and_is_idempotent(self, db):
         with serving(db) as server:
             fetch(server, "/arena")

@@ -833,6 +833,41 @@ class TestSetBasedQueries:
                                                             None)
         assert arena_runs(empty) == arena_runs_per_run(empty) == []
 
+    def test_arena_runs_counts_cells_from_the_covering_index(
+            self, mixed, tmp_path):
+        """``arena_runs`` counts each run's cells from
+        ``arena_cells_run_completed`` and never reads ``cell_json``.  A
+        store from before that index (one only ever opened read-only)
+        answers the same rows by its old plan, and its next writer
+        builds the index."""
+        def rows_and_plan(conn):
+            statements = []
+            conn.set_trace_callback(statements.append)
+            try:
+                rows = arena_runs(conn)
+            finally:
+                conn.set_trace_callback(None)
+            (statement,) = statements
+            return rows, [row[3] for row in conn.execute(
+                "EXPLAIN QUERY PLAN " + statement)]
+
+        rows, plan = rows_and_plan(mixed)
+        assert ("SCAN arena_cells USING COVERING INDEX "
+                "arena_cells_run_completed") in plan
+        old = str(tmp_path / "old.sqlite")
+        with closing(sqlite3.connect(old)) as copy:
+            mixed.backup(copy)
+            copy.execute("DROP INDEX arena_cells_run_completed")
+            copy.commit()
+        with closing(connect_readonly(old)) as conn:
+            old_rows, old_plan = rows_and_plan(conn)
+        assert old_rows == rows and old_rows[0]["cells"] == 2
+        assert not any("arena_cells_run_completed" in step
+                       for step in old_plan)
+        ResultsStore(old).close()
+        with closing(connect_readonly(old)) as conn:
+            assert rows_and_plan(conn) == (rows, plan)
+
     def test_counts_equal_the_separate_counts(self, mixed, empty):
         for conn in (mixed, empty):
             counts = table_counts(conn)

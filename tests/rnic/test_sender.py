@@ -183,6 +183,29 @@ class TestTimeout:
         sender = pair.nics[0].senders[FlowKey(0, 1)]
         assert sender._rto_current_ns <= cfg.rto_max_ns
 
+    def test_rto_fires_rto_ns_after_progress_that_resets_the_backoff(
+            self, make_nic_pair):
+        """A timeout doubles the backoff and arms the next RTO for
+        ``2 * rto_ns`` later; an ACK that advances ``snd_una`` resets the
+        backoff, so the next RTO fires ``rto_ns`` after that ACK, not at
+        the backed-off deadline."""
+        rto = 100 * US
+        pair = make_nic_pair(config=RnicConfig(rto_ns=rto))
+        pair.nics[0].uplink.up = False
+        pair.nics[0].post_send(1, 10_000)
+        sender = pair.nics[0].senders[FlowKey(0, 1)]
+        pair.run(until=rto)
+        assert sender.stats.timeouts == 1
+        assert sender._rto_current_ns == 2 * rto
+        ack_at = rto + 20 * US
+        pair.run(until=ack_at)
+        sender.on_ack(1)
+        assert sender._rto_current_ns == rto
+        pair.run(until=ack_at + rto - 1)
+        assert sender.stats.timeouts == 1
+        pair.run(until=ack_at + rto)
+        assert sender.stats.timeouts == 2
+
     def test_recovery_after_transient_outage(self, make_nic_pair):
         pair = make_nic_pair(config=RnicConfig(rto_ns=100 * US))
         pair.nics[0].uplink.up = False

@@ -93,7 +93,7 @@ def test_quick_arena_nic_sr_cells(quick_arena):
 
 def test_link_flap_campaign_document():
     doc = run_campaign(builtin("link-flap-smoke"), [1, 2])
-    assert doc_crc(doc) == 1191303070
+    assert doc_crc(doc) == 1664826303
 
 
 @pytest.mark.parametrize("name, live, no_ops", [
