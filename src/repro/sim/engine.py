@@ -1,14 +1,14 @@
 """Discrete-event simulation engine.
 
-:class:`Simulator` is a **sparse calendar queue**.  Pending entries are
-grouped into fixed-width time buckets, but only occupied buckets exist: a
-dict maps ``time >> shift`` to an unsorted list, a heap of the occupied
-keys says which bucket is next, and one more heap (``_live``) takes the
-entries that arrive inside the window already being drained.  Claiming
-the next bucket is one ``heappop`` plus one ``dict.pop``; the bucket is
-sorted once and dispatched in a tight loop.  Queue entries are plain
-``(time, seq, callback, arg)`` or ``(time, seq, callback, arg1, arg2)``
-tuples, so every ordering comparison happens in C.
+:class:`Simulator` is a **sparse calendar queue** (Brown, CACM 1988,
+without the empty buckets).  Pending entries are grouped into fixed-width
+time buckets, but only occupied buckets exist: a dict maps
+``time >> shift`` to an unsorted list, and a heap of the occupied keys
+says which bucket is next.  Claiming the next bucket is one ``heappop``
+plus one ``dict.pop``; the claimed list becomes ``_window``, the one
+ordered list of its window, and ``run()`` dispatches it with a plain
+``for`` loop.  Queue entries are plain ``(time, seq, callback, arg)`` or
+``(time, seq, callback, arg1, arg2)`` tuples.
 
 The original single binary-heap engine lives on as the test oracle
 (``tests/sim/heap_oracle.py``): the golden determinism tests run full
@@ -17,15 +17,19 @@ order.
 
 Three invariants carry the calendar's correctness:
 
-1. every entry in ``_live`` lies below ``_cur_end`` (the end of the last
-   bucket claimed) and every entry in ``_buckets`` at or beyond it, so
-   draining ``_live`` first and the smallest key next visits time in
+1. every entry in ``_window`` lies below ``_cur_end`` (the end of the
+   last bucket claimed) and every entry in ``_buckets`` at or beyond it,
+   so draining ``_window`` first and the smallest key next visits time in
    increasing order;
 2. ``_order`` holds each key of ``_buckets`` exactly once — a key is
    pushed when its list is created and popped when the list is claimed;
-3. whatever is executed comes out of a ``(time, seq)``-sorted batch or the
-   ``_live`` heap, whichever front is smaller, which is the order the
-   reference heap pops.
+3. ``_window`` is in ``(time, seq)`` order.  A bucket is appended in
+   ``seq`` order, so one stable sort on time alone orders it; an entry
+   scheduled into the open window has a larger ``seq`` than all of it, so
+   ``insort_right`` on time puts it after every entry of the same time
+   (and after the one being dispatched, whose time is ``now``).  The
+   ``for`` loop's iterator therefore meets every late entry in the order
+   the reference heap pops it.
 
 There is no horizon and no compaction.  A dict has room for any key, so a
 timer seconds ahead costs the same insert as a wake-up 100 ns ahead and is
@@ -53,7 +57,8 @@ flowing through :class:`repro.sim.rng.SimRng`.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import insort_right
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 #: One nanosecond (the base time unit).
@@ -75,10 +80,14 @@ DEFAULT_BUCKET_NS = 64
 #: Sentinel "no bound" time, far beyond any simulated horizon (~146 y).
 _FAR_FUTURE = 1 << 62
 
-# Module-level alias: the scheduling entry points run once or twice per
+# Module-level aliases: the scheduling entry points run once or twice per
 # simulated packet, where ``heapq.heappush`` would cost a global plus an
 # attribute load per call.
 _heappush = heapq.heappush
+_insort = insort_right
+#: Sort and bisect key of a calendar entry: its time.  Ties keep the
+#: order they were appended in, which is ``seq`` order.
+_time_of = itemgetter(0)
 
 
 class SimulationError(RuntimeError):
@@ -122,13 +131,13 @@ class Simulator:
         Width of one calendar bucket in nanoseconds (rounded up to a power
         of two so the bucket key is one shift).
 
-    The module docstring describes ``_live``, ``_buckets`` and ``_order``
-    and the invariants between them.
+    The module docstring describes ``_window``, ``_buckets`` and
+    ``_order`` and the invariants between them.
     """
 
     __slots__ = (
         "now", "trace", "_shift", "_buckets", "_order",
-        "_live", "_cur_end", "_seq", "_executed",
+        "_window", "_cur_end", "_seq", "_executed",
         "_running", "batches",
     )
 
@@ -141,13 +150,13 @@ class Simulator:
         self._shift = max(0, int(bucket_ns) - 1).bit_length()
         self._buckets: dict[int, list] = {}
         self._order: list[int] = []
-        self._live: list = []
+        self._window: list = []
         self._cur_end = 0              # nothing claimed yet
 
         self._seq = 0
         self._executed = 0
         self._running = False
-        #: Calendar buckets claimed whole by :meth:`run` — the
+        #: Calendar buckets claimed by :meth:`run`, one per window — the
         #: unit of per-batch overhead (claim + sort).  The performance
         #: ledger reports it as the exact count ``sim.batches``.
         self.batches = 0
@@ -187,7 +196,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if time < self._cur_end:
-            _heappush(self._live, (time, seq, callback, arg))
+            _insort(self._window, (time, seq, callback, arg), key=_time_of)
         else:
             key = time >> self._shift
             bucket = self._buckets.get(key)
@@ -214,7 +223,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if time < self._cur_end:
-            _heappush(self._live, (time, seq, callback, arg1, arg2))
+            _insort(self._window, (time, seq, callback, arg1, arg2),
+                    key=_time_of)
         else:
             key = time >> self._shift
             bucket = self._buckets.get(key)
@@ -246,24 +256,25 @@ class Simulator:
         drains before the bound the clock still advances to it.
 
         The drain is batched: claim a whole calendar bucket, sort it
-        once, dispatch it in a tight loop.  Per-event cost drops three
-        ways versus a pop-per-event loop:
+        once on time, dispatch it in a tight loop.  Per-event cost drops
+        three ways versus a pop-per-event loop:
 
-        * one C-level ``list.sort`` per bucket replaces a ``heappop``
-          (log-n sifts) per event;
-        * the stop-bound comparison is hoisted to once per bucket — a
-          bucket whose window ends at or before the bound can never
-          contain a late event, which is every bucket except possibly
-          the final one of a bounded run;
+        * one C-level ``list.sort`` per bucket, comparing bare ints,
+          replaces a ``heappop`` (log-n tuple comparisons) per event;
+        * the stop-bound comparison is hoisted to once per window — a
+          window ending at or before the bound can never contain a late
+          event, which is every window except possibly the final one of
+          a bounded run; that one runs one entry at a time;
         * same-timestamp chains (port→switch→port hops of one packet
-          wave) run back-to-back out of the sorted batch with no queue
+          wave) run back-to-back out of the list with no queue
           maintenance between them.
 
-        Events scheduled *into* the claimed window while it drains (a
-        serializer boundary wake-up shorter than the remaining bucket,
-        a zero-delay completion) land in a fresh ``live`` heap that the
-        drain merges in ``(time, seq)`` order, so execution order is
-        bit-identical to the reference engine.
+        Events scheduled *into* the window while it drains (a serializer
+        boundary wake-up shorter than the remaining bucket, a zero-delay
+        completion) are bisected into its list behind the dispatch
+        position, so execution order is bit-identical to the reference
+        engine.  A callback that raises propagates; the entries after it
+        stay pending, in order, for a post-mortem or another ``run()``.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -277,10 +288,11 @@ class Simulator:
         shift = self._shift
         # A window ending at or before ``limit`` holds no late event.
         limit = (until if until is not None else _FAR_FUTURE) + 1
-        cur_end = self._cur_end
+        batch = self._window
         try:
             while True:
-                batch = self._live
+                # A non-empty window here was left by a bounded stop or
+                # a raise: it is already ordered and already counted.
                 if not batch:
                     if not order:
                         # Queue drained before the bound: leave now ==
@@ -289,58 +301,48 @@ class Simulator:
                             self.now = until
                         break
                     key = heappop(order)
-                    batch = buckets.pop(key)
-                    cur_end = self._cur_end = (key + 1) << shift
-                batch.sort()
-                if cur_end <= limit:
-                    # Claim the bucket: late inserts into the still-open
-                    # window go to a fresh heap we merge from.
-                    self._live = live = []
+                    batch = self._window = buckets.pop(key)
+                    self._cur_end = (key + 1) << shift
+                    if len(batch) > 1:
+                        batch.sort(key=_time_of)
                     self.batches += 1
-                else:
-                    # The window straddles the stop bound (only the last
-                    # one of a call can): run the entries at or before it.
-                    # The rest stay live — sorted, hence a valid heap —
-                    # and every bucket lies at >= _cur_end > until.
-                    cut = bisect_left(batch, (limit,))
-                    self._live = live = batch[cut:]
-                    if not cut:
-                        if until is not None and until > self.now:
-                            self.now = until
-                        break
-                    del batch[cut:]
-                pos = 0
-                n = len(batch)
-                merged = 0   # late inserts drained from ``live``
-                try:
-                    while pos < n:
-                        entry = batch[pos]
-                        if live and live[0] < entry:
-                            entry = heappop(live)
-                            merged += 1
-                        else:
-                            pos += 1
-                        self.now = entry[0]
-                        if trace is not None:
-                            trace(entry[0], entry[1], entry[2])
-                        if len(entry) == 5:   # fire2() delivery entry
-                            entry[2](entry[3], entry[4])
-                        else:                 # fire() entry
-                            entry[2](entry[3])
-                    # Counting once per batch beats one increment per
-                    # event: everything consumed ran.
-                    executed += n + merged
-                except BaseException:
-                    # Restore the unexecuted tail so a callback raising
-                    # mid-batch leaves the queue intact for post-mortems.
-                    # The entry that raised was consumed but does not
-                    # count as executed.
-                    executed += pos + merged - 1
-                    live.extend(batch[pos:])
-                    heapq.heapify(live)
-                    raise
-                # Batch done; late inserts still in ``live`` (and the
-                # tail of a straddling bucket) are the next batch.
+                if self._cur_end <= limit:
+                    try:
+                        for entry in batch:
+                            self.now = entry[0]
+                            if trace is not None:
+                                trace(entry[0], entry[1], entry[2])
+                            if len(entry) == 5:   # fire2() delivery entry
+                                entry[2](entry[3], entry[4])
+                            else:                 # fire() entry
+                                entry[2](entry[3])
+                    except BaseException:
+                        # Keep the unexecuted tail pending; the entry that
+                        # raised was consumed.
+                        del batch[:batch.index(entry) + 1]
+                        raise
+                    # Counting once per window beats one increment per
+                    # event: everything in the list ran.
+                    executed += len(batch)
+                    batch.clear()
+                    continue
+                # The window straddles the stop bound (only the last one
+                # of a call can): run its entries at or before the bound
+                # one at a time, late inserts included.  The rest stay in
+                # ``_window``; every bucket lies at >= _cur_end > until.
+                while batch and batch[0][0] < limit:
+                    entry = batch.pop(0)
+                    self.now = entry[0]
+                    if trace is not None:
+                        trace(entry[0], entry[1], entry[2])
+                    if len(entry) == 5:
+                        entry[2](entry[3], entry[4])
+                    else:
+                        entry[2](entry[3])
+                    executed += 1
+                if until > self.now:
+                    self.now = until
+                break
         finally:
             self._running = False
         self._executed += executed
@@ -354,8 +356,11 @@ class Simulator:
         """Number of queued entries (cancelled timers included).
 
         Computed on demand — the hot path maintains no entry counter.
+        Read from a callback, it also counts the entries of the window
+        being drained that already ran: its list lets go of them when
+        its last entry has run.
         """
-        return (len(self._live)
+        return (len(self._window)
                 + sum(len(b) for b in self._buckets.values()))
 
     @property

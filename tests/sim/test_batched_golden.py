@@ -1,8 +1,8 @@
 """Golden equality: batched dispatch vs. the heap reference engine.
 
-``Simulator.run_batched`` drains whole calendar buckets per step (one
-sort per claimed bucket, same-timestamp events folded into a single
-dispatch loop).  These tests pin its determinism contract on every
+``Simulator.run`` drains one calendar window per step (one sort on time
+per claimed bucket, late inserts bisected into the window's list, one
+dispatch loop over it).  These tests pin its determinism contract on every
 benchmark scenario plus a fault-injected run: the **event sequence**
 (time, seq, callback qualname), the **flow-level outcomes**
 (completions, posted bytes, retransmissions), the **per-port busy

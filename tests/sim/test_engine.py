@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import MS, NS, SEC, US, SimulationError, Simulator
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def test_time_constants():
@@ -198,6 +199,87 @@ class TestRunControl:
         sim.schedule(1, lambda: None)
         sim.schedule(2, lambda: None)
         assert sim.run() == 2
+
+
+class TestRaiseMidBatch:
+    """A callback that raises propagates out of ``run()`` and leaves the
+    queue as the reference heap engine leaves it: every later entry
+    still pending, in order, and a second ``run()`` picks up there."""
+
+    @staticmethod
+    def _program(sim):
+        log = []
+
+        def note(label):
+            log.append((sim.now, label))
+
+        def early(label):
+            note(label)
+            sim.fire(5, note, "late@15")          # into the open window
+
+        def boom(label):
+            note(label)
+            sim.fire(0, note, "late@boom")        # same time, then raise
+            raise RuntimeError(label)
+
+        sim.fire(10, early, "a")
+        sim.fire(20, note, "b")
+        sim.fire(20, boom, "boom")
+        sim.fire(20, note, "c")
+        sim.fire(30, note, "d")
+        sim.fire2(40, lambda label, _: note(label), "e", None)
+        sim.fire(200, note, "next bucket")
+        return log
+
+    @pytest.mark.parametrize("until", [None, 25, 35])
+    def test_tail_stays_pending_and_resumes_in_heap_order(self, until):
+        sim, heap = Simulator(), HeapSimulator()
+        log, heap_log = self._program(sim), self._program(heap)
+        for engine in (sim, heap):
+            with pytest.raises(RuntimeError, match="boom"):
+                engine.run(until=until)
+        assert log == heap_log == [(10, "a"), (15, "late@15"), (20, "b"),
+                                   (20, "boom")]
+        assert sim.now == heap.now == 20
+        # c, late@boom, d, e and the next bucket; the raiser is gone.
+        assert sim.pending == heap.pending == 5
+        assert sim.executed == heap.executed
+
+        ran = sim.run()
+        assert ran == heap.run() == 5
+        assert log == heap_log
+        assert log[4:] == [(20, "c"), (20, "late@boom"), (30, "d"),
+                           (40, "e"), (200, "next bucket")]
+        assert sim.executed == heap.executed
+        assert sim.pending == heap.pending == 0
+
+    def test_raise_in_a_resumed_window(self):
+        # The window left over by the first raise raises again: the
+        # second run() keeps the same contract.
+        def program(sim):
+            log = []
+
+            def boom(label):
+                log.append((sim.now, label))
+                raise RuntimeError(label)
+
+            for time, label in ((10, "a"), (10, "x1"), (12, "b"),
+                                (12, "x2"), (13, "c")):
+                sim.fire(time, boom if label[0] == "x" else log.append,
+                         label if label[0] == "x" else (time, label))
+            return log
+
+        sim, heap = Simulator(), HeapSimulator()
+        log, heap_log = program(sim), program(heap)
+        for engine in (sim, heap):
+            for _ in range(2):
+                with pytest.raises(RuntimeError):
+                    engine.run()
+            assert engine.pending == 1
+            assert engine.run() == 1
+        assert log == heap_log == [(10, "a"), (10, "x1"), (12, "b"),
+                                   (12, "x2"), (13, "c")]
+        assert sim.executed == heap.executed
 
 
 def test_determinism_two_identical_runs():

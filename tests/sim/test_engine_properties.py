@@ -1,12 +1,14 @@
 """Property tests (hypothesis) for the sparse calendar engine.
 
-An entry lands in one of two places — the ``_live`` heap of the window
-being drained, or a future bucket in the dict — and moves at most once,
-when its bucket is claimed.  These tests generate random schedules that
-straddle every boundary (same bucket, next bucket, microseconds, the
-DCQCN/RTO timer range, seconds) and assert the one property everything
-else rests on: the calendar engine executes the exact ``(time, seq)``
-sequence the reference heap engine does.
+An entry lands in one of two places — the ordered list of the window
+being drained (bisected in on time) or a future bucket in the dict — and
+moves at most once, when its bucket is claimed and sorted on time.
+These tests generate random schedules that straddle every boundary (same
+bucket, next bucket, microseconds, the DCQCN/RTO timer range, seconds)
+and the ties both steps rest on (zero-delay and same-timestamp inserts
+into a window that already holds entries at that time), and assert the
+one property everything else rests on: the calendar engine executes the
+exact ``(time, seq)`` sequence the reference heap engine does.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,55 @@ def test_bounded_run_slices_match_run_alone(initial, respawns, slices):
     assert events(sliced_log) == plain_log
     assert sliced_log == _run_program(HeapSimulator(), initial, respawns,
                                       drive)
+
+
+#: Timestamps inside one or two default buckets, few enough that a
+#: generated window holds several entries at each.
+tie_times = st.sampled_from([0, 1, 7, 31, 63, 64, 65, 127])
+
+
+@settings(max_examples=80, deadline=None)
+@given(initial=st.lists(st.tuples(tie_times, st.integers(1, 2)),
+                        min_size=1, max_size=30),
+       respawns=st.lists(st.tuples(tie_times, st.integers(1, 2),
+                                   st.integers(0, 3)), max_size=40))
+def test_late_inserts_tie_with_entries_already_in_the_window(initial,
+                                                            respawns):
+    """Each executed entry schedules up to three more at an absolute time
+    drawn from a few timestamps — ``delay = max(0, target - now)`` — so
+    late inserts are zero-delay (at ``now``, behind the entry being
+    dispatched and every other entry at ``now``) or land on a later
+    timestamp the window already holds.  Stable time-only order plus
+    ``insort_right`` must reproduce the heap's ``seq`` tie-break."""
+
+    def program(sim):
+        log = []
+        sim.trace = lambda time, seq, callback: log.append((time, seq))
+        todo = iter(respawns)
+
+        def spawn(target, kind):
+            delay = max(0, target - sim.now)
+            if kind == 1:
+                sim.fire(delay, callback, None)
+            else:
+                sim.fire2(delay, callback2, None, None)
+
+        def callback(_label):
+            step = next(todo, None)
+            if step is not None:
+                target, kind, fan_out = step
+                for _ in range(fan_out):
+                    spawn(target, kind)
+
+        def callback2(label, _unused):
+            callback(label)
+
+        for target, kind in initial:
+            spawn(target, kind)
+        sim.run()
+        return log
+
+    assert program(Simulator()) == program(HeapSimulator())
 
 
 @settings(max_examples=20, deadline=None)
