@@ -80,11 +80,10 @@ DEFAULT_BUCKET_NS = 64
 #: Sentinel "no bound" time, far beyond any simulated horizon (~146 y).
 _FAR_FUTURE = 1 << 62
 
-# Module-level aliases: the scheduling entry points run once or twice per
+# Module-level alias: the scheduling entry points run once or twice per
 # simulated packet, where ``heapq.heappush`` would cost a global plus an
 # attribute load per call.
 _heappush = heapq.heappush
-_insort = insort_right
 #: Sort and bisect key of a calendar entry: its time.  Ties keep the
 #: order they were appended in, which is ``seq`` order.
 _time_of = itemgetter(0)
@@ -196,7 +195,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if time < self._cur_end:
-            _insort(self._window, (time, seq, callback, arg), key=_time_of)
+            insort_right(self._window, (time, seq, callback, arg),
+                         key=_time_of)
         else:
             key = time >> self._shift
             bucket = self._buckets.get(key)
@@ -223,8 +223,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if time < self._cur_end:
-            _insort(self._window, (time, seq, callback, arg1, arg2),
-                    key=_time_of)
+            insort_right(self._window, (time, seq, callback, arg1, arg2),
+                         key=_time_of)
         else:
             key = time >> self._shift
             bucket = self._buckets.get(key)
